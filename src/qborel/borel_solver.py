@@ -456,6 +456,9 @@ def _picard(step, start, diff_norm, tol, max_iter):
         w_next = step(w)
         update = diff_norm(w_next, w)
         history.append(update)
+        if not math.isfinite(update):
+            raise DivergenceError(
+                f"Picard update is not finite ({update}) at iteration {it}", history)
         if it >= 3 and history[-2] > 0:
             contraction = max(contraction, history[-1] / history[-2])
         if len(history) >= 4 and history[-1] > history[-2] > history[-3]:
@@ -547,17 +550,17 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
         return BorelFunction(grid, scale * v / w_nodes, scale * c / w_center, eps)
 
     fns = [(random_fn(), random_fn()) for _ in range(probes)]
+    # H is affine, so H(a) - H(b) = L(a - b): one application per probe
+    hs = [ctx.apply_H(a[0], a[1]) for a in fns]
     worst = 0.0
-    for a in fns:
-        for b in fns:
+    for a, ha in zip(fns, hs):
+        for b, hb in zip(fns, hs):
             if a is b:
                 continue
             d0, d1 = a[0] - b[0], a[1] - b[1]
             denom = max(d0.norm(spec), d1.norm(spec))
             if denom == 0:
                 continue
-            ha = ctx.apply_H(a[0], a[1])
-            hb = ctx.apply_H(b[0], b[1])
             num = max((ha[0] - hb[0]).norm(spec), (ha[1] - hb[1]).norm(spec))
             worst = max(worst, num / denom)
     return worst

@@ -74,6 +74,16 @@ def _complex_of(x, default=None):
     return complex(float(x), 0.0)
 
 
+def _point_of(p) -> tuple[complex, complex]:
+    """(t, z) from [re t, im t, re z, im z] or from a pair [t, z]."""
+    if not isinstance(p, list) or len(p) not in (2, 4):
+        raise ConfigError(
+            f"a point is [re t, im t, re z, im z] or [t, z], got {p!r}")
+    if len(p) == 4:
+        return _complex_of(p[:2]), _complex_of(p[2:4])
+    return _complex_of(p[0]), _complex_of(p[1])
+
+
 def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
@@ -94,13 +104,13 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             ring_octaves=float(g.get("ring_octaves", 5.0)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
+        gspec.m_grid()  # rejects an even or too small m_nodes before any verb runs
         tol = raw.get("tolerances", {})
         mg = raw.get("geometry_m_grid", [-50.0, 50.0, 2001])
+        if not isinstance(mg, list) or len(mg) != 3:
+            raise ConfigError(f"geometry_m_grid must be [lo, hi, n], got {mg!r}")
         asym = raw.get("asymptotics", {})
-        points = [(
-            _complex_of(p[:2] if isinstance(p, list) and len(p) >= 4 else p[0]),
-            _complex_of(p[2:4] if isinstance(p, list) and len(p) >= 4 else p[1]),
-        ) for p in raw.get("points", [])]
+        points = [_point_of(p) for p in raw.get("points", [])]
         if "points_csv" in raw:
             base = Path(path).parent
             csv_path = Path(raw["points_csv"])

@@ -43,10 +43,6 @@ class FormalSeries:
     coef: list[list[dict[int, np.ndarray]]]
     solve_tol: float
 
-    def utilde(self, j: int, n: int) -> dict[int, np.ndarray]:
-        """Coefficient in the u~ normalisation (series sum u~_n eps^n / n!)."""
-        return {p: math.factorial(n) * arr for p, arr in self.coef[j][n].items()}
-
 
 @dataclass
 class AsymptoticsReport:

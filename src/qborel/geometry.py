@@ -24,6 +24,7 @@ __all__ = [
     "set_dist_to_shift",
     "default_delta",
     "make_geometry",
+    "root_arguments",
     "sector_root_clearance",
     "bound_constants",
     "check_assumption_d",
@@ -117,27 +118,66 @@ def default_delta(d: float, aperture: float, rho: float) -> float:
     return hi
 
 
+def root_arguments(spec: ProblemSpec, m_grid) -> np.ndarray:
+    """arg q_l(m) for every m of the grid and l < dD, shape (n_m, dD).
+
+    Bit for bit the angles of pm_roots(spec, m): the symbols are evaluated
+    on the whole grid, while the ratio, modulus and power stay in Python
+    scalar arithmetic, whose rounding numpy's vector loops do not share.
+    """
+    m = np.asarray(m_grid, dtype=float)
+    rd = polyval_im(spec.RD, m)
+    if np.any(rd == 0):
+        raise GeometryError(f"R_D(im) vanishes at m = {m[np.argmax(rd == 0)]}: "
+                            "degenerate symbol")
+    qv = polyval_im(spec.Q, m).tolist()
+    rd = rd.tolist()
+    base = np.angle(np.array([a / b for a, b in zip(qv, rd)], dtype=complex))
+    if spec.dD == 1:
+        return base[:, None]
+    c = spec.q ** (spec.dD * (spec.dD - 1) / (2.0 * spec.k))
+    modulus = np.array([(abs(a) * c / abs(b)) ** (1.0 / spec.dD) for a, b in zip(qv, rd)])
+    ells = np.arange(spec.dD)
+    return np.angle(modulus[:, None] * np.exp(
+        1j * (base[:, None] / spec.dD + 2.0 * math.pi * ells / spec.dD)))
+
+
+def _abs_remainder_2pi(x: np.ndarray) -> np.ndarray:
+    """|math.remainder(x, 2 pi)| elementwise, exactly.
+
+    While every quotient n = rint(x / 2 pi) lies in {-2, ..., 2}, n 2 pi is
+    exact and x - n 2 pi is the exact IEEE remainder: no float near the ties
+    (n + 1/2) 2 pi has its quotient rounded onto the wrong side.  Larger
+    quotients fall back to math.remainder.
+    """
+    period = 2.0 * math.pi
+    n = np.rint(x / period)
+    if np.all(np.abs(n) <= 2.0):
+        return np.abs(x - n * period)
+    return np.abs(np.array([math.remainder(v, period) for v in x.ravel().tolist()])
+                  ).reshape(x.shape)
+
+
 def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
                           m_grid) -> tuple[float, tuple[float, int] | None]:
     """Smallest angular distance from the sector to any root ray.
 
     Returns (clearance beyond the half-aperture, witness (m, l) if the sector
     is hit).  Roots move along rays as m sweeps; an unbounded sector hits a
-    root iff its argument falls inside the aperture.
+    root iff its argument falls inside the aperture.  The witness is the
+    first (m, l) in grid order that attains the minimum.
     """
     if spec.dD == 0:
         return math.pi, None
-    half = aperture / 2.0
-    worst = math.inf
-    witness = None
-    for m in np.asarray(m_grid, dtype=float):
-        roots = pm_roots(spec, m)
-        for ell, r in enumerate(roots):
-            gap = abs(math.remainder(np.angle(r) - d, 2.0 * math.pi)) - half
-            if gap < worst:
-                worst = gap
-                witness = (float(m), int(ell))
-    return worst, (witness if worst <= 0 else None)
+    m = np.asarray(m_grid, dtype=float)
+    if m.size == 0:
+        return math.inf, None
+    gaps = _abs_remainder_2pi(root_arguments(spec, m) - d) - aperture / 2.0
+    # the scalar scan skipped NaN gaps, since NaN < worst is false
+    gaps = np.where(np.isnan(gaps), math.inf, gaps)
+    i, ell = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    worst = float(gaps[i, ell])
+    return worst, ((float(m[i]), int(ell)) if worst <= 0 else None)
 
 
 def make_geometry(spec: ProblemSpec, d: float, m_grid=None,
@@ -336,9 +376,6 @@ class GoodCovering:
         lo, hi = self.sector_interval(p)
         a = np.angle(eps)
         return any(lo <= a + 2 * math.pi * s <= hi for s in (-1, 0, 1))
-
-    def eps_sample(self, p: int, radius_frac: float = 0.7) -> complex:
-        return self.radius * radius_frac * np.exp(1j * self.directions[p % self.zeta])
 
     def overlap_sample(self, p: int, radius_frac: float = 0.7) -> complex:
         # sectors p and p+1 are centred 2 pi / zeta apart; the overlap midpoint

@@ -248,6 +248,8 @@ class ProblemSpec:
             terms = []
             for t in d.get("terms", []):
                 num, den = t["delta"]
+                if int(den) == 0:
+                    raise ConfigError(f"delta {t['delta']!r} has a zero denominator")
                 terms.append(LowerOrderTerm(
                     d=int(t["d"]), Delta=int(t["Delta"]),
                     delta=Fraction(int(num), int(den)),

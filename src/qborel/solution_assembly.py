@@ -24,12 +24,17 @@ from .transforms import ray_admissibility, trapezoid_weights
 
 __all__ = [
     "LogSolution",
-    "monodromy",
     "monodromy_components",
     "residual_borel",
     "residual_physical",
     "solution_difference",
 ]
+
+
+# Laplace pairs kept per solution: one pair is 2 n_m complex numbers (7.7 kB
+# at n_m = 241), so a long list of distinct eps t must not grow the cache
+# without bound.
+LAPLACE_CACHE_LIMIT = 1024
 
 
 def _inv_theta(u_over_T: np.ndarray, q: float, k: int) -> np.ndarray:
@@ -41,7 +46,13 @@ def _inv_theta(u_over_T: np.ndarray, q: float, k: int) -> np.ndarray:
 
 @dataclass
 class LogSolution:
-    """Evaluable pair (u_0, u_1) attached to one Borel direction."""
+    """Evaluable pair (u_0, u_1) attached to one Borel direction.
+
+    The q-Laplace part of a component depends on eps t alone; z and d/dz
+    multipliers enter only through the Fourier sum over m.  Every vector that
+    depends on eps t is therefore computed once per exact T = eps t, for both
+    components at once, and reused for every z and multiplier.
+    """
 
     spec: ProblemSpec
     grid: BorelGrid
@@ -49,7 +60,9 @@ class LogSolution:
     w1: BorelFunction
     eps: complex
     Delta: float = 0.5
-    _cache: dict = field(default_factory=dict, repr=False)
+    _laplace: dict = field(default_factory=dict, repr=False, compare=False)
+    _tails: dict = field(default_factory=dict, repr=False, compare=False)
+    _arcs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def direction(self) -> float:
@@ -71,30 +84,47 @@ class LogSolution:
             raise DomainError(
                 f"|eps*t| = {abs(T):.4g} exceeds the admissible radius r1 = {self.r1:.4g}")
 
-    def _laplace_all_m(self, w: BorelFunction, T: complex) -> np.ndarray:
-        """q-Laplace of w(., m) at T along the principal line, for every m."""
-        grid = self.grid
-        rows = grid.principal_rows()
-        tau = grid.tau[rows]
-        kern = _inv_theta(tau / T, self.spec.q, self.spec.k)
-        h = self.spec.lnq / grid.N
-        tw = np.full(tau.size, h)
-        tw[0] = tw[-1] = 0.5 * h
-        vals = w.values[rows]
-        return (self.spec.k / self.spec.lnq) * ((tw * kern) @ vals)
+    def _laplace_all_m(self, j: int, T: complex) -> np.ndarray:
+        """q-Laplace of w_j(., m) at T along the principal line, for every m.
 
-    def _tail_integral(self, w: BorelFunction, T: complex, g_arc: int) -> np.ndarray:
-        """q-Laplace restricted to the ray part r >= rho q^(g_arc/N).
+        The theta kernel weights are evaluated once per T and shared by both
+        components; the pair is cached under the exact T.
+        """
+        pair = self._laplace.get(T)
+        if pair is None:
+            grid = self.grid
+            rows = grid.principal_rows()
+            tau = grid.tau[rows]
+            kern = _inv_theta(tau / T, self.spec.q, self.spec.k)
+            h = self.spec.lnq / grid.N
+            tw = np.full(tau.size, h)
+            tw[0] = tw[-1] = 0.5 * h
+            weights = tw * kern
+            pair = tuple((self.spec.k / self.spec.lnq) * (weights @ w.values[rows])
+                         for w in (self.w0, self.w1))
+            if len(self._laplace) >= LAPLACE_CACHE_LIMIT:
+                self._laplace.clear()
+            self._laplace[T] = pair
+        return pair[j]
+
+    def _tail_integral(self, j: int, T: complex, g_arc: int) -> np.ndarray:
+        """q-Laplace of w_j restricted to the ray part r >= rho q^(g_arc/N).
 
         Far above the kernel peak the integrand chirps faster than the stored
         ladder resolves, so the tail is integrated on Gauss-Legendre panels
         sized to the local oscillation rate, with the smooth density
-        interpolated along the line by a 6-point stencil.
+        interpolated along the line by a 6-point stencil.  Both components
+        share the panels and the kernel; the pair is cached per (T, g_arc).
         """
+        key = (T, g_arc)
+        if key not in self._tails:
+            self._tails[key] = self._tail_pair(T, g_arc)
+        return self._tails[key][j]
+
+    def _tail_pair(self, T: complex, g_arc: int):
         spec, grid = self.spec, self.grid
         ln = grid.lines[0]
         rows = grid.principal_rows()
-        vals = w.values[rows]
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
         s_lattice_top = math.log(grid.radius_of_rung(ln.g_hi))
@@ -103,7 +133,8 @@ class LogSolution:
         length = math.sqrt(x0 * x0 + 45.0 / a) - x0
         s_end = min(s0 + length, s_lattice_top - 3.0 * h)
         if s_end <= s0:
-            return np.zeros(grid.m.size, dtype=complex)
+            zero = np.zeros(grid.m.size, dtype=complex)
+            return zero, zero.copy()
         rate = 2.0 * a * math.sqrt(x0 * x0 + 45.0 / a) + 1.0
         width = min(2.0 * math.pi / rate, 1.0 / math.sqrt(2.0 * a), s_end - s0)
         panels = max(4, math.ceil((s_end - s0) / width))
@@ -118,17 +149,23 @@ class LogSolution:
         base = np.clip(base, 0, ln.size - 6)
         s_base = math.log(grid.radius_of_rung(ln.g_lo)) + base * h
         xi = (s - s_base) / h
-        dens = np.zeros((s.size, grid.m.size), dtype=complex)
-        offs = np.arange(6)
+        lags = []
         for jj in range(6):
             lag = np.ones(s.size)
             for kk in range(6):
                 if kk != jj:
                     lag *= (xi - kk) / (jj - kk)
-            dens += lag[:, None] * vals[base + jj]
+            lags.append(lag)
         u = np.exp(s + 1j * grid.direction)
-        kern = _inv_theta(u / T, spec.q, spec.k)
-        return (spec.k / spec.lnq) * ((wq * kern) @ dens)
+        weights = wq * _inv_theta(u / T, spec.q, spec.k)
+        out = []
+        for w in (self.w0, self.w1):
+            vals = w.values[rows]
+            dens = np.zeros((s.size, grid.m.size), dtype=complex)
+            for jj, lag in enumerate(lags):
+                dens += lag[:, None] * vals[base + jj]
+            out.append((spec.k / spec.lnq) * (weights @ dens))
+        return tuple(out)
 
     def component(self, j: int, t: complex, z: complex,
                   multiplier=None) -> complex:
@@ -143,21 +180,14 @@ class LogSolution:
             raise DomainError(
                 f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
                 f"beta' = {self.spec.beta_prime}")
-        mkey = None if multiplier is None else tuple(np.asarray(multiplier, dtype=complex))
-        key = (j, complex(t), complex(z), mkey)
-        if key in self._cache:
-            return self._cache[key]
         T = self.eps * complex(t)
         self._check_T(T)
-        w = self.w0 if j == 0 else self.w1
-        lap = self._laplace_all_m(w, T)
+        lap = self._laplace_all_m(j, T)
         m = self.grid.m
         integrand = lap * np.exp(1j * complex(z) * m)
         if multiplier is not None:
             integrand = integrand * polyval_im(multiplier, m)
-        val = complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
-        self._cache[key] = val
-        return val
+        return complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
 
     def evaluate(self, t: complex, z: complex) -> complex:
         """u_0 + u_1 log(eps t)/log q with the principal branch of the log."""
@@ -173,10 +203,6 @@ def monodromy_components(u0val: complex, u1val: complex, q: float):
     """Action of the formal monodromy on the component pair:
     (u_0, u_1) -> (u_0 + (2 pi i / log q) u_1, u_1)."""
     return u0val + 2j * math.pi / math.log(q) * u1val, u1val
-
-
-def monodromy(u0val: complex, u1val: complex, q: float):
-    return monodromy_components(u0val, u1val, q)
 
 
 def residual_borel(w0: BorelFunction, w1: BorelFunction, spec: ProblemSpec,
@@ -242,8 +268,8 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> float:
     return worst
 
 
-def _arc_values(w: BorelFunction, g_arc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ring samples at rung g_arc: (angles, values (n_angles, n_m))."""
+def _arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
+    """Ring samples at rung g_arc, by increasing angle: (n_angles, n_m)."""
     grid = w.grid
     angs, vals = [], []
     for i in grid.ring_line_indices():
@@ -254,7 +280,7 @@ def _arc_values(w: BorelFunction, g_arc: int) -> tuple[np.ndarray, np.ndarray]:
         angs.append(ln.angle)
         vals.append(w.values[rows][g_arc - ln.g_lo])
     order = np.argsort(angs)
-    return np.asarray(angs)[order], np.asarray(vals)[order]
+    return np.asarray(vals)[order]
 
 
 def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
@@ -265,7 +291,9 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     the pair of ray tails beyond the arc radius plus the arc integral at that
     radius.  Each piece is exponentially small in log^2|eps t|; computing them
     directly preserves relative accuracy long after a plain subtraction of the
-    two evaluations would drown in cancellation noise.
+    two evaluations would drown in cancellation noise.  The tails and the arc
+    do not depend on z and are cached per exact eps t, so further z probes
+    cost one Fourier sum each.
     """
     if sol_a.grid.N != sol_b.grid.N or sol_a.grid.rho != sol_b.grid.rho:
         raise DomainError("solutions must share the ladder geometry")
@@ -290,39 +318,51 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
             raise DomainError(
                 "arc radius passes within 10% of a kernel zero ring; "
                 "perturb |eps t| to move the zero lattice")
+    total = (sol_b._tail_integral(j, T, g_arc) + _arc_integral(sol_a, d_b, j, T, g_arc)
+             - sol_a._tail_integral(j, T, g_arc))
     m = grid.m
-    twm = trapezoid_weights(m)
-    wa = sol_a.w1 if j else sol_a.w0
-    wb = sol_b.w1 if j else sol_b.w0
-
-    tail_b = sol_b._tail_integral(wb, T, g_arc)
-    tail_a = sol_a._tail_integral(wa, T, g_arc)
-
-    r_arc = grid.radius_of_rung(g_arc)
-    if d_a == d_b:
-        arc = np.zeros(m.size, dtype=complex)
-    else:
-        angs, vals = _arc_values(wa, g_arc)
-        n_ang = angs.size
-        # omega is a power series in tau, so only nonnegative angular
-        # frequencies appear on the ring; n uniform samples pin the first n
-        # coefficients
-        coeffs = np.fft.fft(vals, axis=0) / n_ang
-        freqs = np.arange(n_ang)
-        # Gauss-Legendre panels, roughly one per kernel oscillation
-        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
-        panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        edges = np.linspace(d_a, d_b, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        twt = (half[:, None] * gl_w[None, :]).ravel()
-        basis = np.exp(1j * np.outer(thetas, freqs))
-        ring = basis @ coeffs
-        kern = _inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
-        arc = (spec.k / spec.lnq) * 1j * ((twt * kern) @ ring)
-
-    total = tail_b + arc - tail_a
     integrand = total * np.exp(1j * complex(z) * m)
-    return complex(np.sum(twm * integrand) / math.sqrt(2 * math.pi))
+    return complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
+
+
+def _arc_integral(sol_a: LogSolution, d_b: float, j: int, T: complex,
+                  g_arc: int) -> np.ndarray:
+    """Kernel integral of w_j over the arc of radius rho q^(g_arc/N) from
+    sol_a's direction to d_b, for every m.
+
+    Both components share the panels and the kernel; the pair is cached on
+    sol_a per (d_b, T, g_arc).
+    """
+    key = (d_b, T, g_arc)
+    if key not in sol_a._arcs:
+        sol_a._arcs[key] = _arc_pair(sol_a, d_b, T, g_arc)
+    return sol_a._arcs[key][j]
+
+
+def _arc_pair(sol_a: LogSolution, d_b: float, T: complex, g_arc: int):
+    spec, grid = sol_a.spec, sol_a.grid
+    d_a = sol_a.direction
+    if d_a == d_b:
+        zero = np.zeros(grid.m.size, dtype=complex)
+        return zero, zero.copy()
+    r_arc = grid.radius_of_rung(g_arc)
+    n_ang = len(grid.ring_line_indices())
+    # Gauss-Legendre panels, roughly one per kernel oscillation
+    osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
+    panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(d_a, d_b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    twt = (half[:, None] * gl_w[None, :]).ravel()
+    # omega is a power series in tau, so only nonnegative angular
+    # frequencies appear on the ring; n uniform samples pin the first n
+    # coefficients
+    basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
+    weights = twt * _inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
+    out = []
+    for w in (sol_a.w0, sol_a.w1):
+        ring = basis @ (np.fft.fft(_arc_values(w, g_arc), axis=0) / n_ang)
+        out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
+    return tuple(out)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qborel.borel_solver import (
     BorelFunction,
     GridSpec,
     SolverContext,
+    _picard,
     build_grid,
     contraction_estimate,
     solve_coupled,
@@ -195,6 +198,58 @@ def test_contraction_estimate(golden):
     assert est <= 0.55
     est_scaled = contraction_estimate(spec, eps, grid, probes=4, seed=1, scale=10.0)
     assert est_scaled == pytest.approx(est, rel=1e-9)
+
+
+def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
+    spec = ProblemSpec.from_dict(problem_dict)
+    grid = build_grid(spec, make_geometry(spec, d=0.0),
+                      GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    eps, probes, seed = 0.015, 4, 3
+    calls = []
+    real = SolverContext.apply_H
+
+    def counting(self, w0, w1):
+        calls.append(1)
+        return real(self, w0, w1)
+
+    monkeypatch.setattr(SolverContext, "apply_H", counting)
+    est = contraction_estimate(spec, eps, grid, probes=probes, seed=seed)
+    assert len(calls) == probes
+
+    # the pairwise formula, H applied to both members of every ordered pair
+    ctx = SolverContext(spec, grid, eps)
+    rng = np.random.default_rng(seed)
+    w_nodes, w_center = grid.weights(spec)
+
+    def random_fn():
+        v = rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape)
+        c = rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape)
+        return BorelFunction(grid, 1.0 * v / w_nodes, 1.0 * c / w_center, eps)
+
+    fns = [(random_fn(), random_fn()) for _ in range(probes)]
+    want = 0.0
+    for a in fns:
+        for b in fns:
+            if a is b:
+                continue
+            denom = max((a[0] - b[0]).norm(spec), (a[1] - b[1]).norm(spec))
+            ha, hb = real(ctx, *a), real(ctx, *b)
+            num = max((ha[0] - hb[0]).norm(spec), (ha[1] - hb[1]).norm(spec))
+            want = max(want, num / denom)
+    assert est == want
+
+
+def test_picard_stops_at_first_non_finite_update():
+    steps = []
+
+    def step(w):
+        steps.append(w)
+        return w + (math.nan if len(steps) == 2 else 1.0)
+
+    with pytest.raises(DivergenceError, match="iteration 2") as err:
+        _picard(step, 0.0, lambda a, b: abs(a - b), 1e-12, 200)
+    assert len(steps) == 2
+    assert len(err.value.history) == 2
 
 
 def test_affine_linearity(golden):

@@ -1,7 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+
+import pytest
 
 from qborel.cli import load_config, main, run
 
@@ -36,6 +39,41 @@ def test_unparsable_config_is_65(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text('{"problem": {"D": 2}}')
     assert run("solve", missing) == 65
+
+
+def _with(path, edit):
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_even_m_nodes_is_65(tmp_path):
+    path = _with(small_config(tmp_path), lambda c: c["quadrature"].update(m_nodes=80))
+    assert run("evaluate", path, str(tmp_path / "out")) == 65
+
+
+@pytest.mark.parametrize("point", [[0.012], [], [0.012, 0.0, 0.1], 0.012])
+def test_short_point_is_65(tmp_path, point):
+    path = small_config(tmp_path, points=[[0.012, 0.0, 0.1, 0.0], point])
+    assert run("evaluate", path, str(tmp_path / "out")) == 65
+
+
+def test_zero_delta_denominator_is_65(tmp_path):
+    path = _with(small_config(tmp_path),
+                 lambda c: c["problem"]["terms"][0].update(delta=[1, 0]))
+    assert run("check-geometry", path, str(tmp_path / "out")) == 65
+
+
+def test_short_geometry_m_grid_is_65(tmp_path):
+    path = small_config(tmp_path, geometry_m_grid=[-50.0, 50.0])
+    assert run("check-geometry", path, str(tmp_path / "out")) == 65
+
+
+def test_nan_eps_fails_fast(tmp_path, capsys):
+    path = small_config(tmp_path, eps=math.nan)
+    assert run("solve", path, str(tmp_path / "out")) == 3
+    assert "not finite (nan) at iteration 1" in capsys.readouterr().err
 
 
 def test_check_geometry_bundled_golden(tmp_path):

@@ -8,9 +8,10 @@ from qborel.borel_solver import BorelFunction, GridSpec, build_grid, solve_trian
 from qborel.errors import DomainError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec
+import qborel.solution_assembly as assembly
 from qborel.solution_assembly import (
     LogSolution,
-    monodromy,
+    monodromy_components,
     residual_borel,
     residual_physical,
     solution_difference,
@@ -73,6 +74,60 @@ def test_component_linearity_in_density(golden):
     assert abs(vab - (va + lam * vb)) < 1e-12 * max(abs(va), abs(vb))
 
 
+def _fresh(sol, Delta=None):
+    """The same solution with empty caches."""
+    return LogSolution(sol.spec, sol.grid, sol.w0, sol.w1, sol.eps,
+                       Delta=sol.Delta if Delta is None else Delta)
+
+
+def test_cached_components_match_fresh_solution(golden_solution):
+    sol = golden_solution
+    spec = sol.spec
+    qdk = spec.q ** (spec.dD / spec.k)
+    qd = spec.q ** float(spec.terms[0].delta)
+    ts = [0.008, 0.012 + 0.002j]
+    ts += [qdk * t for t in ts] + [qd * t for t in ts]
+    mults = [None, spec.Q, spec.RD, spec.terms[0].R]
+    cases = [(j, t, z, mult) for t in ts for z in (-0.3, 0.1 + 0.2j, 0.4)
+             for mult in mults for j in (0, 1)]
+    first = [sol.component(*c) for c in cases]
+    again = [sol.component(*c) for c in reversed(cases)][::-1]
+    assert first == again
+    for case, val in zip(cases, first):
+        assert _fresh(sol).component(*case) == val
+
+
+def test_laplace_cache_is_bounded(golden_solution, monkeypatch):
+    monkeypatch.setattr(assembly, "LAPLACE_CACHE_LIMIT", 2)
+    sol = _fresh(golden_solution)
+    ts = [0.006, 0.008, 0.01, 0.012, 0.008]
+    vals = [sol.component(1, t, 0.2) for t in ts]
+    assert len(sol._laplace) <= 2
+    assert vals == [_fresh(sol).component(1, t, 0.2) for t in ts]
+
+
+def test_theta_kernel_once_per_eps_t(golden_solution, monkeypatch):
+    calls = []
+    real = assembly.theta_scaled
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "theta_scaled", counting)
+    sol = _fresh(golden_solution)
+    spec = sol.spec
+    ts = [0.008, 0.01, 0.013]
+    points = [(t, z) for t in ts for z in (-0.3, -0.1 + 0.1j, 0.2, 0.35)]
+    residual_physical(sol, spec, points)
+    for (t, z) in points:
+        sol.evaluate(t, z)
+    dilations = {1.0, spec.q ** (spec.dD / spec.k)}
+    dilations |= {spec.q ** float(term.delta) for term in spec.terms}
+    distinct = {sol.eps * complex(r * t) for r in dilations for t in ts}
+    assert len(calls) == len(distinct)
+
+
 def test_evaluate_combines_components(golden_solution):
     sol = golden_solution
     t, z = 0.013, 0.21
@@ -106,13 +161,13 @@ def test_domain_rejections(golden_solution):
 def test_monodromy_component_form_and_roundtrip():
     q = 2.0
     u0, u1 = 0.37 - 0.21j, -0.54 + 0.11j
-    v0, v1 = monodromy(u0, u1, q)
+    v0, v1 = monodromy_components(u0, u1, q)
     assert v1 == u1
     assert v0 == u0 + 2j * math.pi / math.log(q) * u1
     # identity when the log component vanishes
-    assert monodromy(u0, 0.0, q) == (u0, 0.0)
+    assert monodromy_components(u0, 0.0, q) == (u0, 0.0)
     # unit shift example
-    got = monodromy(0.0, math.log(q) / (2j * math.pi), q)
+    got = monodromy_components(0.0, math.log(q) / (2j * math.pi), q)
     assert got[0] == pytest.approx(1.0)
     # component extraction from full values at a point
     L = cmath.log(0.3 + 0.2j)
@@ -130,8 +185,8 @@ def test_monodromy_linearity():
     x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     a, b = 1.3 - 0.2j, -0.7j
-    lhs = monodromy(a * x[0] + b * y[0], a * x[1] + b * y[1], q)
-    gx, gy = monodromy(*x, q), monodromy(*y, q)
+    lhs = monodromy_components(a * x[0] + b * y[0], a * x[1] + b * y[1], q)
+    gx, gy = monodromy_components(*x, q), monodromy_components(*y, q)
     assert lhs[0] == pytest.approx(a * gx[0] + b * gy[0])
     assert lhs[1] == pytest.approx(a * gx[1] + b * gy[1])
 
@@ -244,6 +299,27 @@ def test_difference_by_deformation_matches_subtraction(k1_pair):
         deformed = solution_difference(sol_a, sol_b, j, t, z)
         scale = max(abs(sol_a.component(j, t, z)), 1e-12)
         assert abs(direct - deformed) < 5e-7 * scale, (j, direct, deformed)
+
+
+def test_difference_cache_keeps_values_and_checks(k1_pair):
+    spec, sol_a, sol_b = k1_pair
+    t = 0.25
+    zs = (-0.3, 0.0, 0.1 + 0.1j, 0.3)
+    for j in (0, 1):
+        got = [solution_difference(sol_a, sol_b, j, t, z) for z in zs]
+        for z, val in zip(zs, got):
+            assert solution_difference(_fresh(sol_a), _fresh(sol_b), j, t, z) == val
+    # a kernel zero ring sits exactly 10% of a lattice step inside the arc
+    # radius at |T| = r_arc q^(-(2 + 0.1)/k); with eps t = -|T| e^(0.25 i) the
+    # zero direction lies inside the wedge [0, 0.5]
+    sol_a, sol_b = _fresh(sol_a, Delta=0.05), _fresh(sol_b, Delta=0.05)
+    grid = sol_a.grid
+    g_arc = math.floor(grid.N * math.log(0.5) / spec.lnq)
+    edge = grid.radius_of_rung(g_arc) * spec.q ** (-2.1 / spec.k)
+    unit = -np.exp(0.25j) / sol_a.eps
+    solution_difference(sol_a, sol_b, 0, edge * (1 - 1e-9) * unit, 0.1)
+    with pytest.raises(DomainError, match="zero ring"):
+        solution_difference(sol_a, sol_b, 0, edge * (1 + 1e-9) * unit, 0.1)
 
 
 def test_difference_same_direction_is_noise(k1_pair):
