@@ -34,7 +34,7 @@ from .geometry import (
     make_geometry,
     operator_constants,
 )
-from .problem_model import ProblemSpec, validate_assumptions
+from .problem_model import ProblemSpec, _as_complex, validate_assumptions
 from .solution_assembly import LogSolution, residual_borel, residual_physical
 from .transforms import QuadratureSpec
 
@@ -70,7 +70,7 @@ def _complex_of(x, default=None):
     if x is None:
         return default
     if isinstance(x, (list, tuple)):
-        return complex(float(x[0]), float(x[1]))
+        return _as_complex(x)
     return complex(float(x), 0.0)
 
 
@@ -104,7 +104,6 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             ring_octaves=float(g.get("ring_octaves", 5.0)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
-        gspec.m_grid()  # rejects an even or too small m_nodes before any verb runs
         tol = raw.get("tolerances", {})
         mg = raw.get("geometry_m_grid", [-50.0, 50.0, 2001])
         if not isinstance(mg, list) or len(mg) != 3:
@@ -464,6 +463,9 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 65
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "set_dist_to_shift",
     "default_delta",
     "make_geometry",
-    "root_arguments",
     "sector_root_clearance",
     "bound_constants",
     "check_assumption_d",
@@ -56,25 +55,36 @@ def admissible_r1(q: float, k: int, alpha: float) -> float:
     return q ** ((0.5 - alpha) / k) / 2.0
 
 
-def pm_roots(spec: ProblemSpec, m: float) -> np.ndarray:
-    """Roots q_l(m) of tau -> P_m(tau), l = 0..dD-1 (empty for dD = 0).
+def _roots_on_grid(spec: ProblemSpec, m_grid) -> np.ndarray:
+    """Roots q_l(m) of tau -> P_m(tau) for every m of the grid, shape (n_m, dD).
 
     For dD = 1 the single root is the exact ratio; the general case uses the
-    modulus-argument form.
+    modulus-argument form.  The symbols are evaluated on the whole grid, while
+    the ratio, modulus and power stay in Python scalar arithmetic, whose
+    rounding numpy's vector loops do not share.
     """
-    rd = complex(polyval_im(spec.RD, m))
-    if rd == 0:
-        raise GeometryError(f"R_D(im) vanishes at m = {m}: degenerate symbol")
+    m = np.asarray(m_grid, dtype=float)
+    rd = polyval_im(spec.RD, m)
+    if np.any(rd == 0):
+        raise GeometryError(f"R_D(im) vanishes at m = {m[np.argmax(rd == 0)]}: "
+                            "degenerate symbol")
     if spec.dD == 0:
-        return np.empty(0, dtype=complex)
-    qv = complex(polyval_im(spec.Q, m))
+        return np.empty((m.size, 0), dtype=complex)
+    qv = polyval_im(spec.Q, m).tolist()
+    rd = rd.tolist()
+    ratio = np.array([a / b for a, b in zip(qv, rd)], dtype=complex)
     if spec.dD == 1:
-        return np.array([qv / rd], dtype=complex)
-    modulus = (abs(qv) * spec.q ** (spec.dD * (spec.dD - 1) / (2.0 * spec.k))
-               / abs(rd)) ** (1.0 / spec.dD)
-    base = np.angle(qv / rd) / spec.dD
+        return ratio[:, None]
+    c = spec.q ** (spec.dD * (spec.dD - 1) / (2.0 * spec.k))
+    modulus = np.array([(abs(a) * c / abs(b)) ** (1.0 / spec.dD) for a, b in zip(qv, rd)])
     ells = np.arange(spec.dD)
-    return modulus * np.exp(1j * (base + 2.0 * math.pi * ells / spec.dD))
+    return modulus[:, None] * np.exp(
+        1j * (np.angle(ratio)[:, None] / spec.dD + 2.0 * math.pi * ells / spec.dD))
+
+
+def pm_roots(spec: ProblemSpec, m: float) -> np.ndarray:
+    """Roots q_l(m) of tau -> P_m(tau), l = 0..dD-1 (empty for dD = 0)."""
+    return _roots_on_grid(spec, [m])[0]
 
 
 def default_rho(spec: ProblemSpec, D1: float) -> float:
@@ -118,46 +128,6 @@ def default_delta(d: float, aperture: float, rho: float) -> float:
     return hi
 
 
-def root_arguments(spec: ProblemSpec, m_grid) -> np.ndarray:
-    """arg q_l(m) for every m of the grid and l < dD, shape (n_m, dD).
-
-    Bit for bit the angles of pm_roots(spec, m): the symbols are evaluated
-    on the whole grid, while the ratio, modulus and power stay in Python
-    scalar arithmetic, whose rounding numpy's vector loops do not share.
-    """
-    m = np.asarray(m_grid, dtype=float)
-    rd = polyval_im(spec.RD, m)
-    if np.any(rd == 0):
-        raise GeometryError(f"R_D(im) vanishes at m = {m[np.argmax(rd == 0)]}: "
-                            "degenerate symbol")
-    qv = polyval_im(spec.Q, m).tolist()
-    rd = rd.tolist()
-    base = np.angle(np.array([a / b for a, b in zip(qv, rd)], dtype=complex))
-    if spec.dD == 1:
-        return base[:, None]
-    c = spec.q ** (spec.dD * (spec.dD - 1) / (2.0 * spec.k))
-    modulus = np.array([(abs(a) * c / abs(b)) ** (1.0 / spec.dD) for a, b in zip(qv, rd)])
-    ells = np.arange(spec.dD)
-    return np.angle(modulus[:, None] * np.exp(
-        1j * (base[:, None] / spec.dD + 2.0 * math.pi * ells / spec.dD)))
-
-
-def _abs_remainder_2pi(x: np.ndarray) -> np.ndarray:
-    """|math.remainder(x, 2 pi)| elementwise, exactly.
-
-    While every quotient n = rint(x / 2 pi) lies in {-2, ..., 2}, n 2 pi is
-    exact and x - n 2 pi is the exact IEEE remainder: no float near the ties
-    (n + 1/2) 2 pi has its quotient rounded onto the wrong side.  Larger
-    quotients fall back to math.remainder.
-    """
-    period = 2.0 * math.pi
-    n = np.rint(x / period)
-    if np.all(np.abs(n) <= 2.0):
-        return np.abs(x - n * period)
-    return np.abs(np.array([math.remainder(v, period) for v in x.ravel().tolist()])
-                  ).reshape(x.shape)
-
-
 def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
                           m_grid) -> tuple[float, tuple[float, int] | None]:
     """Smallest angular distance from the sector to any root ray.
@@ -172,7 +142,9 @@ def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
     m = np.asarray(m_grid, dtype=float)
     if m.size == 0:
         return math.inf, None
-    gaps = _abs_remainder_2pi(root_arguments(spec, m) - d) - aperture / 2.0
+    diff = np.angle(_roots_on_grid(spec, m)) - d
+    gaps = np.array([abs(math.remainder(v, 2.0 * math.pi)) for v in diff.ravel().tolist()]
+                    ).reshape(diff.shape) - aperture / 2.0
     # the scalar scan skipped NaN gaps, since NaN < worst is false
     gaps = np.where(np.isnan(gaps), math.inf, gaps)
     i, ell = np.unravel_index(int(np.argmin(gaps)), gaps.shape)

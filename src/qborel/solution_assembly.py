@@ -10,6 +10,7 @@ over stored nodes with the theta kernel evaluated in scaled log space.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,10 +32,10 @@ __all__ = [
 ]
 
 
-# Laplace pairs kept per solution: one pair is 2 n_m complex numbers (7.7 kB
-# at n_m = 241), so a long list of distinct eps t must not grow the cache
-# without bound.
-LAPLACE_CACHE_LIMIT = 1024
+# (w_0, w_1) pairs kept per solution: one pair is 2 n_m complex numbers
+# (7.7 kB at n_m = 241), so a long list of distinct eps t must not grow the
+# cache without bound.
+PAIR_CACHE_LIMIT = 1024
 
 
 def _inv_theta(u_over_T: np.ndarray, q: float, k: int) -> np.ndarray:
@@ -42,6 +43,22 @@ def _inv_theta(u_over_T: np.ndarray, q: float, k: int) -> np.ndarray:
     with np.errstate(under="ignore", over="ignore"):
         out = np.exp(-log_scale) / scaled
     return np.where(np.isfinite(out), out, 0.0)
+
+
+def _cached_pair(compute):
+    """Cache a LogSolution method's (w_0, w_1) vector pair under its exact
+    arguments, in the solution's one store, which is cleared once it holds
+    PAIR_CACHE_LIMIT pairs."""
+    @functools.wraps(compute)
+    def cached(self, *args):
+        key = (compute.__name__, *args)
+        pair = self._pairs.get(key)
+        if pair is None:
+            if len(self._pairs) >= PAIR_CACHE_LIMIT:
+                self._pairs.clear()
+            pair = self._pairs[key] = compute(self, *args)
+        return pair
+    return cached
 
 
 @dataclass
@@ -60,9 +77,7 @@ class LogSolution:
     w1: BorelFunction
     eps: complex
     Delta: float = 0.5
-    _laplace: dict = field(default_factory=dict, repr=False, compare=False)
-    _tails: dict = field(default_factory=dict, repr=False, compare=False)
-    _arcs: dict = field(default_factory=dict, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def direction(self) -> float:
@@ -84,44 +99,32 @@ class LogSolution:
             raise DomainError(
                 f"|eps*t| = {abs(T):.4g} exceeds the admissible radius r1 = {self.r1:.4g}")
 
-    def _laplace_all_m(self, j: int, T: complex) -> np.ndarray:
-        """q-Laplace of w_j(., m) at T along the principal line, for every m.
+    @_cached_pair
+    def _laplace_all_m(self, T: complex):
+        """q-Laplace of (w_0, w_1)(., m) at T along the principal line, for
+        every m.  Both components share the theta kernel weights."""
+        grid = self.grid
+        rows = grid.principal_rows()
+        tau = grid.tau[rows]
+        kern = _inv_theta(tau / T, self.spec.q, self.spec.k)
+        h = self.spec.lnq / grid.N
+        tw = np.full(tau.size, h)
+        tw[0] = tw[-1] = 0.5 * h
+        weights = tw * kern
+        return tuple((self.spec.k / self.spec.lnq) * (weights @ w.values[rows])
+                     for w in (self.w0, self.w1))
 
-        The theta kernel weights are evaluated once per T and shared by both
-        components; the pair is cached under the exact T.
-        """
-        pair = self._laplace.get(T)
-        if pair is None:
-            grid = self.grid
-            rows = grid.principal_rows()
-            tau = grid.tau[rows]
-            kern = _inv_theta(tau / T, self.spec.q, self.spec.k)
-            h = self.spec.lnq / grid.N
-            tw = np.full(tau.size, h)
-            tw[0] = tw[-1] = 0.5 * h
-            weights = tw * kern
-            pair = tuple((self.spec.k / self.spec.lnq) * (weights @ w.values[rows])
-                         for w in (self.w0, self.w1))
-            if len(self._laplace) >= LAPLACE_CACHE_LIMIT:
-                self._laplace.clear()
-            self._laplace[T] = pair
-        return pair[j]
-
-    def _tail_integral(self, j: int, T: complex, g_arc: int) -> np.ndarray:
-        """q-Laplace of w_j restricted to the ray part r >= rho q^(g_arc/N).
+    @_cached_pair
+    def _tail_integral(self, T: complex, g_arc: int):
+        """q-Laplace of (w_0, w_1) restricted to the ray part
+        r >= rho q^(g_arc/N), for every m.
 
         Far above the kernel peak the integrand chirps faster than the stored
         ladder resolves, so the tail is integrated on Gauss-Legendre panels
         sized to the local oscillation rate, with the smooth density
         interpolated along the line by a 6-point stencil.  Both components
-        share the panels and the kernel; the pair is cached per (T, g_arc).
+        share the panels and the kernel.
         """
-        key = (T, g_arc)
-        if key not in self._tails:
-            self._tails[key] = self._tail_pair(T, g_arc)
-        return self._tails[key][j]
-
-    def _tail_pair(self, T: complex, g_arc: int):
         spec, grid = self.spec, self.grid
         ln = grid.lines[0]
         rows = grid.principal_rows()
@@ -167,6 +170,38 @@ class LogSolution:
             out.append((spec.k / spec.lnq) * (weights @ dens))
         return tuple(out)
 
+    @_cached_pair
+    def _arc_integral(self, d_b: float, T: complex, g_arc: int):
+        """Kernel integral of (w_0, w_1) over the arc of radius
+        rho q^(g_arc/N) from this solution's direction to d_b, for every m.
+        Both components share the panels and the kernel."""
+        spec, grid = self.spec, self.grid
+        d_a = self.direction
+        if d_a == d_b:
+            zero = np.zeros(grid.m.size, dtype=complex)
+            return zero, zero.copy()
+        r_arc = grid.radius_of_rung(g_arc)
+        n_ang = len(grid.ring_line_indices())
+        # Gauss-Legendre panels, roughly one per kernel oscillation
+        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
+        panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
+        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+        edges = np.linspace(d_a, d_b, panels + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        twt = (half[:, None] * gl_w[None, :]).ravel()
+        # omega is a power series in tau, so only nonnegative angular
+        # frequencies appear on the ring; n uniform samples pin the first n
+        # coefficients
+        basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
+        weights = twt * _inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
+        out = []
+        for w in (self.w0, self.w1):
+            ring = basis @ (np.fft.fft(_arc_values(w, g_arc), axis=0) / n_ang)
+            out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
+        return tuple(out)
+
     def component(self, j: int, t: complex, z: complex,
                   multiplier=None) -> complex:
         """u_j(t, z, eps), optionally with a polynomial of d/dz applied.
@@ -182,7 +217,7 @@ class LogSolution:
                 f"beta' = {self.spec.beta_prime}")
         T = self.eps * complex(t)
         self._check_T(T)
-        lap = self._laplace_all_m(j, T)
+        lap = self._laplace_all_m(T)[j]
         m = self.grid.m
         integrand = lap * np.exp(1j * complex(z) * m)
         if multiplier is not None:
@@ -318,51 +353,8 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
             raise DomainError(
                 "arc radius passes within 10% of a kernel zero ring; "
                 "perturb |eps t| to move the zero lattice")
-    total = (sol_b._tail_integral(j, T, g_arc) + _arc_integral(sol_a, d_b, j, T, g_arc)
-             - sol_a._tail_integral(j, T, g_arc))
+    total = (sol_b._tail_integral(T, g_arc)[j] + sol_a._arc_integral(d_b, T, g_arc)[j]
+             - sol_a._tail_integral(T, g_arc)[j])
     m = grid.m
     integrand = total * np.exp(1j * complex(z) * m)
     return complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
-
-
-def _arc_integral(sol_a: LogSolution, d_b: float, j: int, T: complex,
-                  g_arc: int) -> np.ndarray:
-    """Kernel integral of w_j over the arc of radius rho q^(g_arc/N) from
-    sol_a's direction to d_b, for every m.
-
-    Both components share the panels and the kernel; the pair is cached on
-    sol_a per (d_b, T, g_arc).
-    """
-    key = (d_b, T, g_arc)
-    if key not in sol_a._arcs:
-        sol_a._arcs[key] = _arc_pair(sol_a, d_b, T, g_arc)
-    return sol_a._arcs[key][j]
-
-
-def _arc_pair(sol_a: LogSolution, d_b: float, T: complex, g_arc: int):
-    spec, grid = sol_a.spec, sol_a.grid
-    d_a = sol_a.direction
-    if d_a == d_b:
-        zero = np.zeros(grid.m.size, dtype=complex)
-        return zero, zero.copy()
-    r_arc = grid.radius_of_rung(g_arc)
-    n_ang = len(grid.ring_line_indices())
-    # Gauss-Legendre panels, roughly one per kernel oscillation
-    osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
-    panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(d_a, d_b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    twt = (half[:, None] * gl_w[None, :]).ravel()
-    # omega is a power series in tau, so only nonnegative angular
-    # frequencies appear on the ring; n uniform samples pin the first n
-    # coefficients
-    basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
-    weights = twt * _inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
-    out = []
-    for w in (sol_a.w0, sol_a.w1):
-        ring = basis @ (np.fft.fft(_arc_values(w, g_arc), axis=0) / n_ang)
-        out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
-    return tuple(out)

@@ -53,7 +53,8 @@ def test_even_m_nodes_is_65(tmp_path):
     assert run("evaluate", path, str(tmp_path / "out")) == 65
 
 
-@pytest.mark.parametrize("point", [[0.012], [], [0.012, 0.0, 0.1], 0.012])
+@pytest.mark.parametrize("point", [[0.012], [], [0.012, 0.0, 0.1], 0.012,
+                                   [[0.012], 0.1], [[0.012, 0.0, 1.0], 0.1]])
 def test_short_point_is_65(tmp_path, point):
     path = small_config(tmp_path, points=[[0.012, 0.0, 0.1, 0.0], point])
     assert run("evaluate", path, str(tmp_path / "out")) == 65
@@ -65,8 +66,13 @@ def test_zero_delta_denominator_is_65(tmp_path):
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
 
 
-def test_short_geometry_m_grid_is_65(tmp_path):
-    path = small_config(tmp_path, geometry_m_grid=[-50.0, 50.0])
+@pytest.mark.parametrize("override", [
+    {"geometry_m_grid": [-50.0, 50.0]},
+    {"geometry_m_grid": [-50.0, 40.0, 401]},  # asymmetric: rejected by the verb
+    {"eps": [0.5]},
+])
+def test_malformed_setting_is_65(tmp_path, override):
+    path = small_config(tmp_path, **override)
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
 
 

@@ -6,7 +6,6 @@ import pytest
 from qborel.errors import GeometryError
 from qborel.geometry import (
     SECTOR_APERTURE,
-    _abs_remainder_2pi,
     bound_constants,
     build_good_covering,
     check_assumption_d,
@@ -17,7 +16,6 @@ from qborel.geometry import (
     operator_constants,
     pm_roots,
     ray_cone_clearance,
-    root_arguments,
     sector_root_clearance,
     set_dist_to_shift,
 )
@@ -89,35 +87,15 @@ def test_vectorised_root_clearance_matches_scalar_scan(problem_dict):
     dD2 = dict(problem_dict, dD=2, Q=[1.0, [0.0, 0.2], -1.0],
                RD=[-2.0, [0.3, 0.1], 1.0])
     for spec in (ProblemSpec.from_dict(problem_dict), ProblemSpec.from_dict(dD2)):
-        args = root_arguments(spec, m_grid)
-        assert args.shape == (m_grid.size, spec.dD)
-        for i, m in enumerate(m_grid):
-            assert np.array_equal(args[i], np.angle(pm_roots(spec, m)))
         # a clear direction, the direction of a root ray (blocked) and its
         # neighbour one ulp away
         clear = 0.0 if spec.dD == 1 else float(np.angle(pm_roots(spec, 0.0)[0])) + 0.5 * math.pi
-        hit = float(args[57, spec.dD - 1])
+        hit = float(np.angle(pm_roots(spec, m_grid[57])[spec.dD - 1]))
         for d in (clear, hit, math.nextafter(hit, 4.0), math.pi, -math.pi):
             assert sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid) == \
                 _scalar_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
         assert sector_root_clearance(spec, clear, SECTOR_APERTURE, m_grid)[1] is None
         assert sector_root_clearance(spec, hit, SECTOR_APERTURE, m_grid)[1] is not None
-
-
-def test_abs_remainder_matches_math_remainder():
-    two_pi = 2.0 * math.pi
-    # every float within 2000 ulps of the quotient ties (n + 1/2) 2 pi and of
-    # the multiples n 2 pi, |n| <= 2.5, plus the math.remainder fallback
-    edges = [np.array([0.0, -0.0, 1.0, -2.5, 7.0 * two_pi, -20.0])]
-    for c in (0.5, 1.0, 1.5, 2.0, 2.5):
-        for sgn in (1.0, -1.0):
-            v = sgn * c * two_pi
-            edges.append(v + np.arange(-2000, 2001) * np.spacing(v))
-    x = np.concatenate(edges)
-    want = np.array([abs(math.remainder(v, two_pi)) for v in x.tolist()])
-    inner = np.abs(np.rint(x / two_pi)) <= 2.0  # the vector path's domain
-    for sel in (inner, np.ones(x.size, dtype=bool)):
-        assert np.array_equal(_abs_remainder_2pi(x[sel]), want[sel])
 
 
 def test_default_delta_meets_distance_condition(example_spec):

@@ -97,12 +97,12 @@ def test_cached_components_match_fresh_solution(golden_solution):
         assert _fresh(sol).component(*case) == val
 
 
-def test_laplace_cache_is_bounded(golden_solution, monkeypatch):
-    monkeypatch.setattr(assembly, "LAPLACE_CACHE_LIMIT", 2)
+def test_pair_cache_is_bounded(golden_solution, monkeypatch):
+    monkeypatch.setattr(assembly, "PAIR_CACHE_LIMIT", 2)
     sol = _fresh(golden_solution)
     ts = [0.006, 0.008, 0.01, 0.012, 0.008]
     vals = [sol.component(1, t, 0.2) for t in ts]
-    assert len(sol._laplace) <= 2
+    assert len(sol._pairs) <= 2
     assert vals == [_fresh(sol).component(1, t, 0.2) for t in ts]
 
 
