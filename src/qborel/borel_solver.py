@@ -13,6 +13,7 @@ in tau is the pure rung shift, so every radial line evolves independently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .errors import ConfigError, DivergenceError, UsageError
 from .geometry import SectorGeometry
 from .problem_model import ProblemSpec, forcing_borel, polyval_im
 from .special_functions import WeightParams, expq_weight
+from .transforms import convolution_kernel
 
 __all__ = [
     "GridSpec",
@@ -280,9 +282,6 @@ class SolverContext:
         self.eps = complex(eps)
         m = grid.m
         tau = grid.tau
-        sq2pi = math.sqrt(2.0 * math.pi)
-        tw = np.full(m.size, m[1] - m[0])
-        tw[0] = tw[-1] = 0.5 * (m[1] - m[0])
 
         self.Q_im = polyval_im(spec.Q, m)
         self.P = spec.pm(tau, m)
@@ -304,7 +303,6 @@ class SolverContext:
             self.F_raw.append(forcing_borel(spec, h, tau, m, eps))
             self.F_center.append(forcing_borel(spec, h, np.array([0.0 + 0.0j]), m, eps)[0])
 
-        diff = m[:, None] - m[None, :]
         self.term_shift = []
         self.term_pref = []
         self.term_kernel = []
@@ -316,15 +314,13 @@ class SolverContext:
                 raise ConfigError("grid density does not align with the dilation exponents")
             self.term_shift.append(int(shift))
             self.term_pref.append(spec.q_power_factor(t.d) * (tau ** t.d)[:, None])
-            K = t.C(diff, eps) * (polyval_im(t.R, m) * tw)[None, :] / sq2pi
-            self.term_kernel.append(K)
+            self.term_kernel.append(
+                convolution_kernel(functools.partial(t.C, eps=eps), m, t.R))
             self.term_eps_pow.append(self.eps ** (t.Delta - t.d))
-        self.b_kernel = {}
-        for jk, sym in spec.coeffs.b.items():
-            if sym.is_zero():
-                self.b_kernel[jk] = None
-            else:
-                self.b_kernel[jk] = sym(diff, eps) * tw[None, :] / sq2pi
+        self.b_kernel = {
+            jk: None if sym.is_zero()
+            else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
+            for jk, sym in spec.coeffs.b.items()}
 
     # -- elementary operator pieces (undivided unless noted) ------------
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,8 @@ from .geometry import (
     make_geometry,
     operator_constants,
 )
-from .problem_model import ProblemSpec, _as_complex, validate_assumptions
+from .problem_model import ProblemSpec, _as_complex, _section, validate_assumptions
 from .solution_assembly import LogSolution, residual_borel, residual_physical
-from .transforms import QuadratureSpec
 
 COMMANDS = ("check-geometry", "solve", "evaluate", "residual", "formal",
             "asymptotics", "all")
@@ -49,7 +48,7 @@ class RunConfig:
     t_radius: float
     t_aperture: float
     t_direction: float
-    quad: QuadratureSpec
+    Delta: float
     gspec: GridSpec
     solve_tol: float
     max_iter: int
@@ -63,7 +62,6 @@ class RunConfig:
     seed: int
     output_dir: Path
     geometry_m_grid: np.ndarray
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _complex_of(x, default=None):
@@ -84,31 +82,38 @@ def _point_of(p) -> tuple[complex, complex]:
     return _complex_of(p[0]), _complex_of(p[1])
 
 
+def _range_of(x, name: str, positive: bool = False) -> tuple[float, float, int]:
+    """(lo, hi, n) from a [lo, hi, n] setting; positive ranges are log-spaced."""
+    if not isinstance(x, list) or len(x) != 3:
+        raise ConfigError(f"{name} must be [lo, hi, n], got {x!r}")
+    lo, hi, n = float(x[0]), float(x[1]), int(x[2])
+    if n < 2:
+        raise ConfigError(f"{name} = {x!r} needs n >= 2")
+    if positive and not (lo > 0 and hi > 0):
+        raise ConfigError(f"{name} = {x!r} needs lo, hi > 0")
+    return lo, hi, n
+
+
 def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        spec = ProblemSpec.from_dict(raw["problem"])
-        cov = raw.get("covering", {})
-        q = raw.get("quadrature", {})
-        quad = QuadratureSpec(
-            nodes_per_decade=int(q.get("nodes_per_decade", 48)),
-            r_min=q.get("r_min"), r_max=q.get("r_max"),
-            M=float(q.get("M", 40.0 / spec.beta)),
-            m_nodes=int(q.get("m_nodes", 241)),
-            delta_admissible=float(q.get("Delta", 0.5)))
-        g = raw.get("grid", {})
+        if not isinstance(raw, dict):
+            raise ConfigError("the configuration must be a JSON object")
+        spec = ProblemSpec.from_dict(_section(raw, "problem"))
+        cov = _section(raw, "covering")
+        q = _section(raw, "quadrature")
+        g = _section(raw, "grid")
         gspec = GridSpec(
-            m_max=quad.M, m_nodes=quad.m_nodes,
+            m_max=float(q.get("M", 40.0 / spec.beta)),
+            m_nodes=int(q.get("m_nodes", 241)),
             n_angles=int(g.get("n_angles", 16)),
             ring_octaves=float(g.get("ring_octaves", 5.0)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
-        tol = raw.get("tolerances", {})
-        mg = raw.get("geometry_m_grid", [-50.0, 50.0, 2001])
-        if not isinstance(mg, list) or len(mg) != 3:
-            raise ConfigError(f"geometry_m_grid must be [lo, hi, n], got {mg!r}")
-        asym = raw.get("asymptotics", {})
+        tol = _section(raw, "tolerances")
+        mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
+        asym = _section(raw, "asymptotics")
         points = [_point_of(p) for p in raw.get("points", [])]
         if "points_csv" in raw:
             base = Path(path).parent
@@ -116,6 +121,8 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             if not csv_path.is_absolute():
                 csv_path = base / csv_path
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape[1] < 4:
+                raise ConfigError(f"{csv_path} needs columns re_t, im_t, re_z, im_z")
             for row in data:
                 points.append((complex(row[0], row[1]), complex(row[2], row[3])))
         out = Path(output_dir if output_dir is not None
@@ -126,20 +133,21 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             t_radius=float(cov.get("t_radius", 0.02)),
             t_aperture=float(cov.get("t_aperture", 0.1)),
             t_direction=float(cov.get("t_direction", 0.0)),
-            quad=quad, gspec=gspec,
+            Delta=float(q.get("Delta", 0.5)), gspec=gspec,
             solve_tol=float(tol.get("solve_tol", 1e-11)),
             max_iter=int(tol.get("max_iter", 200)),
             formal_tol=float(tol.get("formal_tol", 1e-13)),
             eps_solve=_complex_of(raw.get("eps"), 0.75 * spec.eps0),
             points=points,
             N_max=int(asym.get("N_max", 6)),
-            eps_gevrey=tuple(asym.get("eps_gevrey", [0.25 * spec.eps0, 0.9 * spec.eps0, 5])),
-            eps_decay=tuple(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9])),
+            eps_gevrey=_range_of(asym.get("eps_gevrey", [0.25 * spec.eps0, 0.9 * spec.eps0, 5]),
+                                 "eps_gevrey", positive=True),
+            eps_decay=_range_of(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9]),
+                                "eps_decay", positive=True),
             decay_pair=int(asym.get("pair", 0)),
             seed=int(raw.get("seed", 0)),
             output_dir=out,
-            geometry_m_grid=np.linspace(float(mg[0]), float(mg[1]), int(mg[2])),
-            raw=raw)
+            geometry_m_grid=np.linspace(*mg))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -182,7 +190,7 @@ def _covering(rc: RunConfig, ctx: dict):
         ctx["covering"] = build_good_covering(
             rc.zeta, rc.spec.eps0, rc.spec, t_radius=rc.t_radius,
             t_aperture=rc.t_aperture, t_direction=rc.t_direction,
-            m_grid=rc.geometry_m_grid, Delta=rc.quad.delta_admissible)
+            m_grid=rc.geometry_m_grid, Delta=rc.Delta)
     return ctx["covering"]
 
 
@@ -305,7 +313,7 @@ def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
         w0, w1, _ = _solve(rc, ctx)
         ctx["log_solution"] = LogSolution(rc.spec, ctx["grid"], w0, w1,
                                           rc.eps_solve,
-                                          Delta=rc.quad.delta_admissible)
+                                          Delta=rc.Delta)
     return ctx["log_solution"]
 
 
@@ -332,16 +340,13 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
     sol = _log_solution(rc, ctx)
     w0, w1, _ = ctx["solution"]
     borel = residual_borel(w0, w1, rc.spec, rc.eps_solve)
-    rows = []
-    worst = 0.0
-    for (t, z) in rc.points:
-        r = residual_physical(sol, rc.spec, [(t, z)])
-        worst = max(worst, r)
-        rows.append((t.real, t.imag, z.real, z.imag, r))
+    defects = residual_physical(sol, rc.spec, rc.points)
+    rows = [(t.real, t.imag, z.real, z.imag, float(r))
+            for (t, z), r in zip(rc.points, defects)]
     write_csv(rc.output_dir / "residual.csv",
               ["re_t", "im_t", "re_z", "im_z", "defect"], rows)
     write_json(rc.output_dir / "residual_report.json", {
-        "borel_residual": borel, "physical_residual_max": worst,
+        "borel_residual": borel, "physical_residual_max": float(defects.max()),
     })
     return 0
 
@@ -379,7 +384,7 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
                             m_grid=rc.geometry_m_grid)
     lo, hi, n = rc.eps_gevrey
     eps_g = [complex(m) * np.exp(1j * cov.directions[0])
-             for m in np.exp(np.linspace(math.log(lo), math.log(hi), int(n)))]
+             for m in np.exp(np.linspace(math.log(lo), math.log(hi), n))]
     grep = gevrey_remainder_check(family, 0, series, rc.N_max, eps_g)
     rows = []
     for N in sorted(grep.remainders):
@@ -390,7 +395,7 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
     lo, hi, n = rc.eps_decay
     arg = np.angle(cov.overlap_sample(rc.decay_pair))
     eps_d = [complex(m * np.exp(1j * arg))
-             for m in np.exp(np.linspace(math.log(lo), math.log(hi), int(n)))]
+             for m in np.exp(np.linspace(math.log(lo), math.log(hi), n))]
     drep = difference_decay_fit(family, rc.decay_pair, eps_d)
     rows = [(abs(e), float(np.angle(e)), d0, d1)
             for e, d0, d1 in zip(drep.eps_samples, drep.decay[0], drep.decay[1])]

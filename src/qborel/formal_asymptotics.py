@@ -20,7 +20,7 @@ from .errors import DivergenceError, DomainError, UsageError
 from .geometry import GoodCovering, make_geometry
 from .problem_model import ProblemSpec, polyval_im
 from .solution_assembly import LogSolution, solution_difference
-from .transforms import trapezoid_weights
+from .transforms import convolution_kernel, inverse_fourier
 
 __all__ = [
     "FormalSeries",
@@ -65,23 +65,14 @@ class _OrderKernels:
 
     def __init__(self, spec: ProblemSpec, m: np.ndarray):
         self.m = m
-        diff = m[:, None] - m[None, :]
-        tw = trapezoid_weights(m) / math.sqrt(2.0 * math.pi)
         self.Q_im = polyval_im(spec.Q, m)
         self.RD_im = polyval_im(spec.RD, m)
-        self.term = []
-        for t in spec.terms:
-            R_im = polyval_im(t.R, m)
-            kernels = [t.C.eps_coefficient(a)(diff) * (R_im * tw)[None, :]
-                       for a in range(t.C.eps_degree + 1)]
-            self.term.append(kernels)
-        self.b = {}
-        for jk, sym in spec.coeffs.b.items():
-            if sym.is_zero():
-                self.b[jk] = []
-            else:
-                self.b[jk] = [sym.eps_coefficient(a)(diff) * tw[None, :]
-                              for a in range(sym.eps_degree + 1)]
+        self.term = [[convolution_kernel(t.C.eps_coefficient(a), m, t.R)
+                      for a in range(t.C.eps_degree + 1)] for t in spec.terms]
+        self.b = {jk: [] if sym.is_zero()
+                  else [convolution_kernel(sym.eps_coefficient(a), m, [1.0])
+                        for a in range(sym.eps_degree + 1)]
+                  for jk, sym in spec.coeffs.b.items()}
 
     def bk(self, jk, a):
         ker = self.b[jk]
@@ -105,11 +96,6 @@ def _add(acc: dict, p: int, arr):
         acc[p] = acc[p] + arr
     else:
         acc[p] = arr.copy() if isinstance(arr, np.ndarray) else arr
-
-
-def _dilate_tpoly(coeffs: dict, rate: float, q: float) -> dict:
-    """t -> q^rate t on a t-polynomial: power p picks the factor q^(rate p)."""
-    return {p: (q ** (rate * p)) * arr for p, arr in coeffs.items()}
 
 
 def _assemble_rhs(spec, ker, V, n):
@@ -233,13 +219,11 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
     N = series.order if N is None else N
     if N > series.order:
         raise UsageError("series order too low")
-    m = series.m
-    tw = trapezoid_weights(m) * np.exp(1j * complex(z) * m) / math.sqrt(2 * math.pi)
-    total = 0.0 + 0.0j
+    total = np.zeros(series.m.size, dtype=complex)
     for n in range(N + 1):
         for p, arr in series.coef[j][n].items():
-            total += eps ** n * t ** p * complex(np.sum(tw * arr))
-    return total
+            total += eps ** n * t ** p * arr
+    return inverse_fourier(total, complex(z), series.m)
 
 
 class SolutionFamily:

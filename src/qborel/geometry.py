@@ -254,9 +254,11 @@ def measure_c2(b, h_poly, mu: float, m_grid=None) -> float:
     h = np.abs(np.polynomial.polynomial.polyval(1j * m, np.asarray(h_poly, dtype=complex)))
     bv = np.abs(b(m) if callable(b) else np.asarray(b))
     dm = m[1] - m[0]
-    inner = (1.0 + np.abs(m[:, None] - m[None, :])) ** (-mu) * \
-        ((1.0 + np.abs(m)) ** (-mu) * h)[None, :]
-    integral = inner.sum(axis=1) * dm
+    # on the uniform grid m_i - m_j = (i - j) dm: one discrete convolution
+    # over the 2n - 1 offsets
+    offsets = (1.0 + dm * np.abs(np.arange(1 - m.size, m.size))) ** (-mu)
+    weighted = (1.0 + np.abs(m)) ** (-mu) * h
+    integral = np.convolve(weighted, offsets)[m.size - 1:2 * m.size - 1] * dm
     return float(np.max((1.0 + np.abs(m)) ** mu * bv * integral))
 
 

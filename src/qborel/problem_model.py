@@ -51,6 +51,14 @@ def poly_degree(coeffs) -> int:
     return int(nz[-1])
 
 
+def _section(d: dict, key: str) -> dict:
+    """The mapping d[key] of a configuration, empty when absent."""
+    sec = d.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key} must be a mapping, got {sec!r}")
+    return sec
+
+
 def _as_complex(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
@@ -254,12 +262,12 @@ class ProblemSpec:
                     d=int(t["d"]), Delta=int(t["Delta"]),
                     delta=Fraction(int(num), int(den)),
                     R=t["R"], C=FourierSymbol.from_dict(t.get("C"))))
-            forcing = d.get("forcing", {})
+            forcing = _section(d, "forcing")
             lam0 = {int(k): FourierSymbol.from_dict(v)
-                    for k, v in forcing.get("f0", {}).items()}
+                    for k, v in _section(forcing, "f0").items()}
             lam1 = {int(k): FourierSymbol.from_dict(v)
-                    for k, v in forcing.get("f1", {}).items()}
-            coeffs = d.get("coeffs", {})
+                    for k, v in _section(forcing, "f1").items()}
+            coeffs = _section(d, "coeffs")
             b = {}
             for j in (0, 1):
                 for kk in (0, 1):

@@ -20,8 +20,8 @@ from .borel_solver import BorelFunction, BorelGrid, SolverContext
 from .errors import DomainError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
-from .special_functions import theta_scaled
-from .transforms import ray_admissibility, trapezoid_weights
+from .special_functions import inv_theta
+from .transforms import check_admissible, inverse_fourier
 
 __all__ = [
     "LogSolution",
@@ -36,13 +36,6 @@ __all__ = [
 # (7.7 kB at n_m = 241), so a long list of distinct eps t must not grow the
 # cache without bound.
 PAIR_CACHE_LIMIT = 1024
-
-
-def _inv_theta(u_over_T: np.ndarray, q: float, k: int) -> np.ndarray:
-    scaled, log_scale = theta_scaled(u_over_T, q, k)
-    with np.errstate(under="ignore", over="ignore"):
-        out = np.exp(-log_scale) / scaled
-    return np.where(np.isfinite(out), out, 0.0)
 
 
 def _cached_pair(compute):
@@ -87,18 +80,6 @@ class LogSolution:
     def r1(self) -> float:
         return admissible_r1(self.spec.q, self.spec.k, self.spec.alpha)
 
-    def _check_T(self, T: complex):
-        if T == 0:
-            raise DomainError("eps * t = 0 is outside the evaluation domain")
-        dist, r_bad = ray_admissibility(T, self.direction)
-        if dist < self.Delta:
-            raise DomainError(
-                f"eps*t = {T:.6g} comes within {dist:.3e} of the theta zero set "
-                f"(offending radius r = {r_bad:.6g}, need Delta = {self.Delta})")
-        if abs(T) > self.r1:
-            raise DomainError(
-                f"|eps*t| = {abs(T):.4g} exceeds the admissible radius r1 = {self.r1:.4g}")
-
     @_cached_pair
     def _laplace_all_m(self, T: complex):
         """q-Laplace of (w_0, w_1)(., m) at T along the principal line, for
@@ -106,7 +87,7 @@ class LogSolution:
         grid = self.grid
         rows = grid.principal_rows()
         tau = grid.tau[rows]
-        kern = _inv_theta(tau / T, self.spec.q, self.spec.k)
+        kern = inv_theta(tau / T, self.spec.q, self.spec.k)
         h = self.spec.lnq / grid.N
         tw = np.full(tau.size, h)
         tw[0] = tw[-1] = 0.5 * h
@@ -160,7 +141,7 @@ class LogSolution:
                     lag *= (xi - kk) / (jj - kk)
             lags.append(lag)
         u = np.exp(s + 1j * grid.direction)
-        weights = wq * _inv_theta(u / T, spec.q, spec.k)
+        weights = wq * inv_theta(u / T, spec.q, spec.k)
         out = []
         for w in (self.w0, self.w1):
             vals = w.values[rows]
@@ -195,7 +176,7 @@ class LogSolution:
         # frequencies appear on the ring; n uniform samples pin the first n
         # coefficients
         basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
-        weights = twt * _inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
+        weights = twt * inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
         out = []
         for w in (self.w0, self.w1):
             ring = basis @ (np.fft.fft(_arc_values(w, g_arc), axis=0) / n_ang)
@@ -216,13 +197,12 @@ class LogSolution:
                 f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
                 f"beta' = {self.spec.beta_prime}")
         T = self.eps * complex(t)
-        self._check_T(T)
+        check_admissible(T, self.direction, self.Delta, self.r1)
         lap = self._laplace_all_m(T)[j]
         m = self.grid.m
-        integrand = lap * np.exp(1j * complex(z) * m)
         if multiplier is not None:
-            integrand = integrand * polyval_im(multiplier, m)
-        return complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
+            lap = lap * polyval_im(multiplier, m)
+        return inverse_fourier(lap, complex(z), m)
 
     def evaluate(self, t: complex, z: complex) -> complex:
         """u_0 + u_1 log(eps t)/log q with the principal branch of the log."""
@@ -249,58 +229,52 @@ def residual_borel(w0: BorelFunction, w1: BorelFunction, spec: ProblemSpec,
     return max(r0.norm(spec), r1.norm(spec))
 
 
-def _coeff_value(sym, z: complex, m: np.ndarray, eps: complex) -> complex:
-    vals = sym(m, eps)
-    tw = trapezoid_weights(m)
-    return complex(np.sum(tw * vals * np.exp(1j * z * m)) / math.sqrt(2 * math.pi))
-
-
-def _forcing_value(spec: ProblemSpec, h: int, t: complex, z: complex,
-                   eps: complex, m: np.ndarray) -> complex:
-    total = 0.0 + 0.0j
-    T = eps * t
-    for p, sym in spec.forcing.powers(h).items():
-        F = _coeff_value(sym, z, m, eps)
-        total += F * (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0) * T ** p
-    return total
-
-
-def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> float:
-    """Max defect of the two split equations over (t, z) points.
+def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray:
+    """Defect max(|eq_0|, |eq_1|) of the two split equations at each (t, z)
+    point, as an array over the points.
 
     d/dz acts as the Fourier multiplier inside the component integrals;
     dilations re-evaluate the components at q^r t.  All dilated points must
-    stay inside the admissible domain.
+    stay inside the admissible domain.  The coefficient and forcing symbols
+    are sampled once per call and Fourier-summed together once per point.
     """
     eps = sol.eps
     m = sol.grid.m
     qdk = spec.q ** (spec.dD / spec.k)
-    worst = 0.0
-    for (t, z) in points:
+    n_terms = len(spec.terms)
+    b_keys = list(spec.coeffs.b)
+    forcing = [(h, p, sym) for h in (0, 1) for p, sym in spec.forcing.powers(h).items()]
+    symbols = ([term.C for term in spec.terms] + [spec.coeffs.b[jk] for jk in b_keys]
+               + [sym for _, _, sym in forcing])
+    samples = np.array([sym(m, eps) for sym in symbols], dtype=complex).reshape(-1, m.size)
+    defects = np.zeros(len(points))
+    for i, (t, z) in enumerate(points):
         t, z = complex(t), complex(z)
+        T = eps * t
+        sym_vals = inverse_fourier(samples, z, m)
+        b = dict(zip(b_keys, sym_vals[n_terms:n_terms + len(b_keys)]))
         u0 = sol.component(0, t, z)
         u1 = sol.component(1, t, z)
         lhs0 = sol.component(0, t, z, multiplier=spec.Q)
         lhs1 = sol.component(1, t, z, multiplier=spec.Q)
-        rhs0 = (eps * t) ** spec.dD * (
+        rhs0 = T ** spec.dD * (
             sol.component(0, qdk * t, z, multiplier=spec.RD)
             + (spec.dD / spec.k) * sol.component(1, qdk * t, z, multiplier=spec.RD))
-        rhs1 = (eps * t) ** spec.dD * sol.component(1, qdk * t, z, multiplier=spec.RD)
-        for term in spec.terms:
-            c_val = _coeff_value(term.C, z, m, eps)
+        rhs1 = T ** spec.dD * sol.component(1, qdk * t, z, multiplier=spec.RD)
+        for term, c_val in zip(spec.terms, sym_vals[:n_terms]):
             qd = spec.q ** float(term.delta)
             pref = eps ** term.Delta * t ** term.d * c_val
             r0 = sol.component(0, qd * t, z, multiplier=term.R)
             r1 = sol.component(1, qd * t, z, multiplier=term.R)
             rhs0 += pref * (r0 + float(term.delta) * r1)
             rhs1 += pref * r1
-        rhs0 += _forcing_value(spec, 0, t, z, eps, m)
-        rhs1 += _forcing_value(spec, 1, t, z, eps, m)
-        b = {jk: _coeff_value(sym, z, m, eps) for jk, sym in spec.coeffs.b.items()}
-        rhs0 += b[(0, 0)] * u0 + b[(1, 0)] * u1
-        rhs1 += b[(0, 1)] * u0 + b[(1, 1)] * u1
-        worst = max(worst, abs(lhs0 - rhs0), abs(lhs1 - rhs1))
-    return worst
+        forced = [0.0 + 0.0j, 0.0 + 0.0j]
+        for (h, p, _), F in zip(forcing, sym_vals[n_terms + len(b_keys):]):
+            forced[h] += F * (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0) * T ** p
+        rhs0 += forced[0] + b[(0, 0)] * u0 + b[(1, 0)] * u1
+        rhs1 += forced[1] + b[(0, 1)] * u0 + b[(1, 1)] * u1
+        defects[i] = max(abs(lhs0 - rhs0), abs(lhs1 - rhs1))
+    return defects
 
 
 def _arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
@@ -335,8 +309,8 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     spec = sol_a.spec
     eps = sol_a.eps
     T = eps * complex(t)
-    sol_a._check_T(T)
-    sol_b._check_T(T)
+    for sol in (sol_a, sol_b):
+        check_admissible(T, sol.direction, sol.Delta, sol.r1)
     d_a, d_b = sol_a.direction, sol_b.direction
     grid = sol_a.grid
     g_arc = math.floor(grid.N * math.log(0.5) / spec.lnq)  # rung nearest rho/2
@@ -355,6 +329,4 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
                 "perturb |eps t| to move the zero lattice")
     total = (sol_b._tail_integral(T, g_arc)[j] + sol_a._arc_integral(d_b, T, g_arc)[j]
              - sol_a._tail_integral(T, g_arc)[j])
-    m = grid.m
-    integrand = total * np.exp(1j * complex(z) * m)
-    return complex(np.sum(trapezoid_weights(m) * integrand) / math.sqrt(2 * math.pi))
+    return inverse_fourier(total, complex(z), grid.m)

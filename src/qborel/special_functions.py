@@ -19,6 +19,7 @@ __all__ = [
     "WeightParams",
     "theta",
     "theta_scaled",
+    "inv_theta",
     "theta_log_abs",
     "theta_zero_clearance",
     "theta_bound_margin",
@@ -93,6 +94,18 @@ def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
     if scalar:
         return complex(total[0]), float(scale[0])
     return total, scale
+
+
+def inv_theta(z, q: float, k: int = 1):
+    """1/theta(z) from the scaled evaluation, vectorised over z.
+
+    Where the quotient is not finite (theta vanishes at a sample point) the
+    value is set to 0.
+    """
+    scaled, log_scale = theta_scaled(z, q, k)
+    with np.errstate(under="ignore", over="ignore"):
+        out = np.exp(-log_scale) / scaled
+    return np.where(np.isfinite(out), out, 0.0)
 
 
 def theta(z, q: float, k: int = 1, tol: float = 1e-12):

@@ -1,5 +1,5 @@
-"""q-Laplace transform of order k, inverse Fourier transform and the two
-convolution products.
+"""q-Laplace transform of order k, inverse Fourier transform, the eps*t
+admissibility check and the convolution kernel with its two products.
 
 The ray integral is computed in log-radius: with u = e^s e^(i gamma) the
 integrand w(u)/Theta(u/T) decays at least exponentially in s on both sides of
@@ -17,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .special_functions import theta_scaled
+from .problem_model import polyval_im
+from .special_functions import inv_theta
 
 __all__ = [
     "QuadratureSpec",
     "ray_admissibility",
+    "check_admissible",
     "q_laplace",
     "q_laplace_operational_check",
     "inverse_fourier",
-    "fourier_tail_bound",
+    "convolution_kernel",
     "convolve",
     "convolve_weighted",
     "trapezoid_weights",
@@ -38,24 +40,16 @@ _MAX_NODES = 60000
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature controls shared by the transform and assembly layers."""
+    """Controls of the ray quadrature in q_laplace; the m grid belongs to
+    borel_solver.GridSpec."""
 
     nodes_per_decade: int = 48
-    r_min: float | None = None
-    r_max: float | None = None
-    M: float = 40.0
-    m_nodes: int = 801
     delta_admissible: float = 0.5
     r1: float | None = None
 
     @property
     def step(self) -> float:
         return math.log(10.0) / self.nodes_per_decade
-
-    def m_grid(self) -> np.ndarray:
-        if self.m_nodes < 3 or self.m_nodes % 2 == 0:
-            raise DomainError("m_nodes must be an odd integer >= 3")
-        return np.linspace(-self.M, self.M, self.m_nodes)
 
 
 def trapezoid_weights(grid) -> np.ndarray:
@@ -80,27 +74,25 @@ def ray_admissibility(T: complex, gamma: float) -> tuple[float, float]:
     return abs(math.sin(psi)), -c * abs(T)
 
 
-def _check_T(T: complex, gamma: float, quad: QuadratureSpec):
+def check_admissible(T: complex, gamma: float, Delta: float,
+                     r1: float | None = None) -> None:
+    """Raise DomainError unless T = eps t may be summed along direction gamma:
+    T != 0, the ray keeps |1 + e^(i gamma) r / T| >= Delta (T lies in the
+    kernel cone R_(gamma, Delta)) and |T| <= r1 when r1 is given."""
     dist, r_bad = ray_admissibility(T, gamma)
-    if dist < quad.delta_admissible:
+    if dist < Delta:
         raise DomainError(
-            f"T={T:.6g} leaves R_(gamma,Delta): |1 + e^(i gamma) r / T| = "
-            f"{dist:.3e} < Delta = {quad.delta_admissible} at radius r = {r_bad:.6g}"
-        )
-    if quad.r1 is not None and abs(T) > quad.r1:
-        raise DomainError(f"|T| = {abs(T):.6g} exceeds the admissible radius r1 = {quad.r1:.6g}")
-
-
-def _inv_theta(u: np.ndarray, T: complex, q: float, k: int) -> np.ndarray:
-    scaled, log_scale = theta_scaled(u / T, q, k)
-    with np.errstate(under="ignore"):
-        return np.exp(-log_scale) / scaled
+            f"eps*t = {T:.6g} leaves R_(gamma,Delta): |1 + e^(i gamma) r / T| = "
+            f"{dist:.3e} < Delta = {Delta} at radius r = {r_bad:.6g}")
+    if r1 is not None and abs(T) > r1:
+        raise DomainError(
+            f"|eps*t| = {abs(T):.6g} exceeds the admissible radius r1 = {r1:.6g}")
 
 
 def _integrand(w, s: np.ndarray, T: complex, gamma: float, q: float, k: int):
     u = np.exp(s + 1j * gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        return w(u) * _inv_theta(u, T, q, k)
+        return w(u) * inv_theta(u / T, q, k)
 
 
 def q_laplace(w, T: complex, gamma: float, q: float, k: int,
@@ -111,16 +103,9 @@ def q_laplace(w, T: complex, gamma: float, q: float, k: int,
     estimate); the estimate combines a stride-2 Richardson difference with the
     relative size of the end contributions.
     """
-    _check_T(T, gamma, quad)
+    check_admissible(T, gamma, quad.delta_admissible, quad.r1)
     h = quad.step
-    s_center = math.log(abs(T))
-    if quad.r_min is not None and quad.r_max is not None:
-        n_lo = max(1, math.ceil((s_center - math.log(quad.r_min)) / h))
-        n_hi = max(1, math.ceil((math.log(quad.r_max) - s_center) / h))
-        s = s_center + h * np.arange(-n_lo, n_hi + 1)
-        vals = _integrand(w, s, T, gamma, q, k)
-    else:
-        s, vals = _expand_bracket(w, T, gamma, q, k, h, s_center)
+    s, vals = _expand_bracket(w, T, gamma, q, k, h, math.log(abs(T)))
     tw = np.full(s.size, h)
     tw[0] = tw[-1] = 0.5 * h
     pref = k / math.log(q)
@@ -181,47 +166,54 @@ def q_laplace_operational_check(w, sigma: float, j: float, T: complex,
     return lhs, rhs
 
 
-def inverse_fourier(f, z: complex, m_grid, beta: float | None = None) -> complex:
-    """(2 pi)^(-1/2) integral of f(m) e^(i z m) dm by trapezoid on the grid."""
+def inverse_fourier(f, z: complex, m_grid, beta: float | None = None):
+    """(2 pi)^(-1/2) integral of f(m) e^(i z m) dm by trapezoid on the grid.
+
+    f is a callable of m or samples on the grid; a stack of samples with the
+    grid as last axis gives one value per row.
+    """
     m = np.asarray(m_grid, dtype=float)
     if beta is not None and abs(z.imag) >= beta:
         raise DomainError(f"|Im z| = {abs(z.imag):.3g} >= beta = {beta}: integral diverges")
     vals = f(m) if callable(f) else np.asarray(f)
-    tw = trapezoid_weights(m)
-    return complex(np.sum(tw * vals * np.exp(1j * z * m)) / math.sqrt(2.0 * math.pi))
+    total = np.sum(trapezoid_weights(m) * vals * np.exp(1j * z * m), axis=-1)
+    total = total / math.sqrt(2.0 * math.pi)
+    return complex(total) if np.ndim(total) == 0 else total
 
 
-def fourier_tail_bound(env_const: float, beta: float, mu: float, M: float, z: complex) -> float:
-    """Bound on the discarded |m| > M mass for |f| <= env (1+|m|)^(-mu) e^(-beta|m|)."""
-    rate = beta - abs(z.imag)
-    if rate <= 0:
-        return math.inf
-    return 2.0 * env_const * (1.0 + M) ** (-mu) * math.exp(-rate * M) / rate / math.sqrt(2 * math.pi)
+def convolution_kernel(f, m_grid, h_poly) -> np.ndarray:
+    """Matrix K[i, j] = f(m_i - m_j) h(i m_j) tw_j / sqrt(2 pi) of the
+    convolution (2 pi)^(-1/2) integral f(m - m1) h(i m1) g(m1) dm1 on the grid.
 
-
-def _kernel_lookup(f, m_grid: np.ndarray) -> np.ndarray:
-    """Matrix F[i, j] = f(m_i - m_j), exact gather for uniform grids."""
+    f is a callable of the offset m_i - m_j, or samples on a uniform grid,
+    read off at the offsets the grid holds and zero beyond it; h_poly is a
+    coefficient array (low to high) and tw the trapezoid weights.
+    """
     m = np.asarray(m_grid, dtype=float)
     diff = m[:, None] - m[None, :]
     if callable(f):
-        return f(diff)
-    vals = np.asarray(f)
+        F = f(diff)
+    else:
+        F = _offset_lookup(np.asarray(f), m, diff)
+    return F * (polyval_im(h_poly, m) * trapezoid_weights(m))[None, :] \
+        / math.sqrt(2.0 * math.pi)
+
+
+def _offset_lookup(vals: np.ndarray, m: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """F[i, j] = f(m_i - m_j) gathered exactly from samples on a uniform grid
+    whose lattice contains every offset."""
     if vals.shape != m.shape:
         raise DomainError("kernel samples must match the m grid")
     h = m[1] - m[0]
     if not np.allclose(np.diff(m), h, rtol=0, atol=1e-12 * abs(h)):
         raise DomainError("convolution requires a uniform m grid")
     idx = np.rint((diff - m[0]) / h).astype(int)
-    on_grid = np.abs(m[0] + idx * h - diff) < 1e-9 * abs(h)
-    inside = (idx >= 0) & (idx < m.size) & on_grid
+    if not np.all(np.abs(m[0] + idx * h - diff) < 1e-9 * abs(h)):
+        raise DomainError("kernel offsets m_i - m_j fall off the sample lattice; "
+                          "use a grid symmetric about 0 with an odd node count")
+    inside = (idx >= 0) & (idx < m.size)
     out = np.zeros_like(diff, dtype=vals.dtype)
     out[inside] = vals[idx[inside]]
-    # off-lattice offsets (non-symmetric grids): linear interpolation, zero outside
-    if not np.all(on_grid):
-        rem = ~on_grid
-        out[rem] = np.interp(diff[rem], m, vals.real, left=0.0, right=0.0)
-        if np.iscomplexobj(vals):
-            out[rem] = out[rem] + 1j * np.interp(diff[rem], m, vals.imag, left=0.0, right=0.0)
     return out
 
 
@@ -231,9 +223,7 @@ def convolve(f, g, m_grid) -> np.ndarray:
     gv = np.asarray(g(m) if callable(g) else g)
     if gv.shape != m.shape:
         raise DomainError("g samples must match the m grid")
-    K = _kernel_lookup(f, m)
-    tw = trapezoid_weights(m)
-    return (K * tw[None, :]) @ gv / math.sqrt(2.0 * math.pi)
+    return convolution_kernel(f, m, [1.0]) @ gv
 
 
 def convolve_weighted(b, h_poly, f, g, m_grid) -> np.ndarray:
@@ -248,6 +238,5 @@ def convolve_weighted(b, h_poly, f, g, m_grid) -> np.ndarray:
     if gv.ndim != 2 or gv.shape[1] != m.size:
         raise DomainError("g must be a (tau, m) grid matching m_grid")
     bv = np.asarray(b(m) if callable(b) else b)
-    hv = np.polynomial.polynomial.polyval(1j * m, np.asarray(h_poly, dtype=complex))
-    K = _kernel_lookup(f, m) * (hv * trapezoid_weights(m))[None, :]
-    return (gv @ K.T) * bv[None, :]
+    K = convolution_kernel(f, m, h_poly)
+    return (gv @ K.T) * (math.sqrt(2.0 * math.pi) * bv)[None, :]

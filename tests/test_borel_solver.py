@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qborel.borel_solver import (
     BorelFunction,
+    BorelGrid,
     GridSpec,
+    RadialLine,
     SolverContext,
     _picard,
     build_grid,
@@ -15,7 +18,7 @@ from qborel.borel_solver import (
 )
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
-from qborel.problem_model import ProblemSpec
+from qborel.problem_model import ProblemSpec, forcing_borel
 
 
 def test_grid_alignment_and_exact_dilation(golden):
@@ -326,3 +329,83 @@ def test_eps_holomorphy_proxy(golden):
     diff = (ddre - ddim).norm(spec)
     scale = max(ddre.norm(spec), 1e-12)
     assert diff <= 1e-4 * scale
+
+
+def _lagrange(xs, x):
+    """Weights of the polynomial through the nodes xs, evaluated at x."""
+    return [math.prod((x - b) / (a - b) for b in xs if b != a) for a in xs]
+
+
+def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
+    # Oracle: the affine map H(w) = L w + f written out from the equations as
+    # one dense matrix on a tiny grid, without SolverContext or the shared
+    # convolution kernel, then (I - L) w = f solved directly.  Strong, wide
+    # symbols make every kernel entry, the end weights included, count.
+    wide = {"num": [0.05], "gauss": 0.02}
+    problem_dict["coeffs"].update(b00=wide, b10=wide, b11=wide)
+    problem_dict["terms"][0]["C"] = {"num": [0.5], "gauss": 0.02, "eps_poly": [1.0, 0.2]}
+    spec = ProblemSpec.from_dict(problem_dict)
+    geom = make_geometry(spec, d=0.0)
+    m = np.linspace(-12.0, 12.0, 9)
+    lines = [RadialLine(0.0, -24, 6), RadialLine(0.0, -6, 0), RadialLine(math.pi, -6, 0)]
+    grid = BorelGrid(spec.q, spec.k, 13, geom.rho, geom.delta, 0.0, m, lines)
+    eps = 0.015
+    w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)
+
+    n, n_m = grid.n_nodes, m.size
+    ext = np.append(grid.tau, 0.0)          # every node, then the centre tau = 0
+    h = m[1] - m[0]
+    tw = np.full(n_m, h)
+    tw[0] = tw[-1] = h / 2
+
+    def conv(sym, poly):
+        """I (x) K with K[a, b] = sym(m_a - m_b) poly(i m_b) tw_b / sqrt(2 pi)."""
+        R = np.polyval(np.asarray(poly, dtype=complex)[::-1], 1j * m)
+        K = np.array([[sym(ma - mb, eps) * R[b] * tw[b] for b, mb in enumerate(m)]
+                      for ma in m]) / math.sqrt(2.0 * math.pi)
+        return np.kron(np.eye(n + 1), K)
+
+    def dilation(shift):
+        """tau -> q^(-shift/N) tau: a rung shift along each line; below the
+        bottom rung the quadratic through the centre and the two lowest nodes."""
+        D = np.zeros((n + 1, n + 1))
+        D[n, n] = 1.0
+        for i, ln in enumerate(grid.lines):
+            lo = grid.offsets[i]
+            nodes = [0.0, grid.radius_of_rung(ln.g_lo), grid.radius_of_rung(ln.g_lo + 1)]
+            for j in range(ln.size):
+                if j >= shift:
+                    D[lo + j, lo + j - shift] = 1.0
+                    continue
+                wts = _lagrange(nodes, grid.radius_of_rung(ln.g_lo + j - shift))
+                for col, wt in zip((n, lo, lo + 1), wts):
+                    D[lo + j, col] += wt
+        return np.kron(D, np.eye(n_m))
+
+    def diag(a):
+        return np.diag(np.broadcast_to(a, (n + 1, n_m)).ravel())
+
+    rd = np.polyval(np.asarray(spec.RD, dtype=complex)[::-1], 1j * m)
+    hp = (spec.dD / spec.k) * spec.q_power_factor(spec.dD) * np.outer(ext ** spec.dD, rd)
+    zero = np.zeros(((n + 1) * n_m,) * 2)
+    A = {(0, 0): zero, (0, 1): diag(hp), (1, 0): zero, (1, 1): zero}  # (equation, unknown)
+    for t in spec.terms:
+        shift = (Fraction(t.d, spec.k) - t.delta) * grid.N
+        pref = spec.q_power_factor(t.d) * ext[:, None] ** t.d
+        H_t = eps ** (t.Delta - t.d) * diag(pref) @ conv(t.C, t.R) @ dilation(int(shift))
+        A[(0, 0)] = A[(0, 0)] + H_t
+        A[(0, 1)] = A[(0, 1)] + float(t.delta) * H_t
+        A[(1, 1)] = A[(1, 1)] + H_t
+    for (j, kk), sym in spec.coeffs.b.items():
+        A[(kk, j)] = A[(kk, j)] + conv(sym, [1.0])
+    inv_p = diag(1.0 / spec.pm(ext, m))
+    L = np.block([[inv_p @ A[(r, c)] for c in (0, 1)] for r in (0, 1)])
+    f = np.concatenate([(forcing_borel(spec, comp, ext, m, eps) / spec.pm(ext, m)).ravel()
+                        for comp in (0, 1)])
+    dense = np.linalg.solve(np.eye(L.shape[0]) - L, f)
+
+    picard = np.concatenate([np.vstack([w.values, w.center]).ravel() for w in (w0, w1)])
+    scale = np.max(np.abs(dense))
+    assert scale > 0
+    err = np.max(np.abs(picard - dense))
+    assert err <= 1e-12 * scale, err / scale

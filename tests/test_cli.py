@@ -66,10 +66,26 @@ def test_zero_delta_denominator_is_65(tmp_path):
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
 
 
+def _problem_with(**fields):
+    problem = json.loads(GOLDEN.read_text())["problem"]
+    problem.update(fields)
+    return {"problem": problem}
+
+
 @pytest.mark.parametrize("override", [
     {"geometry_m_grid": [-50.0, 50.0]},
     {"geometry_m_grid": [-50.0, 40.0, 401]},  # asymmetric: rejected by the verb
     {"eps": [0.5]},
+    {"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018], "eps_decay": [0.006, 0.015, 4]}},
+    {"asymptotics": {"N_max": 2, "eps_gevrey": [0.0, 0.018, 3], "eps_decay": [0.006, 0.015, 4]}},
+    {"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3], "eps_decay": 0.01}},
+    {"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3], "eps_decay": [-0.006, 0.015, 4]}},
+    {"problem": []},
+    {"grid": []},
+    _problem_with(forcing=[]),
+    _problem_with(forcing={"f0": [0.1]}),
+    _problem_with(coeffs=[]),
+    {"geometry_m_grid": [0.0, 0.0, 1]},
 ])
 def test_malformed_setting_is_65(tmp_path, override):
     path = small_config(tmp_path, **override)
@@ -181,3 +197,6 @@ def test_points_csv_list(tmp_path):
     out = tmp_path / "out"
     assert run("evaluate", path, str(out)) == 0
     assert len((out / "evaluate.csv").read_text().splitlines()) == 3
+    # fewer than the four point columns
+    pts.write_text("re_t,im_t,re_z\n0.012,0,0.1\n")
+    assert run("evaluate", path, str(out)) == 65

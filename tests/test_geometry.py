@@ -205,6 +205,12 @@ def test_measure_c2_finite_and_stable(example_spec):
     c_b = measure_c2(b(m2), [1.0], example_spec.mu, m2)
     assert 0 < c_a < 10
     assert c_b == pytest.approx(c_a, rel=2e-2)
+    # reference: the integral as a dense double sum over all node pairs
+    m, mu = m1, example_spec.mu
+    h = np.abs(np.polynomial.polynomial.polyval(1j * m, [0.25, 0.0, 0.25]))
+    inner = (1.0 + np.abs(m[:, None] - m[None, :])) ** (-mu) * ((1.0 + np.abs(m)) ** (-mu) * h)
+    want = np.max((1.0 + np.abs(m)) ** mu * b(m) * inner.sum(axis=1) * (m[1] - m[0]))
+    assert measure_c2(b(m), [0.25, 0.0, 0.25], mu, m) == pytest.approx(want, rel=1e-12)
 
 
 def test_ray_cone_clearance():

@@ -9,6 +9,7 @@ from qborel.special_functions import (
     e_norm,
     expq_norm,
     expq_weight,
+    inv_theta,
     theta,
     theta_bound_margin,
     theta_scaled,
@@ -155,3 +156,26 @@ def test_norm_axioms_on_grid_data(weight_params):
 def test_expq_norm_shape_mismatch_rejected(weight_params):
     with pytest.raises(DomainError):
         expq_norm(np.zeros((3, 4)), np.zeros(2, dtype=complex), np.zeros(4), weight_params)
+
+
+@pytest.mark.parametrize("q,k", [(2.0, 1), (1.5, 2)])
+def test_inv_theta_against_mpmath_direct_sum(q, k):
+    # Oracle: 50-digit direct summation of the theta series, |z| from 1e-6
+    # to 1e6 on four rays off the zero set (the negative real axis).  A double
+    # sum loses the digits that cancel between its largest term and theta
+    # (about 7 at k = 2, arg z = 2.6), so the error is measured against the
+    # largest term.
+    mpmath = pytest.importorskip("mpmath")
+    z = (np.logspace(-6.0, 6.0, 25)[:, None]
+         * np.exp(1j * np.array([0.0, 0.9, -1.7, 2.6]))[None, :]).ravel()
+    got = inv_theta(z, q, k)
+    with mpmath.workdps(50):
+        for zi, gi in zip(z, got):
+            zm = mpmath.mpc(zi.real, zi.imag)
+            p_star = round(0.5 + k * math.log(abs(zi)) / math.log(q))
+            terms = [mpmath.mpf(q) ** (-mpmath.mpf(p * (p - 1)) / (2 * k)) * zm ** p
+                     for p in range(p_star - 80, p_star + 81)]
+            total = mpmath.fsum(terms)
+            cancellation = float(max(abs(t) for t in terms) / abs(total))
+            want = complex(1 / total)
+            assert abs(gi - want) <= 1e-12 * cancellation * abs(want), (zi, gi, want)

@@ -206,3 +206,12 @@ def test_convolve_weighted_zero_input():
     g = np.zeros((3, m.size), dtype=complex)
     out = convolve_weighted(lambda mm: 1.0 / (1 + mm ** 2), [0.0, 1.0], np.exp(-m ** 2), g, m)
     assert np.max(np.abs(out)) == 0.0
+
+
+def test_sampled_kernel_off_the_lattice_is_rejected():
+    # an even node count puts the offsets m_i - m_j half-way between nodes
+    m = np.linspace(-10, 10, 400)
+    with pytest.raises(DomainError, match="lattice"):
+        convolve(np.exp(-m ** 2), np.exp(-m ** 2), m)
+    # a callable kernel is evaluated at the offsets themselves
+    assert np.all(np.isfinite(convolve(lambda x: np.exp(-x ** 2), np.exp(-m ** 2), m)))
