@@ -401,6 +401,7 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
             for e, d0, d1 in zip(drep.eps_samples, drep.decay[0], drep.decay[1])]
     write_csv(rc.output_dir / "decay.csv",
               ["abs_eps", "arg_eps", "delta0", "delta1"], rows)
+    reports = list(family.reports.values())
     write_json(rc.output_dir / "fits.json", {
         "gevrey": {"A": grep.fit_A, "C": grep.fit_C,
                    "fit_residual": grep.fit_residual,
@@ -412,6 +413,10 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
                   "relative_deviation": drep.relative_deviation,
                   "samples_used": len(drep.eps_samples),
                   "warnings": drep.warnings},
+        "solves": {"borel_solves": len(reports),
+                   "picard_iterations": sum(len(r.update_history) for r in reports),
+                   "worst_residual": max((r.residual for r in reports), default=0.0),
+                   "decay_nudges": drep.nudges},
     })
     return 0
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .borel_solver import GridSpec, build_grid, solve_coupled, solve_triangular
 from .errors import DivergenceError, DomainError, UsageError
-from .geometry import GoodCovering, make_geometry
+from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec, polyval_im
-from .solution_assembly import LogSolution, solution_difference
+from .solution_assembly import LogSolution, difference_arc_rung, solution_difference
 from .transforms import convolution_kernel, inverse_fourier
 
 __all__ = [
@@ -57,6 +57,7 @@ class AsymptoticsReport:
     decay_coeffs: tuple = ()
     target_quadratic: float = math.nan
     relative_deviation: float = math.nan
+    nudges: int = 0                                  # eps samples moved off a zero ring
     warnings: list = field(default_factory=list)
 
 
@@ -227,7 +228,11 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
 
 
 class SolutionFamily:
-    """Analytic solutions indexed by covering sector, solved on demand."""
+    """Analytic solutions indexed by covering sector, solved on demand.
+
+    The SolveReport of every solve is kept in `reports`, under the same
+    (sector, eps) key as its solution.
+    """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
                  gspec: GridSpec, tol: float = 1e-12, m_grid=None,
@@ -240,16 +245,15 @@ class SolutionFamily:
         if use_triangular is None:
             use_triangular = spec.coeffs.triangular
         self.use_triangular = use_triangular
-        self._geoms = {}
         self._grids = {}
         self._sols = {}
+        self.reports = {}
 
     def _grid(self, p: int):
         p = p % self.covering.zeta
         if p not in self._grids:
             geom = make_geometry(self.spec, self.covering.d_rays[p],
                                  m_grid=self.m_grid)
-            self._geoms[p] = geom
             self._grids[p] = build_grid(self.spec, geom, self.gspec)
         return self._grids[p]
 
@@ -258,10 +262,8 @@ class SolutionFamily:
         key = (p, complex(eps))
         if key not in self._sols:
             grid = self._grid(p)
-            if self.use_triangular:
-                w0, w1, _ = solve_triangular(self.spec, eps, grid, tol=self.tol)
-            else:
-                w0, w1, _ = solve_coupled(self.spec, eps, grid, tol=self.tol)
+            solve = solve_triangular if self.use_triangular else solve_coupled
+            w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
             self._sols[key] = LogSolution(self.spec, grid, w0, w1, eps,
                                           Delta=self.covering.Delta)
         return self._sols[key]
@@ -335,17 +337,24 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
 
     Samples whose arc radius collides with the kernel zero lattice are nudged
     along the q^(1/k) ladder; samples whose difference underflows are dropped
-    with a warning.
+    with a warning.  The zero-ring and admissibility checks depend on eps t
+    and the two sector grids alone, so they run for every probe before the
+    two sectors are solved, and a rejected eps costs no solve.
     """
     spec = family.spec
     rep = AsymptoticsReport()
     probes = default_probes(family.covering) if probes is None else probes
+    grid_a, grid_b = family._grid(p), family._grid(p + 1)
+    r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     deltas = {0: [], 1: []}
     used_eps = []
     for eps0 in eps_samples:
         eps = complex(eps0)
         for attempt in range(4):
             try:
+                for (t, _) in probes:
+                    difference_arc_rung(spec, grid_a, grid_b, eps * complex(t),
+                                        family.covering.Delta, r1)
                 sol_a = family.at(p, eps)
                 sol_b = family.at(p + 1, eps)
                 d0 = max(abs(solution_difference(sol_a, sol_b, 0, t, z))
@@ -354,6 +363,7 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
                          for (t, z) in probes)
                 break
             except DomainError:
+                rep.nudges += 1
                 eps *= spec.q ** (1.0 / (4.0 * spec.k))
         else:
             rep.warnings.append(f"no admissible nudge for |eps| = {abs(eps0):.3g}")

@@ -25,6 +25,7 @@ from .transforms import check_admissible, inverse_fourier
 
 __all__ = [
     "LogSolution",
+    "difference_arc_rung",
     "monodromy_components",
     "residual_borel",
     "residual_physical",
@@ -292,6 +293,38 @@ def _arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
     return np.asarray(vals)[order]
 
 
+def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
+                        T: complex, Delta: float, r1: float) -> int:
+    """Ladder rung of the arc that deforms the direction of grid_a into that
+    of grid_b at T = eps t, after every domain check the difference makes.
+
+    The checks depend on T and the two grids alone, so a caller can reject an
+    eps before solving for it: the grids must share the ladder, T must be
+    admissible for both directions, and no kernel zero ring may lie near the
+    arc circle.
+    """
+    if grid_a.N != grid_b.N or grid_a.rho != grid_b.rho:
+        raise DomainError("solutions must share the ladder geometry")
+    for grid in (grid_a, grid_b):
+        check_admissible(T, grid.direction, Delta, r1)
+    d_a, d_b = grid_a.direction, grid_b.direction
+    g_arc = math.floor(grid_a.N * math.log(0.5) / spec.lnq)  # rung nearest rho/2
+
+    # kernel zeros inside the wedge drive the difference and are welcome, but
+    # none may sit on the arc circle itself: check the radial phase of the
+    # zero lattice |T| q^(m/k) against the arc radius
+    zero_dir = math.remainder(cmath.phase(-T), 2 * math.pi)
+    lo, hi = min(d_a, d_b), max(d_a, d_b)
+    in_wedge = any(lo <= zero_dir + 2 * math.pi * s <= hi for s in (-1, 0, 1))
+    if in_wedge:
+        frac = (math.log(grid_a.radius_of_rung(g_arc) / abs(T)) * spec.k / spec.lnq) % 1.0
+        if min(frac, 1.0 - frac) < 0.1:
+            raise DomainError(
+                "arc radius passes within 10% of a kernel zero ring; "
+                "perturb |eps t| to move the zero lattice")
+    return g_arc
+
+
 def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
                         t: complex, z: complex) -> complex:
     """u_{j,b} - u_{j,a} evaluated by contour deformation.
@@ -304,29 +337,10 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     do not depend on z and are cached per exact eps t, so further z probes
     cost one Fourier sum each.
     """
-    if sol_a.grid.N != sol_b.grid.N or sol_a.grid.rho != sol_b.grid.rho:
-        raise DomainError("solutions must share the ladder geometry")
-    spec = sol_a.spec
-    eps = sol_a.eps
-    T = eps * complex(t)
-    for sol in (sol_a, sol_b):
-        check_admissible(T, sol.direction, sol.Delta, sol.r1)
-    d_a, d_b = sol_a.direction, sol_b.direction
-    grid = sol_a.grid
-    g_arc = math.floor(grid.N * math.log(0.5) / spec.lnq)  # rung nearest rho/2
-
-    # kernel zeros inside the wedge drive the difference and are welcome, but
-    # none may sit on the arc circle itself: check the radial phase of the
-    # zero lattice |T| q^(m/k) against the arc radius
-    zero_dir = math.remainder(cmath.phase(-T), 2 * math.pi)
-    lo, hi = min(d_a, d_b), max(d_a, d_b)
-    in_wedge = any(lo <= zero_dir + 2 * math.pi * s <= hi for s in (-1, 0, 1))
-    if in_wedge:
-        frac = (math.log(grid.radius_of_rung(g_arc) / abs(T)) * spec.k / spec.lnq) % 1.0
-        if min(frac, 1.0 - frac) < 0.1:
-            raise DomainError(
-                "arc radius passes within 10% of a kernel zero ring; "
-                "perturb |eps t| to move the zero lattice")
-    total = (sol_b._tail_integral(T, g_arc)[j] + sol_a._arc_integral(d_b, T, g_arc)[j]
+    T = sol_a.eps * complex(t)
+    g_arc = difference_arc_rung(sol_a.spec, sol_a.grid, sol_b.grid, T,
+                                sol_a.Delta, sol_a.r1)
+    total = (sol_b._tail_integral(T, g_arc)[j]
+             + sol_a._arc_integral(sol_b.direction, T, g_arc)[j]
              - sol_a._tail_integral(T, g_arc)[j])
-    return inverse_fourier(total, complex(z), grid.m)
+    return inverse_fourier(total, complex(z), sol_a.grid.m)

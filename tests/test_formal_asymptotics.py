@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qborel.borel_solver import GridSpec
-from qborel.errors import UsageError
+from qborel.borel_solver import BorelFunction, GridSpec
+from qborel.errors import DomainError, UsageError
 from qborel.formal_asymptotics import (
     SolutionFamily,
     default_probes,
@@ -14,8 +14,9 @@ from qborel.formal_asymptotics import (
     formal_residual,
     gevrey_remainder_check,
 )
-from qborel.geometry import build_good_covering
+from qborel.geometry import admissible_r1, build_good_covering
 from qborel.problem_model import ProblemSpec, polyval_im
+from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_difference
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -179,6 +180,53 @@ def test_difference_decay_fit_matches_theorem(asym):
     # decays span an enormous range yet stay finite and positive
     assert min(rep.decay[0]) > 0
     assert max(rep.decay[0]) / min(rep.decay[0]) > 1e100
+
+
+def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
+    # zero densities on the two sector grids: solution_difference then runs
+    # every check and integral without a solve
+    spec, cov, family = asym["spec"], asym["cov"], asym["family"]
+    grid_a, grid_b = family._grid(0), family._grid(1)
+    r1 = admissible_r1(spec.q, spec.k, spec.alpha)
+    arg = np.angle(cov.overlap_sample(0))
+    t = 0.06 * np.exp(1j * cov.t_direction)
+    outcomes = []
+    # 2 log_q steps at k = 13: 26 zero-ring crossings of the arc radius
+    for mag in np.exp(np.linspace(math.log(0.05), math.log(0.2), 157)):
+        eps = complex(mag * np.exp(1j * arg))
+        sols = [LogSolution(spec, g, BorelFunction.zero(g, eps), BorelFunction.zero(g, eps),
+                            eps, Delta=cov.Delta) for g in (grid_a, grid_b)]
+        try:
+            solution_difference(sols[0], sols[1], 0, t, 0.1)
+            want = None
+        except DomainError as exc:
+            want = str(exc)
+        try:
+            g_arc = difference_arc_rung(spec, grid_a, grid_b, eps * t, cov.Delta, r1)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want, mag
+        if got is None:
+            assert g_arc == math.floor(grid_a.N * math.log(0.5) / spec.lnq)
+        outcomes.append(got is None)
+    assert 20 <= outcomes.count(False) and 20 <= outcomes.count(True)
+
+
+def test_decay_fit_solves_only_the_samples_it_keeps(asym):
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    arg = np.angle(cov.overlap_sample(0))
+    # 0.1 and 0.2 pass; at 0.106 the second probe's zero ring meets the arc
+    eps_samples = [m * np.exp(1j * arg) for m in (0.1, 0.106, 0.2)]
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1),
+              (0.04 * np.exp(1j * cov.t_direction), -0.2)]
+    rep = difference_decay_fit(family, 0, eps_samples, probes=probes)
+    assert rep.nudges >= 1
+    assert len(rep.eps_samples) == 3
+    assert len(family._sols) == 2 * len(rep.eps_samples)
+    assert set(family.reports) == set(family._sols)
+    assert all(r.residual < 1e-10 for r in family.reports.values())
 
 
 def test_difference_decay_quiet_overlap(asym):
