@@ -30,6 +30,8 @@ __all__ = [
     "GridSpec",
     "RadialLine",
     "BorelGrid",
+    "Dilation",
+    "OperatorFactors",
     "BorelFunction",
     "SolveReport",
     "radial_envelope_log",
@@ -91,6 +93,7 @@ class BorelGrid:
             g = np.arange(ln.g_lo, ln.g_hi + 1)
             taus.append(self.rho * self.spec_q ** (g / self.N) * np.exp(1j * ln.angle))
         self.tau = np.concatenate(taus)
+        self._dilations = {}
 
     @property
     def n_nodes(self) -> int:
@@ -107,16 +110,37 @@ class BorelGrid:
                             alpha=spec.alpha, rho=self.rho, delta=self.delta,
                             q=spec.q)
 
-    def weights(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-        """expq weight on all nodes and on the centre (cached per grid)."""
+    def stacked_weights(self, spec: ProblemSpec) -> np.ndarray:
+        """expq weight on all nodes and, in the last row, on the centre
+        (cached per grid)."""
         key = (spec.k, spec.beta, spec.mu, spec.alpha)
         cached = getattr(self, "_weights", None)
         if cached is None or cached[0] != key:
             p = self.weight_params(spec)
-            w_nodes = expq_weight(self.tau, self.m, p)
             w_center = expq_weight(np.array([0.0 + 0.0j]), self.m, p)[0]
-            self._weights = (key, w_nodes, w_center)
-        return self._weights[1], self._weights[2]
+            self._weights = (key, np.vstack([expq_weight(self.tau, self.m, p), w_center]))
+        return self._weights[1]
+
+    def weights(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+        """expq weight on all nodes and on the centre."""
+        w = self.stacked_weights(spec)
+        return w[:-1], w[-1]
+
+    def dilation(self, shift: int) -> "Dilation":
+        """The rung-shift gather of tau -> q^(-shift/N) tau (cached per grid)."""
+        if shift < 0:
+            raise UsageError("only contracting dilations map the grid into itself")
+        if shift not in self._dilations:
+            self._dilations[shift] = Dilation.build(self, shift)
+        return self._dilations[shift]
+
+    def factors(self, spec: ProblemSpec) -> "OperatorFactors":
+        """The eps-independent operator factors of spec on this grid (cached
+        per grid for the last spec asked for)."""
+        cached = getattr(self, "_factors", None)
+        if cached is None or cached[0] is not spec:
+            self._factors = (spec, OperatorFactors.build(spec, self))
+        return self._factors[1]
 
     def principal_rows(self) -> slice:
         return self.line_rows(0)
@@ -125,72 +149,153 @@ class BorelGrid:
         return list(range(1, len(self.lines)))
 
 
-@dataclass
-class BorelFunction:
-    """Grid samples of one Borel-plane unknown at a fixed eps."""
+@dataclass(frozen=True)
+class Dilation:
+    """Samples of tau -> f(q^(-shift/N) tau) as one gather over the stacked
+    rows (nodes, then the centre).
 
-    grid: BorelGrid
-    values: np.ndarray          # (n_nodes, n_m) complex
-    center: np.ndarray          # (n_m,) complex, value at tau = 0
-    eps: complex = 0.0
+    A node at least `shift` rungs above its line's bottom takes the row
+    `shift` rungs below it.  Below the bottom rung the value comes from the
+    quadratic through (0, centre) and the two lowest stored nodes of the same
+    line, with weights `coef` on (centre, rows `lo`, rows `hi`).
+    """
+
+    src: np.ndarray       # (n_nodes + 1,) source row of every output row
+    bottom: np.ndarray    # output rows below their line's bottom rung
+    lo: np.ndarray        # lowest node of each bottom row's line
+    hi: np.ndarray        # second lowest node (the lowest on a one-node line)
+    coef: np.ndarray      # (3, bottom.size)
+
+    @classmethod
+    def build(cls, grid: BorelGrid, shift: int) -> "Dilation":
+        n = grid.n_nodes
+        src = np.arange(n + 1)
+        bottom, lo, hi, coef = [], [], [], []
+        for i, ln in enumerate(grid.lines):
+            first = int(grid.offsets[i])
+            src[first + shift:first + ln.size] -= shift
+            r0 = grid.radius_of_rung(ln.g_lo)
+            r1 = grid.radius_of_rung(ln.g_lo + 1) if ln.size > 1 else 2.0 * r0
+            for j in range(min(shift, ln.size)):
+                r = grid.radius_of_rung(ln.g_lo + j - shift)
+                bottom.append(first + j)
+                lo.append(first)
+                hi.append(first + 1 if ln.size > 1 else first)
+                coef.append(((r - r0) * (r - r1) / (r0 * r1),
+                             r * (r - r1) / (r0 * (r0 - r1)),
+                             r * (r - r0) / (r1 * (r1 - r0))))
+        return cls(src, np.array(bottom, dtype=int), np.array(lo, dtype=int),
+                   np.array(hi, dtype=int), np.array(coef, dtype=float).reshape(-1, 3).T)
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """The dilated copy of stacked samples data, (n_nodes + 1, n_m)."""
+        out = data[self.src]
+        if self.bottom.size:
+            c0, c1, c2 = self.coef[:, :, None]
+            out[self.bottom] = c0 * data[-1] + c1 * data[self.lo] + c2 * data[self.hi]
+        return out
+
+
+@dataclass(frozen=True)
+class OperatorFactors:
+    """Factors of the Borel operator that do not depend on eps, on the
+    stacked rows (nodes, then the centre tau = 0)."""
+
+    inv_p: np.ndarray            # 1 / P_m(tau)
+    moved: np.ndarray            # q^(...) R_D(im) tau^dD
+    hp: np.ndarray               # (dD/k) q^(...) R_D(im) tau^dD
+    q_im: np.ndarray             # Q(im), (n_m,)
+    shifts: tuple                # rung shift of each term
+    prefs: tuple                 # q^(...) tau^d_l of each term, (n_nodes + 1, 1)
+    dilations: tuple             # Dilation of each term
+
+    @classmethod
+    def build(cls, spec: ProblemSpec, grid: BorelGrid) -> "OperatorFactors":
+        m = grid.m
+        tau = np.append(grid.tau, 0.0 + 0.0j)
+        moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)[None, :] \
+            * (tau ** spec.dD)[:, None]
+        shifts = []
+        for t in spec.terms:
+            shift = (Fraction(t.d, spec.k) - t.delta) * grid.N
+            if shift.denominator != 1:
+                raise ConfigError("grid density does not align with the dilation exponents")
+            shifts.append(int(shift))
+        return cls(inv_p=1.0 / spec.pm(tau, m), moved=moved,
+                   hp=(spec.dD / spec.k) * moved, q_im=polyval_im(spec.Q, m),
+                   shifts=tuple(shifts),
+                   prefs=tuple(spec.q_power_factor(t.d) * (tau ** t.d)[:, None]
+                               for t in spec.terms),
+                   dilations=tuple(grid.dilation(s) for s in shifts))
+
+
+class BorelFunction:
+    """Grid samples of one Borel-plane unknown at a fixed eps.
+
+    `data` stacks the node samples over the value at tau = 0 in its last row;
+    `values` (n_nodes, n_m) and `center` (n_m,) are views into it.
+    """
+
+    def __init__(self, grid: BorelGrid, values, center, eps: complex = 0.0):
+        data = np.empty((grid.n_nodes + 1, grid.m.size), dtype=complex)
+        data[:-1] = values
+        data[-1] = center
+        self.grid, self.data, self.eps = grid, data, eps
+
+    @classmethod
+    def of_data(cls, grid: BorelGrid, data: np.ndarray,
+                eps: complex = 0.0) -> "BorelFunction":
+        """Wrap stacked samples without copying them."""
+        f = cls.__new__(cls)
+        f.grid, f.data, f.eps = grid, data, eps
+        return f
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.data[:-1]
+
+    @values.setter
+    def values(self, v):
+        self.data[:-1] = v
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.data[-1]
+
+    @center.setter
+    def center(self, v):
+        self.data[-1] = v
 
     @classmethod
     def zero(cls, grid: BorelGrid, eps: complex = 0.0) -> "BorelFunction":
-        return cls(grid, np.zeros((grid.n_nodes, grid.m.size), dtype=complex),
-                   np.zeros(grid.m.size, dtype=complex), eps)
+        return cls.of_data(grid, np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex),
+                           eps)
 
     def copy(self) -> "BorelFunction":
-        return BorelFunction(self.grid, self.values.copy(), self.center.copy(), self.eps)
+        return BorelFunction.of_data(self.grid, self.data.copy(), self.eps)
 
     def __add__(self, other):
-        return BorelFunction(self.grid, self.values + other.values,
-                             self.center + other.center, self.eps)
+        return BorelFunction.of_data(self.grid, self.data + other.data, self.eps)
 
     def __sub__(self, other):
-        return BorelFunction(self.grid, self.values - other.values,
-                             self.center - other.center, self.eps)
+        return BorelFunction.of_data(self.grid, self.data - other.data, self.eps)
 
     def scaled(self, c) -> "BorelFunction":
-        return BorelFunction(self.grid, c * self.values, c * self.center, self.eps)
+        return BorelFunction.of_data(self.grid, c * self.data, self.eps)
 
     def dilate_down(self, shift: int) -> "BorelFunction":
-        """Samples of tau -> self(q^(-shift/N) tau): rung shift within each line.
-
-        Below a line's bottom rung the value comes from the quadratic through
-        (0, centre) and the two lowest stored nodes of the same line.
-        """
-        if shift < 0:
-            raise UsageError("only contracting dilations map the grid into itself")
-        if shift == 0:
-            return self.copy()
-        g = self.grid
-        out = np.empty_like(self.values)
-        for i, ln in enumerate(g.lines):
-            rows = g.line_rows(i)
-            vals = self.values[rows]
-            n = ln.size
-            block = np.empty_like(vals)
-            keep = max(0, n - shift)
-            if keep:
-                block[shift:] = vals[:keep]
-            r0 = g.radius_of_rung(ln.g_lo)
-            r1 = g.radius_of_rung(ln.g_lo + 1) if n > 1 else 2.0 * r0
-            v0 = vals[0]
-            v1 = vals[1] if n > 1 else vals[0]
-            for j in range(min(shift, n)):
-                r = g.radius_of_rung(ln.g_lo + j - shift)
-                l0 = (r - r0) * (r - r1) / (r0 * r1)
-                l1 = r * (r - r1) / (r0 * (r0 - r1))
-                l2 = r * (r - r0) / (r1 * (r1 - r0))
-                block[j] = l0 * self.center + l1 * v0 + l2 * v1
-            out[rows] = block
-        return BorelFunction(self.grid, out, self.center.copy(), self.eps)
+        """Samples of tau -> self(q^(-shift/N) tau): rung shift within each line."""
+        return BorelFunction.of_data(self.grid, self.grid.dilation(shift).apply(self.data),
+                                     self.eps)
 
     def norm(self, spec: ProblemSpec) -> float:
-        w_nodes, w_center = self.grid.weights(spec)
-        a = float(np.max(w_nodes * np.abs(self.values))) if self.values.size else 0.0
-        b = float(np.max(w_center * np.abs(self.center)))
-        return max(a, b)
+        return _weighted_sup(self.data, self.grid.stacked_weights(spec))
+
+
+def _weighted_sup(data: np.ndarray, weights: np.ndarray) -> float:
+    scaled = np.abs(data)
+    scaled *= weights
+    return float(scaled.max())
 
 
 @dataclass
@@ -272,7 +377,12 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
 
 
 class SolverContext:
-    """Precomputed factor arrays and kernel matrices for one (grid, eps)."""
+    """Kernel matrices and forcing for one (grid, eps), over the grid's
+    eps-independent OperatorFactors.
+
+    Every operator accumulates its right side in place on the stacked
+    (n_nodes + 1, n_m) arrays of its unknowns and divides by P once.
+    """
 
     def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
         if eps == 0:
@@ -280,71 +390,52 @@ class SolverContext:
         self.spec = spec
         self.grid = grid
         self.eps = complex(eps)
+        self.fac = grid.factors(spec)
         m = grid.m
-        tau = grid.tau
-
-        self.Q_im = polyval_im(spec.Q, m)
-        self.P = spec.pm(tau, m)
-        self.P_center = spec.pm(np.array([0.0 + 0.0j]), m)[0]
-        self.invP = 1.0 / self.P
-        self.invP_center = 1.0 / self.P_center
-
-        qfD = spec.q_power_factor(spec.dD)
-        rd = polyval_im(spec.RD, m)
-        tau_dD = tau ** spec.dD
-        self.moved_term = qfD * rd[None, :] * tau_dD[:, None]
-        self.moved_center = qfD * rd * (0.0 if spec.dD > 0 else 1.0)
-        self.hp_raw = (spec.dD / spec.k) * self.moved_term
-        self.hp_center = (spec.dD / spec.k) * self.moved_center
-
-        self.F_raw = []
-        self.F_center = []
-        for h in (0, 1):
-            self.F_raw.append(forcing_borel(spec, h, tau, m, eps))
-            self.F_center.append(forcing_borel(spec, h, np.array([0.0 + 0.0j]), m, eps)[0])
-
-        self.term_shift = []
-        self.term_pref = []
-        self.term_kernel = []
-        self.term_eps_pow = []
-        for t in spec.terms:
-            x = Fraction(t.d, spec.k) - t.delta
-            shift = x * grid.N
-            if shift.denominator != 1:
-                raise ConfigError("grid density does not align with the dilation exponents")
-            self.term_shift.append(int(shift))
-            self.term_pref.append(spec.q_power_factor(t.d) * (tau ** t.d)[:, None])
-            self.term_kernel.append(
-                convolution_kernel(functools.partial(t.C, eps=eps), m, t.R))
-            self.term_eps_pow.append(self.eps ** (t.Delta - t.d))
+        tau = np.append(grid.tau, 0.0 + 0.0j)
+        self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
+        self.F_raw = [f[:-1] for f in self.F]
+        self.invP = self.fac.inv_p[:-1]
+        self.term_shift = list(self.fac.shifts)
+        self.term_kernel = [convolution_kernel(functools.partial(t.C, eps=eps), m, t.R)
+                            for t in spec.terms]
+        # tau^d_l prefactor times eps^(Delta_l - d_l)
+        self.term_scale = [self.eps ** (t.Delta - t.d) * pref
+                           for t, pref in zip(spec.terms, self.fac.prefs)]
         self.b_kernel = {
             jk: None if sym.is_zero()
             else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
             for jk, sym in spec.coeffs.b.items()}
 
-    # -- elementary operator pieces (undivided unless noted) ------------
+    # -- in-place accumulation on stacked samples (undivided) -----------
 
-    def _conv(self, K: np.ndarray, w: BorelFunction):
-        return w.values @ K.T, w.center @ K.T
+    def _hl(self, data: np.ndarray, ell: int, scale: np.ndarray) -> np.ndarray:
+        """scale times the dilation-convolution of term ell applied to data."""
+        out = self.fac.dilations[ell].apply(data) @ self.term_kernel[ell].T
+        out *= scale
+        return out
 
-    def hl_raw(self, w: BorelFunction, ell: int):
-        """tau^d_l damped dilation-convolution of one unknown, times P omitted."""
-        wd = w.dilate_down(self.term_shift[ell])
-        vals, cen = self._conv(self.term_kernel[ell], wd)
-        pref = self.term_pref[ell]
-        dl = self.spec.terms[ell].d
-        cen_out = cen * (0.0 if dl > 0 else 1.0)
-        return pref * vals, cen_out
-
-    def apply_Hl(self, w: BorelFunction, ell: int) -> BorelFunction:
-        vals, cen = self.hl_raw(w, ell)
-        return BorelFunction(self.grid, vals * self.invP,
-                             cen * self.invP_center, self.eps)
-
-    def apply_HP(self, w1: BorelFunction) -> BorelFunction:
-        return BorelFunction(self.grid, self.hp_raw * self.invP * w1.values,
-                             self.hp_center * self.invP_center * w1.center,
-                             self.eps)
+    def _accumulate(self, data: np.ndarray, jk, coefs=None, extra=()) -> np.ndarray:
+        """sum_l coef_l H_l(data) + data K_b^T for the b symbol jk, plus the
+        arrays in extra, summed in place into the first product's buffer."""
+        acc = None
+        for ell, scale in enumerate(self.term_scale):
+            part = self._hl(data, ell, scale if coefs is None else coefs[ell] * scale)
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+        K = self.b_kernel[jk]
+        if K is not None:
+            if acc is None:
+                acc = data @ K.T
+            else:
+                acc += data @ K.T
+        if acc is None:
+            acc = np.zeros_like(data)
+        for part in extra:
+            acc += part
+        return acc
 
     def _rhs_components(self, w0: BorelFunction, w1: BorelFunction,
                         include_moved: bool):
@@ -353,94 +444,64 @@ class SolverContext:
         include_moved adds the q^(...) R_D tau^dD omega_j terms that the fixed
         point formulation moves to the left.
         """
-        pieces0 = self.hp_raw * w1.values
-        cen0 = self.hp_center * w1.center
-        pieces1 = np.zeros_like(pieces0)
-        cen1 = np.zeros_like(cen0)
+        W0, W1 = w0.data, w1.data
+        acc0 = self.fac.hp * W1
+        acc0 += self.F[0]
+        acc1 = self.F[1].copy()
         if include_moved:
-            pieces0 = pieces0 + self.moved_term * w0.values
-            cen0 = cen0 + self.moved_center * w0.center
-            pieces1 = pieces1 + self.moved_term * w1.values
-            cen1 = cen1 + self.moved_center * w1.center
-        for ell in range(len(self.spec.terms)):
-            ep = self.term_eps_pow[ell]
-            dl = float(self.spec.terms[ell].delta)
-            v0, c0 = self.hl_raw(w0, ell)
-            v1, c1 = self.hl_raw(w1, ell)
-            pieces0 = pieces0 + ep * (v0 + dl * v1)
-            cen0 = cen0 + ep * (c0 + dl * c1)
-            pieces1 = pieces1 + ep * v1
-            cen1 = cen1 + ep * c1
-        pieces0 = pieces0 + self.F_raw[0]
-        cen0 = cen0 + self.F_center[0]
-        pieces1 = pieces1 + self.F_raw[1]
-        cen1 = cen1 + self.F_center[1]
+            acc0 += self.fac.moved * W0
+            acc1 += self.fac.moved * W1
+        for ell, (t, scale) in enumerate(zip(self.spec.terms, self.term_scale)):
+            acc0 += self._hl(W0, ell, scale)
+            h1 = self._hl(W1, ell, scale)
+            acc1 += h1
+            h1 *= float(t.delta)
+            acc0 += h1
+        accs = (acc0, acc1)
         for (j, kk), K in self.b_kernel.items():
-            if K is None:
-                continue
-            w = w0 if j == 0 else w1
-            vals, cen = self._conv(K, w)
-            if kk == 0:
-                pieces0 = pieces0 + vals
-                cen0 = cen0 + cen
-            else:
-                pieces1 = pieces1 + vals
-                cen1 = cen1 + cen
-        return pieces0, cen0, pieces1, cen1
+            if K is not None:
+                acc = accs[kk]
+                acc += (W0, W1)[j] @ K.T
+        return accs
+
+    def _divided(self, acc: np.ndarray) -> BorelFunction:
+        acc *= self.fac.inv_p
+        return BorelFunction.of_data(self.grid, acc, self.eps)
+
+    # -- operators ------------------------------------------------------
+
+    def apply_Hl(self, w: BorelFunction, ell: int) -> BorelFunction:
+        """tau^d_l damped dilation-convolution of one unknown over P, without
+        the eps power."""
+        return self._divided(self._hl(w.data, ell, self.fac.prefs[ell]))
+
+    def apply_HP(self, w1: BorelFunction) -> BorelFunction:
+        return BorelFunction.of_data(self.grid, self.fac.hp * self.fac.inv_p * w1.data,
+                                     self.eps)
 
     def apply_H(self, w0: BorelFunction, w1: BorelFunction):
-        p0, c0, p1, c1 = self._rhs_components(w0, w1, include_moved=False)
-        out0 = BorelFunction(self.grid, p0 * self.invP, c0 * self.invP_center, self.eps)
-        out1 = BorelFunction(self.grid, p1 * self.invP, c1 * self.invP_center, self.eps)
-        return out0, out1
+        acc0, acc1 = self._rhs_components(w0, w1, include_moved=False)
+        return self._divided(acc0), self._divided(acc1)
 
     def undivided_residual(self, w0: BorelFunction, w1: BorelFunction):
         """Q(im) omega_j minus the full right side, nodewise."""
-        p0, c0, p1, c1 = self._rhs_components(w0, w1, include_moved=True)
-        q = self.Q_im[None, :]
-        r0 = BorelFunction(self.grid, q * w0.values - p0,
-                           self.Q_im * w0.center - c0, self.eps)
-        r1 = BorelFunction(self.grid, q * w1.values - p1,
-                           self.Q_im * w1.center - c1, self.eps)
-        return r0, r1
+        acc0, acc1 = self._rhs_components(w0, w1, include_moved=True)
+        return tuple(BorelFunction.of_data(self.grid, self.fac.q_im * w.data - acc, self.eps)
+                     for w, acc in ((w0, acc0), (w1, acc1)))
 
     # -- triangular sub-operators ---------------------------------------
 
     def apply_H1(self, w1: BorelFunction) -> BorelFunction:
-        out = BorelFunction(self.grid, self.F_raw[1] * self.invP,
-                            self.F_center[1] * self.invP_center, self.eps)
-        for ell in range(len(self.spec.terms)):
-            out = out + self.apply_Hl(w1, ell).scaled(self.term_eps_pow[ell])
-        K = self.b_kernel[(1, 1)]
-        if K is not None:
-            vals, cen = self._conv(K, w1)
-            out = out + BorelFunction(self.grid, vals * self.invP,
-                                      cen * self.invP_center, self.eps)
-        return out
+        return self._divided(self._accumulate(w1.data, (1, 1), extra=(self.F[1],)))
 
     def g_eps(self, w1: BorelFunction) -> BorelFunction:
-        out = self.apply_HP(w1) + BorelFunction(
-            self.grid, self.F_raw[0] * self.invP,
-            self.F_center[0] * self.invP_center, self.eps)
-        for ell in range(len(self.spec.terms)):
-            dl = float(self.spec.terms[ell].delta)
-            out = out + self.apply_Hl(w1, ell).scaled(self.term_eps_pow[ell] * dl)
-        K = self.b_kernel[(1, 0)]
-        if K is not None:
-            vals, cen = self._conv(K, w1)
-            out = out + BorelFunction(self.grid, vals * self.invP,
-                                      cen * self.invP_center, self.eps)
-        return out
+        deltas = [float(t.delta) for t in self.spec.terms]
+        return self._divided(self._accumulate(
+            w1.data, (1, 0), deltas, extra=(self.fac.hp * w1.data, self.F[0])))
 
     def apply_H0(self, w0: BorelFunction, g: BorelFunction) -> BorelFunction:
-        out = g.copy()
-        for ell in range(len(self.spec.terms)):
-            out = out + self.apply_Hl(w0, ell).scaled(self.term_eps_pow[ell])
-        K = self.b_kernel[(0, 0)]
-        if K is not None:
-            vals, cen = self._conv(K, w0)
-            out = out + BorelFunction(self.grid, vals * self.invP,
-                                      cen * self.invP_center, self.eps)
+        out = self._divided(self._accumulate(w0.data, (0, 0)))
+        out.data += g.data
         return out
 
 
@@ -467,6 +528,16 @@ def _picard(step, start, diff_norm, tol, max_iter):
         history)
 
 
+def _distance(spec: ProblemSpec, grid: BorelGrid):
+    """The weighted sup distance of two functions on grid, as one reduction
+    over their stacked samples."""
+    weights = grid.stacked_weights(spec)
+
+    def dist(a: BorelFunction, b: BorelFunction) -> float:
+        return _weighted_sup(a.data - b.data, weights)
+    return dist
+
+
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                   tol: float = 1e-10, max_iter: int = 200,
                   smallness_ok: bool | None = None):
@@ -476,23 +547,21 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     solve still runs and the report flags the missing guarantee.
     """
     ctx = SolverContext(spec, grid, eps)
+    dist = _distance(spec, grid)
     zero = BorelFunction.zero(grid, eps)
 
     def step(pair):
         return ctx.apply_H(pair[0], pair[1])
 
-    def pair_norm(a, b):
-        return max((a[0] - b[0]).norm(spec), (a[1] - b[1]).norm(spec))
+    def pair_dist(a, b):
+        return max(dist(a[0], b[0]), dist(a[1], b[1]))
 
     start = (zero, zero.copy())
-    pair, iters, update, contraction, history = _picard(step, start, pair_norm,
+    pair, iters, update, contraction, history = _picard(step, start, pair_dist,
                                                         tol, max_iter)
     w0, w1 = pair
-    h0, h1 = ctx.apply_H(w0, w1)
-    residual = max((h0 - w0).norm(spec), (h1 - w1).norm(spec))
-    cf = max(BorelFunction(grid, ctx.F_raw[h] * ctx.invP,
-                           ctx.F_center[h] * ctx.invP_center, eps).norm(spec)
-             for h in (0, 1))
+    residual = pair_dist(ctx.apply_H(w0, w1), pair)
+    cf = max(BorelFunction.of_data(grid, f * ctx.fac.inv_p).norm(spec) for f in ctx.F)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
     report = SolveReport(iterations=iters, final_update=update,
                          contraction=contraction,
@@ -509,18 +578,14 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
     ctx = SolverContext(spec, grid, eps)
+    dist = _distance(spec, grid)
     zero = BorelFunction.zero(grid, eps)
-
-    def single_norm(a, b):
-        return (a - b).norm(spec)
-
-    w1, it1, upd1, con1, hist1 = _picard(ctx.apply_H1, zero, single_norm,
-                                         tol, max_iter)
+    w1, it1, upd1, con1, hist1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter)
     g = ctx.g_eps(w1)
     w0, it0, upd0, con0, hist0 = _picard(lambda w: ctx.apply_H0(w, g),
-                                         zero.copy(), single_norm, tol, max_iter)
+                                         zero.copy(), dist, tol, max_iter)
     h0, h1 = ctx.apply_H(w0, w1)
-    residual = max((h0 - w0).norm(spec), (h1 - w1).norm(spec))
+    residual = max(dist(h0, w0), dist(h1, w1))
     report = SolveReport(iterations=max(it0, it1),
                          final_update=max(upd0, upd1),
                          contraction=max(con0, con1),
@@ -537,6 +602,7 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     if probes < 2:
         raise UsageError("need at least two probes")
     ctx = SolverContext(spec, grid, eps)
+    dist = _distance(spec, grid)
     rng = np.random.default_rng(seed)
     w_nodes, w_center = grid.weights(spec)
 
@@ -553,10 +619,9 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
         for b, hb in zip(fns, hs):
             if a is b:
                 continue
-            d0, d1 = a[0] - b[0], a[1] - b[1]
-            denom = max(d0.norm(spec), d1.norm(spec))
+            denom = max(dist(a[0], b[0]), dist(a[1], b[1]))
             if denom == 0:
                 continue
-            num = max((ha[0] - hb[0]).norm(spec), (ha[1] - hb[1]).norm(spec))
+            num = max(dist(ha[0], hb[0]), dist(ha[1], hb[1]))
             worst = max(worst, num / denom)
     return worst

@@ -336,11 +336,16 @@ def _lagrange(xs, x):
     return [math.prod((x - b) / (a - b) for b in xs if b != a) for a in xs]
 
 
-def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
-    # Oracle: the affine map H(w) = L w + f written out from the equations as
-    # one dense matrix on a tiny grid, without SolverContext or the shared
-    # convolution kernel, then (I - L) w = f solved directly.  Strong, wide
-    # symbols make every kernel entry, the end weights included, count.
+def _dense_affine_fixed_point(problem_dict):
+    """Oracle: the affine map H(w) = L w + f written out from the equations as
+    one dense matrix on a tiny grid, without SolverContext or the shared
+    convolution kernel, then (I - L) w = f solved directly.  Strong, wide
+    symbols make every kernel entry, the end weights included, count.
+    b_01 stays zero, so the triangular solve applies too.
+
+    Returns (spec, grid, eps, solution), the solution stacked as the nodes
+    and centre of omega_0, then those of omega_1.
+    """
     wide = {"num": [0.05], "gauss": 0.02}
     problem_dict["coeffs"].update(b00=wide, b10=wide, b11=wide)
     problem_dict["terms"][0]["C"] = {"num": [0.5], "gauss": 0.02, "eps_poly": [1.0, 0.2]}
@@ -350,7 +355,6 @@ def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
     lines = [RadialLine(0.0, -24, 6), RadialLine(0.0, -6, 0), RadialLine(math.pi, -6, 0)]
     grid = BorelGrid(spec.q, spec.k, 13, geom.rho, geom.delta, 0.0, m, lines)
     eps = 0.015
-    w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)
 
     n, n_m = grid.n_nodes, m.size
     ext = np.append(grid.tau, 0.0)          # every node, then the centre tau = 0
@@ -402,10 +406,65 @@ def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
     L = np.block([[inv_p @ A[(r, c)] for c in (0, 1)] for r in (0, 1)])
     f = np.concatenate([(forcing_borel(spec, comp, ext, m, eps) / spec.pm(ext, m)).ravel()
                         for comp in (0, 1)])
-    dense = np.linalg.solve(np.eye(L.shape[0]) - L, f)
+    return spec, grid, eps, np.linalg.solve(np.eye(L.shape[0]) - L, f)
 
+
+def _assert_matches_dense(solve, problem_dict):
+    spec, grid, eps, dense = _dense_affine_fixed_point(problem_dict)
+    w0, w1, _ = solve(spec, eps, grid, tol=1e-13)
     picard = np.concatenate([np.vstack([w.values, w.center]).ravel() for w in (w0, w1)])
     scale = np.max(np.abs(dense))
     assert scale > 0
     err = np.max(np.abs(picard - dense))
     assert err <= 1e-12 * scale, err / scale
+
+
+def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
+    _assert_matches_dense(solve_coupled, problem_dict)
+
+
+def test_triangular_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
+    _assert_matches_dense(solve_triangular, problem_dict)
+
+
+def _dilate_per_line(grid, values, center, shift):
+    """Oracle: the rung shift line by line, with the quadratic through the
+    centre and the two lowest nodes below each line's bottom rung."""
+    out = np.empty_like(values)
+    for i, ln in enumerate(grid.lines):
+        vals = values[grid.line_rows(i)]
+        n = ln.size
+        block = np.empty_like(vals)
+        if n > shift:
+            block[shift:] = vals[:n - shift]
+        r0 = grid.radius_of_rung(ln.g_lo)
+        r1 = grid.radius_of_rung(ln.g_lo + 1) if n > 1 else 2.0 * r0
+        v0 = vals[0]
+        v1 = vals[1] if n > 1 else vals[0]
+        for j in range(min(shift, n)):
+            r = grid.radius_of_rung(ln.g_lo + j - shift)
+            l0 = (r - r0) * (r - r1) / (r0 * r1)
+            l1 = r * (r - r1) / (r0 * (r0 - r1))
+            l2 = r * (r - r0) / (r1 * (r1 - r0))
+            block[j] = l0 * center + l1 * v0 + l2 * v1
+        out[grid.line_rows(i)] = block
+    return out
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3, 4, 40])
+def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
+    # lines of 31, 4 and 1 nodes: shifts 4 and 40 reach past the short lines'
+    # tops, and the one-node line takes r1 = 2 r0 and v1 = v0
+    lines = [RadialLine(0.3, -24, 6), RadialLine(0.5 * math.pi, -3, 0),
+             RadialLine(math.pi, 0, 0)]
+    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), lines)
+    rng = np.random.default_rng(shift)
+    shape = (grid.n_nodes, grid.m.size)
+    f = BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                      rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
+    got = f.dilate_down(shift)
+    want = _dilate_per_line(grid, f.values, f.center, shift)
+    assert got.values.tobytes() == want.tobytes()
+    assert got.center.tobytes() == f.center.tobytes()
+    with pytest.raises(UsageError):
+        f.dilate_down(-1)
