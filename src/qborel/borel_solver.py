@@ -394,9 +394,6 @@ class SolverContext:
         m = grid.m
         tau = np.append(grid.tau, 0.0 + 0.0j)
         self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
-        self.F_raw = [f[:-1] for f in self.F]
-        self.invP = self.fac.inv_p[:-1]
-        self.term_shift = list(self.fac.shifts)
         self.term_kernel = [convolution_kernel(functools.partial(t.C, eps=eps), m, t.R)
                             for t in spec.terms]
         # tau^d_l prefactor times eps^(Delta_l - d_l)

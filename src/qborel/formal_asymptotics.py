@@ -57,7 +57,7 @@ class AsymptoticsReport:
     decay_coeffs: tuple = ()
     target_quadratic: float = math.nan
     relative_deviation: float = math.nan
-    nudges: int = 0                                  # eps samples moved off a zero ring
+    nudges: int = 0                                  # eps moves off a kernel zero ring
     warnings: list = field(default_factory=list)
 
 

@@ -25,7 +25,7 @@ def test_grid_alignment_and_exact_dilation(golden):
     grid, spec = golden["grid"], golden["spec"]
     # the single lower-order term dilates by exactly one rung at this density
     ctx = SolverContext(spec, grid, golden["eps"])
-    assert ctx.term_shift == [grid.N * 1 // 13]
+    assert ctx.fac.shifts == (grid.N * 1 // 13,)
     f = BorelFunction.zero(grid, golden["eps"])
     f.values[:] = grid.tau[:, None] ** 2
     f.center[:] = 0.0
@@ -118,8 +118,8 @@ def test_apply_h_structure(golden, problem_dict):
     zero = BorelFunction.zero(grid, eps)
     h0, h1 = ctx.apply_H(zero, zero)
     # one application to (0,0) returns the forcing terms over P
-    want0 = ctx.F_raw[0] * ctx.invP
-    want1 = ctx.F_raw[1] * ctx.invP
+    want0 = (ctx.F[0] * ctx.fac.inv_p)[:-1]
+    want1 = (ctx.F[1] * ctx.fac.inv_p)[:-1]
     assert np.max(np.abs(h0.values - want0)) == 0.0
     assert np.max(np.abs(h1.values - want1)) == 0.0
     # triangular structure: the second component ignores omega_0
@@ -191,8 +191,8 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
     ctx = SolverContext(spec, grid, 0.01)
     w0, w1, rep = solve_triangular(spec, 0.01, grid, tol=1e-10)
-    want = ctx.F_raw[1] * ctx.invP
-    assert np.max(np.abs(w1.values - want)) < 1e-14
+    want = ctx.F[1] * ctx.fac.inv_p
+    assert np.max(np.abs(w1.data - want)) < 1e-14
 
 
 def test_contraction_estimate(golden):
