@@ -415,22 +415,13 @@ class SolverContext:
     def _accumulate(self, data: np.ndarray, jk, coefs=None, extra=()) -> np.ndarray:
         """sum_l coef_l H_l(data) + data K_b^T for the b symbol jk, plus the
         arrays in extra, summed in place into the first product's buffer."""
-        acc = None
-        for ell, scale in enumerate(self.term_scale):
-            part = self._hl(data, ell, scale if coefs is None else coefs[ell] * scale)
-            if acc is None:
-                acc = part
-            else:
-                acc += part
+        parts = [self._hl(data, ell, scale if coefs is None else coefs[ell] * scale)
+                 for ell, scale in enumerate(self.term_scale)]
         K = self.b_kernel[jk]
         if K is not None:
-            if acc is None:
-                acc = data @ K.T
-            else:
-                acc += data @ K.T
-        if acc is None:
-            acc = np.zeros_like(data)
-        for part in extra:
+            parts.append(data @ K.T)
+        acc = parts[0] if parts else np.zeros_like(data)
+        for part in parts[1:] + list(extra):
             acc += part
         return acc
 
