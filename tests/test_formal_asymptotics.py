@@ -190,10 +190,12 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
+    # 2 log_q steps at k = 13: 26 zero-ring crossings of the arc radius; then
+    # eps t beyond r1 and eps t off both directions' cones
+    sweep = [complex(mag * np.exp(1j * arg))
+             for mag in np.exp(np.linspace(math.log(0.05), math.log(0.2), 157))]
     outcomes = []
-    # 2 log_q steps at k = 13: 26 zero-ring crossings of the arc radius
-    for mag in np.exp(np.linspace(math.log(0.05), math.log(0.2), 157)):
-        eps = complex(mag * np.exp(1j * arg))
+    for eps in sweep + [10.0 * np.exp(1j * arg), 0.1 * np.exp(1j * (arg + 1.5))]:
         sols = [LogSolution(spec, g, BorelFunction.zero(g, eps), BorelFunction.zero(g, eps),
                             eps, Delta=cov.Delta) for g in (grid_a, grid_b)]
         try:
@@ -210,7 +212,8 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
         if got is None:
             assert g_arc == math.floor(grid_a.N * math.log(0.5) / spec.lnq)
         outcomes.append(got is None)
-    assert 20 <= outcomes.count(False) and 20 <= outcomes.count(True)
+    assert outcomes[-2:] == [False, False]
+    assert 20 <= outcomes[:-2].count(False) and 20 <= outcomes.count(True)
 
 
 def test_decay_fit_solves_only_the_samples_it_keeps(asym):
