@@ -6,16 +6,17 @@ of every dilation denominator, so the dilations tau -> q^(delta - d/k) tau
 shift rungs exactly and never interpolate, except below the bottom rung of a
 line where a quadratic through the centre value is used.  The principal line
 runs along the Borel direction d from far inside the disc out to the ray tip;
-uniform-angle ring lines populate the disc for norms, disc-agreement checks
-and diagnostics.  Coupling in m is a dense kernel matrix per symbol; coupling
-in tau is the pure rung shift, so every radial line evolves independently.
+uniform-angle ring lines populate the disc for norms, disc-agreement checks,
+the arc of sector differences and diagnostics.  Coupling in m is a dense
+kernel matrix per symbol; coupling in tau is the pure rung shift, so every
+radial line evolves independently.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,26 @@ class BorelGrid:
 
     def ring_line_indices(self) -> list[int]:
         return list(range(1, len(self.lines)))
+
+    def arc_rung(self) -> int:
+        """The rung nearest rho/2, where sector differences take their arc."""
+        return math.floor(self.N * math.log(0.5) / math.log(self.spec_q))
+
+    def truncated(self, ring_top: int | None) -> "BorelGrid":
+        """The same ladder and principal line with the ring lines cut at rung
+        ring_top, or dropped for None.
+
+        A radial line couples only to itself and to the centre, and a rung
+        reads only lower rungs, so every operator on the cut grid equals the
+        full one on the rows it keeps.  A Picard solve on the cut grid stops
+        on those rows alone, so it may stop a step sooner.
+        """
+        old = [] if ring_top is None else self.lines[1:]
+        rings = [RadialLine(ln.angle, ln.g_lo, min(ln.g_hi, ring_top)) for ln in old]
+        if any(cut.size < min(2, ln.size) for cut, ln in zip(rings, old)):
+            raise UsageError("a cut ring line must keep the two lowest rungs, "
+                             "which its bottom quadratic reads")
+        return replace(self, lines=[self.lines[0]] + rings)
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,7 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
                   "samples_used": len(drep.eps_samples),
                   "warnings": drep.warnings},
         "solves": {"borel_solves": len(reports),
+                   "grid_rows": family.grid_rows,
                    "picard_iterations": sum(len(r.update_history) for r in reports),
                    "worst_residual": max((r.residual for r in reports), default=0.0),
                    "decay_nudges": drep.nudges},

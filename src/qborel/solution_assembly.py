@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .borel_solver import BorelFunction, BorelGrid, SolverContext
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
 from .special_functions import inv_theta
@@ -279,12 +279,23 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
 
 
 def _arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
-    """Ring samples at rung g_arc, by increasing angle: (n_angles, n_m)."""
+    """Ring samples at rung g_arc, by increasing angle: (n_angles, n_m).
+
+    A solution without ring lines up to g_arc was solved for the wrong
+    purpose, which no change of eps mends: that is a UsageError, not a
+    DomainError.
+    """
     grid = w.grid
+    if not grid.ring_line_indices():
+        raise UsageError("the solution has no ring lines to take the arc on; "
+                         "solve it with its ring lines")
     angs, vals = [], []
     for i in grid.ring_line_indices():
         ln = grid.lines[i]
-        if not (ln.g_lo <= g_arc <= ln.g_hi):
+        if g_arc > ln.g_hi:
+            raise UsageError(f"the ring lines stop at rung {ln.g_hi}, "
+                             f"below the arc rung {g_arc}")
+        if g_arc < ln.g_lo:
             raise DomainError("arc rung outside the stored ring depth")
         rows = grid.line_rows(i)
         angs.append(ln.angle)
@@ -308,7 +319,7 @@ def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
     for grid in (grid_a, grid_b):
         check_admissible(T, grid.direction, Delta, r1)
     d_a, d_b = grid_a.direction, grid_b.direction
-    g_arc = math.floor(grid_a.N * math.log(0.5) / spec.lnq)  # rung nearest rho/2
+    g_arc = grid_a.arc_rung()
 
     # kernel zeros inside the wedge drive the difference and are welcome, but
     # none may sit on the arc circle itself: check the radial phase of the

@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 
@@ -45,6 +46,16 @@ def example_problem_dict():
             "CC": 0.25,
         },
     }
+
+
+def kept_rows(full, cut):
+    """Rows of the full grid's stacked samples that the truncated grid cut
+    keeps, in cut's order: each line from its bottom rung, then the centre."""
+    rows = []
+    for i, ln in enumerate(cut.lines):
+        start = int(full.offsets[i])
+        rows.extend(range(start, start + ln.size))
+    return np.array(rows + [full.n_nodes])
 
 
 @pytest.fixture

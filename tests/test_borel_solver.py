@@ -468,3 +468,63 @@ def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
     assert got.center.tobytes() == f.center.tobytes()
     with pytest.raises(UsageError):
         f.dilate_down(-1)
+
+
+def test_truncated_grid_keeps_the_ladder_principal_line_and_lower_rungs():
+    from tests.conftest import kept_rows
+
+    lines = [RadialLine(0.3, -40, 6), RadialLine(0.0, -30, 0),
+             RadialLine(math.pi, -30, 0)]
+    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), lines)
+    # the rung nearest rho/2: q^(g/N) = 1/2 at g = -N for q = 2
+    assert grid.arc_rung() == -13
+    rng = np.random.default_rng(7)
+    shape = (grid.n_nodes, grid.m.size)
+    f = BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                      rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
+    for top, ring_sizes in ((None, []), (-13, [18, 18]), (-29, [2, 2]), (5, [31, 31])):
+        cut = grid.truncated(top)
+        assert (cut.N, cut.rho, cut.direction, cut.spec_q) == (13, 0.7, 0.3, 2.0)
+        assert cut.m is grid.m and cut.lines[0] == lines[0]
+        assert [ln.size for ln in cut.lines[1:]] == ring_sizes
+        assert cut.arc_rung() == grid.arc_rung()
+        rows = kept_rows(grid, cut)
+        assert cut.tau.tobytes() == grid.tau[rows[:-1]].tobytes()
+        # a rung reads only lower rungs of its own line and the centre, so
+        # dilating the kept rows equals keeping the dilated rows
+        part = BorelFunction.of_data(cut, f.data[rows])
+        for shift in (1, 3, 40):
+            assert (part.dilate_down(shift).data.tobytes()
+                    == f.dilate_down(shift).data[rows].tobytes())
+    # a one-rung line would take its bottom quadratic through a made-up
+    # second node
+    with pytest.raises(UsageError):
+        grid.truncated(-30)
+
+
+def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
+    # one application of every operator on the cut grid equals the full
+    # grid's application read on the rows the cut keeps
+    from tests.conftest import kept_rows
+
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    rng = np.random.default_rng(11)
+    shape = (grid.n_nodes + 1, grid.m.size)
+    w0, w1 = (BorelFunction.of_data(grid, rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape), eps)
+              for _ in range(2))
+    full = SolverContext(spec, grid, eps)
+
+    def outputs(ctx, a, b):
+        return [*ctx.apply_H(a, b), *ctx.undivided_residual(a, b), ctx.apply_H1(b),
+                ctx.g_eps(b), ctx.apply_H0(a, b)]
+
+    want = outputs(full, w0, w1)
+    for top in (None, grid.arc_rung()):
+        cut = grid.truncated(top)
+        rows = kept_rows(grid, cut)
+        a, b = (BorelFunction.of_data(cut, w.data[rows], eps) for w in (w0, w1))
+        for got, ref in zip(outputs(SolverContext(spec, cut, eps), a, b), want):
+            ref = ref.data[rows]
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(got.data - ref) <= 1e-14 * scale)

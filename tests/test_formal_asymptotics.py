@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qborel.borel_solver import BorelFunction, GridSpec
-from qborel.errors import DomainError, UsageError
+from qborel.borel_solver import (
+    BorelFunction,
+    GridSpec,
+    build_grid,
+    solve_coupled,
+    solve_triangular,
+)
+from qborel.errors import ConfigError, DomainError, UsageError
 from qborel.formal_asymptotics import (
     SolutionFamily,
     default_probes,
@@ -14,9 +21,11 @@ from qborel.formal_asymptotics import (
     formal_residual,
     gevrey_remainder_check,
 )
-from qborel.geometry import admissible_r1, build_good_covering
+from qborel.geometry import admissible_r1, build_good_covering, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im
 from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_difference
+
+from tests.conftest import kept_rows
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -186,7 +195,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
     # zero densities on the two sector grids: solution_difference then runs
     # every check and integral without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._grid(0), family._grid(1)
+    grid_a, grid_b = family._grid(0, rings=True), family._grid(1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
@@ -210,7 +219,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
             got = str(exc)
         assert got == want, mag
         if got is None:
-            assert g_arc == math.floor(grid_a.N * math.log(0.5) / spec.lnq)
+            assert g_arc == grid_a.arc_rung()
         outcomes.append(got is None)
     assert outcomes[-2:] == [False, False]
     assert 20 <= outcomes[:-2].count(False) and 20 <= outcomes.count(True)
@@ -230,6 +239,100 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(family._sols) == 2 * len(rep.eps_samples)
     assert set(family.reports) == set(family._sols)
     assert all(r.residual < 1e-10 for r in family.reports.values())
+    # the first sector with its ring lines up to the arc rung, the second
+    # with its principal line only
+    assert sorted(rings for _, _, rings in family.reports) == [False] * 3 + [True] * 3
+    bare = family._grid(0).n_nodes + 1
+    ringed = family._grid(0, rings=True).n_nodes + 1
+    assert family._grid(1).n_nodes + 1 == bare
+    assert family.grid_rows == 3 * bare + 3 * ringed
+
+
+def test_arc_needs_ring_lines_up_to_the_arc_rung(asym):
+    # a missing ring line is a misuse that no eps nudge mends: UsageError
+    spec, cov, family = asym["spec"], asym["cov"], asym["family"]
+    eps = 0.1 * np.exp(1j * np.angle(cov.overlap_sample(0)))
+    t = 0.06 * np.exp(1j * cov.t_direction)
+    ringed, grid_b = family._grid(0, rings=True), family._grid(1)
+    g_arc = ringed.arc_rung()
+    assert [ln.g_hi for ln in ringed.lines[1:]] == [g_arc] * asym["gspec"].n_angles
+    sol_b = LogSolution(spec, grid_b, BorelFunction.zero(grid_b, eps),
+                        BorelFunction.zero(grid_b, eps), eps, Delta=cov.Delta)
+    for grid, msg in ((ringed, None), (family._grid(0), "no ring lines"),
+                      (ringed.truncated(g_arc - 1), "below the arc rung")):
+        sol_a = LogSolution(spec, grid, BorelFunction.zero(grid, eps),
+                            BorelFunction.zero(grid, eps), eps, Delta=cov.Delta)
+        if msg is None:
+            assert solution_difference(sol_a, sol_b, 0, t, 0.1) == 0.0
+        else:
+            with pytest.raises(UsageError, match=msg):
+                solution_difference(sol_a, sol_b, 0, t, 0.1)
+
+
+def test_family_rejects_ring_lines_that_stop_above_the_arc(asym):
+    # q = 2: the arc rung lies one octave below rho, so half an octave of
+    # ring lines never reaches it; the principal-line grid is still served
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    family = SolutionFamily(spec, cov, replace(gspec, ring_octaves=0.5), tol=1e-13)
+    assert family._grid(0).lines[0] == asym["family"]._grid(0).lines[0]
+    with pytest.raises(ConfigError, match="ring_octaves"):
+        family._grid(0, rings=True)
+
+
+def test_decay_fit_lets_a_missing_ring_through(asym):
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+
+    class RinglessFamily(SolutionFamily):
+        def at(self, p, eps, rings=False):
+            return super().at(p, eps)
+
+    family = RinglessFamily(spec, cov, gspec, tol=1e-13)
+    arg = np.angle(cov.overlap_sample(0))
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
+    with pytest.raises(UsageError):
+        difference_decay_fit(family, 0, [0.1 * np.exp(1j * arg)], probes=probes)
+    # raised on the first attempt: no nudge solved a second pair
+    assert len(family._sols) == 2
+
+
+def test_family_rows_match_the_full_grid_solve(asym):
+    # the family solves only the rows the asymptotics read; a solve on the
+    # full grid is the oracle for those rows, the components and the
+    # sector difference
+    spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
+    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    solve = solve_triangular if family.use_triangular else solve_coupled
+    full = []
+    for p in (0, 1):
+        grid = build_grid(spec, make_geometry(spec, cov.d_rays[p], m_grid=family.m_grid),
+                          gspec)
+        w0, w1, rep = solve(spec, eps, grid, tol=family.tol)
+        full.append((LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta), rep))
+    grid = full[0][0].grid
+    per_ring = grid.arc_rung() - grid.lines[1].g_lo + 1
+    weights = grid.stacked_weights(spec)
+    for rings in (False, True):
+        sol = family.at(0, eps, rings=rings)
+        assert sol.grid.n_nodes + 1 == (grid.lines[0].size + 1
+                                        + rings * gspec.n_angles * per_ring)
+        rows = kept_rows(grid, sol.grid)
+        for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
+            gap = np.abs(w.data - ref.data[rows])
+            assert gap.max() <= 1e-14 * np.abs(ref.data[rows]).max()
+            # the solves may stop one Picard step apart, each within tol
+            assert (gap * weights[rows]).max() <= family.tol
+        # the kept rows never read the dropped ones, so their iterates are
+        # the full solve's and can only meet tol sooner
+        report = family.reports[(0, eps, rings)]
+        assert len(report.update_history) <= len(full[0][1].update_history)
+    sol_a, sol_b = family.at(0, eps, rings=True), family.at(1, eps)
+    for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
+                 (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
+        for j in (0, 1):
+            ref = full[0][0].component(j, t, z)
+            assert abs(family.at(0, eps).component(j, t, z) - ref) <= 1e-9 * abs(ref)
+            ref = solution_difference(full[0][0], full[1][0], j, t, z)
+            assert abs(solution_difference(sol_a, sol_b, j, t, z) - ref) <= 1e-12 * abs(ref)
 
 
 def test_difference_decay_quiet_overlap(asym):
@@ -238,14 +341,14 @@ def test_difference_decay_quiet_overlap(asym):
     cov, family = asym["cov"], asym["family"]
     arg = np.angle(cov.overlap_sample(1))
     eps = 0.11 * np.exp(1j * arg)
-    sol_a = family.at(1, eps)
+    sol_a = family.at(1, eps, rings=True)
     sol_b = family.at(2, eps)
     from qborel.solution_assembly import solution_difference
 
     t = 0.05 * np.exp(1j * cov.t_direction)
     quiet = abs(solution_difference(sol_a, sol_b, 0, t, 0.1))
     active_eps = 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))
-    loud = abs(solution_difference(family.at(0, active_eps),
+    loud = abs(solution_difference(family.at(0, active_eps, rings=True),
                                    family.at(1, active_eps), 0, t, 0.1))
     assert quiet < 1e-6 * loud
 

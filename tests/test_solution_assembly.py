@@ -316,7 +316,7 @@ def test_difference_cache_keeps_values_and_checks(k1_pair):
     # zero direction lies inside the wedge [0, 0.5]
     sol_a, sol_b = _fresh(sol_a, Delta=0.05), _fresh(sol_b, Delta=0.05)
     grid = sol_a.grid
-    g_arc = math.floor(grid.N * math.log(0.5) / spec.lnq)
+    g_arc = grid.arc_rung()
     edge = grid.radius_of_rung(g_arc) * spec.q ** (-2.1 / spec.k)
     unit = -np.exp(0.25j) / sol_a.eps
     solution_difference(sol_a, sol_b, 0, edge * (1 - 1e-9) * unit, 0.1)
