@@ -304,11 +304,6 @@ class BorelFunction:
     def scaled(self, c) -> "BorelFunction":
         return BorelFunction.of_data(self.grid, c * self.data, self.eps)
 
-    def dilate_down(self, shift: int) -> "BorelFunction":
-        """Samples of tau -> self(q^(-shift/N) tau): rung shift within each line."""
-        return BorelFunction.of_data(self.grid, self.grid.dilation(shift).apply(self.data),
-                                     self.eps)
-
     def norm(self, spec: ProblemSpec) -> float:
         return _weighted_sup(self.data, self.grid.stacked_weights(spec))
 
@@ -401,8 +396,11 @@ class SolverContext:
     """Kernel matrices and forcing for one (grid, eps), over the grid's
     eps-independent OperatorFactors.
 
-    Every operator accumulates its right side in place on the stacked
-    (n_nodes + 1, n_m) arrays of its unknowns and divides by P once.
+    The coupled map of (omega_0, omega_1) is written once, in
+    `_contributions`, as what each unknown adds to the right side of each
+    equation before the division by P.  Every operator is a selection from
+    it: which unknowns and equations, whether the forcing or the moved
+    R_D tau^dD term is added, and whether the sum is divided by P.
     """
 
     def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
@@ -425,53 +423,44 @@ class SolverContext:
             else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
             for jk, sym in spec.coeffs.b.items()}
 
-    # -- in-place accumulation on stacked samples (undivided) -----------
+    def _contributions(self, unknowns: dict, accs: dict) -> dict:
+        """Add in place to accs[eq], for each equation eq in accs, what the
+        unknowns {j: stacked samples of omega_j} add to the right side of
+        equation eq before the division by P.  An accumulator given as None
+        takes the first part as its buffer.
 
-    def _hl(self, data: np.ndarray, ell: int, scale: np.ndarray) -> np.ndarray:
-        """scale times the dilation-convolution of term ell applied to data."""
-        out = self.fac.dilations[ell].apply(data) @ self.term_kernel[ell].T
-        out *= scale
-        return out
-
-    def _accumulate(self, data: np.ndarray, jk, coefs=None, extra=()) -> np.ndarray:
-        """sum_l coef_l H_l(data) + data K_b^T for the b symbol jk, plus the
-        arrays in extra, summed in place into the first product's buffer."""
-        parts = [self._hl(data, ell, scale if coefs is None else coefs[ell] * scale)
-                 for ell, scale in enumerate(self.term_scale)]
-        K = self.b_kernel[jk]
-        if K is not None:
-            parts.append(data @ K.T)
-        acc = parts[0] if parts else np.zeros_like(data)
-        for part in parts[1:] + list(extra):
-            acc += part
-        return acc
-
-    def _rhs_components(self, w0: BorelFunction, w1: BorelFunction,
-                        include_moved: bool):
-        """Right sides of the two convolution equations, before dividing by P.
-
-        include_moved adds the q^(...) R_D tau^dD omega_j terms that the fixed
-        point formulation moves to the left.
+        omega_j enters equation j through every term H_l, and omega_1 also
+        enters equation 0 through delta_l H_l and the HP term, so each
+        H_l(omega_j) is computed once and read by every equation that needs
+        it.  The b symbol (j, eq) adds omega_j K_b^T.  A spec has at least
+        one term (D >= 2), so every accumulator a caller asks for gets filled.
         """
-        W0, W1 = w0.data, w1.data
-        acc0 = self.fac.hp * W1
-        acc0 += self.F[0]
-        acc1 = self.F[1].copy()
-        if include_moved:
-            acc0 += self.fac.moved * W0
-            acc1 += self.fac.moved * W1
-        for ell, (t, scale) in enumerate(zip(self.spec.terms, self.term_scale)):
-            acc0 += self._hl(W0, ell, scale)
-            h1 = self._hl(W1, ell, scale)
-            acc1 += h1
-            h1 *= float(t.delta)
-            acc0 += h1
-        accs = (acc0, acc1)
-        for (j, kk), K in self.b_kernel.items():
-            if K is not None:
-                acc = accs[kk]
-                acc += (W0, W1)[j] @ K.T
+        def add(eq, part):
+            if accs[eq] is None:
+                accs[eq] = part
+            else:
+                accs[eq] += part
+
+        for source, data in unknowns.items():
+            cross = source == 1 and 0 in accs
+            if cross:
+                add(0, self.fac.hp * data)
+            for ell, (t, scale) in enumerate(zip(self.spec.terms, self.term_scale)):
+                h = self.fac.dilations[ell].apply(data) @ self.term_kernel[ell].T
+                h *= scale
+                if cross:
+                    add(0, float(t.delta) * h)
+                if source in accs:
+                    add(source, h)
+            for eq in accs:
+                K = self.b_kernel[(source, eq)]
+                if K is not None:
+                    add(eq, data @ K.T)
         return accs
+
+    def _forced(self, acc: np.ndarray, eq: int) -> np.ndarray:
+        acc += self.F[eq]
+        return acc
 
     def _divided(self, acc: np.ndarray) -> BorelFunction:
         acc *= self.fac.inv_p
@@ -479,37 +468,37 @@ class SolverContext:
 
     # -- operators ------------------------------------------------------
 
-    def apply_Hl(self, w: BorelFunction, ell: int) -> BorelFunction:
-        """tau^d_l damped dilation-convolution of one unknown over P, without
-        the eps power."""
-        return self._divided(self._hl(w.data, ell, self.fac.prefs[ell]))
-
-    def apply_HP(self, w1: BorelFunction) -> BorelFunction:
-        return BorelFunction.of_data(self.grid, self.fac.hp * self.fac.inv_p * w1.data,
-                                     self.eps)
-
     def apply_H(self, w0: BorelFunction, w1: BorelFunction):
-        acc0, acc1 = self._rhs_components(w0, w1, include_moved=False)
-        return self._divided(acc0), self._divided(acc1)
+        accs = self._contributions({0: w0.data, 1: w1.data}, {0: None, 1: None})
+        return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
 
     def undivided_residual(self, w0: BorelFunction, w1: BorelFunction):
-        """Q(im) omega_j minus the full right side, nodewise."""
-        acc0, acc1 = self._rhs_components(w0, w1, include_moved=True)
-        return tuple(BorelFunction.of_data(self.grid, self.fac.q_im * w.data - acc, self.eps)
-                     for w, acc in ((w0, acc0), (w1, acc1)))
+        """Q(im) omega_j minus the full right side, nodewise, with the
+        q^(...) R_D tau^dD omega_j terms that the fixed point moves to the
+        left put back."""
+        ws = (w0, w1)
+        accs = self._contributions({0: w0.data, 1: w1.data},
+                                   {eq: self.F[eq] + self.fac.moved * w.data
+                                    for eq, w in enumerate(ws)})
+        return tuple(BorelFunction.of_data(self.grid, self.fac.q_im * w.data - accs[eq],
+                                           self.eps)
+                     for eq, w in enumerate(ws))
 
-    # -- triangular sub-operators ---------------------------------------
+    # -- triangular blocks (b_01 = 0) -----------------------------------
 
     def apply_H1(self, w1: BorelFunction) -> BorelFunction:
-        return self._divided(self._accumulate(w1.data, (1, 1), extra=(self.F[1],)))
+        """Equation 1, which reads omega_1 alone."""
+        acc = self._contributions({1: w1.data}, {1: None})[1]
+        return self._divided(self._forced(acc, 1))
 
     def g_eps(self, w1: BorelFunction) -> BorelFunction:
-        deltas = [float(t.delta) for t in self.spec.terms]
-        return self._divided(self._accumulate(
-            w1.data, (1, 0), deltas, extra=(self.fac.hp * w1.data, self.F[0])))
+        """Equation 0's forcing and omega_1 part, fixed once omega_1 is."""
+        acc = self._contributions({1: w1.data}, {0: None})[0]
+        return self._divided(self._forced(acc, 0))
 
     def apply_H0(self, w0: BorelFunction, g: BorelFunction) -> BorelFunction:
-        out = self._divided(self._accumulate(w0.data, (0, 0)))
+        """Equation 0 with its omega_1 part and forcing given as g."""
+        out = self._divided(self._contributions({0: w0.data}, {0: None})[0])
         out.data += g.data
         return out
 
@@ -547,6 +536,21 @@ def _distance(spec: ProblemSpec, grid: BorelGrid):
     return dist
 
 
+def _solve_report(spec: ProblemSpec, dist, pair, images, runs,
+                  smallness_ok: bool | None, varpi: float = math.nan):
+    """(w0, w1, SolveReport) of a solve that ends at pair, whose coupled map
+    sends it to images; runs holds the (iterations, final update,
+    contraction, history) of each of its Picard iterations, in solve order."""
+    iterations, updates, contractions, histories = zip(*runs)
+    report = SolveReport(iterations=max(iterations), final_update=max(updates),
+                         contraction=max(contractions),
+                         norms=tuple(w.norm(spec) for w in pair),
+                         residual=max(dist(h, w) for h, w in zip(images, pair)),
+                         smallness_ok=smallness_ok, varpi=varpi,
+                         update_history=sum(histories, []))
+    return (*pair, report)
+
+
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                   tol: float = 1e-10, max_iter: int = 200,
                   smallness_ok: bool | None = None):
@@ -559,49 +563,34 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     dist = _distance(spec, grid)
     zero = BorelFunction.zero(grid, eps)
 
-    def step(pair):
-        return ctx.apply_H(pair[0], pair[1])
-
     def pair_dist(a, b):
         return max(dist(a[0], b[0]), dist(a[1], b[1]))
 
-    start = (zero, zero.copy())
-    pair, iters, update, contraction, history = _picard(step, start, pair_dist,
-                                                        tol, max_iter)
-    w0, w1 = pair
-    residual = pair_dist(ctx.apply_H(w0, w1), pair)
+    pair, *run = _picard(lambda pair: ctx.apply_H(*pair), (zero, zero.copy()),
+                         pair_dist, tol, max_iter)
+    contraction = run[2]
     cf = max(BorelFunction.of_data(grid, f * ctx.fac.inv_p).norm(spec) for f in ctx.F)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
-    report = SolveReport(iterations=iters, final_update=update,
-                         contraction=contraction,
-                         norms=(w0.norm(spec), w1.norm(spec)),
-                         residual=residual, smallness_ok=smallness_ok,
-                         varpi=varpi, update_history=history)
-    return w0, w1, report
+    return _solve_report(spec, dist, pair, ctx.apply_H(*pair), [run], smallness_ok, varpi)
 
 
 def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                      tol: float = 1e-10, max_iter: int = 200,
                      smallness_ok: bool | None = None):
-    """Forward-substitution solve for the b_01 = 0 regime."""
+    """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
+    own equation, then omega_0 with omega_1's part of equation 0 fixed."""
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
     ctx = SolverContext(spec, grid, eps)
     dist = _distance(spec, grid)
     zero = BorelFunction.zero(grid, eps)
-    w1, it1, upd1, con1, hist1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter)
+    w1, *run1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter)
     g = ctx.g_eps(w1)
-    w0, it0, upd0, con0, hist0 = _picard(lambda w: ctx.apply_H0(w, g),
-                                         zero.copy(), dist, tol, max_iter)
-    h0, h1 = ctx.apply_H(w0, w1)
-    residual = max(dist(h0, w0), dist(h1, w1))
-    report = SolveReport(iterations=max(it0, it1),
-                         final_update=max(upd0, upd1),
-                         contraction=max(con0, con1),
-                         norms=(w0.norm(spec), w1.norm(spec)),
-                         residual=residual, smallness_ok=smallness_ok,
-                         varpi=math.nan, update_history=hist1 + hist0)
-    return w0, w1, report
+    w0, *run0 = _picard(lambda w: ctx.apply_H0(w, g), zero.copy(), dist, tol, max_iter)
+    # the coupled map's rows from the blocks: row 0 reuses g, and row 1
+    # reads no omega_0 because b_01 = 0
+    return _solve_report(spec, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
+                         [run1, run0], smallness_ok)
 
 
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,

@@ -236,20 +236,17 @@ class SolutionFamily:
     sector difference uses.  The rows kept agree with those of a solve on
     the full grid to within the solve tolerance.  The SolveReport of every
     solve is kept in `reports`, under the same (sector, eps, rings) key as
-    its solution.
+    its solution.  A spec with b_01 = 0 is solved by forward substitution
+    (`solve_triangular`), any other by the coupled Picard iteration.
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
-                 gspec: GridSpec, tol: float = 1e-12, m_grid=None,
-                 use_triangular: bool | None = None):
+                 gspec: GridSpec, tol: float = 1e-12, m_grid=None):
         self.spec = spec
         self.covering = covering
         self.gspec = gspec
         self.tol = tol
         self.m_grid = m_grid
-        if use_triangular is None:
-            use_triangular = spec.coeffs.triangular
-        self.use_triangular = use_triangular
         self._grids = {}
         self._sols = {}
         self.reports = {}
@@ -285,7 +282,7 @@ class SolutionFamily:
         key = (p, complex(eps), rings)
         if key not in self._sols:
             grid = self._grid(p, rings)
-            solve = solve_triangular if self.use_triangular else solve_coupled
+            solve = solve_triangular if self.spec.coeffs.triangular else solve_coupled
             w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
             self._sols[key] = LogSolution(self.spec, grid, w0, w1, eps,
                                           Delta=self.covering.Delta)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
+from .special_functions import m_weight
 
 __all__ = [
     "FourierSymbol",
@@ -324,7 +325,7 @@ def _eps_samples(eps0: float):
 
 def _envelope_sup(symbol: FourierSymbol, beta, mu, m_grid, eps_samples):
     m = np.asarray(m_grid, dtype=float)
-    weight = (1.0 + np.abs(m)) ** mu * np.exp(beta * np.abs(m))
+    weight = m_weight(m, beta, mu)
     worst, worst_eps = 0.0, 0.0 + 0.0j
     for eps in eps_samples:
         s = float(np.max(weight * np.abs(symbol(m, eps))))

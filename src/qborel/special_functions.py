@@ -1,4 +1,4 @@
-"""Jacobi theta function of order k and the weighted norms of the Borel plane.
+"""Jacobi theta function of order k and the weights of the Borel-plane norms.
 
 The theta series sum_p q^(-p(p-1)/2k) z^p converges for every z != 0 thanks to
 the Gaussian decay of the coefficients.  All magnitudes are tracked in log
@@ -23,9 +23,8 @@ __all__ = [
     "theta_log_abs",
     "theta_zero_clearance",
     "theta_bound_margin",
-    "e_norm",
+    "m_weight",
     "expq_weight",
-    "expq_norm",
 ]
 
 
@@ -164,14 +163,10 @@ def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
     return float(np.exp(theta_log_abs(z, q, k, tol) - log_den))
 
 
-def e_norm(f, beta: float, mu: float, m_grid):
-    """Grid estimator of the weighted sup norm sup (1+|m|)^mu e^(beta|m|) |f|."""
-    m = np.asarray(m_grid, dtype=float)
-    if m.size == 0:
-        raise DomainError("empty m grid")
-    vals = f(m) if callable(f) else np.asarray(f)
-    weight = (1.0 + np.abs(m)) ** mu * np.exp(beta * np.abs(m))
-    return float(np.max(weight * np.abs(vals)))
+def m_weight(m_grid, beta: float, mu: float) -> np.ndarray:
+    """The m part (1+|m|)^mu e^(beta|m|) of every weight on the Borel plane."""
+    m = np.abs(np.asarray(m_grid, dtype=float))
+    return (1.0 + m) ** mu * np.exp(beta * m)
 
 
 def expq_weight(tau, m_grid, params: WeightParams):
@@ -183,24 +178,9 @@ def expq_weight(tau, m_grid, params: WeightParams):
     / 2 log q) and make update tolerances meaningless.
     """
     tau = np.asarray(tau, dtype=complex)
-    m = np.asarray(m_grid, dtype=float)
     lnq = math.log(params.q)
     lt = np.log(np.abs(tau + params.delta))
     l0 = math.log(params.delta)
     tau_part = np.exp(-0.5 * params.k * (lt * lt - l0 * l0) / lnq
                       - params.alpha * (lt - l0))
-    m_part = (1.0 + np.abs(m)) ** params.mu * np.exp(params.beta * np.abs(m))
-    return tau_part[..., None] * m_part
-
-
-def expq_norm(values, tau, m_grid, params: WeightParams):
-    """Grid estimator of the Exp^q norm: sup of expq_weight * |values|.
-
-    values has shape tau.shape + m_grid.shape.
-    """
-    vals = np.asarray(values)
-    if vals.shape != np.shape(tau) + np.shape(m_grid):
-        raise DomainError("values shape does not match (tau, m) grids")
-    if vals.size == 0:
-        return 0.0
-    return float(np.max(expq_weight(tau, m_grid, params) * np.abs(vals)))
+    return tau_part[..., None] * m_weight(m_grid, params.beta, params.mu)

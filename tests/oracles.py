@@ -1,0 +1,153 @@
+"""Independent oracles for the tests.
+
+None of this is production code.  `q_laplace` is a self-bracketing trapezoid
+quadrature of the q-Laplace ray integral for any callable density, held
+against the closed-form transforms of monomials and the operational rule.
+`e_norm` writes the m weight out on its own.  `expq_norm` and the
+single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
+public factors.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qborel.borel_solver import BorelFunction, SolverContext
+from qborel.errors import DivergenceError, DomainError
+from qborel.special_functions import WeightParams, expq_weight, inv_theta
+from qborel.transforms import check_admissible
+
+_FLOOR = 1e-16          # relative integrand floor for bracket expansion
+_TAIL_RUN = 12          # consecutive sub-floor nodes ending the expansion
+_MAX_NODES = 60000
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Controls of the ray quadrature in q_laplace; the m grid belongs to
+    borel_solver.GridSpec."""
+
+    nodes_per_decade: int = 48
+    delta_admissible: float = 0.5
+    r1: float | None = None
+
+    @property
+    def step(self) -> float:
+        return math.log(10.0) / self.nodes_per_decade
+
+
+def _integrand(w, s: np.ndarray, T: complex, gamma: float, q: float, k: int):
+    u = np.exp(s + 1j * gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w(u) * inv_theta(u / T, q, k)
+
+
+def q_laplace(w, T: complex, gamma: float, q: float, k: int,
+              quad: QuadratureSpec) -> tuple[complex, float]:
+    """q-Laplace transform of order k of w along direction gamma at T.
+
+    w is a callable of the complex ray variable.  Returns (value, error
+    estimate); the estimate combines a stride-2 Richardson difference with the
+    relative size of the end contributions.
+    """
+    check_admissible(T, gamma, quad.delta_admissible, quad.r1)
+    h = quad.step
+    s, vals = _expand_bracket(w, T, gamma, q, k, h, math.log(abs(T)))
+    tw = np.full(s.size, h)
+    tw[0] = tw[-1] = 0.5 * h
+    pref = k / math.log(q)
+    value = pref * np.sum(tw * vals)
+    coarse = pref * 2 * h * np.sum(vals[::2]) if s.size > 4 else value
+    peak = float(np.max(np.abs(vals)))
+    edge = max(abs(vals[0]), abs(vals[-1])) / peak if peak > 0 else 0.0
+    err = abs(value - coarse) / 3.0 + edge * abs(value)
+    return complex(value), float(err)
+
+
+def _expand_bracket(w, T, gamma, q, k, h, s_center):
+    chunk = 48
+    s = s_center + h * np.arange(-chunk, chunk + 1)
+    vals = _integrand(w, s, T, gamma, q, k)
+    for side in (-1, +1):
+        while True:
+            mags = np.abs(vals)
+            peak = mags.max()
+            run = mags[:_TAIL_RUN] if side < 0 else mags[-_TAIL_RUN:]
+            if peak > 0 and np.all(run < _FLOOR * peak):
+                break
+            if s.size > _MAX_NODES or abs(s[0 if side < 0 else -1]) > 600.0:
+                raise DivergenceError(
+                    "q-Laplace integrand does not decay within the node budget; "
+                    "growth envelope violated at large radius"
+                )
+            if side < 0:
+                s_new = s[0] - h * np.arange(chunk, 0, -1)
+                vals = np.concatenate([_integrand(w, s_new, T, gamma, q, k), vals])
+                s = np.concatenate([s_new, s])
+            else:
+                s_new = s[-1] + h * np.arange(1, chunk + 1)
+                vals = np.concatenate([vals, _integrand(w, s_new, T, gamma, q, k)])
+                s = np.concatenate([s, s_new])
+    return s, vals
+
+
+def q_laplace_operational_check(w, sigma: float, j: float, T: complex,
+                                gamma: float, q: float, k: int,
+                                quad: QuadratureSpec) -> tuple[complex, complex]:
+    """Both sides of the dilation/multiplication rule of the q-Laplace transform.
+
+    lhs = T^sigma (L w)(q^j T); rhs = L[z^sigma q^(-sigma(sigma-1)/2k) w(q^(j-sigma/k) z)](T).
+    The two sides are computed by independent quadratures.
+    """
+    if sigma < 0 or j < 0:
+        raise DomainError("the operational rule requires sigma >= 0 and j >= 0")
+    qj = q ** j
+    lhs = T ** sigma * q_laplace(w, qj * T, gamma, q, k, quad)[0]
+    factor = q ** (-(sigma * (sigma - 1.0)) / (2.0 * k))
+    shift = q ** (j - sigma / k)
+
+    def g(z):
+        return z ** sigma * factor * w(shift * z)
+
+    rhs = q_laplace(g, T, gamma, q, k, quad)[0]
+    return lhs, rhs
+
+
+def e_norm(f, beta: float, mu: float, m_grid):
+    """Grid estimator of the weighted sup norm sup (1+|m|)^mu e^(beta|m|) |f|."""
+    m = np.asarray(m_grid, dtype=float)
+    if m.size == 0:
+        raise DomainError("empty m grid")
+    vals = f(m) if callable(f) else np.asarray(f)
+    weight = (1.0 + np.abs(m)) ** mu * np.exp(beta * np.abs(m))
+    return float(np.max(weight * np.abs(vals)))
+
+
+def expq_norm(values, tau, m_grid, params: WeightParams):
+    """Grid estimator of the Exp^q norm: sup of expq_weight * |values|.
+
+    values has shape tau.shape + m_grid.shape.
+    """
+    vals = np.asarray(values)
+    if vals.shape != np.shape(tau) + np.shape(m_grid):
+        raise DomainError("values shape does not match (tau, m) grids")
+    if vals.size == 0:
+        return 0.0
+    return float(np.max(expq_weight(tau, m_grid, params) * np.abs(vals)))
+
+
+def apply_Hl(ctx: SolverContext, w: BorelFunction, ell: int) -> BorelFunction:
+    """tau^d_l damped dilation-convolution of one unknown over P, without
+    the eps power."""
+    data = ctx.fac.dilations[ell].apply(w.data) @ ctx.term_kernel[ell].T
+    data *= ctx.fac.prefs[ell]
+    data *= ctx.fac.inv_p
+    return BorelFunction.of_data(ctx.grid, data, ctx.eps)
+
+
+def apply_HP(ctx: SolverContext, w1: BorelFunction) -> BorelFunction:
+    """The (dD/k) q^(...) R_D tau^dD omega_1 term of equation 0 over P."""
+    return BorelFunction.of_data(ctx.grid, ctx.fac.hp * ctx.fac.inv_p * w1.data, ctx.eps)

@@ -27,7 +27,7 @@ from qborel.geometry import bound_constants, build_good_covering, check_assumpti
 from qborel.problem_model import ProblemSpec, polyval_im, validate_assumptions
 from qborel.solution_assembly import LogSolution, residual_borel, residual_physical
 from qborel.special_functions import theta, theta_bound_margin, theta_scaled
-from qborel.transforms import QuadratureSpec, q_laplace, q_laplace_operational_check
+from tests.oracles import QuadratureSpec, q_laplace, q_laplace_operational_check
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -19,6 +19,7 @@ from qborel.borel_solver import (
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec, forcing_borel
+from tests.oracles import apply_HP, apply_Hl
 
 
 def test_grid_alignment_and_exact_dilation(golden):
@@ -29,7 +30,7 @@ def test_grid_alignment_and_exact_dilation(golden):
     f = BorelFunction.zero(grid, golden["eps"])
     f.values[:] = grid.tau[:, None] ** 2
     f.center[:] = 0.0
-    shifted = f.dilate_down(2)
+    shifted = BorelFunction.of_data(grid, grid.dilation(2).apply(f.data))
     fac = spec.q ** (-2.0 / grid.N)
     want = (fac * grid.tau) ** 2
     for i, ln in enumerate(grid.lines):
@@ -44,7 +45,7 @@ def test_dilation_bottom_interpolation_accuracy(golden):
     f = BorelFunction.zero(grid, golden["eps"])
     f.values[:] = np.exp(grid.tau)[:, None]
     f.center[:] = 1.0
-    shifted = f.dilate_down(1)
+    shifted = BorelFunction.of_data(grid, grid.dilation(1).apply(f.data))
     fac = grid.spec_q ** (-1.0 / grid.N)
     # interpolated rows are the bottom row of each line
     for i in grid.ring_line_indices():
@@ -58,7 +59,7 @@ def test_apply_hl_zero_cases(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     ctx = SolverContext(spec, grid, eps)
     zero = BorelFunction.zero(grid, eps)
-    out = ctx.apply_Hl(zero, 0)
+    out = apply_Hl(ctx, zero, 0)
     assert out.norm(spec) == 0.0
 
 
@@ -76,7 +77,7 @@ def test_apply_hl_respects_c3_bound(golden):
             (rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape)) / w_center,
             eps)
         # C3 composes the coefficient envelope bound; scale by measured sup/C_C
-        out = ctx.apply_Hl(w, 0)
+        out = apply_Hl(ctx, w, 0)
         worst = max(worst, out.norm(spec) / w.norm(spec))
     assert worst <= c3 * 1.05
 
@@ -85,7 +86,7 @@ def test_apply_hp_zero_and_bound(golden):
     spec, grid, eps, consts = golden["spec"], golden["grid"], golden["eps"], golden["consts"]
     ctx = SolverContext(spec, grid, eps)
     zero = BorelFunction.zero(grid, eps)
-    assert ctx.apply_HP(zero).norm(spec) == 0.0
+    assert apply_HP(ctx, zero).norm(spec) == 0.0
     bound = (spec.dD / spec.k) / consts["D1"] * max(1.0 / consts["C_D"], 1.0 / consts["D3"])
     rng = np.random.default_rng(5)
     w_nodes, w_center = grid.weights(spec)
@@ -95,7 +96,7 @@ def test_apply_hp_zero_and_bound(golden):
             (rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape)) / w_nodes,
             (rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape)) / w_center,
             eps)
-        assert ctx.apply_HP(w).norm(spec) <= bound * w.norm(spec) * (1 + 1e-12)
+        assert apply_HP(ctx, w).norm(spec) <= bound * w.norm(spec) * (1 + 1e-12)
 
 
 def test_apply_hp_vanishes_for_dD0(problem_dict):
@@ -109,7 +110,7 @@ def test_apply_hp_vanishes_for_dD0(problem_dict):
     w = BorelFunction.zero(grid, 0.01)
     w.values[:] = 1.0
     w.center[:] = 1.0
-    assert ctx.apply_HP(w).norm(spec) == 0.0
+    assert apply_HP(ctx, w).norm(spec) == 0.0
 
 
 def test_apply_h_structure(golden, problem_dict):
@@ -173,6 +174,30 @@ def test_triangular_matches_coupled(golden):
     dc = max(np.max(np.abs(w0t.center - golden["w0"].center)),
              np.max(np.abs(w1t.center - golden["w1"].center)))
     assert max(d0, d1, dc) <= 1e-9
+
+
+def test_triangular_residual_is_the_coupled_one_from_its_blocks(golden, monkeypatch):
+    # The triangular report takes the coupled map's rows from its blocks,
+    # apply_H0(w0, g) and apply_H1(w1), and never calls apply_H.  Both sums
+    # round differently, and at tol 1e-11 the residual is itself rounding
+    # noise (about 4e-16, where the two differ by a quarter), so they must
+    # agree to 1e-14 relative to the solution's norm.  At tol 1e-4 the
+    # residual is 6e-10 and the same bound pins every term of the tail.
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    real = SolverContext.apply_H
+    calls = []
+
+    def counting(self, w0, w1):
+        calls.append(1)
+        return real(self, w0, w1)
+
+    monkeypatch.setattr(SolverContext, "apply_H", counting)
+    ctx = SolverContext(spec, grid, eps)
+    for tol in (1e-4, 1e-11):
+        w0, w1, rep = solve_triangular(spec, eps, grid, tol=tol)
+        assert calls == []
+        want = max((h - w).norm(spec) for h, w in zip(real(ctx, w0, w1), (w0, w1)))
+        assert abs(rep.residual - want) <= 1e-14 * max(rep.norms), (tol, rep.residual, want)
 
 
 def test_triangular_requires_flag(golden, problem_dict):
@@ -462,12 +487,12 @@ def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
     shape = (grid.n_nodes, grid.m.size)
     f = BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                       rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
-    got = f.dilate_down(shift)
+    got = BorelFunction.of_data(grid, grid.dilation(shift).apply(f.data))
     want = _dilate_per_line(grid, f.values, f.center, shift)
     assert got.values.tobytes() == want.tobytes()
     assert got.center.tobytes() == f.center.tobytes()
     with pytest.raises(UsageError):
-        f.dilate_down(-1)
+        grid.dilation(-1)
 
 
 def test_truncated_grid_keeps_the_ladder_principal_line_and_lower_rungs():
@@ -494,8 +519,8 @@ def test_truncated_grid_keeps_the_ladder_principal_line_and_lower_rungs():
         # dilating the kept rows equals keeping the dilated rows
         part = BorelFunction.of_data(cut, f.data[rows])
         for shift in (1, 3, 40):
-            assert (part.dilate_down(shift).data.tobytes()
-                    == f.dilate_down(shift).data[rows].tobytes())
+            assert (cut.dilation(shift).apply(part.data).tobytes()
+                    == grid.dilation(shift).apply(f.data)[rows].tobytes())
     # a one-rung line would take its bottom quadratic through a made-up
     # second node
     with pytest.raises(UsageError):

@@ -301,7 +301,7 @@ def test_family_rows_match_the_full_grid_solve(asym):
     # sector difference
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
-    solve = solve_triangular if family.use_triangular else solve_coupled
+    solve = solve_triangular if spec.coeffs.triangular else solve_coupled
     full = []
     for p in (0, 1):
         grid = build_grid(spec, make_geometry(spec, cov.d_rays[p], m_grid=family.m_grid),

@@ -49,6 +49,38 @@ def test_linear_density_reproduces_monomial_rule(golden):
         assert abs(got - want) < 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_ladder_laplace_matches_the_monomial_transform(golden, n):
+    # Analytic oracle for the production q-Laplace sum: the density
+    # tau^n (x) g_j(m) on the principal line and the centre must assemble to
+    # q^(n(n-1)/2k) T^n F^{-1}(g_j)(z), T = eps t, across the grid's
+    # [T_min, T_max].  The bound was fixed before this test first ran: on
+    # a density_factor 8 ladder (N = 26 instead of 13) every value here
+    # moves by under 7e-15 relative, so the default ladder's quadrature
+    # error is at rounding level and 1e-13 leaves room only for rounding.
+    spec, grid, eps, gspec = golden["spec"], golden["grid"], golden["eps"], golden["gspec"]
+    m = grid.m
+    rows = grid.principal_rows()
+    gs = (np.exp(-m ** 2) * (1.0 + 0.3j * m), np.exp(-0.5 * m ** 2) / (1.0 + m ** 2))
+    ws = []
+    for g in gs:
+        w = BorelFunction.zero(grid, eps)
+        w.values[rows] = grid.tau[rows, None] ** n * g[None, :]
+        w.center[:] = g if n == 0 else 0.0
+        ws.append(w)
+    sol = LogSolution(spec, grid, ws[0], ws[1], eps)
+    Ts = [1.05 * gspec.T_min * np.exp(-0.2j), 1e-6 * np.exp(0.3j),
+          2e-5 * np.exp(-0.45j), 1e-4, 0.975 * gspec.T_max * np.exp(0.4j)]
+    factor = spec.q ** (n * (n - 1) / (2.0 * spec.k))
+    for T in Ts:
+        assert gspec.T_min <= abs(T) <= gspec.T_max
+        for z in (0.0, 0.3 - 0.1j):
+            for j, g in enumerate(gs):
+                got = sol.component(j, T / eps, z)
+                want = factor * T ** n * inverse_fourier(g, complex(z), m)
+                assert abs(got - want) <= 1e-13 * abs(want), (n, T, z, j)
+
+
 def test_component_linearity_in_density(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     rng = np.random.default_rng(21)

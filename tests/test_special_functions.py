@@ -6,8 +6,6 @@ import pytest
 from qborel.errors import DomainError
 from qborel.special_functions import (
     WeightParams,
-    e_norm,
-    expq_norm,
     expq_weight,
     inv_theta,
     theta,
@@ -15,6 +13,7 @@ from qborel.special_functions import (
     theta_scaled,
     theta_zero_clearance,
 )
+from tests.oracles import e_norm, expq_norm
 
 
 def theta_direct(z, q, k, half_width):

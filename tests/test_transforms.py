@@ -5,15 +5,12 @@ import pytest
 
 from qborel.errors import DomainError
 from qborel.transforms import (
-    QuadratureSpec,
-    convolve,
-    convolve_weighted,
+    convolution_kernel,
     inverse_fourier,
-    q_laplace,
-    q_laplace_operational_check,
     ray_admissibility,
     trapezoid_weights,
 )
+from tests.oracles import QuadratureSpec, q_laplace, q_laplace_operational_check
 
 QUAD = QuadratureSpec(nodes_per_decade=48)
 
@@ -148,12 +145,13 @@ def test_inverse_fourier_derivative_rule():
 def test_convolve_zero_and_linearity():
     m = np.linspace(-20, 20, 801)
     f = np.exp(-(m ** 2))
-    assert np.max(np.abs(convolve(f, np.zeros_like(m), m))) == 0.0
+    assert np.max(np.abs(convolution_kernel(f, m, [1.0]) @ np.zeros_like(m))) == 0.0
     g1 = np.exp(-((m - 1) ** 2))
     g2 = np.exp(-((m + 2) ** 2) / 2)
     lam = 0.3 - 0.7j
-    direct = convolve(f, g1 + lam * g2, m)
-    split = convolve(f, g1, m) + lam * convolve(f, g2, m)
+    K = convolution_kernel(f, m, [1.0])
+    direct = K @ (g1 + lam * g2)
+    split = K @ g1 + lam * (K @ g2)
     assert np.max(np.abs(direct - split)) < 1e-14
 
 
@@ -161,7 +159,7 @@ def test_convolve_matches_dense_grid_oracle():
     m = np.linspace(-20, 20, 801)
     f = lambda x: np.exp(-(x ** 2))
     g = lambda x: np.exp(-(x ** 2))
-    got = convolve(f, g(m), m)
+    got = convolution_kernel(f, m, [1.0]) @ g(m)
     # oracle: same integral on a 4x denser lattice, evaluated per target m
     dense = np.linspace(-20, 20, 3201)
     tw = trapezoid_weights(dense)
@@ -173,23 +171,12 @@ def test_multiplication_property():
     m = np.linspace(-40, 40, 1601)
     f = np.exp(-np.abs(m))
     g = np.exp(-np.abs(m) / 2) / (1 + m ** 2)
-    conv = convolve(f, g, m)
+    conv = convolution_kernel(f, m, [1.0]) @ g
     for z in np.linspace(-0.4, 0.4, 10):
         zc = complex(z, 0.05)
         lhs = inverse_fourier(f, zc, m) * inverse_fourier(g, zc, m)
         rhs = inverse_fourier(conv, zc, m)
         assert abs(lhs - rhs) < 1e-5 * abs(lhs)
-
-
-def test_convolve_weighted_reduces_to_convolve():
-    m = np.linspace(-15, 15, 601)
-    f = np.exp(-(m ** 2) / 2)
-    g = np.vstack([np.exp(-(m ** 2)), np.exp(-((m - 1) ** 2))]).astype(complex)
-    b = np.full(m.size, 1.0 / math.sqrt(2 * math.pi))
-    got = convolve_weighted(b, [1.0], f, g, m)
-    for i in range(2):
-        want = convolve(f, g[i], m)
-        assert np.max(np.abs(got[i] - want)) < 1e-13
 
 
 def test_growth_envelope_violation_flagged():
@@ -201,17 +188,11 @@ def test_growth_envelope_violation_flagged():
         q_laplace(lambda u: np.exp(np.abs(u)), 0.3 + 0.1j, 0.0, 2.0, 1, QUAD)
 
 
-def test_convolve_weighted_zero_input():
-    m = np.linspace(-15, 15, 301)
-    g = np.zeros((3, m.size), dtype=complex)
-    out = convolve_weighted(lambda mm: 1.0 / (1 + mm ** 2), [0.0, 1.0], np.exp(-m ** 2), g, m)
-    assert np.max(np.abs(out)) == 0.0
-
-
 def test_sampled_kernel_off_the_lattice_is_rejected():
     # an even node count puts the offsets m_i - m_j half-way between nodes
     m = np.linspace(-10, 10, 400)
     with pytest.raises(DomainError, match="lattice"):
-        convolve(np.exp(-m ** 2), np.exp(-m ** 2), m)
+        convolution_kernel(np.exp(-m ** 2), m, [1.0]) @ np.exp(-m ** 2)
     # a callable kernel is evaluated at the offsets themselves
-    assert np.all(np.isfinite(convolve(lambda x: np.exp(-x ** 2), np.exp(-m ** 2), m)))
+    K = convolution_kernel(lambda x: np.exp(-x ** 2), m, [1.0])
+    assert np.all(np.isfinite(K @ np.exp(-m ** 2)))
