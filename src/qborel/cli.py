@@ -274,26 +274,13 @@ def _solve(rc: RunConfig, ctx: dict):
 def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     w0, w1, report = _solve(rc, ctx)
     grid = ctx["grid"]
-    for name, w in (("omega0", w0), ("omega1", w1)):
-        rows = []
-        for i, tau in enumerate(grid.tau):
-            for j, m in enumerate(grid.m):
-                v = w.values[i, j]
-                rows.append((tau.real, tau.imag, m, v.real, v.imag))
-        for j, m in enumerate(grid.m):
-            v = w.center[j]
-            rows.append((0.0, 0.0, m, v.real, v.imag))
-        write_csv(rc.output_dir / f"{name}.csv",
-                  ["re_tau", "im_tau", "m", "re_omega", "im_omega"], rows)
+    np.savez(rc.output_dir / "omega.npz", tau=np.append(grid.tau, 0.0 + 0.0j),
+             m=grid.m, omega0=w0.data, omega1=w1.data)
     w_nodes, _ = grid.weights(rc.spec)
-    norm_rows = []
-    for i, tau in enumerate(grid.tau):
-        norm_rows.append((tau.real, tau.imag,
-                          float(np.max(w_nodes[i] * np.abs(w0.values[i]))),
-                          float(np.max(w_nodes[i] * np.abs(w1.values[i])))))
+    sup0, sup1 = (np.max(w_nodes * np.abs(w.values), axis=1) for w in (w0, w1))
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
-              norm_rows)
+              list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
     contraction = contraction_estimate(rc.spec, rc.eps_solve, grid,
                                        probes=4, seed=rc.seed)
     write_json(rc.output_dir / "solve_report.json", {
@@ -377,6 +364,13 @@ def cmd_formal(rc: RunConfig, ctx: dict) -> int:
     return 0
 
 
+def _relative_residual(report) -> float:
+    """Residual over the larger weighted solution norm (absolute when the
+    solution is zero), so rounding noise reads near machine epsilon."""
+    scale = max(report.norms)
+    return report.residual / scale if scale > 0 else report.residual
+
+
 def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
     cov = _covering(rc, ctx)
     series = _series(rc, ctx)
@@ -417,6 +411,8 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
                    "grid_rows": family.grid_rows,
                    "picard_iterations": sum(len(r.update_history) for r in reports),
                    "worst_residual": max((r.residual for r in reports), default=0.0),
+                   "worst_relative_residual": max(map(_relative_residual, reports),
+                                                  default=0.0),
                    "decay_nudges": drep.nudges},
     })
     return 0

@@ -357,12 +357,6 @@ class GoodCovering:
         mid = self.directions[p % self.zeta] + math.pi / self.zeta
         return self.radius * radius_frac * np.exp(1j * mid)
 
-    def coverage_count(self, angle: float) -> int:
-        return sum(
-            1 for p in range(self.zeta)
-            if self.contains(p, 0.5 * self.radius * np.exp(1j * angle))
-        )
-
 
 def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
                         t_radius: float, t_aperture: float = 0.1,

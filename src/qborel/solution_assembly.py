@@ -26,7 +26,6 @@ from .transforms import check_admissible, inverse_fourier
 __all__ = [
     "LogSolution",
     "difference_arc_rung",
-    "monodromy_components",
     "residual_borel",
     "residual_physical",
     "solution_difference",
@@ -213,12 +212,6 @@ class LogSolution:
         u0 = self.component(0, t, z)
         u1 = self.component(1, t, z)
         return u0 + u1 * cmath.log(T) / self.spec.lnq
-
-
-def monodromy_components(u0val: complex, u1val: complex, q: float):
-    """Action of the formal monodromy on the component pair:
-    (u_0, u_1) -> (u_0 + (2 pi i / log q) u_1, u_1)."""
-    return u0val + 2j * math.pi / math.log(q) * u1val, u1val
 
 
 def residual_borel(w0: BorelFunction, w1: BorelFunction, spec: ProblemSpec,

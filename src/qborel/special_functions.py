@@ -20,9 +20,7 @@ __all__ = [
     "theta",
     "theta_scaled",
     "inv_theta",
-    "theta_log_abs",
     "theta_zero_clearance",
-    "theta_bound_margin",
     "m_weight",
     "expq_weight",
 ]
@@ -113,12 +111,6 @@ def theta(z, q: float, k: int = 1, tol: float = 1e-12):
     return scaled * np.exp(log_scale)
 
 
-def theta_log_abs(z, q: float, k: int = 1, tol: float = 1e-12):
-    """log |theta(z)|, finite for any z where the evaluation window suffices."""
-    scaled, log_scale = theta_scaled(z, q, k, tol)
-    return np.log(np.abs(scaled)) + log_scale
-
-
 def theta_zero_clearance(z: complex, q: float, k: int = 1):
     """Distance data min_m |1 + z q^(m/k)| together with the minimising m.
 
@@ -139,28 +131,6 @@ def theta_zero_clearance(z: complex, q: float, k: int = 1):
             best = val
             best_m = m
     return best, best_m
-
-
-def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
-                       tol: float = 1e-12):
-    """Ratio |theta(z)| / (Delta exp((k/2) log^2|z|/log q) |z|^(1/2)).
-
-    A positive value certifies the lower-bound shape for this z; the infimum
-    over a sample of z estimates the constant C_{q,k}.  Requires the zero
-    clearance |1 + z q^(m/k)| > Delta for all integers m.
-    """
-    if delta_clear <= 0:
-        raise DomainError("Delta must be positive")
-    clearance, worst_m = theta_zero_clearance(z, q, k)
-    if clearance <= delta_clear:
-        raise DomainError(
-            f"certificate inapplicable: |1 + z q^(m/k)| = {clearance:.3e} <= "
-            f"Delta at m = {worst_m}"
-        )
-    lnq = math.log(q)
-    la = math.log(abs(z))
-    log_den = math.log(delta_clear) + 0.5 * k * la * la / lnq + 0.5 * la
-    return float(np.exp(theta_log_abs(z, q, k, tol) - log_den))
 
 
 def m_weight(m_grid, beta: float, mu: float) -> np.ndarray:

@@ -5,7 +5,9 @@ quadrature of the q-Laplace ray integral for any callable density, held
 against the closed-form transforms of monomials and the operational rule.
 `e_norm` writes the m weight out on its own.  `expq_norm` and the
 single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
-public factors.
+public factors.  `theta_bound_margin` (with `theta_log_abs`),
+`monodromy_components` and `coverage_count` are the paper-level checks of
+the theta lower bound, the formal monodromy and the good covering.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import numpy as np
 
 from qborel.borel_solver import BorelFunction, SolverContext
 from qborel.errors import DivergenceError, DomainError
-from qborel.special_functions import WeightParams, expq_weight, inv_theta
+from qborel.geometry import GoodCovering
+from qborel.special_functions import (
+    WeightParams,
+    expq_weight,
+    inv_theta,
+    theta_scaled,
+    theta_zero_clearance,
+)
 from qborel.transforms import check_admissible
 
 _FLOOR = 1e-16          # relative integrand floor for bracket expansion
@@ -151,3 +160,45 @@ def apply_Hl(ctx: SolverContext, w: BorelFunction, ell: int) -> BorelFunction:
 def apply_HP(ctx: SolverContext, w1: BorelFunction) -> BorelFunction:
     """The (dD/k) q^(...) R_D tau^dD omega_1 term of equation 0 over P."""
     return BorelFunction.of_data(ctx.grid, ctx.fac.hp * ctx.fac.inv_p * w1.data, ctx.eps)
+
+
+def theta_log_abs(z, q: float, k: int = 1, tol: float = 1e-12):
+    """log |theta(z)|, finite for any z where the evaluation window suffices."""
+    scaled, log_scale = theta_scaled(z, q, k, tol)
+    return np.log(np.abs(scaled)) + log_scale
+
+
+def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
+                       tol: float = 1e-12):
+    """Ratio |theta(z)| / (Delta exp((k/2) log^2|z|/log q) |z|^(1/2)).
+
+    A positive value certifies the lower-bound shape for this z; the infimum
+    over a sample of z estimates the constant C_{q,k}.  Requires the zero
+    clearance |1 + z q^(m/k)| > Delta for all integers m.
+    """
+    if delta_clear <= 0:
+        raise DomainError("Delta must be positive")
+    clearance, worst_m = theta_zero_clearance(z, q, k)
+    if clearance <= delta_clear:
+        raise DomainError(
+            f"certificate inapplicable: |1 + z q^(m/k)| = {clearance:.3e} <= "
+            f"Delta at m = {worst_m}"
+        )
+    lnq = math.log(q)
+    la = math.log(abs(z))
+    log_den = math.log(delta_clear) + 0.5 * k * la * la / lnq + 0.5 * la
+    return float(np.exp(theta_log_abs(z, q, k, tol) - log_den))
+
+
+def monodromy_components(u0val: complex, u1val: complex, q: float):
+    """Action of the formal monodromy on the component pair:
+    (u_0, u_1) -> (u_0 + (2 pi i / log q) u_1, u_1)."""
+    return u0val + 2j * math.pi / math.log(q) * u1val, u1val
+
+
+def coverage_count(cov: GoodCovering, angle: float) -> int:
+    """How many sectors of the covering hold eps = (radius / 2) e^(i angle)."""
+    return sum(
+        1 for p in range(cov.zeta)
+        if cov.contains(p, 0.5 * cov.radius * np.exp(1j * angle))
+    )

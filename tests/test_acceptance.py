@@ -26,8 +26,13 @@ from qborel.formal_asymptotics import (
 from qborel.geometry import bound_constants, build_good_covering, check_assumption_d, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im, validate_assumptions
 from qborel.solution_assembly import LogSolution, residual_borel, residual_physical
-from qborel.special_functions import theta, theta_bound_margin, theta_scaled
-from tests.oracles import QuadratureSpec, q_laplace, q_laplace_operational_check
+from qborel.special_functions import theta, theta_scaled
+from tests.oracles import (
+    QuadratureSpec,
+    q_laplace,
+    q_laplace_operational_check,
+    theta_bound_margin,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

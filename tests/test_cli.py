@@ -6,7 +6,8 @@ import numpy as np
 
 import pytest
 
-from qborel.cli import load_config, main, run
+from qborel.borel_solver import SolveReport
+from qborel.cli import _relative_residual, cmd_solve, load_config, main, run, write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "example_k13.json"
@@ -128,8 +129,9 @@ def test_solve_zero_forcing_writes_zero_grids(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run("solve", path, str(out)) == 0
-    data = np.loadtxt(out / "omega0.csv", delimiter=",", skiprows=1)
-    assert np.max(np.abs(data[:, 3:])) == 0.0
+    with np.load(out / "omega.npz", allow_pickle=False) as f:
+        data = f["omega0"]
+    assert np.max(np.abs(data)) == 0.0
     report = json.loads((out / "solve_report.json").read_text())
     assert report["iterations"] == 1
 
@@ -171,7 +173,7 @@ def test_solve_runs_deterministically(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("solve", path, str(out1)) == 0
     assert run("solve", path, str(out2)) == 0
-    for name in ("omega0.csv", "omega1.csv", "solve_report.json"):
+    for name in ("omega.npz", "solve_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -200,3 +202,58 @@ def test_points_csv_list(tmp_path):
     # fewer than the four point columns
     pts.write_text("re_t,im_t,re_z\n0.012,0,0.1\n")
     assert run("evaluate", path, str(out)) == 65
+
+
+@pytest.fixture(scope="module")
+def solved_small(tmp_path_factory):
+    """`cmd_solve` on the reduced config, with the solve it wrote out."""
+    tmp = tmp_path_factory.mktemp("solve")
+    rc = load_config(small_config(tmp), str(tmp / "out"))
+    rc.output_dir.mkdir()
+    ctx: dict = {}
+    assert cmd_solve(rc, ctx) == 0
+    return rc, ctx
+
+
+def test_omega_npz_holds_the_solved_grid(solved_small):
+    rc, ctx = solved_small
+    grid = ctx["grid"]
+    w0, w1, _ = ctx["solution"]
+    with np.load(rc.output_dir / "omega.npz", allow_pickle=False) as f:
+        arrays = {key: f[key] for key in f.files}
+    assert set(arrays) == {"tau", "m", "omega0", "omega1"}
+    rows = grid.n_nodes + 1
+    assert arrays["tau"].shape == (rows,)
+    assert arrays["m"].shape == (grid.m.size,)
+    for key, w in (("omega0", w0), ("omega1", w1)):
+        assert arrays[key].shape == (rows, grid.m.size)
+        assert arrays[key].dtype == np.complex128
+        assert arrays[key].tobytes() == w.data.tobytes()
+    assert arrays["tau"].dtype == np.complex128
+    assert arrays["tau"].tobytes() == np.append(grid.tau, 0.0 + 0.0j).tobytes()
+    assert arrays["m"].dtype == np.float64
+    assert arrays["m"].tobytes() == grid.m.tobytes()
+
+
+def test_norms_csv_matches_the_per_node_loop(solved_small, tmp_path):
+    rc, ctx = solved_small
+    grid = ctx["grid"]
+    w0, w1, _ = ctx["solution"]
+    w_nodes, _ = grid.weights(rc.spec)
+    rows = []
+    for i, tau in enumerate(grid.tau):
+        rows.append((tau.real, tau.imag,
+                     float(np.max(w_nodes[i] * np.abs(w0.values[i]))),
+                     float(np.max(w_nodes[i] * np.abs(w1.values[i])))))
+    ref = tmp_path / "norms.csv"
+    write_csv(ref, ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"], rows)
+    assert (rc.output_dir / "norms.csv").read_bytes() == ref.read_bytes()
+
+
+def test_relative_residual_divides_by_the_larger_norm():
+    report = SolveReport(iterations=3, final_update=0.0, contraction=0.0,
+                         norms=(2.0, 4.0), residual=1e-12)
+    assert _relative_residual(report) == 2.5e-13
+    zero = SolveReport(iterations=1, final_update=0.0, contraction=0.0,
+                       norms=(0.0, 0.0), residual=0.0)
+    assert _relative_residual(zero) == 0.0

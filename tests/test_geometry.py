@@ -20,6 +20,7 @@ from qborel.geometry import (
     set_dist_to_shift,
 )
 from qborel.problem_model import ProblemSpec
+from tests.oracles import coverage_count
 
 M_GRID = np.linspace(-50, 50, 2001)
 
@@ -225,7 +226,7 @@ def test_build_good_covering(example_spec):
     assert len(cov.d_rays) == 4
     # every angle lies in one or two sectors, never three, never zero
     for ang in np.linspace(0, 2 * math.pi, 3600, endpoint=False):
-        assert 1 <= cov.coverage_count(ang) <= 2
+        assert 1 <= coverage_count(cov, ang) <= 2
     # chosen rays avoid the root locus at pi
     for d in cov.d_rays:
         assert abs(math.remainder(d - math.pi, 2 * math.pi)) > SECTOR_APERTURE / 2
@@ -235,7 +236,7 @@ def test_good_covering_two_sectors(example_spec):
     cov = build_good_covering(2, example_spec.eps0, example_spec,
                               t_radius=0.02, m_grid=np.linspace(-50, 50, 201))
     for ang in np.linspace(0, 2 * math.pi, 1800, endpoint=False):
-        assert 1 <= cov.coverage_count(ang) <= 2
+        assert 1 <= coverage_count(cov, ang) <= 2
 
 
 def test_covering_rejects_oversized_radius(example_spec):

@@ -34,3 +34,23 @@ def test_every_traced_name_resolves():
         missing += [f"{mod}.{cls}.{n}" for n in names if not hasattr(owner, n)]
     assert tracer.SPANNED and tracer.METHODS
     assert missing == []
+
+
+def test_traced_attributes_read_every_verb_call(tmp_path, monkeypatch):
+    """The tracer reads len(rows) and the file size off each `write_csv`
+    call, so every verb must hand it a sized row sequence."""
+    from qborel import cli
+    from tests.test_cli import small_config
+
+    tracer = _tracer()
+    write_csv = cli.write_csv
+    seen = []
+
+    def traced(*args, **kwargs):
+        result = write_csv(*args, **kwargs)
+        seen.append(tracer._attrs("cli.write_csv", args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(cli, "write_csv", traced)
+    assert cli.run("all", small_config(tmp_path), str(tmp_path / "out")) == 0
+    assert seen and all(a["rows"] >= 1 and a["bytes"] > 0 for a in seen)

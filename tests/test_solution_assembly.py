@@ -12,12 +12,12 @@ import qborel.solution_assembly as assembly
 import qborel.special_functions as special_functions
 from qborel.solution_assembly import (
     LogSolution,
-    monodromy_components,
     residual_borel,
     residual_physical,
     solution_difference,
 )
 from qborel.transforms import inverse_fourier
+from tests.oracles import monodromy_components
 
 
 @pytest.fixture

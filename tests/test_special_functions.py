@@ -9,11 +9,10 @@ from qborel.special_functions import (
     expq_weight,
     inv_theta,
     theta,
-    theta_bound_margin,
     theta_scaled,
     theta_zero_clearance,
 )
-from tests.oracles import e_norm, expq_norm
+from tests.oracles import e_norm, expq_norm, theta_bound_margin
 
 
 def theta_direct(z, q, k, half_width):
