@@ -6,15 +6,20 @@ of every dilation denominator, so the dilations tau -> q^(delta - d/k) tau
 shift rungs exactly and never interpolate, except below the bottom rung of a
 line where a quadratic through the centre value is used.  The principal line
 runs along the Borel direction d from far inside the disc out to the ray tip;
-uniform-angle ring lines populate the disc for norms, disc-agreement checks,
-the arc of sector differences and diagnostics.  Coupling in m is a dense
-kernel matrix per symbol; coupling in tau is the pure rung shift, so every
-radial line evolves independently.
+uniform-angle ring lines populate the disc for norms, disc-agreement checks
+and diagnostics.  Coupling in m is a dense kernel matrix per symbol; coupling
+in tau is the pure rung shift, so every radial line evolves independently.
+
+Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
+coefficients at tau = 0 solve the same fixed point written in monomials, one
+order at a time (`taylor_at_origin`); the arc of a sector difference is
+summed from them instead of from solved ring lines.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,10 +42,12 @@ __all__ = [
     "SolveReport",
     "radial_envelope_log",
     "build_grid",
+    "eps_kernels",
     "SolverContext",
     "solve_coupled",
     "solve_triangular",
     "contraction_estimate",
+    "taylor_at_origin",
 ]
 
 
@@ -83,6 +90,7 @@ class BorelGrid:
     direction: float
     m: np.ndarray
     lines: list[RadialLine]
+    n_angles: int = 0             # ring angles of the sector-difference arc
     offsets: np.ndarray = field(init=False)
     tau: np.ndarray = field(init=False)
 
@@ -389,7 +397,19 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
         lines.append(RadialLine(angle=ang, g_lo=g_ring, g_hi=0))
     return BorelGrid(spec_q=spec.q, k=spec.k, N=N, rho=geom.rho,
                      delta=geom.delta, direction=geom.d, m=gspec.m_grid(),
-                     lines=lines)
+                     lines=lines, n_angles=gspec.n_angles)
+
+
+def eps_kernels(spec: ProblemSpec, m: np.ndarray, eps: complex):
+    """The eps-dependent convolution kernels of spec on the m grid: one per
+    dilation term, and one per b symbol keyed (j, eq), None where the symbol
+    vanishes."""
+    terms = [convolution_kernel(functools.partial(t.C, eps=eps), m, t.R)
+             for t in spec.terms]
+    b = {jk: None if sym.is_zero()
+         else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
+         for jk, sym in spec.coeffs.b.items()}
+    return terms, b
 
 
 class SolverContext:
@@ -413,15 +433,10 @@ class SolverContext:
         m = grid.m
         tau = np.append(grid.tau, 0.0 + 0.0j)
         self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
-        self.term_kernel = [convolution_kernel(functools.partial(t.C, eps=eps), m, t.R)
-                            for t in spec.terms]
+        self.term_kernel, self.b_kernel = eps_kernels(spec, m, eps)
         # tau^d_l prefactor times eps^(Delta_l - d_l)
         self.term_scale = [self.eps ** (t.Delta - t.d) * pref
                            for t, pref in zip(spec.terms, self.fac.prefs)]
-        self.b_kernel = {
-            jk: None if sym.is_zero()
-            else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
-            for jk, sym in spec.coeffs.b.items()}
 
     def _contributions(self, unknowns: dict, accs: dict) -> dict:
         """Add in place to accs[eq], for each equation eq in accs, what the
@@ -468,6 +483,11 @@ class SolverContext:
 
     # -- operators ------------------------------------------------------
 
+    def image_of_zero(self, eq: int) -> BorelFunction:
+        """Equation eq's forcing over P: what apply_H and apply_H1 send zero
+        to, without applying them."""
+        return self._divided(self.F[eq].copy())
+
     def apply_H(self, w0: BorelFunction, w1: BorelFunction):
         accs = self._contributions({0: w0.data, 1: w1.data}, {0: None, 1: None})
         return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
@@ -503,12 +523,14 @@ class SolverContext:
         return out
 
 
-def _picard(step, start, diff_norm, tol, max_iter):
+def _picard(step, start, diff_norm, tol, max_iter, first=None):
+    """Picard iteration of step from start; `first`, when given, is
+    step(start), which the caller knows without applying step."""
     w = start
     history = []
     contraction = 0.0
     for it in range(1, max_iter + 1):
-        w_next = step(w)
+        w_next = first if it == 1 and first is not None else step(w)
         update = diff_norm(w_next, w)
         history.append(update)
         if not math.isfinite(update):
@@ -554,7 +576,8 @@ def _solve_report(spec: ProblemSpec, dist, pair, images, runs,
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                   tol: float = 1e-10, max_iter: int = 200,
                   smallness_ok: bool | None = None):
-    """Picard iteration on the coupled map from (0, 0).
+    """Picard iteration on the coupled map from (0, 0), whose first iterate
+    is the forcing over P.
 
     Convergence is guaranteed when the smallness budget holds; otherwise the
     solve still runs and the report flags the missing guarantee.
@@ -566,10 +589,11 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     def pair_dist(a, b):
         return max(dist(a[0], b[0]), dist(a[1], b[1]))
 
-    pair, *run = _picard(lambda pair: ctx.apply_H(*pair), (zero, zero.copy()),
-                         pair_dist, tol, max_iter)
+    first = (ctx.image_of_zero(0), ctx.image_of_zero(1))
+    pair, *run = _picard(lambda pair: ctx.apply_H(*pair), (zero, zero), pair_dist,
+                         tol, max_iter, first)
     contraction = run[2]
-    cf = max(BorelFunction.of_data(grid, f * ctx.fac.inv_p).norm(spec) for f in ctx.F)
+    cf = max(w.norm(spec) for w in first)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
     return _solve_report(spec, dist, pair, ctx.apply_H(*pair), [run], smallness_ok, varpi)
 
@@ -578,15 +602,17 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                      tol: float = 1e-10, max_iter: int = 200,
                      smallness_ok: bool | None = None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
-    own equation, then omega_0 with omega_1's part of equation 0 fixed."""
+    own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
+    Each Picard run starts from zero, whose images are known: omega_1's
+    forcing over P, and g."""
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
     ctx = SolverContext(spec, grid, eps)
     dist = _distance(spec, grid)
     zero = BorelFunction.zero(grid, eps)
-    w1, *run1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter)
+    w1, *run1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter, ctx.image_of_zero(1))
     g = ctx.g_eps(w1)
-    w0, *run0 = _picard(lambda w: ctx.apply_H0(w, g), zero.copy(), dist, tol, max_iter)
+    w0, *run0 = _picard(lambda w: ctx.apply_H0(w, g), zero, dist, tol, max_iter, g)
     # the coupled map's rows from the blocks: row 0 reuses g, and row 1
     # reads no omega_0 because b_01 = 0
     return _solve_report(spec, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
@@ -596,7 +622,7 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                          probes: int = 6, seed: int = 0,
                          scale: float = 1.0) -> float:
-    """Max over random probe pairs of the H-difference quotient."""
+    """Max over unordered random probe pairs of the H-difference quotient."""
     if probes < 2:
         raise UsageError("need at least two probes")
     ctx = SolverContext(spec, grid, eps)
@@ -613,13 +639,110 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     # H is affine, so H(a) - H(b) = L(a - b): one application per probe
     hs = [ctx.apply_H(a[0], a[1]) for a in fns]
     worst = 0.0
-    for a, ha in zip(fns, hs):
-        for b, hb in zip(fns, hs):
-            if a is b:
-                continue
-            denom = max(dist(a[0], b[0]), dist(a[1], b[1]))
-            if denom == 0:
-                continue
-            num = max(dist(ha[0], hb[0]), dist(ha[1], hb[1]))
-            worst = max(worst, num / denom)
+    # both distances are symmetric, so each unordered pair is measured once
+    for (a, ha), (b, hb) in itertools.combinations(zip(fns, hs), 2):
+        denom = max(dist(a[0], b[0]), dist(a[1], b[1]))
+        if denom == 0:
+            continue
+        num = max(dist(ha[0], hb[0]), dist(ha[1], hb[1]))
+        worst = max(worst, num / denom)
     return worst
+
+
+# Taylor terms at the arc radius below TAYLOR_RTOL of the largest are dropped;
+# a series still above that at order TAYLOR_MAX_ORDER is not summed
+TAYLOR_RTOL = 1e-18
+TAYLOR_MAX_ORDER = 160
+
+
+def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray,
+                       n: int, max_iter: int = 200) -> np.ndarray:
+    """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
+    sum_j K_(j,eq) c_j, by iteration from rhs / P(0); the b symbols are small
+    under the smallness budget."""
+    c = rhs * inv_p0
+    if not coupling:
+        return c
+    scale = float(np.abs(c).max())
+    for _ in range(max_iter):
+        nxt = rhs.copy()
+        for j, eq, K in coupling:
+            nxt[eq] += c[j] @ K.T
+        nxt *= inv_p0
+        update = float(np.abs(nxt - c).max())
+        c = nxt
+        # a few units of rounding of the largest coefficient
+        if update <= 4e-16 * scale:
+            return c
+        if not math.isfinite(update):
+            break
+    raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 do not "
+                          f"converge (last update {update:.3g}): smallness "
+                          "condition violated")
+
+
+def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
+                     radius: float) -> np.ndarray:
+    """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, as a
+    (2, orders, n_m) array summed to within TAYLOR_RTOL at |tau| = radius.
+
+    The fixed point of SolverContext in monomials of tau: with Q(im) c_{j,n}
+    on the left, order n takes the forcing's tau^n symbol, q_f R_D(im)
+    c_{j,n-dD} (equation 0 also (dD/k) q_f R_D(im) c_{1,n-dD}), and from term
+    l eps^(Delta_l-d_l) q^(-d_l(d_l-1)/2k) q^(-(d_l/k-delta_l)(n-d_l)) K_l
+    c_{j,n-d_l} (equation 0 also delta_l times that of c_1).  Assumption (A)
+    gives d_l >= 1, so within one order only the b symbols couple, and each
+    order is one small fixed point.  For dD = 0 the R_D part stays on the
+    left, in P(0) = Q(im) - q_f R_D(im).  The sum stops once the terms of the
+    last max(dD, d_l) orders at the radius fall below TAYLOR_RTOL of the
+    largest term; a series that has not by order TAYLOR_MAX_ORDER raises
+    DivergenceError rather than return a truncated sum.
+    """
+    if eps == 0:
+        raise UsageError("the fixed point is defined for eps != 0")
+    if any(t.d < 1 for t in spec.terms):
+        raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
+    m = np.asarray(m, dtype=float)
+    eps = complex(eps)
+    term_kernel, b_kernel = eps_kernels(spec, m, eps)
+    coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
+    # per term: d_l, delta_l, the eps and q^(...) prefactor, the dilation
+    # factor of one tau power, and the kernel
+    terms = [(t.d, float(t.delta), eps ** (t.Delta - t.d) * spec.q_power_factor(t.d),
+              spec.q ** -(t.d / spec.k - float(t.delta)), K)
+             for t, K in zip(spec.terms, term_kernel)]
+    moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)
+    inv_p0 = 1.0 / spec.pm(0.0, m)
+    forcing = [{p: sym(m, eps) for p, sym in spec.forcing.powers(h).items()}
+               for h in (0, 1)]
+    last_forced = max([p for f in forcing for p in f], default=0)
+    reach = max([spec.dD] + [t.d for t in spec.terms])
+    c = np.zeros((2, TAYLOR_MAX_ORDER + 1, m.size), dtype=complex)
+    peak, quiet = 0.0, 0
+    for n in range(TAYLOR_MAX_ORDER + 1):
+        rhs = np.zeros((2, m.size), dtype=complex)
+        for eq in (0, 1):
+            if n in forcing[eq]:
+                rhs[eq] += forcing[eq][n]
+        if 1 <= spec.dD <= n:
+            low = moved * c[:, n - spec.dD]
+            rhs[0] += (spec.dD / spec.k) * low[1]
+            rhs += low
+        for d, delta, scale, dilation, K in terms:
+            if d <= n:
+                h = c[:, n - d] @ K.T
+                h *= scale * dilation ** (n - d)
+                rhs[0] += delta * h[1]
+                rhs += h
+        c[:, n] = _order_fixed_point(rhs, coupling, inv_p0, n)
+        size = float(np.abs(c[:, n]).max()) * radius ** n
+        if not math.isfinite(size):
+            raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 "
+                                  f"are not finite ({size})")
+        peak = max(peak, size)
+        quiet = quiet + 1 if size <= TAYLOR_RTOL * peak else 0
+        if n >= last_forced and quiet >= reach:
+            return c[:, :n + 1]
+    raise DivergenceError(
+        f"the Taylor series of omega at tau = 0 does not converge at |tau| = "
+        f"{radius:.4g} by order {TAYLOR_MAX_ORDER}")

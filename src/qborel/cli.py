@@ -396,6 +396,7 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
     write_csv(rc.output_dir / "decay.csv",
               ["abs_eps", "arg_eps", "delta0", "delta1"], rows)
     reports = list(family.reports.values())
+    arc_orders = family.arc_orders
     write_json(rc.output_dir / "fits.json", {
         "gevrey": {"A": grep.fit_A, "C": grep.fit_C,
                    "fit_residual": grep.fit_residual,
@@ -413,7 +414,9 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
                    "worst_residual": max((r.residual for r in reports), default=0.0),
                    "worst_relative_residual": max(map(_relative_residual, reports),
                                                   default=0.0),
-                   "decay_nudges": drep.nudges},
+                   "decay_nudges": drep.nudges,
+                   "arc_expansions": len(arc_orders),
+                   "arc_terms_max": max(arc_orders, default=0)},
     })
     return 0
 

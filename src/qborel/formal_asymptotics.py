@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .borel_solver import GridSpec, build_grid, solve_coupled, solve_triangular
-from .errors import ConfigError, DivergenceError, DomainError, UsageError
+from .errors import DivergenceError, DomainError, UsageError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec, polyval_im
 from .solution_assembly import LogSolution, difference_arc_rung, solution_difference
@@ -231,12 +231,13 @@ class SolutionFamily:
     """Analytic solutions indexed by covering sector, solved on demand.
 
     A solve covers only the rows the asymptotics read: the principal line
-    and the centre, which the q-Laplace integrals and the ray tails use, and
-    with `rings` the ring lines up to the arc rung, which the arc of a
-    sector difference uses.  The rows kept agree with those of a solve on
+    and the centre, which the q-Laplace integrals and the ray tails use.  The
+    arc of a sector difference reads the densities inside the disc, which it
+    sums from their Taylor coefficients at tau = 0 (`LogSolution._arc_samples`),
+    so no ring line is solved.  The rows kept agree with those of a solve on
     the full grid to within the solve tolerance.  The SolveReport of every
-    solve is kept in `reports`, under the same (sector, eps, rings) key as
-    its solution.  A spec with b_01 = 0 is solved by forward substitution
+    solve is kept in `reports`, under the same (sector, eps) key as its
+    solution.  A spec with b_01 = 0 is solved by forward substitution
     (`solve_triangular`), any other by the coupled Picard iteration.
     """
 
@@ -251,37 +252,31 @@ class SolutionFamily:
         self._sols = {}
         self.reports = {}
 
-    def _grid(self, p: int, rings: bool = False):
-        """Sector p's grid: the principal line, plus with rings the ring
-        lines up to the arc rung."""
+    def _grid(self, p: int):
+        """Sector p's grid: the principal line and the centre."""
         p = p % self.covering.zeta
         if p not in self._grids:
             geom = make_geometry(self.spec, self.covering.d_rays[p],
                                  m_grid=self.m_grid)
-            # the full grid under None, cut per rings on first use
-            self._grids[p] = {None: build_grid(self.spec, geom, self.gspec)}
-        grids = self._grids[p]
-        if rings not in grids:
-            full = grids[None]
-            top = full.arc_rung() if rings else None
-            if rings and not any(ln.g_lo < top for ln in full.lines[1:]):
-                raise ConfigError("the ring lines (grid n_angles, ring_octaves) do not "
-                                  "reach below the arc rung of sector differences")
-            grids[rings] = full.truncated(top)
-        return grids[rings]
+            self._grids[p] = build_grid(self.spec, geom, self.gspec).truncated(None)
+        return self._grids[p]
 
     @property
     def grid_rows(self) -> int:
         """Stacked rows (nodes and the centre) summed over every solve."""
-        return sum(self._grid(p, rings).n_nodes + 1 for p, _, rings in self.reports)
+        return sum(self._grid(p).n_nodes + 1 for p, _ in self.reports)
 
-    def at(self, p: int, eps: complex, rings: bool = False) -> LogSolution:
-        """The solution of sector p at eps; rings=True also solves the ring
-        lines that solution_difference reads when this is its first sector."""
+    @property
+    def arc_orders(self) -> list[int]:
+        """Highest order of every Taylor expansion the arcs computed."""
+        return [n for sol in self._sols.values() for n in sol.arc_orders]
+
+    def at(self, p: int, eps: complex) -> LogSolution:
+        """The solution of sector p at eps."""
         p = p % self.covering.zeta
-        key = (p, complex(eps), rings)
+        key = (p, complex(eps))
         if key not in self._sols:
-            grid = self._grid(p, rings)
+            grid = self._grid(p)
             solve = solve_triangular if self.spec.coeffs.triangular else solve_coupled
             w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
             self._sols[key] = LogSolution(self.spec, grid, w0, w1, eps,
@@ -359,9 +354,9 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     along the q^(1/k) ladder; samples whose difference underflows are dropped
     with a warning.  The zero-ring and admissibility checks depend on eps t
     and the two sector grids alone, so they run for every probe before the
-    two sectors are solved, and a rejected eps costs no solve.  Only the
-    first sector is solved with its ring lines, because only its arc is
-    taken.
+    two sectors are solved, and a rejected eps costs no solve.  Both sectors
+    are solved on their principal lines; the first one's arc is summed from
+    the Taylor series at tau = 0, one expansion per eps.
     """
     spec = family.spec
     rep = AsymptoticsReport()
@@ -377,7 +372,7 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
                 for (t, _) in probes:
                     difference_arc_rung(spec, grid_a, grid_b, eps * complex(t),
                                         family.covering.Delta, r1)
-                sol_a = family.at(p, eps, rings=True)
+                sol_a = family.at(p, eps)
                 sol_b = family.at(p + 1, eps)
                 d0 = max(abs(solution_difference(sol_a, sol_b, 0, t, z))
                          for (t, z) in probes)

@@ -5,6 +5,9 @@ transform (along the grid direction) and inverse Fourier transform of its
 Borel density.  The component integrals reuse the solver ladder: the stored
 principal line is log-uniform, so the radial quadrature is a plain trapezoid
 over stored nodes with the theta kernel evaluated in scaled log space.
+Sector differences deform one direction into the other: two ray tails on
+the principal lines and an arc inside the disc, where the densities are
+summed from their Taylor coefficients at tau = 0.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import BorelFunction, BorelGrid, SolverContext
-from .errors import DomainError, UsageError
+from .borel_solver import BorelFunction, BorelGrid, SolverContext, taylor_at_origin
+from .errors import ConfigError, DomainError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
 from .special_functions import inv_theta
@@ -61,7 +64,8 @@ class LogSolution:
     The q-Laplace part of a component depends on eps t alone; z and d/dz
     multipliers enter only through the Fourier sum over m.  Every vector that
     depends on eps t is therefore computed once per exact T = eps t, for both
-    components at once, and reused for every z and multiplier.
+    components at once, and reused for every z and multiplier.  `arc_orders`
+    records the highest order of each Taylor expansion an arc computed.
     """
 
     spec: ProblemSpec
@@ -70,6 +74,7 @@ class LogSolution:
     w1: BorelFunction
     eps: complex
     Delta: float = 0.5
+    arc_orders: list = field(default_factory=list, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -152,17 +157,35 @@ class LogSolution:
         return tuple(out)
 
     @_cached_pair
+    def _arc_samples(self, g_arc: int):
+        """(w_0, w_1) at the grid's n_angles uniform angles, by increasing
+        angle, on the circle of rung g_arc: (n_angles, n_m) each, summed from
+        the Taylor coefficients at tau = 0, which depend on eps and the m grid
+        alone."""
+        grid = self.grid
+        if grid.n_angles < 1:
+            raise ConfigError("the arc of a sector difference needs grid n_angles >= 1")
+        r_arc = grid.radius_of_rung(g_arc)
+        coef = taylor_at_origin(self.spec, self.eps, grid.m, r_arc)
+        self.arc_orders.append(coef.shape[1] - 1)
+        ring = r_arc * np.exp(2j * math.pi * np.arange(grid.n_angles) / grid.n_angles)
+        powers = ring[:, None] ** np.arange(coef.shape[1])
+        return powers @ coef[0], powers @ coef[1]
+
+    @_cached_pair
     def _arc_integral(self, d_b: float, T: complex, g_arc: int):
         """Kernel integral of (w_0, w_1) over the arc of radius
         rho q^(g_arc/N) from this solution's direction to d_b, for every m.
-        Both components share the panels and the kernel."""
+        Both components share the panels and the kernel.  The densities on
+        the arc come from n_angles uniform samples on its circle
+        (`_arc_samples`), interpolated by their discrete Fourier series."""
         spec, grid = self.spec, self.grid
         d_a = self.direction
         if d_a == d_b:
             zero = np.zeros(grid.m.size, dtype=complex)
             return zero, zero.copy()
         r_arc = grid.radius_of_rung(g_arc)
-        n_ang = len(grid.ring_line_indices())
+        n_ang = grid.n_angles
         # Gauss-Legendre panels, roughly one per kernel oscillation
         osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
         panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
@@ -178,8 +201,8 @@ class LogSolution:
         basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
         weights = twt * inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
         out = []
-        for w in (self.w0, self.w1):
-            ring = basis @ (np.fft.fft(_arc_values(w, g_arc), axis=0) / n_ang)
+        for samples in self._arc_samples(g_arc):
+            ring = basis @ (np.fft.fft(samples, axis=0) / n_ang)
             out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
         return tuple(out)
 
@@ -271,32 +294,6 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
     return defects
 
 
-def _arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
-    """Ring samples at rung g_arc, by increasing angle: (n_angles, n_m).
-
-    A solution without ring lines up to g_arc was solved for the wrong
-    purpose, which no change of eps mends: that is a UsageError, not a
-    DomainError.
-    """
-    grid = w.grid
-    if not grid.ring_line_indices():
-        raise UsageError("the solution has no ring lines to take the arc on; "
-                         "solve it with its ring lines")
-    angs, vals = [], []
-    for i in grid.ring_line_indices():
-        ln = grid.lines[i]
-        if g_arc > ln.g_hi:
-            raise UsageError(f"the ring lines stop at rung {ln.g_hi}, "
-                             f"below the arc rung {g_arc}")
-        if g_arc < ln.g_lo:
-            raise DomainError("arc rung outside the stored ring depth")
-        rows = grid.line_rows(i)
-        angs.append(ln.angle)
-        vals.append(w.values[rows][g_arc - ln.g_lo])
-    order = np.argsort(angs)
-    return np.asarray(vals)[order]
-
-
 def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
                         T: complex, Delta: float, r1: float) -> int:
     """Ladder rung of the arc that deforms the direction of grid_a into that
@@ -335,7 +332,9 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
 
     The two Borel densities coincide on the shared disc, so the difference is
     the pair of ray tails beyond the arc radius plus the arc integral at that
-    radius.  Each piece is exponentially small in log^2|eps t|; computing them
+    radius.  The tails read the two principal lines; the arc reads the
+    Taylor series of the densities at tau = 0, so neither solution needs ring
+    lines.  Each piece is exponentially small in log^2|eps t|; computing them
     directly preserves relative accuracy long after a plain subtraction of the
     two evaluations would drown in cancellation noise.  The tails and the arc
     do not depend on z and are cached per exact eps t, so further z probes

@@ -58,6 +58,20 @@ def kept_rows(full, cut):
     return np.array(rows + [full.n_nodes])
 
 
+def arc_sample_gap(sol) -> float:
+    """Largest gap, relative to the largest sample, between the arc samples
+    that sol sums from the Taylor series at tau = 0 and its solved ring rows
+    at the arc rung."""
+    from tests.oracles import arc_values
+
+    g_arc = sol.grid.arc_rung()
+    worst = 0.0
+    for got, w in zip(sol._arc_samples(g_arc), (sol.w0, sol.w1)):
+        ref = arc_values(w, g_arc)
+        worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
+    return worst
+
+
 @pytest.fixture
 def problem_dict():
     return copy.deepcopy(example_problem_dict())

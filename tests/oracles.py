@@ -8,6 +8,9 @@ single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
 public factors.  `theta_bound_margin` (with `theta_log_abs`),
 `monodromy_components` and `coverage_count` are the paper-level checks of
 the theta lower bound, the formal monodromy and the good covering.
+`arc_values` reads a solved grid's ring rows at the arc rung, the oracle for
+the arc samples summed from the Taylor series at tau = 0, and
+`RingArcSolution` takes its sector-difference arc from them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qborel.borel_solver import BorelFunction, SolverContext
-from qborel.errors import DivergenceError, DomainError
+from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
+from qborel.solution_assembly import LogSolution
 from qborel.special_functions import (
     WeightParams,
     expq_weight,
@@ -202,3 +206,27 @@ def coverage_count(cov: GoodCovering, angle: float) -> int:
         1 for p in range(cov.zeta)
         if cov.contains(p, 0.5 * cov.radius * np.exp(1j * angle))
     )
+
+
+def arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
+    """Solved ring samples at rung g_arc, by increasing angle: (n_angles, n_m)."""
+    grid = w.grid
+    angs, vals = [], []
+    for i in grid.ring_line_indices():
+        ln = grid.lines[i]
+        if not ln.g_lo <= g_arc <= ln.g_hi:
+            raise UsageError(f"ring line {i} holds rungs {ln.g_lo}..{ln.g_hi}, "
+                             f"not the arc rung {g_arc}")
+        angs.append(ln.angle)
+        vals.append(w.values[grid.line_rows(i)][g_arc - ln.g_lo])
+    if not angs:
+        raise UsageError("the grid has no ring lines")
+    return np.asarray(vals)[np.argsort(angs)]
+
+
+class RingArcSolution(LogSolution):
+    """A LogSolution on a grid with ring lines whose sector-difference arc
+    reads the solved ring rows instead of the Taylor series at tau = 0."""
+
+    def _arc_samples(self, g_arc: int):
+        return arc_values(self.w0, g_arc), arc_values(self.w1, g_arc)

@@ -257,3 +257,18 @@ def test_relative_residual_divides_by_the_larger_norm():
     zero = SolveReport(iterations=1, final_update=0.0, contraction=0.0,
                        norms=(0.0, 0.0), residual=0.0)
     assert _relative_residual(zero) == 0.0
+
+
+def test_asymptotics_decay_does_not_read_the_ring_depth(tmp_path):
+    # the arc of a sector difference is summed from the Taylor series at
+    # tau = 0, so ring lines that stop above the arc rung change nothing
+    shipped = CONFIG_DIR / "asymptotics_k13.json"
+    cfg = json.loads(shipped.read_text())
+    assert cfg["grid"]["ring_octaves"] == 4.0
+    cfg["grid"]["ring_octaves"] = 0.5
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps(cfg))
+    assert run("asymptotics", shipped, str(tmp_path / "shipped")) == 0
+    assert run("asymptotics", shallow, str(tmp_path / "shallow")) == 0
+    assert ((tmp_path / "shallow" / "decay.csv").read_bytes()
+            == (tmp_path / "shipped" / "decay.csv").read_bytes())

@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qborel import borel_solver
 from qborel.borel_solver import (
     BorelFunction,
     GridSpec,
     build_grid,
     solve_coupled,
     solve_triangular,
+    taylor_at_origin,
 )
-from qborel.errors import ConfigError, DomainError, UsageError
+from qborel.errors import ConfigError, DivergenceError, DomainError, UsageError
 from qborel.formal_asymptotics import (
     SolutionFamily,
     default_probes,
@@ -25,7 +27,8 @@ from qborel.geometry import admissible_r1, build_good_covering, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im
 from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_difference
 
-from tests.conftest import kept_rows
+from tests.conftest import arc_sample_gap, kept_rows
+from tests.oracles import RingArcSolution
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -195,7 +198,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
     # zero densities on the two sector grids: solution_difference then runs
     # every check and integral without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._grid(0, rings=True), family._grid(1)
+    grid_a, grid_b = family._grid(0), family._grid(1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
@@ -239,57 +242,44 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(family._sols) == 2 * len(rep.eps_samples)
     assert set(family.reports) == set(family._sols)
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # the first sector with its ring lines up to the arc rung, the second
-    # with its principal line only
-    assert sorted(rings for _, _, rings in family.reports) == [False] * 3 + [True] * 3
+    # both sectors on their principal line and centre only; the arc sums one
+    # Taylor expansion per kept eps instead of solving ring lines
     bare = family._grid(0).n_nodes + 1
-    ringed = family._grid(0, rings=True).n_nodes + 1
-    assert family._grid(1).n_nodes + 1 == bare
-    assert family.grid_rows == 3 * bare + 3 * ringed
+    assert [len(family._grid(p).lines) for p in (0, 1)] == [1, 1]
+    assert family._grid(1).n_nodes + 1 == bare == family._grid(0).lines[0].size + 1
+    assert family.grid_rows == 6 * bare
+    assert len(family.arc_orders) == 3
+    assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
 
 
-def test_arc_needs_ring_lines_up_to_the_arc_rung(asym):
-    # a missing ring line is a misuse that no eps nudge mends: UsageError
+def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
+    # an arc without sample angles is a configuration error, and a Taylor
+    # series that has not converged by the order cap a numerical failure;
+    # neither is a DomainError, which an eps nudge could mend
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
     eps = 0.1 * np.exp(1j * np.angle(cov.overlap_sample(0)))
     t = 0.06 * np.exp(1j * cov.t_direction)
-    ringed, grid_b = family._grid(0, rings=True), family._grid(1)
-    g_arc = ringed.arc_rung()
-    assert [ln.g_hi for ln in ringed.lines[1:]] == [g_arc] * asym["gspec"].n_angles
-    sol_b = LogSolution(spec, grid_b, BorelFunction.zero(grid_b, eps),
-                        BorelFunction.zero(grid_b, eps), eps, Delta=cov.Delta)
-    for grid, msg in ((ringed, None), (family._grid(0), "no ring lines"),
-                      (ringed.truncated(g_arc - 1), "below the arc rung")):
-        sol_a = LogSolution(spec, grid, BorelFunction.zero(grid, eps),
-                            BorelFunction.zero(grid, eps), eps, Delta=cov.Delta)
-        if msg is None:
-            assert solution_difference(sol_a, sol_b, 0, t, 0.1) == 0.0
-        else:
-            with pytest.raises(UsageError, match=msg):
-                solution_difference(sol_a, sol_b, 0, t, 0.1)
+    sol_a, sol_b = family.at(0, eps), family.at(1, eps)
+    assert solution_difference(sol_a, sol_b, 0, t, 0.1) != 0.0
+
+    def fresh(grid):
+        return LogSolution(spec, grid, sol_a.w0, sol_a.w1, eps, Delta=cov.Delta)
+
+    with pytest.raises(ConfigError, match="n_angles"):
+        solution_difference(fresh(replace(sol_a.grid, n_angles=0)), sol_b, 0, t, 0.1)
+    # one order short of what this eps needs
+    monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", sol_a.arc_orders[0] - 1)
+    with pytest.raises(DivergenceError, match="does not converge"):
+        solution_difference(fresh(sol_a.grid), sol_b, 0, t, 0.1)
 
 
-def test_family_rejects_ring_lines_that_stop_above_the_arc(asym):
-    # q = 2: the arc rung lies one octave below rho, so half an octave of
-    # ring lines never reaches it; the principal-line grid is still served
+def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, replace(gspec, ring_octaves=0.5), tol=1e-13)
-    assert family._grid(0).lines[0] == asym["family"]._grid(0).lines[0]
-    with pytest.raises(ConfigError, match="ring_octaves"):
-        family._grid(0, rings=True)
-
-
-def test_decay_fit_lets_a_missing_ring_through(asym):
-    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-
-    class RinglessFamily(SolutionFamily):
-        def at(self, p, eps, rings=False):
-            return super().at(p, eps)
-
-    family = RinglessFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
     arg = np.angle(cov.overlap_sample(0))
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
-    with pytest.raises(UsageError):
+    monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", 4)
+    with pytest.raises(DivergenceError):
         difference_decay_fit(family, 0, [0.1 * np.exp(1j * arg)], probes=probes)
     # raised on the first attempt: no nudge solved a second pair
     assert len(family._sols) == 2
@@ -297,8 +287,8 @@ def test_decay_fit_lets_a_missing_ring_through(asym):
 
 def test_family_rows_match_the_full_grid_solve(asym):
     # the family solves only the rows the asymptotics read; a solve on the
-    # full grid is the oracle for those rows, the components and the
-    # sector difference
+    # full grid is the oracle for those rows, the components and, with its
+    # arc read from the solved ring rows, the sector difference
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
@@ -307,32 +297,77 @@ def test_family_rows_match_the_full_grid_solve(asym):
         grid = build_grid(spec, make_geometry(spec, cov.d_rays[p], m_grid=family.m_grid),
                           gspec)
         w0, w1, rep = solve(spec, eps, grid, tol=family.tol)
-        full.append((LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta), rep))
+        full.append((RingArcSolution(spec, grid, w0, w1, eps, Delta=cov.Delta), rep))
     grid = full[0][0].grid
-    per_ring = grid.arc_rung() - grid.lines[1].g_lo + 1
     weights = grid.stacked_weights(spec)
-    for rings in (False, True):
-        sol = family.at(0, eps, rings=rings)
-        assert sol.grid.n_nodes + 1 == (grid.lines[0].size + 1
-                                        + rings * gspec.n_angles * per_ring)
-        rows = kept_rows(grid, sol.grid)
-        for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
-            gap = np.abs(w.data - ref.data[rows])
-            assert gap.max() <= 1e-14 * np.abs(ref.data[rows]).max()
-            # the solves may stop one Picard step apart, each within tol
-            assert (gap * weights[rows]).max() <= family.tol
-        # the kept rows never read the dropped ones, so their iterates are
-        # the full solve's and can only meet tol sooner
-        report = family.reports[(0, eps, rings)]
-        assert len(report.update_history) <= len(full[0][1].update_history)
-    sol_a, sol_b = family.at(0, eps, rings=True), family.at(1, eps)
+    sol = family.at(0, eps)
+    assert sol.grid.n_nodes + 1 == grid.lines[0].size + 1
+    rows = kept_rows(grid, sol.grid)
+    for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
+        gap = np.abs(w.data - ref.data[rows])
+        assert gap.max() <= 1e-14 * np.abs(ref.data[rows]).max()
+        # the solves may stop one Picard step apart, each within tol
+        assert (gap * weights[rows]).max() <= family.tol
+    # the kept rows never read the dropped ones, so their iterates are the
+    # full solve's and can only meet tol sooner
+    assert len(family.reports[(0, eps)].update_history) <= len(full[0][1].update_history)
+    sol_b = family.at(1, eps)
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
         for j in (0, 1):
             ref = full[0][0].component(j, t, z)
-            assert abs(family.at(0, eps).component(j, t, z) - ref) <= 1e-9 * abs(ref)
+            assert abs(sol.component(j, t, z) - ref) <= 1e-9 * abs(ref)
             ref = solution_difference(full[0][0], full[1][0], j, t, z)
-            assert abs(solution_difference(sol_a, sol_b, j, t, z) - ref) <= 1e-12 * abs(ref)
+            assert abs(solution_difference(sol, sol_b, j, t, z) - ref) <= 1e-12 * abs(ref)
+
+
+def test_taylor_samples_match_the_solved_ring_rows(asym):
+    # the arc samples summed from the Taylor series at tau = 0 against the
+    # ring rows of a full-grid solve at the arc rung, and the order-0
+    # coefficients against the solved centre row
+    spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
+    grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
+    for eps in (0.005j, 0.2j, 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))):
+        w0, w1, _ = solve_triangular(spec, eps, grid, tol=family.tol)
+        sol = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
+        assert arc_sample_gap(sol) <= 1e-13
+        coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+        for c0, w in zip(coef[:, 0], (w0, w1)):
+            assert np.abs(c0 - w.center).max() <= 1e-13 * np.abs(w.center).max()
+
+
+def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
+    # b_01 != 0 couples omega_0 into equation 1: the per-order fixed point
+    # and the coupled Picard solve must still agree
+    problem_dict["eps0"] = 0.3
+    problem_dict["coeffs"]["b01"] = {"num": [0.0005], "gauss": 1.0}
+    spec = ProblemSpec.from_dict(problem_dict)
+    assert not spec.coeffs.triangular
+    grid = build_grid(spec, make_geometry(spec, 0.0),
+                      GridSpec(m_max=12.0, m_nodes=81, n_angles=16, ring_octaves=4,
+                               T_min=5e-6, T_max=0.025))
+    eps = 0.15 * np.exp(0.3j)
+    w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)
+    sol = LogSolution(spec, grid, w0, w1, eps)
+    assert arc_sample_gap(sol) <= 1e-13
+    coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+    for c0, w in zip(coef[:, 0], (w0, w1)):
+        assert np.abs(c0 - w.center).max() <= 1e-13 * np.abs(w.center).max()
+
+
+def test_taylor_series_that_does_not_converge_raises(asym, problem_dict):
+    spec = asym["spec"]
+    m = M_SMALL
+    # past the nearest zero of P_m(tau) the terms grow until the order cap
+    root = float(np.min(np.abs(polyval_im(spec.Q, m) / polyval_im(spec.RD, m))))
+    assert spec.dD == 1 and spec.q_power_factor(1) == 1.0
+    taylor_at_origin(spec, 0.1, m, 0.5 * root)
+    with pytest.raises(DivergenceError, match="does not converge at"):
+        taylor_at_origin(spec, 0.1, m, 1.5 * root)
+    # b symbols far beyond the smallness budget: no order converges
+    problem_dict["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
+    with pytest.raises(DivergenceError, match="smallness"):
+        taylor_at_origin(ProblemSpec.from_dict(problem_dict), 0.1, m, 0.1)
 
 
 def test_difference_decay_quiet_overlap(asym):
@@ -341,14 +376,14 @@ def test_difference_decay_quiet_overlap(asym):
     cov, family = asym["cov"], asym["family"]
     arg = np.angle(cov.overlap_sample(1))
     eps = 0.11 * np.exp(1j * arg)
-    sol_a = family.at(1, eps, rings=True)
+    sol_a = family.at(1, eps)
     sol_b = family.at(2, eps)
     from qborel.solution_assembly import solution_difference
 
     t = 0.05 * np.exp(1j * cov.t_direction)
     quiet = abs(solution_difference(sol_a, sol_b, 0, t, 0.1))
     active_eps = 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))
-    loud = abs(solution_difference(family.at(0, active_eps, rings=True),
+    loud = abs(solution_difference(family.at(0, active_eps),
                                    family.at(1, active_eps), 0, t, 0.1))
     assert quiet < 1e-6 * loud
 

@@ -361,3 +361,13 @@ def test_difference_same_direction_is_noise(k1_pair):
     val = solution_difference(sol_a, sol_a, 0, 0.25, 0.1)
     scale = abs(sol_a.component(0, 0.25, 0.1))
     assert abs(val) < 1e-10 * scale
+
+
+def test_taylor_arc_samples_match_the_ring_rows_at_k1(k1_pair):
+    # k = 1 and delta = 1/2: another ladder density and dilation rate for
+    # the Taylor recursion, held against both directions' solved ring rows
+    from tests.conftest import arc_sample_gap
+
+    _, sol_a, sol_b = k1_pair
+    for sol in (sol_a, sol_b):
+        assert arc_sample_gap(sol) <= 1e-13
