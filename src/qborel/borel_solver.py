@@ -42,12 +42,14 @@ __all__ = [
     "SolveReport",
     "radial_envelope_log",
     "build_grid",
+    "rung_shifts",
     "eps_kernels",
     "SolverContext",
     "solve_coupled",
     "solve_triangular",
     "contraction_estimate",
     "taylor_at_origin",
+    "taylor_values",
 ]
 
 
@@ -62,6 +64,22 @@ class GridSpec:
     T_min: float | None = None
     T_max: float | None = None
     density_factor: float = 4.0
+
+    def __post_init__(self):
+        # `not x > 0` also rejects NaN
+        if not self.m_max > 0:
+            raise ConfigError(f"M = {self.m_max} must be > 0")
+        if not self.density_factor > 0:
+            raise ConfigError(f"density_factor = {self.density_factor} must be > 0")
+        if not self.ring_octaves >= 0:
+            raise ConfigError(f"ring_octaves = {self.ring_octaves} must be >= 0")
+        for name in ("T_min", "T_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} = {value} must be > 0")
+        if self.T_min is not None and self.T_max is not None \
+                and not self.T_min < self.T_max:
+            raise ConfigError(f"T_min = {self.T_min} must be below T_max = {self.T_max}")
 
     def m_grid(self) -> np.ndarray:
         if self.m_nodes < 3 or self.m_nodes % 2 == 0:
@@ -161,21 +179,31 @@ class BorelGrid:
         """The rung nearest rho/2, where sector differences take their arc."""
         return math.floor(self.N * math.log(0.5) / math.log(self.spec_q))
 
-    def truncated(self, ring_top: int | None) -> "BorelGrid":
-        """The same ladder and principal line with the ring lines cut at rung
-        ring_top, or dropped for None.
+    def truncated(self, ring_top: int | None, bottom: int | None = None) -> "BorelGrid":
+        """The same ladder with the ring lines cut at rung ring_top, or
+        dropped for None, and the principal line starting at rung bottom, or
+        whole for None.
 
         A radial line couples only to itself and to the centre, and a rung
-        reads only lower rungs, so every operator on the cut grid equals the
-        full one on the rows it keeps.  A Picard solve on the cut grid stops
-        on those rows alone, so it may stop a step sooner.
+        reads only lower rungs, so with the principal line whole every
+        operator on the cut grid equals the full one on the rows it keeps.  A
+        Picard solve on the cut grid stops on those rows alone, so it may stop
+        a step sooner.  A bottom cut is different: the rungs just above it
+        read below it through the bottom quadratic, so a solve on it must
+        hold its lowest rows (`held` of `solve_triangular`/`solve_coupled`).
         """
+        main = self.lines[0]
+        if bottom is not None:
+            if not main.g_lo <= bottom < main.g_hi:
+                raise UsageError(f"rung {bottom} does not cut the principal line "
+                                 f"[{main.g_lo}, {main.g_hi}]")
+            main = RadialLine(main.angle, bottom, main.g_hi)
         old = [] if ring_top is None else self.lines[1:]
         rings = [RadialLine(ln.angle, ln.g_lo, min(ln.g_hi, ring_top)) for ln in old]
         if any(cut.size < min(2, ln.size) for cut, ln in zip(rings, old)):
             raise UsageError("a cut ring line must keep the two lowest rungs, "
                              "which its bottom quadratic reads")
-        return replace(self, lines=[self.lines[0]] + rings)
+        return replace(self, lines=[main] + rings)
 
 
 @dataclass(frozen=True)
@@ -225,6 +253,18 @@ class Dilation:
         return out
 
 
+def rung_shifts(spec: ProblemSpec, N: int) -> tuple:
+    """The rung shift (d_l/k - delta_l) N of each term's dilation on a ladder
+    of density N."""
+    shifts = []
+    for t in spec.terms:
+        shift = (Fraction(t.d, spec.k) - t.delta) * N
+        if shift.denominator != 1:
+            raise ConfigError("grid density does not align with the dilation exponents")
+        shifts.append(int(shift))
+    return tuple(shifts)
+
+
 @dataclass(frozen=True)
 class OperatorFactors:
     """Factors of the Borel operator that do not depend on eps, on the
@@ -244,15 +284,10 @@ class OperatorFactors:
         tau = np.append(grid.tau, 0.0 + 0.0j)
         moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)[None, :] \
             * (tau ** spec.dD)[:, None]
-        shifts = []
-        for t in spec.terms:
-            shift = (Fraction(t.d, spec.k) - t.delta) * grid.N
-            if shift.denominator != 1:
-                raise ConfigError("grid density does not align with the dilation exponents")
-            shifts.append(int(shift))
+        shifts = rung_shifts(spec, grid.N)
         return cls(inv_p=1.0 / spec.pm(tau, m), moved=moved,
                    hp=(spec.dD / spec.k) * moved, q_im=polyval_im(spec.Q, m),
-                   shifts=tuple(shifts),
+                   shifts=shifts,
                    prefs=tuple(spec.q_power_factor(t.d) * (tau ** t.d)[:, None]
                                for t in spec.terms),
                    dilations=tuple(grid.dilation(s) for s in shifts))
@@ -423,7 +458,8 @@ class SolverContext:
     R_D tau^dD term is added, and whether the sum is divided by P.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
+    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex,
+                 kernels=None):
         if eps == 0:
             raise UsageError("the fixed point is defined for eps != 0")
         self.spec = spec
@@ -433,7 +469,10 @@ class SolverContext:
         m = grid.m
         tau = np.append(grid.tau, 0.0 + 0.0j)
         self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
-        self.term_kernel, self.b_kernel = eps_kernels(spec, m, eps)
+        # `kernels`, when given, is eps_kernels(spec, grid.m, eps), built once
+        # by a caller that shares it
+        self.term_kernel, self.b_kernel = (eps_kernels(spec, m, eps) if kernels is None
+                                           else kernels)
         # tau^d_l prefactor times eps^(Delta_l - d_l)
         self.term_scale = [self.eps ** (t.Delta - t.d) * pref
                            for t, pref in zip(spec.terms, self.fac.prefs)]
@@ -548,25 +587,54 @@ def _picard(step, start, diff_norm, tol, max_iter, first=None):
         history)
 
 
-def _distance(spec: ProblemSpec, grid: BorelGrid):
-    """The weighted sup distance of two functions on grid, as one reduction
-    over their stacked samples."""
-    weights = grid.stacked_weights(spec)
-
+def _distance(weights: np.ndarray):
+    """The weighted sup distance of two functions, as one reduction over
+    their stacked samples."""
     def dist(a: BorelFunction, b: BorelFunction) -> float:
         return _weighted_sup(a.data - b.data, weights)
     return dist
 
 
-def _solve_report(spec: ProblemSpec, dist, pair, images, runs,
+def _holding(ctx: SolverContext, held):
+    """(weights, hold) of a solve on ctx's grid that holds some rows fixed.
+
+    held, when given, is a (2, n + 1, n_m) array: omega_0 and omega_1 on the
+    n lowest rungs of the principal line, then on the centre.  `weights` are
+    the grid's stacked weights with the held rows zeroed, so that no
+    distance, norm or residual reads them, and hold(f, j) resets omega_j's
+    held rows of f in place and returns f.  The lowest free rung reads the
+    rung one dilation shift below it, so the held block must span the
+    largest shift; a shorter one would feed the free rows from the bottom
+    quadratic instead of from held values.
+    """
+    weights = ctx.grid.stacked_weights(ctx.spec)
+    if held is None:
+        return weights, lambda f, j: f
+    n = held.shape[1] - 1
+    shift = max(ctx.fac.shifts)
+    if not shift <= n < ctx.grid.lines[0].size:
+        raise UsageError(f"a held block of {n} rungs must span the largest dilation "
+                         f"shift ({shift}) and leave rows of the principal line free")
+    rows = np.r_[0:n, ctx.grid.n_nodes]
+    weights = weights.copy()
+    weights[rows] = 0.0
+
+    def hold(f: BorelFunction, j: int) -> BorelFunction:
+        f.data[rows] = held[j]
+        return f
+    return weights, hold
+
+
+def _solve_report(weights: np.ndarray, dist, pair, images, runs,
                   smallness_ok: bool | None, varpi: float = math.nan):
     """(w0, w1, SolveReport) of a solve that ends at pair, whose coupled map
     sends it to images; runs holds the (iterations, final update,
-    contraction, history) of each of its Picard iterations, in solve order."""
+    contraction, history) of each of its Picard iterations, in solve order.
+    The norms and the residual read the rows that `weights` weigh."""
     iterations, updates, contractions, histories = zip(*runs)
     report = SolveReport(iterations=max(iterations), final_update=max(updates),
                          contraction=max(contractions),
-                         norms=tuple(w.norm(spec) for w in pair),
+                         norms=tuple(_weighted_sup(w.data, weights) for w in pair),
                          residual=max(dist(h, w) for h, w in zip(images, pair)),
                          smallness_ok=smallness_ok, varpi=varpi,
                          update_history=sum(histories, []))
@@ -575,47 +643,57 @@ def _solve_report(spec: ProblemSpec, dist, pair, images, runs,
 
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                   tol: float = 1e-10, max_iter: int = 200,
-                  smallness_ok: bool | None = None):
+                  smallness_ok: bool | None = None, kernels=None, held=None):
     """Picard iteration on the coupled map from (0, 0), whose first iterate
     is the forcing over P.
 
     Convergence is guaranteed when the smallness budget holds; otherwise the
-    solve still runs and the report flags the missing guarantee.
+    solve still runs and the report flags the missing guarantee.  `kernels`
+    is an eps_kernels result to share; `held` fixes the lowest rows of the
+    principal line and the centre (see `_holding`), and the solve then
+    updates, measures and reports the other rows only.
     """
-    ctx = SolverContext(spec, grid, eps)
-    dist = _distance(spec, grid)
+    ctx = SolverContext(spec, grid, eps, kernels)
+    weights, hold = _holding(ctx, held)
+    dist = _distance(weights)
     zero = BorelFunction.zero(grid, eps)
 
     def pair_dist(a, b):
         return max(dist(a[0], b[0]), dist(a[1], b[1]))
 
-    first = (ctx.image_of_zero(0), ctx.image_of_zero(1))
-    pair, *run = _picard(lambda pair: ctx.apply_H(*pair), (zero, zero), pair_dist,
-                         tol, max_iter, first)
+    def step(pair):
+        return tuple(hold(h, j) for j, h in enumerate(ctx.apply_H(*pair)))
+
+    first = tuple(hold(ctx.image_of_zero(j), j) for j in (0, 1))
+    pair, *run = _picard(step, (zero, zero), pair_dist, tol, max_iter, first)
     contraction = run[2]
-    cf = max(w.norm(spec) for w in first)
+    cf = max(_weighted_sup(w.data, weights) for w in first)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
-    return _solve_report(spec, dist, pair, ctx.apply_H(*pair), [run], smallness_ok, varpi)
+    return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], smallness_ok,
+                         varpi)
 
 
 def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                      tol: float = 1e-10, max_iter: int = 200,
-                     smallness_ok: bool | None = None):
+                     smallness_ok: bool | None = None, kernels=None, held=None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
     own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
     Each Picard run starts from zero, whose images are known: omega_1's
-    forcing over P, and g."""
+    forcing over P, and g.  `kernels` and `held` are as in `solve_coupled`."""
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
-    ctx = SolverContext(spec, grid, eps)
-    dist = _distance(spec, grid)
+    ctx = SolverContext(spec, grid, eps, kernels)
+    weights, hold = _holding(ctx, held)
+    dist = _distance(weights)
     zero = BorelFunction.zero(grid, eps)
-    w1, *run1 = _picard(ctx.apply_H1, zero, dist, tol, max_iter, ctx.image_of_zero(1))
+    w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist, tol, max_iter,
+                        hold(ctx.image_of_zero(1), 1))
     g = ctx.g_eps(w1)
-    w0, *run0 = _picard(lambda w: ctx.apply_H0(w, g), zero, dist, tol, max_iter, g)
+    w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g), 0), zero, dist, tol, max_iter,
+                        hold(g.copy(), 0))
     # the coupled map's rows from the blocks: row 0 reuses g, and row 1
     # reads no omega_0 because b_01 = 0
-    return _solve_report(spec, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
+    return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
                          [run1, run0], smallness_ok)
 
 
@@ -626,7 +704,7 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     if probes < 2:
         raise UsageError("need at least two probes")
     ctx = SolverContext(spec, grid, eps)
-    dist = _distance(spec, grid)
+    dist = _distance(grid.stacked_weights(spec))
     rng = np.random.default_rng(seed)
     w_nodes, w_center = grid.weights(spec)
 
@@ -682,9 +760,10 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray,
 
 
 def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
-                     radius: float) -> np.ndarray:
+                     radius: float, kernels=None) -> np.ndarray:
     """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, as a
     (2, orders, n_m) array summed to within TAYLOR_RTOL at |tau| = radius.
+    `kernels` is an eps_kernels(spec, m, eps) result to share, or None.
 
     The fixed point of SolverContext in monomials of tau: with Q(im) c_{j,n}
     on the left, order n takes the forcing's tau^n symbol, q_f R_D(im)
@@ -704,7 +783,7 @@ def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
         raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
     m = np.asarray(m, dtype=float)
     eps = complex(eps)
-    term_kernel, b_kernel = eps_kernels(spec, m, eps)
+    term_kernel, b_kernel = eps_kernels(spec, m, eps) if kernels is None else kernels
     coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
     # per term: d_l, delta_l, the eps and q^(...) prefactor, the dilation
     # factor of one tau power, and the kernel
@@ -742,7 +821,16 @@ def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
         peak = max(peak, size)
         quiet = quiet + 1 if size <= TAYLOR_RTOL * peak else 0
         if n >= last_forced and quiet >= reach:
-            return c[:, :n + 1]
+            # a copy, so that a caller who keeps it does not keep the buffer
+            return c[:, :n + 1].copy()
     raise DivergenceError(
         f"the Taylor series of omega at tau = 0 does not converge at |tau| = "
         f"{radius:.4g} by order {TAYLOR_MAX_ORDER}")
+
+
+def taylor_values(coef: np.ndarray, tau) -> np.ndarray:
+    """(omega_0, omega_1) at the points tau, as a (2, tau.size, n_m) array,
+    summed from their Taylor coefficients coef at tau = 0 (exactly c_0 at
+    tau = 0)."""
+    powers = np.asarray(tau)[:, None] ** np.arange(coef.shape[1])
+    return np.stack([powers @ coef[0], powers @ coef[1]])

@@ -114,6 +114,9 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         tol = _section(raw, "tolerances")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
         asym = _section(raw, "asymptotics")
+        N_max = int(asym.get("N_max", 6))
+        if N_max < 0:
+            raise ConfigError(f"asymptotics N_max = {N_max} must be >= 0")
         points = [_point_of(p) for p in raw.get("points", [])]
         if "points_csv" in raw:
             base = Path(path).parent
@@ -139,7 +142,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             formal_tol=float(tol.get("formal_tol", 1e-13)),
             eps_solve=_complex_of(raw.get("eps"), 0.75 * spec.eps0),
             points=points,
-            N_max=int(asym.get("N_max", 6)),
+            N_max=N_max,
             eps_gevrey=_range_of(asym.get("eps_gevrey", [0.25 * spec.eps0, 0.9 * spec.eps0, 5]),
                                  "eps_gevrey", positive=True),
             eps_decay=_range_of(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9]),

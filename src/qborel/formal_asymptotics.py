@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import GridSpec, build_grid, solve_coupled, solve_triangular
+from .borel_solver import (GridSpec, build_grid, eps_kernels, rung_shifts, solve_coupled,
+                           solve_triangular, taylor_at_origin, taylor_values)
 from .errors import DivergenceError, DomainError, UsageError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec, polyval_im
@@ -227,18 +228,35 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
     return inverse_fourier(total, complex(z), series.m)
 
 
+# rungs below the arc rung from which an outer solve holds the principal
+# line at its Taylor sum: the ray tail's stencil reaches TAIL_REACH of them
+HELD_BELOW_ARC = 5
+
+
 class SolutionFamily:
     """Analytic solutions indexed by covering sector, solved on demand.
 
-    A solve covers only the rows the asymptotics read: the principal line
-    and the centre, which the q-Laplace integrals and the ray tails use.  The
-    arc of a sector difference reads the densities inside the disc, which it
-    sums from their Taylor coefficients at tau = 0 (`LogSolution._arc_samples`),
-    so no ring line is solved.  The rows kept agree with those of a solve on
-    the full grid to within the solve tolerance.  The SolveReport of every
-    solve is kept in `reports`, under the same (sector, eps) key as its
-    solution.  A spec with b_01 = 0 is solved by forward substitution
-    (`solve_triangular`), any other by the coupled Picard iteration.
+    A solve covers only the rows the asymptotics read.  `at(p, eps)` solves
+    the principal line and the centre, which the q-Laplace integrals read,
+    by Picard iteration over the whole line.  `at(p, eps, outer=True)` is the
+    outer solve that a sector difference reads: its two ray tails read the
+    principal line beyond the arc radius rho q^(g_arc/N), and its arc the
+    densities inside the disc D(0, rho), which every sector shares.  There
+    the densities are summed from their Taylor coefficients at tau = 0, one
+    expansion per eps at the arc radius.  That expansion holds the rows of
+    the principal line from HELD_BELOW_ARC rungs below g_arc up to g_arc, and
+    the centre, at their Taylor sum, and Picard updates only the rows above
+    g_arc; it also serves the arc (`LogSolution.taylor`).  The expansion and
+    both sectors' outer solves at one eps share one eps_kernels build.  Only
+    the last eps's kernels and expansion are kept, so the family's memory
+    does not grow with the samples.
+
+    The rows kept agree with those of a solve on the full grid to within the
+    solve tolerance.  The SolveReport of every solve is kept in `reports`,
+    under the same (sector, eps, outer) key as its solution; an outer
+    solve's residual and norms read its free rows only.  A spec with b_01 = 0
+    is solved by forward substitution (`solve_triangular`), any other by the
+    coupled Picard iteration.
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
@@ -249,8 +267,11 @@ class SolutionFamily:
         self.tol = tol
         self.m_grid = m_grid
         self._grids = {}
+        self._outer_grids = {}
         self._sols = {}
         self.reports = {}
+        self._expansion = None              # (eps, kernels, Taylor coefficients)
+        self.arc_orders = []                # highest order of every expansion
 
     def _grid(self, p: int):
         """Sector p's grid: the principal line and the centre."""
@@ -261,26 +282,54 @@ class SolutionFamily:
             self._grids[p] = build_grid(self.spec, geom, self.gspec).truncated(None)
         return self._grids[p]
 
+    def _outer_grid(self, p: int):
+        """Sector p's principal line from the held block's bottom rung up:
+        HELD_BELOW_ARC rungs below the arc rung, or more where a dilation
+        shift reaches further."""
+        if p not in self._outer_grids:
+            grid = self._grid(p)
+            below = max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
+            self._outer_grids[p] = grid.truncated(None, bottom=grid.arc_rung() - below)
+        return self._outer_grids[p]
+
+    def _taylor(self, eps: complex):
+        """(kernels, coefficients): eps_kernels at eps and the Taylor
+        coefficients at tau = 0 summed to the arc radius, built from them
+        (kept for the last eps asked for)."""
+        if self._expansion is None or self._expansion[0] != eps:
+            grid = self._grid(0)
+            kernels = eps_kernels(self.spec, grid.m, eps)
+            coef = taylor_at_origin(self.spec, eps, grid.m,
+                                    grid.radius_of_rung(grid.arc_rung()), kernels)
+            self.arc_orders.append(coef.shape[1] - 1)
+            self._expansion = (eps, kernels, coef)
+        return self._expansion[1:]
+
     @property
     def grid_rows(self) -> int:
         """Stacked rows (nodes and the centre) summed over every solve."""
-        return sum(self._grid(p).n_nodes + 1 for p, _ in self.reports)
+        return sum(self._sols[key].grid.n_nodes + 1 for key in self.reports)
 
-    @property
-    def arc_orders(self) -> list[int]:
-        """Highest order of every Taylor expansion the arcs computed."""
-        return [n for sol in self._sols.values() for n in sol.arc_orders]
-
-    def at(self, p: int, eps: complex) -> LogSolution:
-        """The solution of sector p at eps."""
+    def at(self, p: int, eps: complex, outer: bool = False) -> LogSolution:
+        """The solution of sector p at eps: on the whole principal line, or
+        the outer solve that a sector difference reads."""
         p = p % self.covering.zeta
-        key = (p, complex(eps))
+        key = (p, complex(eps), outer)
         if key not in self._sols:
-            grid = self._grid(p)
             solve = solve_triangular if self.spec.coeffs.triangular else solve_coupled
-            w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
+            if outer:
+                kernels, coef = self._taylor(eps)
+                grid = self._outer_grid(p)
+                n_held = grid.arc_rung() - grid.lines[0].g_lo + 1
+                held = taylor_values(coef, np.append(grid.tau[:n_held], 0.0))
+                w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol,
+                                                  kernels=kernels, held=held)
+            else:
+                grid, coef = self._grid(p), None
+                w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
             self._sols[key] = LogSolution(self.spec, grid, w0, w1, eps,
-                                          Delta=self.covering.Delta)
+                                          Delta=self.covering.Delta, taylor=coef,
+                                          outer=outer)
         return self._sols[key]
 
 
@@ -354,9 +403,12 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     along the q^(1/k) ladder; samples whose difference underflows are dropped
     with a warning.  The zero-ring and admissibility checks depend on eps t
     and the two sector grids alone, so they run for every probe before the
-    two sectors are solved, and a rejected eps costs no solve.  Both sectors
-    are solved on their principal lines; the first one's arc is summed from
-    the Taylor series at tau = 0, one expansion per eps.
+    two sectors are solved, and a rejected eps costs no solve.  Each kept eps
+    builds one Taylor expansion at tau = 0, summed to the arc radius, and
+    two outer solves (`SolutionFamily.at(..., outer=True)`): the expansion
+    holds the disc rows of both principal lines and gives the first
+    sector's arc, and Picard solves only the rows beyond the arc, which the
+    ray tails read.
     """
     spec = family.spec
     rep = AsymptoticsReport()
@@ -372,8 +424,8 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
                 for (t, _) in probes:
                     difference_arc_rung(spec, grid_a, grid_b, eps * complex(t),
                                         family.covering.Delta, r1)
-                sol_a = family.at(p, eps)
-                sol_b = family.at(p + 1, eps)
+                sol_a = family.at(p, eps, outer=True)
+                sol_b = family.at(p + 1, eps, outer=True)
                 d0 = max(abs(solution_difference(sol_a, sol_b, 0, t, z))
                          for (t, z) in probes)
                 d1 = max(abs(solution_difference(sol_a, sol_b, 1, t, z))

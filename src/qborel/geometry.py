@@ -173,6 +173,10 @@ def make_geometry(spec: ProblemSpec, d: float, m_grid=None,
     return geom
 
 
+# disc points per block of the C_D scan
+DISC_BLOCK = 128
+
+
 def _disc_grid(rho: float, n_r: int = 40, n_ang: int = 48) -> np.ndarray:
     radii = np.linspace(0.0, rho, n_r)
     angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
@@ -204,9 +208,13 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None,
     qi = polyval_im(spec.Q, m_grid)
     consts["inv_Q_sup"] = float(np.max(1.0 / np.abs(qi)))
 
+    # one block of disc points at a time: all 1,920 against a 2,001-point m
+    # grid would be a 61 MB complex temporary
     tau_disc = _disc_grid(geom.rho)
-    ratios = np.abs(spec.pm(tau_disc, m_grid)) / np.abs(qi)[None, :]
-    consts["C_D"] = float(ratios.min())
+    abs_q = np.abs(qi)
+    consts["C_D"] = float(min(
+        (np.abs(spec.pm(tau_disc[i:i + DISC_BLOCK], m_grid)) / abs_q).min()
+        for i in range(0, tau_disc.size, DISC_BLOCK)))
     consts["C_D_floor"] = 1.0 - 2.0 ** (-spec.dD) if spec.dD > 0 else consts["C_D"]
 
     if spec.dD == 0:

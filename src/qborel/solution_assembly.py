@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import BorelFunction, BorelGrid, SolverContext, taylor_at_origin
-from .errors import ConfigError, DomainError
+from .borel_solver import (BorelFunction, BorelGrid, SolverContext, taylor_at_origin,
+                           taylor_values)
+from .errors import ConfigError, DomainError, UsageError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
 from .special_functions import inv_theta
@@ -39,6 +40,9 @@ __all__ = [
 # (7.7 kB at n_m = 241), so a long list of distinct eps t must not grow the
 # cache without bound.
 PAIR_CACHE_LIMIT = 1024
+
+# rungs below the arc rung that the ray tail's interpolation stencil reads
+TAIL_REACH = 2
 
 
 def _cached_pair(compute):
@@ -64,8 +68,15 @@ class LogSolution:
     The q-Laplace part of a component depends on eps t alone; z and d/dz
     multipliers enter only through the Fourier sum over m.  Every vector that
     depends on eps t is therefore computed once per exact T = eps t, for both
-    components at once, and reused for every z and multiplier.  `arc_orders`
-    records the highest order of each Taylor expansion an arc computed.
+    components at once, and reused for every z and multiplier.
+
+    `taylor`, when given, holds the Taylor coefficients at tau = 0 summed to
+    the arc radius, which the arc of a sector difference reads; otherwise
+    the arc expands them itself, and `arc_orders` records the highest order
+    of each such expansion.  An `outer` solution holds only the rows a
+    sector difference reads, the principal line from just below the arc
+    rung, so it has no q-Laplace transform: `component` and `evaluate`
+    raise UsageError on it.
     """
 
     spec: ProblemSpec
@@ -74,6 +85,8 @@ class LogSolution:
     w1: BorelFunction
     eps: complex
     Delta: float = 0.5
+    taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    outer: bool = False
     arc_orders: list = field(default_factory=list, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -113,6 +126,9 @@ class LogSolution:
         """
         spec, grid = self.spec, self.grid
         ln = grid.lines[0]
+        if g_arc - TAIL_REACH < ln.g_lo:
+            raise UsageError(f"the tail stencil reads rung {g_arc - TAIL_REACH}, below "
+                             f"the principal line's bottom rung {ln.g_lo}")
         rows = grid.principal_rows()
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
@@ -134,7 +150,7 @@ class LogSolution:
         s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         wq = (half[:, None] * gl_w[None, :]).ravel()
         # 6-point Lagrange interpolation of the density in log radius
-        base = np.floor((s - s0) / h).astype(int) + (g_arc - ln.g_lo) - 2
+        base = np.floor((s - s0) / h).astype(int) + (g_arc - ln.g_lo) - TAIL_REACH
         base = np.clip(base, 0, ln.size - 6)
         s_base = math.log(grid.radius_of_rung(ln.g_lo)) + base * h
         xi = (s - s_base) / h
@@ -161,16 +177,18 @@ class LogSolution:
         """(w_0, w_1) at the grid's n_angles uniform angles, by increasing
         angle, on the circle of rung g_arc: (n_angles, n_m) each, summed from
         the Taylor coefficients at tau = 0, which depend on eps and the m grid
-        alone."""
+        alone.  They are `taylor` when the solution was given them (summed to
+        the arc radius), and are expanded here otherwise."""
         grid = self.grid
         if grid.n_angles < 1:
             raise ConfigError("the arc of a sector difference needs grid n_angles >= 1")
         r_arc = grid.radius_of_rung(g_arc)
-        coef = taylor_at_origin(self.spec, self.eps, grid.m, r_arc)
-        self.arc_orders.append(coef.shape[1] - 1)
+        coef = self.taylor
+        if coef is None:
+            coef = taylor_at_origin(self.spec, self.eps, grid.m, r_arc)
+            self.arc_orders.append(coef.shape[1] - 1)
         ring = r_arc * np.exp(2j * math.pi * np.arange(grid.n_angles) / grid.n_angles)
-        powers = ring[:, None] ** np.arange(coef.shape[1])
-        return powers @ coef[0], powers @ coef[1]
+        return tuple(taylor_values(coef, ring))
 
     @_cached_pair
     def _arc_integral(self, d_b: float, T: complex, g_arc: int):
@@ -213,6 +231,10 @@ class LogSolution:
         The multiplier acts as the Fourier factor poly(i m) inside the
         m-integral.
         """
+        if self.outer:
+            raise UsageError("an outer solution holds only the rows a sector "
+                             "difference reads; its q-Laplace sum would read a "
+                             "partial principal line")
         if j not in (0, 1):
             raise DomainError("component index must be 0 or 1")
         if abs(complex(z).imag) > self.spec.beta_prime:

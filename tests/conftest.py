@@ -53,7 +53,7 @@ def kept_rows(full, cut):
     keeps, in cut's order: each line from its bottom rung, then the centre."""
     rows = []
     for i, ln in enumerate(cut.lines):
-        start = int(full.offsets[i])
+        start = int(full.offsets[i]) + ln.g_lo - full.lines[i].g_lo
         rows.extend(range(start, start + ln.size))
     return np.array(rows + [full.n_nodes])
 

@@ -553,3 +553,25 @@ def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
             ref = ref.data[rows]
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(got.data - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("density_factor, shift", [(4.0, 1), (8.0, 2)])
+def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, shift):
+    # the lowest free rung reads the rung one shift below it: a held block of
+    # fewer rungs would feed it from the bottom quadratic below the cut
+    spec = ProblemSpec.from_dict(problem_dict)
+    grid = build_grid(spec, make_geometry(spec, d=0.0),
+                      GridSpec(m_nodes=41, density_factor=density_factor)).truncated(None)
+    cut = grid.truncated(None, bottom=grid.arc_rung() - 5)
+    assert cut.factors(spec).shifts == (shift,)
+    for solve in (solve_coupled, solve_triangular):
+        with pytest.raises(UsageError, match="dilation shift"):
+            solve(spec, 0.015, cut, held=np.zeros((2, shift, cut.m.size)))
+        # a block that leaves no free row is refused as well
+        with pytest.raises(UsageError, match="free"):
+            solve(spec, 0.015, cut, held=np.zeros((2, cut.n_nodes + 1, cut.m.size)))
+    w0, w1, rep = solve_triangular(spec, 0.015, cut, tol=1e-12,
+                                   held=np.zeros((2, shift + 1, cut.m.size)))
+    assert not w0.data[:shift].any() and not w1.center.any() and rep.norms[1] > 0
+    with pytest.raises(UsageError):
+        grid.truncated(None, bottom=grid.lines[0].g_hi)

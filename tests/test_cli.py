@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qborel.borel_solver import SolveReport
+from qborel.errors import ConfigError
 from qborel.cli import _relative_residual, cmd_solve, load_config, main, run, write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -73,6 +74,33 @@ def _problem_with(**fields):
     return {"problem": problem}
 
 
+def _grid_with(**fields):
+    grid = {"n_angles": 8, "ring_octaves": 2.0, "T_min": 4e-6, "T_max": 0.025}
+    grid.update(fields)
+    return {"grid": grid}
+
+
+# settings that load_config itself rejects with ConfigError
+REJECTED_ON_LOAD = [
+    {"asymptotics": {"N_max": -1, "eps_gevrey": [0.008, 0.018, 3],
+                     "eps_decay": [0.006, 0.015, 4]}},
+    _grid_with(density_factor=0.0),
+    _grid_with(density_factor=-1.0),
+    _grid_with(T_min=0.0),
+    _grid_with(T_max=-0.025),
+    _grid_with(T_min=0.025),
+    _grid_with(ring_octaves=-1.0),
+    {"quadrature": {"M": 0.0, "m_nodes": 81}},
+    {"quadrature": {"M": -12.0, "m_nodes": 81}},
+]
+
+
+@pytest.mark.parametrize("override", REJECTED_ON_LOAD)
+def test_malformed_setting_fails_on_load(tmp_path, override):
+    with pytest.raises(ConfigError):
+        load_config(small_config(tmp_path, **override))
+
+
 @pytest.mark.parametrize("override", [
     {"geometry_m_grid": [-50.0, 50.0]},
     {"geometry_m_grid": [-50.0, 40.0, 401]},  # asymmetric: rejected by the verb
@@ -87,6 +115,7 @@ def _problem_with(**fields):
     _problem_with(forcing={"f0": [0.1]}),
     _problem_with(coeffs=[]),
     {"geometry_m_grid": [0.0, 0.0, 1]},
+    *REJECTED_ON_LOAD,
 ])
 def test_malformed_setting_is_65(tmp_path, override):
     path = small_config(tmp_path, **override)

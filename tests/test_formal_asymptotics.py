@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qborel import borel_solver
+from qborel import borel_solver, formal_asymptotics
 from qborel.borel_solver import (
     BorelFunction,
     GridSpec,
+    SolverContext,
     build_grid,
     solve_coupled,
     solve_triangular,
@@ -15,6 +16,7 @@ from qborel.borel_solver import (
 )
 from qborel.errors import ConfigError, DivergenceError, DomainError, UsageError
 from qborel.formal_asymptotics import (
+    HELD_BELOW_ARC,
     SolutionFamily,
     default_probes,
     difference_decay_fit,
@@ -242,12 +244,16 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(family._sols) == 2 * len(rep.eps_samples)
     assert set(family.reports) == set(family._sols)
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # both sectors on their principal line and centre only; the arc sums one
-    # Taylor expansion per kept eps instead of solving ring lines
-    bare = family._grid(0).n_nodes + 1
-    assert [len(family._grid(p).lines) for p in (0, 1)] == [1, 1]
-    assert family._grid(1).n_nodes + 1 == bare == family._grid(0).lines[0].size + 1
-    assert family.grid_rows == 6 * bare
+    # both sectors on the principal line only, from HELD_BELOW_ARC rungs below
+    # the arc rung: one Taylor expansion per kept eps holds the disc rows of
+    # both outer solves and gives the arc, and no ring line is solved
+    assert all(outer for _, _, outer in family.reports)
+    assert [len(family._outer_grid(p).lines) for p in (0, 1)] == [1, 1]
+    line = family._outer_grid(0).lines[0]
+    assert line.g_lo == family._grid(0).arc_rung() - HELD_BELOW_ARC
+    assert line.g_hi == family._grid(0).lines[0].g_hi
+    assert family._outer_grid(1).n_nodes == line.size
+    assert family.grid_rows == 6 * (line.size + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
 
@@ -281,8 +287,10 @@ def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", 4)
     with pytest.raises(DivergenceError):
         difference_decay_fit(family, 0, [0.1 * np.exp(1j * arg)], probes=probes)
-    # raised on the first attempt: no nudge solved a second pair
-    assert len(family._sols) == 2
+    # raised on the first attempt, by the expansion that both outer solves
+    # read, so nothing was solved and no nudge was tried
+    assert len(family._sols) == 0
+    assert family.arc_orders == []
 
 
 def test_family_rows_match_the_full_grid_solve(asym):
@@ -310,7 +318,8 @@ def test_family_rows_match_the_full_grid_solve(asym):
         assert (gap * weights[rows]).max() <= family.tol
     # the kept rows never read the dropped ones, so their iterates are the
     # full solve's and can only meet tol sooner
-    assert len(family.reports[(0, eps)].update_history) <= len(full[0][1].update_history)
+    assert len(family.reports[(0, eps, False)].update_history) \
+        <= len(full[0][1].update_history)
     sol_b = family.at(1, eps)
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
@@ -319,6 +328,104 @@ def test_family_rows_match_the_full_grid_solve(asym):
             assert abs(sol.component(j, t, z) - ref) <= 1e-9 * abs(ref)
             ref = solution_difference(full[0][0], full[1][0], j, t, z)
             assert abs(solution_difference(sol, sol_b, j, t, z) - ref) <= 1e-12 * abs(ref)
+
+
+def _assert_outer_rows_match(full, outer):
+    """Every row of the outer solve, held or solved, equals the full-line
+    solve's row to 1e-14 of the row's largest value."""
+    rows = kept_rows(full.grid, outer.grid)
+    assert outer.grid.n_nodes < full.grid.n_nodes // 2
+    for w, ref in ((outer.w0, full.w0), (outer.w1, full.w1)):
+        ref = ref.data[rows]
+        assert np.all(np.abs(w.data - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
+
+
+def test_outer_rows_match_the_full_line_rows(asym):
+    cov, family = asym["cov"], asym["family"]
+    arg = np.angle(cov.overlap_sample(0))
+    for mag in (0.005, 0.11):
+        eps = complex(mag * np.exp(1j * arg))
+        for p in (0, 1):
+            _assert_outer_rows_match(family.at(p, eps), family.at(p, eps, outer=True))
+
+
+def test_outer_rows_match_the_full_line_rows_with_b01(problem_dict):
+    # b_01 != 0: the outer solve runs the coupled Picard iteration
+    problem_dict["eps0"] = 0.3
+    problem_dict["coeffs"]["b01"] = {"num": [0.0005], "gauss": 1.0}
+    spec = ProblemSpec.from_dict(problem_dict)
+    assert not spec.coeffs.triangular
+    cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
+                              m_grid=np.linspace(-50, 50, 401))
+    family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6,
+                                                T_max=0.025), tol=1e-13)
+    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    for p in (0, 1):
+        _assert_outer_rows_match(family.at(p, eps), family.at(p, eps, outer=True))
+    # the coupled solve reports its contraction bound; a triangular one does not
+    assert all(math.isfinite(r.varpi) for r in family.reports.values())
+
+
+def test_outer_residual_and_norms_read_the_free_rows_only(asym):
+    spec, cov, family = asym["spec"], asym["cov"], asym["family"]
+    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    outer = family.at(0, eps, outer=True)
+    rep = family.reports[(0, eps, True)]
+    grid = outer.grid
+    ctx = SolverContext(spec, grid, eps)
+    pair = (outer.w0, outer.w1)
+    gaps = [h.data - w.data
+            for h, w in zip((ctx.apply_H0(outer.w0, ctx.g_eps(outer.w1)),
+                             ctx.apply_H1(outer.w1)), pair)]
+    weights = grid.stacked_weights(spec)
+    free = np.arange(grid.arc_rung() - grid.lines[0].g_lo + 1, grid.n_nodes)
+
+    def sup(data, rows):
+        return float((np.abs(data[rows]) * weights[rows]).max())
+
+    assert rep.residual == max(sup(gap, free) for gap in gaps)
+    assert rep.norms == tuple(sup(w.data, free) for w in pair)
+    assert rep.residual <= 1e-15 * max(rep.norms)
+    # H's lowest rows read the bottom quadratic below the cut, not the
+    # series: a residual over every row would read that instead
+    every = np.arange(grid.n_nodes + 1)
+    assert max(sup(gap, every) for gap in gaps) > 100 * rep.residual
+
+
+def test_outer_solution_has_no_laplace_transform(asym):
+    cov, family = asym["cov"], asym["family"]
+    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    t = 0.06 * np.exp(1j * cov.t_direction)
+    outer = family.at(0, eps, outer=True)
+    for call in (lambda: outer.component(0, t, 0.1), lambda: outer.evaluate(t, 0.1)):
+        with pytest.raises(UsageError, match="partial principal line"):
+            call()
+    assert family.at(0, eps).component(0, t, 0.1) != 0.0
+
+
+def test_decay_fit_builds_the_kernels_once_per_eps(asym, monkeypatch):
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    builds = []
+    build = borel_solver.eps_kernels
+
+    def counted(spec, m, eps):
+        builds.append(eps)
+        return build(spec, m, eps)
+
+    monkeypatch.setattr(borel_solver, "eps_kernels", counted)
+    monkeypatch.setattr(formal_asymptotics, "eps_kernels", counted)
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    arg = np.angle(cov.overlap_sample(0))
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
+    rep = difference_decay_fit(family, 0, [m * np.exp(1j * arg) for m in (0.1, 0.2)],
+                               probes=probes)
+    # one build serves the expansion and both sectors' outer solves
+    assert len(rep.eps_samples) == 2 and len(family.reports) == 4
+    assert builds == rep.eps_samples
+    assert len(family.arc_orders) == 2
+    # a full-line solve builds its own
+    family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
+    assert len(builds) == 3
 
 
 def test_taylor_samples_match_the_solved_ring_rows(asym):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qborel.borel_solver import BorelFunction, GridSpec, build_grid, solve_triangular
-from qborel.errors import DomainError
+from qborel.errors import DomainError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec
 import qborel.solution_assembly as assembly
@@ -371,3 +371,22 @@ def test_taylor_arc_samples_match_the_ring_rows_at_k1(k1_pair):
     _, sol_a, sol_b = k1_pair
     for sol in (sol_a, sol_b):
         assert arc_sample_gap(sol) <= 1e-13
+
+
+def test_tail_stencil_must_not_read_below_the_line(golden):
+    # the ray tail's stencil reads TAIL_REACH rungs below the arc rung; a
+    # principal line cut above them has no rows there
+    spec, eps = golden["spec"], golden["eps"]
+    grid = golden["grid"].truncated(None)
+    g_arc = grid.arc_rung()
+    T = eps * 0.01
+    for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
+        cut = grid.truncated(None, bottom=g_arc - below)
+        sol = LogSolution(spec, cut, BorelFunction.zero(cut, eps), BorelFunction.zero(cut, eps),
+                          eps, outer=True)
+        if ok:
+            assert not any(v.any() for v in sol._tail_integral(T, g_arc))
+        else:
+            with pytest.raises(UsageError, match="tail stencil"):
+                sol._tail_integral(T, g_arc)
+
