@@ -1,19 +1,18 @@
 """Discretised Borel-plane operators and the Picard fixed point.
 
-The (tau, m) grid is a bundle of radial lines through the origin, all anchored
-to one geometric ladder rho * q^(g/N) with integer rungs g.  N is a multiple
-of every dilation denominator, so the dilations tau -> q^(delta - d/k) tau
-shift rungs exactly and never interpolate, except below the bottom rung of a
-line where a quadratic through the centre value is used.  The principal line
-runs along the Borel direction d from far inside the disc out to the ray tip;
-uniform-angle ring lines populate the disc for norms, disc-agreement checks
-and diagnostics.  Coupling in m is a dense kernel matrix per symbol; coupling
-in tau is the pure rung shift, so every radial line evolves independently.
+The (tau, m) grid is one radial line through the origin, anchored to a
+geometric ladder rho * q^(g/N) with integer rungs g, plus the centre
+tau = 0.  N is a multiple of every dilation denominator, so the dilations
+tau -> q^(delta - d/k) tau shift rungs exactly and never interpolate, except
+below the bottom rung where a quadratic through the centre value is used.
+The line runs along the Borel direction d from far inside the disc out to
+the ray tip, which is all the q-Laplace transform reads.  Coupling in m is
+a dense kernel matrix per symbol; coupling in tau is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
-order at a time (`taylor_at_origin`); the arc of a sector difference is
-summed from them instead of from solved ring lines.
+order at a time (`taylor_at_origin`); the arc of a sector difference and
+any value inside the disc off the line are summed from them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .transforms import convolution_kernel
 
 __all__ = [
     "GridSpec",
-    "RadialLine",
     "BorelGrid",
     "Dilation",
     "OperatorFactors",
@@ -59,8 +57,7 @@ class GridSpec:
 
     m_max: float = 12.0
     m_nodes: int = 241
-    n_angles: int = 16
-    ring_octaves: float = 5.0
+    n_angles: int = 16            # uniform samples of the sector-difference arc
     T_min: float | None = None
     T_max: float | None = None
     density_factor: float = 4.0
@@ -71,8 +68,6 @@ class GridSpec:
             raise ConfigError(f"M = {self.m_max} must be > 0")
         if not self.density_factor > 0:
             raise ConfigError(f"density_factor = {self.density_factor} must be > 0")
-        if not self.ring_octaves >= 0:
-            raise ConfigError(f"ring_octaves = {self.ring_octaves} must be >= 0")
         for name in ("T_min", "T_max"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -87,17 +82,6 @@ class GridSpec:
         return np.linspace(-self.m_max, self.m_max, self.m_nodes)
 
 
-@dataclass(frozen=True)
-class RadialLine:
-    angle: float
-    g_lo: int
-    g_hi: int
-
-    @property
-    def size(self) -> int:
-        return self.g_hi - self.g_lo + 1
-
-
 @dataclass
 class BorelGrid:
     spec_q: float
@@ -107,35 +91,25 @@ class BorelGrid:
     delta: float
     direction: float
     m: np.ndarray
-    lines: list[RadialLine]
-    n_angles: int = 0             # ring angles of the sector-difference arc
-    offsets: np.ndarray = field(init=False)
+    g_lo: int
+    g_hi: int
+    n_angles: int = 0             # samples of the sector-difference arc
     tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        sizes = [ln.size for ln in self.lines]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        taus = []
-        for ln in self.lines:
-            g = np.arange(ln.g_lo, ln.g_hi + 1)
-            taus.append(self.rho * self.spec_q ** (g / self.N) * np.exp(1j * ln.angle))
-        self.tau = np.concatenate(taus)
+        if not self.g_lo < self.g_hi:
+            raise UsageError(f"the line [{self.g_lo}, {self.g_hi}] needs two rungs, "
+                             "which its bottom quadratic reads")
+        g = np.arange(self.g_lo, self.g_hi + 1)
+        self.tau = self.rho * self.spec_q ** (g / self.N) * np.exp(1j * self.direction)
         self._dilations = {}
 
     @property
     def n_nodes(self) -> int:
-        return int(self.offsets[-1])
-
-    def line_rows(self, i: int) -> slice:
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return self.g_hi - self.g_lo + 1
 
     def radius_of_rung(self, g: int) -> float:
         return self.rho * self.spec_q ** (g / self.N)
-
-    def weight_params(self, spec: ProblemSpec) -> WeightParams:
-        return WeightParams(k=spec.k, beta=spec.beta, mu=spec.mu,
-                            alpha=spec.alpha, rho=self.rho, delta=self.delta,
-                            q=spec.q)
 
     def stacked_weights(self, spec: ProblemSpec) -> np.ndarray:
         """expq weight on all nodes and, in the last row, on the centre
@@ -143,7 +117,8 @@ class BorelGrid:
         key = (spec.k, spec.beta, spec.mu, spec.alpha)
         cached = getattr(self, "_weights", None)
         if cached is None or cached[0] != key:
-            p = self.weight_params(spec)
+            p = WeightParams(k=spec.k, beta=spec.beta, mu=spec.mu, alpha=spec.alpha,
+                             rho=self.rho, delta=self.delta, q=spec.q)
             w_center = expq_weight(np.array([0.0 + 0.0j]), self.m, p)[0]
             self._weights = (key, np.vstack([expq_weight(self.tau, self.m, p), w_center]))
         return self._weights[1]
@@ -169,41 +144,21 @@ class BorelGrid:
             self._factors = (spec, OperatorFactors.build(spec, self))
         return self._factors[1]
 
-    def principal_rows(self) -> slice:
-        return self.line_rows(0)
-
-    def ring_line_indices(self) -> list[int]:
-        return list(range(1, len(self.lines)))
-
     def arc_rung(self) -> int:
         """The rung nearest rho/2, where sector differences take their arc."""
         return math.floor(self.N * math.log(0.5) / math.log(self.spec_q))
 
-    def truncated(self, ring_top: int | None, bottom: int | None = None) -> "BorelGrid":
-        """The same ladder with the ring lines cut at rung ring_top, or
-        dropped for None, and the principal line starting at rung bottom, or
-        whole for None.
+    def truncated(self, bottom: int) -> "BorelGrid":
+        """The same ladder with the line starting at rung bottom.
 
-        A radial line couples only to itself and to the centre, and a rung
-        reads only lower rungs, so with the principal line whole every
-        operator on the cut grid equals the full one on the rows it keeps.  A
-        Picard solve on the cut grid stops on those rows alone, so it may stop
-        a step sooner.  A bottom cut is different: the rungs just above it
-        read below it through the bottom quadratic, so a solve on it must
-        hold its lowest rows (`held` of `solve_triangular`/`solve_coupled`).
+        The rungs just above the cut read below it through the bottom
+        quadratic, so a solve on the cut grid must hold its lowest rows
+        (`held` of `solve_triangular`/`solve_coupled`).
         """
-        main = self.lines[0]
-        if bottom is not None:
-            if not main.g_lo <= bottom < main.g_hi:
-                raise UsageError(f"rung {bottom} does not cut the principal line "
-                                 f"[{main.g_lo}, {main.g_hi}]")
-            main = RadialLine(main.angle, bottom, main.g_hi)
-        old = [] if ring_top is None else self.lines[1:]
-        rings = [RadialLine(ln.angle, ln.g_lo, min(ln.g_hi, ring_top)) for ln in old]
-        if any(cut.size < min(2, ln.size) for cut, ln in zip(rings, old)):
-            raise UsageError("a cut ring line must keep the two lowest rungs, "
-                             "which its bottom quadratic reads")
-        return replace(self, lines=[main] + rings)
+        if not self.g_lo <= bottom < self.g_hi:
+            raise UsageError(f"rung {bottom} does not cut the line "
+                             f"[{self.g_lo}, {self.g_hi}]")
+        return replace(self, g_lo=bottom)
 
 
 @dataclass(frozen=True)
@@ -211,45 +166,35 @@ class Dilation:
     """Samples of tau -> f(q^(-shift/N) tau) as one gather over the stacked
     rows (nodes, then the centre).
 
-    A node at least `shift` rungs above its line's bottom takes the row
-    `shift` rungs below it.  Below the bottom rung the value comes from the
-    quadratic through (0, centre) and the two lowest stored nodes of the same
-    line, with weights `coef` on (centre, rows `lo`, rows `hi`).
+    A node at least `shift` rungs above the bottom takes the row `shift`
+    rungs below it.  The lowest rows, whose sources lie below the bottom
+    rung, take the quadratic through (0, centre) and the two lowest nodes,
+    rows 0 and 1, with weights `coef` on (centre, row 0, row 1).
     """
 
     src: np.ndarray       # (n_nodes + 1,) source row of every output row
-    bottom: np.ndarray    # output rows below their line's bottom rung
-    lo: np.ndarray        # lowest node of each bottom row's line
-    hi: np.ndarray        # second lowest node (the lowest on a one-node line)
-    coef: np.ndarray      # (3, bottom.size)
+    coef: np.ndarray      # (3, min(shift, n_nodes))
 
     @classmethod
     def build(cls, grid: BorelGrid, shift: int) -> "Dilation":
         n = grid.n_nodes
         src = np.arange(n + 1)
-        bottom, lo, hi, coef = [], [], [], []
-        for i, ln in enumerate(grid.lines):
-            first = int(grid.offsets[i])
-            src[first + shift:first + ln.size] -= shift
-            r0 = grid.radius_of_rung(ln.g_lo)
-            r1 = grid.radius_of_rung(ln.g_lo + 1) if ln.size > 1 else 2.0 * r0
-            for j in range(min(shift, ln.size)):
-                r = grid.radius_of_rung(ln.g_lo + j - shift)
-                bottom.append(first + j)
-                lo.append(first)
-                hi.append(first + 1 if ln.size > 1 else first)
-                coef.append(((r - r0) * (r - r1) / (r0 * r1),
-                             r * (r - r1) / (r0 * (r0 - r1)),
-                             r * (r - r0) / (r1 * (r1 - r0))))
-        return cls(src, np.array(bottom, dtype=int), np.array(lo, dtype=int),
-                   np.array(hi, dtype=int), np.array(coef, dtype=float).reshape(-1, 3).T)
+        src[shift:n] -= shift
+        r0, r1 = grid.radius_of_rung(grid.g_lo), grid.radius_of_rung(grid.g_lo + 1)
+        coef = []
+        for j in range(min(shift, n)):
+            r = grid.radius_of_rung(grid.g_lo + j - shift)
+            coef.append(((r - r0) * (r - r1) / (r0 * r1),
+                         r * (r - r1) / (r0 * (r0 - r1)),
+                         r * (r - r0) / (r1 * (r1 - r0))))
+        return cls(src, np.array(coef, dtype=float).reshape(-1, 3).T)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """The dilated copy of stacked samples data, (n_nodes + 1, n_m)."""
         out = data[self.src]
-        if self.bottom.size:
+        if self.coef.size:
             c0, c1, c2 = self.coef[:, :, None]
-            out[self.bottom] = c0 * data[-1] + c1 * data[self.lo] + c2 * data[self.hi]
+            out[:c0.shape[0]] = c0 * data[-1] + c1 * data[0] + c2 * data[1]
         return out
 
 
@@ -413,7 +358,7 @@ def _ladder_density(spec: ProblemSpec, density_factor: float) -> int:
 
 def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                gspec: GridSpec = GridSpec()) -> BorelGrid:
-    """Assemble the radial-line grid for one Borel direction."""
+    """Assemble the radial line of one Borel direction."""
     N = _ladder_density(spec, gspec.density_factor)
     lnq = spec.lnq
     T_max = gspec.T_max if gspec.T_max is not None else 0.25 * geom.rho
@@ -423,16 +368,9 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
     s_top = max(s_top, math.log(geom.r_max))
     g_floor = math.floor(N * (s_floor - math.log(geom.rho)) / lnq)
     g_top = math.ceil(N * (s_top - math.log(geom.rho)) / lnq)
-    lines = [RadialLine(angle=geom.d, g_lo=g_floor, g_hi=g_top)]
-    # ring angles stay uniform even when one coincides with the direction:
-    # the arc interpolation relies on a full uniform circle of samples
-    g_ring = math.floor(-gspec.ring_octaves * N)
-    for j in range(gspec.n_angles):
-        ang = 2.0 * math.pi * j / gspec.n_angles
-        lines.append(RadialLine(angle=ang, g_lo=g_ring, g_hi=0))
     return BorelGrid(spec_q=spec.q, k=spec.k, N=N, rho=geom.rho,
                      delta=geom.delta, direction=geom.d, m=gspec.m_grid(),
-                     lines=lines, n_angles=gspec.n_angles)
+                     g_lo=g_floor, g_hi=g_top, n_angles=gspec.n_angles)
 
 
 def eps_kernels(spec: ProblemSpec, m: np.ndarray, eps: complex):
@@ -599,7 +537,7 @@ def _holding(ctx: SolverContext, held):
     """(weights, hold) of a solve on ctx's grid that holds some rows fixed.
 
     held, when given, is a (2, n + 1, n_m) array: omega_0 and omega_1 on the
-    n lowest rungs of the principal line, then on the centre.  `weights` are
+    n lowest rungs of the line, then on the centre.  `weights` are
     the grid's stacked weights with the held rows zeroed, so that no
     distance, norm or residual reads them, and hold(f, j) resets omega_j's
     held rows of f in place and returns f.  The lowest free rung reads the
@@ -612,9 +550,9 @@ def _holding(ctx: SolverContext, held):
         return weights, lambda f, j: f
     n = held.shape[1] - 1
     shift = max(ctx.fac.shifts)
-    if not shift <= n < ctx.grid.lines[0].size:
+    if not shift <= n < ctx.grid.n_nodes:
         raise UsageError(f"a held block of {n} rungs must span the largest dilation "
-                         f"shift ({shift}) and leave rows of the principal line free")
+                         f"shift ({shift}) and leave rows of the line free")
     rows = np.r_[0:n, ctx.grid.n_nodes]
     weights = weights.copy()
     weights[rows] = 0.0
@@ -650,7 +588,7 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     Convergence is guaranteed when the smallness budget holds; otherwise the
     solve still runs and the report flags the missing guarantee.  `kernels`
     is an eps_kernels result to share; `held` fixes the lowest rows of the
-    principal line and the centre (see `_holding`), and the solve then
+    line and the centre (see `_holding`), and the solve then
     updates, measures and reports the other rows only.
     """
     ctx = SolverContext(spec, grid, eps, kernels)

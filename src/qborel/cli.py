@@ -108,10 +108,18 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             m_max=float(q.get("M", 40.0 / spec.beta)),
             m_nodes=int(q.get("m_nodes", 241)),
             n_angles=int(g.get("n_angles", 16)),
-            ring_octaves=float(g.get("ring_octaves", 5.0)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
         tol = _section(raw, "tolerances")
+        solve_tol = float(tol.get("solve_tol", 1e-11))
+        formal_tol = float(tol.get("formal_tol", 1e-13))
+        max_iter = int(tol.get("max_iter", 200))
+        # `not x > 0` also rejects NaN
+        for name, value in (("solve_tol", solve_tol), ("formal_tol", formal_tol)):
+            if not value > 0:
+                raise ConfigError(f"tolerances {name} = {value} must be > 0")
+        if max_iter < 1:
+            raise ConfigError(f"tolerances max_iter = {max_iter} must be >= 1")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
         asym = _section(raw, "asymptotics")
         N_max = int(asym.get("N_max", 6))
@@ -137,9 +145,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             t_aperture=float(cov.get("t_aperture", 0.1)),
             t_direction=float(cov.get("t_direction", 0.0)),
             Delta=float(q.get("Delta", 0.5)), gspec=gspec,
-            solve_tol=float(tol.get("solve_tol", 1e-11)),
-            max_iter=int(tol.get("max_iter", 200)),
-            formal_tol=float(tol.get("formal_tol", 1e-13)),
+            solve_tol=solve_tol, max_iter=max_iter, formal_tol=formal_tol,
             eps_solve=_complex_of(raw.get("eps"), 0.75 * spec.eps0),
             points=points,
             N_max=N_max,

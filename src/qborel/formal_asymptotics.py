@@ -251,8 +251,8 @@ class SolutionFamily:
     the last eps's kernels and expansion are kept, so the family's memory
     does not grow with the samples.
 
-    The rows kept agree with those of a solve on the full grid to within the
-    solve tolerance.  The SolveReport of every solve is kept in `reports`,
+    An outer solve's rows agree with those of the whole-line solve to within
+    the solve tolerance.  The SolveReport of every solve is kept in `reports`,
     under the same (sector, eps, outer) key as its solution; an outer
     solve's residual and norms read its free rows only.  A spec with b_01 = 0
     is solved by forward substitution (`solve_triangular`), any other by the
@@ -279,7 +279,7 @@ class SolutionFamily:
         if p not in self._grids:
             geom = make_geometry(self.spec, self.covering.d_rays[p],
                                  m_grid=self.m_grid)
-            self._grids[p] = build_grid(self.spec, geom, self.gspec).truncated(None)
+            self._grids[p] = build_grid(self.spec, geom, self.gspec)
         return self._grids[p]
 
     def _outer_grid(self, p: int):
@@ -289,7 +289,7 @@ class SolutionFamily:
         if p not in self._outer_grids:
             grid = self._grid(p)
             below = max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
-            self._outer_grids[p] = grid.truncated(None, bottom=grid.arc_rung() - below)
+            self._outer_grids[p] = grid.truncated(grid.arc_rung() - below)
         return self._outer_grids[p]
 
     def _taylor(self, eps: complex):
@@ -320,7 +320,7 @@ class SolutionFamily:
             if outer:
                 kernels, coef = self._taylor(eps)
                 grid = self._outer_grid(p)
-                n_held = grid.arc_rung() - grid.lines[0].g_lo + 1
+                n_held = grid.arc_rung() - grid.g_lo + 1
                 held = taylor_values(coef, np.append(grid.tau[:n_held], 0.0))
                 w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol,
                                                   kernels=kernels, held=held)

@@ -100,17 +100,15 @@ class LogSolution:
 
     @_cached_pair
     def _laplace_all_m(self, T: complex):
-        """q-Laplace of (w_0, w_1)(., m) at T along the principal line, for
+        """q-Laplace of (w_0, w_1)(., m) at T along the grid's line, for
         every m.  Both components share the theta kernel weights."""
         grid = self.grid
-        rows = grid.principal_rows()
-        tau = grid.tau[rows]
-        kern = inv_theta(tau / T, self.spec.q, self.spec.k)
+        kern = inv_theta(grid.tau / T, self.spec.q, self.spec.k)
         h = self.spec.lnq / grid.N
-        tw = np.full(tau.size, h)
+        tw = np.full(grid.n_nodes, h)
         tw[0] = tw[-1] = 0.5 * h
         weights = tw * kern
-        return tuple((self.spec.k / self.spec.lnq) * (weights @ w.values[rows])
+        return tuple((self.spec.k / self.spec.lnq) * (weights @ w.values)
                      for w in (self.w0, self.w1))
 
     @_cached_pair
@@ -125,14 +123,12 @@ class LogSolution:
         share the panels and the kernel.
         """
         spec, grid = self.spec, self.grid
-        ln = grid.lines[0]
-        if g_arc - TAIL_REACH < ln.g_lo:
+        if g_arc - TAIL_REACH < grid.g_lo:
             raise UsageError(f"the tail stencil reads rung {g_arc - TAIL_REACH}, below "
-                             f"the principal line's bottom rung {ln.g_lo}")
-        rows = grid.principal_rows()
+                             f"the line's bottom rung {grid.g_lo}")
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
-        s_lattice_top = math.log(grid.radius_of_rung(ln.g_hi))
+        s_lattice_top = math.log(grid.radius_of_rung(grid.g_hi))
         a = 0.5 * spec.k / spec.lnq
         x0 = s0 - math.log(abs(T))
         length = math.sqrt(x0 * x0 + 45.0 / a) - x0
@@ -150,9 +146,9 @@ class LogSolution:
         s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         wq = (half[:, None] * gl_w[None, :]).ravel()
         # 6-point Lagrange interpolation of the density in log radius
-        base = np.floor((s - s0) / h).astype(int) + (g_arc - ln.g_lo) - TAIL_REACH
-        base = np.clip(base, 0, ln.size - 6)
-        s_base = math.log(grid.radius_of_rung(ln.g_lo)) + base * h
+        base = np.floor((s - s0) / h).astype(int) + (g_arc - grid.g_lo) - TAIL_REACH
+        base = np.clip(base, 0, grid.n_nodes - 6)
+        s_base = math.log(grid.radius_of_rung(grid.g_lo)) + base * h
         xi = (s - s_base) / h
         lags = []
         for jj in range(6):
@@ -165,10 +161,9 @@ class LogSolution:
         weights = wq * inv_theta(u / T, spec.q, spec.k)
         out = []
         for w in (self.w0, self.w1):
-            vals = w.values[rows]
             dens = np.zeros((s.size, grid.m.size), dtype=complex)
             for jj, lag in enumerate(lags):
-                dens += lag[:, None] * vals[base + jj]
+                dens += lag[:, None] * w.values[base + jj]
             out.append((spec.k / spec.lnq) * (weights @ dens))
         return tuple(out)
 
@@ -355,12 +350,12 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     The two Borel densities coincide on the shared disc, so the difference is
     the pair of ray tails beyond the arc radius plus the arc integral at that
     radius.  The tails read the two principal lines; the arc reads the
-    Taylor series of the densities at tau = 0, so neither solution needs ring
-    lines.  Each piece is exponentially small in log^2|eps t|; computing them
-    directly preserves relative accuracy long after a plain subtraction of the
-    two evaluations would drown in cancellation noise.  The tails and the arc
-    do not depend on z and are cached per exact eps t, so further z probes
-    cost one Fourier sum each.
+    Taylor series of the densities at tau = 0.  Each piece is exponentially
+    small in log^2|eps t|; computing them directly preserves relative
+    accuracy long after a plain subtraction of the two evaluations would
+    drown in cancellation noise.  The tails and the arc do not depend on z
+    and are cached per exact eps t, so further z probes cost one Fourier sum
+    each.
     """
     T = sol_a.eps * complex(t)
     g_arc = difference_arc_rung(sol_a.spec, sol_a.grid, sol_b.grid, T,

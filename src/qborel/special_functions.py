@@ -49,6 +49,11 @@ class WeightParams:
             raise DomainError("weight requires mu > 1")
 
 
+# relative distance, in ulps, within which inv_theta reads a sample as lying
+# on a zero of theta
+ZERO_LATTICE_ULPS = 8
+
+
 def _theta_window(q: float, k: int, log_abs_z: np.ndarray, tol: float):
     """Index window [p_lo, p_hi] outside of which theta terms are < tol * peak.
 
@@ -96,13 +101,18 @@ def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
 def inv_theta(z, q: float, k: int = 1):
     """1/theta(z) from the scaled evaluation, vectorised over z.
 
-    Where the quotient is not finite (theta vanishes at a sample point) the
-    value is set to 0.
+    theta vanishes on the lattice z = -q^(m/k).  A sample within
+    ZERO_LATTICE_ULPS ulps of a lattice point, where the double sum is left
+    with rounding noise only, gets 0, as does one where the quotient is not
+    finite.
     """
-    scaled, log_scale = theta_scaled(z, q, k)
+    zs = np.asarray(z, dtype=complex)
+    scaled, log_scale = theta_scaled(zs, q, k)
     with np.errstate(under="ignore", over="ignore"):
         out = np.exp(-log_scale) / scaled
-    return np.where(np.isfinite(out), out, 0.0)
+    m = np.round(k * np.log(np.abs(zs)) / math.log(q))
+    on_zero = np.abs(1.0 + zs * q ** (-m / k)) <= ZERO_LATTICE_ULPS * np.finfo(float).eps
+    return np.where(np.isfinite(out) & ~on_zero, out, 0.0)
 
 
 def theta(z, q: float, k: int = 1, tol: float = 1e-12):

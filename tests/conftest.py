@@ -49,26 +49,41 @@ def example_problem_dict():
 
 
 def kept_rows(full, cut):
-    """Rows of the full grid's stacked samples that the truncated grid cut
-    keeps, in cut's order: each line from its bottom rung, then the centre."""
-    rows = []
-    for i, ln in enumerate(cut.lines):
-        start = int(full.offsets[i]) + ln.g_lo - full.lines[i].g_lo
-        rows.extend(range(start, start + ln.size))
-    return np.array(rows + [full.n_nodes])
+    """Rows of the full grid's stacked samples that the bottom-cut grid cut
+    keeps, in cut's order: the line from its bottom rung, then the centre."""
+    start = cut.g_lo - full.g_lo
+    return np.r_[start:start + cut.n_nodes, full.n_nodes]
 
 
-def arc_sample_gap(sol) -> float:
+def arc_sample_gap(sol, octaves: float = 4.0) -> float:
     """Largest gap, relative to the largest sample, between the arc samples
-    that sol sums from the Taylor series at tau = 0 and its solved ring rows
-    at the arc rung."""
+    that sol sums from the Taylor series at tau = 0 and solved ring lines
+    `octaves` deep at the arc rung."""
     from tests.oracles import arc_values
 
     g_arc = sol.grid.arc_rung()
     worst = 0.0
-    for got, w in zip(sol._arc_samples(g_arc), (sol.w0, sol.w1)):
-        ref = arc_values(w, g_arc)
+    for got, ref in zip(sol._arc_samples(g_arc),
+                        arc_values(sol.spec, sol.eps, sol.grid, g_arc, octaves)):
         worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
+    return worst
+
+
+def disc_taylor_gap(spec, eps, sols) -> float:
+    """Largest gap between one Taylor sum at tau = 0, summed to the disc
+    radius rho, and the solved rows of each (grid, w0, w1) in sols at or
+    below rung 0 (inside the disc D(0, rho)) and at the centre."""
+    from qborel.borel_solver import taylor_at_origin, taylor_values
+
+    grid0 = sols[0][0]
+    coef = taylor_at_origin(spec, eps, grid0.m, grid0.rho)
+    worst = 0.0
+    for grid, *ws in sols:
+        disc = 1 - grid.g_lo
+        rows = np.r_[0:disc, grid.n_nodes]
+        ref = taylor_values(coef, np.append(grid.tau[:disc], 0.0))
+        for w, want in zip(ws, ref):
+            worst = max(worst, float(np.abs(w.data[rows] - want).max()))
     return worst
 
 

@@ -8,19 +8,19 @@ single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
 public factors.  `theta_bound_margin` (with `theta_log_abs`),
 `monodromy_components` and `coverage_count` are the paper-level checks of
 the theta lower bound, the formal monodromy and the good covering.
-`arc_values` reads a solved grid's ring rows at the arc rung, the oracle for
-the arc samples summed from the Taylor series at tau = 0, and
-`RingArcSolution` takes its sector-difference arc from them.
+`arc_values` solves a ring line at each arc sample angle and reads it at
+the arc rung, the oracle for the arc samples summed from the Taylor series
+at tau = 0, and `RingArcSolution` takes its sector-difference arc from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qborel.borel_solver import BorelFunction, SolverContext
+from qborel.borel_solver import BorelFunction, SolverContext, eps_kernels, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.solution_assembly import LogSolution
@@ -208,25 +208,32 @@ def coverage_count(cov: GoodCovering, angle: float) -> int:
     )
 
 
-def arc_values(w: BorelFunction, g_arc: int) -> np.ndarray:
-    """Solved ring samples at rung g_arc, by increasing angle: (n_angles, n_m)."""
-    grid = w.grid
-    angs, vals = [], []
-    for i in grid.ring_line_indices():
-        ln = grid.lines[i]
-        if not ln.g_lo <= g_arc <= ln.g_hi:
-            raise UsageError(f"ring line {i} holds rungs {ln.g_lo}..{ln.g_hi}, "
-                             f"not the arc rung {g_arc}")
-        angs.append(ln.angle)
-        vals.append(w.values[grid.line_rows(i)][g_arc - ln.g_lo])
-    if not angs:
-        raise UsageError("the grid has no ring lines")
-    return np.asarray(vals)[np.argsort(angs)]
+def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
+               tol: float = 1e-13):
+    """(w_0, w_1) at rung g_arc and grid's n_angles uniform angles, by
+    increasing angle: (n_angles, n_m) each, from solved ring lines.
+
+    A radial line couples only to itself and the centre, and the centre to
+    nothing, so the ring line at angle theta is its own grid: the ladder of
+    grid turned to theta, from `octaves` octaves below the disc radius up to
+    it.  Each is solved by the coupled Picard iteration.
+    """
+    g_ring = math.floor(-octaves * grid.N)
+    if not g_ring <= g_arc <= 0:
+        raise UsageError(f"ring lines over rungs {g_ring}..0 miss the arc rung {g_arc}")
+    kernels = eps_kernels(spec, grid.m, eps)
+    samples = []
+    for j in range(grid.n_angles):
+        ring = replace(grid, direction=2.0 * math.pi * j / grid.n_angles,
+                       g_lo=g_ring, g_hi=0)
+        w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol, kernels=kernels)
+        samples.append((w0.values[g_arc - g_ring], w1.values[g_arc - g_ring]))
+    return tuple(np.array(s) for s in zip(*samples))
 
 
 class RingArcSolution(LogSolution):
-    """A LogSolution on a grid with ring lines whose sector-difference arc
-    reads the solved ring rows instead of the Taylor series at tau = 0."""
+    """A LogSolution whose sector-difference arc reads solved ring lines
+    (`arc_values`) instead of the Taylor series at tau = 0."""
 
     def _arc_samples(self, g_arc: int):
-        return arc_values(self.w0, g_arc), arc_values(self.w1, g_arc)
+        return arc_values(self.spec, self.eps, self.grid, g_arc)

@@ -139,25 +139,19 @@ def test_criterion_4_solver_suite(golden):
 
 
 def test_criterion_5_disc_agreement(golden):
+    # every sector shares omega on the disc D(0, rho): the lines of both
+    # directions, at or below rung 0, and the centre must equal one Taylor sum
+    # at tau = 0, which does not depend on the direction
+    from tests.conftest import disc_taylor_gap
+
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
     geom2 = make_geometry(spec, d=0.3)
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
     grid2 = build_grid(spec, geom2, gspec)
     w0b, w1b, _ = solve_coupled(spec, eps, grid2, tol=1e-11)
-    grid = golden["grid"]
-
-    def rings(g):
-        return {round(ln.angle, 12): g.line_rows(i)
-                for i, ln in enumerate(g.lines[1:], start=1)}
-
-    ra, rb = rings(grid), rings(grid2)
-    worst = max(np.max(np.abs(golden["w0"].center - w0b.center)),
-                np.max(np.abs(golden["w1"].center - w1b.center)))
-    for ang in sorted(set(ra) & set(rb)):
-        worst = max(worst,
-                    float(np.max(np.abs(golden["w0"].values[ra[ang]] - w0b.values[rb[ang]]))),
-                    float(np.max(np.abs(golden["w1"].values[ra[ang]] - w1b.values[rb[ang]]))))
+    worst = disc_taylor_gap(spec, eps, [(golden["grid"], golden["w0"], golden["w1"]),
+                                        (grid2, w0b, w1b)])
     assert worst <= 1e-8
     _report(5, f"disc agreement across directions: {worst:.2e}")
 
@@ -204,8 +198,7 @@ def wide_instance():
     spec = ProblemSpec.from_dict(d)
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, n_angles=16, ring_octaves=4,
-                     T_min=5e-6, T_max=0.025)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, n_angles=16, T_min=5e-6, T_max=0.025)
     family = SolutionFamily(spec, cov, gspec, tol=1e-13)
     series = formal_coefficients(spec, 7, m_grid=np.linspace(-12, 12, 161))
     return spec, cov, family, series

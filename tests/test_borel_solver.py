@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qborel import borel_solver
 from qborel.borel_solver import (
     BorelFunction,
     BorelGrid,
     GridSpec,
-    RadialLine,
     SolverContext,
     _picard,
     build_grid,
@@ -19,6 +19,7 @@ from qborel.borel_solver import (
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec, forcing_borel
+from tests.conftest import disc_taylor_gap, kept_rows
 from tests.oracles import apply_HP, apply_Hl
 
 
@@ -33,26 +34,22 @@ def test_grid_alignment_and_exact_dilation(golden):
     shifted = BorelFunction.of_data(grid, grid.dilation(2).apply(f.data))
     fac = spec.q ** (-2.0 / grid.N)
     want = (fac * grid.tau) ** 2
-    for i, ln in enumerate(grid.lines):
-        rows = grid.line_rows(i)
-        got = shifted.values[rows][2:, 0]
-        expect = want[rows][2:]
-        assert np.max(np.abs(got - expect)) < 1e-15 * max(1.0, np.max(np.abs(expect)))
+    got = shifted.values[2:, 0]
+    expect = want[2:]
+    assert np.max(np.abs(got - expect)) < 1e-15 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_dilation_bottom_interpolation_accuracy(golden):
-    grid = golden["grid"]
+    # a line cut 5 octaves below the disc radius: its bottom row, the one
+    # interpolated row, reads the quadratic through the centre and the two
+    # lowest nodes
+    grid = golden["grid"].truncated(-5 * golden["grid"].N)
     f = BorelFunction.zero(grid, golden["eps"])
     f.values[:] = np.exp(grid.tau)[:, None]
     f.center[:] = 1.0
     shifted = BorelFunction.of_data(grid, grid.dilation(1).apply(f.data))
     fac = grid.spec_q ** (-1.0 / grid.N)
-    # interpolated rows are the bottom row of each line
-    for i in grid.ring_line_indices():
-        rows = grid.line_rows(i)
-        tau_b = grid.tau[rows][0]
-        got = shifted.values[rows][0, 0]
-        assert abs(got - np.exp(fac * tau_b)) < 1e-6
+    assert abs(shifted.values[0, 0] - np.exp(fac * grid.tau[0])) < 1e-6
 
 
 def test_apply_hl_zero_cases(golden):
@@ -105,7 +102,7 @@ def test_apply_hp_vanishes_for_dD0(problem_dict):
     problem_dict["terms"][0]["delta"] = [0, 1]
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
     ctx = SolverContext(spec, grid, 0.01)
     w = BorelFunction.zero(grid, 0.01)
     w.values[:] = 1.0
@@ -140,7 +137,7 @@ def test_apply_h_zero_problem(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
     w0, w1, rep = solve_coupled(spec, 0.01, grid, tol=1e-10)
     assert rep.iterations == 1
     assert w0.norm(spec) == 0.0 and w1.norm(spec) == 0.0
@@ -213,7 +210,7 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
     ctx = SolverContext(spec, grid, 0.01)
     w0, w1, rep = solve_triangular(spec, 0.01, grid, tol=1e-10)
     want = ctx.F[1] * ctx.fac.inv_p
@@ -231,7 +228,7 @@ def test_contraction_estimate(golden):
 def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+                      GridSpec(m_nodes=81, n_angles=4))
     eps, probes, seed = 0.015, 4, 3
     calls = []
     real = SolverContext.apply_H
@@ -280,6 +277,28 @@ def test_picard_stops_at_first_non_finite_update():
     assert len(err.value.history) == 2
 
 
+def test_seeded_first_iterate_is_the_first_picard_step(golden, monkeypatch):
+    # both solves seed Picard with the image of zero, which they know without
+    # applying the map; a run that applies the map instead must take the same
+    # iterates, so the same count and update history
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    solves = (solve_coupled, solve_triangular)
+    seeded = [solve(spec, eps, grid, tol=1e-11)[2] for solve in solves]
+    picard = borel_solver._picard
+
+    def unseeded(step, start, diff_norm, tol, max_iter, first=None):
+        assert first is not None
+        return picard(step, start, diff_norm, tol, max_iter)
+
+    monkeypatch.setattr(borel_solver, "_picard", unseeded)
+    for solve, want in zip(solves, seeded):
+        got = solve(spec, eps, grid, tol=1e-11)[2]
+        assert got.iterations == want.iterations
+        assert len(got.update_history) == len(want.update_history)
+        for a, b in zip(got.update_history, want.update_history):
+            assert abs(a - b) <= 1e-15 * b, (solve.__name__, a, b)
+
+
 def test_affine_linearity(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     ctx = SolverContext(spec, grid, eps)
@@ -310,35 +329,25 @@ def test_divergence_detected(problem_dict):
     problem_dict["coeffs"]["CB"] = 5000.0
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
     with pytest.raises(DivergenceError) as err:
         solve_coupled(spec, 0.015, grid, tol=1e-10, max_iter=60)
     assert len(err.value.history) >= 3
 
 
 def test_disc_agreement_between_directions(golden):
+    # omega on the disc D(0, rho) does not depend on the direction: the rows
+    # of each line at or below rung 0 and its centre equal the Taylor sum at
+    # tau = 0 to rounding, relative to the line's largest value
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
     geom2 = make_geometry(spec, d=0.3)
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
     grid2 = build_grid(spec, geom2, gspec)
     w0b, w1b, _ = solve_coupled(spec, eps, grid2, tol=1e-11)
-    grid = golden["grid"]
-
-    def ring_map(g):
-        return {round(ln.angle, 12): g.line_rows(i)
-                for i, ln in enumerate(g.lines[1:], start=1)}
-
-    rings_a, rings_b = ring_map(grid), ring_map(grid2)
-    shared = sorted(set(rings_a) & set(rings_b))
-    assert len(shared) >= 14
-    worst = 0.0
-    for ang in shared:
-        da = golden["w0"].values[rings_a[ang]] - w0b.values[rings_b[ang]]
-        db = golden["w1"].values[rings_a[ang]] - w1b.values[rings_b[ang]]
-        worst = max(worst, float(np.max(np.abs(da))), float(np.max(np.abs(db))))
-    worst = max(worst, float(np.max(np.abs(golden["w0"].center - w0b.center))))
-    assert worst <= 1e-8
+    for sol in ((golden["grid"], golden["w0"], golden["w1"]), (grid2, w0b, w1b)):
+        scale = max(np.abs(w.data).max() for w in sol[1:])
+        assert disc_taylor_gap(spec, eps, [sol]) <= 1e-13 * scale
 
 
 def test_eps_holomorphy_proxy(golden):
@@ -377,8 +386,7 @@ def _dense_affine_fixed_point(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
     m = np.linspace(-12.0, 12.0, 9)
-    lines = [RadialLine(0.0, -24, 6), RadialLine(0.0, -6, 0), RadialLine(math.pi, -6, 0)]
-    grid = BorelGrid(spec.q, spec.k, 13, geom.rho, geom.delta, 0.0, m, lines)
+    grid = BorelGrid(spec.q, spec.k, 13, geom.rho, geom.delta, 0.0, m, -24, 6)
     eps = 0.015
 
     n, n_m = grid.n_nodes, m.size
@@ -395,20 +403,18 @@ def _dense_affine_fixed_point(problem_dict):
         return np.kron(np.eye(n + 1), K)
 
     def dilation(shift):
-        """tau -> q^(-shift/N) tau: a rung shift along each line; below the
+        """tau -> q^(-shift/N) tau: a rung shift along the line; below the
         bottom rung the quadratic through the centre and the two lowest nodes."""
         D = np.zeros((n + 1, n + 1))
         D[n, n] = 1.0
-        for i, ln in enumerate(grid.lines):
-            lo = grid.offsets[i]
-            nodes = [0.0, grid.radius_of_rung(ln.g_lo), grid.radius_of_rung(ln.g_lo + 1)]
-            for j in range(ln.size):
-                if j >= shift:
-                    D[lo + j, lo + j - shift] = 1.0
-                    continue
-                wts = _lagrange(nodes, grid.radius_of_rung(ln.g_lo + j - shift))
-                for col, wt in zip((n, lo, lo + 1), wts):
-                    D[lo + j, col] += wt
+        nodes = [0.0, grid.radius_of_rung(grid.g_lo), grid.radius_of_rung(grid.g_lo + 1)]
+        for j in range(n):
+            if j >= shift:
+                D[j, j - shift] = 1.0
+                continue
+            wts = _lagrange(nodes, grid.radius_of_rung(grid.g_lo + j - shift))
+            for col, wt in zip((n, 0, 1), wts):
+                D[j, col] += wt
         return np.kron(D, np.eye(n_m))
 
     def diag(a):
@@ -452,86 +458,78 @@ def test_triangular_picard_matches_dense_solve_of_affine_fixed_point(problem_dic
     _assert_matches_dense(solve_triangular, problem_dict)
 
 
-def _dilate_per_line(grid, values, center, shift):
-    """Oracle: the rung shift line by line, with the quadratic through the
-    centre and the two lowest nodes below each line's bottom rung."""
+def _dilate_per_row(grid, values, center, shift):
+    """Oracle: the rung shift row by row, with the quadratic through the
+    centre and the two lowest nodes below the bottom rung."""
     out = np.empty_like(values)
-    for i, ln in enumerate(grid.lines):
-        vals = values[grid.line_rows(i)]
-        n = ln.size
-        block = np.empty_like(vals)
-        if n > shift:
-            block[shift:] = vals[:n - shift]
-        r0 = grid.radius_of_rung(ln.g_lo)
-        r1 = grid.radius_of_rung(ln.g_lo + 1) if n > 1 else 2.0 * r0
-        v0 = vals[0]
-        v1 = vals[1] if n > 1 else vals[0]
-        for j in range(min(shift, n)):
-            r = grid.radius_of_rung(ln.g_lo + j - shift)
-            l0 = (r - r0) * (r - r1) / (r0 * r1)
-            l1 = r * (r - r1) / (r0 * (r0 - r1))
-            l2 = r * (r - r0) / (r1 * (r1 - r0))
-            block[j] = l0 * center + l1 * v0 + l2 * v1
-        out[grid.line_rows(i)] = block
+    r0, r1 = grid.radius_of_rung(grid.g_lo), grid.radius_of_rung(grid.g_lo + 1)
+    for j in range(grid.n_nodes):
+        if j >= shift:
+            out[j] = values[j - shift]
+            continue
+        r = grid.radius_of_rung(grid.g_lo + j - shift)
+        l0 = (r - r0) * (r - r1) / (r0 * r1)
+        l1 = r * (r - r1) / (r0 * (r0 - r1))
+        l2 = r * (r - r0) / (r1 * (r1 - r0))
+        out[j] = l0 * center + l1 * values[0] + l2 * values[1]
     return out
+
+
+def _random_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_nodes, grid.m.size)
+    return BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
 
 
 @pytest.mark.parametrize("shift", [0, 1, 3, 4, 40])
 def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
-    # lines of 31, 4 and 1 nodes: shifts 4 and 40 reach past the short lines'
-    # tops, and the one-node line takes r1 = 2 r0 and v1 = v0
-    lines = [RadialLine(0.3, -24, 6), RadialLine(0.5 * math.pi, -3, 0),
-             RadialLine(math.pi, 0, 0)]
-    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), lines)
-    rng = np.random.default_rng(shift)
-    shape = (grid.n_nodes, grid.m.size)
-    f = BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                      rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
-    got = BorelFunction.of_data(grid, grid.dilation(shift).apply(f.data))
-    want = _dilate_per_line(grid, f.values, f.center, shift)
-    assert got.values.tobytes() == want.tobytes()
-    assert got.center.tobytes() == f.center.tobytes()
-    with pytest.raises(UsageError):
-        grid.dilation(-1)
+    # lines of 31 and 4 nodes: shifts 4 and 40 reach past the short line's top
+    for g_lo, g_hi in ((-24, 6), (-3, 0)):
+        grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), g_lo, g_hi)
+        f = _random_function(grid, shift)
+        got = BorelFunction.of_data(grid, grid.dilation(shift).apply(f.data))
+        want = _dilate_per_row(grid, f.values, f.center, shift)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.center.tobytes() == f.center.tobytes()
+        with pytest.raises(UsageError):
+            grid.dilation(-1)
 
 
-def test_truncated_grid_keeps_the_ladder_principal_line_and_lower_rungs():
-    from tests.conftest import kept_rows
-
-    lines = [RadialLine(0.3, -40, 6), RadialLine(0.0, -30, 0),
-             RadialLine(math.pi, -30, 0)]
-    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), lines)
+def test_truncated_grid_keeps_the_ladder_and_the_rungs_above_the_cut():
+    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6)
     # the rung nearest rho/2: q^(g/N) = 1/2 at g = -N for q = 2
     assert grid.arc_rung() == -13
-    rng = np.random.default_rng(7)
-    shape = (grid.n_nodes, grid.m.size)
-    f = BorelFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                      rng.standard_normal(grid.m.size) + 1j * rng.standard_normal(grid.m.size))
-    for top, ring_sizes in ((None, []), (-13, [18, 18]), (-29, [2, 2]), (5, [31, 31])):
-        cut = grid.truncated(top)
+    f = _random_function(grid, 7)
+    for bottom in (-40, -13, 5):
+        cut = grid.truncated(bottom)
         assert (cut.N, cut.rho, cut.direction, cut.spec_q) == (13, 0.7, 0.3, 2.0)
-        assert cut.m is grid.m and cut.lines[0] == lines[0]
-        assert [ln.size for ln in cut.lines[1:]] == ring_sizes
+        assert cut.m is grid.m and (cut.g_lo, cut.g_hi) == (bottom, 6)
         assert cut.arc_rung() == grid.arc_rung()
         rows = kept_rows(grid, cut)
         assert cut.tau.tobytes() == grid.tau[rows[:-1]].tobytes()
-        # a rung reads only lower rungs of its own line and the centre, so
-        # dilating the kept rows equals keeping the dilated rows
+        # a rung reads only lower rungs and the centre, so rows at least one
+        # shift above the cut dilate as on the whole line; the rows below
+        # read the cut's own bottom quadratic
         part = BorelFunction.of_data(cut, f.data[rows])
         for shift in (1, 3, 40):
-            assert (cut.dilation(shift).apply(part.data).tobytes()
-                    == grid.dilation(shift).apply(f.data)[rows].tobytes())
-    # a one-rung line would take its bottom quadratic through a made-up
-    # second node
-    with pytest.raises(UsageError):
-        grid.truncated(-30)
+            got = cut.dilation(shift).apply(part.data)
+            want = grid.dilation(shift).apply(f.data)[rows]
+            assert got[shift:].tobytes() == want[shift:].tobytes()
+            assert got[-1].tobytes() == want[-1].tobytes()
+    # a line of one rung would take its bottom quadratic through a made-up
+    # second node; a cut below the line is no cut
+    for bottom in (6, 7, -41):
+        with pytest.raises(UsageError):
+            grid.truncated(bottom)
+    with pytest.raises(UsageError, match="two rungs"):
+        BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, grid.m, 0, 0)
 
 
 def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
-    # one application of every operator on the cut grid equals the full
-    # grid's application read on the rows the cut keeps
-    from tests.conftest import kept_rows
-
+    # one application of every operator on a bottom-cut grid equals the whole
+    # line's application on the rows it keeps at least one dilation shift
+    # above the cut, whose inputs are all kept
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     rng = np.random.default_rng(11)
     shape = (grid.n_nodes + 1, grid.m.size)
@@ -545,14 +543,15 @@ def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
                 ctx.g_eps(b), ctx.apply_H0(a, b)]
 
     want = outputs(full, w0, w1)
-    for top in (None, grid.arc_rung()):
-        cut = grid.truncated(top)
+    for bottom in (grid.g_lo, grid.arc_rung() - 5):
+        cut = grid.truncated(bottom)
+        shift = max(cut.factors(spec).shifts)
         rows = kept_rows(grid, cut)
         a, b = (BorelFunction.of_data(cut, w.data[rows], eps) for w in (w0, w1))
         for got, ref in zip(outputs(SolverContext(spec, cut, eps), a, b), want):
-            ref = ref.data[rows]
+            ref = ref.data[rows][shift:]
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
-            assert np.all(np.abs(got.data - ref) <= 1e-14 * scale)
+            assert np.all(np.abs(got.data[shift:] - ref) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("density_factor, shift", [(4.0, 1), (8.0, 2)])
@@ -561,8 +560,8 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     # fewer rungs would feed it from the bottom quadratic below the cut
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_nodes=41, density_factor=density_factor)).truncated(None)
-    cut = grid.truncated(None, bottom=grid.arc_rung() - 5)
+                      GridSpec(m_nodes=41, density_factor=density_factor))
+    cut = grid.truncated(grid.arc_rung() - 5)
     assert cut.factors(spec).shifts == (shift,)
     for solve in (solve_coupled, solve_triangular):
         with pytest.raises(UsageError, match="dilation shift"):
@@ -574,4 +573,4 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
                                    held=np.zeros((2, shift + 1, cut.m.size)))
     assert not w0.data[:shift].any() and not w1.center.any() and rep.norms[1] > 0
     with pytest.raises(UsageError):
-        grid.truncated(None, bottom=grid.lines[0].g_hi)
+        grid.truncated(grid.g_hi)

@@ -18,7 +18,7 @@ def small_config(tmp_path, **overrides):
     """Reduced copy of the bundled config for fast CLI exercises."""
     cfg = json.loads(GOLDEN.read_text())
     cfg["quadrature"]["m_nodes"] = 81
-    cfg["grid"].update({"n_angles": 8, "ring_octaves": 2.0, "T_min": 4e-6})
+    cfg["grid"].update({"n_angles": 8, "T_min": 4e-6})
     cfg["geometry_m_grid"] = [-50.0, 50.0, 401]
     cfg["asymptotics"] = {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3],
                           "eps_decay": [0.006, 0.015, 4], "pair": 0}
@@ -75,9 +75,15 @@ def _problem_with(**fields):
 
 
 def _grid_with(**fields):
-    grid = {"n_angles": 8, "ring_octaves": 2.0, "T_min": 4e-6, "T_max": 0.025}
+    grid = {"n_angles": 8, "T_min": 4e-6, "T_max": 0.025}
     grid.update(fields)
     return {"grid": grid}
+
+
+def _tolerances_with(**fields):
+    tolerances = {"solve_tol": 1e-11, "max_iter": 200, "formal_tol": 1e-13}
+    tolerances.update(fields)
+    return {"tolerances": tolerances}
 
 
 # settings that load_config itself rejects with ConfigError
@@ -89,9 +95,14 @@ REJECTED_ON_LOAD = [
     _grid_with(T_min=0.0),
     _grid_with(T_max=-0.025),
     _grid_with(T_min=0.025),
-    _grid_with(ring_octaves=-1.0),
     {"quadrature": {"M": 0.0, "m_nodes": 81}},
     {"quadrature": {"M": -12.0, "m_nodes": 81}},
+    _tolerances_with(solve_tol=0.0),
+    _tolerances_with(solve_tol=-1.0),
+    _tolerances_with(solve_tol=math.nan),
+    _tolerances_with(formal_tol=0.0),
+    _tolerances_with(formal_tol=math.nan),
+    _tolerances_with(max_iter=0),
 ]
 
 
@@ -286,18 +297,3 @@ def test_relative_residual_divides_by_the_larger_norm():
     zero = SolveReport(iterations=1, final_update=0.0, contraction=0.0,
                        norms=(0.0, 0.0), residual=0.0)
     assert _relative_residual(zero) == 0.0
-
-
-def test_asymptotics_decay_does_not_read_the_ring_depth(tmp_path):
-    # the arc of a sector difference is summed from the Taylor series at
-    # tau = 0, so ring lines that stop above the arc rung change nothing
-    shipped = CONFIG_DIR / "asymptotics_k13.json"
-    cfg = json.loads(shipped.read_text())
-    assert cfg["grid"]["ring_octaves"] == 4.0
-    cfg["grid"]["ring_octaves"] = 0.5
-    shallow = tmp_path / "shallow.json"
-    shallow.write_text(json.dumps(cfg))
-    assert run("asymptotics", shipped, str(tmp_path / "shipped")) == 0
-    assert run("asymptotics", shallow, str(tmp_path / "shallow")) == 0
-    assert ((tmp_path / "shallow" / "decay.csv").read_bytes()
-            == (tmp_path / "shipped" / "decay.csv").read_bytes())

@@ -49,8 +49,7 @@ def asym():
     spec = ProblemSpec.from_dict(asymptotics_dict())
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, n_angles=16, ring_octaves=4,
-                     T_min=5e-6, T_max=0.025)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, n_angles=16, T_min=5e-6, T_max=0.025)
     family = SolutionFamily(spec, cov, gspec, tol=1e-13)
     series = formal_coefficients(spec, 7, m_grid=M_SMALL)
     return {"spec": spec, "cov": cov, "gspec": gspec, "family": family,
@@ -244,16 +243,15 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(family._sols) == 2 * len(rep.eps_samples)
     assert set(family.reports) == set(family._sols)
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # both sectors on the principal line only, from HELD_BELOW_ARC rungs below
-    # the arc rung: one Taylor expansion per kept eps holds the disc rows of
-    # both outer solves and gives the arc, and no ring line is solved
+    # both sectors on the principal line from HELD_BELOW_ARC rungs below the
+    # arc rung: one Taylor expansion per kept eps holds the disc rows of both
+    # outer solves and gives the arc
     assert all(outer for _, _, outer in family.reports)
-    assert [len(family._outer_grid(p).lines) for p in (0, 1)] == [1, 1]
-    line = family._outer_grid(0).lines[0]
+    line = family._outer_grid(0)
     assert line.g_lo == family._grid(0).arc_rung() - HELD_BELOW_ARC
-    assert line.g_hi == family._grid(0).lines[0].g_hi
-    assert family._outer_grid(1).n_nodes == line.size
-    assert family.grid_rows == 6 * (line.size + 1)
+    assert line.g_hi == family._grid(0).g_hi
+    assert family._outer_grid(1).n_nodes == line.n_nodes
+    assert family.grid_rows == 6 * (line.n_nodes + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
 
@@ -294,9 +292,9 @@ def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
 
 
 def test_family_rows_match_the_full_grid_solve(asym):
-    # the family solves only the rows the asymptotics read; a solve on the
-    # full grid is the oracle for those rows, the components and, with its
-    # arc read from the solved ring rows, the sector difference
+    # the family solves the whole line of build_grid; a solve on it is the
+    # oracle for those rows, the components and, with its arc read from
+    # solved ring lines, the sector difference
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
@@ -309,17 +307,12 @@ def test_family_rows_match_the_full_grid_solve(asym):
     grid = full[0][0].grid
     weights = grid.stacked_weights(spec)
     sol = family.at(0, eps)
-    assert sol.grid.n_nodes + 1 == grid.lines[0].size + 1
-    rows = kept_rows(grid, sol.grid)
+    assert sol.grid.tau.tobytes() == grid.tau.tobytes()
     for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
-        gap = np.abs(w.data - ref.data[rows])
-        assert gap.max() <= 1e-14 * np.abs(ref.data[rows]).max()
-        # the solves may stop one Picard step apart, each within tol
-        assert (gap * weights[rows]).max() <= family.tol
-    # the kept rows never read the dropped ones, so their iterates are the
-    # full solve's and can only meet tol sooner
-    assert len(family.reports[(0, eps, False)].update_history) \
-        <= len(full[0][1].update_history)
+        gap = np.abs(w.data - ref.data)
+        assert gap.max() <= 1e-14 * np.abs(ref.data).max()
+        assert (gap * weights).max() <= family.tol
+    assert family.reports[(0, eps, False)].update_history == full[0][1].update_history
     sol_b = family.at(1, eps)
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
@@ -378,7 +371,7 @@ def test_outer_residual_and_norms_read_the_free_rows_only(asym):
             for h, w in zip((ctx.apply_H0(outer.w0, ctx.g_eps(outer.w1)),
                              ctx.apply_H1(outer.w1)), pair)]
     weights = grid.stacked_weights(spec)
-    free = np.arange(grid.arc_rung() - grid.lines[0].g_lo + 1, grid.n_nodes)
+    free = np.arange(grid.arc_rung() - grid.g_lo + 1, grid.n_nodes)
 
     def sup(data, rows):
         return float((np.abs(data[rows]) * weights[rows]).max())
@@ -429,9 +422,9 @@ def test_decay_fit_builds_the_kernels_once_per_eps(asym, monkeypatch):
 
 
 def test_taylor_samples_match_the_solved_ring_rows(asym):
-    # the arc samples summed from the Taylor series at tau = 0 against the
-    # ring rows of a full-grid solve at the arc rung, and the order-0
-    # coefficients against the solved centre row
+    # the arc samples summed from the Taylor series at tau = 0 against solved
+    # ring lines at the arc rung, and the order-0 coefficients against the
+    # solved centre row
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     for eps in (0.005j, 0.2j, 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))):
@@ -451,7 +444,7 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     assert not spec.coeffs.triangular
     grid = build_grid(spec, make_geometry(spec, 0.0),
-                      GridSpec(m_max=12.0, m_nodes=81, n_angles=16, ring_octaves=4,
+                      GridSpec(m_max=12.0, m_nodes=81, n_angles=16,
                                T_min=5e-6, T_max=0.025))
     eps = 0.15 * np.exp(0.3j)
     w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)

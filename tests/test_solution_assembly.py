@@ -60,12 +60,11 @@ def test_ladder_laplace_matches_the_monomial_transform(golden, n):
     # error is at rounding level and 1e-13 leaves room only for rounding.
     spec, grid, eps, gspec = golden["spec"], golden["grid"], golden["eps"], golden["gspec"]
     m = grid.m
-    rows = grid.principal_rows()
     gs = (np.exp(-m ** 2) * (1.0 + 0.3j * m), np.exp(-0.5 * m ** 2) / (1.0 + m ** 2))
     ws = []
     for g in gs:
         w = BorelFunction.zero(grid, eps)
-        w.values[rows] = grid.tau[rows, None] ** n * g[None, :]
+        w.values[:] = grid.tau[:, None] ** n * g[None, :]
         w.center[:] = g if n == 0 else 0.0
         ws.append(w)
     sol = LogSolution(spec, grid, ws[0], ws[1], eps)
@@ -248,7 +247,7 @@ def test_residual_borel_zero_problem(problem_dict):
     problem_dict["forcing"]["f1"] = {}
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4, ring_octaves=2))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
     zero = BorelFunction.zero(grid, 0.01)
     assert residual_borel(zero, zero, spec, 0.01) == 0.0
 
@@ -283,7 +282,7 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     problem_dict["coeffs"]["b11"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=8, ring_octaves=3))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=8))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
     sol = LogSolution(spec, grid, w0, w1, eps)
@@ -317,8 +316,7 @@ def k1_pair():
     sols = []
     for ray in (0.0, 0.5):
         geom = make_geometry(spec, d=ray)
-        grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=16,
-                                               ring_octaves=4, T_min=1e-4,
+        grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=16, T_min=1e-4,
                                                T_max=0.06))
         w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
         sols.append(LogSolution(spec, grid, w0, w1, eps))
@@ -365,7 +363,7 @@ def test_difference_same_direction_is_noise(k1_pair):
 
 def test_taylor_arc_samples_match_the_ring_rows_at_k1(k1_pair):
     # k = 1 and delta = 1/2: another ladder density and dilation rate for
-    # the Taylor recursion, held against both directions' solved ring rows
+    # the Taylor recursion, held against solved ring lines of both directions
     from tests.conftest import arc_sample_gap
 
     _, sol_a, sol_b = k1_pair
@@ -377,11 +375,11 @@ def test_tail_stencil_must_not_read_below_the_line(golden):
     # the ray tail's stencil reads TAIL_REACH rungs below the arc rung; a
     # principal line cut above them has no rows there
     spec, eps = golden["spec"], golden["eps"]
-    grid = golden["grid"].truncated(None)
+    grid = golden["grid"]
     g_arc = grid.arc_rung()
     T = eps * 0.01
     for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
-        cut = grid.truncated(None, bottom=g_arc - below)
+        cut = grid.truncated(g_arc - below)
         sol = LogSolution(spec, cut, BorelFunction.zero(cut, eps), BorelFunction.zero(cut, eps),
                           eps, outer=True)
         if ok:

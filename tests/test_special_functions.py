@@ -159,13 +159,21 @@ def test_expq_norm_shape_mismatch_rejected(weight_params):
 @pytest.mark.parametrize("q,k", [(2.0, 1), (1.5, 2)])
 def test_inv_theta_against_mpmath_direct_sum(q, k):
     # Oracle: 50-digit direct summation of the theta series, |z| from 1e-6
-    # to 1e6 on four rays off the zero set (the negative real axis).  A double
-    # sum loses the digits that cancel between its largest term and theta
-    # (about 7 at k = 2, arg z = 2.6), so the error is measured against the
-    # largest term.
+    # to 1e6 on four rays off the zero set (the negative real axis), and at
+    # relative distances 1e-2 to 1e-8 from zeros -q^(m/k) in four directions.
+    # A double sum loses the digits that cancel between its largest term and
+    # theta (about 7 at k = 2, arg z = 2.6, and up to 8 more next to a zero),
+    # so the error is measured against the largest term.
     mpmath = pytest.importorskip("mpmath")
-    z = (np.logspace(-6.0, 6.0, 25)[:, None]
-         * np.exp(1j * np.array([0.0, 0.9, -1.7, 2.6]))[None, :]).ravel()
+    rays = (np.logspace(-6.0, 6.0, 25)[:, None]
+            * np.exp(1j * np.array([0.0, 0.9, -1.7, 2.6]))[None, :]).ravel()
+    zeros = -q ** (np.array([-5, 0, 1, 7]) / k)
+    offsets = (np.array([1e-2, 1e-4, 1e-6, 1e-8])[:, None]
+               * np.exp(1j * np.array([0.0, 0.5 * math.pi, math.pi, -1.1]))[None, :]).ravel()
+    near = (zeros[:, None] * (1.0 + offsets)[None, :]).ravel()
+    # a sample on a zero, to double precision, has no digit of theta left
+    assert not inv_theta(zeros + 0j, q, k).any()
+    z = np.concatenate([rays, near])
     got = inv_theta(z, q, k)
     with mpmath.workdps(50):
         for zi, gi in zip(z, got):
