@@ -637,11 +637,12 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
 
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                          probes: int = 6, seed: int = 0,
-                         scale: float = 1.0) -> float:
-    """Max over unordered random probe pairs of the H-difference quotient."""
+                         scale: float = 1.0, kernels=None) -> float:
+    """Max over unordered random probe pairs of the H-difference quotient.
+    `kernels` is as in `solve_coupled`."""
     if probes < 2:
         raise UsageError("need at least two probes")
-    ctx = SolverContext(spec, grid, eps)
+    ctx = SolverContext(spec, grid, eps, kernels)
     dist = _distance(grid.stacked_weights(spec))
     rng = np.random.default_rng(seed)
     w_nodes, w_center = grid.weights(spec)

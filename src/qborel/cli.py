@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borel_solver import GridSpec, build_grid, contraction_estimate, solve_coupled
+from .borel_solver import GridSpec, build_grid, contraction_estimate, eps_kernels, solve_coupled
 from .errors import ConfigError, DivergenceError, DomainError, GeometryError, UsageError
 from .formal_asymptotics import (
     SolutionFamily,
@@ -272,9 +272,12 @@ def _solve(rc: RunConfig, ctx: dict):
         small = check_smallness(rc.spec, ctx["consts"], rc.spec.eps0,
                                 rc.spec.coeffs.C_B, ctx["ops"]["C2_plain"],
                                 ctx["ops"]["C3"])["pass"]
+        # one build of the eps_solve kernels serves the solve, the
+        # contraction probe and the Borel residual
+        ctx["eps_kernels"] = eps_kernels(rc.spec, grid.m, rc.eps_solve)
         w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid,
                                        tol=rc.solve_tol, max_iter=rc.max_iter,
-                                       smallness_ok=small)
+                                       smallness_ok=small, kernels=ctx["eps_kernels"])
         ctx["grid"] = grid
         ctx["solution"] = (w0, w1, report)
     return ctx["solution"]
@@ -290,8 +293,8 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
               list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
-    contraction = contraction_estimate(rc.spec, rc.eps_solve, grid,
-                                       probes=4, seed=rc.seed)
+    contraction = contraction_estimate(rc.spec, rc.eps_solve, grid, probes=4,
+                                       seed=rc.seed, kernels=ctx.get("eps_kernels"))
     write_json(rc.output_dir / "solve_report.json", {
         "eps": rc.eps_solve, "iterations": report.iterations,
         "final_update": report.final_update,
@@ -319,9 +322,7 @@ def cmd_evaluate(rc: RunConfig, ctx: dict) -> int:
     sol = _log_solution(rc, ctx)
     rows = []
     for (t, z) in rc.points:
-        u0 = sol.component(0, t, z)
-        u1 = sol.component(1, t, z)
-        u = sol.evaluate(t, z)
+        u0, u1, u = sol.evaluate_parts(t, z)
         rows.append((t.real, t.imag, z.real, z.imag,
                      u0.real, u0.imag, u1.real, u1.imag, u.real, u.imag))
     write_csv(rc.output_dir / "evaluate.csv",
@@ -335,7 +336,7 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
         raise UsageError("residual requires points in the configuration")
     sol = _log_solution(rc, ctx)
     w0, w1, _ = ctx["solution"]
-    borel = residual_borel(w0, w1, rc.spec, rc.eps_solve)
+    borel = residual_borel(w0, w1, rc.spec, rc.eps_solve, kernels=ctx.get("eps_kernels"))
     defects = residual_physical(sol, rc.spec, rc.points)
     rows = [(t.real, t.imag, z.real, z.imag, float(r))
             for (t, z), r in zip(rc.points, defects)]
@@ -381,6 +382,10 @@ def _relative_residual(report) -> float:
 
 
 def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
+    # the eps_solve kernels serve `solve` and `residual` only; released here,
+    # they do not sit under the peak memory of the solves below (a later
+    # verb that still wants them builds its own)
+    ctx.pop("eps_kernels", None)
     cov = _covering(rc, ctx)
     series = _series(rc, ctx)
     family = SolutionFamily(rc.spec, cov, rc.gspec, tol=min(rc.solve_tol, 1e-12),

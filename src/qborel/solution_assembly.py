@@ -219,6 +219,22 @@ class LogSolution:
             out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
         return tuple(out)
 
+    def laplace_pair(self, t: complex, z: complex):
+        """(L_0, L_1), the q-Laplace vectors over m of both components at
+        T = eps t, after the checks every evaluation at (t, z) makes: the
+        solution is not `outer`, z lies in the strip and T is admissible."""
+        if self.outer:
+            raise UsageError("an outer solution holds only the rows a sector "
+                             "difference reads; its q-Laplace sum would read a "
+                             "partial principal line")
+        if abs(complex(z).imag) > self.spec.beta_prime:
+            raise DomainError(
+                f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
+                f"beta' = {self.spec.beta_prime}")
+        T = self.eps * complex(t)
+        check_admissible(T, self.direction, self.Delta, self.r1)
+        return self._laplace_all_m(T)
+
     def component(self, j: int, t: complex, z: complex,
                   multiplier=None) -> complex:
         """u_j(t, z, eps), optionally with a polynomial of d/dz applied.
@@ -226,39 +242,35 @@ class LogSolution:
         The multiplier acts as the Fourier factor poly(i m) inside the
         m-integral.
         """
-        if self.outer:
-            raise UsageError("an outer solution holds only the rows a sector "
-                             "difference reads; its q-Laplace sum would read a "
-                             "partial principal line")
         if j not in (0, 1):
             raise DomainError("component index must be 0 or 1")
-        if abs(complex(z).imag) > self.spec.beta_prime:
-            raise DomainError(
-                f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
-                f"beta' = {self.spec.beta_prime}")
-        T = self.eps * complex(t)
-        check_admissible(T, self.direction, self.Delta, self.r1)
-        lap = self._laplace_all_m(T)[j]
+        lap = self.laplace_pair(t, z)[j]
         m = self.grid.m
         if multiplier is not None:
             lap = lap * polyval_im(multiplier, m)
         return inverse_fourier(lap, complex(z), m)
 
-    def evaluate(self, t: complex, z: complex) -> complex:
-        """u_0 + u_1 log(eps t)/log q with the principal branch of the log."""
+    def evaluate_parts(self, t: complex, z: complex) -> tuple[complex, complex, complex]:
+        """(u_0, u_1, u) with u = u_0 + u_1 log(eps t)/log q on the principal
+        branch of the log; both components come from one Fourier sum."""
         T = self.eps * complex(t)
         if abs(math.remainder(cmath.phase(T) - math.pi, 2 * math.pi)) < 1e-9:
             raise DomainError("eps * t lies on the branch cut (-inf, 0]")
-        u0 = self.component(0, t, z)
-        u1 = self.component(1, t, z)
-        return u0 + u1 * cmath.log(T) / self.spec.lnq
+        u0, u1 = inverse_fourier(np.array(self.laplace_pair(t, z)), complex(z),
+                                 self.grid.m).tolist()
+        return u0, u1, u0 + u1 * cmath.log(T) / self.spec.lnq
+
+    def evaluate(self, t: complex, z: complex) -> complex:
+        """u_0 + u_1 log(eps t)/log q with the principal branch of the log."""
+        return self.evaluate_parts(t, z)[2]
 
 
 def residual_borel(w0: BorelFunction, w1: BorelFunction, spec: ProblemSpec,
-                   eps: complex) -> float:
+                   eps: complex, kernels=None) -> float:
     """Weighted norm of the defect of the two convolution equations,
-    assembled in un-divided form Q(im) omega_j - RHS_j."""
-    ctx = SolverContext(spec, w0.grid, eps)
+    assembled in un-divided form Q(im) omega_j - RHS_j.  `kernels` is an
+    eps_kernels result to share, as in `solve_coupled`."""
+    ctx = SolverContext(spec, w0.grid, eps, kernels)
     r0, r1 = ctx.undivided_residual(w0, w1)
     return max(r0.norm(spec), r1.norm(spec))
 
@@ -269,8 +281,10 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
 
     d/dz acts as the Fourier multiplier inside the component integrals;
     dilations re-evaluate the components at q^r t.  All dilated points must
-    stay inside the admissible domain.  The coefficient and forcing symbols
-    are sampled once per call and Fourier-summed together once per point.
+    stay inside the admissible domain.  The multipliers and the coefficient
+    and forcing symbols are sampled once per call.  Per point, the Laplace
+    pairs times their multipliers and the symbol samples are stacked and
+    Fourier-summed together, once.
     """
     eps = sol.eps
     m = sol.grid.m
@@ -281,25 +295,27 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
     symbols = ([term.C for term in spec.terms] + [spec.coeffs.b[jk] for jk in b_keys]
                + [sym for _, _, sym in forcing])
     samples = np.array([sym(m, eps) for sym in symbols], dtype=complex).reshape(-1, m.size)
+    # the pair at t under Q, then each dilated pair under its multiplier
+    q_mult = polyval_im(spec.Q, m)
+    dilated = [(qdk, polyval_im(spec.RD, m))] + [
+        (spec.q ** float(term.delta), polyval_im(term.R, m)) for term in spec.terms]
+    n_lap = 4 + 2 * len(dilated)
     defects = np.zeros(len(points))
     for i, (t, z) in enumerate(points):
         t, z = complex(t), complex(z)
         T = eps * t
-        sym_vals = inverse_fourier(samples, z, m)
+        lap = np.array(sol.laplace_pair(t, z))
+        stack = [lap, lap * q_mult]
+        stack += [np.array(sol.laplace_pair(r * t, z)) * mult for r, mult in dilated]
+        vals = inverse_fourier(np.concatenate(stack + [samples]), z, m)
+        u0, u1, lhs0, lhs1, rd0, rd1, *term_vals = vals[:n_lap].tolist()
+        sym_vals = vals[n_lap:]
         b = dict(zip(b_keys, sym_vals[n_terms:n_terms + len(b_keys)]))
-        u0 = sol.component(0, t, z)
-        u1 = sol.component(1, t, z)
-        lhs0 = sol.component(0, t, z, multiplier=spec.Q)
-        lhs1 = sol.component(1, t, z, multiplier=spec.Q)
-        rhs0 = T ** spec.dD * (
-            sol.component(0, qdk * t, z, multiplier=spec.RD)
-            + (spec.dD / spec.k) * sol.component(1, qdk * t, z, multiplier=spec.RD))
-        rhs1 = T ** spec.dD * sol.component(1, qdk * t, z, multiplier=spec.RD)
-        for term, c_val in zip(spec.terms, sym_vals[:n_terms]):
-            qd = spec.q ** float(term.delta)
+        rhs0 = T ** spec.dD * (rd0 + (spec.dD / spec.k) * rd1)
+        rhs1 = T ** spec.dD * rd1
+        for l, (term, c_val) in enumerate(zip(spec.terms, sym_vals[:n_terms])):
             pref = eps ** term.Delta * t ** term.d * c_val
-            r0 = sol.component(0, qd * t, z, multiplier=term.R)
-            r1 = sol.component(1, qd * t, z, multiplier=term.R)
+            r0, r1 = term_vals[2 * l:2 * l + 2]
             rhs0 += pref * (r0 + float(term.delta) * r1)
             rhs1 += pref * r1
         forced = [0.0 + 0.0j, 0.0 + 0.0j]

@@ -3,7 +3,10 @@
 The theta series sum_p q^(-p(p-1)/2k) z^p converges for every z != 0 thanks to
 the Gaussian decay of the coefficients.  All magnitudes are tracked in log
 space so that evaluation stays finite far outside the unit disc, where the
-function grows like exp((k/2) log^2|z| / log q).
+function grows like exp((k/2) log^2|z| / log q).  Each sample is summed over
+its own fixed-width index window around the peak term, so a batch of samples
+costs the same per sample however far apart their moduli lie, and a sample's
+value does not depend on the batch.
 """
 
 from __future__ import annotations
@@ -54,26 +57,17 @@ class WeightParams:
 ZERO_LATTICE_ULPS = 8
 
 
-def _theta_window(q: float, k: int, log_abs_z: np.ndarray, tol: float):
-    """Index window [p_lo, p_hi] outside of which theta terms are < tol * peak.
-
-    The term log-magnitude f(p) = -p(p-1) ln q / (2k) + p ln|z| is a downward
-    parabola peaking at p* = 1/2 + k ln|z| / ln q; a half width P with
-    (ln q / 2k) P^2 > |ln tol| + margin bounds the discarded tail.
-    """
-    lnq = math.log(q)
-    p_star = 0.5 + k * log_abs_z / lnq
-    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(tol)) + 16.0) / lnq)) + 2
-    p_lo = int(np.floor(np.min(p_star))) - half
-    p_hi = int(np.ceil(np.max(p_star))) + half
-    return p_lo, p_hi
-
-
 def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
     """Evaluate theta as (scaled, log_scale) with theta = scaled * exp(log_scale).
 
     Vectorised over z.  The scaling keeps the partial sums O(1) even when the
     true value would overflow a double.
+
+    The term log-magnitude f(p) = -p(p-1) ln q / (2k) + p ln|z| is a downward
+    parabola peaking at p* = 1/2 + k ln|z| / ln q; a half width P with
+    (ln q / 2k) P^2 > |ln tol| + margin bounds the discarded tail.  Each
+    sample sums its own 2P + 2 indices from floor(p*) - P, so a sample's
+    value does not depend on the others it is evaluated with.
     """
     zs = np.asarray(z, dtype=complex)
     if np.any(zs == 0):
@@ -86,13 +80,14 @@ def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
     arg = np.angle(zs)
     lnq = math.log(q)
 
-    p_lo, p_hi = _theta_window(q, k, log_abs, tol)
-    p = np.arange(p_lo, p_hi + 1, dtype=float)
+    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(tol)) + 16.0) / lnq)) + 2
+    p_star = 0.5 + k * log_abs / lnq
+    p = (np.floor(p_star) - half)[..., None] + np.arange(2 * half + 2, dtype=float)
     # log-magnitude and phase of each term, per evaluation point
-    logmag = (-p * (p - 1.0) * lnq / (2.0 * k))[None, :] + np.outer(log_abs, p)
-    scale = logmag.max(axis=1)
-    terms = np.exp(logmag - scale[:, None] + 1j * np.outer(arg, p))
-    total = terms.sum(axis=1)
+    logmag = -p * (p - 1.0) * lnq / (2.0 * k) + log_abs[..., None] * p
+    scale = logmag.max(axis=-1)
+    terms = np.exp(logmag - scale[..., None] + 1j * (arg[..., None] * p))
+    total = terms.sum(axis=-1)
     if scalar:
         return complex(total[0]), float(scale[0])
     return total, scale

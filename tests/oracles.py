@@ -11,6 +11,8 @@ the theta lower bound, the formal monodromy and the good covering.
 `arc_values` solves a ring line at each arc sample angle and reads it at
 the arc rung, the oracle for the arc samples summed from the Taylor series
 at tau = 0, and `RingArcSolution` takes its sector-difference arc from them.
+`residual_physical_per_component` assembles the physical defect from one
+`LogSolution.component` call, with its own Fourier sum, per term.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from qborel.special_functions import (
     theta_scaled,
     theta_zero_clearance,
 )
-from qborel.transforms import check_admissible
+from qborel.transforms import check_admissible, inverse_fourier
 
 _FLOOR = 1e-16          # relative integrand floor for bracket expansion
 _TAIL_RUN = 12          # consecutive sub-floor nodes ending the expansion
@@ -237,3 +239,46 @@ class RingArcSolution(LogSolution):
 
     def _arc_samples(self, g_arc: int):
         return arc_values(self.spec, self.eps, self.grid, g_arc)
+
+
+def residual_physical_per_component(sol: LogSolution, spec, points) -> np.ndarray:
+    """`solution_assembly.residual_physical` with every component of every
+    point Fourier-summed on its own: 13 `component` calls per point on the
+    worked instance, each sampling its multiplier again."""
+    eps = sol.eps
+    m = sol.grid.m
+    qdk = spec.q ** (spec.dD / spec.k)
+    n_terms = len(spec.terms)
+    b_keys = list(spec.coeffs.b)
+    forcing = [(h, p, sym) for h in (0, 1) for p, sym in spec.forcing.powers(h).items()]
+    symbols = ([term.C for term in spec.terms] + [spec.coeffs.b[jk] for jk in b_keys]
+               + [sym for _, _, sym in forcing])
+    samples = np.array([sym(m, eps) for sym in symbols], dtype=complex).reshape(-1, m.size)
+    defects = np.zeros(len(points))
+    for i, (t, z) in enumerate(points):
+        t, z = complex(t), complex(z)
+        T = eps * t
+        sym_vals = inverse_fourier(samples, z, m)
+        b = dict(zip(b_keys, sym_vals[n_terms:n_terms + len(b_keys)]))
+        u0 = sol.component(0, t, z)
+        u1 = sol.component(1, t, z)
+        lhs0 = sol.component(0, t, z, multiplier=spec.Q)
+        lhs1 = sol.component(1, t, z, multiplier=spec.Q)
+        rhs0 = T ** spec.dD * (
+            sol.component(0, qdk * t, z, multiplier=spec.RD)
+            + (spec.dD / spec.k) * sol.component(1, qdk * t, z, multiplier=spec.RD))
+        rhs1 = T ** spec.dD * sol.component(1, qdk * t, z, multiplier=spec.RD)
+        for term, c_val in zip(spec.terms, sym_vals[:n_terms]):
+            qd = spec.q ** float(term.delta)
+            pref = eps ** term.Delta * t ** term.d * c_val
+            r0 = sol.component(0, qd * t, z, multiplier=term.R)
+            r1 = sol.component(1, qd * t, z, multiplier=term.R)
+            rhs0 += pref * (r0 + float(term.delta) * r1)
+            rhs1 += pref * r1
+        forced = [0.0 + 0.0j, 0.0 + 0.0j]
+        for (h, p, _), F in zip(forcing, sym_vals[n_terms + len(b_keys):]):
+            forced[h] += F * (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0) * T ** p
+        rhs0 += forced[0] + b[(0, 0)] * u0 + b[(1, 0)] * u1
+        rhs1 += forced[1] + b[(0, 1)] * u0 + b[(1, 1)] * u1
+        defects[i] = max(abs(lhs0 - rhs0), abs(lhs1 - rhs1))
+    return defects

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 from pathlib import Path
@@ -185,6 +186,47 @@ def test_evaluate_and_residual_verbs(tmp_path):
     assert run("residual", path, str(out)) == 0
     rep = json.loads((out / "residual_report.json").read_text())
     assert rep["physical_residual_max"] <= 1e-6
+
+
+def test_evaluate_rows_combine_their_components(tmp_path):
+    points = [[0.012, 0.0, 0.1, 0.0], [0.009, 0.001, -0.2, 0.1], [0.006, -0.002, 0.3, -0.2]]
+    path = small_config(tmp_path, points=points)
+    out = tmp_path / "out"
+    assert run("evaluate", path, str(out)) == 0
+    rc = load_config(path)
+    data = np.loadtxt(out / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (len(points), 10)
+    for row in data:
+        t, u0, u1, u = (complex(row[i], row[i + 1]) for i in (0, 4, 6, 8))
+        assert u == u0 + u1 * cmath.log(rc.eps_solve * t) / rc.spec.lnq
+
+
+def test_evaluate_on_the_branch_cut_is_3(tmp_path, capsys):
+    # eps = 0.015 on the example, so eps t lies on (-inf, 0]
+    path = small_config(tmp_path, points=[[0.012, 0.0, 0.1, 0.0], [-0.012, 0.0, 0.1, 0.0]])
+    assert run("evaluate", path, str(tmp_path / "out")) == 3
+    assert "branch cut" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["solve", "residual"])
+def test_verb_builds_the_eps_kernels_once(tmp_path, monkeypatch, verb):
+    # the solve, the contraction probe and the Borel residual share one build
+    import qborel.borel_solver as borel_solver
+    import qborel.cli as cli
+
+    path = small_config(tmp_path)
+    eps = load_config(path).eps_solve
+    builds = []
+    real = borel_solver.eps_kernels
+
+    def counting(spec, m, at):
+        builds.append(at)
+        return real(spec, m, at)
+
+    monkeypatch.setattr(borel_solver, "eps_kernels", counting)
+    monkeypatch.setattr(cli, "eps_kernels", counting, raising=False)
+    assert run(verb, path, str(tmp_path / "out")) == 0
+    assert builds.count(eps) == 1
 
 
 def test_evaluate_without_points_is_usage_error(tmp_path):

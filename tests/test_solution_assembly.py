@@ -17,7 +17,7 @@ from qborel.solution_assembly import (
     solution_difference,
 )
 from qborel.transforms import inverse_fourier
-from tests.oracles import monodromy_components
+from tests.oracles import monodromy_components, residual_physical_per_component
 
 
 @pytest.fixture
@@ -269,6 +269,40 @@ def test_residual_physical_sensitivity(golden):
     sol = LogSolution(spec, golden["grid"], golden["w0"], w1, golden["eps"])
     res = residual_physical(sol, spec, [(0.012, 0.1)]).max()
     assert 1e-6 < res < 1e-1
+
+
+RESIDUAL_POINTS = [(0.008, -0.3), (0.016, 0.0), (0.012, 0.4), (0.010 + 0.002j, 0.1),
+                   (0.014, -0.1 + 0.2j), (0.008, 0.25 - 0.15j)]
+
+
+def test_residual_physical_matches_the_per_component_loop(golden_solution):
+    # numpy sums each row of the stack as it sums a lone vector
+    sol = golden_solution
+    got = residual_physical(_fresh(sol), sol.spec, RESIDUAL_POINTS)
+    want = residual_physical_per_component(_fresh(sol), sol.spec, RESIDUAL_POINTS)
+    assert np.array_equal(got, want)
+
+
+def test_residual_physical_sums_each_point_once(golden_solution, monkeypatch):
+    calls = []
+    real = assembly.inverse_fourier
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "inverse_fourier", counting)
+    residual_physical(_fresh(golden_solution), golden_solution.spec, RESIDUAL_POINTS)
+    assert len(calls) == len(RESIDUAL_POINTS)
+
+
+def test_evaluate_parts_are_the_components(golden_solution):
+    sol = _fresh(golden_solution)
+    for t, z in RESIDUAL_POINTS:
+        u0, u1, u = sol.evaluate_parts(t, z)
+        assert (u0, u1) == (sol.component(0, t, z), sol.component(1, t, z))
+        assert u == u0 + u1 * cmath.log(sol.eps * t) / sol.spec.lnq
+        assert sol.evaluate(t, z) == u
 
 
 def test_forcing_only_dD0_matches_direct_construction(problem_dict):

@@ -55,6 +55,45 @@ def test_functional_identity_on_2d_sample():
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
+def theta_shared_window(z, q, k, tol=1e-12):
+    """theta_scaled's sum with one index window for every sample,
+    [floor(min p*) - P, ceil(max p*) + P], with theta_scaled's half width P."""
+    log_abs, arg, lnq = np.log(np.abs(z)), np.angle(z), math.log(q)
+    p_star = 0.5 + k * log_abs / lnq
+    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(tol)) + 16.0) / lnq)) + 2
+    p = np.arange(int(np.floor(p_star.min())) - half, int(np.ceil(p_star.max())) + half + 1,
+                  dtype=float)
+    logmag = (-p * (p - 1.0) * lnq / (2.0 * k))[None, :] + np.outer(log_abs, p)
+    scale = logmag.max(axis=1)
+    terms = np.exp(logmag - scale[:, None] + 1j * np.outer(arg, p))
+    return terms.sum(axis=1), scale
+
+
+def test_theta_sample_does_not_depend_on_its_batch():
+    # the radial line of a q-Laplace sum: p* spans about 370 indices
+    q, k = 2.0, 13
+    z = 0.004 * 2.0 ** (np.arange(340) / 12) * np.exp(0.3j)
+    scaled, log_scale = theta_scaled(z, q, k)
+    alone = [theta_scaled(zi, q, k) for zi in z]
+    assert np.array_equal(scaled, [s for s, _ in alone])
+    assert np.array_equal(log_scale, [ls for _, ls in alone])
+
+
+def test_theta_on_a_circle_is_the_shared_window_sum():
+    # the arc of a sector difference: its samples share |z|, so each one's
+    # window is the window they would share, and the sums agree bit for bit
+    q, k = 2.0, 13
+    z = 0.37 / 0.011 * np.exp(1j * (np.linspace(-3.046, 0.0, 400) - 0.4))
+    p_star = 0.5 + k * np.log(np.abs(z)) / math.log(q)
+    assert np.ptp(np.floor(p_star)) == 0 and 0.1 < p_star[0] % 1.0 < 0.9
+    scaled, log_scale = theta_scaled(z, q, k)
+    want_scaled, want_scale = theta_shared_window(z, q, k)
+    assert np.array_equal(scaled, want_scaled)
+    assert np.array_equal(log_scale, want_scale)
+    alone = [theta_scaled(zi, q, k) for zi in z]
+    assert np.array_equal(scaled, [s for s, _ in alone])
+
+
 def test_real_positive_argument_gives_real_value():
     val = theta(1.7, 2.0, 1)
     assert abs(val.imag) < 1e-14 * abs(val.real)
