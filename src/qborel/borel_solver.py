@@ -309,7 +309,6 @@ class SolveReport:
     contraction: float
     norms: tuple[float, float]
     residual: float
-    smallness_ok: bool | None = None
     varpi: float = math.nan
     update_history: list[float] = field(default_factory=list)
 
@@ -564,7 +563,7 @@ def _holding(ctx: SolverContext, held):
 
 
 def _solve_report(weights: np.ndarray, dist, pair, images, runs,
-                  smallness_ok: bool | None, varpi: float = math.nan):
+                  varpi: float = math.nan):
     """(w0, w1, SolveReport) of a solve that ends at pair, whose coupled map
     sends it to images; runs holds the (iterations, final update,
     contraction, history) of each of its Picard iterations, in solve order.
@@ -574,19 +573,18 @@ def _solve_report(weights: np.ndarray, dist, pair, images, runs,
                          contraction=max(contractions),
                          norms=tuple(_weighted_sup(w.data, weights) for w in pair),
                          residual=max(dist(h, w) for h, w in zip(images, pair)),
-                         smallness_ok=smallness_ok, varpi=varpi,
+                         varpi=varpi,
                          update_history=sum(histories, []))
     return (*pair, report)
 
 
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                  tol: float = 1e-10, max_iter: int = 200,
-                  smallness_ok: bool | None = None, kernels=None, held=None):
+                  tol: float = 1e-10, max_iter: int = 200, kernels=None, held=None):
     """Picard iteration on the coupled map from (0, 0), whose first iterate
     is the forcing over P.
 
-    Convergence is guaranteed when the smallness budget holds; otherwise the
-    solve still runs and the report flags the missing guarantee.  `kernels`
+    Convergence is guaranteed when the smallness budget of
+    `geometry.check_smallness` holds; otherwise the solve still runs.  `kernels`
     is an eps_kernels result to share; `held` fixes the lowest rows of the
     line and the centre (see `_holding`), and the solve then
     updates, measures and reports the other rows only.
@@ -607,13 +605,11 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     contraction = run[2]
     cf = max(_weighted_sup(w.data, weights) for w in first)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
-    return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], smallness_ok,
-                         varpi)
+    return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], varpi)
 
 
 def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                     tol: float = 1e-10, max_iter: int = 200,
-                     smallness_ok: bool | None = None, kernels=None, held=None):
+                     tol: float = 1e-10, max_iter: int = 200, kernels=None, held=None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
     own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
     Each Picard run starts from zero, whose images are known: omega_1's
@@ -632,7 +628,7 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     # the coupled map's rows from the blocks: row 0 reuses g, and row 1
     # reads no omega_0 because b_01 = 0
     return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
-                         [run1, run0], smallness_ok)
+                         [run1, run0])
 
 
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
@@ -672,11 +668,17 @@ TAYLOR_RTOL = 1e-18
 TAYLOR_MAX_ORDER = 160
 
 
-def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray,
-                       n: int, max_iter: int = 200) -> np.ndarray:
+def _b_coupling(b_kernel: dict) -> list:
+    """(j, eq, K) for each nonzero b kernel, keyed (j, eq) as in eps_kernels."""
+    return [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
+
+
+def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
+                       rtol: float, max_iter: int = 200) -> np.ndarray:
     """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
-    sum_j K_(j,eq) c_j, by iteration from rhs / P(0); the b symbols are small
-    under the smallness budget."""
+    sum_j K_(j,eq) c_j over coupling (`_b_coupling`), by iteration from
+    rhs / P(0) until an update is within rtol of its start; the b symbols are
+    small under the smallness budget.  `what` names c in a DivergenceError."""
     c = rhs * inv_p0
     if not coupling:
         return c
@@ -688,14 +690,12 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray,
         nxt *= inv_p0
         update = float(np.abs(nxt - c).max())
         c = nxt
-        # a few units of rounding of the largest coefficient
-        if update <= 4e-16 * scale:
+        if update <= rtol * scale:
             return c
         if not math.isfinite(update):
             break
-    raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 do not "
-                          f"converge (last update {update:.3g}): smallness "
-                          "condition violated")
+    raise DivergenceError(f"{what} do not converge (last update {update:.3g}): "
+                          "smallness condition violated")
 
 
 def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
@@ -723,7 +723,7 @@ def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
     m = np.asarray(m, dtype=float)
     eps = complex(eps)
     term_kernel, b_kernel = eps_kernels(spec, m, eps) if kernels is None else kernels
-    coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
+    coupling = _b_coupling(b_kernel)
     # per term: d_l, delta_l, the eps and q^(...) prefactor, the dilation
     # factor of one tau power, and the kernel
     terms = [(t.d, float(t.delta), eps ** (t.Delta - t.d) * spec.q_power_factor(t.d),
@@ -752,7 +752,9 @@ def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
                 h *= scale * dilation ** (n - d)
                 rhs[0] += delta * h[1]
                 rhs += h
-        c[:, n] = _order_fixed_point(rhs, coupling, inv_p0, n)
+        # to a few units of rounding of the largest coefficient
+        c[:, n] = _order_fixed_point(rhs, coupling, inv_p0, f"the order-{n} Taylor "
+                                     "coefficients at tau = 0", rtol=4e-16)
         size = float(np.abs(c[:, n]).max()) * radius ** n
         if not math.isfinite(size):
             raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 "

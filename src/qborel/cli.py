@@ -210,24 +210,33 @@ def _geometry(rc: RunConfig, ctx: dict):
     return ctx["geom"]
 
 
+def _certificate(rc: RunConfig, ctx: dict):
+    """(bound constants, operator constants, smallness check) of the first
+    Borel direction, computed once per run: check-geometry reports them and
+    solve writes the smallness pass next to its solve."""
+    if "certificate" not in ctx:
+        spec = rc.spec
+        geom = _geometry(rc, ctx)
+        consts = bound_constants(spec, geom, rc.geometry_m_grid)
+        ops = operator_constants(spec, geom, consts, rc.geometry_m_grid)
+        small = check_smallness(spec, consts, spec.eps0, spec.coeffs.C_B,
+                                ops["C2_plain"], ops["C3"])
+        ctx["certificate"] = (consts, ops, small)
+    return ctx["certificate"]
+
+
 def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
     spec = rc.spec
     rep = validate_assumptions(spec, rc.geometry_m_grid)
     failures = [{"name": c.name, "witness": c.witness} for c in rep.failures()]
     rows = [(c.name, int(c.passed), c.witness or "", "" if c.value is None else _fmt(c.value))
             for c in rep.checks]
-    consts = {}
+    consts, ops = {}, None
     assump_d = {"pass": False}
     small = {"pass": False}
     try:
-        geom = _geometry(rc, ctx)
-        consts = bound_constants(spec, geom, rc.geometry_m_grid)
-        ctx["consts"] = consts
+        consts, ops, small = _certificate(rc, ctx)
         assump_d = check_assumption_d(spec, consts)
-        ops = operator_constants(spec, geom, consts, rc.geometry_m_grid)
-        ctx["ops"] = ops
-        small = check_smallness(spec, consts, spec.eps0, spec.coeffs.C_B,
-                                ops["C2_plain"], ops["C3"])
         rows.append(("D.condition", int(assump_d["pass"]), "",
                      _fmt(assump_d["margin"])))
         rows.append(("smallness", int(small["pass"]), "", _fmt(small["lhs"])))
@@ -244,9 +253,9 @@ def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
     const_rows = sorted(consts.items())
     if assump_d:
         const_rows.append(("k_threshold", assump_d.get("k_threshold", math.nan)))
-    if "ops" in ctx:
-        const_rows.append(("C2_plain", ctx["ops"]["C2_plain"]))
-        for i, c in enumerate(ctx["ops"]["C3"], start=1):
+    if ops is not None:
+        const_rows.append(("C2_plain", ops["C2_plain"]))
+        for i, c in enumerate(ops["C3"], start=1):
             const_rows.append((f"C3_{i}", c))
     write_csv(rc.output_dir / "constants.csv", ["name", "value"], const_rows)
     write_json(rc.output_dir / "geometry_report.json", {
@@ -263,27 +272,20 @@ def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
 
 def _solve(rc: RunConfig, ctx: dict):
     if "solution" not in ctx:
-        geom = _geometry(rc, ctx)
-        grid = build_grid(rc.spec, geom, rc.gspec)
-        if "consts" not in ctx or "ops" not in ctx:
-            ctx["consts"] = bound_constants(rc.spec, geom, rc.geometry_m_grid)
-            ctx["ops"] = operator_constants(rc.spec, geom, ctx["consts"],
-                                            rc.geometry_m_grid)
-        small = check_smallness(rc.spec, ctx["consts"], rc.spec.eps0,
-                                rc.spec.coeffs.C_B, ctx["ops"]["C2_plain"],
-                                ctx["ops"]["C3"])["pass"]
+        grid = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
         # one build of the eps_solve kernels serves the solve, the
         # contraction probe and the Borel residual
         ctx["eps_kernels"] = eps_kernels(rc.spec, grid.m, rc.eps_solve)
         w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid,
                                        tol=rc.solve_tol, max_iter=rc.max_iter,
-                                       smallness_ok=small, kernels=ctx["eps_kernels"])
+                                       kernels=ctx["eps_kernels"])
         ctx["grid"] = grid
         ctx["solution"] = (w0, w1, report)
     return ctx["solution"]
 
 
 def cmd_solve(rc: RunConfig, ctx: dict) -> int:
+    small = _certificate(rc, ctx)[2]
     w0, w1, report = _solve(rc, ctx)
     grid = ctx["grid"]
     np.savez(rc.output_dir / "omega.npz", tau=np.append(grid.tau, 0.0 + 0.0j),
@@ -301,7 +303,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
         "contraction_iter": report.contraction,
         "contraction_probe": contraction,
         "norms": list(report.norms), "residual": report.residual,
-        "smallness_ok": report.smallness_ok, "varpi": report.varpi,
+        "smallness_ok": small["pass"], "varpi": report.varpi,
         "grid_nodes": grid.n_nodes, "ladder_density": grid.N,
     })
     return 0

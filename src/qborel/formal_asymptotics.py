@@ -5,7 +5,8 @@ decay of differences across covering sectors.
 Series coefficients are stored as V_{j,n}: the coefficient of eps^n, held as
 a t-polynomial whose coefficients are Fourier data on the m grid.  The
 order-n recursion couples the new coefficients only through the eps-constant
-part of the b symbols, so each order is one small convolution fixed point.
+part of the b symbols, so each t-power of each order is one small convolution
+fixed point (`borel_solver._order_fixed_point`, as at tau = 0).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, build_grid, eps_kernels, rung_shifts, solve_coupled,
-                           solve_triangular, taylor_at_origin, taylor_values)
-from .errors import DivergenceError, DomainError, UsageError
+from .borel_solver import (GridSpec, _b_coupling, _order_fixed_point, build_grid,
+                           eps_kernels, rung_shifts, solve_coupled, solve_triangular,
+                           taylor_at_origin, taylor_values)
+from .errors import DomainError, UsageError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec, polyval_im
 from .solution_assembly import LogSolution, difference_arc_rung, solution_difference
@@ -63,7 +65,8 @@ class AsymptoticsReport:
 
 
 class _OrderKernels:
-    """Convolution kernels per eps-order of every symbol, on one m grid."""
+    """Convolution kernels per eps-order of every symbol, on one m grid;
+    `coupling` lists the eps-constant b kernels (`_b_coupling`)."""
 
     def __init__(self, spec: ProblemSpec, m: np.ndarray):
         self.m = m
@@ -75,6 +78,7 @@ class _OrderKernels:
                   else [convolution_kernel(sym.eps_coefficient(a), m, [1.0])
                         for a in range(sym.eps_degree + 1)]
                   for jk, sym in spec.coeffs.b.items()}
+        self.coupling = _b_coupling({jk: self.bk(jk, 0) for jk in self.b})
 
     def bk(self, jk, a):
         ker = self.b[jk]
@@ -138,80 +142,62 @@ def _assemble_rhs(spec, ker, V, n):
     return rhs
 
 
+def _at_power(parts: list, p: int, size: int) -> np.ndarray:
+    """The t^p data of both equations' {t-power: m-grid data} parts, as one
+    (2, size) array, zero where a part has no t^p term."""
+    out = np.zeros((2, size), dtype=complex)
+    for j in (0, 1):
+        if p in parts[j]:
+            out[j] = parts[j][p]
+    return out
+
+
 def formal_coefficients(spec: ProblemSpec, N: int, tol: float = 1e-13,
                         m_grid=None) -> FormalSeries:
     """Solve the coefficient recursion order by order up to eps^N.
 
     The unknowns of order n appear on the right only through the eps-constant
-    b kernels, handled by a small fixed point per t-power (convergent under
-    the smallness budget).
+    b kernels, so each t-power is one small fixed point,
+    `borel_solver._order_fixed_point` iterated to tol (convergent under the
+    smallness budget).
     """
     m = GridSpec().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
     ker = _OrderKernels(spec, m)
-    B0 = {jk: ker.bk(jk, 0) for jk in spec.coeffs.b}
+    inv_q = 1.0 / ker.Q_im
     V: list[list[dict[int, np.ndarray]]] = [[], []]
     for n in range(N + 1):
         rhs = _assemble_rhs(spec, ker, V, n)
-        powers = sorted(set(rhs[0]) | set(rhs[1]))
         sol = [{}, {}]
-        for p in powers:
-            r0 = rhs[0].get(p, np.zeros(m.size, dtype=complex))
-            r1 = rhs[1].get(p, np.zeros(m.size, dtype=complex))
-            w0 = r0 / ker.Q_im
-            w1 = r1 / ker.Q_im
-            scale = max(float(np.max(np.abs(w0))), float(np.max(np.abs(w1))), 1e-30)
-            for it in range(200):
-                extra0 = np.zeros(m.size, dtype=complex)
-                extra1 = np.zeros(m.size, dtype=complex)
-                if B0[(0, 0)] is not None:
-                    extra0 += B0[(0, 0)] @ w0
-                if B0[(1, 0)] is not None:
-                    extra0 += B0[(1, 0)] @ w1
-                if B0[(0, 1)] is not None:
-                    extra1 += B0[(0, 1)] @ w0
-                if B0[(1, 1)] is not None:
-                    extra1 += B0[(1, 1)] @ w1
-                w0_next = (r0 + extra0) / ker.Q_im
-                w1_next = (r1 + extra1) / ker.Q_im
-                upd = max(float(np.max(np.abs(w0_next - w0))),
-                          float(np.max(np.abs(w1_next - w1))))
-                w0, w1 = w0_next, w1_next
-                if upd < tol * scale:
-                    break
-            else:
-                raise DivergenceError(
-                    f"order-{n} coefficient iteration did not converge: "
-                    "smallness condition violated")
-            if np.any(w0 != 0):
-                sol[0][p] = w0
-            if np.any(w1 != 0):
-                sol[1][p] = w1
+        for p in sorted(set(rhs[0]) | set(rhs[1])):
+            c = _order_fixed_point(_at_power(rhs, p, m.size), ker.coupling, inv_q,
+                                   f"the eps^{n} coefficients of t^{p}", rtol=tol)
+            for j in (0, 1):
+                if np.any(c[j] != 0):
+                    # a copy, so that the series does not keep both rows alive
+                    sol[j][p] = c[j].copy()
         V[0].append(sol[0])
         V[1].append(sol[1])
     return FormalSeries(order=N, m=m, coef=V, solve_tol=tol)
 
 
 def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
-    """Max defect of the order-n identities for n <= N over t-powers and m."""
+    """Max defect Q(im) c - rhs - sum_j K_(j,eq) c_j of the order-n
+    identities for n <= N over t-powers and m, with the coupling list that
+    `formal_coefficients` iterates over."""
     if N > series.order:
         raise UsageError("series order too low for the requested check")
     ker = _OrderKernels(spec, series.m)
-    B0 = {jk: ker.bk(jk, 0) for jk in spec.coeffs.b}
+    size = series.m.size
     worst = 0.0
     for n in range(N + 1):
         rhs = _assemble_rhs(spec, ker, series.coef, n)
-        for kk in (0, 1):
-            Vn = series.coef[kk][n]
-            for p in set(rhs[kk]) | set(Vn):
-                want = rhs[kk].get(p, 0)
-                w0 = series.coef[0][n].get(p)
-                w1 = series.coef[1][n].get(p)
-                if B0[(0, kk)] is not None and w0 is not None:
-                    want = want + B0[(0, kk)] @ w0
-                if B0[(1, kk)] is not None and w1 is not None:
-                    want = want + B0[(1, kk)] @ w1
-                have = ker.Q_im * Vn[p] if p in Vn else np.zeros(series.m.size)
-                worst = max(worst, float(np.max(np.abs(have - want))))
+        Vn = [series.coef[0][n], series.coef[1][n]]
+        for p in set(rhs[0]) | set(rhs[1]) | set(Vn[0]) | set(Vn[1]):
+            c = _at_power(Vn, p, size)
+            defect = ker.Q_im * c - _at_power(rhs, p, size)
+            for j, eq, K in ker.coupling:
+                defect[eq] -= c[j] @ K.T
+            worst = max(worst, float(np.abs(defect).max()))
     return worst
 
 

@@ -348,17 +348,6 @@ class GoodCovering:
     Delta: float
     r1: float
 
-    def sector_interval(self, p: int) -> tuple[float, float]:
-        c = self.directions[p % self.zeta]
-        return c - self.aperture / 2.0, c + self.aperture / 2.0
-
-    def contains(self, p: int, eps: complex) -> bool:
-        if not (0.0 < abs(eps) <= self.radius):
-            return False
-        lo, hi = self.sector_interval(p)
-        a = np.angle(eps)
-        return any(lo <= a + 2 * math.pi * s <= hi for s in (-1, 0, 1))
-
     def overlap_sample(self, p: int, radius_frac: float = 0.7) -> complex:
         # sectors p and p+1 are centred 2 pi / zeta apart; the overlap midpoint
         # sits halfway between the two bisectors

@@ -45,6 +45,17 @@ PAIR_CACHE_LIMIT = 1024
 TAIL_REACH = 2
 
 
+def _gauss_legendre_panels(a: float, b: float, panels: int):
+    """Nodes and weights of `panels` equal 8-point Gauss-Legendre panels on
+    [a, b], panel by panel."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * gl_x[None, :]).ravel(),
+            (half[:, None] * gl_w[None, :]).ravel())
+
+
 def _cached_pair(compute):
     """Cache a LogSolution method's (w_0, w_1) vector pair under its exact
     arguments, in the solution's one store, which is cleared once it holds
@@ -139,12 +150,7 @@ class LogSolution:
         rate = 2.0 * a * math.sqrt(x0 * x0 + 45.0 / a) + 1.0
         width = min(2.0 * math.pi / rate, 1.0 / math.sqrt(2.0 * a), s_end - s0)
         panels = max(4, math.ceil((s_end - s0) / width))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        edges = np.linspace(s0, s_end, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        wq = (half[:, None] * gl_w[None, :]).ravel()
+        s, wq = _gauss_legendre_panels(s0, s_end, panels)
         # 6-point Lagrange interpolation of the density in log radius
         base = np.floor((s - s0) / h).astype(int) + (g_arc - grid.g_lo) - TAIL_REACH
         base = np.clip(base, 0, grid.n_nodes - 6)
@@ -202,12 +208,7 @@ class LogSolution:
         # Gauss-Legendre panels, roughly one per kernel oscillation
         osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
         panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        edges = np.linspace(d_a, d_b, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        twt = (half[:, None] * gl_w[None, :]).ravel()
+        thetas, twt = _gauss_legendre_panels(d_a, d_b, panels)
         # omega is a power series in tau, so only nonnegative angular
         # frequencies appear on the ring; n uniform samples pin the first n
         # coefficients

@@ -23,7 +23,6 @@ __all__ = [
     "theta",
     "theta_scaled",
     "inv_theta",
-    "theta_zero_clearance",
     "m_weight",
     "expq_weight",
 ]
@@ -114,28 +113,6 @@ def theta(z, q: float, k: int = 1, tol: float = 1e-12):
     """Jacobi theta function of order k, sum over p of q^(-p(p-1)/2k) z^p."""
     scaled, log_scale = theta_scaled(z, q, k, tol)
     return scaled * np.exp(log_scale)
-
-
-def theta_zero_clearance(z: complex, q: float, k: int = 1):
-    """Distance data min_m |1 + z q^(m/k)| together with the minimising m.
-
-    Only finitely many integers m can make the product small: q^(m/k)|z| must
-    fall inside (0, 2), all other indices give |1 + z q^(m/k)| > 1.
-    """
-    az = abs(z)
-    if az == 0:
-        raise DomainError("clearance undefined at z = 0")
-    lnq = math.log(q)
-    m_hi = math.floor(k * math.log(2.0 / az) / lnq)
-    m_lo = math.ceil(k * math.log(1e-3 / az) / lnq)
-    best = 1.0
-    best_m = None
-    for m in range(min(m_lo, m_hi), m_hi + 1):
-        val = abs(1.0 + z * q ** (m / k))
-        if val < best:
-            best = val
-            best_m = m
-    return best, best_m
 
 
 def m_weight(m_grid, beta: float, mu: float) -> np.ndarray:

@@ -5,9 +5,12 @@ quadrature of the q-Laplace ray integral for any callable density, held
 against the closed-form transforms of monomials and the operational rule.
 `e_norm` writes the m weight out on its own.  `expq_norm` and the
 single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
-public factors.  `theta_bound_margin` (with `theta_log_abs`),
-`monodromy_components` and `coverage_count` are the paper-level checks of
-the theta lower bound, the formal monodromy and the good covering.
+public factors.  `theta_bound_margin` (with `theta_log_abs` and
+`theta_zero_clearance`), `monodromy_components` and `coverage_count` (with
+`sector_interval` and `sector_contains`) are the paper-level checks of the
+theta lower bound, the formal monodromy and the good covering.
+`order_dense_solve` solves one order of the formal or Taylor recursion as
+one dense linear system, the oracle for its fixed-point iteration.
 `arc_values` solves a ring line at each arc sample angle and reads it at
 the arc rung, the oracle for the arc samples summed from the Taylor series
 at tau = 0, and `RingArcSolution` takes its sector-difference arc from them.
@@ -26,13 +29,7 @@ from qborel.borel_solver import BorelFunction, SolverContext, eps_kernels, solve
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.solution_assembly import LogSolution
-from qborel.special_functions import (
-    WeightParams,
-    expq_weight,
-    inv_theta,
-    theta_scaled,
-    theta_zero_clearance,
-)
+from qborel.special_functions import WeightParams, expq_weight, inv_theta, theta_scaled
 from qborel.transforms import check_admissible, inverse_fourier
 
 _FLOOR = 1e-16          # relative integrand floor for bracket expansion
@@ -174,6 +171,28 @@ def theta_log_abs(z, q: float, k: int = 1, tol: float = 1e-12):
     return np.log(np.abs(scaled)) + log_scale
 
 
+def theta_zero_clearance(z: complex, q: float, k: int = 1):
+    """Distance data min_m |1 + z q^(m/k)| together with the minimising m.
+
+    Only finitely many integers m can make the product small: q^(m/k)|z| must
+    fall inside (0, 2), all other indices give |1 + z q^(m/k)| > 1.
+    """
+    az = abs(z)
+    if az == 0:
+        raise DomainError("clearance undefined at z = 0")
+    lnq = math.log(q)
+    m_hi = math.floor(k * math.log(2.0 / az) / lnq)
+    m_lo = math.ceil(k * math.log(1e-3 / az) / lnq)
+    best = 1.0
+    best_m = None
+    for m in range(min(m_lo, m_hi), m_hi + 1):
+        val = abs(1.0 + z * q ** (m / k))
+        if val < best:
+            best = val
+            best_m = m
+    return best, best_m
+
+
 def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
                        tol: float = 1e-12):
     """Ratio |theta(z)| / (Delta exp((k/2) log^2|z|/log q) |z|^(1/2)).
@@ -202,12 +221,42 @@ def monodromy_components(u0val: complex, u1val: complex, q: float):
     return u0val + 2j * math.pi / math.log(q) * u1val, u1val
 
 
+def sector_interval(cov: GoodCovering, p: int) -> tuple[float, float]:
+    """The argument interval of the covering's eps sector p."""
+    c = cov.directions[p % cov.zeta]
+    return c - cov.aperture / 2.0, c + cov.aperture / 2.0
+
+
+def sector_contains(cov: GoodCovering, p: int, eps: complex) -> bool:
+    """Whether the covering's eps sector p holds eps."""
+    if not (0.0 < abs(eps) <= cov.radius):
+        return False
+    lo, hi = sector_interval(cov, p)
+    a = np.angle(eps)
+    return any(lo <= a + 2 * math.pi * s <= hi for s in (-1, 0, 1))
+
+
 def coverage_count(cov: GoodCovering, angle: float) -> int:
     """How many sectors of the covering hold eps = (radius / 2) e^(i angle)."""
     return sum(
         1 for p in range(cov.zeta)
-        if cov.contains(p, 0.5 * cov.radius * np.exp(1j * angle))
+        if sector_contains(cov, p, 0.5 * cov.radius * np.exp(1j * angle))
     )
+
+
+def order_dense_solve(rhs: np.ndarray, p0: np.ndarray, b_kernel: dict) -> np.ndarray:
+    """The coefficients c (2, n_m) of one order with p0 c_eq - sum_j
+    K_(j,eq) c_j = rhs_eq, from one np.linalg.solve of the (2 n_m)-square
+    system (p0 I - K_b) c = rhs.  b_kernel maps (j, eq) to K_(j,eq), or to
+    None where the b symbol vanishes."""
+    n = p0.size
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    for eq in (0, 1):
+        A[eq * n:(eq + 1) * n, eq * n:(eq + 1) * n] = np.diag(p0)
+    for (j, eq), K in b_kernel.items():
+        if K is not None:
+            A[eq * n:(eq + 1) * n, j * n:(j + 1) * n] -= K
+    return np.linalg.solve(A, np.asarray(rhs, dtype=complex).ravel()).reshape(2, n)
 
 
 def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,

@@ -113,8 +113,7 @@ def test_criterion_3_theta_suite():
 def test_criterion_4_solver_suite(golden):
     t0 = time.perf_counter()
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    w0, w1, rep = solve_coupled(spec, eps, grid, tol=1e-10,
-                                smallness_ok=golden["smallness"]["pass"])
+    w0, w1, rep = solve_coupled(spec, eps, grid, tol=1e-10)
     assert rep.iterations <= 60 and rep.final_update < 1e-10
     contraction = contraction_estimate(spec, eps, grid, probes=4, seed=11)
     assert contraction <= 0.55

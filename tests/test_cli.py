@@ -229,6 +229,37 @@ def test_verb_builds_the_eps_kernels_once(tmp_path, monkeypatch, verb):
     assert builds.count(eps) == 1
 
 
+def test_evaluate_and_residual_build_no_geometry_constants(tmp_path, monkeypatch):
+    # the smallness certificate belongs to check-geometry and solve; the
+    # point verbs solve without it
+    import qborel.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point verb computed geometry constants")
+
+    monkeypatch.setattr(cli, "bound_constants", refuse)
+    monkeypatch.setattr(cli, "operator_constants", refuse)
+    path = small_config(tmp_path)
+    for verb in ("evaluate", "residual"):
+        assert run(verb, path, str(tmp_path / verb)) == 0
+
+
+def test_solve_report_carries_the_geometry_smallness_pass(tmp_path):
+    path = small_config(tmp_path)
+
+    def read(out, name):
+        return json.loads((out / name).read_text())
+
+    out = tmp_path / "all"
+    assert run("all", path, str(out)) == 0
+    passed = read(out, "geometry_report.json")["smallness"]["pass"]
+    assert isinstance(passed, bool)
+    assert read(out, "solve_report.json")["smallness_ok"] is passed
+    alone = tmp_path / "solve"
+    assert run("solve", path, str(alone)) == 0
+    assert read(alone, "solve_report.json")["smallness_ok"] is passed
+
+
 def test_evaluate_without_points_is_usage_error(tmp_path):
     path = small_config(tmp_path, points=[])
     assert run("evaluate", path, str(tmp_path / "out")) == 64

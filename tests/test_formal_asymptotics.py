@@ -28,9 +28,10 @@ from qborel.formal_asymptotics import (
 from qborel.geometry import admissible_r1, build_good_covering, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im
 from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_difference
+from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
-from tests.oracles import RingArcSolution
+from tests.oracles import RingArcSolution, order_dense_solve
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -120,6 +121,52 @@ def test_formal_residual_detects_dropped_coefficient(asym):
 def test_formal_residual_requires_order(asym):
     with pytest.raises(UsageError):
         formal_residual(asym["series"], asym["spec"], asym["series"].order + 1)
+
+
+def test_formal_orders_match_a_dense_solve_of_each_order(example_spec):
+    # each t-power of each order is one fixed point, (Q(im) I - K_b) c = rhs
+    # with the eps-constant b kernels; np.linalg.solve is the oracle for its
+    # iteration
+    spec = example_spec
+    series = formal_coefficients(spec, 3, m_grid=M_SMALL)
+    ker = formal_asymptotics._OrderKernels(spec, M_SMALL)
+    b0 = {jk: convolution_kernel(sym.eps_coefficient(0), M_SMALL, [1.0])
+          for jk, sym in spec.coeffs.b.items() if not sym.is_zero()}
+    Q = polyval_im(spec.Q, M_SMALL)
+    zero = np.zeros(M_SMALL.size)
+    checked = 0
+    for n in range(4):
+        rhs = formal_asymptotics._assemble_rhs(spec, ker, series.coef, n)
+        for p in set(rhs[0]) | set(rhs[1]):
+            want = order_dense_solve(np.array([rhs[j].get(p, zero) for j in (0, 1)]),
+                                     Q, b0)
+            got = np.array([series.coef[j][n].get(p, zero) for j in (0, 1)])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, p)
+            checked += 1
+    assert checked >= 4
+
+
+def test_taylor_order_matches_a_dense_solve(example_spec):
+    # order 0 of the Taylor recursion at tau = 0 is P(0) c - K_b c = F_0 with
+    # the b kernels at eps, since every dilation term and R_D tau^dD reach
+    # only higher orders (dD = 1 here)
+    spec, eps = example_spec, 0.015
+    assert spec.dD == 1 and min(t.d for t in spec.terms) >= 1
+    _, b_kernel = borel_solver.eps_kernels(spec, M_SMALL, eps)
+    rhs = np.zeros((2, M_SMALL.size), dtype=complex)
+    for h in (0, 1):
+        rhs[h] = spec.forcing.powers(h)[0](M_SMALL, eps)
+    want = order_dense_solve(rhs, spec.pm(0.0, M_SMALL), b_kernel)
+    got = taylor_at_origin(spec, eps, M_SMALL, 1e-3)[:, 0]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_formal_recursion_beyond_the_smallness_budget_names_the_eps_order(problem_dict):
+    # b symbols far beyond the budget: the per-order fixed point diverges at
+    # the first order of the eps-series
+    problem_dict["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
+    with pytest.raises(DivergenceError, match=r"the eps\^0 coefficients .*smallness"):
+        formal_coefficients(ProblemSpec.from_dict(problem_dict), 2, m_grid=M_SMALL)
 
 
 def test_order0_matches_analytic_limit(asym):
@@ -466,7 +513,7 @@ def test_taylor_series_that_does_not_converge_raises(asym, problem_dict):
         taylor_at_origin(spec, 0.1, m, 1.5 * root)
     # b symbols far beyond the smallness budget: no order converges
     problem_dict["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
-    with pytest.raises(DivergenceError, match="smallness"):
+    with pytest.raises(DivergenceError, match="Taylor coefficients at tau = 0 .*smallness"):
         taylor_at_origin(ProblemSpec.from_dict(problem_dict), 0.1, m, 0.1)
 
 

@@ -10,9 +10,8 @@ from qborel.special_functions import (
     inv_theta,
     theta,
     theta_scaled,
-    theta_zero_clearance,
 )
-from tests.oracles import e_norm, expq_norm, theta_bound_margin
+from tests.oracles import e_norm, expq_norm, theta_bound_margin, theta_zero_clearance
 
 
 def theta_direct(z, q, k, half_width):
