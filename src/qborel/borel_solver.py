@@ -36,7 +36,6 @@ __all__ = [
     "BorelGrid",
     "Dilation",
     "OperatorFactors",
-    "BorelFunction",
     "SolveReport",
     "radial_envelope_log",
     "build_grid",
@@ -238,64 +237,6 @@ class OperatorFactors:
                    dilations=tuple(grid.dilation(s) for s in shifts))
 
 
-class BorelFunction:
-    """Grid samples of one Borel-plane unknown at a fixed eps.
-
-    `data` stacks the node samples over the value at tau = 0 in its last row;
-    `values` (n_nodes, n_m) and `center` (n_m,) are views into it.
-    """
-
-    def __init__(self, grid: BorelGrid, values, center, eps: complex = 0.0):
-        data = np.empty((grid.n_nodes + 1, grid.m.size), dtype=complex)
-        data[:-1] = values
-        data[-1] = center
-        self.grid, self.data, self.eps = grid, data, eps
-
-    @classmethod
-    def of_data(cls, grid: BorelGrid, data: np.ndarray,
-                eps: complex = 0.0) -> "BorelFunction":
-        """Wrap stacked samples without copying them."""
-        f = cls.__new__(cls)
-        f.grid, f.data, f.eps = grid, data, eps
-        return f
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.data[:-1]
-
-    @values.setter
-    def values(self, v):
-        self.data[:-1] = v
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.data[-1]
-
-    @center.setter
-    def center(self, v):
-        self.data[-1] = v
-
-    @classmethod
-    def zero(cls, grid: BorelGrid, eps: complex = 0.0) -> "BorelFunction":
-        return cls.of_data(grid, np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex),
-                           eps)
-
-    def copy(self) -> "BorelFunction":
-        return BorelFunction.of_data(self.grid, self.data.copy(), self.eps)
-
-    def __add__(self, other):
-        return BorelFunction.of_data(self.grid, self.data + other.data, self.eps)
-
-    def __sub__(self, other):
-        return BorelFunction.of_data(self.grid, self.data - other.data, self.eps)
-
-    def scaled(self, c) -> "BorelFunction":
-        return BorelFunction.of_data(self.grid, c * self.data, self.eps)
-
-    def norm(self, spec: ProblemSpec) -> float:
-        return _weighted_sup(self.data, self.grid.stacked_weights(spec))
-
-
 def _weighted_sup(data: np.ndarray, weights: np.ndarray) -> float:
     scaled = np.abs(data)
     scaled *= weights
@@ -392,7 +333,9 @@ class SolverContext:
     `_contributions`, as what each unknown adds to the right side of each
     equation before the division by P.  Every operator is a selection from
     it: which unknowns and equations, whether the forcing or the moved
-    R_D tau^dD term is added, and whether the sum is divided by P.
+    R_D tau^dD term is added, and whether the sum is divided by P.  Each
+    unknown and each image is a stacked complex array (n_nodes + 1, n_m):
+    the node samples, then the centre tau = 0 in the last row.
     """
 
     def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex,
@@ -453,55 +396,56 @@ class SolverContext:
         acc += self.F[eq]
         return acc
 
-    def _divided(self, acc: np.ndarray) -> BorelFunction:
+    def _divided(self, acc: np.ndarray) -> np.ndarray:
         acc *= self.fac.inv_p
-        return BorelFunction.of_data(self.grid, acc, self.eps)
+        return acc
 
     # -- operators ------------------------------------------------------
 
-    def image_of_zero(self, eq: int) -> BorelFunction:
+    def image_of_zero(self, eq: int) -> np.ndarray:
         """Equation eq's forcing over P: what apply_H and apply_H1 send zero
         to, without applying them."""
         return self._divided(self.F[eq].copy())
 
-    def apply_H(self, w0: BorelFunction, w1: BorelFunction):
-        accs = self._contributions({0: w0.data, 1: w1.data}, {0: None, 1: None})
+    def apply_H(self, w0: np.ndarray, w1: np.ndarray):
+        accs = self._contributions({0: w0, 1: w1}, {0: None, 1: None})
         return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
 
-    def undivided_residual(self, w0: BorelFunction, w1: BorelFunction):
+    def undivided_residual(self, w0: np.ndarray, w1: np.ndarray):
         """Q(im) omega_j minus the full right side, nodewise, with the
         q^(...) R_D tau^dD omega_j terms that the fixed point moves to the
         left put back."""
         ws = (w0, w1)
-        accs = self._contributions({0: w0.data, 1: w1.data},
-                                   {eq: self.F[eq] + self.fac.moved * w.data
+        accs = self._contributions({0: w0, 1: w1},
+                                   {eq: self.F[eq] + self.fac.moved * w
                                     for eq, w in enumerate(ws)})
-        return tuple(BorelFunction.of_data(self.grid, self.fac.q_im * w.data - accs[eq],
-                                           self.eps)
-                     for eq, w in enumerate(ws))
+        return tuple(self.fac.q_im * w - accs[eq] for eq, w in enumerate(ws))
 
     # -- triangular blocks (b_01 = 0) -----------------------------------
 
-    def apply_H1(self, w1: BorelFunction) -> BorelFunction:
+    def apply_H1(self, w1: np.ndarray) -> np.ndarray:
         """Equation 1, which reads omega_1 alone."""
-        acc = self._contributions({1: w1.data}, {1: None})[1]
+        acc = self._contributions({1: w1}, {1: None})[1]
         return self._divided(self._forced(acc, 1))
 
-    def g_eps(self, w1: BorelFunction) -> BorelFunction:
+    def g_eps(self, w1: np.ndarray) -> np.ndarray:
         """Equation 0's forcing and omega_1 part, fixed once omega_1 is."""
-        acc = self._contributions({1: w1.data}, {0: None})[0]
+        acc = self._contributions({1: w1}, {0: None})[0]
         return self._divided(self._forced(acc, 0))
 
-    def apply_H0(self, w0: BorelFunction, g: BorelFunction) -> BorelFunction:
+    def apply_H0(self, w0: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Equation 0 with its omega_1 part and forcing given as g."""
-        out = self._divided(self._contributions({0: w0.data}, {0: None})[0])
-        out.data += g.data
+        out = self._divided(self._contributions({0: w0}, {0: None})[0])
+        out += g
         return out
 
 
 def _picard(step, start, diff_norm, tol, max_iter, first=None):
-    """Picard iteration of step from start; `first`, when given, is
-    step(start), which the caller knows without applying step."""
+    """Picard iteration of step from start until an update is <= tol, so
+    that a fixed point with tol 0 (a zero right side) stops at its first
+    step; `first`, when given, is step(start), which the caller knows
+    without applying step.  The one fixed-point loop of the package: Borel
+    solves, formal t-powers and Taylor orders all run through it."""
     w = start
     history = []
     contraction = 0.0
@@ -517,7 +461,7 @@ def _picard(step, start, diff_norm, tol, max_iter, first=None):
         if len(history) >= 4 and history[-1] > history[-2] > history[-3]:
             raise DivergenceError("Picard iteration diverges", history)
         w = w_next
-        if update < tol:
+        if update <= tol:
             return w, it, update, contraction, history
     raise DivergenceError(
         f"Picard iteration did not reach tol={tol} in {max_iter} iterations",
@@ -525,10 +469,10 @@ def _picard(step, start, diff_norm, tol, max_iter, first=None):
 
 
 def _distance(weights: np.ndarray):
-    """The weighted sup distance of two functions, as one reduction over
-    their stacked samples."""
-    def dist(a: BorelFunction, b: BorelFunction) -> float:
-        return _weighted_sup(a.data - b.data, weights)
+    """The weighted sup distance of two stacked sample arrays, as one
+    reduction."""
+    def dist(a: np.ndarray, b: np.ndarray) -> float:
+        return _weighted_sup(a - b, weights)
     return dist
 
 
@@ -556,8 +500,8 @@ def _holding(ctx: SolverContext, held):
     weights = weights.copy()
     weights[rows] = 0.0
 
-    def hold(f: BorelFunction, j: int) -> BorelFunction:
-        f.data[rows] = held[j]
+    def hold(f: np.ndarray, j: int) -> np.ndarray:
+        f[rows] = held[j]
         return f
     return weights, hold
 
@@ -571,7 +515,7 @@ def _solve_report(weights: np.ndarray, dist, pair, images, runs,
     iterations, updates, contractions, histories = zip(*runs)
     report = SolveReport(iterations=max(iterations), final_update=max(updates),
                          contraction=max(contractions),
-                         norms=tuple(_weighted_sup(w.data, weights) for w in pair),
+                         norms=tuple(_weighted_sup(w, weights) for w in pair),
                          residual=max(dist(h, w) for h, w in zip(images, pair)),
                          varpi=varpi,
                          update_history=sum(histories, []))
@@ -592,7 +536,7 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     ctx = SolverContext(spec, grid, eps, kernels)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
-    zero = BorelFunction.zero(grid, eps)
+    zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
 
     def pair_dist(a, b):
         return max(dist(a[0], b[0]), dist(a[1], b[1]))
@@ -603,7 +547,7 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     first = tuple(hold(ctx.image_of_zero(j), j) for j in (0, 1))
     pair, *run = _picard(step, (zero, zero), pair_dist, tol, max_iter, first)
     contraction = run[2]
-    cf = max(_weighted_sup(w.data, weights) for w in first)
+    cf = max(_weighted_sup(w, weights) for w in first)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
     return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], varpi)
 
@@ -619,7 +563,7 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     ctx = SolverContext(spec, grid, eps, kernels)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
-    zero = BorelFunction.zero(grid, eps)
+    zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
     w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist, tol, max_iter,
                         hold(ctx.image_of_zero(1), 1))
     g = ctx.g_eps(w1)
@@ -646,7 +590,7 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     def random_fn():
         v = (rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape))
         c = (rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape))
-        return BorelFunction(grid, scale * v / w_nodes, scale * c / w_center, eps)
+        return np.vstack([scale * v / w_nodes, scale * c / w_center])
 
     fns = [(random_fn(), random_fn()) for _ in range(probes)]
     # H is affine, so H(a) - H(b) = L(a - b): one application per probe
@@ -676,26 +620,24 @@ def _b_coupling(b_kernel: dict) -> list:
 def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
                        rtol: float, max_iter: int = 200) -> np.ndarray:
     """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
-    sum_j K_(j,eq) c_j over coupling (`_b_coupling`), by iteration from
-    rhs / P(0) until an update is within rtol of its start; the b symbols are
-    small under the smallness budget.  `what` names c in a DivergenceError."""
-    c = rhs * inv_p0
-    if not coupling:
-        return c
-    scale = float(np.abs(c).max())
-    for _ in range(max_iter):
+    sum_j K_(j,eq) c_j over coupling (`_b_coupling`), by Picard iteration
+    from rhs / P(0) until the max-abs update is within rtol of the start's
+    largest entry; the b symbols are small under the smallness budget.
+    `what` names c in a DivergenceError."""
+    def step(c):
         nxt = rhs.copy()
         for j, eq, K in coupling:
             nxt[eq] += c[j] @ K.T
         nxt *= inv_p0
-        update = float(np.abs(nxt - c).max())
-        c = nxt
-        if update <= rtol * scale:
-            return c
-        if not math.isfinite(update):
-            break
-    raise DivergenceError(f"{what} do not converge (last update {update:.3g}): "
-                          "smallness condition violated")
+        return nxt
+
+    start = rhs * inv_p0
+    try:
+        return _picard(step, start, lambda a, b: float(np.abs(a - b).max()),
+                       rtol * float(np.abs(start).max()), max_iter)[0]
+    except DivergenceError as exc:
+        raise DivergenceError(f"{what} do not converge ({exc}): "
+                              "smallness condition violated", exc.history) from exc
 
 
 def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 assumption/geometry failure (witness file written),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -82,6 +83,14 @@ def _point_of(p) -> tuple[complex, complex]:
     return _complex_of(p[0]), _complex_of(p[1])
 
 
+def _finite_points(points: list, key: str) -> list:
+    """points, after a check that every coordinate of every (t, z) is finite."""
+    for t, z in points:
+        if not (cmath.isfinite(t) and cmath.isfinite(z)):
+            raise ConfigError(f"{key}: the point (t, z) = ({t}, {z}) must be finite")
+    return points
+
+
 def _range_of(x, name: str, positive: bool = False) -> tuple[float, float, int]:
     """(lo, hi, n) from a [lo, hi, n] setting; positive ranges are log-spaced."""
     if not isinstance(x, list) or len(x) != 3:
@@ -125,7 +134,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         N_max = int(asym.get("N_max", 6))
         if N_max < 0:
             raise ConfigError(f"asymptotics N_max = {N_max} must be >= 0")
-        points = [_point_of(p) for p in raw.get("points", [])]
+        points = _finite_points([_point_of(p) for p in raw.get("points", [])], "points")
         if "points_csv" in raw:
             base = Path(path).parent
             csv_path = Path(raw["points_csv"])
@@ -134,8 +143,14 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
             if data.shape[1] < 4:
                 raise ConfigError(f"{csv_path} needs columns re_t, im_t, re_z, im_z")
-            for row in data:
-                points.append((complex(row[0], row[1]), complex(row[2], row[3])))
+            points += _finite_points([(complex(row[0], row[1]), complex(row[2], row[3]))
+                                      for row in data], "points_csv")
+        eps_solve = _complex_of(raw.get("eps"), 0.75 * spec.eps0)
+        if not cmath.isfinite(eps_solve):
+            raise ConfigError(f"eps = {eps_solve} must be finite")
+        Delta = float(q.get("Delta", 0.5))
+        if not (math.isfinite(Delta) and Delta > 0):
+            raise ConfigError(f"quadrature Delta = {Delta} must be finite and > 0")
         out = Path(output_dir if output_dir is not None
                    else raw.get("output_dir", "out"))
         return RunConfig(
@@ -144,9 +159,9 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             t_radius=float(cov.get("t_radius", 0.02)),
             t_aperture=float(cov.get("t_aperture", 0.1)),
             t_direction=float(cov.get("t_direction", 0.0)),
-            Delta=float(q.get("Delta", 0.5)), gspec=gspec,
+            Delta=Delta, gspec=gspec,
             solve_tol=solve_tol, max_iter=max_iter, formal_tol=formal_tol,
-            eps_solve=_complex_of(raw.get("eps"), 0.75 * spec.eps0),
+            eps_solve=eps_solve,
             points=points,
             N_max=N_max,
             eps_gevrey=_range_of(asym.get("eps_gevrey", [0.25 * spec.eps0, 0.9 * spec.eps0, 5]),
@@ -289,9 +304,9 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     w0, w1, report = _solve(rc, ctx)
     grid = ctx["grid"]
     np.savez(rc.output_dir / "omega.npz", tau=np.append(grid.tau, 0.0 + 0.0j),
-             m=grid.m, omega0=w0.data, omega1=w1.data)
+             m=grid.m, omega0=w0, omega1=w1)
     w_nodes, _ = grid.weights(rc.spec)
-    sup0, sup1 = (np.max(w_nodes * np.abs(w.values), axis=1) for w in (w0, w1))
+    sup0, sup1 = (np.max(w_nodes * np.abs(w[:-1]), axis=1) for w in (w0, w1))
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
               list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
@@ -338,7 +353,8 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
         raise UsageError("residual requires points in the configuration")
     sol = _log_solution(rc, ctx)
     w0, w1, _ = ctx["solution"]
-    borel = residual_borel(w0, w1, rc.spec, rc.eps_solve, kernels=ctx.get("eps_kernels"))
+    borel = residual_borel(w0, w1, rc.spec, rc.eps_solve, ctx["grid"],
+                           kernels=ctx.get("eps_kernels"))
     defects = residual_physical(sol, rc.spec, rc.points)
     rows = [(t.real, t.imag, z.real, z.imag, float(r))
             for (t, z), r in zip(rc.points, defects)]

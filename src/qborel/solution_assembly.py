@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (BorelFunction, BorelGrid, SolverContext, taylor_at_origin,
+from .borel_solver import (BorelGrid, SolverContext, _weighted_sup, taylor_at_origin,
                            taylor_values)
 from .errors import ConfigError, DomainError, UsageError
 from .geometry import admissible_r1
@@ -76,6 +76,10 @@ def _cached_pair(compute):
 class LogSolution:
     """Evaluable pair (u_0, u_1) attached to one Borel direction.
 
+    w0 and w1 are the Borel densities omega_0 and omega_1 as stacked
+    (n_nodes + 1, n_m) arrays on the grid: the node samples w[:-1], then the
+    centre tau = 0 in the last row.
+
     The q-Laplace part of a component depends on eps t alone; z and d/dz
     multipliers enter only through the Fourier sum over m.  Every vector that
     depends on eps t is therefore computed once per exact T = eps t, for both
@@ -92,8 +96,8 @@ class LogSolution:
 
     spec: ProblemSpec
     grid: BorelGrid
-    w0: BorelFunction
-    w1: BorelFunction
+    w0: np.ndarray
+    w1: np.ndarray
     eps: complex
     Delta: float = 0.5
     taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -119,7 +123,7 @@ class LogSolution:
         tw = np.full(grid.n_nodes, h)
         tw[0] = tw[-1] = 0.5 * h
         weights = tw * kern
-        return tuple((self.spec.k / self.spec.lnq) * (weights @ w.values)
+        return tuple((self.spec.k / self.spec.lnq) * (weights @ w[:-1])
                      for w in (self.w0, self.w1))
 
     @_cached_pair
@@ -169,7 +173,7 @@ class LogSolution:
         for w in (self.w0, self.w1):
             dens = np.zeros((s.size, grid.m.size), dtype=complex)
             for jj, lag in enumerate(lags):
-                dens += lag[:, None] * w.values[base + jj]
+                dens += lag[:, None] * w[base + jj]
             out.append((spec.k / spec.lnq) * (weights @ dens))
         return tuple(out)
 
@@ -266,14 +270,15 @@ class LogSolution:
         return self.evaluate_parts(t, z)[2]
 
 
-def residual_borel(w0: BorelFunction, w1: BorelFunction, spec: ProblemSpec,
-                   eps: complex, kernels=None) -> float:
+def residual_borel(w0: np.ndarray, w1: np.ndarray, spec: ProblemSpec,
+                   eps: complex, grid: BorelGrid, kernels=None) -> float:
     """Weighted norm of the defect of the two convolution equations,
-    assembled in un-divided form Q(im) omega_j - RHS_j.  `kernels` is an
-    eps_kernels result to share, as in `solve_coupled`."""
-    ctx = SolverContext(spec, w0.grid, eps, kernels)
-    r0, r1 = ctx.undivided_residual(w0, w1)
-    return max(r0.norm(spec), r1.norm(spec))
+    assembled in un-divided form Q(im) omega_j - RHS_j, for the stacked
+    samples w0 and w1 on grid.  `kernels` is an eps_kernels result to share,
+    as in `solve_coupled`."""
+    weights = grid.stacked_weights(spec)
+    residuals = SolverContext(spec, grid, eps, kernels).undivided_residual(w0, w1)
+    return max(_weighted_sup(r, weights) for r in residuals)
 
 
 def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray:

@@ -51,12 +51,16 @@ class WeightParams:
             raise DomainError("weight requires mu > 1")
 
 
+# bound on the relative size of the series tail that theta_scaled drops,
+# which sets the half width of each sample's index window
+THETA_TOL = 1e-12
+
 # relative distance, in ulps, within which inv_theta reads a sample as lying
 # on a zero of theta
 ZERO_LATTICE_ULPS = 8
 
 
-def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
+def theta_scaled(z, q: float, k: int = 1):
     """Evaluate theta as (scaled, log_scale) with theta = scaled * exp(log_scale).
 
     Vectorised over z.  The scaling keeps the partial sums O(1) even when the
@@ -64,7 +68,7 @@ def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
 
     The term log-magnitude f(p) = -p(p-1) ln q / (2k) + p ln|z| is a downward
     parabola peaking at p* = 1/2 + k ln|z| / ln q; a half width P with
-    (ln q / 2k) P^2 > |ln tol| + margin bounds the discarded tail.  Each
+    (ln q / 2k) P^2 > |ln THETA_TOL| + margin bounds the discarded tail.  Each
     sample sums its own 2P + 2 indices from floor(p*) - P, so a sample's
     value does not depend on the others it is evaluated with.
     """
@@ -79,7 +83,7 @@ def theta_scaled(z, q: float, k: int = 1, tol: float = 1e-12):
     arg = np.angle(zs)
     lnq = math.log(q)
 
-    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(tol)) + 16.0) / lnq)) + 2
+    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(THETA_TOL)) + 16.0) / lnq)) + 2
     p_star = 0.5 + k * log_abs / lnq
     p = (np.floor(p_star) - half)[..., None] + np.arange(2 * half + 2, dtype=float)
     # log-magnitude and phase of each term, per evaluation point
@@ -109,9 +113,9 @@ def inv_theta(z, q: float, k: int = 1):
     return np.where(np.isfinite(out) & ~on_zero, out, 0.0)
 
 
-def theta(z, q: float, k: int = 1, tol: float = 1e-12):
+def theta(z, q: float, k: int = 1):
     """Jacobi theta function of order k, sum over p of q^(-p(p-1)/2k) z^p."""
-    scaled, log_scale = theta_scaled(z, q, k, tol)
+    scaled, log_scale = theta_scaled(z, q, k)
     return scaled * np.exp(log_scale)
 
 

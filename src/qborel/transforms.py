@@ -81,33 +81,10 @@ def convolution_kernel(f, m_grid, h_poly) -> np.ndarray:
     """Matrix K[i, j] = f(m_i - m_j) h(i m_j) tw_j / sqrt(2 pi) of the
     convolution (2 pi)^(-1/2) integral f(m - m1) h(i m1) g(m1) dm1 on the grid.
 
-    f is a callable of the offset m_i - m_j, or samples on a uniform grid,
-    read off at the offsets the grid holds and zero beyond it; h_poly is a
-    coefficient array (low to high) and tw the trapezoid weights.
+    f is a callable of the offset m_i - m_j, evaluated on the whole offset
+    matrix at once; h_poly is a coefficient array (low to high) and tw the
+    trapezoid weights.
     """
     m = np.asarray(m_grid, dtype=float)
-    diff = m[:, None] - m[None, :]
-    if callable(f):
-        F = f(diff)
-    else:
-        F = _offset_lookup(np.asarray(f), m, diff)
-    return F * (polyval_im(h_poly, m) * trapezoid_weights(m))[None, :] \
-        / math.sqrt(2.0 * math.pi)
-
-
-def _offset_lookup(vals: np.ndarray, m: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """F[i, j] = f(m_i - m_j) gathered exactly from samples on a uniform grid
-    whose lattice contains every offset."""
-    if vals.shape != m.shape:
-        raise DomainError("kernel samples must match the m grid")
-    h = m[1] - m[0]
-    if not np.allclose(np.diff(m), h, rtol=0, atol=1e-12 * abs(h)):
-        raise DomainError("convolution requires a uniform m grid")
-    idx = np.rint((diff - m[0]) / h).astype(int)
-    if not np.all(np.abs(m[0] + idx * h - diff) < 1e-9 * abs(h)):
-        raise DomainError("kernel offsets m_i - m_j fall off the sample lattice; "
-                          "use a grid symmetric about 0 with an odd node count")
-    inside = (idx >= 0) & (idx < m.size)
-    out = np.zeros_like(diff, dtype=vals.dtype)
-    out[inside] = vals[idx[inside]]
-    return out
+    return f(m[:, None] - m[None, :]) \
+        * (polyval_im(h_poly, m) * trapezoid_weights(m))[None, :] / math.sqrt(2.0 * math.pi)

@@ -83,7 +83,7 @@ def disc_taylor_gap(spec, eps, sols) -> float:
         rows = np.r_[0:disc, grid.n_nodes]
         ref = taylor_values(coef, np.append(grid.tau[:disc], 0.0))
         for w, want in zip(ws, ref):
-            worst = max(worst, float(np.abs(w.data[rows] - want).max()))
+            worst = max(worst, float(np.abs(w[rows] - want).max()))
     return worst
 
 

@@ -5,7 +5,8 @@ quadrature of the q-Laplace ray integral for any callable density, held
 against the closed-form transforms of monomials and the operational rule.
 `e_norm` writes the m weight out on its own.  `expq_norm` and the
 single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
-public factors.  `theta_bound_margin` (with `theta_log_abs` and
+public factors; `stacked` and `weighted_norm` build and measure stacked
+samples.  `theta_bound_margin` (with `theta_log_abs` and
 `theta_zero_clearance`), `monodromy_components` and `coverage_count` (with
 `sector_interval` and `sector_contains`) are the paper-level checks of the
 theta lower bound, the formal monodromy and the good covering.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qborel.borel_solver import BorelFunction, SolverContext, eps_kernels, solve_coupled
+from qborel.borel_solver import SolverContext, eps_kernels, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.solution_assembly import LogSolution
@@ -151,23 +152,37 @@ def expq_norm(values, tau, m_grid, params: WeightParams):
     return float(np.max(expq_weight(tau, m_grid, params) * np.abs(vals)))
 
 
-def apply_Hl(ctx: SolverContext, w: BorelFunction, ell: int) -> BorelFunction:
+def stacked(grid, values, center) -> np.ndarray:
+    """The stacked (n_nodes + 1, n_m) samples of a Borel density on grid:
+    values on the nodes, then center at tau = 0 in the last row."""
+    data = np.empty((grid.n_nodes + 1, grid.m.size), dtype=complex)
+    data[:-1] = values
+    data[-1] = center
+    return data
+
+
+def weighted_norm(grid, spec, data: np.ndarray) -> float:
+    """The weighted sup norm of stacked samples data on grid."""
+    return float(np.max(np.abs(data) * grid.stacked_weights(spec)))
+
+
+def apply_Hl(ctx: SolverContext, w: np.ndarray, ell: int) -> np.ndarray:
     """tau^d_l damped dilation-convolution of one unknown over P, without
     the eps power."""
-    data = ctx.fac.dilations[ell].apply(w.data) @ ctx.term_kernel[ell].T
+    data = ctx.fac.dilations[ell].apply(w) @ ctx.term_kernel[ell].T
     data *= ctx.fac.prefs[ell]
     data *= ctx.fac.inv_p
-    return BorelFunction.of_data(ctx.grid, data, ctx.eps)
+    return data
 
 
-def apply_HP(ctx: SolverContext, w1: BorelFunction) -> BorelFunction:
+def apply_HP(ctx: SolverContext, w1: np.ndarray) -> np.ndarray:
     """The (dD/k) q^(...) R_D tau^dD omega_1 term of equation 0 over P."""
-    return BorelFunction.of_data(ctx.grid, ctx.fac.hp * ctx.fac.inv_p * w1.data, ctx.eps)
+    return ctx.fac.hp * ctx.fac.inv_p * w1
 
 
-def theta_log_abs(z, q: float, k: int = 1, tol: float = 1e-12):
+def theta_log_abs(z, q: float, k: int = 1):
     """log |theta(z)|, finite for any z where the evaluation window suffices."""
-    scaled, log_scale = theta_scaled(z, q, k, tol)
+    scaled, log_scale = theta_scaled(z, q, k)
     return np.log(np.abs(scaled)) + log_scale
 
 
@@ -193,8 +208,7 @@ def theta_zero_clearance(z: complex, q: float, k: int = 1):
     return best, best_m
 
 
-def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
-                       tol: float = 1e-12):
+def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float):
     """Ratio |theta(z)| / (Delta exp((k/2) log^2|z|/log q) |z|^(1/2)).
 
     A positive value certifies the lower-bound shape for this z; the infimum
@@ -212,7 +226,7 @@ def theta_bound_margin(z: complex, q: float, k: int, delta_clear: float,
     lnq = math.log(q)
     la = math.log(abs(z))
     log_den = math.log(delta_clear) + 0.5 * k * la * la / lnq + 0.5 * la
-    return float(np.exp(theta_log_abs(z, q, k, tol) - log_den))
+    return float(np.exp(theta_log_abs(z, q, k) - log_den))
 
 
 def monodromy_components(u0val: complex, u1val: complex, q: float):
@@ -278,7 +292,7 @@ def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
         ring = replace(grid, direction=2.0 * math.pi * j / grid.n_angles,
                        g_lo=g_ring, g_hi=0)
         w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol, kernels=kernels)
-        samples.append((w0.values[g_arc - g_ring], w1.values[g_arc - g_ring]))
+        samples.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))
     return tuple(np.array(s) for s in zip(*samples))
 
 

@@ -134,10 +134,30 @@ def test_malformed_setting_is_65(tmp_path, override):
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
 
 
-def test_nan_eps_fails_fast(tmp_path, capsys):
-    path = small_config(tmp_path, eps=math.nan)
-    assert run("solve", path, str(tmp_path / "out")) == 3
-    assert "not finite (nan) at iteration 1" in capsys.readouterr().err
+def _quadrature_with(Delta):
+    return {"quadrature": {"m_nodes": 81, "Delta": Delta}}
+
+
+@pytest.mark.parametrize("verb, override, key", [
+    pytest.param("solve", {"eps": math.inf}, "eps", id="inf_eps"),
+    pytest.param("solve", {"eps": math.nan}, "eps", id="nan_eps"),
+    pytest.param("evaluate", {"points": [[0.012, 0.0, math.inf, 0.0]]}, "points", id="inf_z"),
+    pytest.param("evaluate", {"points": [[math.nan, 0.0, 0.1, 0.0]]}, "points", id="nan_t"),
+    pytest.param("evaluate", {"points": [], "points_csv": "nan_z.csv"}, "points_csv",
+                 id="nan_z_csv"),
+    pytest.param("evaluate", _quadrature_with(math.nan), "Delta", id="nan_Delta"),
+    pytest.param("evaluate", _quadrature_with(math.inf), "Delta", id="inf_Delta"),
+    pytest.param("evaluate", _quadrature_with(0.0), "Delta", id="zero_Delta"),
+])
+def test_non_finite_setting_is_65(tmp_path, capsys, verb, override, key):
+    # rejected on load, before any solve: these used to end in a traceback,
+    # a NaN row, exit 3 from a non-finite Picard update, or a kernel-cone
+    # test that NaN switched off; nan_z.csv sits next to the config
+    (tmp_path / "nan_z.csv").write_text("re_t,im_t,re_z,im_z\n0.012,0,nan,0\n")
+    path = small_config(tmp_path, **override)
+    assert run(verb, path, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_check_geometry_bundled_golden(tmp_path):
@@ -341,7 +361,7 @@ def test_omega_npz_holds_the_solved_grid(solved_small):
     for key, w in (("omega0", w0), ("omega1", w1)):
         assert arrays[key].shape == (rows, grid.m.size)
         assert arrays[key].dtype == np.complex128
-        assert arrays[key].tobytes() == w.data.tobytes()
+        assert arrays[key].tobytes() == w.tobytes()
     assert arrays["tau"].dtype == np.complex128
     assert arrays["tau"].tobytes() == np.append(grid.tau, 0.0 + 0.0j).tobytes()
     assert arrays["m"].dtype == np.float64
@@ -356,8 +376,8 @@ def test_norms_csv_matches_the_per_node_loop(solved_small, tmp_path):
     rows = []
     for i, tau in enumerate(grid.tau):
         rows.append((tau.real, tau.imag,
-                     float(np.max(w_nodes[i] * np.abs(w0.values[i]))),
-                     float(np.max(w_nodes[i] * np.abs(w1.values[i])))))
+                     float(np.max(w_nodes[i] * np.abs(w0[i]))),
+                     float(np.max(w_nodes[i] * np.abs(w1[i])))))
     ref = tmp_path / "norms.csv"
     write_csv(ref, ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"], rows)
     assert (rc.output_dir / "norms.csv").read_bytes() == ref.read_bytes()

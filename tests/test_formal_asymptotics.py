@@ -6,7 +6,6 @@ import pytest
 
 from qborel import borel_solver, formal_asymptotics
 from qborel.borel_solver import (
-    BorelFunction,
     GridSpec,
     SolverContext,
     build_grid,
@@ -31,7 +30,7 @@ from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_
 from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
-from tests.oracles import RingArcSolution, order_dense_solve
+from tests.oracles import RingArcSolution, order_dense_solve, stacked
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -169,6 +168,47 @@ def test_formal_recursion_beyond_the_smallness_budget_names_the_eps_order(proble
         formal_coefficients(ProblemSpec.from_dict(problem_dict), 2, m_grid=M_SMALL)
 
 
+def test_both_recursions_iterate_through_the_one_picard_loop(example_spec, monkeypatch):
+    # every t-power of the formal series and every Taylor order at tau = 0 is
+    # one _picard run; the worked instance's b kernels make each take steps
+    spec = example_spec
+    runs = []
+    real = borel_solver._picard
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(borel_solver, "_picard", counting)
+    series = formal_coefficients(spec, 2, m_grid=M_SMALL)
+    solved = sum(len(set(series.coef[0][n]) | set(series.coef[1][n])) for n in range(3))
+    assert solved >= 3 and len(runs) >= solved and max(runs) > 1
+    runs.clear()
+    coef = taylor_at_origin(spec, 0.015, M_SMALL, 1e-3)
+    assert len(runs) == coef.shape[1] and max(runs) > 1
+
+
+def test_order_fixed_point_of_a_zero_right_side_is_zero(example_spec):
+    # the tolerance scales with the right side, so it is 0 here: the first
+    # update, 0, must meet it
+    _, b_kernel = borel_solver.eps_kernels(example_spec, M_SMALL, 0.015)
+    coupling = borel_solver._b_coupling(b_kernel)
+    assert coupling
+    c = borel_solver._order_fixed_point(np.zeros((2, M_SMALL.size), dtype=complex),
+                                        coupling, np.ones(M_SMALL.size), "zero", rtol=1e-13)
+    assert c.shape == (2, M_SMALL.size) and not c.any()
+
+
+def test_order_fixed_point_names_what_diverged():
+    n = M_SMALL.size
+    coupling = [(0, 0, np.full((n, n), np.nan))]
+    with pytest.raises(DivergenceError, match=r"the test coefficients .*smallness") as err:
+        borel_solver._order_fixed_point(np.ones((2, n), dtype=complex), coupling,
+                                        np.ones(n), "the test coefficients", rtol=1e-13)
+    assert len(err.value.history) == 1
+
+
 def test_order0_matches_analytic_limit(asym):
     family, series = asym["family"], asym["series"]
     sol = family.at(0, 0.002 + 0.0j)
@@ -256,7 +296,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
              for mag in np.exp(np.linspace(math.log(0.05), math.log(0.2), 157))]
     outcomes = []
     for eps in sweep + [10.0 * np.exp(1j * arg), 0.1 * np.exp(1j * (arg + 1.5))]:
-        sols = [LogSolution(spec, g, BorelFunction.zero(g, eps), BorelFunction.zero(g, eps),
+        sols = [LogSolution(spec, g, stacked(g, 0.0, 0.0), stacked(g, 0.0, 0.0),
                             eps, Delta=cov.Delta) for g in (grid_a, grid_b)]
         try:
             solution_difference(sols[0], sols[1], 0, t, 0.1)
@@ -356,8 +396,8 @@ def test_family_rows_match_the_full_grid_solve(asym):
     sol = family.at(0, eps)
     assert sol.grid.tau.tobytes() == grid.tau.tobytes()
     for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
-        gap = np.abs(w.data - ref.data)
-        assert gap.max() <= 1e-14 * np.abs(ref.data).max()
+        gap = np.abs(w - ref)
+        assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= family.tol
     assert family.reports[(0, eps, False)].update_history == full[0][1].update_history
     sol_b = family.at(1, eps)
@@ -376,8 +416,8 @@ def _assert_outer_rows_match(full, outer):
     rows = kept_rows(full.grid, outer.grid)
     assert outer.grid.n_nodes < full.grid.n_nodes // 2
     for w, ref in ((outer.w0, full.w0), (outer.w1, full.w1)):
-        ref = ref.data[rows]
-        assert np.all(np.abs(w.data - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
+        ref = ref[rows]
+        assert np.all(np.abs(w - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
 
 
 def test_outer_rows_match_the_full_line_rows(asym):
@@ -414,7 +454,7 @@ def test_outer_residual_and_norms_read_the_free_rows_only(asym):
     grid = outer.grid
     ctx = SolverContext(spec, grid, eps)
     pair = (outer.w0, outer.w1)
-    gaps = [h.data - w.data
+    gaps = [h - w
             for h, w in zip((ctx.apply_H0(outer.w0, ctx.g_eps(outer.w1)),
                              ctx.apply_H1(outer.w1)), pair)]
     weights = grid.stacked_weights(spec)
@@ -424,7 +464,7 @@ def test_outer_residual_and_norms_read_the_free_rows_only(asym):
         return float((np.abs(data[rows]) * weights[rows]).max())
 
     assert rep.residual == max(sup(gap, free) for gap in gaps)
-    assert rep.norms == tuple(sup(w.data, free) for w in pair)
+    assert rep.norms == tuple(sup(w, free) for w in pair)
     assert rep.residual <= 1e-15 * max(rep.norms)
     # H's lowest rows read the bottom quadratic below the cut, not the
     # series: a residual over every row would read that instead
@@ -480,7 +520,7 @@ def test_taylor_samples_match_the_solved_ring_rows(asym):
         assert arc_sample_gap(sol) <= 1e-13
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
         for c0, w in zip(coef[:, 0], (w0, w1)):
-            assert np.abs(c0 - w.center).max() <= 1e-13 * np.abs(w.center).max()
+            assert np.abs(c0 - w[-1]).max() <= 1e-13 * np.abs(w[-1]).max()
 
 
 def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
@@ -499,7 +539,7 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     assert arc_sample_gap(sol) <= 1e-13
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
     for c0, w in zip(coef[:, 0], (w0, w1)):
-        assert np.abs(c0 - w.center).max() <= 1e-13 * np.abs(w.center).max()
+        assert np.abs(c0 - w[-1]).max() <= 1e-13 * np.abs(w[-1]).max()
 
 
 def test_taylor_series_that_does_not_converge_raises(asym, problem_dict):

@@ -1,6 +1,7 @@
 """The benchmark tracer looks qborel's callables up by name, with no default,
-so a rename in the package breaks `perfbench/run.py --trace 1`.  This test
-reads the tracer's name tables and resolves every entry."""
+so a rename in the package breaks `perfbench/run.py --trace 1`.  These tests
+read the tracer's name tables and every module's `__all__`, and resolve
+every entry."""
 
 import importlib
 import importlib.util
@@ -34,6 +35,21 @@ def test_every_traced_name_resolves():
         missing += [f"{mod}.{cls}.{n}" for n in names if not hasattr(owner, n)]
     assert tracer.SPANNED and tracer.METHODS
     assert missing == []
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # `from qborel.<module> import *`
+    package = importlib.import_module("qborel")
+    root = Path(package.__file__).parent
+    checked = 0
+    for path in sorted(root.glob("*.py")):
+        module = importlib.import_module(f"qborel.{path.stem}")
+        names = getattr(module, "__all__", [])
+        assert [n for n in names if not hasattr(module, n)] == [], path.stem
+        exec(f"from qborel.{path.stem} import *", {})
+        checked += len(names)
+    assert checked > 0
 
 
 def test_traced_attributes_read_every_verb_call(tmp_path, monkeypatch):

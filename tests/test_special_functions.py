@@ -5,6 +5,7 @@ import pytest
 
 from qborel.errors import DomainError
 from qborel.special_functions import (
+    THETA_TOL,
     WeightParams,
     expq_weight,
     inv_theta,
@@ -43,23 +44,23 @@ def test_functional_identity_against_direct_series():
 
 def test_functional_identity_on_2d_sample():
     # 1e-10 relative: truncation is far below this, the rest is cancellation noise
-    q, k, tol = 2.0, 2, 1e-12
+    q, k = 2.0, 2
     radii = np.exp(np.linspace(math.log(0.05), math.log(20.0), 7))
     angles = np.linspace(0.1, 2 * math.pi - 0.4, 6)
     for r in radii:
         for a in angles:
             z = r * np.exp(1j * a)
-            lhs = theta(q ** (1.0 / k) * z, q, k, tol)
-            rhs = q ** (1.0 / k) * z * theta(z, q, k, tol)
+            lhs = theta(q ** (1.0 / k) * z, q, k)
+            rhs = q ** (1.0 / k) * z * theta(z, q, k)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
-def theta_shared_window(z, q, k, tol=1e-12):
+def theta_shared_window(z, q, k):
     """theta_scaled's sum with one index window for every sample,
     [floor(min p*) - P, ceil(max p*) + P], with theta_scaled's half width P."""
     log_abs, arg, lnq = np.log(np.abs(z)), np.angle(z), math.log(q)
     p_star = 0.5 + k * log_abs / lnq
-    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(tol)) + 16.0) / lnq)) + 2
+    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(THETA_TOL)) + 16.0) / lnq)) + 2
     p = np.arange(int(np.floor(p_star.min())) - half, int(np.ceil(p_star.max())) + half + 1,
                   dtype=float)
     logmag = (-p * (p - 1.0) * lnq / (2.0 * k))[None, :] + np.outer(log_abs, p)
@@ -101,7 +102,7 @@ def test_real_positive_argument_gives_real_value():
 def test_truncation_convergence_under_window_doubling():
     q, k = 2.0, 3
     for z in [0.3 + 0.1j, 5.0j, -2.0 + 7.0j, 40.0]:
-        base = theta(z, q, k, tol=1e-12)
+        base = theta(z, q, k)
         wide = theta_direct(z, q, k, 120)
         assert abs(base - wide) < 1e-11 * max(abs(wide), 1e-30)
 
