@@ -11,8 +11,10 @@ a dense kernel matrix per symbol; coupling in tau is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
-order at a time (`taylor_at_origin`); the arc of a sector difference and
-any value inside the disc off the line are summed from them.
+order at a time (`TaylorRecursion`, summed by `taylor_at_origin`); the arc
+of a sector difference and any value inside the disc off the line are summed
+from them.  With coefficients that are truncated eps-series, the same
+recursion gives the formal series (`formal_asymptotics`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "solve_coupled",
     "solve_triangular",
     "contraction_estimate",
+    "TaylorRecursion",
     "taylor_at_origin",
     "taylor_values",
 ]
@@ -62,15 +65,12 @@ class GridSpec:
     density_factor: float = 4.0
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN
-        if not self.m_max > 0:
-            raise ConfigError(f"M = {self.m_max} must be > 0")
-        if not self.density_factor > 0:
-            raise ConfigError(f"density_factor = {self.density_factor} must be > 0")
-        for name in ("T_min", "T_max"):
+        # `not 0 < x < inf` also rejects NaN
+        for name in ("m_max", "density_factor", "T_min", "T_max"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} = {value} must be > 0")
+            if value is not None and not 0 < value < math.inf:
+                key = "M" if name == "m_max" else name
+                raise ConfigError(f"{key} = {value} must be finite and > 0")
         if self.T_min is not None and self.T_max is not None \
                 and not self.T_min < self.T_max:
             raise ConfigError(f"T_min = {self.T_min} must be below T_max = {self.T_max}")
@@ -270,8 +270,9 @@ def radial_envelope_log(s, lnT: float, k: int, q: float, alpha: float,
 
 
 def _envelope_cutoffs(lnT_min: float, lnT_max: float, k: int, q: float,
-                      alpha: float, delta: float, drop: float = 34.5):
+                      alpha: float, delta: float):
     """Radial range outside which the integrand is < e^(-drop) of its peak."""
+    drop = 34.5
     span = 30.0 + 10.0 * math.sqrt(math.log(q) / k)
     s = np.linspace(lnT_min - span, lnT_max + span, 4000)
     lo_env = radial_envelope_log(s, lnT_min, k, q, alpha, delta)
@@ -445,7 +446,7 @@ def _picard(step, start, diff_norm, tol, max_iter, first=None):
     that a fixed point with tol 0 (a zero right side) stops at its first
     step; `first`, when given, is step(start), which the caller knows
     without applying step.  The one fixed-point loop of the package: Borel
-    solves, formal t-powers and Taylor orders all run through it."""
+    solves and every eps power of every TaylorRecursion order run through it."""
     w = start
     history = []
     contraction = 0.0
@@ -612,15 +613,10 @@ TAYLOR_RTOL = 1e-18
 TAYLOR_MAX_ORDER = 160
 
 
-def _b_coupling(b_kernel: dict) -> list:
-    """(j, eq, K) for each nonzero b kernel, keyed (j, eq) as in eps_kernels."""
-    return [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
-
-
 def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
                        rtol: float, max_iter: int = 200) -> np.ndarray:
     """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
-    sum_j K_(j,eq) c_j over coupling (`_b_coupling`), by Picard iteration
+    sum_j K_(j,eq) c_j over the (j, eq, K) list coupling, by Picard iteration
     from rhs / P(0) until the max-abs update is within rtol of the start's
     largest entry; the b symbols are small under the smallness budget.
     `what` names c in a DivergenceError."""
@@ -640,72 +636,142 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
                               "smallness condition violated", exc.history) from exc
 
 
+class TaylorRecursion:
+    """The fixed point of SolverContext in monomials of tau.  Order p's
+    coefficient c_p, a (2, n_eps, n_m) array over eps powers, solves
+    P(0) c_p = forcing_p + q_f R_D(im) c_(p-dD) + sum over the term entries
+    (d, delta, shift, scale, dilation, K) of scale dilation^(p-d) K c_(p-d)
+    + sum over the b entries (j, eq, shift, K) of K c_(j,p), each entry
+    shift eps powers up; equation 0 also reads c_1, through (dD/k) R_D and
+    delta.  Assumption (A) gives d >= 1, so within one eps power of one order
+    only the shift-0 b entries couple, one small fixed point each.  For
+    dD = 0 the R_D part stays on the left, in P(0) = Q(im) - q_f R_D(im).
+
+    `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, eps
+    folded into the kernels); `eps_series` is the formal series, whose
+    eps^n t^p coefficient is q^(p(p-1)/2k) c_(p,n-p).
+    """
+
+    def __init__(self, spec: ProblemSpec, m: np.ndarray, eps_parts, terms: list,
+                 b: list, degree: int | None = None):
+        """eps_parts(sym) lists a forcing symbol's m data by eps power; terms
+        holds (LowerOrderTerm, eps shift, eps factor, K), b (j, eq, shift, K)."""
+        if any(t.d < 1 for t in spec.terms):
+            raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
+        self.spec, self.m, self.b, self.degree = spec, m, b, degree
+        self.n_eps = 1 if degree is None else degree + 1
+        self.forcing = {p: np.zeros((2, self.n_eps, m.size), dtype=complex)
+                        for h in (0, 1) for p in spec.forcing.powers(h)}
+        for h in (0, 1):
+            for p, sym in spec.forcing.powers(h).items():
+                parts = eps_parts(sym)[:self.n_eps]
+                self.forcing[p][h, :len(parts)] = parts
+        self.terms = [(t.d, float(t.delta), shift, factor * spec.q_power_factor(t.d),
+                       spec.q ** -(t.d / spec.k - float(t.delta)), K)
+                      for t, shift, factor, K in terms]
+        self.moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)
+        self.p0 = spec.pm(0.0, m)
+
+    @classmethod
+    def at_eps(cls, spec: ProblemSpec, m: np.ndarray, eps: complex,
+               kernels=None) -> "TaylorRecursion":
+        """At one eps, over kernels = eps_kernels(spec, m, eps) when given."""
+        term_kernel, b_kernel = eps_kernels(spec, m, eps) if kernels is None else kernels
+        return cls(spec, m, lambda sym: [sym(m, eps)],
+                   [(t, 0, eps ** (t.Delta - t.d), K)
+                    for t, K in zip(spec.terms, term_kernel)],
+                   [(j, eq, 0, K) for (j, eq), K in b_kernel.items() if K is not None])
+
+    @classmethod
+    def eps_series(cls, spec: ProblemSpec, m: np.ndarray, degree: int) -> "TaylorRecursion":
+        """In eps powers 0..degree: the kernel of a symbol's eps^a part moves
+        term l up Delta_l - d_l + a eps powers, and b up a."""
+        if any(t.Delta < t.d for t in spec.terms):
+            raise ConfigError("Assumption (A) violated: the formal eps-series "
+                              "needs Delta_l >= d_l")
+
+        def split(sym):
+            return [sym.eps_coefficient(a) for a in range(min(sym.eps_degree, degree) + 1)]
+
+        return cls(spec, m, lambda sym: [part(m) for part in split(sym)],
+                   [(t, t.Delta - t.d + a, 1.0, convolution_kernel(part, m, t.R))
+                    for t in spec.terms for a, part in enumerate(split(t.C))],
+                   [(j, eq, a, convolution_kernel(part, m, [1.0]))
+                    for (j, eq), sym in spec.coeffs.b.items() if not sym.is_zero()
+                    for a, part in enumerate(split(sym))], degree)
+
+    def powers(self, p: int) -> int:
+        """How many eps powers order p solves: all, or those up to eps^(degree-p)."""
+        return self.n_eps if self.degree is None else max(0, self.degree + 1 - p)
+
+    def rhs(self, c: list, p: int) -> np.ndarray:
+        """Order p's right side but its b part, (2, n_eps, n_m), from c[:p],
+        zero above its `powers`."""
+        spec, n = self.spec, self.powers(p)
+        rhs = np.zeros((2, self.n_eps, self.m.size), dtype=complex)
+        if p in self.forcing:
+            rhs[:, :n] += self.forcing[p][:, :n]
+        if 1 <= spec.dD <= p:
+            low = self.moved * c[p - spec.dD][:, :n]
+            rhs[0, :n] += (spec.dD / spec.k) * low[1]
+            rhs[:, :n] += low
+        for d, delta, shift, scale, dilation, K in self.terms:
+            if d <= p and shift < n:
+                src = c[p - d][:, :n - shift]
+                h = (src.reshape(-1, self.m.size) @ K.T).reshape(src.shape)
+                h *= scale * dilation ** (p - d)
+                rhs[0, shift:n] += delta * h[1]
+                rhs[:, shift:n] += h
+        return rhs
+
+    def orders(self, what, rtol: float):
+        """Yield c_0, c_1, ...: each eps power one `_order_fixed_point` to
+        rtol, after the b entries of shift >= 1 add the lower powers of its
+        order; what(p, e) names c_(p,e) in a DivergenceError."""
+        coupling = [(j, eq, K) for j, eq, shift, K in self.b if shift == 0]
+        inv_p0 = 1.0 / self.p0
+        c = []
+        for p in itertools.count():
+            c_p = self.rhs(c, p)
+            for e in range(self.powers(p)):
+                for j, eq, shift, K in self.b:
+                    if 1 <= shift <= e:
+                        c_p[eq, e] += c_p[j, e - shift] @ K.T
+                c_p[:, e] = _order_fixed_point(c_p[:, e], coupling, inv_p0,
+                                               what(p, e), rtol)
+            c.append(c_p)
+            yield c_p
+
+
 def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
                      radius: float, kernels=None) -> np.ndarray:
-    """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, as a
-    (2, orders, n_m) array summed to within TAYLOR_RTOL at |tau| = radius.
-    `kernels` is an eps_kernels(spec, m, eps) result to share, or None.
-
-    The fixed point of SolverContext in monomials of tau: with Q(im) c_{j,n}
-    on the left, order n takes the forcing's tau^n symbol, q_f R_D(im)
-    c_{j,n-dD} (equation 0 also (dD/k) q_f R_D(im) c_{1,n-dD}), and from term
-    l eps^(Delta_l-d_l) q^(-d_l(d_l-1)/2k) q^(-(d_l/k-delta_l)(n-d_l)) K_l
-    c_{j,n-d_l} (equation 0 also delta_l times that of c_1).  Assumption (A)
-    gives d_l >= 1, so within one order only the b symbols couple, and each
-    order is one small fixed point.  For dD = 0 the R_D part stays on the
-    left, in P(0) = Q(im) - q_f R_D(im).  The sum stops once the terms of the
-    last max(dD, d_l) orders at the radius fall below TAYLOR_RTOL of the
-    largest term; a series that has not by order TAYLOR_MAX_ORDER raises
-    DivergenceError rather than return a truncated sum.
-    """
+    """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, the
+    orders of `TaylorRecursion.at_eps` (over `kernels` = eps_kernels(spec, m,
+    eps) when given), as a (2, orders, n_m) array.  The sum stops once the
+    terms of the last max(dD, d_l) orders at |tau| = radius fall below
+    TAYLOR_RTOL of the largest; a series that has not by order
+    TAYLOR_MAX_ORDER raises DivergenceError."""
     if eps == 0:
         raise UsageError("the fixed point is defined for eps != 0")
-    if any(t.d < 1 for t in spec.terms):
-        raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
     m = np.asarray(m, dtype=float)
-    eps = complex(eps)
-    term_kernel, b_kernel = eps_kernels(spec, m, eps) if kernels is None else kernels
-    coupling = _b_coupling(b_kernel)
-    # per term: d_l, delta_l, the eps and q^(...) prefactor, the dilation
-    # factor of one tau power, and the kernel
-    terms = [(t.d, float(t.delta), eps ** (t.Delta - t.d) * spec.q_power_factor(t.d),
-              spec.q ** -(t.d / spec.k - float(t.delta)), K)
-             for t, K in zip(spec.terms, term_kernel)]
-    moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)
-    inv_p0 = 1.0 / spec.pm(0.0, m)
-    forcing = [{p: sym(m, eps) for p, sym in spec.forcing.powers(h).items()}
-               for h in (0, 1)]
-    last_forced = max([p for f in forcing for p in f], default=0)
+    rec = TaylorRecursion.at_eps(spec, m, complex(eps), kernels)
+    last_forced = max(rec.forcing, default=0)
     reach = max([spec.dD] + [t.d for t in spec.terms])
-    c = np.zeros((2, TAYLOR_MAX_ORDER + 1, m.size), dtype=complex)
+    # to a few units of rounding of the largest coefficient
+    orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0",
+                        rtol=4e-16)
+    c = []
     peak, quiet = 0.0, 0
-    for n in range(TAYLOR_MAX_ORDER + 1):
-        rhs = np.zeros((2, m.size), dtype=complex)
-        for eq in (0, 1):
-            if n in forcing[eq]:
-                rhs[eq] += forcing[eq][n]
-        if 1 <= spec.dD <= n:
-            low = moved * c[:, n - spec.dD]
-            rhs[0] += (spec.dD / spec.k) * low[1]
-            rhs += low
-        for d, delta, scale, dilation, K in terms:
-            if d <= n:
-                h = c[:, n - d] @ K.T
-                h *= scale * dilation ** (n - d)
-                rhs[0] += delta * h[1]
-                rhs += h
-        # to a few units of rounding of the largest coefficient
-        c[:, n] = _order_fixed_point(rhs, coupling, inv_p0, f"the order-{n} Taylor "
-                                     "coefficients at tau = 0", rtol=4e-16)
-        size = float(np.abs(c[:, n]).max()) * radius ** n
+    for n, c_n in zip(range(TAYLOR_MAX_ORDER + 1), orders):
+        c.append(c_n[:, 0])
+        size = float(np.abs(c_n).max()) * radius ** n
         if not math.isfinite(size):
             raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 "
                                   f"are not finite ({size})")
         peak = max(peak, size)
         quiet = quiet + 1 if size <= TAYLOR_RTOL * peak else 0
         if n >= last_forced and quiet >= reach:
-            # a copy, so that a caller who keeps it does not keep the buffer
-            return c[:, :n + 1].copy()
+            return np.stack(c, axis=1)
     raise DivergenceError(
         f"the Taylor series of omega at tau = 0 does not converge at |tau| = "
         f"{radius:.4g} by order {TAYLOR_MAX_ORDER}")

@@ -96,6 +96,8 @@ def _range_of(x, name: str, positive: bool = False) -> tuple[float, float, int]:
     if not isinstance(x, list) or len(x) != 3:
         raise ConfigError(f"{name} must be [lo, hi, n], got {x!r}")
     lo, hi, n = float(x[0]), float(x[1]), int(x[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} = {x!r} needs finite lo, hi")
     if n < 2:
         raise ConfigError(f"{name} = {x!r} needs n >= 2")
     if positive and not (lo > 0 and hi > 0):
@@ -146,8 +148,18 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             points += _finite_points([(complex(row[0], row[1]), complex(row[2], row[3]))
                                       for row in data], "points_csv")
         eps_solve = _complex_of(raw.get("eps"), 0.75 * spec.eps0)
-        if not cmath.isfinite(eps_solve):
-            raise ConfigError(f"eps = {eps_solve} must be finite")
+        if not (cmath.isfinite(eps_solve) and eps_solve != 0):
+            raise ConfigError(f"eps = {eps_solve} must be finite and nonzero")
+        t_radius = float(cov.get("t_radius", 0.02))
+        t_aperture = float(cov.get("t_aperture", 0.1))
+        t_direction = float(cov.get("t_direction", 0.0))
+        # `not lo < x < inf` also rejects NaN
+        if not 0 < t_radius < math.inf:
+            raise ConfigError(f"covering t_radius = {t_radius} must be finite and > 0")
+        if not 0 <= t_aperture < math.inf:
+            raise ConfigError(f"covering t_aperture = {t_aperture} must be finite and >= 0")
+        if not math.isfinite(t_direction):
+            raise ConfigError(f"covering t_direction = {t_direction} must be finite")
         Delta = float(q.get("Delta", 0.5))
         if not (math.isfinite(Delta) and Delta > 0):
             raise ConfigError(f"quadrature Delta = {Delta} must be finite and > 0")
@@ -156,9 +168,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         return RunConfig(
             spec=spec,
             zeta=int(cov.get("zeta", 2)),
-            t_radius=float(cov.get("t_radius", 0.02)),
-            t_aperture=float(cov.get("t_aperture", 0.1)),
-            t_direction=float(cov.get("t_direction", 0.0)),
+            t_radius=t_radius, t_aperture=t_aperture, t_direction=t_direction,
             Delta=Delta, gspec=gspec,
             solve_tol=solve_tol, max_iter=max_iter, formal_tol=formal_tol,
             eps_solve=eps_solve,
@@ -377,12 +387,9 @@ def _series(rc: RunConfig, ctx: dict):
 def cmd_formal(rc: RunConfig, ctx: dict) -> int:
     series = _series(rc, ctx)
     for n in range(series.order + 1):
-        rows = []
-        for j in (0, 1):
-            for p in sorted(series.coef[j][n]):
-                arr = series.coef[j][n][p]
-                for idx, m in enumerate(series.m):
-                    rows.append((j, p, m, arr[idx].real, arr[idx].imag))
+        rows = [(j, p, m, v.real, v.imag)
+                for j in (0, 1) for p, arr in enumerate(series.coef[j, n, :n + 1])
+                if arr.any() for m, v in zip(series.m, arr)]
         write_csv(rc.output_dir / f"formal_order_{n}.csv",
                   ["component", "t_power", "m", "re", "im"], rows)
     res = formal_residual(series, rc.spec, series.order)

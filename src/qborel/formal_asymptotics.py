@@ -2,11 +2,11 @@
 analytic one: remainder envelopes of q-Gevrey type and the q-exponential
 decay of differences across covering sectors.
 
-Series coefficients are stored as V_{j,n}: the coefficient of eps^n, held as
-a t-polynomial whose coefficients are Fourier data on the m grid.  The
-order-n recursion couples the new coefficients only through the eps-constant
-part of the b symbols, so each t-power of each order is one small convolution
-fixed point (`borel_solver._order_fixed_point`, as at tau = 0).
+The series is one array coef[j, n, p], the eps^n t^p coefficient of u_j on
+the m grid.  The q-Laplace transform sends tau^p to q^(p(p-1)/2k) (eps t)^p,
+so coef[j, n, p] is q^(p(p-1)/2k) times the eps^(n-p) part of the Taylor
+coefficient c_p(eps) of omega_j at tau = 0: `borel_solver.TaylorRecursion`
+with truncated eps-series for coefficients.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, _b_coupling, _order_fixed_point, build_grid,
-                           eps_kernels, rung_shifts, solve_coupled, solve_triangular,
+from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels,
+                           rung_shifts, solve_coupled, solve_triangular,
                            taylor_at_origin, taylor_values)
 from .errors import DomainError, UsageError
 from .geometry import GoodCovering, admissible_r1, make_geometry
-from .problem_model import ProblemSpec, polyval_im
+from .problem_model import ProblemSpec
 from .solution_assembly import LogSolution, difference_arc_rung, solution_difference
-from .transforms import convolution_kernel, inverse_fourier
+from .transforms import inverse_fourier
 
 __all__ = [
     "FormalSeries",
@@ -39,11 +39,13 @@ __all__ = [
 
 @dataclass
 class FormalSeries:
-    """Truncated eps-series pair; coef[j][n] maps t-power -> m-grid data."""
+    """Truncated eps-series pair: coef[j, n, p] is the eps^n t^p coefficient
+    of u_j on the m grid, a (2, order + 1, order + 1, n_m) array, zero for
+    p > n."""
 
     order: int
     m: np.ndarray
-    coef: list[list[dict[int, np.ndarray]]]
+    coef: np.ndarray
     solve_tol: float
 
 
@@ -64,140 +66,38 @@ class AsymptoticsReport:
     warnings: list = field(default_factory=list)
 
 
-class _OrderKernels:
-    """Convolution kernels per eps-order of every symbol, on one m grid;
-    `coupling` lists the eps-constant b kernels (`_b_coupling`)."""
-
-    def __init__(self, spec: ProblemSpec, m: np.ndarray):
-        self.m = m
-        self.Q_im = polyval_im(spec.Q, m)
-        self.RD_im = polyval_im(spec.RD, m)
-        self.term = [[convolution_kernel(t.C.eps_coefficient(a), m, t.R)
-                      for a in range(t.C.eps_degree + 1)] for t in spec.terms]
-        self.b = {jk: [] if sym.is_zero()
-                  else [convolution_kernel(sym.eps_coefficient(a), m, [1.0])
-                        for a in range(sym.eps_degree + 1)]
-                  for jk, sym in spec.coeffs.b.items()}
-        self.coupling = _b_coupling({jk: self.bk(jk, 0) for jk in self.b})
-
-    def bk(self, jk, a):
-        ker = self.b[jk]
-        return ker[a] if a < len(ker) else None
-
-
-def _forcing_order(spec: ProblemSpec, h: int, n: int, m: np.ndarray) -> dict:
-    out = {}
-    for p, sym in spec.forcing.powers(h).items():
-        a = n - p
-        if 0 <= a <= sym.eps_degree:
-            qfac = (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0)
-            vals = sym.eps_coefficient(a)(m) * qfac
-            if np.any(vals != 0):
-                out[p] = out.get(p, 0) + vals
-    return out
-
-
-def _add(acc: dict, p: int, arr):
-    if p in acc:
-        acc[p] = acc[p] + arr
-    else:
-        acc[p] = arr.copy() if isinstance(arr, np.ndarray) else arr
-
-
-def _assemble_rhs(spec, ker, V, n):
-    """Right sides of the order-n recursion from all lower orders."""
-    rhs = [{}, {}]
-    if spec.dD <= n:
-        rate = spec.dD / spec.k
-        for p, arr in V[0][n - spec.dD].items():
-            _add(rhs[0], p + spec.dD, (spec.q ** (rate * p)) * ker.RD_im * arr)
-        for p, arr in V[1][n - spec.dD].items():
-            fac = (spec.q ** (rate * p)) * ker.RD_im
-            _add(rhs[0], p + spec.dD, (spec.dD / spec.k) * fac * arr)
-            _add(rhs[1], p + spec.dD, fac * arr)
-    for i, t in enumerate(spec.terms):
-        if t.Delta > n:
-            continue
-        rate = float(t.delta)
-        for a, K in enumerate(ker.term[i]):
-            n3 = n - t.Delta - a
-            if n3 < 0:
-                continue
-            for p, arr in V[0][n3].items():
-                _add(rhs[0], p + t.d, (spec.q ** (rate * p)) * (K @ arr))
-            for p, arr in V[1][n3].items():
-                conv = (spec.q ** (rate * p)) * (K @ arr)
-                _add(rhs[0], p + t.d, rate * conv)
-                _add(rhs[1], p + t.d, conv)
-    for h in (0, 1):
-        for p, arr in _forcing_order(spec, h, n, ker.m).items():
-            _add(rhs[h], p, arr)
-    for a in range(1, n + 1):
-        for (j, kk), _ in spec.coeffs.b.items():
-            K = ker.bk((j, kk), a)
-            if K is None:
-                continue
-            for p, arr in V[j][n - a].items():
-                _add(rhs[kk], p, K @ arr)
-    return rhs
-
-
-def _at_power(parts: list, p: int, size: int) -> np.ndarray:
-    """The t^p data of both equations' {t-power: m-grid data} parts, as one
-    (2, size) array, zero where a part has no t^p term."""
-    out = np.zeros((2, size), dtype=complex)
-    for j in (0, 1):
-        if p in parts[j]:
-            out[j] = parts[j][p]
-    return out
-
-
 def formal_coefficients(spec: ProblemSpec, N: int, tol: float = 1e-13,
                         m_grid=None) -> FormalSeries:
-    """Solve the coefficient recursion order by order up to eps^N.
-
-    The unknowns of order n appear on the right only through the eps-constant
-    b kernels, so each t-power is one small fixed point,
-    `borel_solver._order_fixed_point` iterated to tol (convergent under the
-    smallness budget).
-    """
+    """Solve the coefficient recursion up to eps^N: the orders p <= N of
+    `TaylorRecursion.eps_series`, each eps power of each one small fixed
+    point iterated to tol (convergent under the smallness budget)."""
     m = GridSpec().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    ker = _OrderKernels(spec, m)
-    inv_q = 1.0 / ker.Q_im
-    V: list[list[dict[int, np.ndarray]]] = [[], []]
-    for n in range(N + 1):
-        rhs = _assemble_rhs(spec, ker, V, n)
-        sol = [{}, {}]
-        for p in sorted(set(rhs[0]) | set(rhs[1])):
-            c = _order_fixed_point(_at_power(rhs, p, m.size), ker.coupling, inv_q,
-                                   f"the eps^{n} coefficients of t^{p}", rtol=tol)
-            for j in (0, 1):
-                if np.any(c[j] != 0):
-                    # a copy, so that the series does not keep both rows alive
-                    sol[j][p] = c[j].copy()
-        V[0].append(sol[0])
-        V[1].append(sol[1])
-    return FormalSeries(order=N, m=m, coef=V, solve_tol=tol)
+    coef = np.zeros((2, N + 1, N + 1, m.size), dtype=complex)
+    orders = TaylorRecursion.eps_series(spec, m, N).orders(
+        lambda p, e: f"the eps^{p + e} coefficients of t^{p}", rtol=tol)
+    for p, c_p in zip(range(N + 1), orders):
+        coef[:, p:, p] = c_p[:, :N + 1 - p] / spec.q_power_factor(p)
+    return FormalSeries(order=N, m=m, coef=coef, solve_tol=tol)
 
 
 def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
-    """Max defect Q(im) c - rhs - sum_j K_(j,eq) c_j of the order-n
-    identities for n <= N over t-powers and m, with the coupling list that
-    `formal_coefficients` iterates over."""
+    """Max defect P(0) c_p - rhs - sum_j K_(j,eq) c_(j,p) of the recursion
+    `formal_coefficients` solves, over the eps^n t^p identities with n <= N
+    and over m, in units of the series coefficients."""
     if N > series.order:
         raise UsageError("series order too low for the requested check")
-    ker = _OrderKernels(spec, series.m)
-    size = series.m.size
+    rec = TaylorRecursion.eps_series(spec, series.m, N)
+    # c_p over eps powers 0..N, zero above N - p
+    c = [np.pad(series.coef[:, p:N + 1, p], ((0, 0), (0, p), (0, 0))) * spec.q_power_factor(p)
+         for p in range(N + 1)]
     worst = 0.0
-    for n in range(N + 1):
-        rhs = _assemble_rhs(spec, ker, series.coef, n)
-        Vn = [series.coef[0][n], series.coef[1][n]]
-        for p in set(rhs[0]) | set(rhs[1]) | set(Vn[0]) | set(Vn[1]):
-            c = _at_power(Vn, p, size)
-            defect = ker.Q_im * c - _at_power(rhs, p, size)
-            for j, eq, K in ker.coupling:
-                defect[eq] -= c[j] @ K.T
-            worst = max(worst, float(np.abs(defect).max()))
+    for p, c_p in enumerate(c):
+        n = rec.powers(p)
+        defect = (rec.p0 * c_p - rec.rhs(c, p))[:, :n]
+        for j, eq, shift, K in rec.b:
+            if shift < n:
+                defect[eq, shift:] -= c_p[j, :n - shift] @ K.T
+        worst = max(worst, float(np.abs(defect).max()) / spec.q_power_factor(p))
     return worst
 
 
@@ -207,10 +107,8 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
     N = series.order if N is None else N
     if N > series.order:
         raise UsageError("series order too low")
-    total = np.zeros(series.m.size, dtype=complex)
-    for n in range(N + 1):
-        for p, arr in series.coef[j][n].items():
-            total += eps ** n * t ** p * arr
+    powers = np.arange(N + 1)
+    total = complex(eps) ** powers @ (complex(t) ** powers @ series.coef[j, :N + 1, :N + 1])
     return inverse_fourier(total, complex(z), series.m)
 
 
@@ -341,12 +239,8 @@ def gevrey_remainder_check(family: SolutionFamily, p: int,
         sol = family.at(p, eps)
         vals = {(j, t, z): sol.component(j, t, z) for (t, z) in probes for j in (0, 1)}
         for N in range(N_max + 1):
-            worst = 0.0
-            for (t, z) in probes:
-                for j in (0, 1):
-                    part = evaluate_formal(series, j, t, z, eps, N)
-                    worst = max(worst, abs(vals[(j, t, z)] - part))
-            rem[N].append(worst)
+            rem[N].append(max(abs(u - evaluate_formal(series, j, t, z, eps, N))
+                              for (j, t, z), u in vals.items()))
     rep.remainders = rem
 
     xs, ys = [], []
@@ -381,7 +275,7 @@ def gevrey_remainder_check(family: SolutionFamily, p: int,
 
 
 def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
-                         probes=None, small_weight_frac: float = 0.1) -> AsymptoticsReport:
+                         probes=None) -> AsymptoticsReport:
     """Fit log |u_{j,p+1} - u_{j,p}| = a log^2|eps| + b log|eps| + c on the
     overlap of consecutive sectors; a targets -k/(2 log q).
 
@@ -437,7 +331,8 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     x = np.array([math.log(abs(e)) for e in used_eps])
     y = np.array([math.log(max(a, b)) for a, b in zip(deltas[0], deltas[1])])
     w = np.ones(x.size)
-    n_small = max(1, int(small_weight_frac * x.size))
+    # the smallest tenth of the |eps| samples (at least one) weigh double
+    n_small = max(1, int(0.1 * x.size))
     w[np.argsort(x)[:n_small]] = 2.0
     A = np.vstack([x * x, x, np.ones_like(x)]).T * w[:, None]
     coef, *_ = np.linalg.lstsq(A, y * w, rcond=None)

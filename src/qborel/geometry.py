@@ -152,22 +152,18 @@ def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
     return worst, ((float(m[i]), int(ell)) if worst <= 0 else None)
 
 
-def make_geometry(spec: ProblemSpec, d: float, m_grid=None,
-                  aperture: float = SECTOR_APERTURE,
-                  rho: float | None = None, r_max: float | None = None) -> SectorGeometry:
-    """Assemble an admissible sector geometry for the direction d."""
+def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
+    """Assemble an admissible sector geometry of aperture SECTOR_APERTURE for
+    the direction d, reaching out to 16 rho."""
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
     rep = validate_assumptions(spec, m_grid)
-    if rho is None:
-        rho = default_rho(spec, rep.D1)
-    gap, witness = sector_root_clearance(spec, d, aperture, m_grid)
+    rho = default_rho(spec, rep.D1)
+    gap, witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
     if witness is not None:
         raise GeometryError(
             f"sector at direction {d:.4f} hits the root locus: witness m={witness[0]}, l={witness[1]}")
-    delta = default_delta(d, aperture, rho)
-    if r_max is None:
-        r_max = 16.0 * rho
-    geom = SectorGeometry(d=d, aperture=aperture, rho=rho, delta=delta, r_max=r_max)
+    geom = SectorGeometry(d=d, aperture=SECTOR_APERTURE, rho=rho,
+                          delta=default_delta(d, SECTOR_APERTURE, rho), r_max=16.0 * rho)
     geom.constants["D1"] = rep.D1
     geom.constants["D2"] = rep.D2
     return geom
@@ -183,8 +179,7 @@ def _disc_grid(rho: float, n_r: int = 40, n_ang: int = 48) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None,
-                    u_grid=None) -> dict:
+def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dict:
     """Geometric constants: C_D on the disc, the sector constants D31/D32/D3
     and the dilation-weight constant D4.
 
@@ -194,9 +189,6 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None,
     sit above the lemma floor 1 - 2^(-dD).
     """
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
-    if u_grid is None:
-        u_grid = np.linspace(0.0, 2.0, 801)
-    u_grid = np.asarray(u_grid, dtype=float)
 
     D1 = geom.constants.get("D1")
     D2 = geom.constants.get("D2")
@@ -227,7 +219,7 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None,
             for r in pm_roots(spec, m):
                 thetas.append(geom.d - float(np.angle(r)))
         thetas = np.asarray(sorted(set(np.round(thetas, 12))))
-        u = u_grid[u_grid <= 2.0][None, :]
+        u = np.linspace(0.0, 2.0, 801)[None, :]
         num = np.abs(1.0 - u ** spec.dD * np.exp(1j * spec.dD * thetas)[:, None])
         den = (1.0 + u * c) ** spec.dD
         consts["D31"] = float((num / den).min())
@@ -348,18 +340,16 @@ class GoodCovering:
     Delta: float
     r1: float
 
-    def overlap_sample(self, p: int, radius_frac: float = 0.7) -> complex:
+    def overlap_sample(self, p: int) -> complex:
         # sectors p and p+1 are centred 2 pi / zeta apart; the overlap midpoint
-        # sits halfway between the two bisectors
+        # sits halfway between the two bisectors, at 0.7 of the radius
         mid = self.directions[p % self.zeta] + math.pi / self.zeta
-        return self.radius * radius_frac * np.exp(1j * mid)
+        return self.radius * 0.7 * np.exp(1j * mid)
 
 
 def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
                         t_radius: float, t_aperture: float = 0.1,
                         t_direction: float = 0.0, m_grid=None,
-                        aperture_factor: float = 1.12,
-                        sector_aperture: float = SECTOR_APERTURE,
                         Delta: float = 0.5) -> GoodCovering:
     """Choose zeta overlapping eps sectors and one admissible Borel direction
     per sector.
@@ -376,7 +366,8 @@ def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
     if eps0 * t_radius > r1:
         raise GeometryError(
             f"eps0 * r_T = {eps0 * t_radius:.3g} exceeds r1 = {r1:.3g}")
-    aperture = aperture_factor * 2.0 * math.pi / zeta
+    # 12% wider than 2 pi / zeta, so that neighbouring sectors overlap
+    aperture = 1.12 * 2.0 * math.pi / zeta
     directions = [2.0 * math.pi * p / zeta for p in range(zeta)]
     candidates = np.linspace(-math.pi, math.pi, 720, endpoint=False)
 
@@ -387,11 +378,11 @@ def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
         best, blocked = None, []
         order = sorted(candidates, key=lambda c: abs(math.remainder(c - center, 2 * math.pi)))
         for d in order:
-            gap, witness = sector_root_clearance(spec, d, sector_aperture, m_grid)
+            gap, witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
             if witness is not None:
                 blocked.append((d, f"roots at m={witness[0]}"))
                 continue
-            if abs(math.remainder(math.pi - d, 2 * math.pi)) < sector_aperture:
+            if abs(math.remainder(math.pi - d, 2 * math.pi)) < SECTOR_APERTURE:
                 blocked.append((d, "negative axis"))
                 continue
             if ray_cone_clearance(d, lo, hi) < Delta:

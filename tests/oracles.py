@@ -11,7 +11,9 @@ samples.  `theta_bound_margin` (with `theta_log_abs` and
 `sector_interval` and `sector_contains`) are the paper-level checks of the
 theta lower bound, the formal monodromy and the good covering.
 `order_dense_solve` solves one order of the formal or Taylor recursion as
-one dense linear system, the oracle for its fixed-point iteration.
+one dense linear system, the oracle for its fixed-point iteration, and
+`formal_order_rhs` rebuilds the right side of one coefficient of the formal
+series in physical form, in t-powers rather than Taylor orders.
 `arc_values` solves a ring line at each arc sample angle and reads it at
 the arc rung, the oracle for the arc samples summed from the Taylor series
 at tau = 0, and `RingArcSolution` takes its sector-difference arc from them.
@@ -29,9 +31,10 @@ import numpy as np
 from qborel.borel_solver import SolverContext, eps_kernels, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
+from qborel.problem_model import polyval_im
 from qborel.solution_assembly import LogSolution
 from qborel.special_functions import WeightParams, expq_weight, inv_theta, theta_scaled
-from qborel.transforms import check_admissible, inverse_fourier
+from qborel.transforms import check_admissible, convolution_kernel, inverse_fourier
 
 _FLOOR = 1e-16          # relative integrand floor for bracket expansion
 _TAIL_RUN = 12          # consecutive sub-floor nodes ending the expansion
@@ -271,6 +274,42 @@ def order_dense_solve(rhs: np.ndarray, p0: np.ndarray, b_kernel: dict) -> np.nda
         if K is not None:
             A[eq * n:(eq + 1) * n, j * n:(j + 1) * n] -= K
     return np.linalg.solve(A, np.asarray(rhs, dtype=complex).ravel()).reshape(2, n)
+
+
+def formal_order_rhs(spec, coef: np.ndarray, m: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The right side (2, n_m) of the eps^n t^p identity of the formal series
+    in physical form, Q(im) V_(n,p) = rhs + sum_j K_(j,eq) V_(j,n,p) with the
+    eps-constant b kernels K, rebuilt from the lower coefficients of the
+    dense array coef[j, n, p]: the (eps t)^dD R_D term, the eps^a part of
+    each dilation term, the forcing and the eps^a (a >= 1) parts of the b
+    symbols.  The R_D term stays on the right, so dD >= 1."""
+    if spec.dD < 1:
+        raise UsageError("the physical form keeps R_D on the right: needs dD >= 1")
+    q, k = spec.q, spec.k
+    rhs = np.zeros((2, m.size), dtype=complex)
+
+    def feed(v, delta):
+        rhs[0] += v[0] + delta * v[1]
+        rhs[1] += v[1]
+
+    if p >= spec.dD and n >= spec.dD:
+        src = coef[:, n - spec.dD, p - spec.dD]
+        feed(q ** (spec.dD * (p - spec.dD) / k) * polyval_im(spec.RD, m) * src, spec.dD / k)
+    for t in spec.terms:
+        for a in range(t.C.eps_degree + 1):
+            if p >= t.d and n >= t.Delta + a:
+                K = convolution_kernel(t.C.eps_coefficient(a), m, t.R)
+                src = coef[:, n - t.Delta - a, p - t.d]
+                feed(q ** (float(t.delta) * (p - t.d)) * (src @ K.T), float(t.delta))
+    for h in (0, 1):
+        sym = spec.forcing.powers(h).get(p)
+        if sym is not None and 0 <= n - p <= sym.eps_degree:
+            rhs[h] += q ** (p * (p - 1) / (2.0 * k)) * sym.eps_coefficient(n - p)(m)
+    for (j, eq), sym in spec.coeffs.b.items():
+        for a in range(1, min(sym.eps_degree, n) + 1):
+            rhs[eq] += coef[j, n - a, p] @ convolution_kernel(sym.eps_coefficient(a), m,
+                                                               [1.0]).T
+    return rhs
 
 
 def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,

@@ -148,6 +148,21 @@ def _quadrature_with(Delta):
     pytest.param("evaluate", _quadrature_with(math.nan), "Delta", id="nan_Delta"),
     pytest.param("evaluate", _quadrature_with(math.inf), "Delta", id="inf_Delta"),
     pytest.param("evaluate", _quadrature_with(0.0), "Delta", id="zero_Delta"),
+    pytest.param("solve", {"eps": 0.0}, "eps", id="zero_eps"),
+    pytest.param("solve", _grid_with(T_max=math.inf), "T_max", id="inf_T_max"),
+    pytest.param("check-geometry", {"geometry_m_grid": [-50.0, math.nan, 401]},
+                 "geometry_m_grid", id="nan_geometry_m_grid"),
+    pytest.param("solve", {"quadrature": {"M": math.inf, "m_nodes": 81}}, "M",
+                 id="inf_M"),
+    pytest.param("asymptotics", {"asymptotics": {
+        "N_max": 2, "eps_gevrey": [0.008, math.inf, 3], "eps_decay": [0.006, 0.015, 4]}},
+        "eps_gevrey", id="inf_eps_gevrey"),
+    pytest.param("check-geometry", {"covering": {"t_radius": math.nan}}, "t_radius",
+                 id="nan_t_radius"),
+    pytest.param("check-geometry", {"covering": {"t_direction": math.nan}}, "t_direction",
+                 id="nan_t_direction"),
+    pytest.param("check-geometry", {"covering": {"t_aperture": math.inf}}, "t_aperture",
+                 id="inf_t_aperture"),
 ])
 def test_non_finite_setting_is_65(tmp_path, capsys, verb, override, key):
     # rejected on load, before any solve: these used to end in a traceback,
@@ -292,6 +307,20 @@ def test_formal_verb_writes_orders(tmp_path):
     rep = json.loads((out / "formal_report.json").read_text())
     assert rep["residual"] <= 1e-9
     assert (out / "formal_order_3.csv").exists()
+
+
+def test_dD_zero_formal_and_asymptotics(tmp_path):
+    # with dD = 0 the R_D term stays on the left, in P(0) = Q(im) - R_D(im),
+    # and the series still matches the analytic solution: R_1 << R_0
+    path = _with(small_config(tmp_path), lambda c: (
+        c["problem"].update(dD=0), c["problem"]["terms"][0].update(delta=[0, 1])))
+    out = tmp_path / "out"
+    for verb in ("formal", "asymptotics"):
+        assert run(verb, path, str(out)) == 0, verb
+    assert json.loads((out / "formal_report.json").read_text())["residual"] <= 1e-13
+    rows = np.loadtxt(out / "remainders.csv", delimiter=",", skiprows=1, ndmin=2)
+    r0, r1 = (rows[rows[:, 0] == N, 2] for N in (0, 1))
+    assert r0.size == r1.size == 3 and np.all(r1 < 1e-6 * r0), (r0, r1)
 
 
 def test_main_argparse_roundtrip(tmp_path):

@@ -30,7 +30,7 @@ from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_
 from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
-from tests.oracles import RingArcSolution, order_dense_solve, stacked
+from tests.oracles import RingArcSolution, formal_order_rhs, order_dense_solve, stacked
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -65,9 +65,7 @@ def test_zero_problem_gives_zero_series(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     series = formal_coefficients(spec, 4, m_grid=M_SMALL)
-    for j in (0, 1):
-        for n in range(5):
-            assert series.coef[j][n] == {}
+    assert series.coef.shape == (2, 5, 5, M_SMALL.size) and not series.coef.any()
     assert formal_residual(series, spec, 4) == 0.0
 
 
@@ -110,9 +108,9 @@ def test_formal_residual_detects_dropped_coefficient(asym):
 
     series = asym["series"]
     broken = copy.deepcopy(series)
-    p = sorted(broken.coef[1][2])[0]
-    dropped = np.max(np.abs(broken.coef[1][2][p]))
-    broken.coef[1][2][p] = np.zeros_like(broken.coef[1][2][p])
+    p = min(p for p in range(3) if broken.coef[1, 2, p].any())
+    dropped = np.max(np.abs(broken.coef[1, 2, p]))
+    broken.coef[1, 2, p] = 0.0
     res = formal_residual(broken, asym["spec"], 2)
     assert res > 0.1 * dropped
 
@@ -122,27 +120,78 @@ def test_formal_residual_requires_order(asym):
         formal_residual(asym["series"], asym["spec"], asym["series"].order + 1)
 
 
-def test_formal_orders_match_a_dense_solve_of_each_order(example_spec):
-    # each t-power of each order is one fixed point, (Q(im) I - K_b) c = rhs
-    # with the eps-constant b kernels; np.linalg.solve is the oracle for its
-    # iteration
-    spec = example_spec
+def _check_orders_against_a_dense_solve(spec):
+    # each t-power of each order is one fixed point of the physical-form
+    # recursion, (Q(im) I - K_b) V_(n,p) = rhs with the eps-constant b
+    # kernels and rhs rebuilt from the lower coefficients on its own;
+    # np.linalg.solve is the oracle for the iteration in Taylor form
     series = formal_coefficients(spec, 3, m_grid=M_SMALL)
-    ker = formal_asymptotics._OrderKernels(spec, M_SMALL)
     b0 = {jk: convolution_kernel(sym.eps_coefficient(0), M_SMALL, [1.0])
           for jk, sym in spec.coeffs.b.items() if not sym.is_zero()}
     Q = polyval_im(spec.Q, M_SMALL)
-    zero = np.zeros(M_SMALL.size)
     checked = 0
     for n in range(4):
-        rhs = formal_asymptotics._assemble_rhs(spec, ker, series.coef, n)
-        for p in set(rhs[0]) | set(rhs[1]):
-            want = order_dense_solve(np.array([rhs[j].get(p, zero) for j in (0, 1)]),
-                                     Q, b0)
-            got = np.array([series.coef[j][n].get(p, zero) for j in (0, 1)])
+        for p in range(n + 1):
+            rhs = formal_order_rhs(spec, series.coef, M_SMALL, n, p)
+            if not rhs.any():
+                assert not series.coef[:, n, p].any(), (n, p)
+                continue
+            want = order_dense_solve(rhs, Q, b0)
+            got = series.coef[:, n, p]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, p)
             checked += 1
     assert checked >= 4
+
+
+def test_formal_orders_match_a_dense_solve_of_each_order(example_spec):
+    _check_orders_against_a_dense_solve(example_spec)
+
+
+def test_formal_orders_with_b_eps_powers_match_a_dense_solve(problem_dict):
+    # b symbols with eps powers feed the higher eps powers of the same
+    # t-power, and b_01 couples omega_0 into equation 1
+    problem_dict["coeffs"]["b10"]["eps_poly"] = [1.0, 4.0]
+    problem_dict["coeffs"]["b01"] = {"num": [0.0005], "gauss": 1.0,
+                                     "eps_poly": [0.5, 0.0, 3.0]}
+    _check_orders_against_a_dense_solve(ProblemSpec.from_dict(problem_dict))
+
+
+def test_formal_series_is_the_taylor_recursion_in_eps_powers(example_spec):
+    # the q-Laplace transform sends tau^p to q^(p(p-1)/2k) (eps t)^p, so the
+    # t^p part of the formal sum at eps is eps^p q^(p(p-1)/2k) times the
+    # Taylor coefficient c_p of omega at tau = 0, solved at that eps
+    spec, eps, N = example_spec, 1e-3, 8
+    series = formal_coefficients(spec, N, m_grid=M_SMALL)
+    coef = taylor_at_origin(spec, eps, M_SMALL, 1e-3)
+    powers = eps ** np.arange(N + 1)
+    for p in range(4):
+        got = np.tensordot(powers, series.coef[:, :, p], axes=(0, 1))
+        want = eps ** p / spec.q_power_factor(p) * coef[:, p]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), p
+
+
+def test_formal_series_with_dD_zero(problem_dict):
+    # R_D on the left, in P(0): order 0 is the division by Q(im) - R_D(im)
+    # when the b and term symbols are off
+    problem_dict.update(dD=0)
+    problem_dict["terms"][0].update(delta=[0, 1], C=None)
+    for jk in ("b00", "b10", "b11"):
+        problem_dict["coeffs"][jk] = None
+    spec = ProblemSpec.from_dict(problem_dict)
+    series = formal_coefficients(spec, 3, m_grid=M_SMALL)
+    p0 = polyval_im(spec.Q, M_SMALL) - polyval_im(spec.RD, M_SMALL)
+    for j in (0, 1):
+        want = spec.forcing.powers(j)[0].eps_coefficient(0)(M_SMALL) / p0
+        assert np.abs(series.coef[j, 0, 0] - want).max() <= 1e-12 * np.abs(want).max()
+    assert formal_residual(series, spec, 3) <= 1e-15
+
+
+def test_formal_series_refuses_Delta_below_d(problem_dict):
+    # a term with Delta_l < d_l would move eps powers down, below the t-power;
+    # the series is refused rather than summed without those terms
+    problem_dict["terms"][0]["Delta"] = 1
+    with pytest.raises(ConfigError, match="Delta_l >= d_l"):
+        formal_coefficients(ProblemSpec.from_dict(problem_dict), 2, m_grid=M_SMALL)
 
 
 def test_taylor_order_matches_a_dense_solve(example_spec):
@@ -182,7 +231,7 @@ def test_both_recursions_iterate_through_the_one_picard_loop(example_spec, monke
 
     monkeypatch.setattr(borel_solver, "_picard", counting)
     series = formal_coefficients(spec, 2, m_grid=M_SMALL)
-    solved = sum(len(set(series.coef[0][n]) | set(series.coef[1][n])) for n in range(3))
+    solved = sum(bool(series.coef[:, n, p].any()) for n in range(3) for p in range(n + 1))
     assert solved >= 3 and len(runs) >= solved and max(runs) > 1
     runs.clear()
     coef = taylor_at_origin(spec, 0.015, M_SMALL, 1e-3)
@@ -193,7 +242,7 @@ def test_order_fixed_point_of_a_zero_right_side_is_zero(example_spec):
     # the tolerance scales with the right side, so it is 0 here: the first
     # update, 0, must meet it
     _, b_kernel = borel_solver.eps_kernels(example_spec, M_SMALL, 0.015)
-    coupling = borel_solver._b_coupling(b_kernel)
+    coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
     assert coupling
     c = borel_solver._order_fixed_point(np.zeros((2, M_SMALL.size), dtype=complex),
                                         coupling, np.ones(M_SMALL.size), "zero", rtol=1e-13)
