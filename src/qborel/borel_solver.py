@@ -5,9 +5,14 @@ geometric ladder rho * q^(g/N) with integer rungs g, plus the centre
 tau = 0.  N is a multiple of every dilation denominator, so the dilations
 tau -> q^(delta - d/k) tau shift rungs exactly and never interpolate, except
 below the bottom rung where a quadratic through the centre value is used.
-The line runs along the Borel direction d from far inside the disc out to
-the ray tip, which is all the q-Laplace transform reads.  Coupling in m is
-a dense kernel matrix per symbol; coupling in tau is the pure rung shift.
+The line runs along the Borel direction d over the radii where the kernel
+envelope of the q-Laplace transform is alive for some T = eps t in the
+grid's range [T_min, T_max], which is all the transform reads there.  Every
+dilation shift is positive, so a rung reads only lower rungs and the
+centre, and a line cut at any top rung solves its rows as a longer line
+does, to within the solve tolerance; a sector difference reads its own rung range of the same ladder
+(`BorelGrid.rung_range`).  Coupling in m is a dense kernel matrix per
+symbol; coupling in tau is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
@@ -93,6 +98,9 @@ class BorelGrid:
     g_lo: int
     g_hi: int
     n_angles: int = 0             # samples of the sector-difference arc
+    # the |eps t| range whose q-Laplace transform the line serves
+    T_min: float = 0.0
+    T_max: float = math.inf
     tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -147,17 +155,17 @@ class BorelGrid:
         """The rung nearest rho/2, where sector differences take their arc."""
         return math.floor(self.N * math.log(0.5) / math.log(self.spec_q))
 
-    def truncated(self, bottom: int) -> "BorelGrid":
-        """The same ladder with the line starting at rung bottom.
+    def rung_range(self, g_lo: int, g_hi: int) -> "BorelGrid":
+        """Rungs g_lo..g_hi of the same ladder and direction, with the same
+        m grid and T range.
 
-        The rungs just above the cut read below it through the bottom
-        quadratic, so a solve on the cut grid must hold its lowest rows
-        (`held` of `solve_triangular`/`solve_coupled`).
+        A rung reads only lower rungs and the centre, so rows the ranges
+        share at least one dilation shift above both bottoms solve alike.
+        The rungs just above a new bottom read below it through the bottom
+        quadratic, so a solve on a range cut from below must hold its lowest
+        rows (`held` of `solve_triangular`/`solve_coupled`).
         """
-        if not self.g_lo <= bottom < self.g_hi:
-            raise UsageError(f"rung {bottom} does not cut the line "
-                             f"[{self.g_lo}, {self.g_hi}]")
-        return replace(self, g_lo=bottom)
+        return replace(self, g_lo=g_lo, g_hi=g_hi)
 
 
 @dataclass(frozen=True)
@@ -299,19 +307,24 @@ def _ladder_density(spec: ProblemSpec, density_factor: float) -> int:
 
 def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                gspec: GridSpec = GridSpec()) -> BorelGrid:
-    """Assemble the radial line of one Borel direction."""
+    """Assemble the radial line of one Borel direction for |eps t| in
+    [T_min, T_max] (by default T_max = rho/4 and T_min = T_max/1000): from
+    the radius below which the q-Laplace integrand at T_min has fallen
+    e^(-34.5) under its peak to the radius above which the integrand at
+    T_max has.  The grid carries that range, and `LogSolution` refuses any
+    T outside it."""
     N = _ladder_density(spec, gspec.density_factor)
     lnq = spec.lnq
     T_max = gspec.T_max if gspec.T_max is not None else 0.25 * geom.rho
     T_min = gspec.T_min if gspec.T_min is not None else T_max / 1000.0
     s_floor, s_top = _envelope_cutoffs(math.log(T_min), math.log(T_max),
                                        spec.k, spec.q, spec.alpha, geom.delta)
-    s_top = max(s_top, math.log(geom.r_max))
     g_floor = math.floor(N * (s_floor - math.log(geom.rho)) / lnq)
     g_top = math.ceil(N * (s_top - math.log(geom.rho)) / lnq)
     return BorelGrid(spec_q=spec.q, k=spec.k, N=N, rho=geom.rho,
                      delta=geom.delta, direction=geom.d, m=gspec.m_grid(),
-                     g_lo=g_floor, g_hi=g_top, n_angles=gspec.n_angles)
+                     g_lo=g_floor, g_hi=g_top, n_angles=gspec.n_angles,
+                     T_min=T_min, T_max=T_max)
 
 
 def eps_kernels(spec: ProblemSpec, m: np.ndarray, eps: complex):

@@ -22,7 +22,8 @@ from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels,
 from .errors import DomainError, UsageError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
-from .solution_assembly import LogSolution, difference_arc_rung, solution_difference
+from .solution_assembly import (LogSolution, difference_arc_rung, solution_difference,
+                                tail_reach)
 from .transforms import inverse_fourier
 
 __all__ = [
@@ -41,12 +42,14 @@ __all__ = [
 class FormalSeries:
     """Truncated eps-series pair: coef[j, n, p] is the eps^n t^p coefficient
     of u_j on the m grid, a (2, order + 1, order + 1, n_m) array, zero for
-    p > n."""
+    p > n.  `recursion` is the `TaylorRecursion.eps_series` it was solved
+    with, which `formal_residual` checks it against."""
 
     order: int
     m: np.ndarray
     coef: np.ndarray
     solve_tol: float
+    recursion: TaylorRecursion = field(repr=False, compare=False)
 
 
 @dataclass
@@ -73,26 +76,28 @@ def formal_coefficients(spec: ProblemSpec, N: int, tol: float = 1e-13,
     point iterated to tol (convergent under the smallness budget)."""
     m = GridSpec().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
     coef = np.zeros((2, N + 1, N + 1, m.size), dtype=complex)
-    orders = TaylorRecursion.eps_series(spec, m, N).orders(
-        lambda p, e: f"the eps^{p + e} coefficients of t^{p}", rtol=tol)
+    rec = TaylorRecursion.eps_series(spec, m, N)
+    orders = rec.orders(lambda p, e: f"the eps^{p + e} coefficients of t^{p}", rtol=tol)
     for p, c_p in zip(range(N + 1), orders):
         coef[:, p:, p] = c_p[:, :N + 1 - p] / spec.q_power_factor(p)
-    return FormalSeries(order=N, m=m, coef=coef, solve_tol=tol)
+    return FormalSeries(order=N, m=m, coef=coef, solve_tol=tol, recursion=rec)
 
 
 def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
     """Max defect P(0) c_p - rhs - sum_j K_(j,eq) c_(j,p) of the recursion
-    `formal_coefficients` solves, over the eps^n t^p identities with n <= N
-    and over m, in units of the series coefficients."""
+    `formal_coefficients` solves (`series.recursion`, whose kernels it
+    reuses), over the eps^n t^p identities with n <= N and over m, in units
+    of the series coefficients.  The recursion is triangular in eps powers,
+    so the identities with n <= N read no coefficient above eps^N."""
     if N > series.order:
         raise UsageError("series order too low for the requested check")
-    rec = TaylorRecursion.eps_series(spec, series.m, N)
-    # c_p over eps powers 0..N, zero above N - p
-    c = [np.pad(series.coef[:, p:N + 1, p], ((0, 0), (0, p), (0, 0))) * spec.q_power_factor(p)
+    rec = series.recursion
+    # c_p over eps powers 0..order, zero above order - p
+    c = [np.pad(series.coef[:, p:, p], ((0, 0), (0, p), (0, 0))) * spec.q_power_factor(p)
          for p in range(N + 1)]
     worst = 0.0
     for p, c_p in enumerate(c):
-        n = rec.powers(p)
+        n = N + 1 - p
         defect = (rec.p0 * c_p - rec.rhs(c, p))[:, :n]
         for j, eq, shift, K in rec.b:
             if shift < n:
@@ -121,22 +126,27 @@ class SolutionFamily:
     """Analytic solutions indexed by covering sector, solved on demand.
 
     A solve covers only the rows the asymptotics read.  `at(p, eps)` solves
-    the principal line and the centre, which the q-Laplace integrals read,
-    by Picard iteration over the whole line.  `at(p, eps, outer=True)` is the
-    outer solve that a sector difference reads: its two ray tails read the
-    principal line beyond the arc radius rho q^(g_arc/N), and its arc the
-    densities inside the disc D(0, rho), which every sector shares.  There
-    the densities are summed from their Taylor coefficients at tau = 0, one
-    expansion per eps at the arc radius.  That expansion holds the rows of
-    the principal line from HELD_BELOW_ARC rungs below g_arc up to g_arc, and
-    the centre, at their Taylor sum, and Picard updates only the rows above
-    g_arc; it also serves the arc (`LogSolution.taylor`).  The expansion and
+    the line of `build_grid` and the centre, which the q-Laplace integrals
+    at |eps t| in the grid's [T_min, T_max] read, by Picard iteration over
+    the whole line.  `at(p, eps, outer=True)` is the outer solve that a
+    sector difference reads: its two ray tails read the principal line
+    beyond the arc radius rho q^(g_arc/N), and its arc the densities inside
+    the disc D(0, rho), which every sector shares.  Its line is its own rung
+    range of the same ladder (`_outer_grid`), from HELD_BELOW_ARC rungs
+    below g_arc up to the top rung the ray tail reads at T_max
+    (`tail_reach`); the line of `at(p, eps)` may end below g_arc.  Inside
+    the disc the densities are summed from their Taylor coefficients at
+    tau = 0, one expansion per eps at the arc radius.  That expansion holds
+    the outer line's rows up to g_arc, and the centre, at their Taylor sum,
+    and Picard updates only the rows above g_arc; it also serves the arc
+    (`LogSolution.taylor`).  The expansion and
     both sectors' outer solves at one eps share one eps_kernels build.  Only
     the last eps's kernels and expansion are kept, so the family's memory
     does not grow with the samples.
 
-    An outer solve's rows agree with those of the whole-line solve to within
-    the solve tolerance.  The SolveReport of every solve is kept in `reports`,
+    An outer solve's rows agree to within the solve tolerance with those of
+    a whole-line solve on the ladder from the line's bottom up to the outer
+    top.  The SolveReport of every solve is kept in `reports`,
     under the same (sector, eps, outer) key as its solution; an outer
     solve's residual and norms read its free rows only.  A spec with b_01 = 0
     is solved by forward substitution (`solve_triangular`), any other by the
@@ -167,13 +177,15 @@ class SolutionFamily:
         return self._grids[p]
 
     def _outer_grid(self, p: int):
-        """Sector p's principal line from the held block's bottom rung up:
-        HELD_BELOW_ARC rungs below the arc rung, or more where a dilation
-        shift reaches further."""
+        """Sector p's ladder from the held block's bottom rung, HELD_BELOW_ARC
+        rungs below the arc rung (or more where a dilation shift reaches
+        further), up to the top rung the ray tail reads at the grid's T_max."""
         if p not in self._outer_grids:
             grid = self._grid(p)
+            g_arc = grid.arc_rung()
             below = max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
-            self._outer_grids[p] = grid.truncated(grid.arc_rung() - below)
+            top = tail_reach(self.spec, grid, g_arc, grid.T_max)[1]
+            self._outer_grids[p] = grid.rung_range(g_arc - below, top)
         return self._outer_grids[p]
 
     def _taylor(self, eps: complex):

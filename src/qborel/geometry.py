@@ -46,6 +46,8 @@ class SectorGeometry:
     aperture: float
     rho: float
     delta: float
+    # how far out `operator_constants` scans the dilation factors; only it
+    # reads r_max (the Borel grid ends at the envelope top of its T range)
     r_max: float = 16.0
     constants: dict = field(default_factory=dict)
 

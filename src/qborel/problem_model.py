@@ -222,6 +222,10 @@ class ProblemSpec:
     def __post_init__(self):
         self.Q = np.asarray([_as_complex(c) for c in self.Q], dtype=complex)
         self.RD = np.asarray([_as_complex(c) for c in self.RD], dtype=complex)
+        for name in ("q", "mu", "alpha", "varsigma", "beta", "beta_prime", "eps0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"problem {name} = {value} must be finite")
         if self.D < 2 or self.k < 1 or self.q <= 1.0:
             raise ConfigError("need D >= 2, k >= 1 and q > 1")
         if len(self.terms) != self.D - 1:

@@ -33,6 +33,7 @@ __all__ = [
     "residual_borel",
     "residual_physical",
     "solution_difference",
+    "tail_reach",
 ]
 
 
@@ -43,6 +44,18 @@ PAIR_CACHE_LIMIT = 1024
 
 # rungs below the arc rung that the ray tail's interpolation stencil reads
 TAIL_REACH = 2
+
+
+def tail_reach(spec: ProblemSpec, grid: BorelGrid, g_arc: int, T: complex):
+    """(s_end, g_top) of the ray tail beyond rung g_arc at T = eps t: the
+    log radius where the kernel has fallen e^(-45) below its value at the
+    arc radius, and the highest rung the tail's 6-point stencil reads.  The
+    tail grows with |T|, so the reach at a grid's T_max covers its range."""
+    s0 = math.log(grid.radius_of_rung(g_arc))
+    a = 0.5 * spec.k / spec.lnq
+    x0 = s0 - math.log(abs(T))
+    s_end = s0 + (math.sqrt(x0 * x0 + 45.0 / a) - x0)
+    return s_end, g_arc - TAIL_REACH + 5 + math.floor((s_end - s0) / (spec.lnq / grid.N))
 
 
 def _gauss_legendre_panels(a: float, b: float, panels: int):
@@ -141,23 +154,22 @@ class LogSolution:
         if g_arc - TAIL_REACH < grid.g_lo:
             raise UsageError(f"the tail stencil reads rung {g_arc - TAIL_REACH}, below "
                              f"the line's bottom rung {grid.g_lo}")
+        s_end, g_top = tail_reach(spec, grid, g_arc, T)
+        if g_top > grid.g_hi:
+            raise DomainError(
+                f"the ray tail at |eps t| = {abs(T):.4g} reads rung {g_top}, above the "
+                f"line's top rung {grid.g_hi}; the line serves |eps t| in "
+                f"[{grid.T_min:.4g}, {grid.T_max:.4g}]")
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
-        s_lattice_top = math.log(grid.radius_of_rung(grid.g_hi))
         a = 0.5 * spec.k / spec.lnq
         x0 = s0 - math.log(abs(T))
-        length = math.sqrt(x0 * x0 + 45.0 / a) - x0
-        s_end = min(s0 + length, s_lattice_top - 3.0 * h)
-        if s_end <= s0:
-            zero = np.zeros(grid.m.size, dtype=complex)
-            return zero, zero.copy()
         rate = 2.0 * a * math.sqrt(x0 * x0 + 45.0 / a) + 1.0
         width = min(2.0 * math.pi / rate, 1.0 / math.sqrt(2.0 * a), s_end - s0)
         panels = max(4, math.ceil((s_end - s0) / width))
         s, wq = _gauss_legendre_panels(s0, s_end, panels)
         # 6-point Lagrange interpolation of the density in log radius
         base = np.floor((s - s0) / h).astype(int) + (g_arc - grid.g_lo) - TAIL_REACH
-        base = np.clip(base, 0, grid.n_nodes - 6)
         s_base = math.log(grid.radius_of_rung(grid.g_lo)) + base * h
         xi = (s - s_base) / h
         lags = []
@@ -227,7 +239,8 @@ class LogSolution:
     def laplace_pair(self, t: complex, z: complex):
         """(L_0, L_1), the q-Laplace vectors over m of both components at
         T = eps t, after the checks every evaluation at (t, z) makes: the
-        solution is not `outer`, z lies in the strip and T is admissible."""
+        solution is not `outer`, z lies in the strip, T is admissible and
+        |T| lies in the range [T_min, T_max] that the grid's line serves."""
         if self.outer:
             raise UsageError("an outer solution holds only the rows a sector "
                              "difference reads; its q-Laplace sum would read a "
@@ -238,6 +251,12 @@ class LogSolution:
                 f"beta' = {self.spec.beta_prime}")
         T = self.eps * complex(t)
         check_admissible(T, self.direction, self.Delta, self.r1)
+        grid = self.grid
+        if not grid.T_min <= abs(T) <= grid.T_max:
+            raise DomainError(
+                f"|eps t| = {abs(T):.4g} lies outside [{grid.T_min:.4g}, "
+                f"{grid.T_max:.4g}], the range the Borel grid's line serves "
+                "(grid T_min, T_max)")
         return self._laplace_all_m(T)
 
     def component(self, j: int, t: complex, z: complex,
@@ -340,13 +359,17 @@ def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
 
     The checks depend on T and the two grids alone, so a caller can reject an
     eps before solving for it: the grids must share the ladder, T must be
-    admissible for both directions, and no kernel zero ring may lie near the
-    arc circle.
+    admissible for both directions, |T| may not pass either grid's T_max,
+    up to which the outer lines carry the ray tails, and no kernel zero ring
+    may lie near the arc circle.
     """
     if grid_a.N != grid_b.N or grid_a.rho != grid_b.rho:
         raise DomainError("solutions must share the ladder geometry")
     for grid in (grid_a, grid_b):
         check_admissible(T, grid.direction, Delta, r1)
+        if abs(T) > grid.T_max:
+            raise DomainError(f"|eps t| = {abs(T):.4g} lies above the grid's T_max = "
+                              f"{grid.T_max:.4g}, beyond the ray tails it carries")
     d_a, d_b = grid_a.direction, grid_b.direction
     g_arc = grid_a.arc_rung()
 

@@ -72,14 +72,14 @@ def arc_sample_gap(sol, octaves: float = 4.0) -> float:
 def disc_taylor_gap(spec, eps, sols) -> float:
     """Largest gap between one Taylor sum at tau = 0, summed to the disc
     radius rho, and the solved rows of each (grid, w0, w1) in sols at or
-    below rung 0 (inside the disc D(0, rho)) and at the centre."""
+    below rung min(0, top) (inside the disc D(0, rho)) and at the centre."""
     from qborel.borel_solver import taylor_at_origin, taylor_values
 
     grid0 = sols[0][0]
     coef = taylor_at_origin(spec, eps, grid0.m, grid0.rho)
     worst = 0.0
     for grid, *ws in sols:
-        disc = 1 - grid.g_lo
+        disc = min(0, grid.g_hi) + 1 - grid.g_lo
         rows = np.r_[0:disc, grid.n_nodes]
         ref = taylor_values(coef, np.append(grid.tau[:disc], 0.0))
         for w, want in zip(ws, ref):

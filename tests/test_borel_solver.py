@@ -37,10 +37,10 @@ def test_grid_alignment_and_exact_dilation(golden):
 
 
 def test_dilation_bottom_interpolation_accuracy(golden):
-    # a line cut 5 octaves below the disc radius: its bottom row, the one
-    # interpolated row, reads the quadratic through the centre and the two
-    # lowest nodes
-    grid = golden["grid"].truncated(-5 * golden["grid"].N)
+    # the ladder from 5 octaves below the disc radius up to it: its bottom
+    # row, the one interpolated row, reads the quadratic through the centre
+    # and the two lowest nodes
+    grid = golden["grid"].rung_range(-5 * golden["grid"].N, 0)
     f = stacked(grid, np.exp(grid.tau)[:, None], 1.0)
     shifted = grid.dilation(1).apply(f)
     fac = grid.spec_q ** (-1.0 / grid.N)
@@ -333,14 +333,16 @@ def test_divergence_detected(problem_dict):
 def test_disc_agreement_between_directions(golden):
     # omega on the disc D(0, rho) does not depend on the direction: the rows
     # of each line at or below rung 0 and its centre equal the Taylor sum at
-    # tau = 0 to rounding, relative to the line's largest value
+    # tau = 0 to rounding, relative to the line's largest value.  The grids
+    # of build_grid end far inside the disc, so each direction is solved on
+    # its ladder up to rung 0
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
     geom2 = make_geometry(spec, d=0.3)
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
-    grid2 = build_grid(spec, geom2, gspec)
-    w0b, w1b, _ = solve_coupled(spec, eps, grid2, tol=1e-11)
-    for sol in ((golden["grid"], golden["w0"], golden["w1"]), (grid2, w0b, w1b)):
+    for grid in (golden["grid"], build_grid(spec, geom2, gspec)):
+        line = grid.rung_range(grid.g_lo, 0)
+        sol = (line, *solve_coupled(spec, eps, line, tol=1e-11)[:2])
         scale = max(np.abs(w).max() for w in sol[1:])
         assert disc_taylor_gap(spec, eps, [sol]) <= 1e-13 * scale
 
@@ -492,55 +494,62 @@ def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
 
 
 def test_truncated_grid_keeps_the_ladder_and_the_rungs_above_the_cut():
-    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6)
+    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6,
+                     T_min=1e-4, T_max=0.1)
     # the rung nearest rho/2: q^(g/N) = 1/2 at g = -N for q = 2
     assert grid.arc_rung() == -13
     f = _random_function(grid, 7)
-    for bottom in (-40, -13, 5):
-        cut = grid.truncated(bottom)
+    for bottom, top in ((-40, 6), (-13, 6), (5, 6), (-40, -20), (-13, 0)):
+        cut = grid.rung_range(bottom, top)
         assert (cut.N, cut.rho, cut.direction, cut.spec_q) == (13, 0.7, 0.3, 2.0)
-        assert cut.m is grid.m and (cut.g_lo, cut.g_hi) == (bottom, 6)
+        assert (cut.T_min, cut.T_max) == (1e-4, 0.1)
+        assert cut.m is grid.m and (cut.g_lo, cut.g_hi) == (bottom, top)
         assert cut.arc_rung() == grid.arc_rung()
         rows = kept_rows(grid, cut)
         assert cut.tau.tobytes() == grid.tau[rows[:-1]].tobytes()
         # a rung reads only lower rungs and the centre, so rows at least one
-        # shift above the cut dilate as on the whole line; the rows below
-        # read the cut's own bottom quadratic
+        # shift above the cut's bottom dilate as on the whole line, whatever
+        # its top; the rows below read the cut's own bottom quadratic
         part = f[rows]
         for shift in (1, 3, 40):
             got = cut.dilation(shift).apply(part)
             want = grid.dilation(shift).apply(f)[rows]
-            assert got[shift:].tobytes() == want[shift:].tobytes()
+            start = 0 if bottom == grid.g_lo else shift
+            assert got[start:].tobytes() == want[start:].tobytes()
             assert got[-1].tobytes() == want[-1].tobytes()
+    # the same ladder reaches past the line's ends
+    wide = grid.rung_range(-41, 52)
+    assert wide.tau[1:-46].tobytes() == grid.tau.tobytes()
     # a line of one rung would take its bottom quadratic through a made-up
-    # second node; a cut below the line is no cut
-    for bottom in (6, 7, -41):
-        with pytest.raises(UsageError):
-            grid.truncated(bottom)
+    # second node
+    for bottom in (6, 7):
+        with pytest.raises(UsageError, match="two rungs"):
+            grid.rung_range(bottom, 6)
     with pytest.raises(UsageError, match="two rungs"):
         BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, grid.m, 0, 0)
 
 
 def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
-    # one application of every operator on a bottom-cut grid equals the whole
-    # line's application on the rows it keeps at least one dilation shift
-    # above the cut, whose inputs are all kept
+    # one application of every operator on a cut of the ladder equals the
+    # longer line's application on the rows it keeps at least one dilation
+    # shift above the cut's bottom, whose inputs are all kept: build_grid's
+    # line (cut at its top) and a range from below the arc rung up to the
+    # disc radius, both against the line from build_grid's bottom to rung 0
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    full = grid.rung_range(grid.g_lo, 0)
     rng = np.random.default_rng(11)
-    shape = (grid.n_nodes + 1, grid.m.size)
+    shape = (full.n_nodes + 1, full.m.size)
     w0, w1 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(2))
-    full = SolverContext(spec, grid, eps)
 
     def outputs(ctx, a, b):
         return [*ctx.apply_H(a, b), *ctx.undivided_residual(a, b), ctx.apply_H1(b),
                 ctx.g_eps(b), ctx.apply_H0(a, b)]
 
-    want = outputs(full, w0, w1)
-    for bottom in (grid.g_lo, grid.arc_rung() - 5):
-        cut = grid.truncated(bottom)
+    want = outputs(SolverContext(spec, full, eps), w0, w1)
+    for cut in (grid, full.rung_range(full.arc_rung() - 5, 0)):
         shift = max(cut.factors(spec).shifts)
-        rows = kept_rows(grid, cut)
+        rows = kept_rows(full, cut)
         a, b = (w[rows] for w in (w0, w1))
         for got, ref in zip(outputs(SolverContext(spec, cut, eps), a, b), want):
             ref = ref[rows][shift:]
@@ -555,7 +564,7 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
                       GridSpec(m_nodes=41, density_factor=density_factor))
-    cut = grid.truncated(grid.arc_rung() - 5)
+    cut = grid.rung_range(grid.arc_rung() - 5, grid.g_hi)
     assert cut.factors(spec).shifts == (shift,)
     for solve in (solve_coupled, solve_triangular):
         with pytest.raises(UsageError, match="dilation shift"):
@@ -567,4 +576,4 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
                                    held=np.zeros((2, shift + 1, cut.m.size)))
     assert not w0[:shift].any() and not w1[-1].any() and rep.norms[1] > 0
     with pytest.raises(UsageError):
-        grid.truncated(grid.g_hi)
+        grid.rung_range(grid.g_hi, grid.g_hi)

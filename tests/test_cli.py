@@ -7,7 +7,7 @@ import numpy as np
 
 import pytest
 
-from qborel.borel_solver import SolveReport
+from qborel.borel_solver import SolveReport, TaylorRecursion
 from qborel.errors import ConfigError
 from qborel.cli import _relative_residual, cmd_solve, load_config, main, run, write_csv
 
@@ -163,16 +163,55 @@ def _quadrature_with(Delta):
                  id="nan_t_direction"),
     pytest.param("check-geometry", {"covering": {"t_aperture": math.inf}}, "t_aperture",
                  id="inf_t_aperture"),
+    pytest.param("check-geometry", _problem_with(q=math.nan), "q", id="nan_q"),
+    pytest.param("solve", _problem_with(q=math.nan), "q", id="nan_q_solve"),
+    pytest.param("solve", _problem_with(mu=math.nan), "mu", id="nan_mu"),
+    pytest.param("solve", _problem_with(varsigma=math.nan), "varsigma", id="nan_varsigma"),
+    pytest.param("solve", _problem_with(alpha=math.inf), "alpha", id="inf_alpha"),
+    pytest.param("check-geometry", _problem_with(beta=math.nan), "beta", id="nan_beta"),
+    pytest.param("check-geometry", _problem_with(beta_prime=math.inf), "beta_prime",
+                 id="inf_beta_prime"),
+    pytest.param("check-geometry", _problem_with(eps0=math.nan), "eps0", id="nan_eps0"),
 ])
 def test_non_finite_setting_is_65(tmp_path, capsys, verb, override, key):
     # rejected on load, before any solve: these used to end in a traceback,
-    # a NaN row, exit 3 from a non-finite Picard update, or a kernel-cone
-    # test that NaN switched off; nan_z.csv sits next to the config
+    # a NaN row, exit 3 from a non-finite Picard update, a kernel-cone test
+    # that NaN switched off, exit 2 from r1 = 0 (alpha) or a clean exit 0
+    # (varsigma); nan_z.csv sits next to the config
     (tmp_path / "nan_z.csv").write_text("re_t,im_t,re_z,im_z\n0.012,0,nan,0\n")
     path = small_config(tmp_path, **override)
     assert run(verb, path, str(tmp_path / "out")) == 65
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "residual"])
+@pytest.mark.parametrize("t", [1e-6, 1e-5, 0.04])
+def test_point_outside_the_grid_T_range_is_3(tmp_path, capsys, verb, t):
+    # the grid's line serves |eps t| in [T_min, T_max] = [4e-6, 4e-4] only:
+    # eps t = 1.5e-8 and 1.5e-7 lie below it (they used to exit 0 with a
+    # wrong u), 6e-4 above it
+    path = small_config(tmp_path, points=[[0.012, 0.0, 0.1, 0.0], [t, 0.0, 0.1, 0.0]])
+    assert run(verb, path, str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "[4e-06, 0.0004]" in err and "Traceback" not in err
+
+
+def test_formal_builds_the_eps_series_once(tmp_path, monkeypatch):
+    # formal_residual checks the series against the recursion it was solved
+    # with, kept on the series, instead of building its kernels again
+    builds = []
+    build = TaylorRecursion.eps_series.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TaylorRecursion, "eps_series", classmethod(counted))
+    assert run("formal", small_config(tmp_path), str(tmp_path / "out")) == 0
+    assert len(builds) == 1
+    report = json.loads((tmp_path / "out" / "formal_report.json").read_text())
+    assert report["residual"] <= 1e-9
 
 
 def test_check_geometry_bundled_golden(tmp_path):

@@ -26,7 +26,8 @@ from qborel.formal_asymptotics import (
 )
 from qborel.geometry import admissible_r1, build_good_covering, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im
-from qborel.solution_assembly import LogSolution, difference_arc_rung, solution_difference
+from qborel.solution_assembly import (LogSolution, difference_arc_rung, solution_difference,
+                                      tail_reach)
 from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
@@ -332,19 +333,22 @@ def test_difference_decay_fit_matches_theorem(asym):
 
 
 def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
-    # zero densities on the two sector grids: solution_difference then runs
-    # every check and integral without a solve
+    # zero densities on the two sectors' outer lines, which reach as far as
+    # the ray tails read: solution_difference then runs every check and
+    # integral without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._grid(0), family._grid(1)
+    grid_a, grid_b = family._outer_grid(0), family._outer_grid(1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
     # 2 log_q steps at k = 13: 26 zero-ring crossings of the arc radius; then
-    # eps t beyond r1 and eps t off both directions' cones
+    # eps t beyond r1, eps t off both directions' cones and |eps t| = 0.03
+    # above T_max = 0.025
     sweep = [complex(mag * np.exp(1j * arg))
              for mag in np.exp(np.linspace(math.log(0.05), math.log(0.2), 157))]
     outcomes = []
-    for eps in sweep + [10.0 * np.exp(1j * arg), 0.1 * np.exp(1j * (arg + 1.5))]:
+    for eps in sweep + [10.0 * np.exp(1j * arg), 0.1 * np.exp(1j * (arg + 1.5)),
+                        0.5 * np.exp(1j * arg)]:
         sols = [LogSolution(spec, g, stacked(g, 0.0, 0.0), stacked(g, 0.0, 0.0),
                             eps, Delta=cov.Delta) for g in (grid_a, grid_b)]
         try:
@@ -357,12 +361,12 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
             got = None
         except DomainError as exc:
             got = str(exc)
-        assert got == want, mag
+        assert got == want, eps
         if got is None:
             assert g_arc == grid_a.arc_rung()
         outcomes.append(got is None)
-    assert outcomes[-2:] == [False, False]
-    assert 20 <= outcomes[:-2].count(False) and 20 <= outcomes.count(True)
+    assert outcomes[-3:] == [False, False, False] and "T_max = 0.025" in got
+    assert 20 <= outcomes[:-3].count(False) and 20 <= outcomes.count(True)
 
 
 def test_decay_fit_solves_only_the_samples_it_keeps(asym):
@@ -379,13 +383,14 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(family._sols) == 2 * len(rep.eps_samples)
     assert set(family.reports) == set(family._sols)
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # both sectors on the principal line from HELD_BELOW_ARC rungs below the
-    # arc rung: one Taylor expansion per kept eps holds the disc rows of both
-    # outer solves and gives the arc
+    # both sectors on the ladder from HELD_BELOW_ARC rungs below the arc rung
+    # up to the ray tail's reach at T_max: one Taylor expansion per kept eps
+    # holds the disc rows of both outer solves and gives the arc
     assert all(outer for _, _, outer in family.reports)
-    line = family._outer_grid(0)
-    assert line.g_lo == family._grid(0).arc_rung() - HELD_BELOW_ARC
-    assert line.g_hi == family._grid(0).g_hi
+    line, grid = family._outer_grid(0), family._grid(0)
+    assert line.g_lo == grid.arc_rung() - HELD_BELOW_ARC
+    assert line.g_hi == tail_reach(spec, grid, grid.arc_rung(), grid.T_max)[1]
+    assert line.g_hi > grid.g_hi
     assert family._outer_grid(1).n_nodes == line.n_nodes
     assert family.grid_rows == 6 * (line.n_nodes + 1)
     assert len(family.arc_orders) == 3
@@ -399,7 +404,7 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
     eps = 0.1 * np.exp(1j * np.angle(cov.overlap_sample(0)))
     t = 0.06 * np.exp(1j * cov.t_direction)
-    sol_a, sol_b = family.at(0, eps), family.at(1, eps)
+    sol_a, sol_b = family.at(0, eps, outer=True), family.at(1, eps, outer=True)
     assert solution_difference(sol_a, sol_b, 0, t, 0.1) != 0.0
 
     def fresh(grid):
@@ -407,8 +412,9 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
 
     with pytest.raises(ConfigError, match="n_angles"):
         solution_difference(fresh(replace(sol_a.grid, n_angles=0)), sol_b, 0, t, 0.1)
-    # one order short of what this eps needs
-    monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", sol_a.arc_orders[0] - 1)
+    # one order short of what this eps needs (the family's expansion for
+    # eps, which the outer solutions read)
+    monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", family.arc_orders[-1] - 1)
     with pytest.raises(DivergenceError, match="does not converge"):
         solution_difference(fresh(sol_a.grid), sol_b, 0, t, 0.1)
 
@@ -429,39 +435,48 @@ def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
 
 def test_family_rows_match_the_full_grid_solve(asym):
     # the family solves the whole line of build_grid; a solve on it is the
-    # oracle for those rows, the components and, with its arc read from
-    # solved ring lines, the sector difference
+    # oracle for those rows and the components.  The sector difference reads
+    # the outer solves, whose ray tails reach past that line: its oracle is
+    # a whole-line solve up to the outer top, with the arc read from solved
+    # ring lines
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
-    full = []
-    for p in (0, 1):
-        grid = build_grid(spec, make_geometry(spec, cov.d_rays[p], m_grid=family.m_grid),
-                          gspec)
-        w0, w1, rep = solve(spec, eps, grid, tol=family.tol)
-        full.append((RingArcSolution(spec, grid, w0, w1, eps, Delta=cov.Delta), rep))
-    grid = full[0][0].grid
+    grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
+    w0, w1, rep = solve(spec, eps, grid, tol=family.tol)
+    full = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
     weights = grid.stacked_weights(spec)
     sol = family.at(0, eps)
     assert sol.grid.tau.tobytes() == grid.tau.tobytes()
-    for w, ref in ((sol.w0, full[0][0].w0), (sol.w1, full[0][0].w1)):
+    for w, ref in ((sol.w0, full.w0), (sol.w1, full.w1)):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= family.tol
-    assert family.reports[(0, eps, False)].update_history == full[0][1].update_history
-    sol_b = family.at(1, eps)
+    assert family.reports[(0, eps, False)].update_history == rep.update_history
+    ring = [_full_line(family, p, eps, RingArcSolution) for p in (0, 1)]
+    outer = [family.at(p, eps, outer=True) for p in (0, 1)]
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
         for j in (0, 1):
-            ref = full[0][0].component(j, t, z)
+            ref = full.component(j, t, z)
             assert abs(sol.component(j, t, z) - ref) <= 1e-9 * abs(ref)
-            ref = solution_difference(full[0][0], full[1][0], j, t, z)
-            assert abs(solution_difference(sol, sol_b, j, t, z) - ref) <= 1e-12 * abs(ref)
+            ref = solution_difference(*ring, j, t, z)
+            assert abs(solution_difference(*outer, j, t, z) - ref) <= 1e-12 * abs(ref)
+
+
+def _full_line(family, p, eps, cls=LogSolution):
+    """A whole-line solve on sector p's ladder from the bottom rung of
+    build_grid's line up to the top of the outer line, as a cls."""
+    grid = family._grid(p)
+    line = grid.rung_range(grid.g_lo, family._outer_grid(p).g_hi)
+    solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
+    w0, w1, _ = solve(family.spec, eps, line, tol=family.tol)
+    return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
 
 
 def _assert_outer_rows_match(full, outer):
-    """Every row of the outer solve, held or solved, equals the full-line
-    solve's row to 1e-14 of the row's largest value."""
+    """Every row of the outer solve, held or solved, equals the row of the
+    whole-line solve that spans it to 1e-14 of the row's largest value."""
     rows = kept_rows(full.grid, outer.grid)
     assert outer.grid.n_nodes < full.grid.n_nodes // 2
     for w, ref in ((outer.w0, full.w0), (outer.w1, full.w1)):
@@ -475,7 +490,8 @@ def test_outer_rows_match_the_full_line_rows(asym):
     for mag in (0.005, 0.11):
         eps = complex(mag * np.exp(1j * arg))
         for p in (0, 1):
-            _assert_outer_rows_match(family.at(p, eps), family.at(p, eps, outer=True))
+            _assert_outer_rows_match(_full_line(family, p, eps),
+                                     family.at(p, eps, outer=True))
 
 
 def test_outer_rows_match_the_full_line_rows_with_b01(problem_dict):
@@ -490,7 +506,7 @@ def test_outer_rows_match_the_full_line_rows_with_b01(problem_dict):
                                                 T_max=0.025), tol=1e-13)
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     for p in (0, 1):
-        _assert_outer_rows_match(family.at(p, eps), family.at(p, eps, outer=True))
+        _assert_outer_rows_match(_full_line(family, p, eps), family.at(p, eps, outer=True))
     # the coupled solve reports its contraction bound; a triangular one does not
     assert all(math.isfinite(r.varpi) for r in family.reports.values())
 
@@ -612,15 +628,15 @@ def test_difference_decay_quiet_overlap(asym):
     cov, family = asym["cov"], asym["family"]
     arg = np.angle(cov.overlap_sample(1))
     eps = 0.11 * np.exp(1j * arg)
-    sol_a = family.at(1, eps)
-    sol_b = family.at(2, eps)
+    sol_a = family.at(1, eps, outer=True)
+    sol_b = family.at(2, eps, outer=True)
     from qborel.solution_assembly import solution_difference
 
     t = 0.05 * np.exp(1j * cov.t_direction)
     quiet = abs(solution_difference(sol_a, sol_b, 0, t, 0.1))
     active_eps = 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))
-    loud = abs(solution_difference(family.at(0, active_eps),
-                                   family.at(1, active_eps), 0, t, 0.1))
+    loud = abs(solution_difference(family.at(0, active_eps, outer=True),
+                                   family.at(1, active_eps, outer=True), 0, t, 0.1))
     assert quiet < 1e-6 * loud
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qborel.borel_solver import GridSpec, build_grid, solve_triangular
+from qborel.borel_solver import GridSpec, build_grid, solve_coupled, solve_triangular
 from qborel.errors import DomainError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec
@@ -17,6 +17,7 @@ from qborel.solution_assembly import (
     solution_difference,
 )
 from qborel.transforms import inverse_fourier
+from tests.conftest import kept_rows
 from tests.oracles import monodromy_components, residual_physical_per_component, stacked
 
 
@@ -182,6 +183,54 @@ def test_domain_rejections(golden_solution):
     assert "radius" in str(err.value)
 
 
+def _t_at(T: float, eps: float) -> float:
+    """A real t with |eps t| exactly T in floating point."""
+    t = T / eps
+    for _ in range(8):
+        got = abs(eps * complex(t))
+        if got == T:
+            return t
+        t = float(np.nextafter(t, math.inf if got < T else -math.inf))
+    raise AssertionError(f"no t with |{eps} t| = {T}")
+
+
+def test_laplace_refuses_T_outside_the_grid_range(golden_solution):
+    # the line ends at the envelope top of [T_min, T_max]: the ends are
+    # served, and any |eps t| beyond them is refused with the range named
+    sol = golden_solution
+    grid = sol.grid
+    for T, outside in ((grid.T_min, 1 - 1e-12), (grid.T_max, 1 + 1e-12)):
+        t = _t_at(T, sol.eps)
+        assert math.isfinite(abs(sol.evaluate(t, 0.1)))
+        for call in (lambda: sol.evaluate(outside * t, 0.1),
+                     lambda: sol.component(1, outside * t, 0.1),
+                     lambda: residual_physical(sol, sol.spec, [(outside * t, 0.1)])):
+            with pytest.raises(DomainError, match=r"outside \[4e-07, 0.0004\]"):
+                call()
+
+
+def test_cut_line_matches_the_line_to_the_old_top(golden):
+    # build_grid's line used to run out to 16 rho; the ladder that far is the
+    # oracle for the cut: the rows both lines hold agree within the solve
+    # tolerance, and evaluate agrees to 1e-12 across [T_min, T_max]
+    spec, eps, grid, geom = golden["spec"], golden["eps"], golden["grid"], golden["geom"]
+    old_top = math.ceil(grid.N * math.log(geom.r_max / geom.rho) / spec.lnq)
+    assert grid.g_hi < grid.arc_rung() < old_top
+    line = grid.rung_range(grid.g_lo, old_top)
+    w0, w1, _ = solve_coupled(spec, eps, line, tol=1e-11)
+    rows = kept_rows(line, grid)
+    weights = grid.stacked_weights(spec)
+    for w, ref in ((golden["w0"], w0), (golden["w1"], w1)):
+        assert (np.abs(w - ref[rows]) * weights).max() <= 1e-11
+    cut = LogSolution(spec, grid, golden["w0"], golden["w1"], eps)
+    ref = LogSolution(spec, line, w0, w1, eps)
+    for T in np.geomspace(grid.T_min, grid.T_max, 13):
+        t = _t_at(float(T), eps)
+        for z in (-0.3, 0.1 + 0.2j):
+            want = ref.evaluate(t, z)
+            assert abs(cut.evaluate(t, z) - want) <= 1e-12 * abs(want)
+
+
 def test_monodromy_component_form_and_roundtrip():
     q = 2.0
     u0, u1 = 0.37 - 0.21j, -0.54 + 0.11j
@@ -308,7 +357,8 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     problem_dict["coeffs"]["b11"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=8))
+    # the grid serves |eps t| from 1e-4, the smaller of the two points
+    grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=8, T_min=1e-4))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
     sol = LogSolution(spec, grid, w0, w1, eps)
@@ -399,13 +449,14 @@ def test_taylor_arc_samples_match_the_ring_rows_at_k1(k1_pair):
 
 def test_tail_stencil_must_not_read_below_the_line(golden):
     # the ray tail's stencil reads TAIL_REACH rungs below the arc rung; a
-    # principal line cut above them has no rows there
+    # range of the ladder cut above them has no rows there
     spec, eps = golden["spec"], golden["eps"]
     grid = golden["grid"]
     g_arc = grid.arc_rung()
     T = eps * 0.01
+    top = assembly.tail_reach(spec, grid, g_arc, T)[1]
     for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
-        cut = grid.truncated(g_arc - below)
+        cut = grid.rung_range(g_arc - below, top)
         sol = LogSolution(spec, cut, stacked(cut, 0.0, 0.0), stacked(cut, 0.0, 0.0),
                           eps, outer=True)
         if ok:
@@ -414,3 +465,25 @@ def test_tail_stencil_must_not_read_below_the_line(golden):
             with pytest.raises(UsageError, match="tail stencil"):
                 sol._tail_integral(T, g_arc)
 
+
+
+def test_tail_raises_when_its_reach_passes_the_top_of_the_line(golden):
+    # the tail grows with |T|, so its reach at T_max covers the grid's range;
+    # a line one rung short of the reach raises instead of cutting the tail
+    spec, eps, grid = golden["spec"], golden["eps"], golden["grid"]
+    g_arc = grid.arc_rung()
+    tops = [assembly.tail_reach(spec, grid, g_arc, T)[1]
+            for T in np.geomspace(grid.T_min, grid.T_max, 9)]
+    assert tops == sorted(tops) and tops[0] < tops[-1]
+    T = eps * 0.01
+    top = assembly.tail_reach(spec, grid, g_arc, T)[1]
+    for g_hi, ok in ((top, True), (top - 1, False)):
+        cut = grid.rung_range(g_arc - assembly.TAIL_REACH, g_hi)
+        sol = LogSolution(spec, cut, stacked(cut, 1.0, 1.0), stacked(cut, 1.0, 1.0),
+                          eps, outer=True)
+        if ok:
+            assert all(np.isfinite(v).all() and v.any() for v in sol._tail_integral(T, g_arc))
+        else:
+            with pytest.raises(DomainError, match=rf"reads rung {top}, above .* top rung "
+                                                  rf"{top - 1}.*\[4e-07, 0.0004\]"):
+                sol._tail_integral(T, g_arc)
