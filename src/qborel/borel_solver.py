@@ -10,16 +10,18 @@ envelope of the q-Laplace transform is alive for some T = eps t in the
 grid's range [T_min, T_max], which is all the transform reads there.  Every
 dilation shift is positive, so a rung reads only lower rungs and the
 centre, and a line cut at any top rung solves its rows as a longer line
-does, to within the solve tolerance; a sector difference reads its own rung range of the same ladder
-(`BorelGrid.rung_range`).  Coupling in m is a dense kernel matrix per
-symbol; coupling in tau is the pure rung shift.
+does, to within the solve tolerance; a range of the ladder cut from below
+solves alike once its lowest rows are held (`BorelGrid.rung_range`, `held`
+of the solves).  Coupling in m is a dense kernel matrix per symbol;
+coupling in tau is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
-order at a time (`TaylorRecursion`, summed by `taylor_at_origin`); the arc
-of a sector difference and any value inside the disc off the line are summed
-from them.  With coefficients that are truncated eps-series, the same
-recursion gives the formal series (`formal_asymptotics`).
+order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).
+`SolutionFamily` sums a line's rows up to about rho/2 and the arc of a
+sector difference from them, and runs Picard only above.  With
+coefficients that are truncated eps-series, the same recursion gives the
+formal series (`formal_asymptotics`).
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class BorelGrid:
     @property
     def n_nodes(self) -> int:
         return self.g_hi - self.g_lo + 1
+
+    @property
+    def stacked_tau(self) -> np.ndarray:
+        """tau on the stacked rows of the grid: the nodes, then the centre."""
+        return np.append(self.tau, 0.0 + 0.0j)
 
     def radius_of_rung(self, g: int) -> float:
         return self.rho * self.spec_q ** (g / self.N)
@@ -233,7 +240,7 @@ class OperatorFactors:
     @classmethod
     def build(cls, spec: ProblemSpec, grid: BorelGrid) -> "OperatorFactors":
         m = grid.m
-        tau = np.append(grid.tau, 0.0 + 0.0j)
+        tau = grid.stacked_tau
         moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)[None, :] \
             * (tau ** spec.dD)[:, None]
         shifts = rung_shifts(spec, grid.N)
@@ -361,7 +368,7 @@ class SolverContext:
         self.eps = complex(eps)
         self.fac = grid.factors(spec)
         m = grid.m
-        tau = np.append(grid.tau, 0.0 + 0.0j)
+        tau = grid.stacked_tau
         self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
         # `kernels`, when given, is eps_kernels(spec, grid.m, eps), built once
         # by a caller that shares it

@@ -313,7 +313,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     small = _certificate(rc, ctx)[2]
     w0, w1, report = _solve(rc, ctx)
     grid = ctx["grid"]
-    np.savez(rc.output_dir / "omega.npz", tau=np.append(grid.tau, 0.0 + 0.0j),
+    np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
     w_nodes, _ = grid.weights(rc.spec)
     sup0, sup1 = (np.max(w_nodes * np.abs(w[:-1]), axis=1) for w in (w0, w1))

@@ -9,6 +9,11 @@ class DomainError(ValueError):
     """Raised when an evaluation point violates a domain precondition."""
 
 
+class ZeroRingError(DomainError):
+    """Raised when a kernel zero ring lies near the arc of a sector
+    difference; unlike other domain errors, a small move of eps mends it."""
+
+
 class GeometryError(RuntimeError):
     """Raised when a sector/root geometry requirement cannot be met."""
 

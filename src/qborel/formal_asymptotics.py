@@ -19,7 +19,7 @@ import numpy as np
 from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels,
                            rung_shifts, solve_coupled, solve_triangular,
                            taylor_at_origin, taylor_values)
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
 from .solution_assembly import (LogSolution, difference_arc_rung, solution_difference,
@@ -117,40 +117,35 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
     return inverse_fourier(total, complex(z), series.m)
 
 
-# rungs below the arc rung from which an outer solve holds the principal
-# line at its Taylor sum: the ray tail's stencil reaches TAIL_REACH of them
+# rungs below the arc rung from which the family holds each line at the
+# Taylor sum: the ray tail's stencil reaches TAIL_REACH of them
 HELD_BELOW_ARC = 5
 
 
 class SolutionFamily:
     """Analytic solutions indexed by covering sector, solved on demand.
 
-    A solve covers only the rows the asymptotics read.  `at(p, eps)` solves
-    the line of `build_grid` and the centre, which the q-Laplace integrals
-    at |eps t| in the grid's [T_min, T_max] read, by Picard iteration over
-    the whole line.  `at(p, eps, outer=True)` is the outer solve that a
-    sector difference reads: its two ray tails read the principal line
-    beyond the arc radius rho q^(g_arc/N), and its arc the densities inside
-    the disc D(0, rho), which every sector shares.  Its line is its own rung
-    range of the same ladder (`_outer_grid`), from HELD_BELOW_ARC rungs
-    below g_arc up to the top rung the ray tail reads at T_max
-    (`tail_reach`); the line of `at(p, eps)` may end below g_arc.  Inside
-    the disc the densities are summed from their Taylor coefficients at
-    tau = 0, one expansion per eps at the arc radius.  That expansion holds
-    the outer line's rows up to g_arc, and the centre, at their Taylor sum,
-    and Picard updates only the rows above g_arc; it also serves the arc
-    (`LogSolution.taylor`).  The expansion and
-    both sectors' outer solves at one eps share one eps_kernels build.  Only
-    the last eps's kernels and expansion are kept, so the family's memory
-    does not grow with the samples.
+    The densities are one analytic function on the disc D(0, rho), which
+    every sector shares, continued along each sector's ray beyond it.
+    `at(p, eps)` solves sector p's line (`_line`): from the bottom of
+    `build_grid`'s line, which the q-Laplace integrals at |eps t| in
+    [T_min, T_max] read, to the higher of its top and the top rung that the
+    ray tail of a sector difference reads at T_max (`tail_reach`).  One
+    Taylor expansion at tau = 0 per eps (`_taylor`, summed to the arc
+    radius, about rho/2) gives the rows up to the arc rung g_arc, the
+    centre and the arc of a sector difference (`LogSolution.taylor`).
+    Picard runs only on the rung range from HELD_BELOW_ARC rungs below
+    g_arc to the top, with the rows up to g_arc and the centre held.  The
+    expansion and both sectors' solves at one eps share one eps_kernels
+    build.  Only the last eps's kernels, expansion and solutions are kept,
+    so the family's memory does not grow with the samples.
 
-    An outer solve's rows agree to within the solve tolerance with those of
-    a whole-line solve on the ladder from the line's bottom up to the outer
-    top.  The SolveReport of every solve is kept in `reports`,
-    under the same (sector, eps, outer) key as its solution; an outer
-    solve's residual and norms read its free rows only.  A spec with b_01 = 0
-    is solved by forward substitution (`solve_triangular`), any other by the
-    coupled Picard iteration.
+    A solution's rows agree to within the solve tolerance with a whole-line
+    Picard solve on its line.  `reports` keeps the SolveReport of every
+    solve under its (sector, eps) key, whose residual and norms read the
+    free rows only; `grid_rows` counts the stacked rows of every Picard
+    range.  A spec with b_01 = 0 is solved by forward substitution
+    (`solve_triangular`), any other by the coupled Picard iteration.
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
@@ -160,72 +155,61 @@ class SolutionFamily:
         self.gspec = gspec
         self.tol = tol
         self.m_grid = m_grid
-        self._grids = {}
-        self._outer_grids = {}
-        self._sols = {}
+        self._lines = {}
+        self._sols = {}                     # (sector, eps) -> solution, last eps only
         self.reports = {}
         self._expansion = None              # (eps, kernels, Taylor coefficients)
         self.arc_orders = []                # highest order of every expansion
+        self.grid_rows = 0                  # stacked rows of every Picard range
 
-    def _grid(self, p: int):
-        """Sector p's grid: the principal line and the centre."""
+    def _line(self, p: int):
+        """(grid, line, picard) of sector p: `build_grid`'s grid, the line of
+        its solutions, and the rung range of that line that Picard solves,
+        from the held block's bottom rung, HELD_BELOW_ARC rungs below the arc
+        rung (or more where a dilation shift reaches further), to the top."""
         p = p % self.covering.zeta
-        if p not in self._grids:
-            geom = make_geometry(self.spec, self.covering.d_rays[p],
-                                 m_grid=self.m_grid)
-            self._grids[p] = build_grid(self.spec, geom, self.gspec)
-        return self._grids[p]
-
-    def _outer_grid(self, p: int):
-        """Sector p's ladder from the held block's bottom rung, HELD_BELOW_ARC
-        rungs below the arc rung (or more where a dilation shift reaches
-        further), up to the top rung the ray tail reads at the grid's T_max."""
-        if p not in self._outer_grids:
-            grid = self._grid(p)
+        if p not in self._lines:
+            geom = make_geometry(self.spec, self.covering.d_rays[p], m_grid=self.m_grid)
+            grid = build_grid(self.spec, geom, self.gspec)
             g_arc = grid.arc_rung()
-            below = max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
-            top = tail_reach(self.spec, grid, g_arc, grid.T_max)[1]
-            self._outer_grids[p] = grid.rung_range(g_arc - below, top)
-        return self._outer_grids[p]
+            g_lo = g_arc - max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
+            top = max(grid.g_hi, tail_reach(self.spec, grid, g_arc, grid.T_max)[1])
+            self._lines[p] = (grid, grid.rung_range(min(grid.g_lo, g_lo), top),
+                              grid.rung_range(g_lo, top))
+        return self._lines[p]
 
     def _taylor(self, eps: complex):
         """(kernels, coefficients): eps_kernels at eps and the Taylor
         coefficients at tau = 0 summed to the arc radius, built from them
-        (kept for the last eps asked for)."""
+        (kept for the last eps asked for, whose solutions alone are kept)."""
         if self._expansion is None or self._expansion[0] != eps:
-            grid = self._grid(0)
+            grid = self._line(0)[0]
             kernels = eps_kernels(self.spec, grid.m, eps)
             coef = taylor_at_origin(self.spec, eps, grid.m,
                                     grid.radius_of_rung(grid.arc_rung()), kernels)
             self.arc_orders.append(coef.shape[1] - 1)
             self._expansion = (eps, kernels, coef)
+            self._sols = {}
         return self._expansion[1:]
 
-    @property
-    def grid_rows(self) -> int:
-        """Stacked rows (nodes and the centre) summed over every solve."""
-        return sum(self._sols[key].grid.n_nodes + 1 for key in self.reports)
-
-    def at(self, p: int, eps: complex, outer: bool = False) -> LogSolution:
-        """The solution of sector p at eps: on the whole principal line, or
-        the outer solve that a sector difference reads."""
+    def at(self, p: int, eps: complex) -> LogSolution:
+        """The solution of sector p at eps on the sector's line."""
         p = p % self.covering.zeta
-        key = (p, complex(eps), outer)
+        key = (p, complex(eps))
         if key not in self._sols:
+            kernels, coef = self._taylor(key[1])
+            _, line, picard = self._line(p)
+            # the line's rows on the disc, up to the arc rung, and the centre
+            n_disc = picard.arc_rung() - line.g_lo + 1
+            disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
+            below = picard.g_lo - line.g_lo
             solve = solve_triangular if self.spec.coeffs.triangular else solve_coupled
-            if outer:
-                kernels, coef = self._taylor(eps)
-                grid = self._outer_grid(p)
-                n_held = grid.arc_rung() - grid.g_lo + 1
-                held = taylor_values(coef, np.append(grid.tau[:n_held], 0.0))
-                w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol,
-                                                  kernels=kernels, held=held)
-            else:
-                grid, coef = self._grid(p), None
-                w0, w1, self.reports[key] = solve(self.spec, eps, grid, tol=self.tol)
-            self._sols[key] = LogSolution(self.spec, grid, w0, w1, eps,
-                                          Delta=self.covering.Delta, taylor=coef,
-                                          outer=outer)
+            *ws, self.reports[key] = solve(self.spec, eps, picard, tol=self.tol,
+                                           kernels=kernels, held=disc[:, below:])
+            self.grid_rows += picard.n_nodes + 1
+            w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
+            self._sols[key] = LogSolution(self.spec, line, w0, w1, eps,
+                                          Delta=self.covering.Delta, taylor=coef)
         return self._sols[key]
 
 
@@ -292,49 +276,52 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     overlap of consecutive sectors; a targets -k/(2 log q).
 
     Samples whose arc radius collides with the kernel zero lattice are nudged
-    along the q^(1/k) ladder; samples whose difference underflows are dropped
-    with a warning.  The zero-ring and admissibility checks depend on eps t
-    and the two sector grids alone, so they run for every probe before the
-    two sectors are solved, and a rejected eps costs no solve.  Each kept eps
-    builds one Taylor expansion at tau = 0, summed to the arc radius, and
-    two outer solves (`SolutionFamily.at(..., outer=True)`): the expansion
-    holds the disc rows of both principal lines and gives the first
-    sector's arc, and Picard solves only the rows beyond the arc, which the
-    ray tails read.
+    along the q^(1/k) ladder; samples that fail any other domain check
+    (|eps t| above T_max, outside a cone or beyond r1), which no nudge
+    mends, are dropped at once with a warning naming the cause; samples whose
+    difference underflows are dropped with a warning.  The checks depend on
+    eps t and the two sector grids alone, so they run for every probe before
+    the two sectors are solved, and a rejected eps costs no solve.  Each kept
+    eps costs one Taylor expansion at tau = 0, summed to the arc radius, and
+    two solves (`SolutionFamily.at`): the expansion holds the disc rows of
+    both lines and gives the first sector's arc, and Picard solves only the
+    rows beyond the arc, which the ray tails read.
     """
     spec = family.spec
     rep = AsymptoticsReport()
     probes = default_probes(family.covering) if probes is None else probes
-    grid_a, grid_b = family._grid(p), family._grid(p + 1)
+    grid_a, grid_b = family._line(p)[0], family._line(p + 1)[0]
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     deltas = {0: [], 1: []}
     used_eps = []
     for eps0 in eps_samples:
-        eps = complex(eps0)
+        eps, d = complex(eps0), None
         for attempt in range(4):
             try:
                 for (t, _) in probes:
                     difference_arc_rung(spec, grid_a, grid_b, eps * complex(t),
                                         family.covering.Delta, r1)
-                sol_a = family.at(p, eps, outer=True)
-                sol_b = family.at(p + 1, eps, outer=True)
-                d0 = max(abs(solution_difference(sol_a, sol_b, 0, t, z))
-                         for (t, z) in probes)
-                d1 = max(abs(solution_difference(sol_a, sol_b, 1, t, z))
-                         for (t, z) in probes)
-                break
-            except DomainError:
+            except ZeroRingError:
                 rep.nudges += 1
                 eps *= spec.q ** (1.0 / (4.0 * spec.k))
+                continue
+            except DomainError as exc:
+                rep.warnings.append(f"|eps| = {abs(eps0):.3g} dropped: {exc}")
+                break
+            sol_a, sol_b = family.at(p, eps), family.at(p + 1, eps)
+            d = [max(abs(solution_difference(sol_a, sol_b, j, t, z)) for (t, z) in probes)
+                 for j in (0, 1)]
+            break
         else:
             rep.warnings.append(f"no admissible nudge for |eps| = {abs(eps0):.3g}")
+        if d is None:
             continue
-        if max(d0, d1) <= 0.0 or not (math.isfinite(math.log(max(d0, d1)))):
+        if max(d) <= 0.0 or not (math.isfinite(math.log(max(d)))):
             rep.warnings.append(f"difference underflows at |eps| = {abs(eps):.3g}")
             continue
         used_eps.append(eps)
-        deltas[0].append(d0)
-        deltas[1].append(d1)
+        deltas[0].append(d[0])
+        deltas[1].append(d[1])
     rep.eps_samples = used_eps
     rep.decay = deltas
     if len(used_eps) < 4:

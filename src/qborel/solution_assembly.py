@@ -21,7 +21,7 @@ import numpy as np
 
 from .borel_solver import (BorelGrid, SolverContext, _weighted_sup, taylor_at_origin,
                            taylor_values)
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError, UsageError, ZeroRingError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
 from .special_functions import inv_theta
@@ -101,10 +101,7 @@ class LogSolution:
     `taylor`, when given, holds the Taylor coefficients at tau = 0 summed to
     the arc radius, which the arc of a sector difference reads; otherwise
     the arc expands them itself, and `arc_orders` records the highest order
-    of each such expansion.  An `outer` solution holds only the rows a
-    sector difference reads, the principal line from just below the arc
-    rung, so it has no q-Laplace transform: `component` and `evaluate`
-    raise UsageError on it.
+    of each such expansion.
     """
 
     spec: ProblemSpec
@@ -114,7 +111,6 @@ class LogSolution:
     eps: complex
     Delta: float = 0.5
     taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
-    outer: bool = False
     arc_orders: list = field(default_factory=list, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -238,13 +234,9 @@ class LogSolution:
 
     def laplace_pair(self, t: complex, z: complex):
         """(L_0, L_1), the q-Laplace vectors over m of both components at
-        T = eps t, after the checks every evaluation at (t, z) makes: the
-        solution is not `outer`, z lies in the strip, T is admissible and
-        |T| lies in the range [T_min, T_max] that the grid's line serves."""
-        if self.outer:
-            raise UsageError("an outer solution holds only the rows a sector "
-                             "difference reads; its q-Laplace sum would read a "
-                             "partial principal line")
+        T = eps t, after the checks every evaluation at (t, z) makes: z lies
+        in the strip, T is admissible and |T| lies in the range
+        [T_min, T_max] that the grid's line serves."""
         if abs(complex(z).imag) > self.spec.beta_prime:
             raise DomainError(
                 f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
@@ -360,8 +352,9 @@ def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
     The checks depend on T and the two grids alone, so a caller can reject an
     eps before solving for it: the grids must share the ladder, T must be
     admissible for both directions, |T| may not pass either grid's T_max,
-    up to which the outer lines carry the ray tails, and no kernel zero ring
-    may lie near the arc circle.
+    up to which `SolutionFamily`'s lines carry the ray tails, and no kernel
+    zero ring may lie near the arc circle.  That last rejection raises
+    ZeroRingError, the one a small move of eps mends.
     """
     if grid_a.N != grid_b.N or grid_a.rho != grid_b.rho:
         raise DomainError("solutions must share the ladder geometry")
@@ -382,7 +375,7 @@ def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
     if in_wedge:
         frac = (math.log(grid_a.radius_of_rung(g_arc) / abs(T)) * spec.k / spec.lnq) % 1.0
         if min(frac, 1.0 - frac) < 0.1:
-            raise DomainError(
+            raise ZeroRingError(
                 "arc radius passes within 10% of a kernel zero ring; "
                 "perturb |eps t| to move the zero lattice")
     return g_arc

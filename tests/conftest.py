@@ -81,7 +81,7 @@ def disc_taylor_gap(spec, eps, sols) -> float:
     for grid, *ws in sols:
         disc = min(0, grid.g_hi) + 1 - grid.g_lo
         rows = np.r_[0:disc, grid.n_nodes]
-        ref = taylor_values(coef, np.append(grid.tau[:disc], 0.0))
+        ref = taylor_values(coef, grid.stacked_tau[rows])
         for w, want in zip(ws, ref):
             worst = max(worst, float(np.abs(w[rows] - want).max()))
     return worst

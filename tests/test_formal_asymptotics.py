@@ -13,7 +13,7 @@ from qborel.borel_solver import (
     solve_triangular,
     taylor_at_origin,
 )
-from qborel.errors import ConfigError, DivergenceError, DomainError, UsageError
+from qborel.errors import ConfigError, DivergenceError, DomainError, UsageError, ZeroRingError
 from qborel.formal_asymptotics import (
     HELD_BELOW_ARC,
     SolutionFamily,
@@ -333,11 +333,11 @@ def test_difference_decay_fit_matches_theorem(asym):
 
 
 def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
-    # zero densities on the two sectors' outer lines, which reach as far as
-    # the ray tails read: solution_difference then runs every check and
-    # integral without a solve
+    # zero densities on the two sectors' lines, which reach as far as the
+    # ray tails read: solution_difference then runs every check and integral
+    # without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._outer_grid(0), family._outer_grid(1)
+    grid_a, grid_b = family._line(0)[1], family._line(1)[1]
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
@@ -355,18 +355,21 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
             solution_difference(sols[0], sols[1], 0, t, 0.1)
             want = None
         except DomainError as exc:
-            want = str(exc)
+            want = type(exc), str(exc)
         try:
             g_arc = difference_arc_rung(spec, grid_a, grid_b, eps * t, cov.Delta, r1)
             got = None
         except DomainError as exc:
-            got = str(exc)
+            got = type(exc), str(exc)
         assert got == want, eps
         if got is None:
             assert g_arc == grid_a.arc_rung()
-        outcomes.append(got is None)
-    assert outcomes[-3:] == [False, False, False] and "T_max = 0.025" in got
-    assert 20 <= outcomes[:-3].count(False) and 20 <= outcomes.count(True)
+        outcomes.append(got and got[0])
+    # the sweep's rejections are zero rings, which a nudge mends; the last
+    # three are not
+    assert outcomes[-3:] == [DomainError] * 3 and "T_max = 0.025" in got[1]
+    assert set(outcomes[:-3]) == {None, ZeroRingError}
+    assert 20 <= outcomes[:-3].count(ZeroRingError) and 20 <= outcomes.count(None)
 
 
 def test_decay_fit_solves_only_the_samples_it_keeps(asym):
@@ -380,19 +383,19 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     rep = difference_decay_fit(family, 0, eps_samples, probes=probes)
     assert rep.nudges >= 1
     assert len(rep.eps_samples) == 3
-    assert len(family._sols) == 2 * len(rep.eps_samples)
-    assert set(family.reports) == set(family._sols)
+    assert set(family.reports) == {(p, e) for e in rep.eps_samples for p in (0, 1)}
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # both sectors on the ladder from HELD_BELOW_ARC rungs below the arc rung
-    # up to the ray tail's reach at T_max: one Taylor expansion per kept eps
-    # holds the disc rows of both outer solves and gives the arc
-    assert all(outer for _, _, outer in family.reports)
-    line, grid = family._outer_grid(0), family._grid(0)
-    assert line.g_lo == grid.arc_rung() - HELD_BELOW_ARC
-    assert line.g_hi == tail_reach(spec, grid, grid.arc_rung(), grid.T_max)[1]
-    assert line.g_hi > grid.g_hi
-    assert family._outer_grid(1).n_nodes == line.n_nodes
-    assert family.grid_rows == 6 * (line.n_nodes + 1)
+    # Picard runs on both sectors' ladders from HELD_BELOW_ARC rungs below
+    # the arc rung up to the ray tail's reach at T_max, above build_grid's
+    # top; one Taylor expansion per kept eps holds the rows below and gives
+    # the arc
+    grid, line, picard = family._line(0)
+    assert picard.g_lo == grid.arc_rung() - HELD_BELOW_ARC
+    assert picard.g_hi == line.g_hi == tail_reach(spec, grid, grid.arc_rung(),
+                                                  grid.T_max)[1]
+    assert line.g_hi > grid.g_hi and line.g_lo == grid.g_lo
+    assert family._line(1)[2].n_nodes == picard.n_nodes
+    assert family.grid_rows == 6 * (picard.n_nodes + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
 
@@ -404,7 +407,7 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
     eps = 0.1 * np.exp(1j * np.angle(cov.overlap_sample(0)))
     t = 0.06 * np.exp(1j * cov.t_direction)
-    sol_a, sol_b = family.at(0, eps, outer=True), family.at(1, eps, outer=True)
+    sol_a, sol_b = family.at(0, eps), family.at(1, eps)
     assert solution_difference(sol_a, sol_b, 0, t, 0.1) != 0.0
 
     def fresh(grid):
@@ -413,7 +416,7 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     with pytest.raises(ConfigError, match="n_angles"):
         solution_difference(fresh(replace(sol_a.grid, n_angles=0)), sol_b, 0, t, 0.1)
     # one order short of what this eps needs (the family's expansion for
-    # eps, which the outer solutions read)
+    # eps, which its solutions read)
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", family.arc_orders[-1] - 1)
     with pytest.raises(DivergenceError, match="does not converge"):
         solution_difference(fresh(sol_a.grid), sol_b, 0, t, 0.1)
@@ -427,75 +430,86 @@ def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", 4)
     with pytest.raises(DivergenceError):
         difference_decay_fit(family, 0, [0.1 * np.exp(1j * arg)], probes=probes)
-    # raised on the first attempt, by the expansion that both outer solves
-    # read, so nothing was solved and no nudge was tried
-    assert len(family._sols) == 0
+    # raised on the first attempt, by the expansion that both solves read,
+    # so nothing was solved and no nudge was tried
+    assert len(family._sols) == 0 and family.reports == {}
     assert family.arc_orders == []
 
 
 def test_family_rows_match_the_full_grid_solve(asym):
-    # the family solves the whole line of build_grid; a solve on it is the
-    # oracle for those rows and the components.  The sector difference reads
-    # the outer solves, whose ray tails reach past that line: its oracle is
-    # a whole-line solve up to the outer top, with the arc read from solved
+    # a whole-line solve on build_grid's line is the oracle for the rows it
+    # shares with the family's longer line and for the components; a sector
+    # difference, whose ray tails reach past that line, is held against a
+    # whole-line solve on the family's line with the arc read from solved
     # ring lines
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
-    w0, w1, rep = solve(spec, eps, grid, tol=family.tol)
+    w0, w1, _ = solve(spec, eps, grid, tol=family.tol)
     full = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
     weights = grid.stacked_weights(spec)
     sol = family.at(0, eps)
-    assert sol.grid.tau.tobytes() == grid.tau.tobytes()
-    for w, ref in ((sol.w0, full.w0), (sol.w1, full.w1)):
+    rows = kept_rows(sol.grid, grid)
+    assert sol.grid.stacked_tau[rows].tobytes() == grid.stacked_tau.tobytes()
+    for w, ref in ((sol.w0[rows], full.w0), (sol.w1[rows], full.w1)):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= family.tol
-    assert family.reports[(0, eps, False)].update_history == rep.update_history
     ring = [_full_line(family, p, eps, RingArcSolution) for p in (0, 1)]
-    outer = [family.at(p, eps, outer=True) for p in (0, 1)]
+    sols = [family.at(p, eps) for p in (0, 1)]
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
         for j in (0, 1):
             ref = full.component(j, t, z)
             assert abs(sol.component(j, t, z) - ref) <= 1e-9 * abs(ref)
             ref = solution_difference(*ring, j, t, z)
-            assert abs(solution_difference(*outer, j, t, z) - ref) <= 1e-12 * abs(ref)
+            assert abs(solution_difference(*sols, j, t, z) - ref) <= 1e-12 * abs(ref)
 
 
 def _full_line(family, p, eps, cls=LogSolution):
-    """A whole-line solve on sector p's ladder from the bottom rung of
-    build_grid's line up to the top of the outer line, as a cls."""
-    grid = family._grid(p)
-    line = grid.rung_range(grid.g_lo, family._outer_grid(p).g_hi)
+    """A whole-line Picard solve on the line of the family's sector p, as a
+    cls."""
+    line = family._line(p)[1]
     solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
     w0, w1, _ = solve(family.spec, eps, line, tol=family.tol)
     return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
 
 
-def _assert_outer_rows_match(full, outer):
-    """Every row of the outer solve, held or solved, equals the row of the
-    whole-line solve that spans it to 1e-14 of the row's largest value."""
-    rows = kept_rows(full.grid, outer.grid)
-    assert outer.grid.n_nodes < full.grid.n_nodes // 2
-    for w, ref in ((outer.w0, full.w0), (outer.w1, full.w1)):
-        ref = ref[rows]
+def _assert_rows_match(full, sol, components=()):
+    """Every row of the family's solution sol, summed from the Taylor
+    expansion or solved by Picard, equals the row of the whole-line solve
+    full to 1e-14 of the row's largest value, and so do the components at
+    the (t, z) points given."""
+    assert sol.grid.stacked_tau.tobytes() == full.grid.stacked_tau.tobytes()
+    for w, ref in ((sol.w0, full.w0), (sol.w1, full.w1)):
         assert np.all(np.abs(w - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
+    for t, z in components:
+        for j in (0, 1):
+            ref = full.component(j, t, z)
+            assert abs(sol.component(j, t, z) - ref) <= 1e-14 * abs(ref)
 
 
-def test_outer_rows_match_the_full_line_rows(asym):
+def test_family_rows_match_the_whole_line_solve(asym):
+    # both ends of the wide config's eps_gevrey range at the first sector's
+    # direction, where the components are read, and the decay fit's overlap
+    # eps, on both sectors
     cov, family = asym["cov"], asym["family"]
-    arg = np.angle(cov.overlap_sample(0))
-    for mag in (0.005, 0.11):
-        eps = complex(mag * np.exp(1j * arg))
-        for p in (0, 1):
-            _assert_outer_rows_match(_full_line(family, p, eps),
-                                     family.at(p, eps, outer=True))
+    t = 0.05 * np.exp(1j * cov.t_direction)
+    overlap = np.angle(cov.overlap_sample(0))
+    for eps, sectors, points in ((0.08 * np.exp(1j * cov.directions[0]), (0,), [(t, 0.1)]),
+                                 (0.27 * np.exp(1j * cov.directions[0]), (0,), [(t, 0.1)]),
+                                 (0.005 * np.exp(1j * overlap), (0, 1), []),
+                                 (0.11 * np.exp(1j * overlap), (0, 1), [])):
+        for p in sectors:
+            sol = family.at(p, complex(eps))
+            picard = family._line(p)[2]
+            assert picard.n_nodes < sol.grid.n_nodes // 5
+            _assert_rows_match(_full_line(family, p, complex(eps)), sol, points)
 
 
-def test_outer_rows_match_the_full_line_rows_with_b01(problem_dict):
-    # b_01 != 0: the outer solve runs the coupled Picard iteration
+def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
+    # b_01 != 0: the family runs the coupled Picard iteration
     problem_dict["eps0"] = 0.3
     problem_dict["coeffs"]["b01"] = {"num": [0.0005], "gauss": 1.0}
     spec = ProblemSpec.from_dict(problem_dict)
@@ -504,24 +518,30 @@ def test_outer_rows_match_the_full_line_rows_with_b01(problem_dict):
                               m_grid=np.linspace(-50, 50, 401))
     family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6,
                                                 T_max=0.025), tol=1e-13)
-    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
-    for p in (0, 1):
-        _assert_outer_rows_match(_full_line(family, p, eps), family.at(p, eps, outer=True))
+    # components only at the first sector's direction: at the overlap the
+    # theta kernel keeps too few digits for a 1e-14 comparison
+    t = 0.05 * np.exp(1j * cov.t_direction)
+    for eps, points in ((0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))), []),
+                        (0.2 * np.exp(1j * cov.directions[0]), [(t, 0.1)])):
+        for p in (0, 1):
+            _assert_rows_match(_full_line(family, p, complex(eps)),
+                               family.at(p, complex(eps)), points if p == 0 else [])
     # the coupled solve reports its contraction bound; a triangular one does not
     assert all(math.isfinite(r.varpi) for r in family.reports.values())
 
 
-def test_outer_residual_and_norms_read_the_free_rows_only(asym):
+def test_family_residual_and_norms_read_the_free_rows_only(asym):
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
-    outer = family.at(0, eps, outer=True)
-    rep = family.reports[(0, eps, True)]
-    grid = outer.grid
+    sol = family.at(0, eps)
+    rep = family.reports[(0, eps)]
+    # the solution's rows on the range Picard solved
+    grid = family._line(0)[2]
+    rows = kept_rows(sol.grid, grid)
+    w0, w1 = sol.w0[rows], sol.w1[rows]
     ctx = SolverContext(spec, grid, eps)
-    pair = (outer.w0, outer.w1)
-    gaps = [h - w
-            for h, w in zip((ctx.apply_H0(outer.w0, ctx.g_eps(outer.w1)),
-                             ctx.apply_H1(outer.w1)), pair)]
+    gaps = [h - w for h, w in zip((ctx.apply_H0(w0, ctx.g_eps(w1)), ctx.apply_H1(w1)),
+                                  (w0, w1))]
     weights = grid.stacked_weights(spec)
     free = np.arange(grid.arc_rung() - grid.g_lo + 1, grid.n_nodes)
 
@@ -529,7 +549,7 @@ def test_outer_residual_and_norms_read_the_free_rows_only(asym):
         return float((np.abs(data[rows]) * weights[rows]).max())
 
     assert rep.residual == max(sup(gap, free) for gap in gaps)
-    assert rep.norms == tuple(sup(w, free) for w in pair)
+    assert rep.norms == tuple(sup(w, free) for w in (w0, w1))
     assert rep.residual <= 1e-15 * max(rep.norms)
     # H's lowest rows read the bottom quadratic below the cut, not the
     # series: a residual over every row would read that instead
@@ -537,15 +557,46 @@ def test_outer_residual_and_norms_read_the_free_rows_only(asym):
     assert max(sup(gap, every) for gap in gaps) > 100 * rep.residual
 
 
-def test_outer_solution_has_no_laplace_transform(asym):
-    cov, family = asym["cov"], asym["family"]
-    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
-    t = 0.06 * np.exp(1j * cov.t_direction)
-    outer = family.at(0, eps, outer=True)
-    for call in (lambda: outer.component(0, t, 0.1), lambda: outer.evaluate(t, 0.1)):
-        with pytest.raises(UsageError, match="partial principal line"):
-            call()
-    assert family.at(0, eps).component(0, t, 0.1) != 0.0
+def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch):
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    solved = []
+    solve = formal_asymptotics.solve_triangular
+
+    def counted(spec, eps, grid, **kwargs):
+        solved.append(grid.n_nodes + 1)
+        return solve(spec, eps, grid, **kwargs)
+
+    monkeypatch.setattr(formal_asymptotics, "solve_triangular", counted)
+    eps_a, eps_b = (complex(m * np.exp(1j * cov.directions[0])) for m in (0.1, 0.2))
+    first = family.at(0, eps_a)
+    assert family.at(0, eps_a) is first and family.at(2, eps_a) is first
+    family.at(1, eps_a)
+    assert set(family._sols) == {(0, eps_a), (1, eps_a)}
+    family.at(0, eps_b)
+    # the solutions of eps_a are let go, their reports kept
+    assert set(family._sols) == {(0, eps_b)}
+    assert set(family.reports) == {(0, eps_a), (1, eps_a), (0, eps_b)}
+    # grid_rows counts the stacked rows of the Picard ranges, not the lines
+    picard = family._line(0)[2]
+    assert solved == [picard.n_nodes + 1] * 3 and family.grid_rows == sum(solved)
+    assert family.grid_rows < first.grid.n_nodes
+    assert len(family.arc_orders) == 2
+
+
+def test_decay_fit_drops_what_no_nudge_mends(asym):
+    # |eps t| = 0.03 passes T_max = 0.025: the sample is dropped at once,
+    # with no nudge and no solve, and the warning names the cause
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    eps = 0.5 * np.exp(1j * np.angle(cov.overlap_sample(0)))
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
+    rep = difference_decay_fit(family, 0, [eps], probes=probes)
+    assert rep.nudges == 0 and rep.eps_samples == []
+    assert family.reports == {} and family.arc_orders == [] and family.grid_rows == 0
+    assert any(w.startswith("|eps| = 0.5 dropped") and "T_max = 0.025" in w
+               for w in rep.warnings)
+    assert not any("nudge" in w for w in rep.warnings)
 
 
 def test_decay_fit_builds_the_kernels_once_per_eps(asym, monkeypatch):
@@ -564,11 +615,11 @@ def test_decay_fit_builds_the_kernels_once_per_eps(asym, monkeypatch):
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
     rep = difference_decay_fit(family, 0, [m * np.exp(1j * arg) for m in (0.1, 0.2)],
                                probes=probes)
-    # one build serves the expansion and both sectors' outer solves
+    # one build serves the expansion and both sectors' solves
     assert len(rep.eps_samples) == 2 and len(family.reports) == 4
     assert builds == rep.eps_samples
     assert len(family.arc_orders) == 2
-    # a full-line solve builds its own
+    # a solve at another eps builds its own
     family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
     assert len(builds) == 3
 
@@ -628,15 +679,15 @@ def test_difference_decay_quiet_overlap(asym):
     cov, family = asym["cov"], asym["family"]
     arg = np.angle(cov.overlap_sample(1))
     eps = 0.11 * np.exp(1j * arg)
-    sol_a = family.at(1, eps, outer=True)
-    sol_b = family.at(2, eps, outer=True)
+    sol_a = family.at(1, eps)
+    sol_b = family.at(2, eps)
     from qborel.solution_assembly import solution_difference
 
     t = 0.05 * np.exp(1j * cov.t_direction)
     quiet = abs(solution_difference(sol_a, sol_b, 0, t, 0.1))
     active_eps = 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))
-    loud = abs(solution_difference(family.at(0, active_eps, outer=True),
-                                   family.at(1, active_eps, outer=True), 0, t, 0.1))
+    loud = abs(solution_difference(family.at(0, active_eps),
+                                   family.at(1, active_eps), 0, t, 0.1))
     assert quiet < 1e-6 * loud
 
 

@@ -458,7 +458,7 @@ def test_tail_stencil_must_not_read_below_the_line(golden):
     for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
         cut = grid.rung_range(g_arc - below, top)
         sol = LogSolution(spec, cut, stacked(cut, 0.0, 0.0), stacked(cut, 0.0, 0.0),
-                          eps, outer=True)
+                          eps)
         if ok:
             assert not any(v.any() for v in sol._tail_integral(T, g_arc))
         else:
@@ -480,7 +480,7 @@ def test_tail_raises_when_its_reach_passes_the_top_of_the_line(golden):
     for g_hi, ok in ((top, True), (top - 1, False)):
         cut = grid.rung_range(g_arc - assembly.TAIL_REACH, g_hi)
         sol = LogSolution(spec, cut, stacked(cut, 1.0, 1.0), stacked(cut, 1.0, 1.0),
-                          eps, outer=True)
+                          eps)
         if ok:
             assert all(np.isfinite(v).all() and v.any() for v in sol._tail_integral(T, g_arc))
         else:
