@@ -62,16 +62,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution controls for the Borel-plane grid."""
+    """Resolution controls for the Borel-plane grid: the Fourier grid of
+    m_nodes points (odd, >= 3) on [-m_max, m_max], the |eps t| range
+    [T_min, T_max] that its line serves and the ladder's density factor.  The
+    arc of a sector difference takes a fixed number of samples
+    (`solution_assembly.ARC_SAMPLES`), which no grid setting changes."""
 
     m_max: float = 12.0
     m_nodes: int = 241
-    n_angles: int = 16            # uniform samples of the sector-difference arc
     T_min: float | None = None
     T_max: float | None = None
     density_factor: float = 4.0
 
     def __post_init__(self):
+        if self.m_nodes < 3 or self.m_nodes % 2 == 0:
+            raise ConfigError(f"m_nodes = {self.m_nodes} must be an odd integer >= 3")
         # `not 0 < x < inf` also rejects NaN
         for name in ("m_max", "density_factor", "T_min", "T_max"):
             value = getattr(self, name)
@@ -83,15 +88,12 @@ class GridSpec:
             raise ConfigError(f"T_min = {self.T_min} must be below T_max = {self.T_max}")
 
     def m_grid(self) -> np.ndarray:
-        if self.m_nodes < 3 or self.m_nodes % 2 == 0:
-            raise ConfigError("m_nodes must be an odd integer >= 3")
         return np.linspace(-self.m_max, self.m_max, self.m_nodes)
 
 
 @dataclass
 class BorelGrid:
     spec_q: float
-    k: int
     N: int
     rho: float
     delta: float
@@ -99,7 +101,6 @@ class BorelGrid:
     m: np.ndarray
     g_lo: int
     g_hi: int
-    n_angles: int = 0             # samples of the sector-difference arc
     # the |eps t| range whose q-Laplace transform the line serves
     T_min: float = 0.0
     T_max: float = math.inf
@@ -132,15 +133,10 @@ class BorelGrid:
         cached = getattr(self, "_weights", None)
         if cached is None or cached[0] != key:
             p = WeightParams(k=spec.k, beta=spec.beta, mu=spec.mu, alpha=spec.alpha,
-                             rho=self.rho, delta=self.delta, q=spec.q)
+                             delta=self.delta, q=spec.q)
             w_center = expq_weight(np.array([0.0 + 0.0j]), self.m, p)[0]
             self._weights = (key, np.vstack([expq_weight(self.tau, self.m, p), w_center]))
         return self._weights[1]
-
-    def weights(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-        """expq weight on all nodes and on the centre."""
-        w = self.stacked_weights(spec)
-        return w[:-1], w[-1]
 
     def dilation(self, shift: int) -> "Dilation":
         """The rung-shift gather of tau -> q^(-shift/N) tau (cached per grid)."""
@@ -328,9 +324,8 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                                        spec.k, spec.q, spec.alpha, geom.delta)
     g_floor = math.floor(N * (s_floor - math.log(geom.rho)) / lnq)
     g_top = math.ceil(N * (s_top - math.log(geom.rho)) / lnq)
-    return BorelGrid(spec_q=spec.q, k=spec.k, N=N, rho=geom.rho,
-                     delta=geom.delta, direction=geom.d, m=gspec.m_grid(),
-                     g_lo=g_floor, g_hi=g_top, n_angles=gspec.n_angles,
+    return BorelGrid(spec_q=spec.q, N=N, rho=geom.rho, delta=geom.delta,
+                     direction=geom.d, m=gspec.m_grid(), g_lo=g_floor, g_hi=g_top,
                      T_min=T_min, T_max=T_max)
 
 
@@ -604,9 +599,10 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     if probes < 2:
         raise UsageError("need at least two probes")
     ctx = SolverContext(spec, grid, eps, kernels)
-    dist = _distance(grid.stacked_weights(spec))
+    weights = grid.stacked_weights(spec)
+    dist = _distance(weights)
     rng = np.random.default_rng(seed)
-    w_nodes, w_center = grid.weights(spec)
+    w_nodes, w_center = weights[:-1], weights[-1]
 
     def random_fn():
         v = (rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape))

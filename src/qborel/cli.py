@@ -118,7 +118,6 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         gspec = GridSpec(
             m_max=float(q.get("M", 40.0 / spec.beta)),
             m_nodes=int(q.get("m_nodes", 241)),
-            n_angles=int(g.get("n_angles", 16)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
         tol = _section(raw, "tolerances")
@@ -132,6 +131,9 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         if max_iter < 1:
             raise ConfigError(f"tolerances max_iter = {max_iter} must be >= 1")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
+        # the symmetry bound of validate_assumptions, checked here for every verb
+        if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
+            raise ConfigError(f"geometry_m_grid = {list(mg)} must be symmetric about 0")
         asym = _section(raw, "asymptotics")
         N_max = int(asym.get("N_max", 6))
         if N_max < 0:
@@ -150,6 +152,10 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         eps_solve = _complex_of(raw.get("eps"), 0.75 * spec.eps0)
         if not (cmath.isfinite(eps_solve) and eps_solve != 0):
             raise ConfigError(f"eps = {eps_solve} must be finite and nonzero")
+        zeta = int(cov.get("zeta", 2))
+        if zeta < 2:
+            raise ConfigError(f"covering zeta = {zeta} must be >= 2: a good covering "
+                              "needs two sectors")
         t_radius = float(cov.get("t_radius", 0.02))
         t_aperture = float(cov.get("t_aperture", 0.1))
         t_direction = float(cov.get("t_direction", 0.0))
@@ -167,7 +173,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
                    else raw.get("output_dir", "out"))
         return RunConfig(
             spec=spec,
-            zeta=int(cov.get("zeta", 2)),
+            zeta=zeta,
             t_radius=t_radius, t_aperture=t_aperture, t_direction=t_direction,
             Delta=Delta, gspec=gspec,
             solve_tol=solve_tol, max_iter=max_iter, formal_tol=formal_tol,
@@ -315,7 +321,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     grid = ctx["grid"]
     np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
-    w_nodes, _ = grid.weights(rc.spec)
+    w_nodes = grid.stacked_weights(rc.spec)[:-1]
     sup0, sup1 = (np.max(w_nodes * np.abs(w[:-1]), axis=1) for w in (w0, w1))
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],

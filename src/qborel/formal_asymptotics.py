@@ -133,12 +133,14 @@ class SolutionFamily:
     ray tail of a sector difference reads at T_max (`tail_reach`).  One
     Taylor expansion at tau = 0 per eps (`_taylor`, summed to the arc
     radius, about rho/2) gives the rows up to the arc rung g_arc, the
-    centre and the arc of a sector difference (`LogSolution.taylor`).
-    Picard runs only on the rung range from HELD_BELOW_ARC rungs below
-    g_arc to the top, with the rows up to g_arc and the centre held.  The
-    expansion and both sectors' solves at one eps share one eps_kernels
-    build.  Only the last eps's kernels, expansion and solutions are kept,
-    so the family's memory does not grow with the samples.
+    centre and the arc of a sector difference: every solution carries it as
+    `LogSolution.taylor`, the one source of its arc samples, and
+    `arc_orders` records the highest order of each.  Picard runs only on
+    the rung range from HELD_BELOW_ARC rungs below g_arc to the top, with
+    the rows up to g_arc and the centre held.  The expansion and both
+    sectors' solves at one eps share one eps_kernels build.  Only the last
+    eps's kernels, expansion and solutions are kept, so the family's memory
+    does not grow with the samples.
 
     A solution's rows agree to within the solve tolerance with a whole-line
     Picard solve on its line.  `reports` keeps the SolveReport of every
@@ -163,10 +165,12 @@ class SolutionFamily:
         self.grid_rows = 0                  # stacked rows of every Picard range
 
     def _line(self, p: int):
-        """(grid, line, picard) of sector p: `build_grid`'s grid, the line of
-        its solutions, and the rung range of that line that Picard solves,
-        from the held block's bottom rung, HELD_BELOW_ARC rungs below the arc
-        rung (or more where a dilation shift reaches further), to the top."""
+        """(line, picard) of sector p: the line of its solutions and the rung
+        range of that line that Picard solves, from the held block's bottom
+        rung, HELD_BELOW_ARC rungs below the arc rung (or more where a
+        dilation shift reaches further), to the top.  Both are rung ranges of
+        `build_grid`'s grid and carry its ladder, direction, m grid and T
+        range, all that is read of it."""
         p = p % self.covering.zeta
         if p not in self._lines:
             geom = make_geometry(self.spec, self.covering.d_rays[p], m_grid=self.m_grid)
@@ -174,7 +178,7 @@ class SolutionFamily:
             g_arc = grid.arc_rung()
             g_lo = g_arc - max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
             top = max(grid.g_hi, tail_reach(self.spec, grid, g_arc, grid.T_max)[1])
-            self._lines[p] = (grid, grid.rung_range(min(grid.g_lo, g_lo), top),
+            self._lines[p] = (grid.rung_range(min(grid.g_lo, g_lo), top),
                               grid.rung_range(g_lo, top))
         return self._lines[p]
 
@@ -183,10 +187,10 @@ class SolutionFamily:
         coefficients at tau = 0 summed to the arc radius, built from them
         (kept for the last eps asked for, whose solutions alone are kept)."""
         if self._expansion is None or self._expansion[0] != eps:
-            grid = self._line(0)[0]
-            kernels = eps_kernels(self.spec, grid.m, eps)
-            coef = taylor_at_origin(self.spec, eps, grid.m,
-                                    grid.radius_of_rung(grid.arc_rung()), kernels)
+            line = self._line(0)[0]
+            kernels = eps_kernels(self.spec, line.m, eps)
+            coef = taylor_at_origin(self.spec, eps, line.m,
+                                    line.radius_of_rung(line.arc_rung()), kernels)
             self.arc_orders.append(coef.shape[1] - 1)
             self._expansion = (eps, kernels, coef)
             self._sols = {}
@@ -198,7 +202,7 @@ class SolutionFamily:
         key = (p, complex(eps))
         if key not in self._sols:
             kernels, coef = self._taylor(key[1])
-            _, line, picard = self._line(p)
+            line, picard = self._line(p)
             # the line's rows on the disc, up to the arc rung, and the centre
             n_disc = picard.arc_rung() - line.g_lo + 1
             disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
@@ -290,7 +294,7 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     spec = family.spec
     rep = AsymptoticsReport()
     probes = default_probes(family.covering) if probes is None else probes
-    grid_a, grid_b = family._line(p)[0], family._line(p + 1)[0]
+    line_a, line_b = family._line(p)[0], family._line(p + 1)[0]
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     deltas = {0: [], 1: []}
     used_eps = []
@@ -299,7 +303,7 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
         for attempt in range(4):
             try:
                 for (t, _) in probes:
-                    difference_arc_rung(spec, grid_a, grid_b, eps * complex(t),
+                    difference_arc_rung(spec, line_a, line_b, eps * complex(t),
                                         family.covering.Delta, r1)
             except ZeroRingError:
                 rep.nudges += 1

@@ -46,9 +46,6 @@ class SectorGeometry:
     aperture: float
     rho: float
     delta: float
-    # how far out `operator_constants` scans the dilation factors; only it
-    # reads r_max (the Borel grid ends at the envelope top of its T range)
-    r_max: float = 16.0
     constants: dict = field(default_factory=dict)
 
 
@@ -156,7 +153,7 @@ def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
 
 def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
     """Assemble an admissible sector geometry of aperture SECTOR_APERTURE for
-    the direction d, reaching out to 16 rho."""
+    the direction d."""
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
     rep = validate_assumptions(spec, m_grid)
     rho = default_rho(spec, rep.D1)
@@ -165,7 +162,7 @@ def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
         raise GeometryError(
             f"sector at direction {d:.4f} hits the root locus: witness m={witness[0]}, l={witness[1]}")
     geom = SectorGeometry(d=d, aperture=SECTOR_APERTURE, rho=rho,
-                          delta=default_delta(d, SECTOR_APERTURE, rho), r_max=16.0 * rho)
+                          delta=default_delta(d, SECTOR_APERTURE, rho))
     geom.constants["D1"] = rep.D1
     geom.constants["D2"] = rep.D2
     return geom
@@ -281,7 +278,8 @@ def operator_constants(spec: ProblemSpec, geom: SectorGeometry, consts: dict,
         lt = np.log(r_shifted)
         return -0.5 * spec.k * lt * lt / lnq - spec.alpha * lt
 
-    n_oct = max(1, int(math.ceil(math.log(geom.r_max * 4096.0 / geom.rho) / lnq)))
+    # 16 radii per power of q, from rho/8 out to at least 8192 rho
+    n_oct = max(1, int(math.ceil(math.log(65536.0) / lnq)))
     r = geom.rho / 8.0 * spec.q ** (np.arange(0, n_oct * 16 + 1) / 16.0)
     tau = r * np.exp(1j * geom.d)
 

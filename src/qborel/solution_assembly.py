@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (BorelGrid, SolverContext, _weighted_sup, taylor_at_origin,
-                           taylor_values)
-from .errors import ConfigError, DomainError, UsageError, ZeroRingError
+from .borel_solver import BorelGrid, SolverContext, _weighted_sup, taylor_values
+from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
 from .special_functions import inv_theta
@@ -44,6 +43,9 @@ PAIR_CACHE_LIMIT = 1024
 
 # rungs below the arc rung that the ray tail's interpolation stencil reads
 TAIL_REACH = 2
+
+# uniform samples of the densities on the circle of a sector difference's arc
+ARC_SAMPLES = 16
 
 
 def tail_reach(spec: ProblemSpec, grid: BorelGrid, g_arc: int, T: complex):
@@ -98,10 +100,10 @@ class LogSolution:
     depends on eps t is therefore computed once per exact T = eps t, for both
     components at once, and reused for every z and multiplier.
 
-    `taylor`, when given, holds the Taylor coefficients at tau = 0 summed to
-    the arc radius, which the arc of a sector difference reads; otherwise
-    the arc expands them itself, and `arc_orders` records the highest order
-    of each such expansion.
+    `taylor` holds the Taylor coefficients of (omega_0, omega_1) at tau = 0,
+    summed to the arc radius, from which the arc of a sector difference takes
+    its samples (`SolutionFamily` passes its expansion at eps).  A solution
+    without them evaluates, but refuses a difference (UsageError).
     """
 
     spec: ProblemSpec
@@ -111,7 +113,6 @@ class LogSolution:
     eps: complex
     Delta: float = 0.5
     taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
-    arc_orders: list = field(default_factory=list, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -187,48 +188,43 @@ class LogSolution:
 
     @_cached_pair
     def _arc_samples(self, g_arc: int):
-        """(w_0, w_1) at the grid's n_angles uniform angles, by increasing
-        angle, on the circle of rung g_arc: (n_angles, n_m) each, summed from
-        the Taylor coefficients at tau = 0, which depend on eps and the m grid
-        alone.  They are `taylor` when the solution was given them (summed to
-        the arc radius), and are expanded here otherwise."""
-        grid = self.grid
-        if grid.n_angles < 1:
-            raise ConfigError("the arc of a sector difference needs grid n_angles >= 1")
-        r_arc = grid.radius_of_rung(g_arc)
-        coef = self.taylor
-        if coef is None:
-            coef = taylor_at_origin(self.spec, self.eps, grid.m, r_arc)
-            self.arc_orders.append(coef.shape[1] - 1)
-        ring = r_arc * np.exp(2j * math.pi * np.arange(grid.n_angles) / grid.n_angles)
-        return tuple(taylor_values(coef, ring))
+        """(w_0, w_1) at ARC_SAMPLES uniform angles, by increasing angle, on
+        the circle of rung g_arc: (ARC_SAMPLES, n_m) each, summed from the
+        solution's Taylor coefficients `taylor`."""
+        if self.taylor is None:
+            raise UsageError("a sector difference reads the Taylor coefficients at "
+                             "tau = 0 on its arc, and this solution was given none")
+        r_arc = self.grid.radius_of_rung(g_arc)
+        ring = r_arc * np.exp(2j * math.pi * np.arange(ARC_SAMPLES) / ARC_SAMPLES)
+        return tuple(taylor_values(self.taylor, ring))
 
     @_cached_pair
     def _arc_integral(self, d_b: float, T: complex, g_arc: int):
         """Kernel integral of (w_0, w_1) over the arc of radius
         rho q^(g_arc/N) from this solution's direction to d_b, for every m.
         Both components share the panels and the kernel.  The densities on
-        the arc come from n_angles uniform samples on its circle
-        (`_arc_samples`), interpolated by their discrete Fourier series."""
+        the arc come from ARC_SAMPLES uniform samples on its circle
+        (`_arc_samples`, taken first), interpolated by their discrete Fourier
+        series."""
         spec, grid = self.spec, self.grid
         d_a = self.direction
         if d_a == d_b:
             zero = np.zeros(grid.m.size, dtype=complex)
             return zero, zero.copy()
+        arc_samples = self._arc_samples(g_arc)
         r_arc = grid.radius_of_rung(g_arc)
-        n_ang = grid.n_angles
         # Gauss-Legendre panels, roughly one per kernel oscillation
-        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + n_ang
+        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + ARC_SAMPLES
         panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
         thetas, twt = _gauss_legendre_panels(d_a, d_b, panels)
         # omega is a power series in tau, so only nonnegative angular
         # frequencies appear on the ring; n uniform samples pin the first n
         # coefficients
-        basis = np.exp(1j * np.outer(thetas, np.arange(n_ang)))
+        basis = np.exp(1j * np.outer(thetas, np.arange(ARC_SAMPLES)))
         weights = twt * inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
         out = []
-        for samples in self._arc_samples(g_arc):
-            ring = basis @ (np.fft.fft(samples, axis=0) / n_ang)
+        for samples in arc_samples:
+            ring = basis @ (np.fft.fft(samples, axis=0) / ARC_SAMPLES)
             out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
         return tuple(out)
 
@@ -393,12 +389,12 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     accuracy long after a plain subtraction of the two evaluations would
     drown in cancellation noise.  The tails and the arc do not depend on z
     and are cached per exact eps t, so further z probes cost one Fourier sum
-    each.
+    each.  The arc is taken first, so a solution without Taylor coefficients
+    is refused (UsageError) before any integral.
     """
     T = sol_a.eps * complex(t)
     g_arc = difference_arc_rung(sol_a.spec, sol_a.grid, sol_b.grid, T,
                                 sol_a.Delta, sol_a.r1)
-    total = (sol_b._tail_integral(T, g_arc)[j]
-             + sol_a._arc_integral(sol_b.direction, T, g_arc)[j]
-             - sol_a._tail_integral(T, g_arc)[j])
+    arc = sol_a._arc_integral(sol_b.direction, T, g_arc)[j]
+    total = sol_b._tail_integral(T, g_arc)[j] + arc - sol_a._tail_integral(T, g_arc)[j]
     return inverse_fourier(total, complex(z), sol_a.grid.m)

@@ -33,14 +33,13 @@ class WeightParams:
     """Parameters of the q-exponential weight on (tau, m) grids.
 
     delta shifts tau away from the origin (|tau + delta| >= 1 on admissible
-    geometries) and rho is the disc radius the grid was built with.
+    geometries).
     """
 
     k: int
     beta: float
     mu: float
     alpha: float
-    rho: float
     delta: float
     q: float
 

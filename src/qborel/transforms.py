@@ -62,17 +62,15 @@ def check_admissible(T: complex, gamma: float, Delta: float,
             f"|eps*t| = {abs(T):.6g} exceeds the admissible radius r1 = {r1:.6g}")
 
 
-def inverse_fourier(f, z: complex, m_grid, beta: float | None = None):
+def inverse_fourier(f, z: complex, m_grid):
     """(2 pi)^(-1/2) integral of f(m) e^(i z m) dm by trapezoid on the grid.
 
-    f is a callable of m or samples on the grid; a stack of samples with the
-    grid as last axis gives one value per row.
+    f holds samples on the grid; a stack of samples with the grid as last
+    axis gives one value per row.  Callers check that z lies in the strip
+    where the integral converges (`LogSolution.laplace_pair`).
     """
     m = np.asarray(m_grid, dtype=float)
-    if beta is not None and abs(z.imag) >= beta:
-        raise DomainError(f"|Im z| = {abs(z.imag):.3g} >= beta = {beta}: integral diverges")
-    vals = f(m) if callable(f) else np.asarray(f)
-    total = np.sum(trapezoid_weights(m) * vals * np.exp(1j * z * m), axis=-1)
+    total = np.sum(trapezoid_weights(m) * np.asarray(f) * np.exp(1j * z * m), axis=-1)
     total = total / math.sqrt(2.0 * math.pi)
     return complex(total) if np.ndim(total) == 0 else total
 

@@ -32,7 +32,7 @@ from qborel.borel_solver import SolverContext, eps_kernels, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.problem_model import polyval_im
-from qborel.solution_assembly import LogSolution
+from qborel.solution_assembly import ARC_SAMPLES, LogSolution
 from qborel.special_functions import WeightParams, expq_weight, inv_theta, theta_scaled
 from qborel.transforms import check_admissible, convolution_kernel, inverse_fourier
 
@@ -314,8 +314,8 @@ def formal_order_rhs(spec, coef: np.ndarray, m: np.ndarray, n: int, p: int) -> n
 
 def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
                tol: float = 1e-13):
-    """(w_0, w_1) at rung g_arc and grid's n_angles uniform angles, by
-    increasing angle: (n_angles, n_m) each, from solved ring lines.
+    """(w_0, w_1) at rung g_arc and ARC_SAMPLES uniform angles, by
+    increasing angle: (ARC_SAMPLES, n_m) each, from solved ring lines.
 
     A radial line couples only to itself and the centre, and the centre to
     nothing, so the ring line at angle theta is its own grid: the ladder of
@@ -327,8 +327,8 @@ def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
         raise UsageError(f"ring lines over rungs {g_ring}..0 miss the arc rung {g_arc}")
     kernels = eps_kernels(spec, grid.m, eps)
     samples = []
-    for j in range(grid.n_angles):
-        ring = replace(grid, direction=2.0 * math.pi * j / grid.n_angles,
+    for j in range(ARC_SAMPLES):
+        ring = replace(grid, direction=2.0 * math.pi * j / ARC_SAMPLES,
                        g_lo=g_ring, g_hi=0)
         w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol, kernels=kernels)
         samples.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))

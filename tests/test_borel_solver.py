@@ -60,7 +60,8 @@ def test_apply_hl_respects_c3_bound(golden):
     ctx = SolverContext(spec, grid, eps)
     c3 = golden["ops"]["C3"][0]
     rng = np.random.default_rng(3)
-    w_nodes, w_center = grid.weights(spec)
+    weights = grid.stacked_weights(spec)
+    w_nodes, w_center = weights[:-1], weights[-1]
     worst = 0.0
     for _ in range(20):
         w = stacked(
@@ -80,7 +81,8 @@ def test_apply_hp_zero_and_bound(golden):
     assert weighted_norm(grid, spec, apply_HP(ctx, zero)) == 0.0
     bound = (spec.dD / spec.k) / consts["D1"] * max(1.0 / consts["C_D"], 1.0 / consts["D3"])
     rng = np.random.default_rng(5)
-    w_nodes, w_center = grid.weights(spec)
+    weights = grid.stacked_weights(spec)
+    w_nodes, w_center = weights[:-1], weights[-1]
     for _ in range(10):
         w = stacked(
             grid,
@@ -96,7 +98,7 @@ def test_apply_hp_vanishes_for_dD0(problem_dict):
     problem_dict["terms"][0]["delta"] = [0, 1]
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     ctx = SolverContext(spec, grid, 0.01)
     w = stacked(grid, 1.0, 1.0)
     assert weighted_norm(grid, spec, apply_HP(ctx, w)) == 0.0
@@ -129,7 +131,7 @@ def test_apply_h_zero_problem(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     w0, w1, rep = solve_coupled(spec, 0.01, grid, tol=1e-10)
     assert rep.iterations == 1
     assert weighted_norm(grid, spec, w0) == 0.0 and weighted_norm(grid, spec, w1) == 0.0
@@ -204,7 +206,7 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     ctx = SolverContext(spec, grid, 0.01)
     w0, w1, rep = solve_triangular(spec, 0.01, grid, tol=1e-10)
     want = ctx.F[1] * ctx.fac.inv_p
@@ -222,7 +224,7 @@ def test_contraction_estimate(golden):
 def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_nodes=81, n_angles=4))
+                      GridSpec(m_nodes=81))
     eps, probes, seed = 0.015, 4, 3
     calls = []
     real = SolverContext.apply_H
@@ -238,7 +240,8 @@ def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch
     # the pairwise formula, H applied to both members of every ordered pair
     ctx = SolverContext(spec, grid, eps)
     rng = np.random.default_rng(seed)
-    w_nodes, w_center = grid.weights(spec)
+    weights = grid.stacked_weights(spec)
+    w_nodes, w_center = weights[:-1], weights[-1]
 
     def random_fn():
         v = rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape)
@@ -299,7 +302,8 @@ def test_affine_linearity(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     ctx = SolverContext(spec, grid, eps)
     rng = np.random.default_rng(9)
-    w_nodes, w_center = grid.weights(spec)
+    weights = grid.stacked_weights(spec)
+    w_nodes, w_center = weights[:-1], weights[-1]
 
     def rand_fn():
         return stacked(
@@ -324,7 +328,7 @@ def test_divergence_detected(problem_dict):
     problem_dict["coeffs"]["CB"] = 5000.0
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     with pytest.raises(DivergenceError) as err:
         solve_coupled(spec, 0.015, grid, tol=1e-10, max_iter=60)
     assert len(err.value.history) >= 3
@@ -383,7 +387,7 @@ def _dense_affine_fixed_point(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
     m = np.linspace(-12.0, 12.0, 9)
-    grid = BorelGrid(spec.q, spec.k, 13, geom.rho, geom.delta, 0.0, m, -24, 6)
+    grid = BorelGrid(spec.q, 13, geom.rho, geom.delta, 0.0, m, -24, 6)
     eps = 0.015
 
     n, n_m = grid.n_nodes, m.size
@@ -483,7 +487,7 @@ def _random_function(grid, seed):
 def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
     # lines of 31 and 4 nodes: shifts 4 and 40 reach past the short line's top
     for g_lo, g_hi in ((-24, 6), (-3, 0)):
-        grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), g_lo, g_hi)
+        grid = BorelGrid(2.0, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), g_lo, g_hi)
         f = _random_function(grid, shift)
         got = grid.dilation(shift).apply(f)
         want = _dilate_per_row(grid, f[:-1], f[-1], shift)
@@ -494,7 +498,7 @@ def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
 
 
 def test_truncated_grid_keeps_the_ladder_and_the_rungs_above_the_cut():
-    grid = BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6,
+    grid = BorelGrid(2.0, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6,
                      T_min=1e-4, T_max=0.1)
     # the rung nearest rho/2: q^(g/N) = 1/2 at g = -N for q = 2
     assert grid.arc_rung() == -13
@@ -526,7 +530,7 @@ def test_truncated_grid_keeps_the_ladder_and_the_rungs_above_the_cut():
         with pytest.raises(UsageError, match="two rungs"):
             grid.rung_range(bottom, 6)
     with pytest.raises(UsageError, match="two rungs"):
-        BorelGrid(2.0, 13, 13, 0.7, 0.1, 0.3, grid.m, 0, 0)
+        BorelGrid(2.0, 13, 0.7, 0.1, 0.3, grid.m, 0, 0)
 
 
 def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):

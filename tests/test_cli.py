@@ -9,7 +9,8 @@ import pytest
 
 from qborel.borel_solver import SolveReport, TaylorRecursion
 from qborel.errors import ConfigError
-from qborel.cli import _relative_residual, cmd_solve, load_config, main, run, write_csv
+from qborel.cli import (COMMANDS, _relative_residual, cmd_solve, load_config, main, run,
+                        write_csv)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "example_k13.json"
@@ -19,7 +20,7 @@ def small_config(tmp_path, **overrides):
     """Reduced copy of the bundled config for fast CLI exercises."""
     cfg = json.loads(GOLDEN.read_text())
     cfg["quadrature"]["m_nodes"] = 81
-    cfg["grid"].update({"n_angles": 8, "T_min": 4e-6})
+    cfg["grid"].update({"T_min": 4e-6})
     cfg["geometry_m_grid"] = [-50.0, 50.0, 401]
     cfg["asymptotics"] = {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3],
                           "eps_decay": [0.006, 0.015, 4], "pair": 0}
@@ -76,7 +77,7 @@ def _problem_with(**fields):
 
 
 def _grid_with(**fields):
-    grid = {"n_angles": 8, "T_min": 4e-6, "T_max": 0.025}
+    grid = {"T_min": 4e-6, "T_max": 0.025}
     grid.update(fields)
     return {"grid": grid}
 
@@ -104,6 +105,19 @@ REJECTED_ON_LOAD = [
     _tolerances_with(formal_tol=0.0),
     _tolerances_with(formal_tol=math.nan),
     _tolerances_with(max_iter=0),
+    # rejected on load even for a verb that never reads them: check-geometry
+    # reads no m_nodes, formal no zeta or geometry_m_grid
+    {"quadrature": {"M": 12.0, "m_nodes": 80}},
+    {"covering": {"zeta": 1}},
+    {"geometry_m_grid": [-50.0, 40.0, 401]},
+]
+
+# one per key that load_config checks although some verbs never read it
+CHECKED_ON_LOAD = [
+    pytest.param({"quadrature": {"M": 12.0, "m_nodes": 240}}, "m_nodes", id="even_m_nodes"),
+    pytest.param({"covering": {"zeta": 1}}, "zeta", id="zeta_1"),
+    pytest.param({"geometry_m_grid": [-50.0, 40.0, 401]}, "geometry_m_grid",
+                 id="asymmetric_geometry_m_grid"),
 ]
 
 
@@ -115,7 +129,6 @@ def test_malformed_setting_fails_on_load(tmp_path, override):
 
 @pytest.mark.parametrize("override", [
     {"geometry_m_grid": [-50.0, 50.0]},
-    {"geometry_m_grid": [-50.0, 40.0, 401]},  # asymmetric: rejected by the verb
     {"eps": [0.5]},
     {"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018], "eps_decay": [0.006, 0.015, 4]}},
     {"asymptotics": {"N_max": 2, "eps_gevrey": [0.0, 0.018, 3], "eps_decay": [0.006, 0.015, 4]}},
@@ -132,6 +145,30 @@ def test_malformed_setting_fails_on_load(tmp_path, override):
 def test_malformed_setting_is_65(tmp_path, override):
     path = small_config(tmp_path, **override)
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
+
+
+@pytest.mark.parametrize("verb", COMMANDS)
+@pytest.mark.parametrize("override, key", CHECKED_ON_LOAD)
+def test_setting_unread_by_the_verb_is_65(tmp_path, capsys, verb, override, key):
+    path = small_config(tmp_path, **override)
+    assert run(verb, path, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_n_angles_setting_is_ignored(tmp_path):
+    # the arc takes ARC_SAMPLES samples whatever the grid section says
+    outs = []
+    for n_angles in (None, 8):
+        base = tmp_path / f"n_angles_{n_angles}"
+        base.mkdir()
+        path = small_config(base)
+        if n_angles is not None:
+            _with(path, lambda c: c["grid"].update(n_angles=n_angles))
+        assert run("asymptotics", path, str(base / "out")) == 0
+        outs.append((base / "out" / "decay.csv").read_bytes())
+    assert outs[0] == outs[1] and outs[0].count(b"\n") > 1
 
 
 def _quadrature_with(Delta):
@@ -440,7 +477,7 @@ def test_norms_csv_matches_the_per_node_loop(solved_small, tmp_path):
     rc, ctx = solved_small
     grid = ctx["grid"]
     w0, w1, _ = ctx["solution"]
-    w_nodes, _ = grid.weights(rc.spec)
+    w_nodes = grid.stacked_weights(rc.spec)[:-1]
     rows = []
     for i, tau in enumerate(grid.tau):
         rows.append((tau.real, tau.imag,

@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qborel import borel_solver, formal_asymptotics
+import qborel.solution_assembly as assembly
 from qborel.borel_solver import (
     GridSpec,
     SolverContext,
@@ -50,7 +50,7 @@ def asym():
     spec = ProblemSpec.from_dict(asymptotics_dict())
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, n_angles=16, T_min=5e-6, T_max=0.025)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, T_min=5e-6, T_max=0.025)
     family = SolutionFamily(spec, cov, gspec, tol=1e-13)
     series = formal_coefficients(spec, 7, m_grid=M_SMALL)
     return {"spec": spec, "cov": cov, "gspec": gspec, "family": family,
@@ -333,11 +333,11 @@ def test_difference_decay_fit_matches_theorem(asym):
 
 
 def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
-    # zero densities on the two sectors' lines, which reach as far as the
-    # ray tails read: solution_difference then runs every check and integral
-    # without a solve
+    # zero densities, with zero Taylor coefficients, on the two sectors'
+    # lines, which reach as far as the ray tails read: solution_difference
+    # then runs every check and integral without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._line(0)[1], family._line(1)[1]
+    grid_a, grid_b = family._line(0)[0], family._line(1)[0]
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
@@ -350,7 +350,9 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
     for eps in sweep + [10.0 * np.exp(1j * arg), 0.1 * np.exp(1j * (arg + 1.5)),
                         0.5 * np.exp(1j * arg)]:
         sols = [LogSolution(spec, g, stacked(g, 0.0, 0.0), stacked(g, 0.0, 0.0),
-                            eps, Delta=cov.Delta) for g in (grid_a, grid_b)]
+                            eps, Delta=cov.Delta,
+                            taylor=np.zeros((2, 1, g.m.size), dtype=complex))
+                for g in (grid_a, grid_b)]
         try:
             solution_difference(sols[0], sols[1], 0, t, 0.1)
             want = None
@@ -389,37 +391,58 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     # the arc rung up to the ray tail's reach at T_max, above build_grid's
     # top; one Taylor expansion per kept eps holds the rows below and gives
     # the arc
-    grid, line, picard = family._line(0)
+    line, picard = family._line(0)
+    grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     assert picard.g_lo == grid.arc_rung() - HELD_BELOW_ARC
     assert picard.g_hi == line.g_hi == tail_reach(spec, grid, grid.arc_rung(),
                                                   grid.T_max)[1]
     assert line.g_hi > grid.g_hi and line.g_lo == grid.g_lo
-    assert family._line(1)[2].n_nodes == picard.n_nodes
+    assert family._line(1)[1].n_nodes == picard.n_nodes
     assert family.grid_rows == 6 * (picard.n_nodes + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
 
 
 def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
-    # an arc without sample angles is a configuration error, and a Taylor
-    # series that has not converged by the order cap a numerical failure;
-    # neither is a DomainError, which an eps nudge could mend
-    spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    eps = 0.1 * np.exp(1j * np.angle(cov.overlap_sample(0)))
+    # a Taylor series that has not converged by the order cap is a numerical
+    # failure, not a DomainError, which an eps nudge could mend
+    spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
+    eps = complex(0.1 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     t = 0.06 * np.exp(1j * cov.t_direction)
     sol_a, sol_b = family.at(0, eps), family.at(1, eps)
     assert solution_difference(sol_a, sol_b, 0, t, 0.1) != 0.0
-
-    def fresh(grid):
-        return LogSolution(spec, grid, sol_a.w0, sol_a.w1, eps, Delta=cov.Delta)
-
-    with pytest.raises(ConfigError, match="n_angles"):
-        solution_difference(fresh(replace(sol_a.grid, n_angles=0)), sol_b, 0, t, 0.1)
-    # one order short of what this eps needs (the family's expansion for
-    # eps, which its solutions read)
+    # one order short of what this eps needs: the family's expansion for
+    # eps, which its solutions and their arcs read, raises before a solve
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", family.arc_orders[-1] - 1)
+    fresh = SolutionFamily(spec, cov, gspec, tol=family.tol)
     with pytest.raises(DivergenceError, match="does not converge"):
-        solution_difference(fresh(sol_a.grid), sol_b, 0, t, 0.1)
+        fresh.at(0, eps)
+    assert fresh.reports == {} and fresh.arc_orders == []
+
+
+def test_difference_without_taylor_coefficients_is_refused_first(asym, monkeypatch):
+    # the arc reads only the Taylor coefficients its solution was given; a
+    # solution without them still evaluates, but refuses a difference with a
+    # UsageError, which is no DomainError (so no nudge is tried), before any
+    # integral or Taylor sum
+    spec, cov, family = asym["spec"], asym["cov"], asym["family"]
+    eps = complex(0.1 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    t = 0.06 * np.exp(1j * cov.t_direction)
+    sol_a, sol_b = family.at(0, eps), family.at(1, eps)
+    bare = LogSolution(spec, sol_a.grid, sol_a.w0, sol_a.w1, eps, Delta=cov.Delta)
+    other = LogSolution(spec, sol_b.grid, sol_b.w0, sol_b.w1, eps, Delta=cov.Delta,
+                        taylor=sol_b.taylor)
+    assert bare.component(0, t, 0.1) == sol_a.component(0, t, 0.1)
+    bare._pairs.clear()
+
+    def no_taylor_sum(*args):
+        raise AssertionError("the arc summed a Taylor series")
+
+    monkeypatch.setattr(assembly, "taylor_values", no_taylor_sum)
+    with pytest.raises(UsageError, match="Taylor coefficients") as info:
+        solution_difference(bare, other, 0, t, 0.1)
+    assert not isinstance(info.value, DomainError)
+    assert bare._pairs == {} and other._pairs == {}
 
 
 def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
@@ -470,7 +493,7 @@ def test_family_rows_match_the_full_grid_solve(asym):
 def _full_line(family, p, eps, cls=LogSolution):
     """A whole-line Picard solve on the line of the family's sector p, as a
     cls."""
-    line = family._line(p)[1]
+    line = family._line(p)[0]
     solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
     w0, w1, _ = solve(family.spec, eps, line, tol=family.tol)
     return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
@@ -503,7 +526,7 @@ def test_family_rows_match_the_whole_line_solve(asym):
                                  (0.11 * np.exp(1j * overlap), (0, 1), [])):
         for p in sectors:
             sol = family.at(p, complex(eps))
-            picard = family._line(p)[2]
+            picard = family._line(p)[1]
             assert picard.n_nodes < sol.grid.n_nodes // 5
             _assert_rows_match(_full_line(family, p, complex(eps)), sol, points)
 
@@ -536,7 +559,7 @@ def test_family_residual_and_norms_read_the_free_rows_only(asym):
     sol = family.at(0, eps)
     rep = family.reports[(0, eps)]
     # the solution's rows on the range Picard solved
-    grid = family._line(0)[2]
+    grid = family._line(0)[1]
     rows = kept_rows(sol.grid, grid)
     w0, w1 = sol.w0[rows], sol.w1[rows]
     ctx = SolverContext(spec, grid, eps)
@@ -578,7 +601,7 @@ def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch)
     assert set(family._sols) == {(0, eps_b)}
     assert set(family.reports) == {(0, eps_a), (1, eps_a), (0, eps_b)}
     # grid_rows counts the stacked rows of the Picard ranges, not the lines
-    picard = family._line(0)[2]
+    picard = family._line(0)[1]
     assert solved == [picard.n_nodes + 1] * 3 and family.grid_rows == sum(solved)
     assert family.grid_rows < first.grid.n_nodes
     assert len(family.arc_orders) == 2
@@ -632,9 +655,9 @@ def test_taylor_samples_match_the_solved_ring_rows(asym):
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     for eps in (0.005j, 0.2j, 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))):
         w0, w1, _ = solve_triangular(spec, eps, grid, tol=family.tol)
-        sol = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
-        assert arc_sample_gap(sol) <= 1e-13
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+        sol = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta, taylor=coef)
+        assert arc_sample_gap(sol) <= 1e-13
         for c0, w in zip(coef[:, 0], (w0, w1)):
             assert np.abs(c0 - w[-1]).max() <= 1e-13 * np.abs(w[-1]).max()
 
@@ -647,13 +670,12 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     assert not spec.coeffs.triangular
     grid = build_grid(spec, make_geometry(spec, 0.0),
-                      GridSpec(m_max=12.0, m_nodes=81, n_angles=16,
-                               T_min=5e-6, T_max=0.025))
+                      GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6, T_max=0.025))
     eps = 0.15 * np.exp(0.3j)
     w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)
-    sol = LogSolution(spec, grid, w0, w1, eps)
-    assert arc_sample_gap(sol) <= 1e-13
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+    sol = LogSolution(spec, grid, w0, w1, eps, taylor=coef)
+    assert arc_sample_gap(sol) <= 1e-13
     for c0, w in zip(coef[:, 0], (w0, w1)):
         assert np.abs(c0 - w[-1]).max() <= 1e-13 * np.abs(w[-1]).max()
 

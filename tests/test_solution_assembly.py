@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qborel.borel_solver import GridSpec, build_grid, solve_coupled, solve_triangular
+from qborel.borel_solver import (GridSpec, build_grid, solve_coupled, solve_triangular,
+                                 taylor_at_origin)
 from qborel.errors import DomainError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec
@@ -102,7 +103,7 @@ def test_component_linearity_in_density(golden):
 def _fresh(sol, Delta=None):
     """The same solution with empty caches."""
     return LogSolution(sol.spec, sol.grid, sol.w0, sol.w1, sol.eps,
-                       Delta=sol.Delta if Delta is None else Delta)
+                       Delta=sol.Delta if Delta is None else Delta, taylor=sol.taylor)
 
 
 def test_cached_components_match_fresh_solution(golden_solution):
@@ -213,8 +214,8 @@ def test_cut_line_matches_the_line_to_the_old_top(golden):
     # build_grid's line used to run out to 16 rho; the ladder that far is the
     # oracle for the cut: the rows both lines hold agree within the solve
     # tolerance, and evaluate agrees to 1e-12 across [T_min, T_max]
-    spec, eps, grid, geom = golden["spec"], golden["eps"], golden["grid"], golden["geom"]
-    old_top = math.ceil(grid.N * math.log(geom.r_max / geom.rho) / spec.lnq)
+    spec, eps, grid = golden["spec"], golden["eps"], golden["grid"]
+    old_top = math.ceil(grid.N * math.log(16.0) / spec.lnq)
     assert grid.g_hi < grid.arc_rung() < old_top
     line = grid.rung_range(grid.g_lo, old_top)
     w0, w1, _ = solve_coupled(spec, eps, line, tol=1e-11)
@@ -288,7 +289,7 @@ def test_residual_borel_zero_problem(problem_dict):
     problem_dict["forcing"]["f1"] = {}
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81, n_angles=4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     zero = stacked(grid, 0.0, 0.0)
     assert residual_borel(zero, zero, spec, 0.01, grid) == 0.0
 
@@ -358,7 +359,7 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
     # the grid serves |eps t| from 1e-4, the smaller of the two points
-    grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=8, T_min=1e-4))
+    grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
     sol = LogSolution(spec, grid, w0, w1, eps)
@@ -380,7 +381,8 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
 
 @pytest.fixture(scope="module")
 def k1_pair():
-    """Triangular k = 1 instance solved on two directions at one eps."""
+    """Triangular k = 1 instance solved on two directions at one eps, each
+    given the Taylor coefficients at tau = 0 summed to the arc radius."""
     from tests.conftest import example_problem_dict
 
     d = example_problem_dict()
@@ -392,10 +394,10 @@ def k1_pair():
     sols = []
     for ray in (0.0, 0.5):
         geom = make_geometry(spec, d=ray)
-        grid = build_grid(spec, geom, GridSpec(m_nodes=161, n_angles=16, T_min=1e-4,
-                                               T_max=0.06))
+        grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4, T_max=0.06))
         w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
-        sols.append(LogSolution(spec, grid, w0, w1, eps))
+        coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+        sols.append(LogSolution(spec, grid, w0, w1, eps, taylor=coef))
     return spec, sols[0], sols[1]
 
 

@@ -160,12 +160,12 @@ def test_e_norm_weight_cancellation_and_homogeneity():
 
 @pytest.fixture
 def weight_params():
-    return WeightParams(k=2, beta=1.0, mu=2.5, alpha=0.3, rho=0.25, delta=1.3, q=2.0)
+    return WeightParams(k=2, beta=1.0, mu=2.5, alpha=0.3, delta=1.3, q=2.0)
 
 
 def test_expq_norm_weight_cancellation(weight_params):
     p = weight_params
-    tau = np.concatenate([np.linspace(0, p.rho, 8), np.exp(np.linspace(0, 3, 12))]).astype(complex)
+    tau = np.concatenate([np.linspace(0, 0.25, 8), np.exp(np.linspace(0, 3, 12))]).astype(complex)
     m = np.linspace(-10, 10, 41)
     w = 1.0 / expq_weight(tau, m, p)
     assert expq_norm(w, tau, m, p) == pytest.approx(1.0, rel=1e-13)

@@ -121,15 +121,9 @@ def test_inverse_fourier_zero_and_two_sided_exponential():
     m = np.linspace(-40, 40, 3201)
     assert inverse_fourier(np.zeros_like(m), 0.0 + 0.0j, m) == 0
     f = np.exp(-np.abs(m))
-    got = inverse_fourier(f, 0.0 + 0.0j, m, beta=1.0)
+    got = inverse_fourier(f, 0.0 + 0.0j, m)
     # closed form: (2 pi)^(-1/2) * integral e^(-|m|) dm = sqrt(2/pi)
     assert abs(got - math.sqrt(2.0 / math.pi)) < 2e-4
-
-
-def test_inverse_fourier_rejects_wide_strip():
-    m = np.linspace(-40, 40, 801)
-    with pytest.raises(DomainError):
-        inverse_fourier(np.exp(-np.abs(m)), 0.0 + 1.5j, m, beta=1.0)
 
 
 def test_inverse_fourier_derivative_rule():
@@ -174,7 +168,7 @@ def test_multiplication_property():
     conv = convolution_kernel(f, m, [1.0]) @ g
     for z in np.linspace(-0.4, 0.4, 10):
         zc = complex(z, 0.05)
-        lhs = inverse_fourier(f, zc, m) * inverse_fourier(g, zc, m)
+        lhs = inverse_fourier(f(m), zc, m) * inverse_fourier(g, zc, m)
         rhs = inverse_fourier(conv, zc, m)
         assert abs(lhs - rhs) < 1e-5 * abs(lhs)
 
