@@ -18,10 +18,12 @@ coupling in tau is the pure rung shift.
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
 order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).
-`SolutionFamily` sums a line's rows up to about rho/2 and the arc of a
-sector difference from them, and runs Picard only above.  With
-coefficients that are truncated eps-series, the same recursion gives the
-formal series (`formal_asymptotics`).
+`solve_held` is the one solve path of every `LogSolution`: it sums a line's
+rows up to the arc rung, about rho/2, from them and runs Picard only above,
+and on a line that ends below the arc rung it runs no Picard at all.
+`solve_coupled` on a whole line remains the paper's fixed point, which the
+`solve` verb writes out.  With coefficients that are truncated eps-series,
+the same recursion gives the formal series (`formal_asymptotics`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
     "SolverContext",
     "solve_coupled",
     "solve_triangular",
+    "held_bottom",
+    "solve_held",
     "contraction_estimate",
     "TaylorRecursion",
     "taylor_at_origin",
@@ -589,6 +593,53 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     # reads no omega_0 because b_01 = 0
     return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
                          [run1, run0])
+
+
+# rungs below the arc rung from which `solve_held` runs Picard, holding the
+# rungs between at the Taylor sum: the ray tail of a sector difference reads
+# 2 of them (`solution_assembly.TAIL_REACH`)
+HELD_BELOW_ARC = 5
+
+
+def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
+    """The lowest rung `solve_held` runs Picard on, on a line of grid's
+    ladder: HELD_BELOW_ARC rungs below the arc rung, or more where a dilation
+    shift reaches further, so that the held block spans the largest shift."""
+    return grid.arc_rung() - max(HELD_BELOW_ARC, max(rung_shifts(spec, grid.N)) - 1)
+
+
+def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray,
+               kernels, tol: float = 1e-10, max_iter: int = 200):
+    """(w0, w1, report, picard): omega_0 and omega_1 on the stacked rows of
+    line, with the rows inside the disc summed from their Taylor
+    coefficients coef at tau = 0 and Picard run only above.
+
+    coef must converge at the radius of the lower of the line's top and its
+    arc rung (`taylor_at_origin`), and kernels is eps_kernels(spec, line.m,
+    eps).  The rows up to the arc rung and the centre come from
+    `taylor_values`.  When the line's top lies at or below the arc rung,
+    that is every row, and report and picard are None.  Otherwise Picard
+    (`solve_triangular` for b_01 = 0, else `solve_coupled`) runs on the
+    rung range picard from `held_bottom` to the top, with the rows up to
+    the arc rung and the centre held, and report is its SolveReport; the
+    line must then reach down to `held_bottom`.
+    """
+    g_arc, g_lo = line.arc_rung(), held_bottom(spec, line)
+    if line.g_hi <= g_arc:
+        w0, w1 = taylor_values(coef, line.stacked_tau)
+        return w0, w1, None, None
+    if g_lo < line.g_lo:
+        raise UsageError(f"the line [{line.g_lo}, {line.g_hi}] must reach rung {g_lo}, "
+                         "the bottom of the held block below its arc rung")
+    picard = line.rung_range(g_lo, line.g_hi)
+    n_disc = g_arc - line.g_lo + 1
+    disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
+    below = g_lo - line.g_lo
+    solve = solve_triangular if spec.coeffs.triangular else solve_coupled
+    *ws, report = solve(spec, eps, picard, tol=tol, max_iter=max_iter, kernels=kernels,
+                        held=disc[:, below:])
+    w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
+    return w0, w1, report, picard
 
 
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borel_solver import GridSpec, build_grid, contraction_estimate, eps_kernels, solve_coupled
+from .borel_solver import (GridSpec, _weighted_sup, build_grid, contraction_estimate,
+                           eps_kernels, solve_coupled, solve_held, taylor_at_origin)
 from .errors import ConfigError, DivergenceError, DomainError, GeometryError, UsageError
 from .formal_asymptotics import (
     SolutionFamily,
@@ -301,33 +302,45 @@ def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
     return 0
 
 
-def _solve(rc: RunConfig, ctx: dict):
-    if "solution" not in ctx:
-        grid = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
-        # one build of the eps_solve kernels serves the solve, the
-        # contraction probe and the Borel residual
-        ctx["eps_kernels"] = eps_kernels(rc.spec, grid.m, rc.eps_solve)
-        w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid,
-                                       tol=rc.solve_tol, max_iter=rc.max_iter,
-                                       kernels=ctx["eps_kernels"])
-        ctx["grid"] = grid
-        ctx["solution"] = (w0, w1, report)
-    return ctx["solution"]
+def _line(rc: RunConfig, ctx: dict):
+    """(grid, kernels): `build_grid`'s line in the first Borel direction and
+    the eps_solve kernels on it, built once per run.  One kernel build
+    serves the whole-line solve, the contraction probe, the Taylor
+    expansion of the held-row solve and the Borel residual."""
+    if "grid" not in ctx:
+        ctx["grid"] = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
+    if "eps_kernels" not in ctx:
+        ctx["eps_kernels"] = eps_kernels(rc.spec, ctx["grid"].m, rc.eps_solve)
+    return ctx["grid"], ctx["eps_kernels"]
+
+
+def _relative(value: float, norms) -> float:
+    """value over the larger weighted solution norm (absolute when the
+    solution is zero), so rounding noise reads near machine epsilon."""
+    scale = max(norms)
+    return value / scale if scale > 0 else value
 
 
 def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     small = _certificate(rc, ctx)[2]
-    w0, w1, report = _solve(rc, ctx)
-    grid = ctx["grid"]
+    grid, kernels = _line(rc, ctx)
+    # the paper's fixed point, by Picard on the whole line; its rows are
+    # written out here and not kept in ctx
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
+                                   max_iter=rc.max_iter, kernels=kernels)
     np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
-    w_nodes = grid.stacked_weights(rc.spec)[:-1]
-    sup0, sup1 = (np.max(w_nodes * np.abs(w[:-1]), axis=1) for w in (w0, w1))
+    weights = grid.stacked_weights(rc.spec)
+    sup0, sup1 = (np.max(weights[:-1] * np.abs(w[:-1]), axis=1) for w in (w0, w1))
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
               list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
     contraction = contraction_estimate(rc.spec, rc.eps_solve, grid, probes=4,
-                                       seed=rc.seed, kernels=ctx.get("eps_kernels"))
+                                       seed=rc.seed, kernels=kernels)
+    # two methods, one fixed point: the rows that evaluate and residual read
+    # against the Picard rows
+    sol = _log_solution(rc, ctx)
+    gap = max(_weighted_sup(a - b, weights) for a, b in ((w0, sol.w0), (w1, sol.w1)))
     write_json(rc.output_dir / "solve_report.json", {
         "eps": rc.eps_solve, "iterations": report.iterations,
         "final_update": report.final_update,
@@ -336,15 +349,22 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
         "norms": list(report.norms), "residual": report.residual,
         "smallness_ok": small["pass"], "varpi": report.varpi,
         "grid_nodes": grid.n_nodes, "ladder_density": grid.N,
+        "taylor_gap": _relative(gap, report.norms),
     })
     return 0
 
 
 def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
+    """The solution that evaluate and residual read, on `build_grid`'s line:
+    its rows up to the lower of the line's top and the arc rung summed from
+    the Taylor series at tau = 0, and Picard only above (`solve_held`)."""
     if "log_solution" not in ctx:
-        w0, w1, _ = _solve(rc, ctx)
-        ctx["log_solution"] = LogSolution(rc.spec, ctx["grid"], w0, w1,
-                                          rc.eps_solve,
+        grid, kernels = _line(rc, ctx)
+        radius = grid.radius_of_rung(min(grid.g_hi, grid.arc_rung()))
+        coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m, radius, kernels)
+        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef, kernels,
+                                  tol=rc.solve_tol, max_iter=rc.max_iter)
+        ctx["log_solution"] = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve,
                                           Delta=rc.Delta)
     return ctx["log_solution"]
 
@@ -368,9 +388,8 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
     if not rc.points:
         raise UsageError("residual requires points in the configuration")
     sol = _log_solution(rc, ctx)
-    w0, w1, _ = ctx["solution"]
-    borel = residual_borel(w0, w1, rc.spec, rc.eps_solve, ctx["grid"],
-                           kernels=ctx.get("eps_kernels"))
+    borel = residual_borel(sol.w0, sol.w1, rc.spec, rc.eps_solve, sol.grid,
+                           kernels=_line(rc, ctx)[1])
     defects = residual_physical(sol, rc.spec, rc.points)
     rows = [(t.real, t.imag, z.real, z.imag, float(r))
             for (t, z), r in zip(rc.points, defects)]
@@ -406,16 +425,15 @@ def cmd_formal(rc: RunConfig, ctx: dict) -> int:
 
 
 def _relative_residual(report) -> float:
-    """Residual over the larger weighted solution norm (absolute when the
-    solution is zero), so rounding noise reads near machine epsilon."""
-    scale = max(report.norms)
-    return report.residual / scale if scale > 0 else report.residual
+    """A solve's residual relative to its norms (`_relative`)."""
+    return _relative(report.residual, report.norms)
 
 
 def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
-    # the eps_solve kernels serve `solve` and `residual` only; released here,
-    # they do not sit under the peak memory of the solves below (a later
-    # verb that still wants them builds its own)
+    # the eps_solve kernels serve `solve`, the Taylor expansion that
+    # `evaluate` and `residual` read and the Borel residual only; released
+    # here, they do not sit under the peak memory of the solves below (a
+    # later verb that still wants them builds them again)
     ctx.pop("eps_kernels", None)
     cov = _covering(rc, ctx)
     series = _series(rc, ctx)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels,
-                           rung_shifts, solve_coupled, solve_triangular,
-                           taylor_at_origin, taylor_values)
+from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels, held_bottom,
+                           solve_held, taylor_at_origin)
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
@@ -117,11 +116,6 @@ def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
     return inverse_fourier(total, complex(z), series.m)
 
 
-# rungs below the arc rung from which the family holds each line at the
-# Taylor sum: the ray tail's stencil reaches TAIL_REACH of them
-HELD_BELOW_ARC = 5
-
-
 class SolutionFamily:
     """Analytic solutions indexed by covering sector, solved on demand.
 
@@ -132,22 +126,23 @@ class SolutionFamily:
     [T_min, T_max] read, to the higher of its top and the top rung that the
     ray tail of a sector difference reads at T_max (`tail_reach`).  One
     Taylor expansion at tau = 0 per eps (`_taylor`, summed to the arc
-    radius, about rho/2) gives the rows up to the arc rung g_arc, the
-    centre and the arc of a sector difference: every solution carries it as
+    radius, about rho/2) gives the centre, the rows up to the arc rung
+    g_arc and the arc of a sector difference: every solution carries it as
     `LogSolution.taylor`, the one source of its arc samples, and
-    `arc_orders` records the highest order of each.  Picard runs only on
-    the rung range from HELD_BELOW_ARC rungs below g_arc to the top, with
-    the rows up to g_arc and the centre held.  The expansion and both
-    sectors' solves at one eps share one eps_kernels build.  Only the last
-    eps's kernels, expansion and solutions are kept, so the family's memory
-    does not grow with the samples.
+    `arc_orders` records the highest order of each.  The line's rows come
+    from `borel_solver.solve_held`, the solve path that the CLI's
+    `evaluate` and `residual` share: Picard runs only on the rung range
+    from `held_bottom` to the top, with the rows up to g_arc and the centre
+    held at the expansion.  The expansion and both sectors' solves at one
+    eps share one eps_kernels build.  Only the last eps's kernels,
+    expansion and solutions are kept, so the family's memory does not grow
+    with the samples.
 
     A solution's rows agree to within the solve tolerance with a whole-line
     Picard solve on its line.  `reports` keeps the SolveReport of every
     solve under its (sector, eps) key, whose residual and norms read the
     free rows only; `grid_rows` counts the stacked rows of every Picard
-    range.  A spec with b_01 = 0 is solved by forward substitution
-    (`solve_triangular`), any other by the coupled Picard iteration.
+    range.
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
@@ -165,21 +160,15 @@ class SolutionFamily:
         self.grid_rows = 0                  # stacked rows of every Picard range
 
     def _line(self, p: int):
-        """(line, picard) of sector p: the line of its solutions and the rung
-        range of that line that Picard solves, from the held block's bottom
-        rung, HELD_BELOW_ARC rungs below the arc rung (or more where a
-        dilation shift reaches further), to the top.  Both are rung ranges of
-        `build_grid`'s grid and carry its ladder, direction, m grid and T
-        range, all that is read of it."""
+        """The line of sector p's solutions: a rung range of `build_grid`'s
+        grid, from the lower of its bottom and `held_bottom` to the top, with
+        its ladder, direction, m grid and T range, all that is read of it."""
         p = p % self.covering.zeta
         if p not in self._lines:
             geom = make_geometry(self.spec, self.covering.d_rays[p], m_grid=self.m_grid)
             grid = build_grid(self.spec, geom, self.gspec)
-            g_arc = grid.arc_rung()
-            g_lo = g_arc - max(HELD_BELOW_ARC, max(rung_shifts(self.spec, grid.N)) - 1)
-            top = max(grid.g_hi, tail_reach(self.spec, grid, g_arc, grid.T_max)[1])
-            self._lines[p] = (grid.rung_range(min(grid.g_lo, g_lo), top),
-                              grid.rung_range(g_lo, top))
+            top = max(grid.g_hi, tail_reach(self.spec, grid, grid.arc_rung(), grid.T_max)[1])
+            self._lines[p] = grid.rung_range(min(grid.g_lo, held_bottom(self.spec, grid)), top)
         return self._lines[p]
 
     def _taylor(self, eps: complex):
@@ -187,7 +176,7 @@ class SolutionFamily:
         coefficients at tau = 0 summed to the arc radius, built from them
         (kept for the last eps asked for, whose solutions alone are kept)."""
         if self._expansion is None or self._expansion[0] != eps:
-            line = self._line(0)[0]
+            line = self._line(0)
             kernels = eps_kernels(self.spec, line.m, eps)
             coef = taylor_at_origin(self.spec, eps, line.m,
                                     line.radius_of_rung(line.arc_rung()), kernels)
@@ -202,16 +191,12 @@ class SolutionFamily:
         key = (p, complex(eps))
         if key not in self._sols:
             kernels, coef = self._taylor(key[1])
-            line, picard = self._line(p)
-            # the line's rows on the disc, up to the arc rung, and the centre
-            n_disc = picard.arc_rung() - line.g_lo + 1
-            disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
-            below = picard.g_lo - line.g_lo
-            solve = solve_triangular if self.spec.coeffs.triangular else solve_coupled
-            *ws, self.reports[key] = solve(self.spec, eps, picard, tol=self.tol,
-                                           kernels=kernels, held=disc[:, below:])
-            self.grid_rows += picard.n_nodes + 1
-            w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
+            line = self._line(p)
+            w0, w1, report, picard = solve_held(self.spec, eps, line, coef, kernels,
+                                                tol=self.tol)
+            if picard is not None:
+                self.reports[key] = report
+                self.grid_rows += picard.n_nodes + 1
             self._sols[key] = LogSolution(self.spec, line, w0, w1, eps,
                                           Delta=self.covering.Delta, taylor=coef)
         return self._sols[key]
@@ -294,7 +279,7 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     spec = family.spec
     rep = AsymptoticsReport()
     probes = default_probes(family.covering) if probes is None else probes
-    line_a, line_b = family._line(p)[0], family._line(p + 1)[0]
+    line_a, line_b = family._line(p), family._line(p + 1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     deltas = {0: [], 1: []}
     used_eps = []

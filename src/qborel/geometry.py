@@ -378,12 +378,13 @@ def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
         best, blocked = None, []
         order = sorted(candidates, key=lambda c: abs(math.remainder(c - center, 2 * math.pi)))
         for d in order:
-            gap, witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
-            if witness is not None:
-                blocked.append((d, f"roots at m={witness[0]}"))
-                continue
+            # the cheap test first: a root scan costs a pass over the m grid
             if abs(math.remainder(math.pi - d, 2 * math.pi)) < SECTOR_APERTURE:
                 blocked.append((d, "negative axis"))
+                continue
+            witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)[1]
+            if witness is not None:
+                blocked.append((d, f"roots at m={witness[0]}"))
                 continue
             if ray_cone_clearance(d, lo, hi) < Delta:
                 blocked.append((d, "kernel cone"))

@@ -12,7 +12,9 @@ from qborel.borel_solver import (
     _picard,
     build_grid,
     contraction_estimate,
+    held_bottom,
     solve_coupled,
+    solve_held,
     solve_triangular,
 )
 from qborel.errors import DivergenceError, UsageError
@@ -581,3 +583,9 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     assert not w0[:shift].any() and not w1[-1].any() and rep.norms[1] > 0
     with pytest.raises(UsageError):
         grid.rung_range(grid.g_hi, grid.g_hi)
+    # solve_held holds the block from held_bottom up: a line above the arc
+    # rung that starts higher cannot hold it, and is refused before a solve
+    assert held_bottom(spec, grid) == grid.arc_rung() - max(5, shift - 1) and grid.g_hi > 0
+    short = grid.rung_range(held_bottom(spec, grid) + 1, grid.g_hi)
+    with pytest.raises(UsageError, match="must reach"):
+        solve_held(spec, 0.015, short, np.zeros((2, 1, short.m.size)), None)

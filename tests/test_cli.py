@@ -444,19 +444,32 @@ def test_points_csv_list(tmp_path):
 
 @pytest.fixture(scope="module")
 def solved_small(tmp_path_factory):
-    """`cmd_solve` on the reduced config, with the solve it wrote out."""
+    """`cmd_solve` on the reduced config, its ctx and the whole-line solve it
+    wrote out, recorded as `solve_coupled` returned it: ctx keeps only the
+    held-row solution that evaluate and residual read."""
+    import qborel.cli as cli
+
     tmp = tmp_path_factory.mktemp("solve")
     rc = load_config(small_config(tmp), str(tmp / "out"))
     rc.output_dir.mkdir()
     ctx: dict = {}
-    assert cmd_solve(rc, ctx) == 0
-    return rc, ctx
+    solved = []
+    solve = cli.solve_coupled
+
+    def recorded(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "solve_coupled", recorded)
+        assert cmd_solve(rc, ctx) == 0
+    assert len(solved) == 1
+    return rc, ctx, solved[0]
 
 
 def test_omega_npz_holds_the_solved_grid(solved_small):
-    rc, ctx = solved_small
+    rc, ctx, (w0, w1, _) = solved_small
     grid = ctx["grid"]
-    w0, w1, _ = ctx["solution"]
     with np.load(rc.output_dir / "omega.npz", allow_pickle=False) as f:
         arrays = {key: f[key] for key in f.files}
     assert set(arrays) == {"tau", "m", "omega0", "omega1"}
@@ -474,9 +487,8 @@ def test_omega_npz_holds_the_solved_grid(solved_small):
 
 
 def test_norms_csv_matches_the_per_node_loop(solved_small, tmp_path):
-    rc, ctx = solved_small
+    rc, ctx, (w0, w1, _) = solved_small
     grid = ctx["grid"]
-    w0, w1, _ = ctx["solution"]
     w_nodes = grid.stacked_weights(rc.spec)[:-1]
     rows = []
     for i, tau in enumerate(grid.tau):
@@ -495,3 +507,82 @@ def test_relative_residual_divides_by_the_larger_norm():
     zero = SolveReport(iterations=1, final_update=0.0, contraction=0.0,
                        norms=(0.0, 0.0), residual=0.0)
     assert _relative_residual(zero) == 0.0
+
+
+def test_evaluate_and_residual_solve_no_picard_on_the_example(tmp_path, monkeypatch):
+    # the example's line tops out at 0.011 rho, below the arc rung, so the
+    # Taylor series at tau = 0 gives every row that the point verbs read
+    import qborel.borel_solver as borel_solver
+    import qborel.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Picard solve ran")
+
+    for module, name in ((borel_solver, "solve_coupled"), (borel_solver, "solve_triangular"),
+                         (cli, "solve_coupled")):
+        monkeypatch.setattr(module, name, refuse)
+    for verb in ("evaluate", "residual"):
+        assert run(verb, GOLDEN, str(tmp_path / verb)) == 0, verb
+    report = json.loads((tmp_path / "residual" / "residual_report.json").read_text())
+    assert report["borel_residual"] <= 1e-12 and report["physical_residual_max"] <= 1e-15
+
+
+def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch):
+    # the wide config's line tops out at 0.73 rho, above the arc rung: the
+    # held-row solve runs Picard there only, and matches the whole-line
+    # solve_coupled row for row and in evaluate
+    import qborel.borel_solver as borel_solver
+    import qborel.cli as cli
+    from qborel.borel_solver import held_bottom, solve_coupled
+    from qborel.solution_assembly import LogSolution
+
+    rc = load_config(CONFIG_DIR / "asymptotics_k13.json")
+    ranges = []
+    solve = borel_solver.solve_triangular
+
+    def recorded(spec, eps, grid, **kwargs):
+        ranges.append((grid.g_lo, grid.g_hi))
+        return solve(spec, eps, grid, **kwargs)
+
+    monkeypatch.setattr(borel_solver, "solve_triangular", recorded)
+    ctx: dict = {}
+    sol = cli._log_solution(rc, ctx)
+    grid = ctx["grid"]
+    assert grid.g_hi > grid.arc_rung()
+    assert ranges == [(held_bottom(rc.spec, grid), grid.g_hi)]
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
+                                   max_iter=rc.max_iter, kernels=ctx["eps_kernels"])
+    weights = grid.stacked_weights(rc.spec)
+    gap = max(float(np.max(weights * np.abs(a - b))) for a, b in ((w0, sol.w0), (w1, sol.w1)))
+    assert gap <= 1e-14 * max(report.norms)
+    full = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve, Delta=rc.Delta)
+    for t, z in rc.points:
+        for got, want in zip(sol.evaluate_parts(t, z), full.evaluate_parts(t, z)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_solve_reports_the_taylor_gap(tmp_path, name):
+    # the whole-line Picard rows against the held-path rows that evaluate
+    # and residual read: two methods for one fixed point
+    assert run("solve", CONFIG_DIR / name, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["taylor_gap"] <= 1e-12
+
+
+def test_all_builds_the_point_verbs_solution_once(tmp_path, monkeypatch):
+    # solve builds the held-path solution for its taylor_gap, and evaluate
+    # and residual read that one solution
+    import qborel.cli as cli
+
+    expansions = []
+    expand = cli.taylor_at_origin
+
+    def counted(*args, **kwargs):
+        expansions.append(args[1])
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "taylor_at_origin", counted)
+    path = small_config(tmp_path)
+    assert run("all", path, str(tmp_path / "out")) == 0
+    assert expansions == [load_config(path).eps_solve]

@@ -6,16 +6,17 @@ import pytest
 from qborel import borel_solver, formal_asymptotics
 import qborel.solution_assembly as assembly
 from qborel.borel_solver import (
+    HELD_BELOW_ARC,
     GridSpec,
     SolverContext,
     build_grid,
+    held_bottom,
     solve_coupled,
     solve_triangular,
     taylor_at_origin,
 )
 from qborel.errors import ConfigError, DivergenceError, DomainError, UsageError, ZeroRingError
 from qborel.formal_asymptotics import (
-    HELD_BELOW_ARC,
     SolutionFamily,
     default_probes,
     difference_decay_fit,
@@ -337,7 +338,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
     # lines, which reach as far as the ray tails read: solution_difference
     # then runs every check and integral without a solve
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
-    grid_a, grid_b = family._line(0)[0], family._line(1)[0]
+    grid_a, grid_b = family._line(0), family._line(1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     arg = np.angle(cov.overlap_sample(0))
     t = 0.06 * np.exp(1j * cov.t_direction)
@@ -391,13 +392,13 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     # the arc rung up to the ray tail's reach at T_max, above build_grid's
     # top; one Taylor expansion per kept eps holds the rows below and gives
     # the arc
-    line, picard = family._line(0)
+    line, picard = family._line(0), _picard(family, 0)
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     assert picard.g_lo == grid.arc_rung() - HELD_BELOW_ARC
     assert picard.g_hi == line.g_hi == tail_reach(spec, grid, grid.arc_rung(),
                                                   grid.T_max)[1]
     assert line.g_hi > grid.g_hi and line.g_lo == grid.g_lo
-    assert family._line(1)[1].n_nodes == picard.n_nodes
+    assert _picard(family, 1).n_nodes == picard.n_nodes
     assert family.grid_rows == 6 * (picard.n_nodes + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
@@ -490,10 +491,16 @@ def test_family_rows_match_the_full_grid_solve(asym):
             assert abs(solution_difference(*sols, j, t, z) - ref) <= 1e-12 * abs(ref)
 
 
+def _picard(family, p):
+    """The rung range of sector p's line that `solve_held` runs Picard on."""
+    line = family._line(p)
+    return line.rung_range(held_bottom(family.spec, line), line.g_hi)
+
+
 def _full_line(family, p, eps, cls=LogSolution):
     """A whole-line Picard solve on the line of the family's sector p, as a
     cls."""
-    line = family._line(p)[0]
+    line = family._line(p)
     solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
     w0, w1, _ = solve(family.spec, eps, line, tol=family.tol)
     return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
@@ -526,7 +533,7 @@ def test_family_rows_match_the_whole_line_solve(asym):
                                  (0.11 * np.exp(1j * overlap), (0, 1), [])):
         for p in sectors:
             sol = family.at(p, complex(eps))
-            picard = family._line(p)[1]
+            picard = _picard(family, p)
             assert picard.n_nodes < sol.grid.n_nodes // 5
             _assert_rows_match(_full_line(family, p, complex(eps)), sol, points)
 
@@ -559,7 +566,7 @@ def test_family_residual_and_norms_read_the_free_rows_only(asym):
     sol = family.at(0, eps)
     rep = family.reports[(0, eps)]
     # the solution's rows on the range Picard solved
-    grid = family._line(0)[1]
+    grid = _picard(family, 0)
     rows = kept_rows(sol.grid, grid)
     w0, w1 = sol.w0[rows], sol.w1[rows]
     ctx = SolverContext(spec, grid, eps)
@@ -584,13 +591,13 @@ def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch)
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
     family = SolutionFamily(spec, cov, gspec, tol=1e-13)
     solved = []
-    solve = formal_asymptotics.solve_triangular
+    solve = borel_solver.solve_triangular
 
     def counted(spec, eps, grid, **kwargs):
         solved.append(grid.n_nodes + 1)
         return solve(spec, eps, grid, **kwargs)
 
-    monkeypatch.setattr(formal_asymptotics, "solve_triangular", counted)
+    monkeypatch.setattr(borel_solver, "solve_triangular", counted)
     eps_a, eps_b = (complex(m * np.exp(1j * cov.directions[0])) for m in (0.1, 0.2))
     first = family.at(0, eps_a)
     assert family.at(0, eps_a) is first and family.at(2, eps_a) is first
@@ -601,7 +608,7 @@ def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch)
     assert set(family._sols) == {(0, eps_b)}
     assert set(family.reports) == {(0, eps_a), (1, eps_a), (0, eps_b)}
     # grid_rows counts the stacked rows of the Picard ranges, not the lines
-    picard = family._line(0)[1]
+    picard = _picard(family, 0)
     assert solved == [picard.n_nodes + 1] * 3 and family.grid_rows == sum(solved)
     assert family.grid_rows < first.grid.n_nodes
     assert len(family.arc_orders) == 2

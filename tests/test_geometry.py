@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +243,26 @@ def test_good_covering_two_sectors(example_spec):
 def test_covering_rejects_oversized_radius(example_spec):
     with pytest.raises(GeometryError):
         build_good_covering(2, example_spec.eps0, example_spec, t_radius=500.0)
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_covering_scans_roots_only_off_the_negative_axis(monkeypatch, name):
+    # the negative-axis test runs before the root scan, so the candidates
+    # near pi that it rejects cost no scan of the m grid: one scan per sector
+    import qborel.geometry as geometry
+    from qborel.cli import load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    scanned = []
+    scan = geometry.sector_root_clearance
+
+    def counted(spec, d, *args):
+        scanned.append(d)
+        return scan(spec, d, *args)
+
+    monkeypatch.setattr(geometry, "sector_root_clearance", counted)
+    cov = build_good_covering(rc.zeta, rc.spec.eps0, rc.spec, t_radius=rc.t_radius,
+                              t_aperture=rc.t_aperture, t_direction=rc.t_direction,
+                              m_grid=rc.geometry_m_grid, Delta=rc.Delta)
+    assert cov.d_rays == [0.0, -3.045599544730105]
+    assert scanned == cov.d_rays
