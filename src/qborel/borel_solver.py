@@ -19,8 +19,10 @@ Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
 order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).
 `solve_held` is the one solve path of every `LogSolution`: it sums a line's
-rows up to the arc rung, about rho/2, from them and runs Picard only above,
-and on a line that ends below the arc rung it runs no Picard at all.
+rows up to the arc rung, about rho/2, from them and runs Picard only on the
+rows above, holding just the summed rungs those read, one largest dilation
+shift (`held_bottom`); on a line that ends below the arc rung it runs no
+Picard at all.
 `solve_coupled` on a whole line remains the paper's fixed point, which the
 `solve` verb writes out.  With coefficients that are truncated eps-series,
 the same recursion gives the formal series (`formal_asymptotics`).
@@ -117,6 +119,7 @@ class BorelGrid:
         g = np.arange(self.g_lo, self.g_hi + 1)
         self.tau = self.rho * self.spec_q ** (g / self.N) * np.exp(1j * self.direction)
         self._dilations = {}
+        self._ranges = {}
 
     @property
     def n_nodes(self) -> int:
@@ -170,9 +173,14 @@ class BorelGrid:
         share at least one dilation shift above both bottoms solve alike.
         The rungs just above a new bottom read below it through the bottom
         quadratic, so a solve on a range cut from below must hold its lowest
-        rows (`held` of `solve_triangular`/`solve_coupled`).
+        rows (`held` of `solve_triangular`/`solve_coupled`).  The same
+        (g_lo, g_hi) gives the same grid object (cached per grid), so its
+        factors, dilations and weights are built once.
         """
-        return replace(self, g_lo=g_lo, g_hi=g_hi)
+        key = (g_lo, g_hi)
+        if key not in self._ranges:
+            self._ranges[key] = replace(self, g_lo=g_lo, g_hi=g_hi)
+        return self._ranges[key]
 
 
 @dataclass(frozen=True)
@@ -595,17 +603,13 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                          [run1, run0])
 
 
-# rungs below the arc rung from which `solve_held` runs Picard, holding the
-# rungs between at the Taylor sum: the ray tail of a sector difference reads
-# 2 of them (`solution_assembly.TAIL_REACH`)
-HELD_BELOW_ARC = 5
-
-
 def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
     """The lowest rung `solve_held` runs Picard on, on a line of grid's
-    ladder: HELD_BELOW_ARC rungs below the arc rung, or more where a dilation
-    shift reaches further, so that the held block spans the largest shift."""
-    return grid.arc_rung() - max(HELD_BELOW_ARC, max(rung_shifts(spec, grid.N)) - 1)
+    ladder: the largest dilation shift less one below the arc rung.  The
+    held block, from there up to the arc rung, then spans exactly the
+    largest shift, the least that `_holding` accepts: the lowest free rung
+    reads one shift below itself."""
+    return grid.arc_rung() - max(rung_shifts(spec, grid.N)) + 1
 
 
 def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray,
@@ -630,7 +634,7 @@ def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarra
         return w0, w1, None, None
     if g_lo < line.g_lo:
         raise UsageError(f"the line [{line.g_lo}, {line.g_hi}] must reach rung {g_lo}, "
-                         "the bottom of the held block below its arc rung")
+                         "the bottom of its held block")
     picard = line.rung_range(g_lo, line.g_hi)
     n_disc = g_arc - line.g_lo + 1
     disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])

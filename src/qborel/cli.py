@@ -132,7 +132,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         if max_iter < 1:
             raise ConfigError(f"tolerances max_iter = {max_iter} must be >= 1")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
-        # the symmetry bound of validate_assumptions, checked here for every verb
+        # the symmetry bound of the assumption checks, checked here for every verb
         if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
             raise ConfigError(f"geometry_m_grid = {list(mg)} must be symmetric about 0")
         asym = _section(raw, "asymptotics")

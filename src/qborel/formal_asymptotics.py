@@ -132,11 +132,13 @@ class SolutionFamily:
     `arc_orders` records the highest order of each.  The line's rows come
     from `borel_solver.solve_held`, the solve path that the CLI's
     `evaluate` and `residual` share: Picard runs only on the rung range
-    from `held_bottom` to the top, with the rows up to g_arc and the centre
-    held at the expansion.  The expansion and both sectors' solves at one
-    eps share one eps_kernels build.  Only the last eps's kernels,
-    expansion and solutions are kept, so the family's memory does not grow
-    with the samples.
+    from `held_bottom` (one largest dilation shift less one below g_arc)
+    to the top, with its rungs up to g_arc and the centre held at the
+    expansion.  That range is one grid per sector for the family's life,
+    so its operator factors are built once.  The expansion and both
+    sectors' solves at one eps share one eps_kernels build.  Only the last
+    eps's kernels, expansion and solutions are kept, so the family's memory
+    does not grow with the samples.
 
     A solution's rows agree to within the solve tolerance with a whole-line
     Picard solve on its line.  `reports` keeps the SolveReport of every

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .problem_model import ProblemSpec, polyval_im, validate_assumptions
+from .problem_model import ProblemSpec, polyval_im, ratio_bounds
 
 __all__ = [
     "SectorGeometry",
@@ -155,16 +155,16 @@ def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
     """Assemble an admissible sector geometry of aperture SECTOR_APERTURE for
     the direction d."""
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
-    rep = validate_assumptions(spec, m_grid)
-    rho = default_rho(spec, rep.D1)
+    D1, D2 = ratio_bounds(spec, m_grid)
+    rho = default_rho(spec, D1)
     gap, witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
     if witness is not None:
         raise GeometryError(
             f"sector at direction {d:.4f} hits the root locus: witness m={witness[0]}, l={witness[1]}")
     geom = SectorGeometry(d=d, aperture=SECTOR_APERTURE, rho=rho,
                           delta=default_delta(d, SECTOR_APERTURE, rho))
-    geom.constants["D1"] = rep.D1
-    geom.constants["D2"] = rep.D2
+    geom.constants["D1"] = D1
+    geom.constants["D2"] = D2
     return geom
 
 
@@ -192,8 +192,7 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dic
     D1 = geom.constants.get("D1")
     D2 = geom.constants.get("D2")
     if D1 is None or D2 is None:
-        rep = validate_assumptions(spec, m_grid)
-        D1, D2 = rep.D1, rep.D2
+        D1, D2 = ratio_bounds(spec, m_grid)
 
     consts = {"D1": D1, "D2": D2}
     qi = polyval_im(spec.Q, m_grid)

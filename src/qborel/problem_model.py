@@ -29,6 +29,7 @@ __all__ = [
     "AssumptionReport",
     "polyval_im",
     "poly_degree",
+    "ratio_bounds",
     "validate_assumptions",
     "forcing_borel",
 ]
@@ -236,6 +237,9 @@ class ProblemSpec:
             raise ConfigError("need 0 < eps0 < 1")
         if self.mu <= 1:
             raise ConfigError("need mu > 1")
+        # the assumption checks read the degrees of Q, R_D and every R_l
+        for poly in (self.Q, self.RD, *(t.R for t in self.terms)):
+            poly_degree(poly)
 
     @property
     def lnq(self) -> float:
@@ -338,19 +342,40 @@ def _envelope_sup(symbol: FourierSymbol, beta, mu, m_grid, eps_samples):
     return worst, worst_eps
 
 
-def validate_assumptions(spec: ProblemSpec, m_grid) -> AssumptionReport:
-    """Run the executable checks of the structural assumptions on a grid.
-
-    The m grid must be nonempty and symmetric about zero; the ratio bounds
-    D1, D2 are grid extrema joined with the |m| -> infinity limit from the
-    leading coefficients (the degree equality makes that limit finite).
-    """
+def _symmetric_m_grid(m_grid) -> np.ndarray:
     m = np.asarray(m_grid, dtype=float)
     if m.size == 0:
         raise ConfigError("empty m grid")
     if abs(m.max() + m.min()) > 1e-12 * max(1.0, abs(m.max())):
         raise ConfigError("m grid must be symmetric about 0")
+    return m
 
+
+def ratio_bounds(spec: ProblemSpec, m_grid) -> tuple[float, float]:
+    """(D1, D2) of Assumption (C): the extrema of |Q(im)| / |R_D(im)| over
+    the m grid, which must be nonempty and symmetric about zero, joined with
+    the |m| -> infinity limit of the leading coefficients when the degrees
+    are equal (which makes that limit finite); NaN when Q or R_D vanishes on
+    the grid."""
+    m = _symmetric_m_grid(m_grid)
+    degQ, degRD = poly_degree(spec.Q), poly_degree(spec.RD)
+    qi, ri = np.abs(polyval_im(spec.Q, m)), np.abs(polyval_im(spec.RD, m))
+    if not (qi.all() and ri.all()):
+        return math.nan, math.nan
+    ratio = qi / ri
+    if degRD == degQ:
+        limit = abs(spec.Q[degQ]) / abs(spec.RD[degRD])
+        return float(min(ratio.min(), limit)), float(max(ratio.max(), limit))
+    return float(ratio.min()), float(ratio.max())
+
+
+def validate_assumptions(spec: ProblemSpec, m_grid) -> AssumptionReport:
+    """Run the executable checks of the structural assumptions on a grid.
+
+    The m grid must be nonempty and symmetric about zero; the ratio bounds
+    D1, D2 are those of `ratio_bounds`.
+    """
+    m = _symmetric_m_grid(m_grid)
     rep = AssumptionReport()
 
     # Assumption (A): exponent ordering and mu against the R_l degrees
@@ -402,13 +427,7 @@ def validate_assumptions(spec: ProblemSpec, m_grid) -> AssumptionReport:
     if bad_q.size or bad_r.size:
         return rep
 
-    ratio = np.abs(qi) / np.abs(ri)
-    if degRD == degQ:
-        limit = abs(spec.Q[degQ]) / abs(spec.RD[degRD])
-        rep.D1 = float(min(ratio.min(), limit))
-        rep.D2 = float(max(ratio.max(), limit))
-    else:
-        rep.D1, rep.D2 = float(ratio.min()), float(ratio.max())
+    rep.D1, rep.D2 = ratio_bounds(spec, m)
     rep.add("C.ratio_bounded", math.isfinite(rep.D1) and rep.D1 > 0, value=rep.D1)
 
     args = np.unwrap(np.angle(qi / ri))

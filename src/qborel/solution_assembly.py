@@ -60,15 +60,18 @@ def tail_reach(spec: ProblemSpec, grid: BorelGrid, g_arc: int, T: complex):
     return s_end, g_arc - TAIL_REACH + 5 + math.floor((s_end - s0) / (spec.lnq / grid.N))
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1] of every tail and arc panel
+GL_X, GL_W = np.polynomial.legendre.leggauss(8)
+
+
 def _gauss_legendre_panels(a: float, b: float, panels: int):
     """Nodes and weights of `panels` equal 8-point Gauss-Legendre panels on
     [a, b], panel by panel."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * gl_x[None, :]).ravel(),
-            (half[:, None] * gl_w[None, :]).ravel())
+    return ((mid[:, None] + half[:, None] * GL_X[None, :]).ravel(),
+            (half[:, None] * GL_W[None, :]).ravel())
 
 
 def _cached_pair(compute):

@@ -16,6 +16,7 @@ from qborel.borel_solver import (
     solve_coupled,
     solve_held,
     solve_triangular,
+    taylor_at_origin,
 )
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
@@ -583,9 +584,16 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     assert not w0[:shift].any() and not w1[-1].any() and rep.norms[1] > 0
     with pytest.raises(UsageError):
         grid.rung_range(grid.g_hi, grid.g_hi)
-    # solve_held holds the block from held_bottom up: a line above the arc
-    # rung that starts higher cannot hold it, and is refused before a solve
-    assert held_bottom(spec, grid) == grid.arc_rung() - max(5, shift - 1) and grid.g_hi > 0
+    # solve_held holds the least block, one shift of rungs up to the arc
+    # rung, and runs Picard on the rungs above it and the centre
+    g_arc = grid.arc_rung()
+    assert held_bottom(spec, grid) == g_arc - shift + 1 and grid.g_hi > 0
+    coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))
+    *_, rep, picard = solve_held(spec, 0.015, grid, coef, None, tol=1e-12)
+    assert (picard.g_lo, picard.g_hi) == (g_arc - shift + 1, grid.g_hi)
+    assert picard.n_nodes + 1 == grid.g_hi - g_arc + shift + 1 and rep.residual < 1e-10
+    # a line above the arc rung that starts higher cannot hold the block,
+    # and is refused before a solve
     short = grid.rung_range(held_bottom(spec, grid) + 1, grid.g_hi)
     with pytest.raises(UsageError, match="must reach"):
         solve_held(spec, 0.015, short, np.zeros((2, 1, short.m.size)), None)

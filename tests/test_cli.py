@@ -70,6 +70,18 @@ def test_zero_delta_denominator_is_65(tmp_path):
     assert run("check-geometry", path, str(tmp_path / "out")) == 65
 
 
+@pytest.mark.parametrize("verb", COMMANDS)
+def test_zero_polynomial_is_65_for_every_verb(tmp_path, capsys, verb):
+    # every assumption check reads the degrees of Q, R_D and the R_l, so a
+    # zero polynomial is refused on load, by the verbs that check no
+    # assumption as well
+    path = _with(small_config(tmp_path),
+                 lambda c: c["problem"]["terms"][0].update(R=[0.0, 0.0]))
+    assert run(verb, path, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert "zero polynomial" in err and "Traceback" not in err
+
+
 def _problem_with(**fields):
     problem = json.loads(GOLDEN.read_text())["problem"]
     problem.update(fields)
@@ -559,6 +571,37 @@ def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch
     for t, z in rc.points:
         for got, want in zip(sol.evaluate_parts(t, z), full.evaluate_parts(t, z)):
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_shift_sized_held_block_gives_the_rows_of_a_five_rung_block(monkeypatch):
+    # the lowest free rung reads one dilation shift below it, so holding
+    # more rungs of the Taylor sum changes no free row: on the wide config
+    # the family's rows from the derived block equal, bit for bit, those
+    # from a block of 5 rungs below the arc rung
+    import qborel.borel_solver as borel_solver
+    import qborel.cli as cli
+    from qborel.formal_asymptotics import SolutionFamily
+
+    rc = load_config(CONFIG_DIR / "asymptotics_k13.json")
+    cov = cli._covering(rc, {})
+    arg = np.angle(cov.overlap_sample(rc.decay_pair))
+    samples = [(p, complex(size * np.exp(1j * arg))) for size in rc.eps_decay[:2]
+               for p in (0, 1)]
+
+    def rows(held_bottom):
+        monkeypatch.setattr(borel_solver, "held_bottom", held_bottom)
+        family = SolutionFamily(rc.spec, cov, rc.gspec, tol=min(rc.solve_tol, 1e-12),
+                                m_grid=rc.geometry_m_grid)
+        sols = [family.at(p, eps) for p, eps in samples]
+        return [(s.w0, s.w1) for s in sols], family.grid_rows
+
+    derived, derived_rows = rows(borel_solver.held_bottom)
+    five, five_rows = rows(lambda spec, grid: grid.arc_rung() - 5)
+    # one shift (1 rung) held instead of 6 rungs: 5 stacked rows fewer per solve
+    assert five_rows - derived_rows == 5 * len(samples)
+    for got, want in zip(derived, five):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])

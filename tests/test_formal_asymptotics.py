@@ -6,11 +6,11 @@ import pytest
 from qborel import borel_solver, formal_asymptotics
 import qborel.solution_assembly as assembly
 from qborel.borel_solver import (
-    HELD_BELOW_ARC,
     GridSpec,
     SolverContext,
     build_grid,
     held_bottom,
+    rung_shifts,
     solve_coupled,
     solve_triangular,
     taylor_at_origin,
@@ -388,20 +388,45 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     assert len(rep.eps_samples) == 3
     assert set(family.reports) == {(p, e) for e in rep.eps_samples for p in (0, 1)}
     assert all(r.residual < 1e-10 for r in family.reports.values())
-    # Picard runs on both sectors' ladders from HELD_BELOW_ARC rungs below
-    # the arc rung up to the ray tail's reach at T_max, above build_grid's
-    # top; one Taylor expansion per kept eps holds the rows below and gives
-    # the arc
+    # Picard runs on both sectors' ladders from one largest dilation shift
+    # below the arc rung (the held block's rungs) up to the ray tail's reach
+    # at T_max, above build_grid's top; one Taylor expansion per kept eps
+    # holds the rows below and gives the arc
     line, picard = family._line(0), _picard(family, 0)
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
-    assert picard.g_lo == grid.arc_rung() - HELD_BELOW_ARC
-    assert picard.g_hi == line.g_hi == tail_reach(spec, grid, grid.arc_rung(),
-                                                  grid.T_max)[1]
+    g_arc, shift = grid.arc_rung(), max(rung_shifts(spec, grid.N))
+    assert picard.g_lo == g_arc - shift + 1
+    assert picard.g_hi == line.g_hi == tail_reach(spec, grid, g_arc, grid.T_max)[1]
     assert line.g_hi > grid.g_hi and line.g_lo == grid.g_lo
     assert _picard(family, 1).n_nodes == picard.n_nodes
-    assert family.grid_rows == 6 * (picard.n_nodes + 1)
+    # each solve stacks the Picard rungs and the centre
+    assert family.grid_rows == 6 * (line.g_hi - g_arc + shift + 1)
     assert len(family.arc_orders) == 3
     assert all(0 < n < borel_solver.TAYLOR_MAX_ORDER for n in family.arc_orders)
+
+
+def test_family_builds_each_sectors_operator_factors_once(asym, monkeypatch):
+    # a sector's Picard range is one grid for the family's life, so its
+    # eps-independent factors, dilations and weights are built once, not
+    # once per eps
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    builds = []
+    build = borel_solver.OperatorFactors.build
+
+    def counted(spec, grid):
+        builds.append((grid.direction, grid.g_lo, grid.g_hi))
+        return build(spec, grid)
+
+    monkeypatch.setattr(borel_solver.OperatorFactors, "build", counted)
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    arg = np.angle(cov.overlap_sample(0))
+    for size in (0.1, 0.14, 0.2):
+        for p in (0, 1):
+            family.at(p, size * np.exp(1j * arg))
+    assert len(family.reports) == 6
+    assert sorted(builds) == sorted((family._line(p).direction, _picard(family, p).g_lo,
+                                     family._line(p).g_hi) for p in (0, 1))
+    assert _picard(family, 0) is _picard(family, 0)
 
 
 def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):

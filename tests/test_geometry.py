@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qborel.errors import GeometryError
+from qborel import geometry, problem_model
+from qborel.errors import ConfigError, GeometryError
 from qborel.geometry import (
     SECTOR_APERTURE,
     bound_constants,
@@ -20,7 +21,7 @@ from qborel.geometry import (
     sector_root_clearance,
     set_dist_to_shift,
 )
-from qborel.problem_model import ProblemSpec
+from qborel.problem_model import ProblemSpec, ratio_bounds, validate_assumptions
 from tests.oracles import coverage_count
 
 M_GRID = np.linspace(-50, 50, 2001)
@@ -266,3 +267,30 @@ def test_covering_scans_roots_only_off_the_negative_axis(monkeypatch, name):
                               m_grid=rc.geometry_m_grid, Delta=rc.Delta)
     assert cov.d_rays == [0.0, -3.045599544730105]
     assert scanned == cov.d_rays
+
+
+def test_make_geometry_reads_the_ratio_bounds_without_validating(problem_dict, monkeypatch):
+    # make_geometry reads only D1 and D2, so it runs none of the other
+    # assumption checks; its bounds are validate_assumptions' own
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_geometry ran validate_assumptions")
+
+    example = ProblemSpec.from_dict(problem_dict)
+    problem_dict["dD"] = 0
+    problem_dict["RD"] = [-1.0, 0.0, 0.25]
+    problem_dict["terms"][0]["delta"] = [0, 1]
+    specs = [example, ProblemSpec.from_dict(problem_dict)]
+    wants = [validate_assumptions(spec, M_GRID) for spec in specs]
+    monkeypatch.setattr(problem_model, "validate_assumptions", refuse)
+    monkeypatch.setattr(geometry, "validate_assumptions", refuse, raising=False)
+    for spec, want in zip(specs, wants):
+        geom = make_geometry(spec, d=0.0, m_grid=M_GRID)
+        assert (geom.constants["D1"], geom.constants["D2"]) == (want.D1, want.D2)
+        assert math.isfinite(want.D1) and want.D1 > 0
+    # the grid checks stay, and a ratio with a zero on the grid has no bounds
+    for grid in (np.array([]), np.linspace(-10, 20, 31)):
+        with pytest.raises(ConfigError, match="m grid"):
+            make_geometry(example, d=0.0, m_grid=grid)
+    problem_dict["RD"] = [1.0, 0.0, 1.0]                # R_D(im) = 1 - m^2
+    assert all(map(math.isnan, ratio_bounds(ProblemSpec.from_dict(problem_dict),
+                                            np.linspace(-2, 2, 5))))
