@@ -357,7 +357,9 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
 def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
     """The solution that evaluate and residual read, on `build_grid`'s line:
     its rows up to the lower of the line's top and the arc rung summed from
-    the Taylor series at tau = 0, and Picard only above (`solve_held`)."""
+    the Taylor series at tau = 0, and Picard only above (`solve_held`).  It
+    carries the coefficients, so on a line that ends below the arc rung its
+    q-Laplace transform is their closed form."""
     if "log_solution" not in ctx:
         grid, kernels = _line(rc, ctx)
         radius = grid.radius_of_rung(min(grid.g_hi, grid.arc_rung()))
@@ -365,7 +367,7 @@ def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
         w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef, kernels,
                                   tol=rc.solve_tol, max_iter=rc.max_iter)
         ctx["log_solution"] = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve,
-                                          Delta=rc.Delta)
+                                          Delta=rc.Delta, taylor=coef)
     return ctx["log_solution"]
 
 
@@ -373,11 +375,9 @@ def cmd_evaluate(rc: RunConfig, ctx: dict) -> int:
     if not rc.points:
         raise UsageError("evaluate requires points in the configuration")
     sol = _log_solution(rc, ctx)
-    rows = []
-    for (t, z) in rc.points:
-        u0, u1, u = sol.evaluate_parts(t, z)
-        rows.append((t.real, t.imag, z.real, z.imag,
-                     u0.real, u0.imag, u1.real, u1.imag, u.real, u.imag))
+    rows = [(t.real, t.imag, z.real, z.imag, u0.real, u0.imag, u1.real, u1.imag,
+             u.real, u.imag)
+            for (t, z), (u0, u1, u) in zip(rc.points, sol.evaluate_points(rc.points))]
     write_csv(rc.output_dir / "evaluate.csv",
               ["re_t", "im_t", "re_z", "im_z", "re_u0", "im_u0",
                "re_u1", "im_u1", "re_u", "im_u"], rows)

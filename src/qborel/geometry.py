@@ -168,24 +168,15 @@ def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
     return geom
 
 
-# disc points per block of the C_D scan
-DISC_BLOCK = 128
-
-
-def _disc_grid(rho: float, n_r: int = 40, n_ang: int = 48) -> np.ndarray:
-    radii = np.linspace(0.0, rho, n_r)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-
-
 def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dict:
     """Geometric constants: C_D on the disc, the sector constants D31/D32/D3
     and the dilation-weight constant D4.
 
     D31 is evaluated on the sector bisectrix (theta = d - arg q_l(m)), the
     sharp small-opening value; D32 uses the split radius R = 2 with the 1/2
-    distance factor.  C_D is the disc-grid minimum of |P_m| / |Q(im)| and must
-    sit above the lemma floor 1 - 2^(-dD).
+    distance factor.  C_D is the minimum of |P_m(tau)| / |Q(im)| over the
+    disc |tau| <= rho and the m grid, in closed form, and must sit above the
+    lemma floor 1 - 2^(-dD).
     """
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
 
@@ -198,13 +189,14 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dic
     qi = polyval_im(spec.Q, m_grid)
     consts["inv_Q_sup"] = float(np.max(1.0 / np.abs(qi)))
 
-    # one block of disc points at a time: all 1,920 against a 2,001-point m
-    # grid would be a 61 MB complex temporary
-    tau_disc = _disc_grid(geom.rho)
-    abs_q = np.abs(qi)
-    consts["C_D"] = float(min(
-        (np.abs(spec.pm(tau_disc[i:i + DISC_BLOCK], m_grid)) / abs_q).min()
-        for i in range(0, tau_disc.size, DISC_BLOCK)))
+    if spec.dD == 0:
+        # P_m does not depend on tau
+        consts["C_D"] = float((np.abs(spec.pm(0.0, m_grid)) / np.abs(qi)).min())
+    else:
+        # P_m(tau) / Q(im) = 1 - q_f (R_D / Q)(im) tau^dD, and tau^dD covers
+        # the disc of radius rho^dD
+        ratio = float(np.abs(polyval_im(spec.RD, m_grid) / qi).max())
+        consts["C_D"] = max(0.0, 1.0 - spec.q_power_factor(spec.dD) * geom.rho ** spec.dD * ratio)
     consts["C_D_floor"] = 1.0 - 2.0 ** (-spec.dD) if spec.dD > 0 else consts["C_D"]
 
     if spec.dD == 0:

@@ -2,9 +2,12 @@
 
 u(t, z, eps) = u_0 + u_1 log(eps t)/log q with each component the q-Laplace
 transform (along the grid direction) and inverse Fourier transform of its
-Borel density.  The component integrals reuse the solver ladder: the stored
-principal line is log-uniform, so the radial quadrature is a plain trapezoid
-over stored nodes with the theta kernel evaluated in scaled log space.
+Borel density.  On a line whose rows are all summed from the Taylor series
+at tau = 0 the q-Laplace transform is summed in closed form, since it sends
+tau^n to q^(n(n-1)/2k) (eps t)^n.  Otherwise the component integrals reuse
+the solver ladder: the stored principal line is log-uniform, so the radial
+quadrature is a plain trapezoid over stored nodes with the theta kernel
+evaluated in scaled log space.
 Sector differences deform one direction into the other: two ray tails on
 the principal lines and an arc inside the disc, where the densities are
 summed from their Taylor coefficients at tau = 0.
@@ -104,9 +107,13 @@ class LogSolution:
     components at once, and reused for every z and multiplier.
 
     `taylor` holds the Taylor coefficients of (omega_0, omega_1) at tau = 0,
-    summed to the arc radius, from which the arc of a sector difference takes
-    its samples (`SolutionFamily` passes its expansion at eps).  A solution
-    without them evaluates, but refuses a difference (UsageError).
+    summed to the radius of the lower of the line's top and its arc rung, as
+    `borel_solver.solve_held` takes them.  When the top lies at or below the
+    arc rung, every row is their sum, and the q-Laplace transform is summed
+    from them in closed form; the arc of a sector difference, which they do
+    not reach, is then refused (UsageError).  Otherwise the arc takes its
+    samples from them (`SolutionFamily` passes its expansion at eps).  A
+    solution without them evaluates, but refuses a difference.
     """
 
     spec: ProblemSpec
@@ -126,10 +133,22 @@ class LogSolution:
     def r1(self) -> float:
         return admissible_r1(self.spec.q, self.spec.k, self.spec.alpha)
 
+    @property
+    def _taylor_line(self) -> bool:
+        """Whether every row of the line is summed from `taylor`: its top
+        lies at or below its arc rung."""
+        return self.taylor is not None and self.grid.g_hi <= self.grid.arc_rung()
+
     @_cached_pair
     def _laplace_all_m(self, T: complex):
         """q-Laplace of (w_0, w_1)(., m) at T along the grid's line, for
-        every m.  Both components share the theta kernel weights."""
+        every m.  On a Taylor line it is sum_n q^(n(n-1)/2k) T^n c_(j,n);
+        otherwise both components share the theta kernel weights of a
+        trapezoid over the line."""
+        if self._taylor_line:
+            n = np.arange(self.taylor.shape[1])
+            powers = T ** n / self.spec.q_power_factor(n)
+            return tuple(powers @ c for c in self.taylor)
         grid = self.grid
         kern = inv_theta(grid.tau / T, self.spec.q, self.spec.k)
         h = self.spec.lnq / grid.N
@@ -181,13 +200,13 @@ class LogSolution:
             lags.append(lag)
         u = np.exp(s + 1j * grid.direction)
         weights = wq * inv_theta(u / T, spec.q, spec.k)
-        out = []
-        for w in (self.w0, self.w1):
-            dens = np.zeros((s.size, grid.m.size), dtype=complex)
-            for jj, lag in enumerate(lags):
-                dens += lag[:, None] * w[base + jj]
-            out.append((spec.k / spec.lnq) * (weights @ dens))
-        return tuple(out)
+        # each node's weight times its stencil, summed per row read
+        lo = int(base.min())
+        rows = np.zeros(int(base.max()) + 6 - lo, dtype=complex)
+        for jj, lag in enumerate(lags):
+            np.add.at(rows, base - lo + jj, weights * lag)
+        return tuple((spec.k / spec.lnq) * (rows @ w[lo:lo + rows.size])
+                     for w in (self.w0, self.w1))
 
     @_cached_pair
     def _arc_samples(self, g_arc: int):
@@ -197,6 +216,10 @@ class LogSolution:
         if self.taylor is None:
             raise UsageError("a sector difference reads the Taylor coefficients at "
                              "tau = 0 on its arc, and this solution was given none")
+        if self._taylor_line:
+            raise UsageError("a sector difference reads the Taylor coefficients at "
+                             "tau = 0 on its arc, and this solution's are summed only "
+                             "to its line's top, below the arc rung")
         r_arc = self.grid.radius_of_rung(g_arc)
         ring = r_arc * np.exp(2j * math.pi * np.arange(ARC_SAMPLES) / ARC_SAMPLES)
         return tuple(taylor_values(self.taylor, ring))
@@ -222,19 +245,17 @@ class LogSolution:
         thetas, twt = _gauss_legendre_panels(d_a, d_b, panels)
         # omega is a power series in tau, so only nonnegative angular
         # frequencies appear on the ring; n uniform samples pin the first n
-        # coefficients
+        # coefficients, which the weights' moments of the basis multiply
         basis = np.exp(1j * np.outer(thetas, np.arange(ARC_SAMPLES)))
         weights = twt * inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
-        out = []
-        for samples in arc_samples:
-            ring = basis @ (np.fft.fft(samples, axis=0) / ARC_SAMPLES)
-            out.append((spec.k / spec.lnq) * 1j * (weights @ ring))
-        return tuple(out)
+        moments = weights @ basis
+        return tuple((spec.k / spec.lnq) * 1j
+                     * (moments @ (np.fft.fft(samples, axis=0) / ARC_SAMPLES))
+                     for samples in arc_samples)
 
-    def laplace_pair(self, t: complex, z: complex):
-        """(L_0, L_1), the q-Laplace vectors over m of both components at
-        T = eps t, after the checks every evaluation at (t, z) makes: z lies
-        in the strip, T is admissible and |T| lies in the range
+    def checked_T(self, t: complex, z: complex) -> complex:
+        """T = eps t, after the checks every evaluation at (t, z) makes: z
+        lies in the strip, T is admissible and |T| lies in the range
         [T_min, T_max] that the grid's line serves."""
         if abs(complex(z).imag) > self.spec.beta_prime:
             raise DomainError(
@@ -248,7 +269,12 @@ class LogSolution:
                 f"|eps t| = {abs(T):.4g} lies outside [{grid.T_min:.4g}, "
                 f"{grid.T_max:.4g}], the range the Borel grid's line serves "
                 "(grid T_min, T_max)")
-        return self._laplace_all_m(T)
+        return T
+
+    def laplace_pair(self, t: complex, z: complex):
+        """(L_0, L_1), the q-Laplace vectors over m of both components at
+        T = eps t, after the checks of `checked_T`."""
+        return self._laplace_all_m(self.checked_T(t, z))
 
     def component(self, j: int, t: complex, z: complex,
                   multiplier=None) -> complex:
@@ -265,19 +291,45 @@ class LogSolution:
             lap = lap * polyval_im(multiplier, m)
         return inverse_fourier(lap, complex(z), m)
 
+    def evaluate_points(self, points) -> list[tuple[complex, complex, complex]]:
+        """`evaluate_parts` at every (t, z) of points, in order.
+
+        Every point's checks run first, in input order, so the first bad
+        point names the error.  Then the points that share an exact t share
+        one Laplace pair and one Fourier pass over all their z.
+        """
+        points = [(complex(t), complex(z)) for t, z in points]
+        for t, z in points:
+            if abs(math.remainder(cmath.phase(self.eps * t) - math.pi, 2 * math.pi)) < 1e-9:
+                raise DomainError("eps * t lies on the branch cut (-inf, 0]")
+            self.checked_T(t, z)
+        parts = [None] * len(points)
+        for t, (index, zs) in _by_t(points).items():
+            T = self.eps * t
+            sums = inverse_fourier(np.array(self._laplace_all_m(T)), zs, self.grid.m)
+            for i, (u0, u1) in zip(index, sums.tolist()):
+                parts[i] = u0, u1, u0 + u1 * cmath.log(T) / self.spec.lnq
+        return parts
+
     def evaluate_parts(self, t: complex, z: complex) -> tuple[complex, complex, complex]:
         """(u_0, u_1, u) with u = u_0 + u_1 log(eps t)/log q on the principal
         branch of the log; both components come from one Fourier sum."""
-        T = self.eps * complex(t)
-        if abs(math.remainder(cmath.phase(T) - math.pi, 2 * math.pi)) < 1e-9:
-            raise DomainError("eps * t lies on the branch cut (-inf, 0]")
-        u0, u1 = inverse_fourier(np.array(self.laplace_pair(t, z)), complex(z),
-                                 self.grid.m).tolist()
-        return u0, u1, u0 + u1 * cmath.log(T) / self.spec.lnq
+        return self.evaluate_points([(t, z)])[0]
 
     def evaluate(self, t: complex, z: complex) -> complex:
         """u_0 + u_1 log(eps t)/log q with the principal branch of the log."""
         return self.evaluate_parts(t, z)[2]
+
+
+def _by_t(points) -> dict:
+    """t -> (indices, z array) of the (t, z) points sharing that exact t, in
+    order of first appearance."""
+    groups = {}
+    for i, (t, z) in enumerate(points):
+        index, zs = groups.setdefault(t, ([], []))
+        index.append(i)
+        zs.append(z)
+    return {t: (index, np.array(zs)) for t, (index, zs) in groups.items()}
 
 
 def residual_borel(w0: np.ndarray, w1: np.ndarray, spec: ProblemSpec,
@@ -297,10 +349,11 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
 
     d/dz acts as the Fourier multiplier inside the component integrals;
     dilations re-evaluate the components at q^r t.  All dilated points must
-    stay inside the admissible domain.  The multipliers and the coefficient
-    and forcing symbols are sampled once per call.  Per point, the Laplace
-    pairs times their multipliers and the symbol samples are stacked and
-    Fourier-summed together, once.
+    stay inside the admissible domain; every point's checks run first, in
+    input order.  The multipliers and the coefficient and forcing symbols
+    are sampled once per call.  Per distinct t, the Laplace pairs times
+    their multipliers and the symbol samples are stacked once and
+    Fourier-summed together, in one pass over the z of its points.
     """
     eps = sol.eps
     m = sol.grid.m
@@ -316,30 +369,34 @@ def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray
     dilated = [(qdk, polyval_im(spec.RD, m))] + [
         (spec.q ** float(term.delta), polyval_im(term.R, m)) for term in spec.terms]
     n_lap = 4 + 2 * len(dilated)
+    points = [(complex(t), complex(z)) for t, z in points]
+    for t, z in points:
+        sol.checked_T(t, z)
+        for r, _ in dilated:
+            sol.checked_T(r * t, z)
     defects = np.zeros(len(points))
-    for i, (t, z) in enumerate(points):
-        t, z = complex(t), complex(z)
+    for t, (index, zs) in _by_t(points).items():
         T = eps * t
-        lap = np.array(sol.laplace_pair(t, z))
+        lap = np.array(sol._laplace_all_m(T))
         stack = [lap, lap * q_mult]
-        stack += [np.array(sol.laplace_pair(r * t, z)) * mult for r, mult in dilated]
-        vals = inverse_fourier(np.concatenate(stack + [samples]), z, m)
-        u0, u1, lhs0, lhs1, rd0, rd1, *term_vals = vals[:n_lap].tolist()
-        sym_vals = vals[n_lap:]
-        b = dict(zip(b_keys, sym_vals[n_terms:n_terms + len(b_keys)]))
-        rhs0 = T ** spec.dD * (rd0 + (spec.dD / spec.k) * rd1)
-        rhs1 = T ** spec.dD * rd1
-        for l, (term, c_val) in enumerate(zip(spec.terms, sym_vals[:n_terms])):
-            pref = eps ** term.Delta * t ** term.d * c_val
-            r0, r1 = term_vals[2 * l:2 * l + 2]
-            rhs0 += pref * (r0 + float(term.delta) * r1)
-            rhs1 += pref * r1
-        forced = [0.0 + 0.0j, 0.0 + 0.0j]
-        for (h, p, _), F in zip(forcing, sym_vals[n_terms + len(b_keys):]):
-            forced[h] += F * (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0) * T ** p
-        rhs0 += forced[0] + b[(0, 0)] * u0 + b[(1, 0)] * u1
-        rhs1 += forced[1] + b[(0, 1)] * u0 + b[(1, 1)] * u1
-        defects[i] = max(abs(lhs0 - rhs0), abs(lhs1 - rhs1))
+        stack += [np.array(sol._laplace_all_m(eps * (r * t))) * mult for r, mult in dilated]
+        for i, vals in zip(index, inverse_fourier(np.concatenate(stack + [samples]), zs, m)):
+            u0, u1, lhs0, lhs1, rd0, rd1, *term_vals = vals[:n_lap].tolist()
+            sym_vals = vals[n_lap:]
+            b = dict(zip(b_keys, sym_vals[n_terms:n_terms + len(b_keys)]))
+            rhs0 = T ** spec.dD * (rd0 + (spec.dD / spec.k) * rd1)
+            rhs1 = T ** spec.dD * rd1
+            for l, (term, c_val) in enumerate(zip(spec.terms, sym_vals[:n_terms])):
+                pref = eps ** term.Delta * t ** term.d * c_val
+                r0, r1 = term_vals[2 * l:2 * l + 2]
+                rhs0 += pref * (r0 + float(term.delta) * r1)
+                rhs1 += pref * r1
+            forced = [0.0 + 0.0j, 0.0 + 0.0j]
+            for (h, p, _), F in zip(forcing, sym_vals[n_terms + len(b_keys):]):
+                forced[h] += F * (spec.q ** (1.0 / spec.k)) ** (p * (p - 1) / 2.0) * T ** p
+            rhs0 += forced[0] + b[(0, 0)] * u0 + b[(1, 0)] * u1
+            rhs1 += forced[1] + b[(0, 1)] * u0 + b[(1, 1)] * u1
+            defects[i] = max(abs(lhs0 - rhs0), abs(lhs1 - rhs1))
     return defects
 
 

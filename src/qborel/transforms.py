@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .problem_model import polyval_im
 
 __all__ = [
@@ -62,27 +62,42 @@ def check_admissible(T: complex, gamma: float, Delta: float,
             f"|eps*t| = {abs(T):.6g} exceeds the admissible radius r1 = {r1:.6g}")
 
 
-def inverse_fourier(f, z: complex, m_grid):
+def inverse_fourier(f, z, m_grid):
     """(2 pi)^(-1/2) integral of f(m) e^(i z m) dm by trapezoid on the grid.
 
     f holds samples on the grid; a stack of samples with the grid as last
-    axis gives one value per row.  Callers check that z lies in the strip
-    where the integral converges (`LogSolution.laplace_pair`).
+    axis gives one value per row.  z is one point or an array of points,
+    which adds its shape in front: each row is summed at each z as a lone
+    vector at that z is, bit for bit.  Callers check that z lies in the
+    strip where the integral converges (`LogSolution.checked_T`).
     """
     m = np.asarray(m_grid, dtype=float)
-    total = np.sum(trapezoid_weights(m) * np.asarray(f) * np.exp(1j * z * m), axis=-1)
-    total = total / math.sqrt(2.0 * math.pi)
+    weighted = trapezoid_weights(m) * np.asarray(f)
+    zs = np.asarray(z, dtype=complex)
+    # one z at a time, so memory stays that of one stack however many z
+    total = np.array([(weighted * phase).sum(axis=-1) for phase
+                      in np.exp(np.multiply.outer(1j * zs, m)).reshape(-1, m.size)])
+    total = total.reshape(zs.shape + weighted.shape[:-1]) / math.sqrt(2.0 * math.pi)
     return complex(total) if np.ndim(total) == 0 else total
 
 
 def convolution_kernel(f, m_grid, h_poly) -> np.ndarray:
     """Matrix K[i, j] = f(m_i - m_j) h(i m_j) tw_j / sqrt(2 pi) of the
-    convolution (2 pi)^(-1/2) integral f(m - m1) h(i m1) g(m1) dm1 on the grid.
+    convolution (2 pi)^(-1/2) integral f(m - m1) h(i m1) g(m1) dm1 on the
+    uniform grid m_grid (UsageError otherwise).
 
-    f is a callable of the offset m_i - m_j, evaluated on the whole offset
-    matrix at once; h_poly is a coefficient array (low to high) and tw the
-    trapezoid weights.
+    There m_i - m_j = (i - j) dm, so the callable f is evaluated once on the
+    2n - 1 offsets, and the n x n matrix reads them through a Toeplitz view;
+    h_poly is a coefficient array (low to high) and tw the trapezoid weights.
     """
     m = np.asarray(m_grid, dtype=float)
-    return f(m[:, None] - m[None, :]) \
-        * (polyval_im(h_poly, m) * trapezoid_weights(m))[None, :] / math.sqrt(2.0 * math.pi)
+    n = m.size
+    tw = trapezoid_weights(m)
+    dm = (m[-1] - m[0]) / (n - 1)
+    if np.abs(np.diff(m) - dm).max() > 1e-9 * np.abs(m).max():
+        raise UsageError("a convolution kernel needs a uniform m grid")
+    # row i of the reversed offsets' windows, taken from the last, holds
+    # f((i - j) dm) at column j
+    offsets = f(dm * np.arange(1 - n, n))
+    toeplitz = np.lib.stride_tricks.sliding_window_view(offsets[::-1], n)[::-1]
+    return toeplitz * (polyval_im(h_poly, m) * tw)[None, :] / math.sqrt(2.0 * math.pi)

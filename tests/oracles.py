@@ -384,3 +384,14 @@ def residual_physical_per_component(sol: LogSolution, spec, points) -> np.ndarra
         rhs1 += forced[1] + b[(0, 1)] * u0 + b[(1, 1)] * u1
         defects[i] = max(abs(lhs0 - rhs0), abs(lhs1 - rhs1))
     return defects
+
+
+def c_d_scan(spec, rho: float, m_grid, n_r: int = 40, n_ang: int = 48) -> float:
+    """The minimum of |P_m(tau)| / |Q(im)| over a polar grid of the disc
+    |tau| <= rho (n_r radii from 0 to rho, n_ang angles from 0) and m_grid,
+    one radius at a time."""
+    m = np.asarray(m_grid, dtype=float)
+    abs_q = np.abs(polyval_im(spec.Q, m))
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False))
+    return float(min((np.abs(spec.pm(r * angles, m)) / abs_q).min()
+                     for r in np.linspace(0.0, rho, n_r)))

@@ -539,6 +539,38 @@ def test_evaluate_and_residual_solve_no_picard_on_the_example(tmp_path, monkeypa
     assert report["borel_residual"] <= 1e-12 and report["physical_residual_max"] <= 1e-15
 
 
+def test_point_verbs_read_no_theta_kernel_on_a_taylor_line(tmp_path, monkeypatch):
+    # every row of the example's line is a Taylor sum, so its q-Laplace
+    # transform is their closed form; the wide config's line has Picard rows
+    # above the arc rung and keeps the theta-kernel trapezoid
+    import qborel.solution_assembly as assembly
+
+    calls = []
+    inv_theta = assembly.inv_theta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inv_theta(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "inv_theta", counted)
+    for verb in ("evaluate", "residual"):
+        assert run(verb, GOLDEN, str(tmp_path / verb)) == 0, verb
+    assert calls == []
+    assert run("evaluate", CONFIG_DIR / "asymptotics_k13.json", str(tmp_path / "wide")) == 0
+    assert calls
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "residual"])
+def test_first_bad_point_names_the_error(tmp_path, capsys, verb):
+    # every point is checked, in input order, before any is summed: the 2nd
+    # point leaves the line's |eps t| range, and the 3rd, which shares the
+    # 1st point's t and so its Fourier pass, leaves the strip
+    points = [[0.012, 0.0, 0.1, 0.0], [5.0, 0.0, 0.1, 0.0], [0.012, 0.0, 0.1, 0.9]]
+    assert run(verb, small_config(tmp_path, points=points), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "outside" in err and "strip" not in err
+
+
 def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch):
     # the wide config's line tops out at 0.73 rho, above the arc rung: the
     # held-row solve runs Picard there only, and matches the whole-line

@@ -22,7 +22,7 @@ from qborel.geometry import (
     set_dist_to_shift,
 )
 from qborel.problem_model import ProblemSpec, ratio_bounds, validate_assumptions
-from tests.oracles import coverage_count
+from tests.oracles import c_d_scan, coverage_count
 
 M_GRID = np.linspace(-50, 50, 2001)
 
@@ -117,6 +117,47 @@ def test_example_constants(example_spec, example_geometry):
     assert consts["D3"] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert consts["C_D"] >= 0.5
     assert consts["C_D"] >= consts["C_D_floor"] - 1e-12
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_c_d_closed_form_is_the_disc_scan_on_the_shipped_configs(name):
+    # on both shipped specs R_D/Q is real and negative, so the minimum over
+    # the disc lies at tau = -rho, a node of the scan's polar grid
+    from qborel.cli import _geometry, load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    geom = _geometry(rc, {})
+    c_d = bound_constants(rc.spec, geom, rc.geometry_m_grid)["C_D"]
+    assert c_d == c_d_scan(rc.spec, geom.rho, rc.geometry_m_grid) == 0.51
+
+
+@pytest.mark.parametrize("edit", ["complex_rd", "dD2", "dD0", "large_rho"])
+def test_c_d_closed_form_is_at_most_the_disc_scan(problem_dict, edit):
+    # the closed form is the minimum over the whole disc, so no grid of it
+    # reads lower; a complex R_D/Q puts the minimiser off the scan's angles
+    if edit == "complex_rd":
+        problem_dict["RD"] = [-2.0, 3.0, 1.0]
+    elif edit == "dD2":
+        problem_dict["dD"] = 2
+    elif edit == "dD0":
+        problem_dict["dD"] = 0
+        problem_dict["RD"] = [-1.0, 0.0, 0.25]
+        problem_dict["terms"][0]["delta"] = [0, 1]
+    spec = ProblemSpec.from_dict(problem_dict)
+    geom = make_geometry(spec, d=0.0, m_grid=M_GRID)
+    rho = 3.0 if edit == "large_rho" else geom.rho
+    if edit == "large_rho":
+        geom = geometry.SectorGeometry(d=geom.d, aperture=geom.aperture, rho=rho,
+                                       delta=geom.delta)
+    c_d = bound_constants(spec, geom, M_GRID)["C_D"]
+    scan = c_d_scan(spec, rho, M_GRID)
+    assert 0.0 <= c_d <= scan
+    if edit == "complex_rd":
+        assert c_d < scan - 1e-6
+    if edit == "dD0":
+        assert c_d == scan
+    if edit == "large_rho":
+        assert c_d == 0.0
 
 
 def test_lemma_floor_at_dD1(example_spec, example_geometry):

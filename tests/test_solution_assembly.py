@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from qborel.solution_assembly import (
 )
 from qborel.transforms import inverse_fourier
 from tests.conftest import kept_rows
-from tests.oracles import monodromy_components, residual_physical_per_component, stacked
+from tests.oracles import (QuadratureSpec, monodromy_components, q_laplace,
+                           residual_physical_per_component, stacked)
 
 
 @pytest.fixture
@@ -335,7 +337,8 @@ def test_residual_physical_sums_each_point_once(golden_solution, monkeypatch):
 
     monkeypatch.setattr(assembly, "inverse_fourier", counting)
     residual_physical(_fresh(golden_solution), golden_solution.spec, RESIDUAL_POINTS)
-    assert len(calls) == len(RESIDUAL_POINTS)
+    # one Fourier pass per distinct t: the two points at t = 0.008 share one
+    assert len(calls) == len({t for t, _ in RESIDUAL_POINTS}) == 5
 
 
 def test_evaluate_parts_are_the_components(golden_solution):
@@ -345,6 +348,75 @@ def test_evaluate_parts_are_the_components(golden_solution):
         assert (u0, u1) == (sol.component(0, t, z), sol.component(1, t, z))
         assert u == u0 + u1 * cmath.log(sol.eps * t) / sol.spec.lnq
         assert sol.evaluate(t, z) == u
+
+
+@pytest.fixture(scope="module")
+def taylor_line():
+    """The point verbs' solution on the example's line, whose top lies below
+    the arc rung, so every row is a Taylor sum and the solution carries the
+    coefficients; and the same rows without them."""
+    from qborel.cli import _log_solution, load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / "example_k13.json")
+    sol = _log_solution(rc, {})
+    assert sol.taylor is not None and sol.grid.g_hi <= sol.grid.arc_rung()
+    return sol, LogSolution(sol.spec, sol.grid, sol.w0, sol.w1, sol.eps, Delta=sol.Delta)
+
+
+def test_taylor_line_laplace_matches_the_trapezoid(taylor_line):
+    # the closed form sum_n q^(n(n-1)/2k) T^n c_n against the theta-kernel
+    # trapezoid over the same rows, across the line's [T_min, T_max] and
+    # 0.05 rad either side of arg eps
+    sol, bare = taylor_line
+    grid = sol.grid
+    arg = cmath.phase(sol.eps)
+    Ts = [r * cmath.exp(1j * (arg + d)) for r in np.geomspace(grid.T_min, grid.T_max, 8)
+          for d in (-0.05, 0.0, 0.05)]
+    for T in Ts:
+        for got, want in zip(sol._laplace_all_m(T), bare._laplace_all_m(T)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), T
+
+
+def test_taylor_line_laplace_against_the_ray_quadrature(taylor_line):
+    # a synthetic degree-5 density (sum_n a_(j,n) tau^n) g(m), its terms of
+    # one size at |T| = T_ref, against the oracle's self-bracketing ray
+    # quadrature of the polynomial
+    sol = taylor_line[0]
+    spec, grid = sol.spec, sol.grid
+    T_ref = math.sqrt(grid.T_min * grid.T_max)
+    rng = np.random.default_rng(21)
+    a = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / T_ref ** np.arange(6)
+    g = np.exp(-grid.m ** 2) * (1.0 + 0.2j * grid.m)
+    synth = LogSolution(spec, grid, sol.w0, sol.w1, sol.eps, taylor=a[:, :, None] * g)
+    quad = QuadratureSpec(nodes_per_decade=48)
+    for T in (T_ref / 3.0, T_ref * cmath.exp(0.3j), 3.0 * T_ref * cmath.exp(-0.2j)):
+        for j, got in enumerate(synth._laplace_all_m(T)):
+            want, _ = q_laplace(lambda u: np.polynomial.polynomial.polyval(u, a[j]), T,
+                                grid.direction, spec.q, spec.k, quad)
+            assert np.abs(got - want * g).max() <= 1e-8 * abs(want), (T, j)
+
+
+def test_taylor_line_refuses_a_difference(taylor_line):
+    # its coefficients are summed to the line's top only, below the arc
+    from dataclasses import replace
+
+    sol = taylor_line[0]
+    turned = LogSolution(sol.spec, replace(sol.grid, direction=0.3), sol.w0, sol.w1,
+                         sol.eps, Delta=sol.Delta, taylor=sol.taylor)
+    with pytest.raises(UsageError, match="only to its line's top"):
+        solution_difference(sol, turned, 0, 0.01, 0.1)
+
+
+@pytest.mark.parametrize("which", ["trapezoid", "taylor"])
+def test_grouped_evaluation_is_the_per_point_evaluation(golden_solution, taylor_line, which):
+    # points sharing t share one Fourier pass over their z; every value is
+    # the one evaluate_parts gives that point alone, bit for bit
+    sol = golden_solution if which == "trapezoid" else taylor_line[0]
+    points = [(0.008, -0.3), (0.012, 0.1 + 0.2j), (0.008, 0.25 - 0.15j), (0.016, 0.0),
+              (0.012, -0.4), (0.008, 0.0), (0.010 + 0.002j, 0.1)]
+    got = _fresh(sol).evaluate_points(points)
+    for (t, z), parts in zip(points, got):
+        assert parts == _fresh(sol).evaluate_parts(t, z)
 
 
 def test_forcing_only_dD0_matches_direct_construction(problem_dict):

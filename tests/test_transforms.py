@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qborel.errors import DomainError
+from qborel.errors import DomainError, UsageError
+from qborel.problem_model import polyval_im
 from qborel.transforms import (
     convolution_kernel,
     inverse_fourier,
@@ -188,3 +189,29 @@ def test_callable_kernel_on_an_even_node_count():
     m = np.linspace(-10, 10, 400)
     K = convolution_kernel(lambda x: np.exp(-x ** 2), m, [1.0])
     assert np.all(np.isfinite(K @ np.exp(-m ** 2)))
+
+
+@pytest.mark.parametrize("n", [241, 400])
+def test_offset_kernel_matches_the_full_offset_matrix(n):
+    # f at the 2n - 1 offsets (i - j) dm, read as a Toeplitz matrix, against
+    # f on the n x n matrix m_i - m_j, on an odd and an even node count.  The
+    # matrix rounds each offset by up to ulp(12) = 1.8e-15 and |f'| <= 1
+    # here, so the two agree to a few of those
+    m = np.linspace(-12.0, 12.0, n)
+
+    def f(x):
+        return np.exp(-0.5 * x ** 2) * (1.0 + 0.3j * x) + 0.1 / (1.0 + x ** 2)
+
+    h = [0.25, 0.0, 0.25]
+    want = f(m[:, None] - m[None, :]) * (polyval_im(h, m) * trapezoid_weights(m))[None, :] \
+        / math.sqrt(2.0 * math.pi)
+    got = convolution_kernel(f, m, h)
+    assert got.shape == (n, n)
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
+def test_offset_kernel_refuses_a_non_uniform_grid():
+    m = np.linspace(-12.0, 12.0, 241)
+    m[100] += 1e-3
+    with pytest.raises(UsageError, match="uniform"):
+        convolution_kernel(lambda x: np.exp(-x ** 2), m, [1.0])
