@@ -12,12 +12,18 @@ dilation shift is positive, so a rung reads only lower rungs and the
 centre, and a line cut at any top rung solves its rows as a longer line
 does, to within the solve tolerance; a range of the ladder cut from below
 solves alike once its lowest rows are held (`BorelGrid.rung_range`, `held`
-of the solves).  Coupling in m is a dense kernel matrix per symbol;
-coupling in tau is the pure rung shift.
+of the solves).  Coupling in m is a dense kernel matrix per symbol, built
+once per m grid from the symbol's m part (`SymbolKernels`): a symbol is its
+m part times a polynomial in eps, which enters every operator as a scalar.
+Coupling in tau is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
-order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).
+order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).  Within
+an order only the b symbols couple, through a block that is the same for
+every order and depends on eps only through the b symbols' scalars: each
+order is one Picard run, or, where many expansions share those scalars (a
+`SolutionFamily`), one solve of the block inverted once (`OrderBlock`).
 `solve_held` is the one solve path of every `LogSolution`: it sums a line's
 rows up to the arc rung, about rho/2, from them and runs Picard only on the
 rows above, holding just the summed rungs those read, one largest dilation
@@ -30,7 +36,6 @@ the same recursion gives the formal series (`formal_asymptotics`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -53,13 +58,16 @@ __all__ = [
     "radial_envelope_log",
     "build_grid",
     "rung_shifts",
-    "eps_kernels",
+    "SymbolKernels",
+    "term_scalars",
+    "b_scalars",
     "SolverContext",
     "solve_coupled",
     "solve_triangular",
     "held_bottom",
     "solve_held",
     "contraction_estimate",
+    "OrderBlock",
     "TaylorRecursion",
     "taylor_at_origin",
     "taylor_values",
@@ -341,21 +349,51 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                      T_min=T_min, T_max=T_max)
 
 
-def eps_kernels(spec: ProblemSpec, m: np.ndarray, eps: complex):
-    """The eps-dependent convolution kernels of spec on the m grid: one per
-    dilation term, and one per b symbol keyed (j, eq), None where the symbol
-    vanishes."""
-    terms = [convolution_kernel(functools.partial(t.C, eps=eps), m, t.R)
-             for t in spec.terms]
-    b = {jk: None if sym.is_zero()
-         else convolution_kernel(functools.partial(sym, eps=eps), m, [1.0])
-         for jk, sym in spec.coeffs.b.items()}
-    return terms, b
+@dataclass(frozen=True)
+class SymbolKernels:
+    """The convolution kernels of spec's symbols on one m grid, built from
+    the symbols' m parts alone: one per dilation term, with its R_l(i m)
+    factor, and one per b symbol keyed (j, eq), None where the symbol
+    vanishes.  A `FourierSymbol` is its m part times a polynomial in eps, so
+    eps enters every operator as a scalar (`term_scalars`, `b_scalars`)."""
+
+    terms: tuple
+    b: dict
+
+    @classmethod
+    def of(cls, spec: ProblemSpec, m: np.ndarray) -> "SymbolKernels":
+        """The kernels of spec on the m grid, built once per m grid: kept on
+        spec for the last m grid asked for."""
+        m = np.asarray(m, dtype=float)
+        cached = getattr(spec, "_symbol_kernels", None)
+        if cached is None or cached[0] != m.tobytes():
+            spec._symbol_kernels = (m.tobytes(), cls.build(spec, m))
+        return spec._symbol_kernels[1]
+
+    @classmethod
+    def build(cls, spec: ProblemSpec, m: np.ndarray) -> "SymbolKernels":
+        return cls(terms=tuple(convolution_kernel(t.C.m_part, m, t.R) for t in spec.terms),
+                   b={jk: None if sym.is_zero() else convolution_kernel(sym.m_part, m, [1.0])
+                      for jk, sym in spec.coeffs.b.items()})
+
+
+def term_scalars(spec: ProblemSpec, eps: complex) -> list:
+    """eps^(Delta_l - d_l) c_l(eps) of each dilation term: its operator's
+    scalar at eps over `SymbolKernels.terms`."""
+    return [eps ** (t.Delta - t.d) * t.C.eps_factor(eps) for t in spec.terms]
+
+
+def b_scalars(spec: ProblemSpec, eps: complex) -> dict:
+    """(j, eq) -> b_(j,eq)'s eps polynomial at eps, for every b symbol that
+    does not vanish: its scalar over `SymbolKernels.b`."""
+    return {jk: sym.eps_factor(eps) for jk, sym in spec.coeffs.b.items()
+            if not sym.is_zero()}
 
 
 class SolverContext:
-    """Kernel matrices and forcing for one (grid, eps), over the grid's
-    eps-independent OperatorFactors.
+    """The operators of one (grid, eps): the forcing at eps and the eps
+    scalars of the terms and b symbols, over the grid's eps-independent
+    OperatorFactors and the SymbolKernels of its m grid.
 
     The coupled map of (omega_0, omega_1) is written once, in
     `_contributions`, as what each unknown adds to the right side of each
@@ -366,24 +404,20 @@ class SolverContext:
     the node samples, then the centre tau = 0 in the last row.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex,
-                 kernels=None):
+    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
         if eps == 0:
             raise UsageError("the fixed point is defined for eps != 0")
         self.spec = spec
         self.grid = grid
         self.eps = complex(eps)
         self.fac = grid.factors(spec)
-        m = grid.m
-        tau = grid.stacked_tau
-        self.F = [forcing_borel(spec, h, tau, m, eps) for h in (0, 1)]
-        # `kernels`, when given, is eps_kernels(spec, grid.m, eps), built once
-        # by a caller that shares it
-        self.term_kernel, self.b_kernel = (eps_kernels(spec, m, eps) if kernels is None
-                                           else kernels)
-        # tau^d_l prefactor times eps^(Delta_l - d_l)
-        self.term_scale = [self.eps ** (t.Delta - t.d) * pref
-                           for t, pref in zip(spec.terms, self.fac.prefs)]
+        self.F = [forcing_borel(spec, h, grid.stacked_tau, grid.m, eps) for h in (0, 1)]
+        kernels = SymbolKernels.of(spec, grid.m)
+        self.term_kernel, self.b_kernel = kernels.terms, kernels.b
+        # tau^d_l prefactor times the term's eps scalar
+        self.term_scale = [scalar * pref for scalar, pref
+                           in zip(term_scalars(spec, self.eps), self.fac.prefs)]
+        self.b_scale = b_scalars(spec, self.eps)
 
     def _contributions(self, unknowns: dict, accs: dict) -> dict:
         """Add in place to accs[eq], for each equation eq in accs, what the
@@ -394,8 +428,9 @@ class SolverContext:
         omega_j enters equation j through every term H_l, and omega_1 also
         enters equation 0 through delta_l H_l and the HP term, so each
         H_l(omega_j) is computed once and read by every equation that needs
-        it.  The b symbol (j, eq) adds omega_j K_b^T.  A spec has at least
-        one term (D >= 2), so every accumulator a caller asks for gets filled.
+        it.  The b symbol (j, eq) adds its eps scalar times omega_j K_b^T.  A
+        spec has at least one term (D >= 2), so every accumulator a caller
+        asks for gets filled.
         """
         def add(eq, part):
             if accs[eq] is None:
@@ -417,7 +452,8 @@ class SolverContext:
             for eq in accs:
                 K = self.b_kernel[(source, eq)]
                 if K is not None:
-                    add(eq, data @ K.T)
+                    scale = self.b_scale[(source, eq)]
+                    add(eq, data @ K.T if scale == 1 else (data @ K.T) * scale)
         return accs
 
     def _forced(self, acc: np.ndarray, eq: int) -> np.ndarray:
@@ -456,10 +492,12 @@ class SolverContext:
         acc = self._contributions({1: w1}, {1: None})[1]
         return self._divided(self._forced(acc, 1))
 
-    def g_eps(self, w1: np.ndarray) -> np.ndarray:
-        """Equation 0's forcing and omega_1 part, fixed once omega_1 is."""
-        acc = self._contributions({1: w1}, {0: None})[0]
-        return self._divided(self._forced(acc, 0))
+    def g_eps(self, w1: np.ndarray):
+        """(g, apply_H1(w1)): equation 0's forcing and omega_1 part, fixed
+        once omega_1 is, and equation 1's image of omega_1, from one pass
+        that computes each H_l(omega_1) once for both."""
+        accs = self._contributions({1: w1}, {0: None, 1: None})
+        return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
 
     def apply_H0(self, w0: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Equation 0 with its omega_1 part and forcing given as g."""
@@ -551,17 +589,17 @@ def _solve_report(weights: np.ndarray, dist, pair, images, runs,
 
 
 def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                  tol: float = 1e-10, max_iter: int = 200, kernels=None, held=None):
+                  tol: float = 1e-10, max_iter: int = 200, held=None):
     """Picard iteration on the coupled map from (0, 0), whose first iterate
     is the forcing over P.
 
     Convergence is guaranteed when the smallness budget of
-    `geometry.check_smallness` holds; otherwise the solve still runs.  `kernels`
-    is an eps_kernels result to share; `held` fixes the lowest rows of the
-    line and the centre (see `_holding`), and the solve then
-    updates, measures and reports the other rows only.
+    `geometry.check_smallness` holds; otherwise the solve still runs.
+    `held` fixes the lowest rows of the line and the centre (see
+    `_holding`), and the solve then updates, measures and reports the other
+    rows only.
     """
-    ctx = SolverContext(spec, grid, eps, kernels)
+    ctx = SolverContext(spec, grid, eps)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
     zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
@@ -581,26 +619,25 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
 
 
 def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                     tol: float = 1e-10, max_iter: int = 200, kernels=None, held=None):
+                     tol: float = 1e-10, max_iter: int = 200, held=None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
     own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
     Each Picard run starts from zero, whose images are known: omega_1's
-    forcing over P, and g.  `kernels` and `held` are as in `solve_coupled`."""
+    forcing over P, and g.  `held` is as in `solve_coupled`."""
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
-    ctx = SolverContext(spec, grid, eps, kernels)
+    ctx = SolverContext(spec, grid, eps)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
     zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
     w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist, tol, max_iter,
                         hold(ctx.image_of_zero(1), 1))
-    g = ctx.g_eps(w1)
+    g, h1 = ctx.g_eps(w1)
     w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g), 0), zero, dist, tol, max_iter,
                         hold(g.copy(), 0))
-    # the coupled map's rows from the blocks: row 0 reuses g, and row 1
-    # reads no omega_0 because b_01 = 0
-    return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), ctx.apply_H1(w1)),
-                         [run1, run0])
+    # the coupled map's rows from the blocks: row 0 reuses g, and row 1,
+    # which reads no omega_0 because b_01 = 0, is h1
+    return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), h1), [run1, run0])
 
 
 def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
@@ -613,14 +650,13 @@ def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
 
 
 def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray,
-               kernels, tol: float = 1e-10, max_iter: int = 200):
+               tol: float = 1e-10, max_iter: int = 200):
     """(w0, w1, report, picard): omega_0 and omega_1 on the stacked rows of
     line, with the rows inside the disc summed from their Taylor
     coefficients coef at tau = 0 and Picard run only above.
 
     coef must converge at the radius of the lower of the line's top and its
-    arc rung (`taylor_at_origin`), and kernels is eps_kernels(spec, line.m,
-    eps).  The rows up to the arc rung and the centre come from
+    arc rung (`taylor_at_origin`).  The rows up to the arc rung and the centre come from
     `taylor_values`.  When the line's top lies at or below the arc rung,
     that is every row, and report and picard are None.  Otherwise Picard
     (`solve_triangular` for b_01 = 0, else `solve_coupled`) runs on the
@@ -640,20 +676,18 @@ def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarra
     disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
     below = g_lo - line.g_lo
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
-    *ws, report = solve(spec, eps, picard, tol=tol, max_iter=max_iter, kernels=kernels,
-                        held=disc[:, below:])
+    *ws, report = solve(spec, eps, picard, tol=tol, max_iter=max_iter, held=disc[:, below:])
     w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
     return w0, w1, report, picard
 
 
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
                          probes: int = 6, seed: int = 0,
-                         scale: float = 1.0, kernels=None) -> float:
-    """Max over unordered random probe pairs of the H-difference quotient.
-    `kernels` is as in `solve_coupled`."""
+                         scale: float = 1.0) -> float:
+    """Max over unordered random probe pairs of the H-difference quotient."""
     if probes < 2:
         raise UsageError("need at least two probes")
-    ctx = SolverContext(spec, grid, eps, kernels)
+    ctx = SolverContext(spec, grid, eps)
     weights = grid.stacked_weights(spec)
     dist = _distance(weights)
     rng = np.random.default_rng(seed)
@@ -707,26 +741,93 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
                               "smallness condition violated", exc.history) from exc
 
 
+class OrderBlock:
+    """The b block of every Taylor order at tau = 0 at one set of b scalars,
+    inverted once.
+
+    Within one order only the b symbols couple the unknowns, P(0) c_eq =
+    rhs_eq + sum_j s_(j,eq) K_(j,eq) c_j with the scalars s = `b_scalars` at
+    eps, so c = (I - P(0)^(-1) B)^(-1) P(0)^(-1) rhs.  The block depends on
+    neither the order nor the forcing, and on eps only through s: one
+    inversion serves every order of every expansion at those scalars, and an
+    order costs two or three matrix-vector products instead of a Picard run
+    (`_order_fixed_point`).  For b_01 = 0 the block is triangular: the two
+    per-equation n_m x n_m factors are inverted, omega_1's first, and
+    omega_1 enters equation 0 through K_(1,0); otherwise the whole 2 n_m
+    block is.  I - P(0)^(-1) B lies near the identity under the smallness
+    budget.  A block whose contraction bound, the max-abs row-sum norm of
+    P(0)^(-1) B in which the Picard run measures its updates, reaches 1 is
+    refused (DivergenceError), as the run there need not converge.
+    """
+
+    def __init__(self, spec: ProblemSpec, m: np.ndarray, scalars: dict):
+        m = np.asarray(m, dtype=float)
+        n = m.size
+        kernels = SymbolKernels.of(spec, m)
+        self.scalars = dict(scalars)
+        self.inv_p0 = 1.0 / spec.pm(0.0, m)
+        # s / P(0) of each b symbol: P(0)^(-1) s K scales row i of K by entry i
+        over_p0 = {jk: s * self.inv_p0 for jk, s in self.scalars.items()}
+        rows = np.zeros((2, n))
+        for (j, eq), w in over_p0.items():
+            rows[eq] += np.abs(w) * np.abs(kernels.b[(j, eq)]).sum(axis=1)
+        bound = float(rows.max())
+        if not bound < 1.0:
+            raise DivergenceError(
+                f"the Taylor coefficients at tau = 0 do not converge: the b block's "
+                f"contraction bound is {bound:.3g} >= 1, smallness condition violated")
+        if spec.coeffs.triangular:
+            self.full = None
+            self.diag = [None if (j, j) not in over_p0 else np.linalg.inv(
+                np.eye(n) - over_p0[(j, j)][:, None] * kernels.b[(j, j)]) for j in (0, 1)]
+            # omega_1's part of equation 0: K_(1,0) and its s / P(0)
+            self.cross = (kernels.b[(1, 0)], over_p0.get((1, 0)))
+        else:
+            block = np.eye(2 * n, dtype=complex)
+            for (j, eq), w in over_p0.items():
+                block[eq * n:(eq + 1) * n, j * n:(j + 1) * n] -= w[:, None] * kernels.b[(j, eq)]
+            self.full = np.linalg.inv(block)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The coefficients c (2, n_m) of one order from its right side but
+        its b part, rhs (2, n_m)."""
+        c = rhs * self.inv_p0
+        if self.full is not None:
+            return (self.full @ c.ravel()).reshape(c.shape)
+        inv0, inv1 = self.diag
+        if inv1 is not None:
+            c[1] = inv1 @ c[1]
+        K, w = self.cross
+        if K is not None:
+            c[0] += w * (K @ c[1])
+        if inv0 is not None:
+            c[0] = inv0 @ c[0]
+        return c
+
+
 class TaylorRecursion:
     """The fixed point of SolverContext in monomials of tau.  Order p's
     coefficient c_p, a (2, n_eps, n_m) array over eps powers, solves
     P(0) c_p = forcing_p + q_f R_D(im) c_(p-dD) + sum over the term entries
     (d, delta, shift, scale, dilation, K) of scale dilation^(p-d) K c_(p-d)
-    + sum over the b entries (j, eq, shift, K) of K c_(j,p), each entry
+    + sum over the b entries (j, eq, shift, s, K) of s K c_(j,p), each entry
     shift eps powers up; equation 0 also reads c_1, through (dD/k) R_D and
-    delta.  Assumption (A) gives d >= 1, so within one eps power of one order
-    only the shift-0 b entries couple, one small fixed point each.  For
-    dD = 0 the R_D part stays on the left, in P(0) = Q(im) - q_f R_D(im).
+    delta.  Every K is a `SymbolKernels` kernel of a symbol's m part, and the
+    symbol's eps polynomial enters as the scalars scale and s.  Assumption (A)
+    gives d >= 1, so within one eps power of one order only the shift-0 b
+    entries couple: one small fixed point each, or one solve of an
+    `OrderBlock`.  For dD = 0 the R_D part stays on the left, in
+    P(0) = Q(im) - q_f R_D(im).
 
-    `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, eps
-    folded into the kernels); `eps_series` is the formal series, whose
-    eps^n t^p coefficient is q^(p(p-1)/2k) c_(p,n-p).
+    `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, the
+    symbols' eps polynomials evaluated at eps); `eps_series` is the formal
+    series, whose eps^n t^p coefficient is q^(p(p-1)/2k) c_(p,n-p).
     """
 
     def __init__(self, spec: ProblemSpec, m: np.ndarray, eps_parts, terms: list,
                  b: list, degree: int | None = None):
         """eps_parts(sym) lists a forcing symbol's m data by eps power; terms
-        holds (LowerOrderTerm, eps shift, eps factor, K), b (j, eq, shift, K)."""
+        holds (LowerOrderTerm, eps shift, eps factor, K), b (j, eq, shift, s, K)."""
         if any(t.d < 1 for t in spec.terms):
             raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
         self.spec, self.m, self.b, self.degree = spec, m, b, degree
@@ -744,32 +845,36 @@ class TaylorRecursion:
         self.p0 = spec.pm(0.0, m)
 
     @classmethod
-    def at_eps(cls, spec: ProblemSpec, m: np.ndarray, eps: complex,
-               kernels=None) -> "TaylorRecursion":
-        """At one eps, over kernels = eps_kernels(spec, m, eps) when given."""
-        term_kernel, b_kernel = eps_kernels(spec, m, eps) if kernels is None else kernels
+    def at_eps(cls, spec: ProblemSpec, m: np.ndarray, eps: complex) -> "TaylorRecursion":
+        """At one eps: the kernels of the m grid with the eps scalars at eps."""
+        kernels = SymbolKernels.of(spec, m)
         return cls(spec, m, lambda sym: [sym(m, eps)],
-                   [(t, 0, eps ** (t.Delta - t.d), K)
-                    for t, K in zip(spec.terms, term_kernel)],
-                   [(j, eq, 0, K) for (j, eq), K in b_kernel.items() if K is not None])
+                   [(t, 0, scalar, K) for t, scalar, K
+                    in zip(spec.terms, term_scalars(spec, eps), kernels.terms)],
+                   [(j, eq, 0, s, kernels.b[(j, eq)])
+                    for (j, eq), s in b_scalars(spec, eps).items()])
 
     @classmethod
     def eps_series(cls, spec: ProblemSpec, m: np.ndarray, degree: int) -> "TaylorRecursion":
-        """In eps powers 0..degree: the kernel of a symbol's eps^a part moves
-        term l up Delta_l - d_l + a eps powers, and b up a."""
+        """In eps powers 0..degree: a symbol's eps^a coefficient moves term l
+        up Delta_l - d_l + a eps powers, and b up a."""
         if any(t.Delta < t.d for t in spec.terms):
             raise ConfigError("Assumption (A) violated: the formal eps-series "
                               "needs Delta_l >= d_l")
+        kernels = SymbolKernels.of(spec, m)
 
         def split(sym):
             return [sym.eps_coefficient(a) for a in range(min(sym.eps_degree, degree) + 1)]
 
+        def powers(sym):
+            """(a, the eps^a coefficient) of sym's nonzero eps powers up to degree."""
+            return [(a, complex(c)) for a, c in enumerate(sym.eps_poly[:degree + 1]) if c != 0]
+
         return cls(spec, m, lambda sym: [part(m) for part in split(sym)],
-                   [(t, t.Delta - t.d + a, 1.0, convolution_kernel(part, m, t.R))
-                    for t in spec.terms for a, part in enumerate(split(t.C))],
-                   [(j, eq, a, convolution_kernel(part, m, [1.0]))
-                    for (j, eq), sym in spec.coeffs.b.items() if not sym.is_zero()
-                    for a, part in enumerate(split(sym))], degree)
+                   [(t, t.Delta - t.d + a, c, K)
+                    for t, K in zip(spec.terms, kernels.terms) for a, c in powers(t.C)],
+                   [(j, eq, a, c, K) for (j, eq), K in kernels.b.items() if K is not None
+                    for a, c in powers(spec.coeffs.b[(j, eq)])], degree)
 
     def powers(self, p: int) -> int:
         """How many eps powers order p solves: all, or those up to eps^(degree-p)."""
@@ -795,42 +900,49 @@ class TaylorRecursion:
                 rhs[:, shift:n] += h
         return rhs
 
-    def orders(self, what, rtol: float):
-        """Yield c_0, c_1, ...: each eps power one `_order_fixed_point` to
-        rtol, after the b entries of shift >= 1 add the lower powers of its
-        order; what(p, e) names c_(p,e) in a DivergenceError."""
-        coupling = [(j, eq, K) for j, eq, shift, K in self.b if shift == 0]
-        inv_p0 = 1.0 / self.p0
+    def orders(self, what, rtol: float, block: OrderBlock | None = None):
+        """Yield c_0, c_1, ...: after the b entries of shift >= 1 add the
+        lower powers of its order, each eps power is one `_order_fixed_point`
+        to rtol, or, when block is given, one `OrderBlock.solve`; block must
+        hold the b scalars of a one-power recursion.  what(p, e) names
+        c_(p,e) in a DivergenceError."""
+        if block is None:
+            coupling = [(j, eq, K if s == 1 else s * K)
+                        for j, eq, shift, s, K in self.b if shift == 0]
+            inv_p0 = 1.0 / self.p0
+        elif self.n_eps != 1 or block.scalars != {(j, eq): s for j, eq, _, s, _ in self.b}:
+            raise UsageError("the order block was inverted at other b scalars")
         c = []
         for p in itertools.count():
             c_p = self.rhs(c, p)
             for e in range(self.powers(p)):
-                for j, eq, shift, K in self.b:
+                for j, eq, shift, s, K in self.b:
                     if 1 <= shift <= e:
-                        c_p[eq, e] += c_p[j, e - shift] @ K.T
-                c_p[:, e] = _order_fixed_point(c_p[:, e], coupling, inv_p0,
-                                               what(p, e), rtol)
+                        c_p[eq, e] += s * (c_p[j, e - shift] @ K.T)
+                c_p[:, e] = (block.solve(c_p[:, e]) if block is not None else
+                             _order_fixed_point(c_p[:, e], coupling, inv_p0, what(p, e), rtol))
             c.append(c_p)
             yield c_p
 
 
 def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
-                     radius: float, kernels=None) -> np.ndarray:
+                     radius: float, block: OrderBlock | None = None) -> np.ndarray:
     """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, the
-    orders of `TaylorRecursion.at_eps` (over `kernels` = eps_kernels(spec, m,
-    eps) when given), as a (2, orders, n_m) array.  The sum stops once the
-    terms of the last max(dD, d_l) orders at |tau| = radius fall below
-    TAYLOR_RTOL of the largest; a series that has not by order
-    TAYLOR_MAX_ORDER raises DivergenceError."""
+    orders of `TaylorRecursion.at_eps`, as a (2, orders, n_m) array.  Each
+    order is one Picard run, or, when block is given, one solve of that
+    OrderBlock, inverted at eps's b scalars (`b_scalars`) and shared by every
+    expansion at them.  The sum stops once the terms of the last max(dD, d_l)
+    orders at |tau| = radius fall below TAYLOR_RTOL of the largest; a series
+    that has not by order TAYLOR_MAX_ORDER raises DivergenceError."""
     if eps == 0:
         raise UsageError("the fixed point is defined for eps != 0")
     m = np.asarray(m, dtype=float)
-    rec = TaylorRecursion.at_eps(spec, m, complex(eps), kernels)
+    rec = TaylorRecursion.at_eps(spec, m, complex(eps))
     last_forced = max(rec.forcing, default=0)
     reach = max([spec.dD] + [t.d for t in spec.terms])
     # to a few units of rounding of the largest coefficient
     orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0",
-                        rtol=4e-16)
+                        rtol=4e-16, block=block)
     c = []
     peak, quiet = 0.0, 0
     for n, c_n in zip(range(TAYLOR_MAX_ORDER + 1), orders):

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borel_solver import (GridSpec, _weighted_sup, build_grid, contraction_estimate,
-                           eps_kernels, solve_coupled, solve_held, taylor_at_origin)
+from .borel_solver import (BorelGrid, GridSpec, _weighted_sup, build_grid,
+                           contraction_estimate, solve_coupled, solve_held, taylor_at_origin)
 from .errors import ConfigError, DivergenceError, DomainError, GeometryError, UsageError
 from .formal_asymptotics import (
     SolutionFamily,
@@ -302,16 +302,11 @@ def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
     return 0
 
 
-def _line(rc: RunConfig, ctx: dict):
-    """(grid, kernels): `build_grid`'s line in the first Borel direction and
-    the eps_solve kernels on it, built once per run.  One kernel build
-    serves the whole-line solve, the contraction probe, the Taylor
-    expansion of the held-row solve and the Borel residual."""
+def _line(rc: RunConfig, ctx: dict) -> BorelGrid:
+    """`build_grid`'s line in the first Borel direction, built once per run."""
     if "grid" not in ctx:
         ctx["grid"] = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
-    if "eps_kernels" not in ctx:
-        ctx["eps_kernels"] = eps_kernels(rc.spec, ctx["grid"].m, rc.eps_solve)
-    return ctx["grid"], ctx["eps_kernels"]
+    return ctx["grid"]
 
 
 def _relative(value: float, norms) -> float:
@@ -323,11 +318,11 @@ def _relative(value: float, norms) -> float:
 
 def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     small = _certificate(rc, ctx)[2]
-    grid, kernels = _line(rc, ctx)
+    grid = _line(rc, ctx)
     # the paper's fixed point, by Picard on the whole line; its rows are
     # written out here and not kept in ctx
     w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
-                                   max_iter=rc.max_iter, kernels=kernels)
+                                   max_iter=rc.max_iter)
     np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
     weights = grid.stacked_weights(rc.spec)
@@ -336,7 +331,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
               list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
     contraction = contraction_estimate(rc.spec, rc.eps_solve, grid, probes=4,
-                                       seed=rc.seed, kernels=kernels)
+                                       seed=rc.seed)
     # two methods, one fixed point: the rows that evaluate and residual read
     # against the Picard rows
     sol = _log_solution(rc, ctx)
@@ -361,10 +356,10 @@ def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
     carries the coefficients, so on a line that ends below the arc rung its
     q-Laplace transform is their closed form."""
     if "log_solution" not in ctx:
-        grid, kernels = _line(rc, ctx)
+        grid = _line(rc, ctx)
         radius = grid.radius_of_rung(min(grid.g_hi, grid.arc_rung()))
-        coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m, radius, kernels)
-        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef, kernels,
+        coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m, radius)
+        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef,
                                   tol=rc.solve_tol, max_iter=rc.max_iter)
         ctx["log_solution"] = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve,
                                           Delta=rc.Delta, taylor=coef)
@@ -388,8 +383,7 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
     if not rc.points:
         raise UsageError("residual requires points in the configuration")
     sol = _log_solution(rc, ctx)
-    borel = residual_borel(sol.w0, sol.w1, rc.spec, rc.eps_solve, sol.grid,
-                           kernels=_line(rc, ctx)[1])
+    borel = residual_borel(sol.w0, sol.w1, rc.spec, rc.eps_solve, sol.grid)
     defects = residual_physical(sol, rc.spec, rc.points)
     rows = [(t.real, t.imag, z.real, z.imag, float(r))
             for (t, z), r in zip(rc.points, defects)]
@@ -430,11 +424,6 @@ def _relative_residual(report) -> float:
 
 
 def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
-    # the eps_solve kernels serve `solve`, the Taylor expansion that
-    # `evaluate` and `residual` read and the Borel residual only; released
-    # here, they do not sit under the peak memory of the solves below (a
-    # later verb that still wants them builds them again)
-    ctx.pop("eps_kernels", None)
     cov = _covering(rc, ctx)
     series = _series(rc, ctx)
     family = SolutionFamily(rc.spec, cov, rc.gspec, tol=min(rc.solve_tol, 1e-12),

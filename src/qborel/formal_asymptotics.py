@@ -6,7 +6,15 @@ The series is one array coef[j, n, p], the eps^n t^p coefficient of u_j on
 the m grid.  The q-Laplace transform sends tau^p to q^(p(p-1)/2k) (eps t)^p,
 so coef[j, n, p] is q^(p(p-1)/2k) times the eps^(n-p) part of the Taylor
 coefficient c_p(eps) of omega_j at tau = 0: `borel_solver.TaylorRecursion`
-with truncated eps-series for coefficients.
+with truncated eps-series for coefficients, each eps power of each order one
+small Picard run.
+
+The analytic solutions of a covering (`SolutionFamily`) take one Taylor
+expansion at tau = 0 per eps; their orders share one inverted b block
+(`borel_solver.OrderBlock`) while the b symbols' eps scalars stay the same,
+which they do for every eps when no b symbol depends on eps.  The remainder
+check takes every partial sum of a probe from one Fourier sum
+(`evaluate_formal`).
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, TaylorRecursion, build_grid, eps_kernels, held_bottom,
-                           solve_held, taylor_at_origin)
+from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, b_scalars, build_grid,
+                           held_bottom, solve_held, taylor_at_origin)
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
@@ -98,22 +106,25 @@ def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
     for p, c_p in enumerate(c):
         n = N + 1 - p
         defect = (rec.p0 * c_p - rec.rhs(c, p))[:, :n]
-        for j, eq, shift, K in rec.b:
+        for j, eq, shift, s, K in rec.b:
             if shift < n:
-                defect[eq, shift:] -= c_p[j, :n - shift] @ K.T
+                defect[eq, shift:] -= s * (c_p[j, :n - shift] @ K.T)
         worst = max(worst, float(np.abs(defect).max()) / spec.q_power_factor(p))
     return worst
 
 
 def evaluate_formal(series: FormalSeries, j: int, t: complex, z: complex,
-                    eps: complex, N: int | None = None) -> complex:
-    """Partial sum sum_{n<=N} V_{j,n}(t, z) eps^n via the inverse transform."""
+                    eps: complex, N: int | None = None) -> np.ndarray:
+    """The partial sums S_0, ..., S_N of sum_n V_{j,n}(t, z) eps^n, an
+    (N + 1,) array: the stack of their m data is inverse-transformed in one
+    Fourier sum."""
     N = series.order if N is None else N
     if N > series.order:
         raise UsageError("series order too low")
     powers = np.arange(N + 1)
-    total = complex(eps) ** powers @ (complex(t) ** powers @ series.coef[j, :N + 1, :N + 1])
-    return inverse_fourier(total, complex(z), series.m)
+    terms = complex(t) ** powers @ series.coef[j, :N + 1, :N + 1]
+    terms *= (complex(eps) ** powers)[:, None]
+    return inverse_fourier(np.cumsum(terms, axis=0), complex(z), series.m)
 
 
 class SolutionFamily:
@@ -135,10 +146,13 @@ class SolutionFamily:
     from `held_bottom` (one largest dilation shift less one below g_arc)
     to the top, with its rungs up to g_arc and the centre held at the
     expansion.  That range is one grid per sector for the family's life,
-    so its operator factors are built once.  The expansion and both
-    sectors' solves at one eps share one eps_kernels build.  Only the last
-    eps's kernels, expansion and solutions are kept, so the family's memory
-    does not grow with the samples.
+    so its operator factors are built once, and every grid of the family
+    reads the kernels of the one m grid (`SymbolKernels`), with eps entering
+    as scalars.  Each order of an expansion is one solve of the family's
+    `OrderBlock`, inverted again only when the b symbols' eps scalars
+    change: once per family when no b symbol depends on eps.  Only the last
+    eps's expansion and solutions, and the last block, are kept, so the
+    family's memory does not grow with the samples.
 
     A solution's rows agree to within the solve tolerance with a whole-line
     Picard solve on its line.  `reports` keeps the SolveReport of every
@@ -157,7 +171,8 @@ class SolutionFamily:
         self._lines = {}
         self._sols = {}                     # (sector, eps) -> solution, last eps only
         self.reports = {}
-        self._expansion = None              # (eps, kernels, Taylor coefficients)
+        self._expansion = None              # (eps, Taylor coefficients)
+        self._block = None                  # OrderBlock of the last expansion
         self.arc_orders = []                # highest order of every expansion
         self.grid_rows = 0                  # stacked rows of every Picard range
 
@@ -173,29 +188,31 @@ class SolutionFamily:
             self._lines[p] = grid.rung_range(min(grid.g_lo, held_bottom(self.spec, grid)), top)
         return self._lines[p]
 
-    def _taylor(self, eps: complex):
-        """(kernels, coefficients): eps_kernels at eps and the Taylor
-        coefficients at tau = 0 summed to the arc radius, built from them
-        (kept for the last eps asked for, whose solutions alone are kept)."""
+    def _taylor(self, eps: complex) -> np.ndarray:
+        """The Taylor coefficients at tau = 0 at eps, summed to the arc
+        radius, each order one solve of the family's OrderBlock (kept for
+        the last eps asked for, whose solutions alone are kept)."""
         if self._expansion is None or self._expansion[0] != eps:
             line = self._line(0)
-            kernels = eps_kernels(self.spec, line.m, eps)
+            scalars = b_scalars(self.spec, eps)
+            if self._block is None or self._block.scalars != scalars:
+                self._block = None          # released before the next is inverted
+                self._block = OrderBlock(self.spec, line.m, scalars)
             coef = taylor_at_origin(self.spec, eps, line.m,
-                                    line.radius_of_rung(line.arc_rung()), kernels)
+                                    line.radius_of_rung(line.arc_rung()), self._block)
             self.arc_orders.append(coef.shape[1] - 1)
-            self._expansion = (eps, kernels, coef)
+            self._expansion = (eps, coef)
             self._sols = {}
-        return self._expansion[1:]
+        return self._expansion[1]
 
     def at(self, p: int, eps: complex) -> LogSolution:
         """The solution of sector p at eps on the sector's line."""
         p = p % self.covering.zeta
         key = (p, complex(eps))
         if key not in self._sols:
-            kernels, coef = self._taylor(key[1])
+            coef = self._taylor(key[1])
             line = self._line(p)
-            w0, w1, report, picard = solve_held(self.spec, eps, line, coef, kernels,
-                                                tol=self.tol)
+            w0, w1, report, picard = solve_held(self.spec, eps, line, coef, tol=self.tol)
             if picard is not None:
                 self.reports[key] = report
                 self.grid_rows += picard.n_nodes + 1
@@ -224,10 +241,14 @@ def gevrey_remainder_check(family: SolutionFamily, p: int,
     rem = {N: [] for N in range(N_max + 1)}
     for eps in eps_samples:
         sol = family.at(p, eps)
-        vals = {(j, t, z): sol.component(j, t, z) for (t, z) in probes for j in (0, 1)}
-        for N in range(N_max + 1):
-            rem[N].append(max(abs(u - evaluate_formal(series, j, t, z, eps, N))
-                              for (j, t, z), u in vals.items()))
+        # every partial sum N <= N_max of a probe from one Fourier sum
+        worst = np.zeros(N_max + 1)
+        for (t, z) in probes:
+            for j in (0, 1):
+                sums = evaluate_formal(series, j, t, z, eps, N_max)
+                np.maximum(worst, np.abs(sol.component(j, t, z) - sums), out=worst)
+        for N, r in enumerate(worst.tolist()):
+            rem[N].append(r)
     rep.remainders = rem
 
     xs, ys = [], []

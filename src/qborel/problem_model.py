@@ -120,7 +120,9 @@ class FourierSymbol:
                    exp_abs=d.get("exp_abs", 0.0), gauss=d.get("gauss", 0.0),
                    eps_poly=d.get("eps_poly", (1.0,)))
 
-    def _m_part(self, m):
+    def m_part(self, m):
+        """The symbol's factor in m: rational(m) exp(-a|m|) exp(-g m^2), or
+        the interpolated table."""
         m = np.asarray(m, dtype=float)
         if self.table is not None:
             tm, tv = self.table
@@ -131,9 +133,12 @@ class FourierSymbol:
         vals = pv(m, self.num) / pv(m, self.den)
         return vals * np.exp(-self.exp_abs * np.abs(m) - self.gauss * m * m)
 
+    def eps_factor(self, eps) -> complex:
+        """The symbol's factor in eps, its eps polynomial at eps."""
+        return complex(np.polynomial.polynomial.polyval(complex(eps), self.eps_poly))
+
     def __call__(self, m, eps=0.0):
-        ep = np.polynomial.polynomial.polyval(complex(eps), self.eps_poly)
-        return self._m_part(m) * ep
+        return self.m_part(m) * self.eps_factor(eps)
 
     @property
     def eps_degree(self) -> int:
@@ -145,7 +150,7 @@ class FourierSymbol:
         c = self.eps_poly[n] if n < self.eps_poly.size else 0.0
         if c == 0:
             return lambda m: np.zeros(np.shape(m), dtype=complex)
-        return lambda m, _c=complex(c): self._m_part(m) * _c
+        return lambda m, _c=complex(c): self.m_part(m) * _c
 
     def is_zero(self) -> bool:
         if self.table is not None:

@@ -124,6 +124,7 @@ class LogSolution:
     Delta: float = 0.5
     taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
+    _admissible: set = field(default_factory=set, repr=False, compare=False)
 
     @property
     def direction(self) -> float:
@@ -256,12 +257,16 @@ class LogSolution:
     def checked_T(self, t: complex, z: complex) -> complex:
         """T = eps t, after the checks every evaluation at (t, z) makes: z
         lies in the strip, T is admissible and |T| lies in the range
-        [T_min, T_max] that the grid's line serves."""
+        [T_min, T_max] that the grid's line serves.  The checks of T depend
+        on T alone, so they run once per T that passes them (the passed T
+        are kept up to PAIR_CACHE_LIMIT of them)."""
         if abs(complex(z).imag) > self.spec.beta_prime:
             raise DomainError(
                 f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
                 f"beta' = {self.spec.beta_prime}")
         T = self.eps * complex(t)
+        if T in self._admissible:
+            return T
         check_admissible(T, self.direction, self.Delta, self.r1)
         grid = self.grid
         if not grid.T_min <= abs(T) <= grid.T_max:
@@ -269,6 +274,9 @@ class LogSolution:
                 f"|eps t| = {abs(T):.4g} lies outside [{grid.T_min:.4g}, "
                 f"{grid.T_max:.4g}], the range the Borel grid's line serves "
                 "(grid T_min, T_max)")
+        if len(self._admissible) >= PAIR_CACHE_LIMIT:
+            self._admissible.clear()
+        self._admissible.add(T)
         return T
 
     def laplace_pair(self, t: complex, z: complex):
@@ -333,13 +341,12 @@ def _by_t(points) -> dict:
 
 
 def residual_borel(w0: np.ndarray, w1: np.ndarray, spec: ProblemSpec,
-                   eps: complex, grid: BorelGrid, kernels=None) -> float:
+                   eps: complex, grid: BorelGrid) -> float:
     """Weighted norm of the defect of the two convolution equations,
     assembled in un-divided form Q(im) omega_j - RHS_j, for the stacked
-    samples w0 and w1 on grid.  `kernels` is an eps_kernels result to share,
-    as in `solve_coupled`."""
+    samples w0 and w1 on grid."""
     weights = grid.stacked_weights(spec)
-    residuals = SolverContext(spec, grid, eps, kernels).undivided_residual(w0, w1)
+    residuals = SolverContext(spec, grid, eps).undivided_residual(w0, w1)
     return max(_weighted_sup(r, weights) for r in residuals)
 
 

@@ -88,7 +88,14 @@ def theta_scaled(z, q: float, k: int = 1):
     # log-magnitude and phase of each term, per evaluation point
     logmag = -p * (p - 1.0) * lnq / (2.0 * k) + log_abs[..., None] * p
     scale = logmag.max(axis=-1)
-    terms = np.exp(logmag - scale[..., None] + 1j * (arg[..., None] * p))
+    # exp(logmag - scale + i arg p), built and exponentiated in one complex
+    # array; adding 0.0 turns a -0.0 phase into +0.0, as the complex sum
+    # logmag - scale + 1j * (arg p) does, so every term keeps its bits
+    terms = np.empty(logmag.shape, dtype=complex)
+    np.subtract(logmag, scale[..., None], out=terms.real)
+    np.multiply(arg[..., None], p, out=terms.imag)
+    terms.imag += 0.0
+    np.exp(terms, out=terms)
     total = terms.sum(axis=-1)
     if scalar:
         return complex(total[0]), float(scale[0])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qborel.borel_solver import SolverContext, eps_kernels, solve_coupled
+from qborel.borel_solver import SolverContext, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.problem_model import polyval_im
@@ -170,9 +170,10 @@ def weighted_norm(grid, spec, data: np.ndarray) -> float:
 
 
 def apply_Hl(ctx: SolverContext, w: np.ndarray, ell: int) -> np.ndarray:
-    """tau^d_l damped dilation-convolution of one unknown over P, without
-    the eps power."""
+    """tau^d_l damped dilation-convolution of one unknown over P, with the
+    coefficient c_l at eps but without the eps power."""
     data = ctx.fac.dilations[ell].apply(w) @ ctx.term_kernel[ell].T
+    data *= ctx.spec.terms[ell].C.eps_factor(ctx.eps)
     data *= ctx.fac.prefs[ell]
     data *= ctx.fac.inv_p
     return data
@@ -325,12 +326,11 @@ def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
     g_ring = math.floor(-octaves * grid.N)
     if not g_ring <= g_arc <= 0:
         raise UsageError(f"ring lines over rungs {g_ring}..0 miss the arc rung {g_arc}")
-    kernels = eps_kernels(spec, grid.m, eps)
     samples = []
     for j in range(ARC_SAMPLES):
         ring = replace(grid, direction=2.0 * math.pi * j / ARC_SAMPLES,
                        g_lo=g_ring, g_hi=0)
-        w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol, kernels=kernels)
+        w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol)
         samples.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))
     return tuple(np.array(s) for s in zip(*samples))
 

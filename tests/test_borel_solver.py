@@ -551,7 +551,7 @@ def test_operators_on_a_truncated_grid_restrict_the_full_ones(golden):
 
     def outputs(ctx, a, b):
         return [*ctx.apply_H(a, b), *ctx.undivided_residual(a, b), ctx.apply_H1(b),
-                ctx.g_eps(b), ctx.apply_H0(a, b)]
+                *ctx.g_eps(b), ctx.apply_H0(a, b)]
 
     want = outputs(SolverContext(spec, full, eps), w0, w1)
     for cut in (grid, full.rung_range(full.arc_rung() - 5, 0)):
@@ -589,11 +589,11 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     g_arc = grid.arc_rung()
     assert held_bottom(spec, grid) == g_arc - shift + 1 and grid.g_hi > 0
     coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))
-    *_, rep, picard = solve_held(spec, 0.015, grid, coef, None, tol=1e-12)
+    *_, rep, picard = solve_held(spec, 0.015, grid, coef, tol=1e-12)
     assert (picard.g_lo, picard.g_hi) == (g_arc - shift + 1, grid.g_hi)
     assert picard.n_nodes + 1 == grid.g_hi - g_arc + shift + 1 and rep.residual < 1e-10
     # a line above the arc rung that starts higher cannot hold the block,
     # and is refused before a solve
     short = grid.rung_range(held_bottom(spec, grid) + 1, grid.g_hi)
     with pytest.raises(UsageError, match="must reach"):
-        solve_held(spec, 0.015, short, np.zeros((2, 1, short.m.size)), None)
+        solve_held(spec, 0.015, short, np.zeros((2, 1, short.m.size)))

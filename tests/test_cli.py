@@ -332,24 +332,22 @@ def test_evaluate_on_the_branch_cut_is_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["solve", "residual"])
-def test_verb_builds_the_eps_kernels_once(tmp_path, monkeypatch, verb):
-    # the solve, the contraction probe and the Borel residual share one build
-    import qborel.borel_solver as borel_solver
-    import qborel.cli as cli
+def test_verb_builds_the_symbol_kernels_once(tmp_path, monkeypatch, verb):
+    # the solve, the contraction probe, the Taylor expansion and the Borel
+    # residual read one build of the m grid's kernels
+    from qborel.borel_solver import SymbolKernels
 
     path = small_config(tmp_path)
-    eps = load_config(path).eps_solve
     builds = []
-    real = borel_solver.eps_kernels
+    real = SymbolKernels.build.__func__
 
-    def counting(spec, m, at):
-        builds.append(at)
-        return real(spec, m, at)
+    def counting(cls, spec, m):
+        builds.append(m.size)
+        return real(cls, spec, m)
 
-    monkeypatch.setattr(borel_solver, "eps_kernels", counting)
-    monkeypatch.setattr(cli, "eps_kernels", counting, raising=False)
+    monkeypatch.setattr(SymbolKernels, "build", classmethod(counting))
     assert run(verb, path, str(tmp_path / "out")) == 0
-    assert builds.count(eps) == 1
+    assert builds == [load_config(path).gspec.m_nodes]
 
 
 def test_evaluate_and_residual_build_no_geometry_constants(tmp_path, monkeypatch):
@@ -571,6 +569,33 @@ def test_first_bad_point_names_the_error(tmp_path, capsys, verb):
     assert "outside" in err and "strip" not in err
 
 
+def test_point_verbs_check_each_eps_t_once(tmp_path, monkeypatch):
+    # the checks of T = eps t depend on T alone: evaluate and the residual,
+    # which also reads each point's dilations, check every distinct T once
+    import qborel.cli as cli
+    import qborel.solution_assembly as assembly
+
+    rc = load_config(small_config(tmp_path))
+    points = [(t, z) for t in (0.012, 0.016, 0.02) for z in (-0.2, 0.0, 0.1, 0.3)]
+    checked = []
+    real = assembly.check_admissible
+
+    def counted(T, *args):
+        checked.append(T)
+        return real(T, *args)
+
+    monkeypatch.setattr(assembly, "check_admissible", counted)
+    ts = sorted({t for t, _ in points})
+    cli._log_solution(rc, {}).evaluate_points(points)
+    assert checked == [rc.eps_solve * t for t in ts]
+    checked.clear()
+    spec = rc.spec
+    ratios = {1.0, spec.q ** (spec.dD / spec.k), *(spec.q ** float(t.delta) for t in spec.terms)}
+    assembly.residual_physical(cli._log_solution(rc, {}), spec, points)
+    assert len(checked) == len(set(checked)) == len({rc.eps_solve * (r * t)
+                                                     for r in ratios for t in ts})
+
+
 def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch):
     # the wide config's line tops out at 0.73 rho, above the arc rung: the
     # held-row solve runs Picard there only, and matches the whole-line
@@ -595,7 +620,7 @@ def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch
     assert grid.g_hi > grid.arc_rung()
     assert ranges == [(held_bottom(rc.spec, grid), grid.g_hi)]
     w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
-                                   max_iter=rc.max_iter, kernels=ctx["eps_kernels"])
+                                   max_iter=rc.max_iter)
     weights = grid.stacked_weights(rc.spec)
     gap = max(float(np.max(weights * np.abs(a - b))) for a, b in ((w0, sol.w0), (w1, sol.w1)))
     assert gap <= 1e-14 * max(report.norms)
@@ -643,6 +668,47 @@ def test_solve_reports_the_taylor_gap(tmp_path, name):
     assert run("solve", CONFIG_DIR / name, str(tmp_path)) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["taylor_gap"] <= 1e-12
+
+
+def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(tmp_path,
+                                                                        monkeypatch):
+    # every grid of the run, the formal series and every family expansion
+    # read one kernel build of the one m grid, and the family's expansions
+    # share one OrderBlock, since no b symbol of the config depends on eps
+    from qborel.borel_solver import OrderBlock, SymbolKernels
+
+    builds, blocks = [], []
+    build = SymbolKernels.build.__func__
+    init = OrderBlock.__init__
+
+    def counted_build(cls, spec, m):
+        builds.append(m.tobytes())
+        return build(cls, spec, m)
+
+    def counted_init(self, spec, m, scalars):
+        blocks.append(dict(scalars))
+        init(self, spec, m, scalars)
+
+    monkeypatch.setattr(SymbolKernels, "build", classmethod(counted_build))
+    monkeypatch.setattr(OrderBlock, "__init__", counted_init)
+    path = CONFIG_DIR / "asymptotics_k13.json"
+    assert run("asymptotics", path, str(tmp_path)) == 0
+    assert builds == [load_config(path).gspec.m_grid().tobytes()]
+    assert blocks == [{(0, 0): 1, (1, 0): 1, (1, 1): 1}]
+    solves = json.loads((tmp_path / "fits.json").read_text())["solves"]
+    assert solves["arc_expansions"] == 14
+
+
+def test_asymptotics_beyond_the_smallness_budget_is_3(tmp_path, capsys):
+    # a b11 far beyond the budget: the per-order fixed points of the formal
+    # series diverge, and the family's order block would be refused as well
+    cfg = json.loads((CONFIG_DIR / "asymptotics_k13.json").read_text())
+    cfg["problem"]["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("asymptotics", path, str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "smallness" in err and "Traceback" not in err
 
 
 def test_all_builds_the_point_verbs_solution_once(tmp_path, monkeypatch):

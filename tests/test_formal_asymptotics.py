@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ def test_taylor_order_matches_a_dense_solve(example_spec):
     # only higher orders (dD = 1 here)
     spec, eps = example_spec, 0.015
     assert spec.dD == 1 and min(t.d for t in spec.terms) >= 1
-    _, b_kernel = borel_solver.eps_kernels(spec, M_SMALL, eps)
+    kernels = borel_solver.SymbolKernels.of(spec, M_SMALL)
+    b_kernel = {jk: s * kernels.b[jk] for jk, s in borel_solver.b_scalars(spec, eps).items()}
     rhs = np.zeros((2, M_SMALL.size), dtype=complex)
     for h in (0, 1):
         rhs[h] = spec.forcing.powers(h)[0](M_SMALL, eps)
@@ -243,7 +245,7 @@ def test_both_recursions_iterate_through_the_one_picard_loop(example_spec, monke
 def test_order_fixed_point_of_a_zero_right_side_is_zero(example_spec):
     # the tolerance scales with the right side, so it is 0 here: the first
     # update, 0, must meet it
-    _, b_kernel = borel_solver.eps_kernels(example_spec, M_SMALL, 0.015)
+    b_kernel = borel_solver.SymbolKernels.of(example_spec, M_SMALL).b
     coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
     assert coupling
     c = borel_solver._order_fixed_point(np.zeros((2, M_SMALL.size), dtype=complex),
@@ -266,7 +268,7 @@ def test_order0_matches_analytic_limit(asym):
     for (t, z) in [(0.06, 0.1), (0.05, -0.2)]:
         for j in (0, 1):
             u = sol.component(j, t, z)
-            v0 = evaluate_formal(series, j, t, z, 0.0, 0)
+            (v0,) = evaluate_formal(series, j, t, z, 0.0, 0)
             assert abs(u - v0) <= 0.01 * abs(v0)
 
 
@@ -284,8 +286,8 @@ def test_divided_difference_recovers_low_coefficients(asym):
                 / (eps_pts[i + width] - eps_pts[i]))
     for n in (1, 2):
         dd = table[(0, n)]
-        want = evaluate_formal(series, 0, t, z, 1.0, n) - evaluate_formal(
-            series, 0, t, z, 1.0, n - 1)  # the eps^n coefficient at eps = 1
+        sums = evaluate_formal(series, 0, t, z, 1.0, n)
+        want = sums[n] - sums[n - 1]  # the eps^n coefficient at eps = 1
         assert abs(dd - want) <= 0.05 * abs(want), (n, dd, want)
 
 
@@ -595,8 +597,8 @@ def test_family_residual_and_norms_read_the_free_rows_only(asym):
     rows = kept_rows(sol.grid, grid)
     w0, w1 = sol.w0[rows], sol.w1[rows]
     ctx = SolverContext(spec, grid, eps)
-    gaps = [h - w for h, w in zip((ctx.apply_H0(w0, ctx.g_eps(w1)), ctx.apply_H1(w1)),
-                                  (w0, w1))]
+    g, h1 = ctx.g_eps(w1)
+    gaps = [h - w for h, w in zip((ctx.apply_H0(w0, g), h1), (w0, w1))]
     weights = grid.stacked_weights(spec)
     free = np.arange(grid.arc_rung() - grid.g_lo + 1, grid.n_nodes)
 
@@ -654,29 +656,97 @@ def test_decay_fit_drops_what_no_nudge_mends(asym):
     assert not any("nudge" in w for w in rep.warnings)
 
 
-def test_decay_fit_builds_the_kernels_once_per_eps(asym, monkeypatch):
-    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    builds = []
-    build = borel_solver.eps_kernels
+def _counted_blocks(monkeypatch) -> list:
+    """The b scalars of every OrderBlock built while monkeypatch holds."""
+    blocks = []
+    init = borel_solver.OrderBlock.__init__
 
-    def counted(spec, m, eps):
-        builds.append(eps)
-        return build(spec, m, eps)
+    def counted(self, spec, m, scalars):
+        blocks.append(dict(scalars))
+        init(self, spec, m, scalars)
 
-    monkeypatch.setattr(borel_solver, "eps_kernels", counted)
-    monkeypatch.setattr(formal_asymptotics, "eps_kernels", counted)
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    monkeypatch.setattr(borel_solver.OrderBlock, "__init__", counted)
+    return blocks
+
+
+def test_family_inverts_its_order_block_once_per_b_scalars(asym, monkeypatch):
+    # the wide instance's b symbols do not depend on eps: one block serves
+    # every expansion of the family; a b11 with eps_poly [1, 0.5] takes a
+    # block per eps, and a repeated eps reuses the last
+    cov, gspec = asym["cov"], asym["gspec"]
     arg = np.angle(cov.overlap_sample(0))
+    samples = [m * np.exp(1j * arg) for m in (0.1, 0.2)]
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
-    rep = difference_decay_fit(family, 0, [m * np.exp(1j * arg) for m in (0.1, 0.2)],
-                               probes=probes)
-    # one build serves the expansion and both sectors' solves
-    assert len(rep.eps_samples) == 2 and len(family.reports) == 4
-    assert builds == rep.eps_samples
-    assert len(family.arc_orders) == 2
-    # a solve at another eps builds its own
+    blocks = _counted_blocks(monkeypatch)
+    family = SolutionFamily(asym["spec"], cov, gspec, tol=1e-13)
+    rep = difference_decay_fit(family, 0, samples, probes=probes)
     family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
-    assert len(builds) == 3
+    assert len(rep.eps_samples) == 2 and len(family.arc_orders) == 3
+    assert blocks == [{(0, 0): 1, (1, 0): 1, (1, 1): 1}]
+
+    problem = asymptotics_dict()
+    problem["coeffs"]["b11"]["eps_poly"] = [1.0, 0.5]
+    spec = ProblemSpec.from_dict(problem)
+    blocks.clear()
+    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    for eps in samples + samples[-1:]:
+        family.at(0, eps)
+        family.at(1, eps)
+    assert [b[(1, 1)] for b in blocks] == [1.0 + 0.5 * eps for eps in samples]
+    assert len(family.arc_orders) == 2
+
+
+def _picard_and_block_expansions(spec, eps, m, radius):
+    """taylor_at_origin at eps by per-order Picard runs and by one OrderBlock."""
+    block = borel_solver.OrderBlock(spec, m, borel_solver.b_scalars(spec, eps))
+    return (taylor_at_origin(spec, eps, m, radius),
+            taylor_at_origin(spec, eps, m, radius, block))
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_order_block_expansion_matches_the_picard_one_on_the_shipped_grids(name):
+    from qborel.cli import _line, load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    grid = _line(rc, {})
+    for eps in (rc.eps_solve, 0.11j, 0.004 * np.exp(2.0j)):
+        picard, block = _picard_and_block_expansions(
+            rc.spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
+        assert block.shape == picard.shape and block.shape[1] > 20
+        assert np.abs(block - picard).max() <= 1e-14 * np.abs(picard).max()
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"b01": {"num": [0.0005], "gauss": 1.0}},
+    {"b11": {"num": [0.0006], "gauss": 1.0, "eps_poly": [1.0, 0.5]}},
+])
+def test_order_block_expansion_matches_the_picard_one(problem_dict, coeffs):
+    # the coupled 2 n_m block (b_01 != 0), and a b11 whose eps scalar is
+    # 1 + 0.5 eps
+    problem_dict["eps0"] = 0.3
+    problem_dict["coeffs"].update(coeffs)
+    spec = ProblemSpec.from_dict(problem_dict)
+    assert spec.coeffs.triangular == ("b01" not in coeffs)
+    for eps in (0.015, 0.15 * np.exp(0.3j)):
+        picard, block = _picard_and_block_expansions(spec, eps, M_SMALL, 2e-3)
+        assert block.shape == picard.shape and block.shape[1] > 5
+        assert np.abs(block - picard).max() <= 1e-14 * np.abs(picard).max()
+
+
+def test_order_block_refuses_what_the_smallness_budget_excludes(problem_dict):
+    # a b symbol whose block contracts by less than nothing is refused, as the
+    # per-order Picard run diverges there; and a block serves only the b
+    # scalars it was inverted at
+    spec = ProblemSpec.from_dict(problem_dict)
+    block = borel_solver.OrderBlock(spec, M_SMALL, borel_solver.b_scalars(spec, 0.015))
+    problem_dict["coeffs"]["b11"]["eps_poly"] = [1.0, 0.5]
+    other = ProblemSpec.from_dict(problem_dict)
+    with pytest.raises(UsageError, match="other b scalars"):
+        taylor_at_origin(other, 0.015, M_SMALL, 1e-3, block)
+    problem_dict["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
+    spec = ProblemSpec.from_dict(problem_dict)
+    with pytest.raises(DivergenceError, match="contraction bound .* >= 1, smallness"):
+        borel_solver.OrderBlock(spec, M_SMALL, borel_solver.b_scalars(spec, 0.1))
 
 
 def test_taylor_samples_match_the_solved_ring_rows(asym):
@@ -755,7 +825,7 @@ def test_series_fits_both_sectors(asym):
         t = 0.05 * np.exp(1j * family.covering.t_direction)
         for j in (0, 1):
             u = sol.component(j, t, 0.1)
-            part = evaluate_formal(series, j, t, 0.1, eps, 3)
+            part = evaluate_formal(series, j, t, 0.1, eps, 3)[3]
             assert abs(u - part) < 5e-5 * abs(u), (p, j)
 
 

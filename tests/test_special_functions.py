@@ -94,6 +94,37 @@ def test_theta_on_a_circle_is_the_shared_window_sum():
     assert np.array_equal(scaled, [s for s, _ in alone])
 
 
+def theta_one_expression(z, q, k):
+    """theta_scaled's sums over its per-sample windows, with the terms taken
+    as the one complex expression exp(logmag - scale + 1j * (arg p))."""
+    log_abs, arg, lnq = np.log(np.abs(z)), np.angle(z), math.log(q)
+    half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(THETA_TOL)) + 16.0) / lnq)) + 2
+    p = (np.floor(0.5 + k * log_abs / lnq) - half)[:, None] \
+        + np.arange(2 * half + 2, dtype=float)
+    logmag = -p * (p - 1.0) * lnq / (2.0 * k) + log_abs[:, None] * p
+    scale = logmag.max(axis=1)
+    return np.exp(logmag - scale[:, None] + 1j * (arg[:, None] * p)).sum(axis=1), scale
+
+
+@pytest.mark.parametrize("k", [1, 13])
+def test_theta_terms_keep_the_bits_of_the_one_expression(k):
+    # the terms are filled and exponentiated in place; their sums must equal
+    # those of the one complex expression bit for bit, zero signs included:
+    # on the negative real axis from either side, within 1e-12 to 1.5 rad of
+    # it, on the positive axis (all-negative windows at the small radii) and
+    # off both axes
+    q = 2.0
+    r = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 97))
+    near = [math.pi - o for o in (1e-12, 1e-6, 0.01, 0.5, 1.5)]
+    angles = near + [-a for a in near] + [1.0, -2.0]
+    z = np.concatenate([r * np.exp(1j * a) for a in angles]
+                       + [-r + 0j, np.conj(-r + 0j), r + 0j, np.conj(r + 0j)])
+    scaled, log_scale = theta_scaled(z, q, k)
+    want_scaled, want_scale = theta_one_expression(z, q, k)
+    assert scaled.tobytes() == want_scaled.tobytes()
+    assert log_scale.tobytes() == want_scale.tobytes()
+
+
 def test_real_positive_argument_gives_real_value():
     val = theta(1.7, 2.0, 1)
     assert abs(val.imag) < 1e-14 * abs(val.real)
