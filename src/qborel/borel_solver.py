@@ -21,11 +21,13 @@ Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
 order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).  Within
 an order only the b symbols couple, through a block that is the same for
-every order and depends on eps only through the b symbols' scalars: each
-order is one Picard run, or, where many expansions share those scalars (a
-`SolutionFamily`), one solve of the block inverted once (`OrderBlock`).
+every order: each order is one Picard run, stopped by the one rule
+`ORDER_RTOL`, or, where many expansions share a block whose b symbols do
+not depend on eps (a `SolutionFamily`), one solve of the block inverted
+once (`OrderBlock`).
 `solve_held` is the one solve path of every `LogSolution`: it sums a line's
-rows up to the arc rung, about rho/2, from them and runs Picard only on the
+rows up to its Taylor rung (`BorelGrid.taylor_rung`: the arc rung, about
+rho/2, or the line's top if lower) from them and runs Picard only on the
 rows above, holding just the summed rungs those read, one largest dilation
 shift (`held_bottom`); on a line that ends below the arc rung it runs no
 Picard at all.
@@ -172,6 +174,12 @@ class BorelGrid:
     def arc_rung(self) -> int:
         """The rung nearest rho/2, where sector differences take their arc."""
         return math.floor(self.N * math.log(0.5) / math.log(self.spec_q))
+
+    def taylor_rung(self) -> int:
+        """The top rung of the line's rows that are Taylor sums at tau = 0:
+        the arc rung, or the line's top where that is lower.  The Taylor
+        coefficients of a solution on the line are summed to its radius."""
+        return min(self.g_hi, self.arc_rung())
 
     def rung_range(self, g_lo: int, g_hi: int) -> "BorelGrid":
         """Rungs g_lo..g_hi of the same ladder and direction, with the same
@@ -650,33 +658,34 @@ def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
 
 
 def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray,
-               tol: float = 1e-10, max_iter: int = 200):
+               tol: float = 1e-10):
     """(w0, w1, report, picard): omega_0 and omega_1 on the stacked rows of
     line, with the rows inside the disc summed from their Taylor
     coefficients coef at tau = 0 and Picard run only above.
 
-    coef must converge at the radius of the lower of the line's top and its
-    arc rung (`taylor_at_origin`).  The rows up to the arc rung and the centre come from
-    `taylor_values`.  When the line's top lies at or below the arc rung,
-    that is every row, and report and picard are None.  Otherwise Picard
-    (`solve_triangular` for b_01 = 0, else `solve_coupled`) runs on the
-    rung range picard from `held_bottom` to the top, with the rows up to
-    the arc rung and the centre held, and report is its SolveReport; the
-    line must then reach down to `held_bottom`.
+    coef must converge at the radius of the line's Taylor rung
+    (`BorelGrid.taylor_rung`, `taylor_at_origin`).  The rows up to that
+    rung and the centre come from `taylor_values`.  When the line's top is
+    its Taylor rung, that is every row, and report and picard are None.
+    Otherwise Picard (`solve_triangular` for b_01 = 0, else
+    `solve_coupled`) runs on the rung range picard from `held_bottom` to
+    the top, with the rows up to the arc rung and the centre held, and
+    report is its SolveReport; the line must then reach down to
+    `held_bottom`.
     """
-    g_arc, g_lo = line.arc_rung(), held_bottom(spec, line)
-    if line.g_hi <= g_arc:
+    g_taylor, g_lo = line.taylor_rung(), held_bottom(spec, line)
+    if g_taylor == line.g_hi:
         w0, w1 = taylor_values(coef, line.stacked_tau)
         return w0, w1, None, None
     if g_lo < line.g_lo:
         raise UsageError(f"the line [{line.g_lo}, {line.g_hi}] must reach rung {g_lo}, "
                          "the bottom of its held block")
     picard = line.rung_range(g_lo, line.g_hi)
-    n_disc = g_arc - line.g_lo + 1
+    n_disc = g_taylor - line.g_lo + 1
     disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
     below = g_lo - line.g_lo
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
-    *ws, report = solve(spec, eps, picard, tol=tol, max_iter=max_iter, held=disc[:, below:])
+    *ws, report = solve(spec, eps, picard, tol=tol, held=disc[:, below:])
     w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
     return w0, w1, report, picard
 
@@ -716,15 +725,18 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
 # a series still above that at order TAYLOR_MAX_ORDER is not summed
 TAYLOR_RTOL = 1e-18
 TAYLOR_MAX_ORDER = 160
+# a per-order Picard run stops once an update is within ORDER_RTOL of the
+# start's largest entry: a few units of rounding
+ORDER_RTOL = 4e-16
 
 
 def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
-                       rtol: float, max_iter: int = 200) -> np.ndarray:
+                       max_iter: int = 200) -> np.ndarray:
     """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
     sum_j K_(j,eq) c_j over the (j, eq, K) list coupling, by Picard iteration
-    from rhs / P(0) until the max-abs update is within rtol of the start's
-    largest entry; the b symbols are small under the smallness budget.
-    `what` names c in a DivergenceError."""
+    from rhs / P(0) until the max-abs update is within ORDER_RTOL of the
+    start's largest entry; the b symbols are small under the smallness
+    budget.  `what` names c in a DivergenceError."""
     def step(c):
         nxt = rhs.copy()
         for j, eq, K in coupling:
@@ -735,23 +747,25 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
     start = rhs * inv_p0
     try:
         return _picard(step, start, lambda a, b: float(np.abs(a - b).max()),
-                       rtol * float(np.abs(start).max()), max_iter)[0]
+                       ORDER_RTOL * float(np.abs(start).max()), max_iter)[0]
     except DivergenceError as exc:
         raise DivergenceError(f"{what} do not converge ({exc}): "
                               "smallness condition violated", exc.history) from exc
 
 
 class OrderBlock:
-    """The b block of every Taylor order at tau = 0 at one set of b scalars,
-    inverted once.
+    """The b block of every Taylor order at tau = 0 of a spec whose b
+    symbols do not depend on eps, inverted once.
 
     Within one order only the b symbols couple the unknowns, P(0) c_eq =
-    rhs_eq + sum_j s_(j,eq) K_(j,eq) c_j with the scalars s = `b_scalars` at
-    eps, so c = (I - P(0)^(-1) B)^(-1) P(0)^(-1) rhs.  The block depends on
-    neither the order nor the forcing, and on eps only through s: one
-    inversion serves every order of every expansion at those scalars, and an
-    order costs two or three matrix-vector products instead of a Picard run
-    (`_order_fixed_point`).  For b_01 = 0 the block is triangular: the two
+    rhs_eq + sum_j s_(j,eq) K_(j,eq) c_j with the symbols' eps scalars s
+    (`b_scalars`), so c = (I - P(0)^(-1) B)^(-1) P(0)^(-1) rhs.  The block
+    depends on neither the order nor the forcing, and, when no live b symbol
+    depends on eps, on no eps either: one inversion serves every order of
+    every expansion, and an order costs two or three matrix-vector products
+    instead of a Picard run (`_order_fixed_point`).  A spec with an
+    eps-dependent b symbol is refused (UsageError naming it); its orders
+    take the Picard run.  For b_01 = 0 the block is triangular: the two
     per-equation n_m x n_m factors are inverted, omega_1's first, and
     omega_1 enters equation 0 through K_(1,0); otherwise the whole 2 n_m
     block is.  I - P(0)^(-1) B lies near the identity under the smallness
@@ -760,14 +774,23 @@ class OrderBlock:
     refused (DivergenceError), as the run there need not converge.
     """
 
-    def __init__(self, spec: ProblemSpec, m: np.ndarray, scalars: dict):
+    @staticmethod
+    def eps_dependent(spec: ProblemSpec) -> list:
+        """The names (bjk) of spec's live b symbols that depend on eps."""
+        return [f"b{j}{eq}" for (j, eq), sym in spec.coeffs.b.items()
+                if not sym.is_zero() and sym.eps_degree > 0]
+
+    def __init__(self, spec: ProblemSpec, m: np.ndarray):
+        dependent = self.eps_dependent(spec)
+        if dependent:
+            raise UsageError(f"an order block needs b symbols that do not depend on eps, "
+                             f"but {', '.join(dependent)} does")
         m = np.asarray(m, dtype=float)
         n = m.size
         kernels = SymbolKernels.of(spec, m)
-        self.scalars = dict(scalars)
         self.inv_p0 = 1.0 / spec.pm(0.0, m)
         # s / P(0) of each b symbol: P(0)^(-1) s K scales row i of K by entry i
-        over_p0 = {jk: s * self.inv_p0 for jk, s in self.scalars.items()}
+        over_p0 = {jk: s * self.inv_p0 for jk, s in b_scalars(spec, 0.0).items()}
         rows = np.zeros((2, n))
         for (j, eq), w in over_p0.items():
             rows[eq] += np.abs(w) * np.abs(kernels.b[(j, eq)]).sum(axis=1)
@@ -815,9 +838,9 @@ class TaylorRecursion:
     delta.  Every K is a `SymbolKernels` kernel of a symbol's m part, and the
     symbol's eps polynomial enters as the scalars scale and s.  Assumption (A)
     gives d >= 1, so within one eps power of one order only the shift-0 b
-    entries couple: one small fixed point each, or one solve of an
-    `OrderBlock`.  For dD = 0 the R_D part stays on the left, in
-    P(0) = Q(im) - q_f R_D(im).
+    entries couple: one small fixed point each, stopped by the one rule
+    `ORDER_RTOL`, or one solve of an `OrderBlock`.  For dD = 0 the R_D part
+    stays on the left, in P(0) = Q(im) - q_f R_D(im).
 
     `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, the
     symbols' eps polynomials evaluated at eps); `eps_series` is the formal
@@ -900,18 +923,15 @@ class TaylorRecursion:
                 rhs[:, shift:n] += h
         return rhs
 
-    def orders(self, what, rtol: float, block: OrderBlock | None = None):
+    def orders(self, what, block: OrderBlock | None = None):
         """Yield c_0, c_1, ...: after the b entries of shift >= 1 add the
-        lower powers of its order, each eps power is one `_order_fixed_point`
-        to rtol, or, when block is given, one `OrderBlock.solve`; block must
-        hold the b scalars of a one-power recursion.  what(p, e) names
-        c_(p,e) in a DivergenceError."""
+        lower powers of its order, each eps power is one `_order_fixed_point`,
+        or, when block is given, one solve of that `OrderBlock` of the spec.
+        what(p, e) names c_(p,e) in a DivergenceError."""
         if block is None:
             coupling = [(j, eq, K if s == 1 else s * K)
                         for j, eq, shift, s, K in self.b if shift == 0]
             inv_p0 = 1.0 / self.p0
-        elif self.n_eps != 1 or block.scalars != {(j, eq): s for j, eq, _, s, _ in self.b}:
-            raise UsageError("the order block was inverted at other b scalars")
         c = []
         for p in itertools.count():
             c_p = self.rhs(c, p)
@@ -920,7 +940,7 @@ class TaylorRecursion:
                     if 1 <= shift <= e:
                         c_p[eq, e] += s * (c_p[j, e - shift] @ K.T)
                 c_p[:, e] = (block.solve(c_p[:, e]) if block is not None else
-                             _order_fixed_point(c_p[:, e], coupling, inv_p0, what(p, e), rtol))
+                             _order_fixed_point(c_p[:, e], coupling, inv_p0, what(p, e)))
             c.append(c_p)
             yield c_p
 
@@ -930,19 +950,17 @@ def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
     """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, the
     orders of `TaylorRecursion.at_eps`, as a (2, orders, n_m) array.  Each
     order is one Picard run, or, when block is given, one solve of that
-    OrderBlock, inverted at eps's b scalars (`b_scalars`) and shared by every
-    expansion at them.  The sum stops once the terms of the last max(dD, d_l)
-    orders at |tau| = radius fall below TAYLOR_RTOL of the largest; a series
-    that has not by order TAYLOR_MAX_ORDER raises DivergenceError."""
+    OrderBlock of spec, shared by every expansion.  The sum stops once the
+    terms of the last max(dD, d_l) orders at |tau| = radius fall below
+    TAYLOR_RTOL of the largest; a series that has not by order
+    TAYLOR_MAX_ORDER raises DivergenceError."""
     if eps == 0:
         raise UsageError("the fixed point is defined for eps != 0")
     m = np.asarray(m, dtype=float)
     rec = TaylorRecursion.at_eps(spec, m, complex(eps))
     last_forced = max(rec.forcing, default=0)
     reach = max([spec.dD] + [t.d for t in spec.terms])
-    # to a few units of rounding of the largest coefficient
-    orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0",
-                        rtol=4e-16, block=block)
+    orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0", block)
     c = []
     peak, quiet = 0.0, 0
     for n, c_n in zip(range(TAYLOR_MAX_ORDER + 1), orders):

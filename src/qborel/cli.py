@@ -53,8 +53,6 @@ class RunConfig:
     Delta: float
     gspec: GridSpec
     solve_tol: float
-    max_iter: int
-    formal_tol: float
     eps_solve: complex
     points: list
     N_max: int
@@ -123,14 +121,9 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             density_factor=float(g.get("density_factor", 4.0)))
         tol = _section(raw, "tolerances")
         solve_tol = float(tol.get("solve_tol", 1e-11))
-        formal_tol = float(tol.get("formal_tol", 1e-13))
-        max_iter = int(tol.get("max_iter", 200))
         # `not x > 0` also rejects NaN
-        for name, value in (("solve_tol", solve_tol), ("formal_tol", formal_tol)):
-            if not value > 0:
-                raise ConfigError(f"tolerances {name} = {value} must be > 0")
-        if max_iter < 1:
-            raise ConfigError(f"tolerances max_iter = {max_iter} must be >= 1")
+        if not solve_tol > 0:
+            raise ConfigError(f"tolerances solve_tol = {solve_tol} must be > 0")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
         # the symmetry bound of the assumption checks, checked here for every verb
         if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
@@ -177,7 +170,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             zeta=zeta,
             t_radius=t_radius, t_aperture=t_aperture, t_direction=t_direction,
             Delta=Delta, gspec=gspec,
-            solve_tol=solve_tol, max_iter=max_iter, formal_tol=formal_tol,
+            solve_tol=solve_tol,
             eps_solve=eps_solve,
             points=points,
             N_max=N_max,
@@ -321,8 +314,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     grid = _line(rc, ctx)
     # the paper's fixed point, by Picard on the whole line; its rows are
     # written out here and not kept in ctx
-    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
-                                   max_iter=rc.max_iter)
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol)
     np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
     weights = grid.stacked_weights(rc.spec)
@@ -351,16 +343,15 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
 
 def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
     """The solution that evaluate and residual read, on `build_grid`'s line:
-    its rows up to the lower of the line's top and the arc rung summed from
-    the Taylor series at tau = 0, and Picard only above (`solve_held`).  It
+    its rows up to the line's Taylor rung summed from the Taylor series at
+    tau = 0, each order a Picard run, and Picard only above (`solve_held`).  It
     carries the coefficients, so on a line that ends below the arc rung its
     q-Laplace transform is their closed form."""
     if "log_solution" not in ctx:
         grid = _line(rc, ctx)
-        radius = grid.radius_of_rung(min(grid.g_hi, grid.arc_rung()))
-        coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m, radius)
-        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef,
-                                  tol=rc.solve_tol, max_iter=rc.max_iter)
+        coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m,
+                                grid.radius_of_rung(grid.taylor_rung()))
+        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef, tol=rc.solve_tol)
         ctx["log_solution"] = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve,
                                           Delta=rc.Delta, taylor=coef)
     return ctx["log_solution"]
@@ -397,9 +388,7 @@ def cmd_residual(rc: RunConfig, ctx: dict) -> int:
 
 def _series(rc: RunConfig, ctx: dict):
     if "series" not in ctx:
-        ctx["series"] = formal_coefficients(rc.spec, rc.N_max + 1,
-                                            tol=rc.formal_tol,
-                                            m_grid=rc.gspec.m_grid())
+        ctx["series"] = formal_coefficients(rc.spec, rc.N_max + 1, m_grid=rc.gspec.m_grid())
     return ctx["series"]
 
 
@@ -413,7 +402,7 @@ def cmd_formal(rc: RunConfig, ctx: dict) -> int:
                   ["component", "t_power", "m", "re", "im"], rows)
     res = formal_residual(series, rc.spec, series.order)
     write_json(rc.output_dir / "formal_report.json", {
-        "order": series.order, "residual": res, "tol": rc.formal_tol,
+        "order": series.order, "residual": res,
     })
     return 0
 

@@ -7,25 +7,27 @@ the m grid.  The q-Laplace transform sends tau^p to q^(p(p-1)/2k) (eps t)^p,
 so coef[j, n, p] is q^(p(p-1)/2k) times the eps^(n-p) part of the Taylor
 coefficient c_p(eps) of omega_j at tau = 0: `borel_solver.TaylorRecursion`
 with truncated eps-series for coefficients, each eps power of each order one
-small Picard run.
+small Picard run, stopped by the rule of every Taylor order
+(`borel_solver.ORDER_RTOL`).
 
 The analytic solutions of a covering (`SolutionFamily`) take one Taylor
-expansion at tau = 0 per eps; their orders share one inverted b block
-(`borel_solver.OrderBlock`) while the b symbols' eps scalars stay the same,
-which they do for every eps when no b symbol depends on eps.  The remainder
-check takes every partial sum of a probe from one Fourier sum
-(`evaluate_formal`).
+expansion at tau = 0 per eps, summed to the lines' Taylor rung
+(`BorelGrid.taylor_rung`); when no b symbol depends on eps, their orders
+share one b block inverted once per family (`borel_solver.OrderBlock`),
+and otherwise each order is a Picard run.  The remainder check takes every
+partial sum of a probe from one Fourier sum (`evaluate_formal`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, b_scalars, build_grid,
-                           held_bottom, solve_held, taylor_at_origin)
+from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, build_grid, held_bottom,
+                           solve_held, taylor_at_origin)
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
@@ -55,7 +57,6 @@ class FormalSeries:
     order: int
     m: np.ndarray
     coef: np.ndarray
-    solve_tol: float
     recursion: TaylorRecursion = field(repr=False, compare=False)
 
 
@@ -76,18 +77,18 @@ class AsymptoticsReport:
     warnings: list = field(default_factory=list)
 
 
-def formal_coefficients(spec: ProblemSpec, N: int, tol: float = 1e-13,
-                        m_grid=None) -> FormalSeries:
+def formal_coefficients(spec: ProblemSpec, N: int, m_grid=None) -> FormalSeries:
     """Solve the coefficient recursion up to eps^N: the orders p <= N of
     `TaylorRecursion.eps_series`, each eps power of each one small fixed
-    point iterated to tol (convergent under the smallness budget)."""
+    point (`borel_solver._order_fixed_point`, convergent under the
+    smallness budget)."""
     m = GridSpec().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
     coef = np.zeros((2, N + 1, N + 1, m.size), dtype=complex)
     rec = TaylorRecursion.eps_series(spec, m, N)
-    orders = rec.orders(lambda p, e: f"the eps^{p + e} coefficients of t^{p}", rtol=tol)
+    orders = rec.orders(lambda p, e: f"the eps^{p + e} coefficients of t^{p}")
     for p, c_p in zip(range(N + 1), orders):
         coef[:, p:, p] = c_p[:, :N + 1 - p] / spec.q_power_factor(p)
-    return FormalSeries(order=N, m=m, coef=coef, solve_tol=tol, recursion=rec)
+    return FormalSeries(order=N, m=m, coef=coef, recursion=rec)
 
 
 def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
@@ -136,9 +137,10 @@ class SolutionFamily:
     `build_grid`'s line, which the q-Laplace integrals at |eps t| in
     [T_min, T_max] read, to the higher of its top and the top rung that the
     ray tail of a sector difference reads at T_max (`tail_reach`).  One
-    Taylor expansion at tau = 0 per eps (`_taylor`, summed to the arc
-    radius, about rho/2) gives the centre, the rows up to the arc rung
-    g_arc and the arc of a sector difference: every solution carries it as
+    Taylor expansion at tau = 0 per eps (`_taylor`, summed to the radius of
+    the line's Taylor rung: its arc rung g_arc, about rho/2, where the line
+    reaches above it) gives the centre, the rows up to g_arc and the arc of
+    a sector difference: every solution carries it as
     `LogSolution.taylor`, the one source of its arc samples, and
     `arc_orders` records the highest order of each.  The line's rows come
     from `borel_solver.solve_held`, the solve path that the CLI's
@@ -148,11 +150,11 @@ class SolutionFamily:
     expansion.  That range is one grid per sector for the family's life,
     so its operator factors are built once, and every grid of the family
     reads the kernels of the one m grid (`SymbolKernels`), with eps entering
-    as scalars.  Each order of an expansion is one solve of the family's
-    `OrderBlock`, inverted again only when the b symbols' eps scalars
-    change: once per family when no b symbol depends on eps.  Only the last
-    eps's expansion and solutions, and the last block, are kept, so the
-    family's memory does not grow with the samples.
+    as scalars.  When no b symbol depends on eps, each order of an
+    expansion is one solve of the family's `OrderBlock`, inverted once, at
+    the first expansion; otherwise each order is one Picard run.  Only the
+    last eps's expansion and solutions are kept, so the family's memory
+    does not grow with the samples.
 
     A solution's rows agree to within the solve tolerance with a whole-line
     Picard solve on its line.  `reports` keeps the SolveReport of every
@@ -172,7 +174,6 @@ class SolutionFamily:
         self._sols = {}                     # (sector, eps) -> solution, last eps only
         self.reports = {}
         self._expansion = None              # (eps, Taylor coefficients)
-        self._block = None                  # OrderBlock of the last expansion
         self.arc_orders = []                # highest order of every expansion
         self.grid_rows = 0                  # stacked rows of every Picard range
 
@@ -188,18 +189,22 @@ class SolutionFamily:
             self._lines[p] = grid.rung_range(min(grid.g_lo, held_bottom(self.spec, grid)), top)
         return self._lines[p]
 
+    @functools.cached_property
+    def _block(self) -> OrderBlock | None:
+        """The family's OrderBlock, built at its first expansion; None when a
+        b symbol depends on eps, so that each order is a Picard run."""
+        if OrderBlock.eps_dependent(self.spec):
+            return None
+        return OrderBlock(self.spec, self._line(0).m)
+
     def _taylor(self, eps: complex) -> np.ndarray:
-        """The Taylor coefficients at tau = 0 at eps, summed to the arc
-        radius, each order one solve of the family's OrderBlock (kept for
-        the last eps asked for, whose solutions alone are kept)."""
+        """The Taylor coefficients at tau = 0 at eps, summed to the radius of
+        the line's Taylor rung (kept for the last eps asked for, whose
+        solutions alone are kept)."""
         if self._expansion is None or self._expansion[0] != eps:
             line = self._line(0)
-            scalars = b_scalars(self.spec, eps)
-            if self._block is None or self._block.scalars != scalars:
-                self._block = None          # released before the next is inverted
-                self._block = OrderBlock(self.spec, line.m, scalars)
             coef = taylor_at_origin(self.spec, eps, line.m,
-                                    line.radius_of_rung(line.arc_rung()), self._block)
+                                    line.radius_of_rung(line.taylor_rung()), self._block)
             self.arc_orders.append(coef.shape[1] - 1)
             self._expansion = (eps, coef)
             self._sols = {}

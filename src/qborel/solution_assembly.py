@@ -107,8 +107,8 @@ class LogSolution:
     components at once, and reused for every z and multiplier.
 
     `taylor` holds the Taylor coefficients of (omega_0, omega_1) at tau = 0,
-    summed to the radius of the lower of the line's top and its arc rung, as
-    `borel_solver.solve_held` takes them.  When the top lies at or below the
+    summed to the radius of the line's Taylor rung (`BorelGrid.taylor_rung`),
+    as `borel_solver.solve_held` takes them.  When the top lies at or below the
     arc rung, every row is their sum, and the q-Laplace transform is summed
     from them in closed form; the arc of a sector difference, which they do
     not reach, is then refused (UsageError).  Otherwise the arc takes its
@@ -137,8 +137,8 @@ class LogSolution:
     @property
     def _taylor_line(self) -> bool:
         """Whether every row of the line is summed from `taylor`: its top
-        lies at or below its arc rung."""
-        return self.taylor is not None and self.grid.g_hi <= self.grid.arc_rung()
+        is its Taylor rung."""
+        return self.taylor is not None and self.grid.taylor_rung() == self.grid.g_hi
 
     @_cached_pair
     def _laplace_all_m(self, T: complex):

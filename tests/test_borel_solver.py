@@ -597,3 +597,18 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     short = grid.rung_range(held_bottom(spec, grid) + 1, grid.g_hi)
     with pytest.raises(UsageError, match="must reach"):
         solve_held(spec, 0.015, short, np.zeros((2, 1, short.m.size)))
+
+
+def test_taylor_rung_is_the_lower_of_the_top_and_the_arc_rung(problem_dict):
+    # a line that ends below or at its arc rung is all Taylor sum, and
+    # solve_held runs no Picard on it; one that ends above is Taylor sum up
+    # to the arc rung, with Picard above
+    spec = ProblemSpec.from_dict(problem_dict)
+    grid = build_grid(spec, make_geometry(spec, d=0.0), GridSpec(m_nodes=41))
+    g_arc = grid.arc_rung()
+    coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))
+    for top, want in ((g_arc - 3, g_arc - 3), (g_arc, g_arc), (g_arc + 3, g_arc)):
+        line = grid.rung_range(grid.g_lo, top)
+        assert line.taylor_rung() == want
+        *_, picard = solve_held(spec, 0.015, line, coef, tol=1e-12)
+        assert (picard is None) == (top <= g_arc)

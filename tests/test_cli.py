@@ -95,9 +95,24 @@ def _grid_with(**fields):
 
 
 def _tolerances_with(**fields):
-    tolerances = {"solve_tol": 1e-11, "max_iter": 200, "formal_tol": 1e-13}
+    tolerances = {"solve_tol": 1e-11}
     tolerances.update(fields)
     return {"tolerances": tolerances}
+
+
+def _b11_table(m, values):
+    """The example's problem with a tabulated b11 symbol."""
+    coeffs = json.loads(GOLDEN.read_text())["problem"]["coeffs"]
+    coeffs["b11"] = {"m": m, "values": values}
+    return _problem_with(coeffs=coeffs)
+
+
+# tabulated symbols that FourierSymbol refuses, each with the cause it names
+BAD_TABLES = [
+    (_b11_table([-1.0, 0.0, 1.0], [0.0, 0.0006]), "matching m/value arrays"),
+    (_b11_table([1.0, 0.0, -1.0], [0.0, 0.0006, 0.0]), "strictly increasing"),
+    (_b11_table([-1.0, 0.0, 0.0], [0.0, 0.0006, 0.0]), "strictly increasing"),
+]
 
 
 # settings that load_config itself rejects with ConfigError
@@ -114,9 +129,7 @@ REJECTED_ON_LOAD = [
     _tolerances_with(solve_tol=0.0),
     _tolerances_with(solve_tol=-1.0),
     _tolerances_with(solve_tol=math.nan),
-    _tolerances_with(formal_tol=0.0),
-    _tolerances_with(formal_tol=math.nan),
-    _tolerances_with(max_iter=0),
+    *(table for table, _ in BAD_TABLES),
     # rejected on load even for a verb that never reads them: check-geometry
     # reads no m_nodes, formal no zeta or geometry_m_grid
     {"quadrature": {"M": 12.0, "m_nodes": 80}},
@@ -169,18 +182,32 @@ def test_setting_unread_by_the_verb_is_65(tmp_path, capsys, verb, override, key)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, cause", BAD_TABLES)
+def test_malformed_table_is_65_and_names_its_cause(tmp_path, capsys, override, cause):
+    path = small_config(tmp_path, **override)
+    assert run("check-geometry", path, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+
+
 def test_n_angles_setting_is_ignored(tmp_path):
-    # the arc takes ARC_SAMPLES samples whatever the grid section says
+    # the arc takes ARC_SAMPLES samples whatever the grid section says; every
+    # Taylor order's Picard run stops at one rule, whatever formal_tol says,
+    # and every solve at the library's own cap, whatever max_iter says
+    ignored = [("grid", "n_angles", 8), ("tolerances", "formal_tol", 1e-3),
+               ("tolerances", "max_iter", 1)]
     outs = []
-    for n_angles in (None, 8):
-        base = tmp_path / f"n_angles_{n_angles}"
+    for case in [None, *ignored]:
+        base = tmp_path / ("shipped" if case is None else case[1])
         base.mkdir()
         path = small_config(base)
-        if n_angles is not None:
-            _with(path, lambda c: c["grid"].update(n_angles=n_angles))
-        assert run("asymptotics", path, str(base / "out")) == 0
-        outs.append((base / "out" / "decay.csv").read_bytes())
-    assert outs[0] == outs[1] and outs[0].count(b"\n") > 1
+        if case is not None:
+            _with(path, lambda c: c[case[0]].update({case[1]: case[2]}))
+        assert run("all", path, str(base / "out")) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted((base / "out").iterdir())})
+    assert outs[0]["decay.csv"].count(b"\n") > 1 and "formal_order_3.csv" in outs[0]
+    for out in outs[1:]:
+        assert out == outs[0]
 
 
 def _quadrature_with(Delta):
@@ -283,6 +310,37 @@ def test_check_geometry_k12_fails_with_witness(tmp_path):
     assert run("check-geometry", path, str(out)) == 2
     witness = json.loads((out / "witness.json").read_text())
     assert any(f["name"] == "D.condition" for f in witness["failures"])
+
+
+def test_check_geometry_bounds_a_symbol_over_the_whole_eps_disc(tmp_path):
+    # b11 = x exp(-m^2) (1 + e^(i pi/8) eps) on |eps| <= 0.5: its weighted sup
+    # is 1.5 S, with S that of its m part, at eps = 0.5 e^(-i pi/8), between
+    # two rays of an 8-ray sample of the disc, which reads only 1.474 S.  CB
+    # lies between the two, so the envelope check must fail
+    from qborel.special_functions import m_weight
+
+    cfg = json.loads(small_config(tmp_path).read_text())
+    problem = cfg["problem"]
+    m = np.linspace(*cfg["geometry_m_grid"])
+    weighted = m_weight(m, problem["beta"], problem["mu"]) * np.exp(-m * m)
+    S, m_sup = float(weighted.max()), m[np.argmax(weighted)]
+    turn = cmath.exp(1j * math.pi / 8)
+    sampled = max(abs(1 + 0.5 * turn * cmath.exp(1j * a * math.pi / 4)) for a in range(8))
+    x = problem["coeffs"]["CB"] / (1.487 * S)
+    assert x * S * sampled < problem["coeffs"]["CB"] < x * S * 1.5
+    problem["eps0"] = 0.5
+    problem["coeffs"]["b11"] = {"num": [x], "gauss": 1.0,
+                                "eps_poly": [1.0, [turn.real, turn.imag]]}
+    path = tmp_path / "b11.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("check-geometry", path, str(out)) == 2
+    failures = json.loads((out / "witness.json").read_text())["failures"]
+    # the witness names the m of the sup, the first of the pair +-1.25
+    assert {"name": "B2.b11", "witness": f"m={m_sup:.6g}"} in failures and m_sup == -1.25
+    rows = (out / "assumptions.csv").read_text().splitlines()
+    row = next(r.split(",") for r in rows if r.startswith("B2.b11,"))
+    assert row[1] == "0" and float(row[3]) == pytest.approx(1.5 * x * S, rel=1e-15)
 
 
 def test_solve_zero_forcing_writes_zero_grids(tmp_path):
@@ -619,8 +677,7 @@ def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch
     grid = ctx["grid"]
     assert grid.g_hi > grid.arc_rung()
     assert ranges == [(held_bottom(rc.spec, grid), grid.g_hi)]
-    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol,
-                                   max_iter=rc.max_iter)
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol)
     weights = grid.stacked_weights(rc.spec)
     gap = max(float(np.max(weights * np.abs(a - b))) for a, b in ((w0, sol.w0), (w1, sol.w1)))
     assert gap <= 1e-14 * max(report.norms)
@@ -685,16 +742,15 @@ def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(tmp_path
         builds.append(m.tobytes())
         return build(cls, spec, m)
 
-    def counted_init(self, spec, m, scalars):
-        blocks.append(dict(scalars))
-        init(self, spec, m, scalars)
+    def counted_init(self, spec, m):
+        blocks.append(m.tobytes())
+        init(self, spec, m)
 
     monkeypatch.setattr(SymbolKernels, "build", classmethod(counted_build))
     monkeypatch.setattr(OrderBlock, "__init__", counted_init)
     path = CONFIG_DIR / "asymptotics_k13.json"
     assert run("asymptotics", path, str(tmp_path)) == 0
-    assert builds == [load_config(path).gspec.m_grid().tobytes()]
-    assert blocks == [{(0, 0): 1, (1, 0): 1, (1, 1): 1}]
+    assert builds == blocks == [load_config(path).gspec.m_grid().tobytes()]
     solves = json.loads((tmp_path / "fits.json").read_text())["solves"]
     assert solves["arc_expansions"] == 14
 

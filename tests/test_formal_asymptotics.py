@@ -249,7 +249,7 @@ def test_order_fixed_point_of_a_zero_right_side_is_zero(example_spec):
     coupling = [(j, eq, K) for (j, eq), K in b_kernel.items() if K is not None]
     assert coupling
     c = borel_solver._order_fixed_point(np.zeros((2, M_SMALL.size), dtype=complex),
-                                        coupling, np.ones(M_SMALL.size), "zero", rtol=1e-13)
+                                        coupling, np.ones(M_SMALL.size), "zero")
     assert c.shape == (2, M_SMALL.size) and not c.any()
 
 
@@ -258,7 +258,7 @@ def test_order_fixed_point_names_what_diverged():
     coupling = [(0, 0, np.full((n, n), np.nan))]
     with pytest.raises(DivergenceError, match=r"the test coefficients .*smallness") as err:
         borel_solver._order_fixed_point(np.ones((2, n), dtype=complex), coupling,
-                                        np.ones(n), "the test coefficients", rtol=1e-13)
+                                        np.ones(n), "the test coefficients")
     assert len(err.value.history) == 1
 
 
@@ -657,48 +657,63 @@ def test_decay_fit_drops_what_no_nudge_mends(asym):
 
 
 def _counted_blocks(monkeypatch) -> list:
-    """The b scalars of every OrderBlock built while monkeypatch holds."""
+    """The m grid of every OrderBlock built while monkeypatch holds."""
     blocks = []
     init = borel_solver.OrderBlock.__init__
 
-    def counted(self, spec, m, scalars):
-        blocks.append(dict(scalars))
-        init(self, spec, m, scalars)
+    def counted(self, spec, m):
+        blocks.append(m.tobytes())
+        init(self, spec, m)
 
     monkeypatch.setattr(borel_solver.OrderBlock, "__init__", counted)
     return blocks
 
 
-def test_family_inverts_its_order_block_once_per_b_scalars(asym, monkeypatch):
-    # the wide instance's b symbols do not depend on eps: one block serves
-    # every expansion of the family; a b11 with eps_poly [1, 0.5] takes a
-    # block per eps, and a repeated eps reuses the last
-    cov, gspec = asym["cov"], asym["gspec"]
+def _decay_samples(cov):
+    """Two decay-fit eps on the overlap of sectors 0 and 1, and a probe."""
     arg = np.angle(cov.overlap_sample(0))
-    samples = [m * np.exp(1j * arg) for m in (0.1, 0.2)]
-    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
+    return ([m * np.exp(1j * arg) for m in (0.1, 0.2)],
+            [(0.06 * np.exp(1j * cov.t_direction), 0.1)])
+
+
+def test_family_inverts_one_order_block(asym, monkeypatch):
+    # the wide instance's b symbols do not depend on eps: one block, built at
+    # the first expansion, serves every expansion of the family
+    cov, gspec = asym["cov"], asym["gspec"]
+    samples, probes = _decay_samples(cov)
     blocks = _counted_blocks(monkeypatch)
     family = SolutionFamily(asym["spec"], cov, gspec, tol=1e-13)
+    assert blocks == []
     rep = difference_decay_fit(family, 0, samples, probes=probes)
     family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
     assert len(rep.eps_samples) == 2 and len(family.arc_orders) == 3
-    assert blocks == [{(0, 0): 1, (1, 0): 1, (1, 1): 1}]
+    assert blocks == [gspec.m_grid().tobytes()]
 
+
+def test_family_with_an_eps_dependent_b_symbol_runs_the_picard_orders(asym, monkeypatch):
+    # a b11 with eps_poly [1, 0.5]: the family builds no block, and each of
+    # its expansions is the per-order Picard one, summed to the arc radius
+    cov, gspec = asym["cov"], asym["gspec"]
     problem = asymptotics_dict()
     problem["coeffs"]["b11"]["eps_poly"] = [1.0, 0.5]
     spec = ProblemSpec.from_dict(problem)
-    blocks.clear()
+    samples, _ = _decay_samples(cov)
+    blocks = _counted_blocks(monkeypatch)
     family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    line = family._line(0)
+    radius = line.radius_of_rung(line.arc_rung())
     for eps in samples + samples[-1:]:
-        family.at(0, eps)
-        family.at(1, eps)
-    assert [b[(1, 1)] for b in blocks] == [1.0 + 0.5 * eps for eps in samples]
-    assert len(family.arc_orders) == 2
+        got = family.at(0, eps).taylor
+        assert family.at(1, eps).taylor is got
+        want = taylor_at_origin(spec, eps, line.m, radius)
+        assert got.shape == want.shape and got.shape[1] > 20
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert blocks == [] and len(family.arc_orders) == 2
 
 
 def _picard_and_block_expansions(spec, eps, m, radius):
     """taylor_at_origin at eps by per-order Picard runs and by one OrderBlock."""
-    block = borel_solver.OrderBlock(spec, m, borel_solver.b_scalars(spec, eps))
+    block = borel_solver.OrderBlock(spec, m)
     return (taylor_at_origin(spec, eps, m, radius),
             taylor_at_origin(spec, eps, m, radius, block))
 
@@ -718,11 +733,11 @@ def test_order_block_expansion_matches_the_picard_one_on_the_shipped_grids(name)
 
 @pytest.mark.parametrize("coeffs", [
     {"b01": {"num": [0.0005], "gauss": 1.0}},
-    {"b11": {"num": [0.0006], "gauss": 1.0, "eps_poly": [1.0, 0.5]}},
+    {"b11": {"num": [0.0012], "gauss": 1.0, "eps_poly": [0.5]}},
 ])
 def test_order_block_expansion_matches_the_picard_one(problem_dict, coeffs):
-    # the coupled 2 n_m block (b_01 != 0), and a b11 whose eps scalar is
-    # 1 + 0.5 eps
+    # the coupled 2 n_m block (b_01 != 0), and a b11 whose constant eps
+    # scalar is 0.5
     problem_dict["eps0"] = 0.3
     problem_dict["coeffs"].update(coeffs)
     spec = ProblemSpec.from_dict(problem_dict)
@@ -735,18 +750,43 @@ def test_order_block_expansion_matches_the_picard_one(problem_dict, coeffs):
 
 def test_order_block_refuses_what_the_smallness_budget_excludes(problem_dict):
     # a b symbol whose block contracts by less than nothing is refused, as the
-    # per-order Picard run diverges there; and a block serves only the b
-    # scalars it was inverted at
-    spec = ProblemSpec.from_dict(problem_dict)
-    block = borel_solver.OrderBlock(spec, M_SMALL, borel_solver.b_scalars(spec, 0.015))
-    problem_dict["coeffs"]["b11"]["eps_poly"] = [1.0, 0.5]
-    other = ProblemSpec.from_dict(problem_dict)
-    with pytest.raises(UsageError, match="other b scalars"):
-        taylor_at_origin(other, 0.015, M_SMALL, 1e-3, block)
+    # per-order Picard run diverges there
     problem_dict["coeffs"]["b11"] = {"num": [5.0], "gauss": 1.0}
     spec = ProblemSpec.from_dict(problem_dict)
     with pytest.raises(DivergenceError, match="contraction bound .* >= 1, smallness"):
-        borel_solver.OrderBlock(spec, M_SMALL, borel_solver.b_scalars(spec, 0.1))
+        borel_solver.OrderBlock(spec, M_SMALL)
+
+
+def test_order_block_refuses_an_eps_dependent_b_symbol(problem_dict):
+    # one block serves every eps only when no live b symbol depends on eps;
+    # a zero symbol with an eps polynomial couples nothing and is let through
+    problem_dict["coeffs"]["b01"] = {"num": [0.0], "eps_poly": [1.0, 2.0]}
+    assert not borel_solver.OrderBlock.eps_dependent(ProblemSpec.from_dict(problem_dict))
+    problem_dict["coeffs"]["b11"]["eps_poly"] = [1.0, 0.5]
+    spec = ProblemSpec.from_dict(problem_dict)
+    assert borel_solver.OrderBlock.eps_dependent(spec) == ["b11"]
+    with pytest.raises(UsageError, match="b11 does"):
+        borel_solver.OrderBlock(spec, M_SMALL)
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_formal_series_under_the_one_stopping_rule(name, monkeypatch):
+    # every Taylor order stops at ORDER_RTOL; the series moves from the one
+    # stopped at 1e-13 of each start only at the rounding level
+    from qborel.cli import _series, load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    series = _series(rc, {})
+    monkeypatch.setattr(borel_solver, "ORDER_RTOL", 1e-13)
+    loose = _series(rc, {})
+    solved = 0
+    for j, n, p in np.ndindex(series.coef.shape[:3]):
+        want = loose.coef[j, n, p]
+        if want.any():
+            solved += 1
+            assert np.abs(series.coef[j, n, p] - want).max() <= 1e-15 * np.abs(want).max()
+    assert solved > 20
+    assert formal_residual(series, rc.spec, series.order) <= 1e-9
 
 
 def test_taylor_samples_match_the_solved_ring_rows(asym):

@@ -215,3 +215,26 @@ def test_offset_kernel_refuses_a_non_uniform_grid():
     m[100] += 1e-3
     with pytest.raises(UsageError, match="uniform"):
         convolution_kernel(lambda x: np.exp(-x ** 2), m, [1.0])
+
+
+def test_tabulated_symbol_gives_the_kernel_of_the_symbol_it_samples(problem_dict):
+    # b11 tabulated at the 2n - 1 offsets (i - j) dm that convolution_kernel
+    # evaluates, from the closed form num exp(-a|m|) exp(-g m^2) / den: linear
+    # interpolation at the table's own nodes returns its samples, so the two
+    # symbols give one kernel to rounding
+    from qborel.borel_solver import SymbolKernels
+    from qborel.problem_model import FourierSymbol, ProblemSpec
+
+    closed = {"num": [0.0006, 0.0, 0.0001], "den": [1.0, 0.0, 0.5], "exp_abs": 0.3,
+              "gauss": 0.5}
+    m = np.linspace(-12.0, 12.0, 81)
+    offsets = (m[-1] - m[0]) / (m.size - 1) * np.arange(1 - m.size, m.size)
+    values = FourierSymbol.from_dict(closed).m_part(offsets)
+    kernels = []
+    for b11 in (closed, {"m": offsets.tolist(),
+                         "values": [[v.real, v.imag] for v in values]}):
+        problem_dict["coeffs"]["b11"] = b11
+        kernels.append(SymbolKernels.build(ProblemSpec.from_dict(problem_dict), m).b[(1, 1)])
+    want = kernels[0]
+    assert np.abs(want).max() > 0
+    assert np.abs(kernels[1] - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
