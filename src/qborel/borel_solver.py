@@ -10,7 +10,7 @@ envelope of the q-Laplace transform is alive for some T = eps t in the
 grid's range [T_min, T_max], which is all the transform reads there.  Every
 dilation shift is positive, so a rung reads only lower rungs and the
 centre, and a line cut at any top rung solves its rows as a longer line
-does, to within the solve tolerance; a range of the ladder cut from below
+does, to within the stopping rule; a range of the ladder cut from below
 solves alike once its lowest rows are held (`BorelGrid.rung_range`, `held`
 of the solves).  Coupling in m is a dense kernel matrix per symbol, built
 once per m grid from the symbol's m part (`SymbolKernels`): a symbol is its
@@ -21,10 +21,9 @@ Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
 order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).  Within
 an order only the b symbols couple, through a block that is the same for
-every order: each order is one Picard run, stopped by the one rule
-`ORDER_RTOL`, or, where many expansions share a block whose b symbols do
-not depend on eps (a `SolutionFamily`), one solve of the block inverted
-once (`OrderBlock`).
+every order: each order is one Picard run, or, where many expansions
+share a block whose b symbols do not depend on eps (a `SolutionFamily`),
+one solve of the block inverted once (`OrderBlock`).
 `solve_held` is the one solve path of every `LogSolution`: it sums a line's
 rows up to its Taylor rung (`BorelGrid.taylor_rung`: the arc rung, about
 rho/2, or the line's top if lower) from them and runs Picard only on the
@@ -33,7 +32,9 @@ shift (`held_bottom`); on a line that ends below the arc rung it runs no
 Picard at all.
 `solve_coupled` on a whole line remains the paper's fixed point, which the
 `solve` verb writes out.  With coefficients that are truncated eps-series,
-the same recursion gives the formal series (`formal_asymptotics`).
+the same recursion gives the formal series (`formal_asymptotics`).  Every
+Picard run, a Borel solve or a Taylor order alike, starts from zero and
+stops by one rule (`_picard`), relative to its first iterate's size.
 """
 
 from __future__ import annotations
@@ -514,17 +515,22 @@ class SolverContext:
         return out
 
 
-def _picard(step, start, diff_norm, tol, max_iter, first=None):
-    """Picard iteration of step from start until an update is <= tol, so
-    that a fixed point with tol 0 (a zero right side) stops at its first
-    step; `first`, when given, is step(start), which the caller knows
-    without applying step.  The one fixed-point loop of the package: Borel
-    solves and every eps power of every TaylorRecursion order run through it."""
+# the stopping rule and the iteration cap of every Picard run (`_picard`)
+PICARD_RTOL = 1e-12
+PICARD_MAX_ITER = 200
+
+
+def _picard(step, start, diff_norm, first):
+    """Picard iteration of step from start, zero, whose image `first` the
+    caller knows without applying step, until an update in diff_norm is at
+    most PICARD_RTOL of the first, first's size: a zero right side stops at
+    its first step.  The one fixed-point loop of the package: Borel solves
+    and every eps power of every TaylorRecursion order run through it."""
     w = start
     history = []
     contraction = 0.0
-    for it in range(1, max_iter + 1):
-        w_next = first if it == 1 and first is not None else step(w)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        w_next = first if it == 1 else step(w)
         update = diff_norm(w_next, w)
         history.append(update)
         if not math.isfinite(update):
@@ -535,11 +541,11 @@ def _picard(step, start, diff_norm, tol, max_iter, first=None):
         if len(history) >= 4 and history[-1] > history[-2] > history[-3]:
             raise DivergenceError("Picard iteration diverges", history)
         w = w_next
-        if update <= tol:
+        if update <= PICARD_RTOL * history[0]:
             return w, it, update, contraction, history
     raise DivergenceError(
-        f"Picard iteration did not reach tol={tol} in {max_iter} iterations",
-        history)
+        f"Picard iteration did not reach {PICARD_RTOL:g} of its first update in "
+        f"{PICARD_MAX_ITER} iterations", history)
 
 
 def _distance(weights: np.ndarray):
@@ -596,10 +602,9 @@ def _solve_report(weights: np.ndarray, dist, pair, images, runs,
     return (*pair, report)
 
 
-def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                  tol: float = 1e-10, max_iter: int = 200, held=None):
+def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None):
     """Picard iteration on the coupled map from (0, 0), whose first iterate
-    is the forcing over P.
+    is the forcing over P, in the weighted sup over the free rows.
 
     Convergence is guaranteed when the smallness budget of
     `geometry.check_smallness` holds; otherwise the solve still runs.
@@ -619,15 +624,14 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid,
         return tuple(hold(h, j) for j, h in enumerate(ctx.apply_H(*pair)))
 
     first = tuple(hold(ctx.image_of_zero(j), j) for j in (0, 1))
-    pair, *run = _picard(step, (zero, zero), pair_dist, tol, max_iter, first)
+    pair, *run = _picard(step, (zero, zero), pair_dist, first)
     contraction = run[2]
     cf = max(_weighted_sup(w, weights) for w in first)
     varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
     return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], varpi)
 
 
-def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                     tol: float = 1e-10, max_iter: int = 200, held=None):
+def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
     own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
     Each Picard run starts from zero, whose images are known: omega_1's
@@ -638,10 +642,10 @@ def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
     zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
-    w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist, tol, max_iter,
+    w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist,
                         hold(ctx.image_of_zero(1), 1))
     g, h1 = ctx.g_eps(w1)
-    w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g), 0), zero, dist, tol, max_iter,
+    w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g), 0), zero, dist,
                         hold(g.copy(), 0))
     # the coupled map's rows from the blocks: row 0 reuses g, and row 1,
     # which reads no omega_0 because b_01 = 0, is h1
@@ -657,8 +661,7 @@ def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
     return grid.arc_rung() - max(rung_shifts(spec, grid.N)) + 1
 
 
-def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray,
-               tol: float = 1e-10):
+def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarray):
     """(w0, w1, report, picard): omega_0 and omega_1 on the stacked rows of
     line, with the rows inside the disc summed from their Taylor
     coefficients coef at tau = 0 and Picard run only above.
@@ -685,17 +688,18 @@ def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarra
     disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
     below = g_lo - line.g_lo
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
-    *ws, report = solve(spec, eps, picard, tol=tol, held=disc[:, below:])
+    *ws, report = solve(spec, eps, picard, held=disc[:, below:])
     w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
     return w0, w1, report, picard
 
 
+CONTRACTION_PROBES = 4
+
+
 def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
-                         probes: int = 6, seed: int = 0,
-                         scale: float = 1.0) -> float:
-    """Max over unordered random probe pairs of the H-difference quotient."""
-    if probes < 2:
-        raise UsageError("need at least two probes")
+                         seed: int = 0) -> float:
+    """Max over unordered pairs of CONTRACTION_PROBES random probes of the
+    H-difference quotient."""
     ctx = SolverContext(spec, grid, eps)
     weights = grid.stacked_weights(spec)
     dist = _distance(weights)
@@ -705,9 +709,9 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
     def random_fn():
         v = (rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape))
         c = (rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape))
-        return np.vstack([scale * v / w_nodes, scale * c / w_center])
+        return np.vstack([v / w_nodes, c / w_center])
 
-    fns = [(random_fn(), random_fn()) for _ in range(probes)]
+    fns = [(random_fn(), random_fn()) for _ in range(CONTRACTION_PROBES)]
     # H is affine, so H(a) - H(b) = L(a - b): one application per probe
     hs = [ctx.apply_H(a[0], a[1]) for a in fns]
     worst = 0.0
@@ -725,18 +729,14 @@ def contraction_estimate(spec: ProblemSpec, eps: complex, grid: BorelGrid,
 # a series still above that at order TAYLOR_MAX_ORDER is not summed
 TAYLOR_RTOL = 1e-18
 TAYLOR_MAX_ORDER = 160
-# a per-order Picard run stops once an update is within ORDER_RTOL of the
-# start's largest entry: a few units of rounding
-ORDER_RTOL = 4e-16
 
 
-def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
-                       max_iter: int = 200) -> np.ndarray:
+def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str) -> np.ndarray:
     """The coefficients c (2, n_m) of one order with P(0) c_eq = rhs_eq +
     sum_j K_(j,eq) c_j over the (j, eq, K) list coupling, by Picard iteration
-    from rhs / P(0) until the max-abs update is within ORDER_RTOL of the
-    start's largest entry; the b symbols are small under the smallness
-    budget.  `what` names c in a DivergenceError."""
+    from zero, whose first iterate is rhs / P(0), in the max-abs norm; the b
+    symbols are small under the smallness budget.  `what` names c in a
+    DivergenceError."""
     def step(c):
         nxt = rhs.copy()
         for j, eq, K in coupling:
@@ -744,10 +744,10 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str,
         nxt *= inv_p0
         return nxt
 
-    start = rhs * inv_p0
+    first = rhs * inv_p0
     try:
-        return _picard(step, start, lambda a, b: float(np.abs(a - b).max()),
-                       ORDER_RTOL * float(np.abs(start).max()), max_iter)[0]
+        return _picard(step, np.zeros_like(first),
+                       lambda a, b: float(np.abs(a - b).max()), first)[0]
     except DivergenceError as exc:
         raise DivergenceError(f"{what} do not converge ({exc}): "
                               "smallness condition violated", exc.history) from exc
@@ -838,9 +838,9 @@ class TaylorRecursion:
     delta.  Every K is a `SymbolKernels` kernel of a symbol's m part, and the
     symbol's eps polynomial enters as the scalars scale and s.  Assumption (A)
     gives d >= 1, so within one eps power of one order only the shift-0 b
-    entries couple: one small fixed point each, stopped by the one rule
-    `ORDER_RTOL`, or one solve of an `OrderBlock`.  For dD = 0 the R_D part
-    stays on the left, in P(0) = Q(im) - q_f R_D(im).
+    entries couple: one small fixed point each, a `_picard` run, or one
+    solve of an `OrderBlock`.  For dD = 0 the R_D part stays on the left, in
+    P(0) = Q(im) - q_f R_D(im).
 
     `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, the
     symbols' eps polynomials evaluated at eps); `eps_series` is the formal

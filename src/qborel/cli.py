@@ -52,7 +52,6 @@ class RunConfig:
     t_direction: float
     Delta: float
     gspec: GridSpec
-    solve_tol: float
     eps_solve: complex
     points: list
     N_max: int
@@ -119,11 +118,6 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             m_nodes=int(q.get("m_nodes", 241)),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
-        tol = _section(raw, "tolerances")
-        solve_tol = float(tol.get("solve_tol", 1e-11))
-        # `not x > 0` also rejects NaN
-        if not solve_tol > 0:
-            raise ConfigError(f"tolerances solve_tol = {solve_tol} must be > 0")
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
         # the symmetry bound of the assumption checks, checked here for every verb
         if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
@@ -170,7 +164,6 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             zeta=zeta,
             t_radius=t_radius, t_aperture=t_aperture, t_direction=t_direction,
             Delta=Delta, gspec=gspec,
-            solve_tol=solve_tol,
             eps_solve=eps_solve,
             points=points,
             N_max=N_max,
@@ -314,7 +307,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     grid = _line(rc, ctx)
     # the paper's fixed point, by Picard on the whole line; its rows are
     # written out here and not kept in ctx
-    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol)
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid)
     np.savez(rc.output_dir / "omega.npz", tau=grid.stacked_tau,
              m=grid.m, omega0=w0, omega1=w1)
     weights = grid.stacked_weights(rc.spec)
@@ -322,8 +315,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     write_csv(rc.output_dir / "norms.csv",
               ["re_tau", "im_tau", "weighted_omega0", "weighted_omega1"],
               list(zip(grid.tau.real, grid.tau.imag, sup0, sup1)))
-    contraction = contraction_estimate(rc.spec, rc.eps_solve, grid, probes=4,
-                                       seed=rc.seed)
+    contraction = contraction_estimate(rc.spec, rc.eps_solve, grid, seed=rc.seed)
     # two methods, one fixed point: the rows that evaluate and residual read
     # against the Picard rows
     sol = _log_solution(rc, ctx)
@@ -351,7 +343,7 @@ def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
         grid = _line(rc, ctx)
         coef = taylor_at_origin(rc.spec, rc.eps_solve, grid.m,
                                 grid.radius_of_rung(grid.taylor_rung()))
-        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef, tol=rc.solve_tol)
+        w0, w1, _, _ = solve_held(rc.spec, rc.eps_solve, grid, coef)
         ctx["log_solution"] = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve,
                                           Delta=rc.Delta, taylor=coef)
     return ctx["log_solution"]
@@ -415,8 +407,7 @@ def _relative_residual(report) -> float:
 def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
     cov = _covering(rc, ctx)
     series = _series(rc, ctx)
-    family = SolutionFamily(rc.spec, cov, rc.gspec, tol=min(rc.solve_tol, 1e-12),
-                            m_grid=rc.geometry_m_grid)
+    family = SolutionFamily(rc.spec, cov, rc.gspec, m_grid=rc.geometry_m_grid)
     lo, hi, n = rc.eps_gevrey
     eps_g = [complex(m) * np.exp(1j * cov.directions[0])
              for m in np.exp(np.linspace(math.log(lo), math.log(hi), n))]
@@ -498,8 +489,7 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
     rc.output_dir.mkdir(parents=True, exist_ok=True)
     write_json(rc.output_dir / "run_report.json", {
         "version": __version__, "command": command, "seed": rc.seed,
-        "solve_tol": rc.solve_tol, "m_nodes": rc.gspec.m_nodes,
-        "M": rc.gspec.m_max, "zeta": rc.zeta,
+        "m_nodes": rc.gspec.m_nodes, "M": rc.gspec.m_max, "zeta": rc.zeta,
     })
     ctx: dict = {}
     try:

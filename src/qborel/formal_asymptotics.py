@@ -7,8 +7,8 @@ the m grid.  The q-Laplace transform sends tau^p to q^(p(p-1)/2k) (eps t)^p,
 so coef[j, n, p] is q^(p(p-1)/2k) times the eps^(n-p) part of the Taylor
 coefficient c_p(eps) of omega_j at tau = 0: `borel_solver.TaylorRecursion`
 with truncated eps-series for coefficients, each eps power of each order one
-small Picard run, stopped by the rule of every Taylor order
-(`borel_solver.ORDER_RTOL`).
+small Picard run, stopped by the one rule of every Picard run
+(`borel_solver._picard`).
 
 The analytic solutions of a covering (`SolutionFamily`) take one Taylor
 expansion at tau = 0 per eps, summed to the lines' Taylor rung
@@ -156,19 +156,18 @@ class SolutionFamily:
     last eps's expansion and solutions are kept, so the family's memory
     does not grow with the samples.
 
-    A solution's rows agree to within the solve tolerance with a whole-line
-    Picard solve on its line.  `reports` keeps the SolveReport of every
-    solve under its (sector, eps) key, whose residual and norms read the
-    free rows only; `grid_rows` counts the stacked rows of every Picard
-    range.
+    A solution's rows agree with a whole-line Picard solve on its line to
+    within the one stopping rule (`borel_solver.PICARD_RTOL`).  `reports`
+    keeps the SolveReport of every solve under its (sector, eps) key, whose
+    residual and norms read the free rows only; `grid_rows` counts the
+    stacked rows of every Picard range.
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
-                 gspec: GridSpec, tol: float = 1e-12, m_grid=None):
+                 gspec: GridSpec, m_grid=None):
         self.spec = spec
         self.covering = covering
         self.gspec = gspec
-        self.tol = tol
         self.m_grid = m_grid
         self._lines = {}
         self._sols = {}                     # (sector, eps) -> solution, last eps only
@@ -217,7 +216,7 @@ class SolutionFamily:
         if key not in self._sols:
             coef = self._taylor(key[1])
             line = self._line(p)
-            w0, w1, report, picard = solve_held(self.spec, eps, line, coef, tol=self.tol)
+            w0, w1, report, picard = solve_held(self.spec, eps, line, coef)
             if picard is not None:
                 self.reports[key] = report
                 self.grid_rows += picard.n_nodes + 1

@@ -92,33 +92,42 @@ class FourierSymbol:
             raise ConfigError("decay rates exp_abs and gauss must be >= 0")
         if self.num.size == 0 or self.den.size == 0 or self.eps_poly.size == 0:
             raise ConfigError("symbol with empty coefficient list")
+        data = {"num": self.num, "den": self.den, "exp_abs": self.exp_abs,
+                "gauss": self.gauss, "eps_poly": self.eps_poly}
+        self.table = None
         if table is not None:
             tm = np.asarray(table[0], dtype=float)
             tv = np.asarray([_as_complex(v) for v in table[1]], dtype=complex)
             if tm.size != tv.size or tm.size < 2:
                 raise ConfigError("tabulated symbol needs matching m/value arrays")
-            if np.any(np.diff(tm) <= 0):
-                raise ConfigError("tabulated m grid must be strictly increasing")
+            data.update(m=tm, values=tv)
             self.table = (tm, tv)
-        else:
-            self.table = None
+        for name, values in data.items():
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{name} must be finite")
+        if table is not None and np.any(np.diff(tm) <= 0):
+            raise ConfigError("tabulated m grid must be strictly increasing")
 
     @classmethod
     def zero(cls):
         return cls(num=(0.0,))
 
     @classmethod
-    def from_dict(cls, d) -> "FourierSymbol":
-        if d is None or d == 0 or d == "zero":
-            return cls.zero()
-        if not isinstance(d, dict):
-            raise ConfigError(f"symbol description must be a mapping, got {d!r}")
-        if "m" in d or "values" in d:
-            return cls(eps_poly=d.get("eps_poly", (1.0,)),
-                       table=(d["m"], d["values"]))
-        return cls(num=d.get("num", (1.0,)), den=d.get("den", (1.0,)),
-                   exp_abs=d.get("exp_abs", 0.0), gauss=d.get("gauss", 0.0),
-                   eps_poly=d.get("eps_poly", (1.0,)))
+    def from_dict(cls, d, name: str = "symbol") -> "FourierSymbol":
+        """The symbol d describes; a ConfigError names it as name."""
+        try:
+            if d is None or d == 0 or d == "zero":
+                return cls.zero()
+            if not isinstance(d, dict):
+                raise ConfigError(f"symbol description must be a mapping, got {d!r}")
+            if "m" in d or "values" in d:
+                return cls(eps_poly=d.get("eps_poly", (1.0,)),
+                           table=(d["m"], d["values"]))
+            return cls(num=d.get("num", (1.0,)), den=d.get("den", (1.0,)),
+                       exp_abs=d.get("exp_abs", 0.0), gauss=d.get("gauss", 0.0),
+                       eps_poly=d.get("eps_poly", (1.0,)))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     def m_part(self, m):
         """The symbol's factor in m: rational(m) exp(-a|m|) exp(-g m^2), or
@@ -275,17 +284,17 @@ class ProblemSpec:
                 terms.append(LowerOrderTerm(
                     d=int(t["d"]), Delta=int(t["Delta"]),
                     delta=Fraction(int(num), int(den)),
-                    R=t["R"], C=FourierSymbol.from_dict(t.get("C"))))
+                    R=t["R"], C=FourierSymbol.from_dict(t.get("C"), f"C{len(terms) + 1}")))
             forcing = _section(d, "forcing")
-            lam0 = {int(k): FourierSymbol.from_dict(v)
+            lam0 = {int(k): FourierSymbol.from_dict(v, f"f0[{k}]")
                     for k, v in _section(forcing, "f0").items()}
-            lam1 = {int(k): FourierSymbol.from_dict(v)
+            lam1 = {int(k): FourierSymbol.from_dict(v, f"f1[{k}]")
                     for k, v in _section(forcing, "f1").items()}
             coeffs = _section(d, "coeffs")
             b = {}
             for j in (0, 1):
                 for kk in (0, 1):
-                    b[(j, kk)] = FourierSymbol.from_dict(coeffs.get(f"b{j}{kk}"))
+                    b[(j, kk)] = FourierSymbol.from_dict(coeffs.get(f"b{j}{kk}"), f"b{j}{kk}")
             return cls(
                 D=int(d["D"]), k=int(d["k"]), q=float(d["q"]), dD=int(d["dD"]),
                 terms=terms, Q=d["Q"], RD=d["RD"],

@@ -119,7 +119,7 @@ def golden():
     t_max = spec.eps0 * GOLDEN_T_RADIUS
     gspec = GridSpec(T_min=t_max / 1000.0, T_max=t_max)
     grid = build_grid(spec, geom, gspec)
-    w0, w1, report = solve_coupled(spec, GOLDEN_EPS, grid, tol=1e-11)
+    w0, w1, report = solve_coupled(spec, GOLDEN_EPS, grid)
     return {
         "spec": spec, "geom": geom, "consts": consts, "ops": ops,
         "smallness": small, "grid": grid, "gspec": gspec,

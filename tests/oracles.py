@@ -313,8 +313,7 @@ def formal_order_rhs(spec, coef: np.ndarray, m: np.ndarray, n: int, p: int) -> n
     return rhs
 
 
-def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
-               tol: float = 1e-13):
+def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0):
     """(w_0, w_1) at rung g_arc and ARC_SAMPLES uniform angles, by
     increasing angle: (ARC_SAMPLES, n_m) each, from solved ring lines.
 
@@ -330,7 +329,7 @@ def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0,
     for j in range(ARC_SAMPLES):
         ring = replace(grid, direction=2.0 * math.pi * j / ARC_SAMPLES,
                        g_lo=g_ring, g_hi=0)
-        w0, w1, _ = solve_coupled(spec, eps, ring, tol=tol)
+        w0, w1, _ = solve_coupled(spec, eps, ring)
         samples.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))
     return tuple(np.array(s) for s in zip(*samples))
 

@@ -113,9 +113,9 @@ def test_criterion_3_theta_suite():
 def test_criterion_4_solver_suite(golden):
     t0 = time.perf_counter()
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    w0, w1, rep = solve_coupled(spec, eps, grid, tol=1e-10)
+    w0, w1, rep = solve_coupled(spec, eps, grid)
     assert rep.iterations <= 60 and rep.final_update < 1e-10
-    contraction = contraction_estimate(spec, eps, grid, probes=4, seed=11)
+    contraction = contraction_estimate(spec, eps, grid, seed=11)
     assert contraction <= 0.55
     borel = residual_borel(w0, w1, spec, eps, grid)
     assert borel <= 1e-8
@@ -124,7 +124,7 @@ def test_criterion_4_solver_suite(golden):
               (0.010 + 0.002j, 0.1), (0.014, -0.1 + 0.2j)]
     phys = residual_physical(sol, spec, points).max()
     assert phys <= 1e-6
-    w0t, w1t, _ = solve_triangular(spec, eps, grid, tol=1e-10)
+    w0t, w1t, _ = solve_triangular(spec, eps, grid)
     nodewise = max(np.max(np.abs(w0t[:-1] - w0[:-1])),
                    np.max(np.abs(w1t[:-1] - w1[:-1])),
                    np.max(np.abs(w0t[-1] - w0[-1])),
@@ -148,7 +148,7 @@ def test_criterion_5_disc_agreement(golden):
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
     grid2 = build_grid(spec, geom2, gspec)
-    w0b, w1b, _ = solve_coupled(spec, eps, grid2, tol=1e-11)
+    w0b, w1b, _ = solve_coupled(spec, eps, grid2)
     worst = disc_taylor_gap(spec, eps, [(golden["grid"], golden["w0"], golden["w1"]),
                                         (grid2, w0b, w1b)])
     assert worst <= 1e-8
@@ -184,7 +184,7 @@ def test_criterion_6_formal_suite(golden, problem_dict):
 
 
 def _resolve(spec, golden, eps):
-    w0, w1, _ = solve_coupled(spec, eps, golden["grid"], tol=1e-12)
+    w0, w1, _ = solve_coupled(spec, eps, golden["grid"])
     return w0, w1
 
 
@@ -198,7 +198,7 @@ def wide_instance():
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
     gspec = GridSpec(m_max=12.0, m_nodes=161, T_min=5e-6, T_max=0.025)
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     series = formal_coefficients(spec, 7, m_grid=np.linspace(-12, 12, 161))
     return spec, cov, family, series
 

@@ -135,7 +135,7 @@ def test_apply_h_zero_problem(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
     grid = build_grid(spec, geom, GridSpec(m_nodes=81))
-    w0, w1, rep = solve_coupled(spec, 0.01, grid, tol=1e-10)
+    w0, w1, rep = solve_coupled(spec, 0.01, grid)
     assert rep.iterations == 1
     assert weighted_norm(grid, spec, w0) == 0.0 and weighted_norm(grid, spec, w1) == 0.0
 
@@ -163,7 +163,7 @@ def test_fixed_point_residual_via_reapplication(golden):
 def test_triangular_matches_coupled(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     assert spec.coeffs.triangular
-    w0t, w1t, rep = solve_triangular(spec, eps, grid, tol=1e-11)
+    w0t, w1t, rep = solve_triangular(spec, eps, grid)
     d0 = np.max(np.abs(w0t[:-1] - golden["w0"][:-1]))
     d1 = np.max(np.abs(w1t[:-1] - golden["w1"][:-1]))
     dc = max(np.max(np.abs(w0t[-1] - golden["w0"][-1])),
@@ -174,10 +174,11 @@ def test_triangular_matches_coupled(golden):
 def test_triangular_residual_is_the_coupled_one_from_its_blocks(golden, monkeypatch):
     # The triangular report takes the coupled map's rows from its blocks,
     # apply_H0(w0, g) and apply_H1(w1), and never calls apply_H.  Both sums
-    # round differently, and at tol 1e-11 the residual is itself rounding
-    # noise (about 4e-16, where the two differ by a quarter), so they must
-    # agree to 1e-14 relative to the solution's norm.  At tol 1e-4 the
-    # residual is 6e-10 and the same bound pins every term of the tail.
+    # round differently, and under the stopping rule the residual is itself
+    # rounding noise (about 2e-16, where the two differ by a quarter), so
+    # they must agree to 1e-14 relative to the solution's norm.  Stopped at
+    # 1e-3 of the first update the residual is 1e-7, and the same bound pins
+    # every term of the tail.
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     real = SolverContext.apply_H
     calls = []
@@ -188,12 +189,13 @@ def test_triangular_residual_is_the_coupled_one_from_its_blocks(golden, monkeypa
 
     monkeypatch.setattr(SolverContext, "apply_H", counting)
     ctx = SolverContext(spec, grid, eps)
-    for tol in (1e-4, 1e-11):
-        w0, w1, rep = solve_triangular(spec, eps, grid, tol=tol)
+    for rtol in (1e-3, borel_solver.PICARD_RTOL):
+        monkeypatch.setattr(borel_solver, "PICARD_RTOL", rtol)
+        w0, w1, rep = solve_triangular(spec, eps, grid)
         assert calls == []
         want = max(weighted_norm(grid, spec, h - w)
                    for h, w in zip(real(ctx, w0, w1), (w0, w1)))
-        assert abs(rep.residual - want) <= 1e-14 * max(rep.norms), (tol, rep.residual, want)
+        assert abs(rep.residual - want) <= 1e-14 * max(rep.norms), (rtol, rep.residual, want)
 
 
 def test_triangular_requires_flag(golden, problem_dict):
@@ -211,24 +213,21 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     geom = make_geometry(spec, d=0.0)
     grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     ctx = SolverContext(spec, grid, 0.01)
-    w0, w1, rep = solve_triangular(spec, 0.01, grid, tol=1e-10)
+    w0, w1, rep = solve_triangular(spec, 0.01, grid)
     want = ctx.F[1] * ctx.fac.inv_p
     assert np.max(np.abs(w1 - want)) < 1e-14
 
 
 def test_contraction_estimate(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    est = contraction_estimate(spec, eps, grid, probes=4, seed=1)
-    assert est <= 0.55
-    est_scaled = contraction_estimate(spec, eps, grid, probes=4, seed=1, scale=10.0)
-    assert est_scaled == pytest.approx(est, rel=1e-9)
+    assert contraction_estimate(spec, eps, grid, seed=1) <= 0.55
 
 
 def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
                       GridSpec(m_nodes=81))
-    eps, probes, seed = 0.015, 4, 3
+    eps, probes, seed = 0.015, borel_solver.CONTRACTION_PROBES, 3
     calls = []
     real = SolverContext.apply_H
 
@@ -237,7 +236,7 @@ def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch
         return real(self, w0, w1)
 
     monkeypatch.setattr(SolverContext, "apply_H", counting)
-    est = contraction_estimate(spec, eps, grid, probes=probes, seed=seed)
+    est = contraction_estimate(spec, eps, grid, seed=seed)
     assert len(calls) == probes
 
     # the pairwise formula, H applied to both members of every ordered pair
@@ -249,7 +248,7 @@ def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch
     def random_fn():
         v = rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape)
         c = rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape)
-        return stacked(grid, 1.0 * v / w_nodes, 1.0 * c / w_center)
+        return stacked(grid, v / w_nodes, c / w_center)
 
     fns = [(random_fn(), random_fn()) for _ in range(probes)]
     want = 0.0
@@ -274,7 +273,7 @@ def test_picard_stops_at_first_non_finite_update():
         return w + (math.nan if len(steps) == 2 else 1.0)
 
     with pytest.raises(DivergenceError, match="iteration 2") as err:
-        _picard(step, 0.0, lambda a, b: abs(a - b), 1e-12, 200)
+        _picard(step, 0.0, lambda a, b: abs(a - b), step(0.0))
     assert len(steps) == 2
     assert len(err.value.history) == 2
 
@@ -285,20 +284,55 @@ def test_seeded_first_iterate_is_the_first_picard_step(golden, monkeypatch):
     # iterates, so the same count and update history
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
     solves = (solve_coupled, solve_triangular)
-    seeded = [solve(spec, eps, grid, tol=1e-11)[2] for solve in solves]
+    seeded = [solve(spec, eps, grid)[2] for solve in solves]
     picard = borel_solver._picard
 
-    def unseeded(step, start, diff_norm, tol, max_iter, first=None):
-        assert first is not None
-        return picard(step, start, diff_norm, tol, max_iter)
+    def unseeded(step, start, diff_norm, first):
+        return picard(step, start, diff_norm, step(start))
 
     monkeypatch.setattr(borel_solver, "_picard", unseeded)
     for solve, want in zip(solves, seeded):
-        got = solve(spec, eps, grid, tol=1e-11)[2]
+        got = solve(spec, eps, grid)[2]
         assert got.iterations == want.iterations
         assert len(got.update_history) == len(want.update_history)
         for a, b in zip(got.update_history, want.update_history):
             assert abs(a - b) <= 1e-15 * b, (solve.__name__, a, b)
+
+
+@pytest.mark.parametrize("solve", [solve_coupled, solve_triangular])
+def test_every_picard_run_stops_at_the_one_rule(golden, monkeypatch, solve):
+    # on the whole line and with its lowest rows held, every Picard run of
+    # the solve stops at its first update of at most PICARD_RTOL of its first
+    # iterate's size, and not one update earlier: the rule is the bound the
+    # runs stop at, not a looser one.  Each run starts from zero, so its
+    # first update is that size: for the first run, the weighted sup over
+    # the free rows of the forcing over P, of both equations for the coupled
+    # map and of equation 1 for the triangular one
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    histories = []
+    real = borel_solver._picard
+
+    def recording(*args):
+        out = real(*args)
+        histories.append(out[-1])
+        return out
+
+    monkeypatch.setattr(borel_solver, "_picard", recording)
+    ctx = SolverContext(spec, grid, eps)
+    n = 2 * max(ctx.fac.shifts)
+    held = np.stack([np.concatenate([w[:n], w[-1:]]) for w in (golden["w0"], golden["w1"])])
+    for rows in (None, held):
+        histories.clear()
+        solve(spec, eps, grid, held=rows)
+        assert len(histories) == (1 if solve is solve_coupled else 2)
+        for h in histories:
+            assert h[-1] <= borel_solver.PICARD_RTOL * h[0] < h[-2], h
+        weights = grid.stacked_weights(spec).copy()
+        if rows is not None:
+            weights[np.r_[0:n, grid.n_nodes]] = 0.0
+        sizes = [float(np.max(np.abs(ctx.image_of_zero(j)) * weights)) for j in (0, 1)]
+        first = max(sizes) if solve is solve_coupled else sizes[1]
+        assert histories[0][0] == pytest.approx(first, rel=1e-15)
 
 
 def test_affine_linearity(golden):
@@ -333,7 +367,7 @@ def test_divergence_detected(problem_dict):
     geom = make_geometry(spec, d=0.0)
     grid = build_grid(spec, geom, GridSpec(m_nodes=81))
     with pytest.raises(DivergenceError) as err:
-        solve_coupled(spec, 0.015, grid, tol=1e-10, max_iter=60)
+        solve_coupled(spec, 0.015, grid)
     assert len(err.value.history) >= 3
 
 
@@ -349,7 +383,7 @@ def test_disc_agreement_between_directions(golden):
     geom2.delta = golden["geom"].delta
     for grid in (golden["grid"], build_grid(spec, geom2, gspec)):
         line = grid.rung_range(grid.g_lo, 0)
-        sol = (line, *solve_coupled(spec, eps, line, tol=1e-11)[:2])
+        sol = (line, *solve_coupled(spec, eps, line)[:2])
         scale = max(np.abs(w).max() for w in sol[1:])
         assert disc_taylor_gap(spec, eps, [sol]) <= 1e-13 * scale
 
@@ -360,7 +394,7 @@ def test_eps_holomorphy_proxy(golden):
     eps, h = golden["eps"], 2e-4
     sols = {}
     for de in (h, -h, 1j * h, -1j * h):
-        w0, _, _ = solve_coupled(spec, eps + de, grid, tol=1e-12)
+        w0, _, _ = solve_coupled(spec, eps + de, grid)
         sols[de] = w0
     ddre = 1.0 / (2 * h) * (sols[h] - sols[-h])
     ddim = 1.0 / (2j * h) * (sols[1j * h] - sols[-1j * h])
@@ -446,7 +480,7 @@ def _dense_affine_fixed_point(problem_dict):
 
 def _assert_matches_dense(solve, problem_dict):
     spec, grid, eps, dense = _dense_affine_fixed_point(problem_dict)
-    w0, w1, _ = solve(spec, eps, grid, tol=1e-13)
+    w0, w1, _ = solve(spec, eps, grid)
     picard = np.concatenate([w0.ravel(), w1.ravel()])
     scale = np.max(np.abs(dense))
     assert scale > 0
@@ -579,7 +613,7 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
         # a block that leaves no free row is refused as well
         with pytest.raises(UsageError, match="free"):
             solve(spec, 0.015, cut, held=np.zeros((2, cut.n_nodes + 1, cut.m.size)))
-    w0, w1, rep = solve_triangular(spec, 0.015, cut, tol=1e-12,
+    w0, w1, rep = solve_triangular(spec, 0.015, cut,
                                    held=np.zeros((2, shift + 1, cut.m.size)))
     assert not w0[:shift].any() and not w1[-1].any() and rep.norms[1] > 0
     with pytest.raises(UsageError):
@@ -589,7 +623,7 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     g_arc = grid.arc_rung()
     assert held_bottom(spec, grid) == g_arc - shift + 1 and grid.g_hi > 0
     coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))
-    *_, rep, picard = solve_held(spec, 0.015, grid, coef, tol=1e-12)
+    *_, rep, picard = solve_held(spec, 0.015, grid, coef)
     assert (picard.g_lo, picard.g_hi) == (g_arc - shift + 1, grid.g_hi)
     assert picard.n_nodes + 1 == grid.g_hi - g_arc + shift + 1 and rep.residual < 1e-10
     # a line above the arc rung that starts higher cannot hold the block,
@@ -610,5 +644,5 @@ def test_taylor_rung_is_the_lower_of_the_top_and_the_arc_rung(problem_dict):
     for top, want in ((g_arc - 3, g_arc - 3), (g_arc, g_arc), (g_arc + 3, g_arc)):
         line = grid.rung_range(grid.g_lo, top)
         assert line.taylor_rung() == want
-        *_, picard = solve_held(spec, 0.015, line, coef, tol=1e-12)
+        *_, picard = solve_held(spec, 0.015, line, coef)
         assert (picard is None) == (top <= g_arc)

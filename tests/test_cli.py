@@ -94,17 +94,16 @@ def _grid_with(**fields):
     return {"grid": grid}
 
 
-def _tolerances_with(**fields):
-    tolerances = {"solve_tol": 1e-11}
-    tolerances.update(fields)
-    return {"tolerances": tolerances}
+def _b11(**symbol):
+    """The example's problem with the b11 symbol given."""
+    coeffs = json.loads(GOLDEN.read_text())["problem"]["coeffs"]
+    coeffs["b11"] = symbol
+    return _problem_with(coeffs=coeffs)
 
 
 def _b11_table(m, values):
     """The example's problem with a tabulated b11 symbol."""
-    coeffs = json.loads(GOLDEN.read_text())["problem"]["coeffs"]
-    coeffs["b11"] = {"m": m, "values": values}
-    return _problem_with(coeffs=coeffs)
+    return _b11(m=m, values=values)
 
 
 # tabulated symbols that FourierSymbol refuses, each with the cause it names
@@ -126,9 +125,9 @@ REJECTED_ON_LOAD = [
     _grid_with(T_min=0.025),
     {"quadrature": {"M": 0.0, "m_nodes": 81}},
     {"quadrature": {"M": -12.0, "m_nodes": 81}},
-    _tolerances_with(solve_tol=0.0),
-    _tolerances_with(solve_tol=-1.0),
-    _tolerances_with(solve_tol=math.nan),
+    _b11_table([-1.0, math.nan, 1.0], [0.0, 0.0006, 0.0]),
+    _b11_table([-1.0, 0.0, 1.0], [0.0, math.inf, 0.0]),
+    _b11(num=[math.nan], gauss=1.0),
     *(table for table, _ in BAD_TABLES),
     # rejected on load even for a verb that never reads them: check-geometry
     # reads no m_nodes, formal no zeta or geometry_m_grid
@@ -190,18 +189,59 @@ def test_malformed_table_is_65_and_names_its_cause(tmp_path, capsys, override, c
     assert cause in err and "Traceback" not in err
 
 
+def _forcing_f0(**symbol):
+    """The example's problem with the f0 symbol of t^0 given."""
+    forcing = json.loads(GOLDEN.read_text())["problem"]["forcing"]
+    forcing["f0"]["0"] = symbol
+    return _problem_with(forcing=forcing)
+
+
+def _term_C(**symbol):
+    """The example's problem with the C symbol of its one term given."""
+    terms = json.loads(GOLDEN.read_text())["problem"]["terms"]
+    terms[0]["C"] = symbol
+    return _problem_with(terms=terms)
+
+
+@pytest.mark.parametrize("override, cause", [
+    pytest.param(_b11_table([-1.0, math.nan, 1.0], [0.0, 0.0006, 0.0]), "b11: m",
+                 id="nan_table_m"),
+    pytest.param(_b11_table([-1.0, 0.0, 1.0], [0.0, math.inf, 0.0]), "b11: values",
+                 id="inf_table_values"),
+    pytest.param(_b11(num=[math.nan], gauss=1.0), "b11: num", id="nan_num"),
+    pytest.param(_b11(num=[0.0006], den=[1.0, math.inf]), "b11: den", id="inf_den"),
+    pytest.param(_b11(num=[0.0006], exp_abs=math.nan), "b11: exp_abs", id="nan_exp_abs"),
+    pytest.param(_b11(num=[0.0006], gauss=math.inf), "b11: gauss", id="inf_gauss"),
+    pytest.param(_b11(num=[0.0006], gauss=1.0, eps_poly=[1.0, math.nan]), "b11: eps_poly",
+                 id="nan_eps_poly"),
+    pytest.param(_forcing_f0(num=[0.1], gauss=math.nan), "f0[0]: gauss", id="nan_f0_gauss"),
+    pytest.param(_term_C(num=[math.inf], gauss=1.0), "C1: num", id="inf_C1_num"),
+])
+def test_non_finite_symbol_is_65_and_names_it(tmp_path, capsys, override, cause):
+    # NaN passes the m ordering and decay rate comparisons, so these used to
+    # load and exit 2 from an envelope check that read NaN
+    path = small_config(tmp_path, **override)
+    assert run("check-geometry", path, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert f"{cause} must be finite" in err and "Traceback" not in err
+
+
 def test_n_angles_setting_is_ignored(tmp_path):
-    # the arc takes ARC_SAMPLES samples whatever the grid section says; every
-    # Taylor order's Picard run stops at one rule, whatever formal_tol says,
-    # and every solve at the library's own cap, whatever max_iter says
+    # the arc takes ARC_SAMPLES samples whatever the grid section says, and
+    # every Picard run, Borel solve and Taylor order alike, stops at one rule
+    # and one cap, whatever solve_tol, formal_tol and max_iter say or whether
+    # solve_tol is there at all
     ignored = [("grid", "n_angles", 8), ("tolerances", "formal_tol", 1e-3),
-               ("tolerances", "max_iter", 1)]
+               ("tolerances", "max_iter", 1), ("tolerances", "solve_tol", 1e-3),
+               ("tolerances", "solve_tol", None)]
     outs = []
-    for case in [None, *ignored]:
-        base = tmp_path / ("shipped" if case is None else case[1])
+    for i, case in enumerate([None, *ignored]):
+        base = tmp_path / ("shipped" if case is None else f"{i}_{case[1]}")
         base.mkdir()
         path = small_config(base)
-        if case is not None:
+        if case is not None and case[2] is None:
+            _with(path, lambda c: c[case[0]].pop(case[1]))
+        elif case is not None:
             _with(path, lambda c: c[case[0]].update({case[1]: case[2]}))
         assert run("all", path, str(base / "out")) == 0
         outs.append({f.name: f.read_bytes() for f in sorted((base / "out").iterdir())})
@@ -677,7 +717,7 @@ def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch
     grid = ctx["grid"]
     assert grid.g_hi > grid.arc_rung()
     assert ranges == [(held_bottom(rc.spec, grid), grid.g_hi)]
-    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid, tol=rc.solve_tol)
+    w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid)
     weights = grid.stacked_weights(rc.spec)
     gap = max(float(np.max(weights * np.abs(a - b))) for a, b in ((w0, sol.w0), (w1, sol.w1)))
     assert gap <= 1e-14 * max(report.norms)
@@ -704,8 +744,7 @@ def test_shift_sized_held_block_gives_the_rows_of_a_five_rung_block(monkeypatch)
 
     def rows(held_bottom):
         monkeypatch.setattr(borel_solver, "held_bottom", held_bottom)
-        family = SolutionFamily(rc.spec, cov, rc.gspec, tol=min(rc.solve_tol, 1e-12),
-                                m_grid=rc.geometry_m_grid)
+        family = SolutionFamily(rc.spec, cov, rc.gspec, m_grid=rc.geometry_m_grid)
         sols = [family.at(p, eps) for p, eps in samples]
         return [(s.w0, s.w1) for s in sols], family.grid_rows
 

@@ -53,7 +53,7 @@ def asym():
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
     gspec = GridSpec(m_max=12.0, m_nodes=161, T_min=5e-6, T_max=0.025)
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     series = formal_coefficients(spec, 7, m_grid=M_SMALL)
     return {"spec": spec, "cov": cov, "gspec": gspec, "family": family,
             "series": series}
@@ -259,7 +259,8 @@ def test_order_fixed_point_names_what_diverged():
     with pytest.raises(DivergenceError, match=r"the test coefficients .*smallness") as err:
         borel_solver._order_fixed_point(np.ones((2, n), dtype=complex), coupling,
                                         np.ones(n), "the test coefficients")
-    assert len(err.value.history) == 1
+    # the first iterate, rhs / P(0), then the first application of the map
+    assert len(err.value.history) == 2
 
 
 def test_order0_matches_analytic_limit(asym):
@@ -379,7 +380,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
 
 def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     arg = np.angle(cov.overlap_sample(0))
     # 0.1 and 0.2 pass; at 0.106 the second probe's zero ring meets the arc
     eps_samples = [m * np.exp(1j * arg) for m in (0.1, 0.106, 0.2)]
@@ -420,7 +421,7 @@ def test_family_builds_each_sectors_operator_factors_once(asym, monkeypatch):
         return build(spec, grid)
 
     monkeypatch.setattr(borel_solver.OperatorFactors, "build", counted)
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     arg = np.angle(cov.overlap_sample(0))
     for size in (0.1, 0.14, 0.2):
         for p in (0, 1):
@@ -442,7 +443,7 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     # one order short of what this eps needs: the family's expansion for
     # eps, which its solutions and their arcs read, raises before a solve
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", family.arc_orders[-1] - 1)
-    fresh = SolutionFamily(spec, cov, gspec, tol=family.tol)
+    fresh = SolutionFamily(spec, cov, gspec)
     with pytest.raises(DivergenceError, match="does not converge"):
         fresh.at(0, eps)
     assert fresh.reports == {} and fresh.arc_orders == []
@@ -475,7 +476,7 @@ def test_difference_without_taylor_coefficients_is_refused_first(asym, monkeypat
 
 def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     arg = np.angle(cov.overlap_sample(0))
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", 4)
@@ -497,7 +498,7 @@ def test_family_rows_match_the_full_grid_solve(asym):
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
-    w0, w1, _ = solve(spec, eps, grid, tol=family.tol)
+    w0, w1, _ = solve(spec, eps, grid)
     full = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
     weights = grid.stacked_weights(spec)
     sol = family.at(0, eps)
@@ -506,7 +507,7 @@ def test_family_rows_match_the_full_grid_solve(asym):
     for w, ref in ((sol.w0[rows], full.w0), (sol.w1[rows], full.w1)):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
-        assert (gap * weights).max() <= family.tol
+        assert (gap * weights).max() <= 1e-13
     ring = [_full_line(family, p, eps, RingArcSolution) for p in (0, 1)]
     sols = [family.at(p, eps) for p in (0, 1)]
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
@@ -529,7 +530,7 @@ def _full_line(family, p, eps, cls=LogSolution):
     cls."""
     line = family._line(p)
     solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
-    w0, w1, _ = solve(family.spec, eps, line, tol=family.tol)
+    w0, w1, _ = solve(family.spec, eps, line)
     return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
 
 
@@ -574,7 +575,7 @@ def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
     family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6,
-                                                T_max=0.025), tol=1e-13)
+                                                T_max=0.025))
     # components only at the first sector's direction: at the overlap the
     # theta kernel keeps too few digits for a 1e-14 comparison
     t = 0.05 * np.exp(1j * cov.t_direction)
@@ -616,7 +617,7 @@ def test_family_residual_and_norms_read_the_free_rows_only(asym):
 
 def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     solved = []
     solve = borel_solver.solve_triangular
 
@@ -645,7 +646,7 @@ def test_decay_fit_drops_what_no_nudge_mends(asym):
     # |eps t| = 0.03 passes T_max = 0.025: the sample is dropped at once,
     # with no nudge and no solve, and the warning names the cause
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     eps = 0.5 * np.exp(1j * np.angle(cov.overlap_sample(0)))
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
     rep = difference_decay_fit(family, 0, [eps], probes=probes)
@@ -682,7 +683,7 @@ def test_family_inverts_one_order_block(asym, monkeypatch):
     cov, gspec = asym["cov"], asym["gspec"]
     samples, probes = _decay_samples(cov)
     blocks = _counted_blocks(monkeypatch)
-    family = SolutionFamily(asym["spec"], cov, gspec, tol=1e-13)
+    family = SolutionFamily(asym["spec"], cov, gspec)
     assert blocks == []
     rep = difference_decay_fit(family, 0, samples, probes=probes)
     family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
@@ -699,7 +700,7 @@ def test_family_with_an_eps_dependent_b_symbol_runs_the_picard_orders(asym, monk
     spec = ProblemSpec.from_dict(problem)
     samples, _ = _decay_samples(cov)
     blocks = _counted_blocks(monkeypatch)
-    family = SolutionFamily(spec, cov, gspec, tol=1e-13)
+    family = SolutionFamily(spec, cov, gspec)
     line = family._line(0)
     radius = line.radius_of_rung(line.arc_rung())
     for eps in samples + samples[-1:]:
@@ -771,17 +772,18 @@ def test_order_block_refuses_an_eps_dependent_b_symbol(problem_dict):
 
 @pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
 def test_formal_series_under_the_one_stopping_rule(name, monkeypatch):
-    # every Taylor order stops at ORDER_RTOL; the series moves from the one
-    # stopped at 1e-13 of each start only at the rounding level
+    # every Taylor order stops at PICARD_RTOL of its first iterate; the series
+    # moves from the one stopped at a few units of rounding (4e-16) only at
+    # the rounding level
     from qborel.cli import _series, load_config
 
     rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
     series = _series(rc, {})
-    monkeypatch.setattr(borel_solver, "ORDER_RTOL", 1e-13)
-    loose = _series(rc, {})
+    monkeypatch.setattr(borel_solver, "PICARD_RTOL", 4e-16)
+    tight = _series(rc, {})
     solved = 0
     for j, n, p in np.ndindex(series.coef.shape[:3]):
-        want = loose.coef[j, n, p]
+        want = tight.coef[j, n, p]
         if want.any():
             solved += 1
             assert np.abs(series.coef[j, n, p] - want).max() <= 1e-15 * np.abs(want).max()
@@ -796,7 +798,7 @@ def test_taylor_samples_match_the_solved_ring_rows(asym):
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     for eps in (0.005j, 0.2j, 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))):
-        w0, w1, _ = solve_triangular(spec, eps, grid, tol=family.tol)
+        w0, w1, _ = solve_triangular(spec, eps, grid)
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
         sol = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta, taylor=coef)
         assert arc_sample_gap(sol) <= 1e-13
@@ -814,7 +816,7 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     grid = build_grid(spec, make_geometry(spec, 0.0),
                       GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6, T_max=0.025))
     eps = 0.15 * np.exp(0.3j)
-    w0, w1, _ = solve_coupled(spec, eps, grid, tol=1e-13)
+    w0, w1, _ = solve_coupled(spec, eps, grid)
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
     sol = LogSolution(spec, grid, w0, w1, eps, taylor=coef)
     assert arc_sample_gap(sol) <= 1e-13

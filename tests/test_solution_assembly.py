@@ -220,7 +220,7 @@ def test_cut_line_matches_the_line_to_the_old_top(golden):
     old_top = math.ceil(grid.N * math.log(16.0) / spec.lnq)
     assert grid.g_hi < grid.arc_rung() < old_top
     line = grid.rung_range(grid.g_lo, old_top)
-    w0, w1, _ = solve_coupled(spec, eps, line, tol=1e-11)
+    w0, w1, _ = solve_coupled(spec, eps, line)
     rows = kept_rows(line, grid)
     weights = grid.stacked_weights(spec)
     for w, ref in ((golden["w0"], w0), (golden["w1"], w1)):
@@ -433,7 +433,7 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     # the grid serves |eps t| from 1e-4, the smaller of the two points
     grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4))
     eps = 0.01
-    w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
+    w0, w1, _ = solve_triangular(spec, eps, grid)
     sol = LogSolution(spec, grid, w0, w1, eps)
     m = grid.m
     qf = 1.0  # q_power_factor(0)
@@ -467,7 +467,7 @@ def k1_pair():
     for ray in (0.0, 0.5):
         geom = make_geometry(spec, d=ray)
         grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4, T_max=0.06))
-        w0, w1, _ = solve_triangular(spec, eps, grid, tol=1e-12)
+        w0, w1, _ = solve_triangular(spec, eps, grid)
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
         sols.append(LogSolution(spec, grid, w0, w1, eps, taylor=coef))
     return spec, sols[0], sols[1]
