@@ -82,8 +82,8 @@ class GridSpec:
     """Resolution controls for the Borel-plane grid: the Fourier grid of
     m_nodes points (odd, >= 3) on [-m_max, m_max], the |eps t| range
     [T_min, T_max] that its line serves and the ladder's density factor.  The
-    arc of a sector difference takes a fixed number of samples
-    (`solution_assembly.ARC_SAMPLES`), which no grid setting changes."""
+    arc of a sector difference reads no grid rows: it sums the Taylor series
+    at tau = 0 at its own quadrature nodes."""
 
     m_max: float = 12.0
     m_nodes: int = 241

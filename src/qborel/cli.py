@@ -154,6 +154,9 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             raise ConfigError(f"covering t_aperture = {t_aperture} must be finite and >= 0")
         if not math.isfinite(t_direction):
             raise ConfigError(f"covering t_direction = {t_direction} must be finite")
+        seed = int(raw.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed = {seed} must be >= 0")
         Delta = float(q.get("Delta", 0.5))
         if not (math.isfinite(Delta) and Delta > 0):
             raise ConfigError(f"quadrature Delta = {Delta} must be finite and > 0")
@@ -172,7 +175,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             eps_decay=_range_of(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9]),
                                 "eps_decay", positive=True),
             decay_pair=int(asym.get("pair", 0)),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             output_dir=out,
             geometry_m_grid=np.linspace(*mg))
     except (KeyError, TypeError, ValueError) as exc:
@@ -483,7 +486,7 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
         return 64
     try:
         rc = load_config(config_path, output_dir)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError, JSONDecodeError or UnicodeDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return 65
     rc.output_dir.mkdir(parents=True, exist_ok=True)

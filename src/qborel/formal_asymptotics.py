@@ -141,7 +141,7 @@ class SolutionFamily:
     the line's Taylor rung: its arc rung g_arc, about rho/2, where the line
     reaches above it) gives the centre, the rows up to g_arc and the arc of
     a sector difference: every solution carries it as
-    `LogSolution.taylor`, the one source of its arc samples, and
+    `LogSolution.taylor`, the one source of its arc densities, and
     `arc_orders` records the highest order of each.  The line's rows come
     from `borel_solver.solve_held`, the solve path that the CLI's
     `evaluate` and `residual` share: Picard runs only on the rung range

@@ -9,8 +9,8 @@ the solver ladder: the stored principal line is log-uniform, so the radial
 quadrature is a plain trapezoid over stored nodes with the theta kernel
 evaluated in scaled log space.
 Sector differences deform one direction into the other: two ray tails on
-the principal lines and an arc inside the disc, where the densities are
-summed from their Taylor coefficients at tau = 0.
+the principal lines and an arc inside the disc, where the densities are the
+Taylor series at tau = 0, summed at the arc's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import BorelGrid, SolverContext, _weighted_sup, taylor_values
+from .borel_solver import BorelGrid, SolverContext, _weighted_sup
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
@@ -47,8 +47,10 @@ PAIR_CACHE_LIMIT = 1024
 # rungs below the arc rung that the ray tail's interpolation stencil reads
 TAIL_REACH = 2
 
-# uniform samples of the densities on the circle of a sector difference's arc
-ARC_SAMPLES = 16
+# angular frequency that the arc's panel rule adds to the kernel's rate.  The
+# rule is not converged: dropping the term moves single `decay.csv` values by
+# up to 76% (wide config) and 350% (example); ROADMAP item 1(c) re-derives it
+ARC_PANEL_FREQ = 16
 
 
 def tail_reach(spec: ProblemSpec, grid: BorelGrid, g_arc: int, T: complex):
@@ -111,8 +113,8 @@ class LogSolution:
     as `borel_solver.solve_held` takes them.  When the top lies at or below the
     arc rung, every row is their sum, and the q-Laplace transform is summed
     from them in closed form; the arc of a sector difference, which they do
-    not reach, is then refused (UsageError).  Otherwise the arc takes its
-    samples from them (`SolutionFamily` passes its expansion at eps).  A
+    not reach, is then refused (UsageError).  Otherwise the arc sums them at
+    its quadrature nodes (`SolutionFamily` passes its expansion at eps).  A
     solution without them evaluates, but refuses a difference.
     """
 
@@ -140,6 +142,11 @@ class LogSolution:
         is its Taylor rung."""
         return self.taylor is not None and self.grid.taylor_rung() == self.grid.g_hi
 
+    def _taylor_sum(self, moments: np.ndarray):
+        """sum_n moments_n c_(j,n) over m for j = 0, 1: a kernel integral of
+        the Taylor series `taylor` whose moments of tau^n are moments_n."""
+        return tuple(moments @ c for c in self.taylor)
+
     @_cached_pair
     def _laplace_all_m(self, T: complex):
         """q-Laplace of (w_0, w_1)(., m) at T along the grid's line, for
@@ -148,8 +155,7 @@ class LogSolution:
         trapezoid over the line."""
         if self._taylor_line:
             n = np.arange(self.taylor.shape[1])
-            powers = T ** n / self.spec.q_power_factor(n)
-            return tuple(powers @ c for c in self.taylor)
+            return self._taylor_sum(T ** n / self.spec.q_power_factor(n))
         grid = self.grid
         kern = inv_theta(grid.tau / T, self.spec.q, self.spec.k)
         h = self.spec.lnq / grid.N
@@ -210,49 +216,30 @@ class LogSolution:
                      for w in (self.w0, self.w1))
 
     @_cached_pair
-    def _arc_samples(self, g_arc: int):
-        """(w_0, w_1) at ARC_SAMPLES uniform angles, by increasing angle, on
-        the circle of rung g_arc: (ARC_SAMPLES, n_m) each, summed from the
-        solution's Taylor coefficients `taylor`."""
-        if self.taylor is None:
-            raise UsageError("a sector difference reads the Taylor coefficients at "
-                             "tau = 0 on its arc, and this solution was given none")
-        if self._taylor_line:
-            raise UsageError("a sector difference reads the Taylor coefficients at "
-                             "tau = 0 on its arc, and this solution's are summed only "
-                             "to its line's top, below the arc rung")
-        r_arc = self.grid.radius_of_rung(g_arc)
-        ring = r_arc * np.exp(2j * math.pi * np.arange(ARC_SAMPLES) / ARC_SAMPLES)
-        return tuple(taylor_values(self.taylor, ring))
-
-    @_cached_pair
     def _arc_integral(self, d_b: float, T: complex, g_arc: int):
         """Kernel integral of (w_0, w_1) over the arc of radius
         rho q^(g_arc/N) from this solution's direction to d_b, for every m.
-        Both components share the panels and the kernel.  The densities on
-        the arc come from ARC_SAMPLES uniform samples on its circle
-        (`_arc_samples`, taken first), interpolated by their discrete Fourier
-        series."""
+        The densities on the arc are the Taylor series `taylor`, summed at
+        the quadrature nodes as moments of the kernel weights; both
+        components share the panels and the kernel."""
         spec, grid = self.spec, self.grid
         d_a = self.direction
         if d_a == d_b:
             zero = np.zeros(grid.m.size, dtype=complex)
             return zero, zero.copy()
-        arc_samples = self._arc_samples(g_arc)
+        if self.taylor is None or self._taylor_line:
+            why = ("this solution was given none" if self.taylor is None else "this "
+                   "solution's are summed only to its line's top, below the arc rung")
+            raise UsageError("a sector difference reads the Taylor coefficients at "
+                             f"tau = 0 on its arc, and {why}")
         r_arc = grid.radius_of_rung(g_arc)
         # Gauss-Legendre panels, roughly one per kernel oscillation
-        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + ARC_SAMPLES
+        osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + ARC_PANEL_FREQ
         panels = max(6, math.ceil(abs(d_b - d_a) * osc_freq / (2 * math.pi)) * 2)
         thetas, twt = _gauss_legendre_panels(d_a, d_b, panels)
-        # omega is a power series in tau, so only nonnegative angular
-        # frequencies appear on the ring; n uniform samples pin the first n
-        # coefficients, which the weights' moments of the basis multiply
-        basis = np.exp(1j * np.outer(thetas, np.arange(ARC_SAMPLES)))
-        weights = twt * inv_theta(r_arc * np.exp(1j * thetas) / T, spec.q, spec.k)
-        moments = weights @ basis
-        return tuple((spec.k / spec.lnq) * 1j
-                     * (moments @ (np.fft.fft(samples, axis=0) / ARC_SAMPLES))
-                     for samples in arc_samples)
+        u = r_arc * np.exp(1j * thetas)
+        weights = (spec.k / spec.lnq) * 1j * twt * inv_theta(u / T, spec.q, spec.k)
+        return self._taylor_sum(weights @ np.vander(u, self.taylor.shape[1], increasing=True))
 
     def checked_T(self, t: complex, z: complex) -> complex:
         """T = eps t, after the checks every evaluation at (t, z) makes: z
@@ -429,9 +416,11 @@ def difference_arc_rung(spec: ProblemSpec, grid_a: BorelGrid, grid_b: BorelGrid,
     d_a, d_b = grid_a.direction, grid_b.direction
     g_arc = grid_a.arc_rung()
 
-    # kernel zeros inside the wedge drive the difference and are welcome, but
-    # none may sit on the arc circle itself: check the radial phase of the
-    # zero lattice |T| q^(m/k) against the arc radius
+    # when the zero ray arg(-T) lies in the wedge that the arc sweeps (the
+    # short way), refuse an arc radius within 10% of a lattice step of a zero
+    # ring |T| q^(m/k).  That keeps the arc off the poles of 1/theta only: the
+    # sweep through the zero ray is a defect, missing the residues of the
+    # poles inside the arc (ROADMAP item 1(b))
     zero_dir = math.remainder(cmath.phase(-T), 2 * math.pi)
     lo, hi = min(d_a, d_b), max(d_a, d_b)
     in_wedge = any(lo <= zero_dir + 2 * math.pi * s <= hi for s in (-1, 0, 1))

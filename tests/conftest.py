@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -55,16 +56,18 @@ def kept_rows(full, cut):
     return np.r_[start:start + cut.n_nodes, full.n_nodes]
 
 
-def arc_sample_gap(sol, octaves: float = 4.0) -> float:
-    """Largest gap, relative to the largest sample, between the arc samples
-    that sol sums from the Taylor series at tau = 0 and solved ring lines
-    `octaves` deep at the arc rung."""
+def arc_sample_gap(sol, samples: int = 16, octaves: float = 4.0) -> float:
+    """Largest gap, relative to the largest value, between the Taylor series
+    that sol carries, summed at `samples` uniform angles on the arc rung's
+    circle, and solved ring lines `octaves` deep at those angles."""
+    from qborel.borel_solver import taylor_values
     from tests.oracles import arc_values
 
     g_arc = sol.grid.arc_rung()
+    ring = sol.grid.radius_of_rung(g_arc) * np.exp(2j * math.pi * np.arange(samples) / samples)
     worst = 0.0
-    for got, ref in zip(sol._arc_samples(g_arc),
-                        arc_values(sol.spec, sol.eps, sol.grid, g_arc, octaves)):
+    for got, ref in zip(taylor_values(sol.taylor, ring),
+                        arc_values(sol.spec, sol.eps, sol.grid, g_arc, samples, octaves)):
         worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
     return worst
 

@@ -14,9 +14,10 @@ theta lower bound, the formal monodromy and the good covering.
 one dense linear system, the oracle for its fixed-point iteration, and
 `formal_order_rhs` rebuilds the right side of one coefficient of the formal
 series in physical form, in t-powers rather than Taylor orders.
-`arc_values` solves a ring line at each arc sample angle and reads it at
-the arc rung, the oracle for the arc samples summed from the Taylor series
-at tau = 0, and `RingArcSolution` takes its sector-difference arc from them.
+`arc_values` solves ring lines at uniform angles and reads them at the arc
+rung, the oracle for the Taylor series at tau = 0 summed on the arc's
+circle, and `ring_taylor` reads Taylor coefficients off them by a discrete
+Fourier transform, an arc density independent of the Taylor recursion.
 `residual_physical_per_component` assembles the physical defect from one
 `LogSolution.component` call, with its own Fourier sum, per term.
 """
@@ -32,7 +33,7 @@ from qborel.borel_solver import SolverContext, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.problem_model import polyval_im
-from qborel.solution_assembly import ARC_SAMPLES, LogSolution
+from qborel.solution_assembly import LogSolution
 from qborel.special_functions import WeightParams, expq_weight, inv_theta, theta_scaled
 from qborel.transforms import check_admissible, convolution_kernel, inverse_fourier
 
@@ -313,9 +314,10 @@ def formal_order_rhs(spec, coef: np.ndarray, m: np.ndarray, n: int, p: int) -> n
     return rhs
 
 
-def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0):
-    """(w_0, w_1) at rung g_arc and ARC_SAMPLES uniform angles, by
-    increasing angle: (ARC_SAMPLES, n_m) each, from solved ring lines.
+def arc_values(spec, eps: complex, grid, g_arc: int, samples: int,
+               octaves: float = 4.0) -> np.ndarray:
+    """(w_0, w_1) at rung g_arc and `samples` uniform angles from 0, by
+    increasing angle, as a (2, samples, n_m) array, from solved ring lines.
 
     A radial line couples only to itself and the centre, and the centre to
     nothing, so the ring line at angle theta is its own grid: the ladder of
@@ -325,21 +327,27 @@ def arc_values(spec, eps: complex, grid, g_arc: int, octaves: float = 4.0):
     g_ring = math.floor(-octaves * grid.N)
     if not g_ring <= g_arc <= 0:
         raise UsageError(f"ring lines over rungs {g_ring}..0 miss the arc rung {g_arc}")
-    samples = []
-    for j in range(ARC_SAMPLES):
-        ring = replace(grid, direction=2.0 * math.pi * j / ARC_SAMPLES,
-                       g_lo=g_ring, g_hi=0)
+    values = []
+    for j in range(samples):
+        ring = replace(grid, direction=2.0 * math.pi * j / samples, g_lo=g_ring, g_hi=0)
         w0, w1, _ = solve_coupled(spec, eps, ring)
-        samples.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))
-    return tuple(np.array(s) for s in zip(*samples))
+        values.append((w0[g_arc - g_ring], w1[g_arc - g_ring]))
+    return np.array(values).transpose(1, 0, 2)
 
 
-class RingArcSolution(LogSolution):
-    """A LogSolution whose sector-difference arc reads solved ring lines
-    (`arc_values`) instead of the Taylor series at tau = 0."""
+def ring_taylor(spec, eps: complex, grid, g_arc: int, samples: int = 32) -> np.ndarray:
+    """Taylor coefficients of (omega_0, omega_1) at tau = 0 as a
+    (2, samples, n_m) array, read off `samples` solved ring lines at rung
+    g_arc (`arc_values`) by their discrete Fourier transform.
 
-    def _arc_samples(self, g_arc: int):
-        return arc_values(self.spec, self.eps, self.grid, g_arc)
+    On the circle of radius r the series is sum_n c_n r^n e^(i n theta), so
+    the transform's entry n is samples r^n c_n plus the orders n + samples,
+    n + 2 samples, ... that alias onto it; they decay geometrically at the
+    arc radius (half the disc radius).
+    """
+    values = arc_values(spec, eps, grid, g_arc, samples)
+    scale = samples * grid.radius_of_rung(g_arc) ** np.arange(samples)
+    return np.fft.fft(values, axis=1) / scale[:, None]
 
 
 def residual_physical_per_component(sol: LogSolution, spec, points) -> np.ndarray:

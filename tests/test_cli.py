@@ -31,6 +31,16 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+def test_config_that_is_not_utf8_is_65(tmp_path, capsys):
+    # a UTF-16 byte order mark: the file cannot be decoded, let alone parsed
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + GOLDEN.read_text().encode("utf-16-le"))
+    assert run("solve", bad, str(tmp_path / "out")) == 65
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     path = small_config(tmp_path)
     assert run("frobnicate", path) == 64
@@ -142,6 +152,7 @@ CHECKED_ON_LOAD = [
     pytest.param({"covering": {"zeta": 1}}, "zeta", id="zeta_1"),
     pytest.param({"geometry_m_grid": [-50.0, 40.0, 401]}, "geometry_m_grid",
                  id="asymmetric_geometry_m_grid"),
+    pytest.param({"seed": -1}, "seed", id="negative_seed"),
 ]
 
 
@@ -227,10 +238,10 @@ def test_non_finite_symbol_is_65_and_names_it(tmp_path, capsys, override, cause)
 
 
 def test_n_angles_setting_is_ignored(tmp_path):
-    # the arc takes ARC_SAMPLES samples whatever the grid section says, and
-    # every Picard run, Borel solve and Taylor order alike, stops at one rule
-    # and one cap, whatever solve_tol, formal_tol and max_iter say or whether
-    # solve_tol is there at all
+    # no grid setting reaches the arc, which sums the Taylor series at its
+    # own quadrature nodes, and every Picard run, Borel solve and Taylor
+    # order alike, stops at one rule and one cap, whatever solve_tol,
+    # formal_tol and max_iter say or whether solve_tol is there at all
     ignored = [("grid", "n_angles", 8), ("tolerances", "formal_tol", 1e-3),
                ("tolerances", "max_iter", 1), ("tolerances", "solve_tol", 1e-3),
                ("tolerances", "solve_tol", None)]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qborel import borel_solver, formal_asymptotics
-import qborel.solution_assembly as assembly
 from qborel.borel_solver import (
     GridSpec,
     SolverContext,
@@ -33,7 +32,7 @@ from qborel.solution_assembly import (LogSolution, difference_arc_rung, solution
 from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
-from tests.oracles import RingArcSolution, formal_order_rhs, order_dense_solve, stacked
+from tests.oracles import formal_order_rhs, order_dense_solve, ring_taylor, stacked
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -467,7 +466,7 @@ def test_difference_without_taylor_coefficients_is_refused_first(asym, monkeypat
     def no_taylor_sum(*args):
         raise AssertionError("the arc summed a Taylor series")
 
-    monkeypatch.setattr(assembly, "taylor_values", no_taylor_sum)
+    monkeypatch.setattr(LogSolution, "_taylor_sum", no_taylor_sum)
     with pytest.raises(UsageError, match="Taylor coefficients") as info:
         solution_difference(bare, other, 0, t, 0.1)
     assert not isinstance(info.value, DomainError)
@@ -492,8 +491,8 @@ def test_family_rows_match_the_full_grid_solve(asym):
     # a whole-line solve on build_grid's line is the oracle for the rows it
     # shares with the family's longer line and for the components; a sector
     # difference, whose ray tails reach past that line, is held against a
-    # whole-line solve on the family's line with the arc read from solved
-    # ring lines
+    # whole-line solve on the family's line whose arc sums Taylor
+    # coefficients read off 32 solved ring lines (`ring_taylor`)
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
@@ -508,7 +507,9 @@ def test_family_rows_match_the_full_grid_solve(asym):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= 1e-13
-    ring = [_full_line(family, p, eps, RingArcSolution) for p in (0, 1)]
+    line = family._line(0)
+    coef = ring_taylor(spec, eps, line, line.arc_rung())
+    ring = [_full_line(family, p, eps, taylor=coef) for p in (0, 1)]
     sols = [family.at(p, eps) for p in (0, 1)]
     for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
                  (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
@@ -525,13 +526,14 @@ def _picard(family, p):
     return line.rung_range(held_bottom(family.spec, line), line.g_hi)
 
 
-def _full_line(family, p, eps, cls=LogSolution):
+def _full_line(family, p, eps, taylor=None):
     """A whole-line Picard solve on the line of the family's sector p, as a
-    cls."""
+    LogSolution carrying the Taylor coefficients taylor."""
     line = family._line(p)
     solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
     w0, w1, _ = solve(family.spec, eps, line)
-    return cls(family.spec, line, w0, w1, eps, Delta=family.covering.Delta)
+    return LogSolution(family.spec, line, w0, w1, eps, Delta=family.covering.Delta,
+                       taylor=taylor)
 
 
 def _assert_rows_match(full, sol, components=()):
@@ -792,9 +794,9 @@ def test_formal_series_under_the_one_stopping_rule(name, monkeypatch):
 
 
 def test_taylor_samples_match_the_solved_ring_rows(asym):
-    # the arc samples summed from the Taylor series at tau = 0 against solved
-    # ring lines at the arc rung, and the order-0 coefficients against the
-    # solved centre row
+    # the Taylor series at tau = 0, summed at 16 angles on the arc circle,
+    # against solved ring lines at the arc rung, and the order-0
+    # coefficients against the solved centre row
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
     for eps in (0.005j, 0.2j, 0.11 * np.exp(1j * np.angle(cov.overlap_sample(0)))):

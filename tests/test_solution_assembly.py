@@ -521,6 +521,42 @@ def test_taylor_arc_samples_match_the_ring_rows_at_k1(k1_pair):
         assert arc_sample_gap(sol) <= 1e-13
 
 
+def test_arc_sums_a_high_taylor_order_at_its_nodes(k1_pair):
+    # one nonzero Taylor order n = 20, which 16 uniform ring samples would
+    # alias onto order 4, against an mpmath quadrature
+    # of (k/ln q) int u^n / theta(u/T) i dtheta over the same arc, with theta
+    # summed term by term.  arg T = 0.25 keeps the arc's u/T within 0.25 rad
+    # of the positive axis, far from the zero ray of theta.  The gap is about
+    # 1e-15; the bound allows for the theta kernel's dropped series tail
+    # (THETA_TOL = 1e-12)
+    import mpmath
+
+    spec, sol_a, sol_b = k1_pair
+    grid, n = sol_a.grid, 20
+    g = np.exp(-grid.m ** 2) * (1.0 + 0.3j * grid.m)
+    taylor = np.zeros((2, 33, grid.m.size), dtype=complex)
+    taylor[0, n], taylor[1, n] = g, 2j * g
+    sol = LogSolution(spec, grid, sol_a.w0, sol_a.w1, sol_a.eps, taylor=taylor)
+    g_arc = grid.arc_rung()
+    r_arc = grid.radius_of_rung(g_arc)
+    Q = mpmath.mpf(spec.q) ** (mpmath.mpf(1) / spec.k)
+
+    def theta(x):
+        return mpmath.fsum(Q ** (-p * (p - 1) / 2) * x ** p for p in range(-40, 41))
+
+    for T in (sol_a.eps * 0.25, sol_a.eps * 0.05):
+        def integrand(phi):
+            u = r_arc * mpmath.expj(phi)
+            return u ** n / theta(u / T) * 1j
+
+        with mpmath.workdps(30):
+            want = complex(spec.k / mpmath.log(spec.q)
+                           * mpmath.quad(integrand, [0.0, 0.25, sol_b.direction]))
+        got = sol._arc_integral(sol_b.direction, T, g_arc)
+        for got_j, scale in zip(got, (1.0, 2j)):
+            assert np.abs(got_j - scale * want * g).max() <= 1e-11 * abs(want) * np.abs(g).max()
+
+
 def test_tail_stencil_must_not_read_below_the_line(golden):
     # the ray tail's stencil reads TAIL_REACH rungs below the arc rung; a
     # range of the ladder cut above them has no rows there
