@@ -5,14 +5,16 @@ geometric ladder rho * q^(g/N) with integer rungs g, plus the centre
 tau = 0.  N is a multiple of every dilation denominator, so the dilations
 tau -> q^(delta - d/k) tau shift rungs exactly and never interpolate, except
 below the bottom rung where a quadratic through the centre value is used.
-The line runs along the Borel direction d over the radii where the kernel
-envelope of the q-Laplace transform is alive for some T = eps t in the
-grid's range [T_min, T_max], which is all the transform reads there.  Every
-dilation shift is positive, so a rung reads only lower rungs and the
-centre, and a line cut at any top rung solves its rows as a longer line
-does, to within the stopping rule; a range of the ladder cut from below
-solves alike once its lowest rows are held (`BorelGrid.rung_range`, `held`
-of the solves).  Coupling in m is a dense kernel matrix per symbol, built
+`build_grid`'s line runs along the Borel direction d over the radii where
+the kernel envelope of the q-Laplace transform is alive for some T = eps t
+in the grid's range [T_min, T_max]; the whole-line fixed point of `solve`
+lives there.  Below the Taylor rung a component reads the Taylor series at
+tau = 0 rather than rows (`solution_assembly.LogSolution`), so a line of
+solutions needs its rows only from the held block up.  Every dilation shift
+is positive, so a rung reads only lower rungs and the centre, and a line
+cut at any top rung solves its rows as a longer line does, to within the
+stopping rule; a range of the ladder cut from below solves alike once its
+lowest rows are held (`BorelGrid.rung_range`, `held` of the solves).  Coupling in m is a dense kernel matrix per symbol, built
 once per m grid from the symbol's m part (`SymbolKernels`): a symbol is its
 m part times a polynomial in eps, which enters every operator as a scalar.
 Coupling in tau is the pure rung shift.

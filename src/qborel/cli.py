@@ -36,8 +36,8 @@ from .geometry import (
     make_geometry,
     operator_constants,
 )
-from .problem_model import ProblemSpec, _as_complex, _section, validate_assumptions
-from .solution_assembly import LogSolution, residual_borel, residual_physical
+from .problem_model import ProblemSpec, _as_complex, _as_int, _section, validate_assumptions
+from .solution_assembly import LogSolution, residual_borel, residual_physical, tail_top
 
 COMMANDS = ("check-geometry", "solve", "evaluate", "residual", "formal",
             "asymptotics", "all")
@@ -93,7 +93,7 @@ def _range_of(x, name: str, positive: bool = False) -> tuple[float, float, int]:
     """(lo, hi, n) from a [lo, hi, n] setting; positive ranges are log-spaced."""
     if not isinstance(x, list) or len(x) != 3:
         raise ConfigError(f"{name} must be [lo, hi, n], got {x!r}")
-    lo, hi, n = float(x[0]), float(x[1]), int(x[2])
+    lo, hi, n = float(x[0]), float(x[1]), _as_int(x[2], f"{name} n")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{name} = {x!r} needs finite lo, hi")
     if n < 2:
@@ -115,7 +115,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         g = _section(raw, "grid")
         gspec = GridSpec(
             m_max=float(q.get("M", 40.0 / spec.beta)),
-            m_nodes=int(q.get("m_nodes", 241)),
+            m_nodes=_as_int(q.get("m_nodes", 241), "m_nodes"),
             T_min=g.get("T_min"), T_max=g.get("T_max"),
             density_factor=float(g.get("density_factor", 4.0)))
         mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
@@ -123,7 +123,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
             raise ConfigError(f"geometry_m_grid = {list(mg)} must be symmetric about 0")
         asym = _section(raw, "asymptotics")
-        N_max = int(asym.get("N_max", 6))
+        N_max = _as_int(asym.get("N_max", 6), "asymptotics N_max")
         if N_max < 0:
             raise ConfigError(f"asymptotics N_max = {N_max} must be >= 0")
         points = _finite_points([_point_of(p) for p in raw.get("points", [])], "points")
@@ -140,7 +140,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         eps_solve = _complex_of(raw.get("eps"), 0.75 * spec.eps0)
         if not (cmath.isfinite(eps_solve) and eps_solve != 0):
             raise ConfigError(f"eps = {eps_solve} must be finite and nonzero")
-        zeta = int(cov.get("zeta", 2))
+        zeta = _as_int(cov.get("zeta", 2), "covering zeta")
         if zeta < 2:
             raise ConfigError(f"covering zeta = {zeta} must be >= 2: a good covering "
                               "needs two sectors")
@@ -154,7 +154,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             raise ConfigError(f"covering t_aperture = {t_aperture} must be finite and >= 0")
         if not math.isfinite(t_direction):
             raise ConfigError(f"covering t_direction = {t_direction} must be finite")
-        seed = int(raw.get("seed", 0))
+        seed = _as_int(raw.get("seed", 0), "seed")
         if seed < 0:
             raise ConfigError(f"seed = {seed} must be >= 0")
         Delta = float(q.get("Delta", 0.5))
@@ -174,7 +174,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
                                  "eps_gevrey", positive=True),
             eps_decay=_range_of(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9]),
                                 "eps_decay", positive=True),
-            decay_pair=int(asym.get("pair", 0)),
+            decay_pair=_as_int(asym.get("pair", 0), "asymptotics pair"),
             seed=seed,
             output_dir=out,
             geometry_m_grid=np.linspace(*mg))
@@ -292,9 +292,14 @@ def cmd_check_geometry(rc: RunConfig, ctx: dict) -> int:
 
 
 def _line(rc: RunConfig, ctx: dict) -> BorelGrid:
-    """`build_grid`'s line in the first Borel direction, built once per run."""
+    """`build_grid`'s line in the first Borel direction, built once per run.
+    A line with Picard rows, above its Taylor rung, reaches up to the rung
+    that the ray tails of its components read at T_max (`tail_top`)."""
     if "grid" not in ctx:
-        ctx["grid"] = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
+        grid = build_grid(rc.spec, _geometry(rc, ctx), rc.gspec)
+        if grid.taylor_rung() < grid.g_hi:
+            grid = grid.rung_range(grid.g_lo, tail_top(rc.spec, grid))
+        ctx["grid"] = grid
     return ctx["grid"]
 
 

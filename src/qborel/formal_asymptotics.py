@@ -31,8 +31,8 @@ from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, build_grid, he
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
-from .solution_assembly import (LogSolution, difference_arc_rung, solution_difference,
-                                tail_reach)
+from .solution_assembly import (TAIL_REACH, LogSolution, difference_arc_rung,
+                                solution_difference, tail_top)
 from .transforms import inverse_fourier
 
 __all__ = [
@@ -133,31 +133,31 @@ class SolutionFamily:
 
     The densities are one analytic function on the disc D(0, rho), which
     every sector shares, continued along each sector's ray beyond it.
-    `at(p, eps)` solves sector p's line (`_line`): from the bottom of
-    `build_grid`'s line, which the q-Laplace integrals at |eps t| in
-    [T_min, T_max] read, to the higher of its top and the top rung that the
-    ray tail of a sector difference reads at T_max (`tail_reach`).  One
-    Taylor expansion at tau = 0 per eps (`_taylor`, summed to the radius of
-    the line's Taylor rung: its arc rung g_arc, about rho/2, where the line
-    reaches above it) gives the centre, the rows up to g_arc and the arc of
-    a sector difference: every solution carries it as
-    `LogSolution.taylor`, the one source of its arc densities, and
-    `arc_orders` records the highest order of each.  The line's rows come
+    `at(p, eps)` solves sector p's line (`_line`).  One Taylor expansion at
+    tau = 0 per eps (`_taylor`, summed to the radius of the lines' arc rung
+    g_arc, about rho/2) is that function on the disc: every solution carries
+    it as `LogSolution.taylor`, which sums it on the ray of each component
+    below g_arc and on the arc of a sector difference, and `arc_orders`
+    records the highest order of each.  Above g_arc the line holds Picard
+    rows up to the top rung that the ray tail reads at T_max (`tail_top`),
     from `borel_solver.solve_held`, the solve path that the CLI's
     `evaluate` and `residual` share: Picard runs only on the rung range
     from `held_bottom` (one largest dilation shift less one below g_arc)
     to the top, with its rungs up to g_arc and the centre held at the
-    expansion.  That range is one grid per sector for the family's life,
-    so its operator factors are built once, and every grid of the family
-    reads the kernels of the one m grid (`SymbolKernels`), with eps entering
-    as scalars.  When no b symbol depends on eps, each order of an
-    expansion is one solve of the family's `OrderBlock`, inverted once, at
-    the first expansion; otherwise each order is one Picard run.  Only the
-    last eps's expansion and solutions are kept, so the family's memory
-    does not grow with the samples.
+    expansion.  Below that the line keeps only the rows the tail's stencil
+    reads, down to TAIL_REACH rungs below g_arc.  The Picard range is one
+    grid per sector for the family's life, so its operator factors are
+    built once, and every grid of the family reads the kernels of the one
+    m grid (`SymbolKernels`), with eps entering as scalars.  When no b
+    symbol depends on eps, each order of an expansion is one solve of the
+    family's `OrderBlock`, inverted once, at the first expansion; otherwise
+    each order is one Picard run.  Only the last eps's expansion and
+    solutions are kept, so the family's memory does not grow with the
+    samples.
 
-    A solution's rows agree with a whole-line Picard solve on its line to
-    within the one stopping rule (`borel_solver.PICARD_RTOL`).  `reports`
+    A solution's rows agree with those of a whole-line Picard solve from
+    the bottom of `build_grid`'s line to the same top to within the one
+    stopping rule (`borel_solver.PICARD_RTOL`).  `reports`
     keeps the SolveReport of every solve under its (sector, eps) key, whose
     residual and norms read the free rows only; `grid_rows` counts the
     stacked rows of every Picard range.
@@ -178,14 +178,15 @@ class SolutionFamily:
 
     def _line(self, p: int):
         """The line of sector p's solutions: a rung range of `build_grid`'s
-        grid, from the lower of its bottom and `held_bottom` to the top, with
-        its ladder, direction, m grid and T range, all that is read of it."""
+        grid, with its ladder, direction, m grid and T range, all that is
+        read of it, from the lowest row that the held block or the tail's
+        stencil reads to `tail_top`."""
         p = p % self.covering.zeta
         if p not in self._lines:
             geom = make_geometry(self.spec, self.covering.d_rays[p], m_grid=self.m_grid)
             grid = build_grid(self.spec, geom, self.gspec)
-            top = max(grid.g_hi, tail_reach(self.spec, grid, grid.arc_rung(), grid.T_max)[1])
-            self._lines[p] = grid.rung_range(min(grid.g_lo, held_bottom(self.spec, grid)), top)
+            bottom = min(held_bottom(self.spec, grid), grid.arc_rung() - TAIL_REACH)
+            self._lines[p] = grid.rung_range(bottom, tail_top(self.spec, grid))
         return self._lines[p]
 
     @functools.cached_property

@@ -69,6 +69,16 @@ def _as_complex(x) -> complex:
     return complex(x)
 
 
+def _as_int(x, key: str) -> int:
+    """x as an int: an int, or a float with an integral value.  A bool, a
+    fractional or non-finite float, a string or anything else raises a
+    ConfigError that names key."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or (isinstance(x, float) and not x.is_integer()):
+        raise ConfigError(f"{key} = {x!r} must be an integer")
+    return int(x)
+
+
 class FourierSymbol:
     """Evaluable map (m, eps) -> complex.
 
@@ -278,12 +288,13 @@ class ProblemSpec:
         try:
             terms = []
             for t in d.get("terms", []):
-                num, den = t["delta"]
-                if int(den) == 0:
+                key = f"terms[{len(terms)}]"
+                num, den = (_as_int(v, f"{key} delta") for v in t["delta"])
+                if den == 0:
                     raise ConfigError(f"delta {t['delta']!r} has a zero denominator")
                 terms.append(LowerOrderTerm(
-                    d=int(t["d"]), Delta=int(t["Delta"]),
-                    delta=Fraction(int(num), int(den)),
+                    d=_as_int(t["d"], f"{key} d"), Delta=_as_int(t["Delta"], f"{key} Delta"),
+                    delta=Fraction(num, den),
                     R=t["R"], C=FourierSymbol.from_dict(t.get("C"), f"C{len(terms) + 1}")))
             forcing = _section(d, "forcing")
             lam0 = {int(k): FourierSymbol.from_dict(v, f"f0[{k}]")
@@ -296,7 +307,8 @@ class ProblemSpec:
                 for kk in (0, 1):
                     b[(j, kk)] = FourierSymbol.from_dict(coeffs.get(f"b{j}{kk}"), f"b{j}{kk}")
             return cls(
-                D=int(d["D"]), k=int(d["k"]), q=float(d["q"]), dD=int(d["dD"]),
+                D=_as_int(d["D"], "D"), k=_as_int(d["k"], "k"), q=float(d["q"]),
+                dD=_as_int(d["dD"], "dD"),
                 terms=terms, Q=d["Q"], RD=d["RD"],
                 beta=float(d["beta"]), beta_prime=float(d["beta_prime"]),
                 mu=float(d["mu"]), alpha=float(d["alpha"]),

@@ -2,12 +2,12 @@
 
 u(t, z, eps) = u_0 + u_1 log(eps t)/log q with each component the q-Laplace
 transform (along the grid direction) and inverse Fourier transform of its
-Borel density.  On a line whose rows are all summed from the Taylor series
-at tau = 0 the q-Laplace transform is summed in closed form, since it sends
-tau^n to q^(n(n-1)/2k) (eps t)^n.  Otherwise the component integrals reuse
-the solver ladder: the stored principal line is log-uniform, so the radial
-quadrature is a plain trapezoid over stored nodes with the theta kernel
-evaluated in scaled log space.
+Borel density.  Inside the disc the density is its Taylor series at tau = 0.
+On a line whose rows are all summed from that series the q-Laplace transform
+is summed in closed form, since it sends tau^n to q^(n(n-1)/2k) (eps t)^n.
+Otherwise it is a ray through the kernel window up to the line's Taylor
+rung, where the series is summed at the ray's quadrature nodes, plus the ray
+tail above that rung, which interpolates the line's Picard rows.
 Sector differences deform one direction into the other: two ray tails on
 the principal lines and an arc inside the disc, where the densities are the
 Taylor series at tau = 0, summed at the arc's quadrature nodes.
@@ -36,6 +36,7 @@ __all__ = [
     "residual_physical",
     "solution_difference",
     "tail_reach",
+    "tail_top",
 ]
 
 
@@ -53,19 +54,32 @@ TAIL_REACH = 2
 ARC_PANEL_FREQ = 16
 
 
+# e-fold drop of the kernel, from its peak or from the arc radius, beyond
+# which the ray and its tail integrate nothing
+KERNEL_DROP = 45.0
+
+
 def tail_reach(spec: ProblemSpec, grid: BorelGrid, g_arc: int, T: complex):
     """(s_end, g_top) of the ray tail beyond rung g_arc at T = eps t: the
-    log radius where the kernel has fallen e^(-45) below its value at the
-    arc radius, and the highest rung the tail's 6-point stencil reads.  The
-    tail grows with |T|, so the reach at a grid's T_max covers its range."""
+    log radius where the kernel has fallen e^(-KERNEL_DROP) below its value
+    at the arc radius, and the highest rung the tail's 6-point stencil
+    reads.  The tail grows with |T|, so the reach at a grid's T_max covers
+    its range."""
     s0 = math.log(grid.radius_of_rung(g_arc))
     a = 0.5 * spec.k / spec.lnq
     x0 = s0 - math.log(abs(T))
-    s_end = s0 + (math.sqrt(x0 * x0 + 45.0 / a) - x0)
+    s_end = s0 + (math.sqrt(x0 * x0 + KERNEL_DROP / a) - x0)
     return s_end, g_arc - TAIL_REACH + 5 + math.floor((s_end - s0) / (spec.lnq / grid.N))
 
 
-# the 8-point Gauss-Legendre rule on [-1, 1] of every tail and arc panel
+def tail_top(spec: ProblemSpec, grid: BorelGrid) -> int:
+    """The top rung of a line of grid's ladder whose components carry their
+    ray tails up to grid's T_max: the higher of grid's top and the reach of
+    the tail from its arc rung at T_max (`tail_reach`)."""
+    return max(grid.g_hi, tail_reach(spec, grid, grid.arc_rung(), grid.T_max)[1])
+
+
+# the 8-point Gauss-Legendre rule on [-1, 1] of every ray, tail and arc panel
 GL_X, GL_W = np.polynomial.legendre.leggauss(8)
 
 
@@ -77,6 +91,17 @@ def _gauss_legendre_panels(a: float, b: float, panels: int):
     half = 0.5 * (edges[1:] - edges[:-1])
     return ((mid[:, None] + half[:, None] * GL_X[None, :]).ravel(),
             (half[:, None] * GL_W[None, :]).ravel())
+
+
+def _log_radius_panels(spec: ProblemSpec, lnT: float, s_lo: float, s_hi: float):
+    """Nodes and weights of Gauss-Legendre panels on [s_lo, s_hi] in log
+    radius for the kernel at T = eps t with ln|T| = lnT: at least four, each
+    at most one kernel width 1/sqrt(2a) and one period 2 pi/rate of its
+    fastest chirp, rate = 2a max|s - lnT| + 1 with a = k/(2 ln q)."""
+    a = 0.5 * spec.k / spec.lnq
+    rate = 2.0 * a * max(abs(s_lo - lnT), abs(s_hi - lnT)) + 1.0
+    width = min(2.0 * math.pi / rate, 1.0 / math.sqrt(2.0 * a), s_hi - s_lo)
+    return _gauss_legendre_panels(s_lo, s_hi, max(4, math.ceil((s_hi - s_lo) / width)))
 
 
 def _cached_pair(compute):
@@ -110,12 +135,15 @@ class LogSolution:
 
     `taylor` holds the Taylor coefficients of (omega_0, omega_1) at tau = 0,
     summed to the radius of the line's Taylor rung (`BorelGrid.taylor_rung`),
-    as `borel_solver.solve_held` takes them.  When the top lies at or below the
-    arc rung, every row is their sum, and the q-Laplace transform is summed
-    from them in closed form; the arc of a sector difference, which they do
-    not reach, is then refused (UsageError).  Otherwise the arc sums them at
-    its quadrature nodes (`SolutionFamily` passes its expansion at eps).  A
-    solution without them evaluates, but refuses a difference.
+    as `borel_solver.solve_held` takes them; they are the densities of every
+    component below that rung.  When the line's top is its Taylor rung, every
+    row is their sum, and the q-Laplace transform is summed from them in
+    closed form; the arc of a sector difference, which they do not reach, is
+    then refused (UsageError).  Otherwise a component is the ray through the
+    kernel window up to the Taylor rung (the arc rung), which sums them at
+    its quadrature nodes, plus the ray tail above it, which reads the line's
+    rows from TAIL_REACH rungs below the arc rung; the arc sums them at its
+    quadrature nodes too (`SolutionFamily` passes its expansion at eps).
     """
 
     spec: ProblemSpec
@@ -123,8 +151,8 @@ class LogSolution:
     w0: np.ndarray
     w1: np.ndarray
     eps: complex
+    taylor: np.ndarray = field(repr=False, compare=False)
     Delta: float = 0.5
-    taylor: np.ndarray | None = field(default=None, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
     _admissible: set = field(default_factory=set, repr=False, compare=False)
 
@@ -140,7 +168,7 @@ class LogSolution:
     def _taylor_line(self) -> bool:
         """Whether every row of the line is summed from `taylor`: its top
         is its Taylor rung."""
-        return self.taylor is not None and self.grid.taylor_rung() == self.grid.g_hi
+        return self.grid.taylor_rung() == self.grid.g_hi
 
     def _taylor_sum(self, moments: np.ndarray):
         """sum_n moments_n c_(j,n) over m for j = 0, 1: a kernel integral of
@@ -151,19 +179,31 @@ class LogSolution:
     def _laplace_all_m(self, T: complex):
         """q-Laplace of (w_0, w_1)(., m) at T along the grid's line, for
         every m.  On a Taylor line it is sum_n q^(n(n-1)/2k) T^n c_(j,n);
-        otherwise both components share the theta kernel weights of a
-        trapezoid over the line."""
+        otherwise it is the ray up to the Taylor rung plus the tail above."""
         if self._taylor_line:
             n = np.arange(self.taylor.shape[1])
             return self._taylor_sum(T ** n / self.spec.q_power_factor(n))
-        grid = self.grid
-        kern = inv_theta(grid.tau / T, self.spec.q, self.spec.k)
-        h = self.spec.lnq / grid.N
-        tw = np.full(grid.n_nodes, h)
-        tw[0] = tw[-1] = 0.5 * h
-        weights = tw * kern
-        return tuple((self.spec.k / self.spec.lnq) * (weights @ w[:-1])
-                     for w in (self.w0, self.w1))
+        return tuple(r + t for r, t in zip(self._ray_integral(T),
+                                           self._tail_integral(T, self.grid.taylor_rung())))
+
+    def _ray_integral(self, T: complex):
+        """q-Laplace of the Taylor series `taylor` along the line's direction,
+        restricted to the kernel window |s - ln|T|| <= sqrt(KERNEL_DROP/a),
+        a = k/(2 ln q), below the line's Taylor rung, for every m:
+        Gauss-Legendre panels in log radius (`_log_radius_panels`), whose
+        kernel moments the series sums.  A window wholly above the rung
+        gives zero."""
+        spec = self.spec
+        lnT = math.log(abs(T))
+        half = math.sqrt(2.0 * KERNEL_DROP * spec.lnq / spec.k)
+        s_hi = min(math.log(self.grid.radius_of_rung(self.grid.taylor_rung())), lnT + half)
+        if s_hi <= lnT - half:
+            zero = np.zeros(self.grid.m.size, dtype=complex)
+            return zero, zero.copy()
+        s, wq = _log_radius_panels(spec, lnT, lnT - half, s_hi)
+        u = np.exp(s + 1j * self.grid.direction)
+        weights = (spec.k / spec.lnq) * wq * inv_theta(u / T, spec.q, spec.k)
+        return self._taylor_sum(weights @ np.vander(u, self.taylor.shape[1], increasing=True))
 
     @_cached_pair
     def _tail_integral(self, T: complex, g_arc: int):
@@ -172,9 +212,9 @@ class LogSolution:
 
         Far above the kernel peak the integrand chirps faster than the stored
         ladder resolves, so the tail is integrated on Gauss-Legendre panels
-        sized to the local oscillation rate, with the smooth density
-        interpolated along the line by a 6-point stencil.  Both components
-        share the panels and the kernel.
+        sized to the local oscillation rate (`_log_radius_panels`), with the
+        smooth density interpolated along the line by a 6-point stencil.
+        Both components share the panels and the kernel.
         """
         spec, grid = self.spec, self.grid
         if g_arc - TAIL_REACH < grid.g_lo:
@@ -188,12 +228,7 @@ class LogSolution:
                 f"[{grid.T_min:.4g}, {grid.T_max:.4g}]")
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
-        a = 0.5 * spec.k / spec.lnq
-        x0 = s0 - math.log(abs(T))
-        rate = 2.0 * a * math.sqrt(x0 * x0 + 45.0 / a) + 1.0
-        width = min(2.0 * math.pi / rate, 1.0 / math.sqrt(2.0 * a), s_end - s0)
-        panels = max(4, math.ceil((s_end - s0) / width))
-        s, wq = _gauss_legendre_panels(s0, s_end, panels)
+        s, wq = _log_radius_panels(spec, math.log(abs(T)), s0, s_end)
         # 6-point Lagrange interpolation of the density in log radius
         base = np.floor((s - s0) / h).astype(int) + (g_arc - grid.g_lo) - TAIL_REACH
         s_base = math.log(grid.radius_of_rung(grid.g_lo)) + base * h
@@ -227,11 +262,10 @@ class LogSolution:
         if d_a == d_b:
             zero = np.zeros(grid.m.size, dtype=complex)
             return zero, zero.copy()
-        if self.taylor is None or self._taylor_line:
-            why = ("this solution was given none" if self.taylor is None else "this "
-                   "solution's are summed only to its line's top, below the arc rung")
+        if self._taylor_line:
             raise UsageError("a sector difference reads the Taylor coefficients at "
-                             f"tau = 0 on its arc, and {why}")
+                             "tau = 0 on its arc, and this solution's are summed only "
+                             "to its line's top, below the arc rung")
         r_arc = grid.radius_of_rung(g_arc)
         # Gauss-Legendre panels, roughly one per kernel oscillation
         osc_freq = spec.k * abs(math.log(r_arc / abs(T))) / spec.lnq + ARC_PANEL_FREQ
@@ -445,8 +479,8 @@ def solution_difference(sol_a: LogSolution, sol_b: LogSolution, j: int,
     accuracy long after a plain subtraction of the two evaluations would
     drown in cancellation noise.  The tails and the arc do not depend on z
     and are cached per exact eps t, so further z probes cost one Fourier sum
-    each.  The arc is taken first, so a solution without Taylor coefficients
-    is refused (UsageError) before any integral.
+    each.  The arc is taken first, so a solution whose Taylor coefficients
+    do not reach it is refused (UsageError) before any integral.
     """
     T = sol_a.eps * complex(t)
     g_arc = difference_arc_rung(sol_a.spec, sol_a.grid, sol_b.grid, T,

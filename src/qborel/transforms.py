@@ -1,10 +1,11 @@
 """Inverse Fourier transform, the eps*t admissibility check of the q-Laplace
 transform and the convolution kernel of the Borel-plane products.
 
-The q-Laplace transform itself lives in `solution_assembly.LogSolution`: a
-trapezoid sum over the Borel grid's ladder, or, on a line whose rows are all
-Taylor sums at tau = 0, the closed-form sum of its Taylor coefficients;
-`check_admissible` is the domain it may be taken on.
+The q-Laplace transform itself lives in `solution_assembly.LogSolution`:
+Gauss-Legendre panels along the ray, with the Taylor series at tau = 0
+below the line's Taylor rung and the line's rows above it, or, on a line
+whose rows are all Taylor sums, the closed-form sum of its Taylor
+coefficients; `check_admissible` is the domain it may be taken on.
 """
 
 from __future__ import annotations

@@ -90,6 +90,17 @@ def disc_taylor_gap(spec, eps, sols) -> float:
     return worst
 
 
+def taylor_solution(spec, grid, w0, w1, eps, **kwargs):
+    """The `LogSolution` of the solved rows w0, w1 on grid at eps, carrying
+    the Taylor coefficients at tau = 0 summed to the radius of the grid's
+    Taylor rung, as `borel_solver.solve_held` takes them."""
+    from qborel.borel_solver import taylor_at_origin
+    from qborel.solution_assembly import LogSolution
+
+    coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.taylor_rung()))
+    return LogSolution(spec, grid, w0, w1, eps, taylor=coef, **kwargs)
+
+
 @pytest.fixture
 def problem_dict():
     return copy.deepcopy(example_problem_dict())

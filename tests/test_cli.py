@@ -153,6 +153,13 @@ CHECKED_ON_LOAD = [
     pytest.param({"geometry_m_grid": [-50.0, 40.0, 401]}, "geometry_m_grid",
                  id="asymmetric_geometry_m_grid"),
     pytest.param({"seed": -1}, "seed", id="negative_seed"),
+    # integer keys refuse what int() would truncate
+    pytest.param({"seed": 1.7}, "seed", id="fractional_seed"),
+    pytest.param({"quadrature": {"M": 12.0, "m_nodes": 241.9}}, "m_nodes",
+                 id="fractional_m_nodes"),
+    pytest.param({"covering": {"zeta": 2.7}}, "zeta", id="fractional_zeta"),
+    pytest.param({"asymptotics": {"N_max": True, "eps_gevrey": [0.008, 0.018, 3],
+                                  "eps_decay": [0.006, 0.015, 4]}}, "N_max", id="bool_N_max"),
 ]
 
 
@@ -649,7 +656,7 @@ def test_evaluate_and_residual_solve_no_picard_on_the_example(tmp_path, monkeypa
 def test_point_verbs_read_no_theta_kernel_on_a_taylor_line(tmp_path, monkeypatch):
     # every row of the example's line is a Taylor sum, so its q-Laplace
     # transform is their closed form; the wide config's line has Picard rows
-    # above the arc rung and keeps the theta-kernel trapezoid
+    # above the arc rung and reads the theta kernel on the ray and its tail
     import qborel.solution_assembly as assembly
 
     calls = []
@@ -706,13 +713,14 @@ def test_point_verbs_check_each_eps_t_once(tmp_path, monkeypatch):
 
 
 def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch):
-    # the wide config's line tops out at 0.73 rho, above the arc rung: the
-    # held-row solve runs Picard there only, and matches the whole-line
-    # solve_coupled row for row and in evaluate
+    # the wide config's line reaches above the arc rung, up to the ray
+    # tail's reach at T_max: the held-row solve runs Picard there only, and
+    # matches the whole-line solve_coupled row for row, and in evaluate the
+    # theta-kernel trapezoid over the whole line's rows
     import qborel.borel_solver as borel_solver
     import qborel.cli as cli
     from qborel.borel_solver import held_bottom, solve_coupled
-    from qborel.solution_assembly import LogSolution
+    from qborel.solution_assembly import tail_top
 
     rc = load_config(CONFIG_DIR / "asymptotics_k13.json")
     ranges = []
@@ -726,26 +734,65 @@ def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch
     ctx: dict = {}
     sol = cli._log_solution(rc, ctx)
     grid = ctx["grid"]
-    assert grid.g_hi > grid.arc_rung()
+    assert grid.g_hi == tail_top(rc.spec, grid) > grid.arc_rung()
     assert ranges == [(held_bottom(rc.spec, grid), grid.g_hi)]
     w0, w1, report = solve_coupled(rc.spec, rc.eps_solve, grid)
     weights = grid.stacked_weights(rc.spec)
     gap = max(float(np.max(weights * np.abs(a - b))) for a, b in ((w0, sol.w0), (w1, sol.w1)))
     assert gap <= 1e-14 * max(report.norms)
-    full = LogSolution(rc.spec, grid, w0, w1, rc.eps_solve, Delta=rc.Delta)
     for t, z in rc.points:
-        for got, want in zip(sol.evaluate_parts(t, z), full.evaluate_parts(t, z)):
+        want = _trapezoid_parts(rc, grid, w0, w1, t, z)
+        for got, want in zip(sol.evaluate_parts(t, z), want):
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_evaluate_at_T_max_on_the_wide_line(tmp_path):
+    # the wide config's line has Picard rows, and its top is the rung that
+    # the ray tail reads at T_max: a point at |eps t| = T_max evaluates, and
+    # matches the trapezoid over the rows of a whole-line solve on that line
+    import qborel.cli as cli
+    from qborel.borel_solver import solve_coupled
+
+    cfg = json.loads((CONFIG_DIR / "asymptotics_k13.json").read_text())
+    rc = load_config(CONFIG_DIR / "asymptotics_k13.json")
+    t = rc.gspec.T_max / rc.eps_solve.real
+    assert rc.eps_solve.imag == 0 and abs(rc.eps_solve * t) == rc.gspec.T_max
+    cfg["points"] = [[t, 0.0, 0.1, 0.0], [t, 0.0, -0.2, 0.1]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("evaluate", path, str(tmp_path / "out")) == 0
+    rows = np.loadtxt(tmp_path / "out" / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
+    grid = cli._line(rc, {})
+    w0, w1, _ = solve_coupled(rc.spec, rc.eps_solve, grid)
+    for row in rows:
+        t, z = complex(row[0], row[1]), complex(row[2], row[3])
+        want = _trapezoid_parts(rc, grid, w0, w1, t, z)
+        for got, ref in zip((complex(row[4], row[5]), complex(row[6], row[7]),
+                             complex(row[8], row[9])), want):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def _trapezoid_parts(rc, grid, w0, w1, t, z):
+    """(u_0, u_1, u) at (t, z) from the stacked rows w0, w1 of grid at the
+    config's eps, by the theta-kernel trapezoid oracle over every row."""
+    from tests.oracles import trapezoid_components
+
+    T = rc.eps_solve * complex(t)
+    u0, u1 = trapezoid_components(rc.spec, grid, w0, w1, T, z)
+    return u0, u1, u0 + u1 * cmath.log(T) / rc.spec.lnq
 
 
 def test_shift_sized_held_block_gives_the_rows_of_a_five_rung_block(monkeypatch):
     # the lowest free rung reads one dilation shift below it, so holding
     # more rungs of the Taylor sum changes no free row: on the wide config
     # the family's rows from the derived block equal, bit for bit, those
-    # from a block of 5 rungs below the arc rung
+    # from a block of 5 rungs below the arc rung, on every rung both lines
+    # hold (the family's line starts at its held block or the tail's stencil)
     import qborel.borel_solver as borel_solver
     import qborel.cli as cli
+    import qborel.formal_asymptotics as formal_asymptotics
     from qborel.formal_asymptotics import SolutionFamily
+    from tests.conftest import kept_rows
 
     rc = load_config(CONFIG_DIR / "asymptotics_k13.json")
     cov = cli._covering(rc, {})
@@ -754,18 +801,19 @@ def test_shift_sized_held_block_gives_the_rows_of_a_five_rung_block(monkeypatch)
                for p in (0, 1)]
 
     def rows(held_bottom):
-        monkeypatch.setattr(borel_solver, "held_bottom", held_bottom)
+        for module in (borel_solver, formal_asymptotics):
+            monkeypatch.setattr(module, "held_bottom", held_bottom)
         family = SolutionFamily(rc.spec, cov, rc.gspec, m_grid=rc.geometry_m_grid)
-        sols = [family.at(p, eps) for p, eps in samples]
-        return [(s.w0, s.w1) for s in sols], family.grid_rows
+        return [family.at(p, eps) for p, eps in samples], family.grid_rows
 
     derived, derived_rows = rows(borel_solver.held_bottom)
     five, five_rows = rows(lambda spec, grid: grid.arc_rung() - 5)
     # one shift (1 rung) held instead of 6 rungs: 5 stacked rows fewer per solve
     assert five_rows - derived_rows == 5 * len(samples)
     for got, want in zip(derived, five):
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        shared = kept_rows(want.grid, got.grid)
+        for a, b in ((got.w0, want.w0), (got.w1, want.w1)):
+            assert a.tobytes() == b[shared].tobytes()
 
 
 @pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])

@@ -27,12 +27,13 @@ from qborel.formal_asymptotics import (
 )
 from qborel.geometry import admissible_r1, build_good_covering, make_geometry
 from qborel.problem_model import ProblemSpec, polyval_im
-from qborel.solution_assembly import (LogSolution, difference_arc_rung, solution_difference,
-                                      tail_reach)
+from qborel.solution_assembly import (TAIL_REACH, LogSolution, difference_arc_rung,
+                                      solution_difference, tail_reach)
 from qborel.transforms import convolution_kernel
 
 from tests.conftest import arc_sample_gap, kept_rows
-from tests.oracles import formal_order_rhs, order_dense_solve, ring_taylor, stacked
+from tests.oracles import (formal_order_rhs, order_dense_solve, ring_taylor, stacked,
+                           trapezoid_components)
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -399,7 +400,7 @@ def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     g_arc, shift = grid.arc_rung(), max(rung_shifts(spec, grid.N))
     assert picard.g_lo == g_arc - shift + 1
     assert picard.g_hi == line.g_hi == tail_reach(spec, grid, g_arc, grid.T_max)[1]
-    assert line.g_hi > grid.g_hi and line.g_lo == grid.g_lo
+    assert line.g_hi > grid.g_hi and line.g_lo == min(picard.g_lo, g_arc - TAIL_REACH)
     assert _picard(family, 1).n_nodes == picard.n_nodes
     # each solve stacks the Picard rungs and the centre
     assert family.grid_rows == 6 * (line.g_hi - g_arc + shift + 1)
@@ -448,19 +449,24 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     assert fresh.reports == {} and fresh.arc_orders == []
 
 
-def test_difference_without_taylor_coefficients_is_refused_first(asym, monkeypatch):
+def test_difference_whose_taylor_series_stops_below_the_arc_is_refused_first(
+        asym, monkeypatch):
     # the arc reads only the Taylor coefficients its solution was given; a
-    # solution without them still evaluates, but refuses a difference with a
-    # UsageError, which is no DomainError (so no nudge is tried), before any
-    # integral or Taylor sum
+    # solution on a line that ends below the arc rung, whose coefficients
+    # are summed only to that top, still evaluates, but refuses a difference
+    # with a UsageError, which is no DomainError (so no nudge is tried),
+    # before any integral or Taylor sum
     spec, cov, family = asym["spec"], asym["cov"], asym["family"]
     eps = complex(0.1 * np.exp(1j * np.angle(cov.overlap_sample(0))))
-    t = 0.06 * np.exp(1j * cov.t_direction)
+    t = 0.004 * np.exp(1j * cov.t_direction)
     sol_a, sol_b = family.at(0, eps), family.at(1, eps)
-    bare = LogSolution(spec, sol_a.grid, sol_a.w0, sol_a.w1, eps, Delta=cov.Delta)
-    other = LogSolution(spec, sol_b.grid, sol_b.w0, sol_b.w1, eps, Delta=cov.Delta,
-                        taylor=sol_b.taylor)
-    assert bare.component(0, t, 0.1) == sol_a.component(0, t, 0.1)
+    cut = sol_a.grid.rung_range(sol_a.grid.g_lo, sol_a.grid.arc_rung() - 1)
+    coef = taylor_at_origin(spec, eps, cut.m, cut.radius_of_rung(cut.g_hi))
+    w0, w1 = borel_solver.taylor_values(coef, cut.stacked_tau)
+    bare = LogSolution(spec, cut, w0, w1, eps, coef, Delta=cov.Delta)
+    other = LogSolution(spec, sol_b.grid, sol_b.w0, sol_b.w1, eps, sol_b.taylor,
+                        Delta=cov.Delta)
+    assert math.isfinite(abs(bare.component(0, t, 0.1)))
     bare._pairs.clear()
 
     def no_taylor_sum(*args):
@@ -489,33 +495,42 @@ def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
 
 def test_family_rows_match_the_full_grid_solve(asym):
     # a whole-line solve on build_grid's line is the oracle for the rows it
-    # shares with the family's longer line and for the components; a sector
-    # difference, whose ray tails reach past that line, is held against a
-    # whole-line solve on the family's line whose arc sums Taylor
-    # coefficients read off 32 solved ring lines (`ring_taylor`)
+    # shares with the family's line, from the family's bottom to its own
+    # top, and, through the trapezoid over its rows, for the components at
+    # the first sector's direction (at the overlap the theta kernel keeps
+    # too few digits, ROADMAP item 1(a)); a sector difference, whose ray
+    # tails reach past that line, is held against a whole-line solve up to
+    # the family's top whose arc sums Taylor coefficients read off 32 solved
+    # ring lines (`ring_taylor`)
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
-    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1),
+              (0.04 * np.exp(1j * cov.t_direction), -0.2)]
+    eps = complex(0.11 * np.exp(1j * cov.directions[0]))
     w0, w1, _ = solve(spec, eps, grid)
-    full = LogSolution(spec, grid, w0, w1, eps, Delta=cov.Delta)
-    weights = grid.stacked_weights(spec)
     sol = family.at(0, eps)
-    rows = kept_rows(sol.grid, grid)
-    assert sol.grid.stacked_tau[rows].tobytes() == grid.stacked_tau.tobytes()
-    for w, ref in ((sol.w0[rows], full.w0), (sol.w1[rows], full.w1)):
+    for t, z in probes:
+        refs = trapezoid_components(spec, grid, w0, w1, eps * t, z)
+        for j in (0, 1):
+            assert abs(sol.component(j, t, z) - refs[j]) <= 1e-9 * abs(refs[j])
+    eps = complex(0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))))
+    w0, w1, _ = solve(spec, eps, grid)
+    sol = family.at(0, eps)
+    shared = grid.rung_range(sol.grid.g_lo, grid.g_hi)
+    weights = shared.stacked_weights(spec)
+    rows, ref_rows = kept_rows(sol.grid, shared), kept_rows(grid, shared)
+    assert sol.grid.stacked_tau[rows].tobytes() == grid.stacked_tau[ref_rows].tobytes()
+    for w, ref in ((sol.w0[rows], w0[ref_rows]), (sol.w1[rows], w1[ref_rows])):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= 1e-13
     line = family._line(0)
     coef = ring_taylor(spec, eps, line, line.arc_rung())
-    ring = [_full_line(family, p, eps, taylor=coef) for p in (0, 1)]
+    ring = [_full_line(family, p, eps, coef) for p in (0, 1)]
     sols = [family.at(p, eps) for p in (0, 1)]
-    for t, z in [(0.06 * np.exp(1j * cov.t_direction), 0.1),
-                 (0.04 * np.exp(1j * cov.t_direction), -0.2)]:
+    for t, z in probes:
         for j in (0, 1):
-            ref = full.component(j, t, z)
-            assert abs(sol.component(j, t, z) - ref) <= 1e-9 * abs(ref)
             ref = solution_difference(*ring, j, t, z)
             assert abs(solution_difference(*sols, j, t, z) - ref) <= 1e-12 * abs(ref)
 
@@ -526,27 +541,30 @@ def _picard(family, p):
     return line.rung_range(held_bottom(family.spec, line), line.g_hi)
 
 
-def _full_line(family, p, eps, taylor=None):
-    """A whole-line Picard solve on the line of the family's sector p, as a
-    LogSolution carrying the Taylor coefficients taylor."""
-    line = family._line(p)
-    solve = solve_triangular if family.spec.coeffs.triangular else solve_coupled
-    w0, w1, _ = solve(family.spec, eps, line)
-    return LogSolution(family.spec, line, w0, w1, eps, Delta=family.covering.Delta,
-                       taylor=taylor)
+def _full_line(family, p, eps, taylor):
+    """A whole-line Picard solve from the bottom of `build_grid`'s line in
+    the direction of the family's sector p up to the family's line's top,
+    as a LogSolution carrying the Taylor coefficients taylor."""
+    spec, line = family.spec, family._line(p)
+    geom = make_geometry(spec, family.covering.d_rays[p], m_grid=family.m_grid)
+    whole = line.rung_range(build_grid(spec, geom, family.gspec).g_lo, line.g_hi)
+    solve = solve_triangular if spec.coeffs.triangular else solve_coupled
+    w0, w1, _ = solve(spec, eps, whole)
+    return LogSolution(spec, whole, w0, w1, eps, taylor, Delta=family.covering.Delta)
 
 
 def _assert_rows_match(full, sol, components=()):
     """Every row of the family's solution sol, summed from the Taylor
     expansion or solved by Picard, equals the row of the whole-line solve
-    full to 1e-14 of the row's largest value, and so do the components at
-    the (t, z) points given."""
-    assert sol.grid.stacked_tau.tobytes() == full.grid.stacked_tau.tobytes()
-    for w, ref in ((sol.w0, full.w0), (sol.w1, full.w1)):
+    full to 1e-14 of the row's largest value, and its components at the
+    (t, z) points given equal the trapezoid over full's rows to 1e-14."""
+    rows = kept_rows(full.grid, sol.grid)
+    assert sol.grid.stacked_tau.tobytes() == full.grid.stacked_tau[rows].tobytes()
+    for w, ref in ((sol.w0, full.w0[rows]), (sol.w1, full.w1[rows])):
         assert np.all(np.abs(w - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
     for t, z in components:
-        for j in (0, 1):
-            ref = full.component(j, t, z)
+        refs = trapezoid_components(full.spec, full.grid, full.w0, full.w1, sol.eps * t, z)
+        for j, ref in enumerate(refs):
             assert abs(sol.component(j, t, z) - ref) <= 1e-14 * abs(ref)
 
 
@@ -563,9 +581,9 @@ def test_family_rows_match_the_whole_line_solve(asym):
                                  (0.11 * np.exp(1j * overlap), (0, 1), [])):
         for p in sectors:
             sol = family.at(p, complex(eps))
-            picard = _picard(family, p)
-            assert picard.n_nodes < sol.grid.n_nodes // 5
-            _assert_rows_match(_full_line(family, p, complex(eps)), sol, points)
+            line = sol.grid
+            assert line.g_lo == min(_picard(family, p).g_lo, line.arc_rung() - TAIL_REACH)
+            _assert_rows_match(_full_line(family, p, complex(eps), sol.taylor), sol, points)
 
 
 def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
@@ -584,8 +602,9 @@ def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
     for eps, points in ((0.11 * np.exp(1j * np.angle(cov.overlap_sample(0))), []),
                         (0.2 * np.exp(1j * cov.directions[0]), [(t, 0.1)])):
         for p in (0, 1):
-            _assert_rows_match(_full_line(family, p, complex(eps)),
-                               family.at(p, complex(eps)), points if p == 0 else [])
+            sol = family.at(p, complex(eps))
+            _assert_rows_match(_full_line(family, p, complex(eps), sol.taylor),
+                               sol, points if p == 0 else [])
     # the coupled solve reports its contraction bound; a triangular one does not
     assert all(math.isfinite(r.varpi) for r in family.reports.values())
 
@@ -640,7 +659,7 @@ def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch)
     # grid_rows counts the stacked rows of the Picard ranges, not the lines
     picard = _picard(family, 0)
     assert solved == [picard.n_nodes + 1] * 3 and family.grid_rows == sum(solved)
-    assert family.grid_rows < first.grid.n_nodes
+    assert picard.n_nodes < first.grid.n_nodes
     assert len(family.arc_orders) == 2
 
 

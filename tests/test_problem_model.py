@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qborel.errors import ConfigError
 from qborel.problem_model import (
     FourierSymbol,
     ProblemSpec,
+    _as_int,
     forcing_borel,
     poly_degree,
     polyval_im,
@@ -141,3 +144,20 @@ def test_pm_symbol_matches_direct_formula(example_spec):
             want = (polyval_im(spec.Q, mm) -
                     qf * polyval_im(spec.RD, mm) * t ** spec.dD)
             assert got[i, j] == pytest.approx(want)
+
+
+def test_integer_keys_take_integral_numbers_only(problem_dict):
+    # an int or an integral float loads; a bool, a fraction, a non-finite
+    # float or a string is refused with the key named, not truncated
+    assert _as_int(3, "k") == 3 and _as_int(3.0, "k") == 3
+    for bad in (True, 1.7, float("inf"), float("nan"), "3", None):
+        with pytest.raises(ConfigError, match="seed"):
+            _as_int(bad, "seed")
+    problem_dict["terms"][0]["delta"] = [1.0, 13.0]
+    assert ProblemSpec.from_dict(problem_dict).terms[0].delta == Fraction(1, 13)
+    for key, bad in (("k", 13.5), ("D", True), ("dD", "1")):
+        with pytest.raises(ConfigError, match=key):
+            ProblemSpec.from_dict(dict(problem_dict, **{key: bad}))
+    problem_dict["terms"][0]["delta"] = [1, 13.2]
+    with pytest.raises(ConfigError, match=r"terms\[0\] delta"):
+        ProblemSpec.from_dict(problem_dict)

@@ -7,7 +7,9 @@ import pytest
 
 from qborel.borel_solver import (GridSpec, build_grid, solve_coupled, solve_triangular,
                                  taylor_at_origin)
+from qborel.cli import _covering, load_config
 from qborel.errors import DomainError, UsageError
+from qborel.formal_asymptotics import SolutionFamily, default_probes
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec
 import qborel.solution_assembly as assembly
@@ -19,87 +21,124 @@ from qborel.solution_assembly import (
     solution_difference,
 )
 from qborel.transforms import inverse_fourier
-from tests.conftest import kept_rows
-from tests.oracles import (QuadratureSpec, monodromy_components, q_laplace,
+from tests.conftest import kept_rows, taylor_solution
+from tests.oracles import (QuadratureSpec, line_trapezoid, monodromy_components, q_laplace,
                            residual_physical_per_component, stacked)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _polynomial(grid, coef) -> tuple:
+    """Stacked samples on grid of the densities sum_n coef[j, n] tau^n, whose
+    exact Taylor coefficients are coef, for both j."""
+    powers = grid.tau[:, None] ** np.arange(coef.shape[1])
+    return tuple(stacked(grid, powers @ c, c[0]) for c in coef)
 
 
 @pytest.fixture
 def golden_solution(golden):
-    return LogSolution(golden["spec"], golden["grid"], golden["w0"],
-                       golden["w1"], golden["eps"])
+    return taylor_solution(golden["spec"], golden["grid"], golden["w0"], golden["w1"],
+                           golden["eps"])
 
 
-def test_zero_density_evaluates_to_zero(golden):
-    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    zero = stacked(grid, 0.0, 0.0)
-    sol = LogSolution(spec, grid, zero, zero.copy(), eps)
-    assert sol.component(0, 0.01, 0.1) == 0.0
-    assert sol.evaluate(0.01, 0.1) == 0.0
+@pytest.fixture(scope="module")
+def ray_line(golden):
+    """The golden line raised to the top rung that the ray tail reads at its
+    T_max (`tail_top`), so that it holds Picard rows above its Taylor rung,
+    the arc rung, and its components are the ray plus the tail."""
+    spec, grid = golden["spec"], golden["grid"]
+    line = grid.rung_range(grid.g_lo, assembly.tail_top(spec, grid))
+    assert line.taylor_rung() == line.arc_rung() < line.g_hi
+    return line
 
 
-def test_linear_density_reproduces_monomial_rule(golden):
+@pytest.fixture(scope="module")
+def ray_solution(golden, ray_line):
+    """The golden instance solved on `ray_line` by whole-line Picard."""
+    spec, eps = golden["spec"], golden["eps"]
+    w0, w1, _ = solve_coupled(spec, eps, ray_line)
+    return taylor_solution(spec, ray_line, w0, w1, eps)
+
+
+@pytest.fixture(scope="module")
+def synthetic_lines(golden, ray_line):
+    """The lines for synthetic densities: the golden line, whose rows are
+    all Taylor sums (closed form), and `ray_line` (ray plus tail)."""
+    return golden["grid"], ray_line
+
+
+def test_zero_density_evaluates_to_zero(golden, synthetic_lines):
+    spec, eps = golden["spec"], golden["eps"]
+    for grid in synthetic_lines:
+        zero = stacked(grid, 0.0, 0.0)
+        sol = LogSolution(spec, grid, zero, zero.copy(), eps,
+                          taylor=np.zeros((2, 1, grid.m.size), dtype=complex))
+        assert sol.component(0, 0.01, 0.1) == 0.0
+        assert sol.evaluate(0.01, 0.1) == 0.0
+
+
+def test_linear_density_reproduces_monomial_rule(golden, synthetic_lines):
     # omega(u, m) = u * g(m) must assemble to (eps t) * F^{-1}(g)(z)
-    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    m = grid.m
-    g = np.exp(-(m ** 2))
-    w = stacked(grid, grid.tau[:, None] * g[None, :], 0.0)
-    sol = LogSolution(spec, grid, w, stacked(grid, 0.0, 0.0), eps)
-    for (t, z) in [(0.012, 0.2), (0.005 + 0.004j, -0.3 + 0.2j), (0.018, 0.0)]:
-        got = sol.component(0, t, z)
-        want = eps * t * inverse_fourier(g, complex(z), m)
-        assert abs(got - want) < 1e-10 * abs(want)
+    spec, eps = golden["spec"], golden["eps"]
+    for grid in synthetic_lines:
+        m = grid.m
+        g = np.exp(-(m ** 2))
+        coef = np.zeros((2, 2, m.size), dtype=complex)
+        coef[0, 1] = g
+        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, taylor=coef)
+        for (t, z) in [(0.012, 0.2), (0.005 + 0.004j, -0.3 + 0.2j), (0.018, 0.0)]:
+            got = sol.component(0, t, z)
+            want = eps * t * inverse_fourier(g, complex(z), m)
+            assert abs(got - want) < 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("n", range(4))
-def test_ladder_laplace_matches_the_monomial_transform(golden, n):
+def test_ladder_laplace_matches_the_monomial_transform(golden, synthetic_lines, n):
     # Analytic oracle for the production q-Laplace sum: the density
-    # tau^n (x) g_j(m) on the principal line and the centre must assemble to
-    # q^(n(n-1)/2k) T^n F^{-1}(g_j)(z), T = eps t, across the grid's
-    # [T_min, T_max].  The bound was fixed before this test first ran: on
-    # a density_factor 8 ladder (N = 26 instead of 13) every value here
-    # moves by under 7e-15 relative, so the default ladder's quadrature
-    # error is at rounding level and 1e-13 leaves room only for rounding.
-    spec, grid, eps, gspec = golden["spec"], golden["grid"], golden["eps"], golden["gspec"]
-    m = grid.m
+    # tau^n (x) g_j(m), given by its rows and its Taylor coefficients, must
+    # assemble to q^(n(n-1)/2k) T^n F^{-1}(g_j)(z), T = eps t, across the
+    # grid's [T_min, T_max], in closed form on the golden line and by the
+    # ray and tail on the raised one.  The bound leaves room only for
+    # rounding: the ray's Gauss-Legendre panels and the closed form agree
+    # to a few ulps here.
+    spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
+    m = golden["grid"].m
     gs = (np.exp(-m ** 2) * (1.0 + 0.3j * m), np.exp(-0.5 * m ** 2) / (1.0 + m ** 2))
-    ws = []
-    for g in gs:
-        ws.append(stacked(grid, grid.tau[:, None] ** n * g[None, :], g if n == 0 else 0.0))
-    sol = LogSolution(spec, grid, ws[0], ws[1], eps)
+    coef = np.zeros((2, n + 1, m.size), dtype=complex)
+    coef[:, n] = gs
     Ts = [1.05 * gspec.T_min * np.exp(-0.2j), 1e-6 * np.exp(0.3j),
           2e-5 * np.exp(-0.45j), 1e-4, 0.975 * gspec.T_max * np.exp(0.4j)]
     factor = spec.q ** (n * (n - 1) / (2.0 * spec.k))
-    for T in Ts:
-        assert gspec.T_min <= abs(T) <= gspec.T_max
-        for z in (0.0, 0.3 - 0.1j):
-            for j, g in enumerate(gs):
-                got = sol.component(j, T / eps, z)
-                want = factor * T ** n * inverse_fourier(g, complex(z), m)
-                assert abs(got - want) <= 1e-13 * abs(want), (n, T, z, j)
+    for grid in synthetic_lines:
+        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, taylor=coef)
+        for T in Ts:
+            assert gspec.T_min <= abs(T) <= gspec.T_max
+            for z in (0.0, 0.3 - 0.1j):
+                for j, g in enumerate(gs):
+                    got = sol.component(j, T / eps, z)
+                    want = factor * T ** n * inverse_fourier(g, complex(z), m)
+                    assert abs(got - want) <= 1e-13 * abs(want), (grid.g_hi, n, T, z, j)
 
 
-def test_component_linearity_in_density(golden):
-    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+def test_component_linearity_in_density(golden, synthetic_lines):
+    spec, eps = golden["spec"], golden["eps"]
     rng = np.random.default_rng(21)
-    m = grid.m
-    env = np.exp(-(m ** 2))
+    env = np.exp(-(golden["grid"].m ** 2))
 
-    def rand_density():
+    def rand_coef():
         profile = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        poly = (profile[0] + profile[1] * grid.tau + profile[2] * grid.tau ** 2)
-        return stacked(grid, poly[:, None] * env[None, :], profile[0] * env)
+        return np.repeat(profile[None, :, None] * env, 2, axis=0)
 
-    a, b = rand_density(), rand_density()
+    ca, cb = rand_coef(), rand_coef()
     lam = 0.6 - 0.3j
     t, z = 0.011, 0.15
-    sol_a = LogSolution(spec, grid, a, a, eps)
-    sol_b = LogSolution(spec, grid, b, b, eps)
-    sol_ab = LogSolution(spec, grid, a + lam * b, a + lam * b, eps)
-    va = sol_a.component(0, t, z)
-    vb = sol_b.component(0, t, z)
-    vab = sol_ab.component(0, t, z)
-    assert abs(vab - (va + lam * vb)) < 1e-12 * max(abs(va), abs(vb))
+    for grid in synthetic_lines:
+        sol_a, sol_b, sol_ab = (LogSolution(spec, grid, *_polynomial(grid, c), eps, taylor=c)
+                                for c in (ca, cb, ca + lam * cb))
+        va = sol_a.component(0, t, z)
+        vb = sol_b.component(0, t, z)
+        vab = sol_ab.component(0, t, z)
+        assert abs(vab - (va + lam * vb)) < 1e-12 * max(abs(va), abs(vb))
 
 
 def _fresh(sol, Delta=None):
@@ -134,7 +173,7 @@ def test_pair_cache_is_bounded(golden_solution, monkeypatch):
     assert vals == [_fresh(sol).component(1, t, 0.2) for t in ts]
 
 
-def test_theta_kernel_once_per_eps_t(golden_solution, monkeypatch):
+def test_theta_kernel_once_per_eps_t(ray_solution, monkeypatch):
     calls = []
     real = special_functions.theta_scaled
 
@@ -143,7 +182,7 @@ def test_theta_kernel_once_per_eps_t(golden_solution, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(special_functions, "theta_scaled", counting)
-    sol = _fresh(golden_solution)
+    sol = _fresh(ray_solution)
     spec = sol.spec
     ts = [0.008, 0.01, 0.013]
     points = [(t, z) for t in ts for z in (-0.3, -0.1 + 0.1j, 0.2, 0.35)]
@@ -153,7 +192,8 @@ def test_theta_kernel_once_per_eps_t(golden_solution, monkeypatch):
     dilations = {1.0, spec.q ** (spec.dD / spec.k)}
     dilations |= {spec.q ** float(term.delta) for term in spec.terms}
     distinct = {sol.eps * complex(r * t) for r in dilations for t in ts}
-    assert len(calls) == len(distinct)
+    # one kernel on the ray and one on the tail
+    assert len(calls) == 2 * len(distinct)
 
 
 def test_evaluate_combines_components(golden_solution):
@@ -164,8 +204,9 @@ def test_evaluate_combines_components(golden_solution):
     u1 = sol.component(1, t, z)
     assert sol.evaluate(t, z) == pytest.approx(u0 + u1 * cmath.log(T) / sol.spec.lnq)
     # with the u1 density removed, evaluate reduces to the first component
+    taylor = np.stack([sol.taylor[0], np.zeros_like(sol.taylor[1])])
     sol_no_log = LogSolution(sol.spec, sol.grid, sol.w0,
-                             stacked(sol.grid, 0.0, 0.0), sol.eps)
+                             stacked(sol.grid, 0.0, 0.0), sol.eps, taylor=taylor)
     assert sol_no_log.evaluate(t, z) == pytest.approx(u0)
 
 
@@ -197,19 +238,20 @@ def _t_at(T: float, eps: float) -> float:
     raise AssertionError(f"no t with |{eps} t| = {T}")
 
 
-def test_laplace_refuses_T_outside_the_grid_range(golden_solution):
-    # the line ends at the envelope top of [T_min, T_max]: the ends are
-    # served, and any |eps t| beyond them is refused with the range named
-    sol = golden_solution
-    grid = sol.grid
-    for T, outside in ((grid.T_min, 1 - 1e-12), (grid.T_max, 1 + 1e-12)):
-        t = _t_at(T, sol.eps)
-        assert math.isfinite(abs(sol.evaluate(t, 0.1)))
-        for call in (lambda: sol.evaluate(outside * t, 0.1),
-                     lambda: sol.component(1, outside * t, 0.1),
-                     lambda: residual_physical(sol, sol.spec, [(outside * t, 0.1)])):
-            with pytest.raises(DomainError, match=r"outside \[4e-07, 0.0004\]"):
-                call()
+def test_laplace_refuses_T_outside_the_grid_range(golden_solution, ray_solution):
+    # the line serves [T_min, T_max], in closed form or, on the raised line,
+    # with the tail's reach at T_max: the ends are served, and any |eps t|
+    # beyond them is refused with the range named
+    for sol in (golden_solution, ray_solution):
+        grid = sol.grid
+        for T, outside in ((grid.T_min, 1 - 1e-12), (grid.T_max, 1 + 1e-12)):
+            t = _t_at(T, sol.eps)
+            assert math.isfinite(abs(sol.evaluate(t, 0.1)))
+            for call in (lambda: sol.evaluate(outside * t, 0.1),
+                         lambda: sol.component(1, outside * t, 0.1),
+                         lambda: residual_physical(sol, sol.spec, [(outside * t, 0.1)])):
+                with pytest.raises(DomainError, match=r"outside \[4e-07, 0.0004\]"):
+                    call()
 
 
 def test_cut_line_matches_the_line_to_the_old_top(golden):
@@ -225,8 +267,8 @@ def test_cut_line_matches_the_line_to_the_old_top(golden):
     weights = grid.stacked_weights(spec)
     for w, ref in ((golden["w0"], w0), (golden["w1"], w1)):
         assert (np.abs(w - ref[rows]) * weights).max() <= 1e-11
-    cut = LogSolution(spec, grid, golden["w0"], golden["w1"], eps)
-    ref = LogSolution(spec, line, w0, w1, eps)
+    cut = taylor_solution(spec, grid, golden["w0"], golden["w1"], eps)
+    ref = taylor_solution(spec, line, w0, w1, eps)
     for T in np.geomspace(grid.T_min, grid.T_max, 13):
         t = _t_at(float(T), eps)
         for z in (-0.3, 0.1 + 0.2j):
@@ -296,21 +338,23 @@ def test_residual_borel_zero_problem(problem_dict):
     assert residual_borel(zero, zero, spec, 0.01, grid) == 0.0
 
 
-def test_residual_physical_on_golden(golden):
-    sol = LogSolution(golden["spec"], golden["grid"], golden["w0"],
-                      golden["w1"], golden["eps"])
+def test_residual_physical_on_golden(golden_solution):
+    sol = golden_solution
     points = [(0.008, -0.3), (0.016, 0.0), (0.012, 0.4),
               (0.010 + 0.002j, 0.1), (0.014, -0.1 + 0.2j)]
-    res = residual_physical(sol, golden["spec"], points)
+    res = residual_physical(sol, sol.spec, points)
     assert res.shape == (len(points),)
     assert res.max() <= 1e-6
 
 
-def test_residual_physical_sensitivity(golden):
-    spec = golden["spec"]
-    w1 = golden["w1"].copy()
-    w1[:-1] *= 1.0 + 1e-3
-    sol = LogSolution(spec, golden["grid"], golden["w0"], w1, golden["eps"])
+def test_residual_physical_sensitivity(golden_solution):
+    # the golden line's components are summed from its Taylor coefficients,
+    # so they carry the perturbation of omega_1
+    sol = golden_solution
+    spec = sol.spec
+    taylor = sol.taylor.copy()
+    taylor[1] *= 1.0 + 1e-3
+    sol = LogSolution(spec, sol.grid, sol.w0, sol.w1, sol.eps, taylor=taylor)
     res = residual_physical(sol, spec, [(0.012, 0.1)]).max()
     assert 1e-6 < res < 1e-1
 
@@ -353,27 +397,27 @@ def test_evaluate_parts_are_the_components(golden_solution):
 @pytest.fixture(scope="module")
 def taylor_line():
     """The point verbs' solution on the example's line, whose top lies below
-    the arc rung, so every row is a Taylor sum and the solution carries the
-    coefficients; and the same rows without them."""
-    from qborel.cli import _log_solution, load_config
+    the arc rung, so every row is a Taylor sum."""
+    from qborel.cli import _log_solution
 
-    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / "example_k13.json")
+    rc = load_config(CONFIG_DIR / "example_k13.json")
     sol = _log_solution(rc, {})
-    assert sol.taylor is not None and sol.grid.g_hi <= sol.grid.arc_rung()
-    return sol, LogSolution(sol.spec, sol.grid, sol.w0, sol.w1, sol.eps, Delta=sol.Delta)
+    assert sol.grid.g_hi <= sol.grid.arc_rung()
+    return sol
 
 
 def test_taylor_line_laplace_matches_the_trapezoid(taylor_line):
     # the closed form sum_n q^(n(n-1)/2k) T^n c_n against the theta-kernel
-    # trapezoid over the same rows, across the line's [T_min, T_max] and
-    # 0.05 rad either side of arg eps
-    sol, bare = taylor_line
+    # trapezoid over the same rows (`line_trapezoid`), across the line's
+    # [T_min, T_max] and 0.05 rad either side of arg eps
+    sol = taylor_line
     grid = sol.grid
     arg = cmath.phase(sol.eps)
     Ts = [r * cmath.exp(1j * (arg + d)) for r in np.geomspace(grid.T_min, grid.T_max, 8)
           for d in (-0.05, 0.0, 0.05)]
     for T in Ts:
-        for got, want in zip(sol._laplace_all_m(T), bare._laplace_all_m(T)):
+        want_pair = line_trapezoid(sol.spec, grid, sol.w0, sol.w1, T)
+        for got, want in zip(sol._laplace_all_m(T), want_pair):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), T
 
 
@@ -381,7 +425,7 @@ def test_taylor_line_laplace_against_the_ray_quadrature(taylor_line):
     # a synthetic degree-5 density (sum_n a_(j,n) tau^n) g(m), its terms of
     # one size at |T| = T_ref, against the oracle's self-bracketing ray
     # quadrature of the polynomial
-    sol = taylor_line[0]
+    sol = taylor_line
     spec, grid = sol.spec, sol.grid
     T_ref = math.sqrt(grid.T_min * grid.T_max)
     rng = np.random.default_rng(21)
@@ -400,18 +444,18 @@ def test_taylor_line_refuses_a_difference(taylor_line):
     # its coefficients are summed to the line's top only, below the arc
     from dataclasses import replace
 
-    sol = taylor_line[0]
+    sol = taylor_line
     turned = LogSolution(sol.spec, replace(sol.grid, direction=0.3), sol.w0, sol.w1,
                          sol.eps, Delta=sol.Delta, taylor=sol.taylor)
     with pytest.raises(UsageError, match="only to its line's top"):
         solution_difference(sol, turned, 0, 0.01, 0.1)
 
 
-@pytest.mark.parametrize("which", ["trapezoid", "taylor"])
-def test_grouped_evaluation_is_the_per_point_evaluation(golden_solution, taylor_line, which):
+@pytest.mark.parametrize("which", ["ray", "taylor"])
+def test_grouped_evaluation_is_the_per_point_evaluation(ray_solution, taylor_line, which):
     # points sharing t share one Fourier pass over their z; every value is
     # the one evaluate_parts gives that point alone, bit for bit
-    sol = golden_solution if which == "trapezoid" else taylor_line[0]
+    sol = ray_solution if which == "ray" else taylor_line
     points = [(0.008, -0.3), (0.012, 0.1 + 0.2j), (0.008, 0.25 - 0.15j), (0.016, 0.0),
               (0.012, -0.4), (0.008, 0.0), (0.010 + 0.002j, 0.1)]
     got = _fresh(sol).evaluate_points(points)
@@ -434,7 +478,7 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid)
-    sol = LogSolution(spec, grid, w0, w1, eps)
+    sol = taylor_solution(spec, grid, w0, w1, eps)
     m = grid.m
     qf = 1.0  # q_power_factor(0)
     from qborel.problem_model import polyval_im
@@ -568,7 +612,7 @@ def test_tail_stencil_must_not_read_below_the_line(golden):
     for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
         cut = grid.rung_range(g_arc - below, top)
         sol = LogSolution(spec, cut, stacked(cut, 0.0, 0.0), stacked(cut, 0.0, 0.0),
-                          eps)
+                          eps, taylor=np.zeros((2, 1, cut.m.size), dtype=complex))
         if ok:
             assert not any(v.any() for v in sol._tail_integral(T, g_arc))
         else:
@@ -590,10 +634,80 @@ def test_tail_raises_when_its_reach_passes_the_top_of_the_line(golden):
     for g_hi, ok in ((top, True), (top - 1, False)):
         cut = grid.rung_range(g_arc - assembly.TAIL_REACH, g_hi)
         sol = LogSolution(spec, cut, stacked(cut, 1.0, 1.0), stacked(cut, 1.0, 1.0),
-                          eps)
+                          eps, taylor=np.ones((2, 1, cut.m.size), dtype=complex))
         if ok:
             assert all(np.isfinite(v).all() and v.any() for v in sol._tail_integral(T, g_arc))
         else:
             with pytest.raises(DomainError, match=rf"reads rung {top}, above .* top rung "
                                                   rf"{top - 1}.*\[4e-07, 0.0004\]"):
                 sol._tail_integral(T, g_arc)
+
+
+def _gevrey_family(name: str):
+    """(spec, family, the (eps, t) pairs of `asymptotics`' remainder check)
+    on a shipped config: its eps_gevrey samples at the first sector's
+    direction times the t of the default probes."""
+    rc = load_config(CONFIG_DIR / name)
+    cov = _covering(rc, {})
+    family = SolutionFamily(rc.spec, cov, rc.gspec, m_grid=rc.geometry_m_grid)
+    lo, hi, n = rc.eps_gevrey
+    eps_g = [complex(size) * np.exp(1j * cov.directions[0])
+             for size in np.exp(np.linspace(math.log(lo), math.log(hi), n))]
+    ts = sorted({t for t, _ in default_probes(cov)}, key=abs)
+    return rc.spec, family, [(eps, t) for eps in eps_g for t in ts]
+
+
+def _window_crosses_the_taylor_rung(spec, grid, T) -> bool:
+    """Whether the ray's kernel window at T reaches past the Taylor rung."""
+    half = math.sqrt(2.0 * assembly.KERNEL_DROP * spec.lnq / spec.k)
+    return math.log(abs(T)) + half > math.log(grid.radius_of_rung(grid.taylor_rung()))
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_ray_and_tail_match_the_trapezoid_at_every_gevrey_sample(name):
+    # the family's components, the ray up to the arc rung plus the tail
+    # above, against the theta-kernel trapezoid over every row of a
+    # whole-line solve_coupled from build_grid's bottom to the family's top.
+    # On the wide config some kernel windows reach past the Taylor rung,
+    # where the ray stops and the tail takes over
+    spec, family, samples = _gevrey_family(name)
+    line = family._line(0)
+    grid = build_grid(spec, make_geometry(spec, family.covering.d_rays[0],
+                                          m_grid=family.m_grid), family.gspec)
+    whole = line.rung_range(grid.g_lo, line.g_hi)
+    crossings, rows = 0, {}
+    for eps, t in samples:
+        if eps not in rows:
+            rows[eps] = solve_coupled(spec, eps, whole)[:2]
+        T = eps * t
+        crossings += _window_crosses_the_taylor_rung(spec, line, T)
+        want = line_trapezoid(spec, whole, *rows[eps], T)
+        scale = max(np.abs(w).max() for w in want)
+        for got, ref in zip(family.at(0, eps)._laplace_all_m(T), want):
+            assert np.abs(got - ref).max() <= 1e-13 * scale, (eps, t)
+    assert (crossings > 0) == (name == "asymptotics_k13.json")
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_ray_moments_are_the_closed_form_moments_inside_the_disc(name):
+    # where the kernel window lies inside the Taylor rung, the ray's
+    # Gauss-Legendre moments of tau^n are the closed form T^n /
+    # q_power_factor(n).  The window cuts the high orders' moments, whose
+    # integrands peak q^(n/k) above |T|; weighted by r_T^(-n), as a density
+    # bounded on the Taylor disc weighs them, every order agrees to 1e-14 of
+    # the zeroth moment
+    spec, family, samples = _gevrey_family(name)
+    line = family._line(0)
+    orders = 33
+    eye = np.eye(orders, dtype=complex)
+    zero = stacked(line, 0.0, 0.0)
+    sol = LogSolution(spec, line, zero, zero, 0.1, np.stack([eye, eye]))
+    n = np.arange(orders)
+    r_T = line.radius_of_rung(line.taylor_rung())
+    inside = [eps * t for eps, t in samples
+              if not _window_crosses_the_taylor_rung(spec, line, eps * t)]
+    assert inside
+    for T in inside:
+        got = sol._ray_integral(T)[0]
+        want = T ** n / spec.q_power_factor(n)
+        assert (np.abs(got - want) / r_T ** n).max() <= 1e-14 * abs(want[0]), T
