@@ -342,8 +342,8 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
 
 
 def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
-    """The solution that evaluate and residual read, on `build_grid`'s line:
-    its rows up to the line's Taylor rung summed from the Taylor series at
+    """The solution that evaluate and residual read, on `_line`'s line
+    (`build_grid`'s, raised to `tail_top` when it has Picard rows): its rows up to the line's Taylor rung summed from the Taylor series at
     tau = 0, each order a Picard run, and Picard only above (`solve_held`).  It
     carries the coefficients, so on a line that ends below the arc rung its
     q-Laplace transform is their closed form."""

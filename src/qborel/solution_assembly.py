@@ -35,7 +35,6 @@ __all__ = [
     "residual_borel",
     "residual_physical",
     "solution_difference",
-    "tail_reach",
     "tail_top",
 ]
 
@@ -175,6 +174,11 @@ class LogSolution:
         the Taylor series `taylor` whose moments of tau^n are moments_n."""
         return tuple(moments @ c for c in self.taylor)
 
+    def _taylor_path(self, u: np.ndarray, weights: np.ndarray):
+        """`_taylor_sum` of a quadrature with nodes u and kernel weights:
+        its moments of tau^n are weights @ u^n."""
+        return self._taylor_sum(weights @ np.vander(u, self.taylor.shape[1], increasing=True))
+
     @_cached_pair
     def _laplace_all_m(self, T: complex):
         """q-Laplace of (w_0, w_1)(., m) at T along the grid's line, for
@@ -203,7 +207,7 @@ class LogSolution:
         s, wq = _log_radius_panels(spec, lnT, lnT - half, s_hi)
         u = np.exp(s + 1j * self.grid.direction)
         weights = (spec.k / spec.lnq) * wq * inv_theta(u / T, spec.q, spec.k)
-        return self._taylor_sum(weights @ np.vander(u, self.taylor.shape[1], increasing=True))
+        return self._taylor_path(u, weights)
 
     @_cached_pair
     def _tail_integral(self, T: complex, g_arc: int):
@@ -273,7 +277,7 @@ class LogSolution:
         thetas, twt = _gauss_legendre_panels(d_a, d_b, panels)
         u = r_arc * np.exp(1j * thetas)
         weights = (spec.k / spec.lnq) * 1j * twt * inv_theta(u / T, spec.q, spec.k)
-        return self._taylor_sum(weights @ np.vander(u, self.taylor.shape[1], increasing=True))
+        return self._taylor_path(u, weights)
 
     def checked_T(self, t: complex, z: complex) -> complex:
         """T = eps t, after the checks every evaluation at (t, z) makes: z

@@ -498,10 +498,11 @@ def test_family_rows_match_the_full_grid_solve(asym):
     # shares with the family's line, from the family's bottom to its own
     # top, and, through the trapezoid over its rows, for the components at
     # the first sector's direction (at the overlap the theta kernel keeps
-    # too few digits, ROADMAP item 1(a)); a sector difference, whose ray
-    # tails reach past that line, is held against a whole-line solve up to
-    # the family's top whose arc sums Taylor coefficients read off 32 solved
-    # ring lines (`ring_taylor`)
+    # too few digits, ROADMAP item 1(a), so there the components are held
+    # against a whole-line LogSolution, which reads them by the same ray and
+    # tail); a sector difference, whose ray tails reach past that line, is
+    # held against a whole-line solve up to the family's top whose arc sums
+    # Taylor coefficients read off 32 solved ring lines (`ring_taylor`)
     spec, cov, gspec, family = asym["spec"], asym["cov"], asym["gspec"], asym["family"]
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
     grid = build_grid(spec, make_geometry(spec, cov.d_rays[0], m_grid=family.m_grid), gspec)
@@ -525,6 +526,11 @@ def test_family_rows_match_the_full_grid_solve(asym):
         gap = np.abs(w - ref)
         assert gap.max() <= 1e-14 * np.abs(ref).max()
         assert (gap * weights).max() <= 1e-13
+    full = _full_line(family, 0, eps, sol.taylor)
+    for t, z in probes:
+        for j in (0, 1):
+            ref = full.component(j, t, z)
+            assert abs(sol.component(j, t, z) - ref) <= 1e-12 * abs(ref)
     line = family._line(0)
     coef = ring_taylor(spec, eps, line, line.arc_rung())
     ring = [_full_line(family, p, eps, coef) for p in (0, 1)]
