@@ -87,21 +87,15 @@ class GridSpec:
     arc of a sector difference reads no grid rows: it sums the Taylor series
     at tau = 0 at its own quadrature nodes."""
 
-    m_max: float = 12.0
-    m_nodes: int = 241
+    m_max: float
+    m_nodes: int
+    density_factor: float
     T_min: float | None = None
     T_max: float | None = None
-    density_factor: float = 4.0
 
     def __post_init__(self):
-        if self.m_nodes < 3 or self.m_nodes % 2 == 0:
-            raise ConfigError(f"m_nodes = {self.m_nodes} must be an odd integer >= 3")
-        # `not 0 < x < inf` also rejects NaN
-        for name in ("m_max", "density_factor", "T_min", "T_max"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                key = "M" if name == "m_max" else name
-                raise ConfigError(f"{key} = {value} must be finite and > 0")
+        if self.m_nodes % 2 == 0:
+            raise ConfigError(f"m_nodes = {self.m_nodes} must be odd")
         if self.T_min is not None and self.T_max is not None \
                 and not self.T_min < self.T_max:
             raise ConfigError(f"T_min = {self.T_min} must be below T_max = {self.T_max}")
@@ -340,7 +334,7 @@ def _ladder_density(spec: ProblemSpec, density_factor: float) -> int:
 
 
 def build_grid(spec: ProblemSpec, geom: SectorGeometry,
-               gspec: GridSpec = GridSpec()) -> BorelGrid:
+               gspec: GridSpec) -> BorelGrid:
     """Assemble the radial line of one Borel direction for |eps t| in
     [T_min, T_max] (by default T_max = rho/4 and T_min = T_max/1000): from
     the radius below which the q-Laplace integrand at T_min has fallen

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 assumption/geometry failure (witness file written),
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -20,6 +19,7 @@ import numpy as np
 from . import __version__
 from .borel_solver import (BorelGrid, GridSpec, _weighted_sup, build_grid,
                            contraction_estimate, solve_coupled, solve_held, taylor_at_origin)
+from .config import as_mapping, as_points, ignored_keys, read_keys
 from .errors import ConfigError, DivergenceError, DomainError, GeometryError, UsageError
 from .formal_asymptotics import (
     SolutionFamily,
@@ -36,7 +36,7 @@ from .geometry import (
     make_geometry,
     operator_constants,
 )
-from .problem_model import ProblemSpec, _as_complex, _as_int, _section, validate_assumptions
+from .problem_model import ProblemSpec, _symmetric_m_grid, validate_assumptions
 from .solution_assembly import LogSolution, residual_borel, residual_physical, tail_top
 
 COMMANDS = ("check-geometry", "solve", "evaluate", "residual", "formal",
@@ -61,123 +61,35 @@ class RunConfig:
     seed: int
     output_dir: Path
     geometry_m_grid: np.ndarray
-
-
-def _complex_of(x, default=None):
-    if x is None:
-        return default
-    if isinstance(x, (list, tuple)):
-        return _as_complex(x)
-    return complex(float(x), 0.0)
-
-
-def _point_of(p) -> tuple[complex, complex]:
-    """(t, z) from [re t, im t, re z, im z] or from a pair [t, z]."""
-    if not isinstance(p, list) or len(p) not in (2, 4):
-        raise ConfigError(
-            f"a point is [re t, im t, re z, im z] or [t, z], got {p!r}")
-    if len(p) == 4:
-        return _complex_of(p[:2]), _complex_of(p[2:4])
-    return _complex_of(p[0]), _complex_of(p[1])
-
-
-def _finite_points(points: list, key: str) -> list:
-    """points, after a check that every coordinate of every (t, z) is finite."""
-    for t, z in points:
-        if not (cmath.isfinite(t) and cmath.isfinite(z)):
-            raise ConfigError(f"{key}: the point (t, z) = ({t}, {z}) must be finite")
-    return points
-
-
-def _range_of(x, name: str, positive: bool = False) -> tuple[float, float, int]:
-    """(lo, hi, n) from a [lo, hi, n] setting; positive ranges are log-spaced."""
-    if not isinstance(x, list) or len(x) != 3:
-        raise ConfigError(f"{name} must be [lo, hi, n], got {x!r}")
-    lo, hi, n = float(x[0]), float(x[1]), _as_int(x[2], f"{name} n")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{name} = {x!r} needs finite lo, hi")
-    if n < 2:
-        raise ConfigError(f"{name} = {x!r} needs n >= 2")
-    if positive and not (lo > 0 and hi > 0):
-        raise ConfigError(f"{name} = {x!r} needs lo, hi > 0")
-    return lo, hi, n
+    ignored_keys: list       # keys present in the config that no run reads
 
 
 def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
+    """The run a config describes: its keys through `config.SCHEMA`."""
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        if not isinstance(raw, dict):
-            raise ConfigError("the configuration must be a JSON object")
-        spec = ProblemSpec.from_dict(_section(raw, "problem"))
-        cov = _section(raw, "covering")
-        q = _section(raw, "quadrature")
-        g = _section(raw, "grid")
-        gspec = GridSpec(
-            m_max=float(q.get("M", 40.0 / spec.beta)),
-            m_nodes=_as_int(q.get("m_nodes", 241), "m_nodes"),
-            T_min=g.get("T_min"), T_max=g.get("T_max"),
-            density_factor=float(g.get("density_factor", 4.0)))
-        mg = _range_of(raw.get("geometry_m_grid", [-50.0, 50.0, 2001]), "geometry_m_grid")
-        # the symmetry bound of the assumption checks, checked here for every verb
-        if abs(mg[0] + mg[1]) > 1e-12 * max(1.0, abs(max(mg[:2]))):
-            raise ConfigError(f"geometry_m_grid = {list(mg)} must be symmetric about 0")
-        asym = _section(raw, "asymptotics")
-        N_max = _as_int(asym.get("N_max", 6), "asymptotics N_max")
-        if N_max < 0:
-            raise ConfigError(f"asymptotics N_max = {N_max} must be >= 0")
-        points = _finite_points([_point_of(p) for p in raw.get("points", [])], "points")
-        if "points_csv" in raw:
-            base = Path(path).parent
-            csv_path = Path(raw["points_csv"])
-            if not csv_path.is_absolute():
-                csv_path = base / csv_path
-            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-            if data.shape[1] < 4:
-                raise ConfigError(f"{csv_path} needs columns re_t, im_t, re_z, im_z")
-            points += _finite_points([(complex(row[0], row[1]), complex(row[2], row[3]))
-                                      for row in data], "points_csv")
-        eps_solve = _complex_of(raw.get("eps"), 0.75 * spec.eps0)
-        if not (cmath.isfinite(eps_solve) and eps_solve != 0):
-            raise ConfigError(f"eps = {eps_solve} must be finite and nonzero")
-        zeta = _as_int(cov.get("zeta", 2), "covering zeta")
-        if zeta < 2:
-            raise ConfigError(f"covering zeta = {zeta} must be >= 2: a good covering "
-                              "needs two sectors")
-        t_radius = float(cov.get("t_radius", 0.02))
-        t_aperture = float(cov.get("t_aperture", 0.1))
-        t_direction = float(cov.get("t_direction", 0.0))
-        # `not lo < x < inf` also rejects NaN
-        if not 0 < t_radius < math.inf:
-            raise ConfigError(f"covering t_radius = {t_radius} must be finite and > 0")
-        if not 0 <= t_aperture < math.inf:
-            raise ConfigError(f"covering t_aperture = {t_aperture} must be finite and >= 0")
-        if not math.isfinite(t_direction):
-            raise ConfigError(f"covering t_direction = {t_direction} must be finite")
-        seed = _as_int(raw.get("seed", 0), "seed")
-        if seed < 0:
-            raise ConfigError(f"seed = {seed} must be >= 0")
-        Delta = float(q.get("Delta", 0.5))
-        if not (math.isfinite(Delta) and Delta > 0):
-            raise ConfigError(f"quadrature Delta = {Delta} must be finite and > 0")
-        out = Path(output_dir if output_dir is not None
-                   else raw.get("output_dir", "out"))
+        spec = ProblemSpec.from_dict(as_mapping(raw, "the configuration").get("problem", {}))
+        top = read_keys(raw, "", spec)
+        cov, quad, grid, asym = (read_keys(raw.get(name, {}), name, spec)
+                                 for name in ("covering", "quadrature", "grid", "asymptotics"))
+        # checked here for every verb, though formal reads neither
+        m_grid = _symmetric_m_grid(np.linspace(*top["geometry_m_grid"]), "geometry_m_grid")
+        if not 0 <= asym["pair"] < cov["zeta"]:
+            raise ConfigError(f"asymptotics.pair = {asym['pair']} must be in [0, {cov['zeta']})")
+        points = list(top["points"])
+        if top["points_csv"] is not None:
+            # columns re_t, im_t, re_z, im_z; a row with fewer raises
+            data = np.loadtxt(Path(path).parent / top["points_csv"], delimiter=",",
+                              skiprows=1, ndmin=2, usecols=range(4))
+            points += as_points(data.tolist(), "points_csv")
         return RunConfig(
-            spec=spec,
-            zeta=zeta,
-            t_radius=t_radius, t_aperture=t_aperture, t_direction=t_direction,
-            Delta=Delta, gspec=gspec,
-            eps_solve=eps_solve,
-            points=points,
-            N_max=N_max,
-            eps_gevrey=_range_of(asym.get("eps_gevrey", [0.25 * spec.eps0, 0.9 * spec.eps0, 5]),
-                                 "eps_gevrey", positive=True),
-            eps_decay=_range_of(asym.get("eps_decay", [0.012 * spec.eps0, 0.9 * spec.eps0, 9]),
-                                "eps_decay", positive=True),
-            decay_pair=_as_int(asym.get("pair", 0), "asymptotics pair"),
-            seed=seed,
-            output_dir=out,
-            geometry_m_grid=np.linspace(*mg))
+            spec=spec, **cov, Delta=quad["Delta"], eps_solve=top["eps"], points=points,
+            gspec=GridSpec(m_max=quad["M"], m_nodes=quad["m_nodes"], **grid),
+            N_max=asym["N_max"], eps_gevrey=asym["eps_gevrey"], eps_decay=asym["eps_decay"],
+            decay_pair=asym["pair"], seed=top["seed"], geometry_m_grid=m_grid,
+            output_dir=Path(output_dir if output_dir is not None else top["output_dir"]),
+            ignored_keys=ignored_keys(raw))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -462,10 +374,8 @@ def cmd_asymptotics(rc: RunConfig, ctx: dict) -> int:
 
 
 def cmd_all(rc: RunConfig, ctx: dict) -> int:
-    code = cmd_check_geometry(rc, ctx)
-    if code != 0:
-        return code
-    for fn in (cmd_solve, cmd_evaluate, cmd_residual, cmd_formal, cmd_asymptotics):
+    for fn in (cmd_check_geometry, cmd_solve, cmd_evaluate, cmd_residual, cmd_formal,
+               cmd_asymptotics):
         code = fn(rc, ctx)
         if code != 0:
             return code
@@ -498,6 +408,7 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
     write_json(rc.output_dir / "run_report.json", {
         "version": __version__, "command": command, "seed": rc.seed,
         "m_nodes": rc.gspec.m_nodes, "M": rc.gspec.m_max, "zeta": rc.zeta,
+        "ignored_keys": rc.ignored_keys,
     })
     ctx: dict = {}
     try:

@@ -77,12 +77,12 @@ class AsymptoticsReport:
     warnings: list = field(default_factory=list)
 
 
-def formal_coefficients(spec: ProblemSpec, N: int, m_grid=None) -> FormalSeries:
+def formal_coefficients(spec: ProblemSpec, N: int, m_grid) -> FormalSeries:
     """Solve the coefficient recursion up to eps^N: the orders p <= N of
     `TaylorRecursion.eps_series`, each eps power of each one small fixed
     point (`borel_solver._order_fixed_point`, convergent under the
     smallness budget)."""
-    m = GridSpec().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
+    m = np.asarray(m_grid, dtype=float)
     coef = np.zeros((2, N + 1, N + 1, m.size), dtype=complex)
     rec = TaylorRecursion.eps_series(spec, m, N)
     orders = rec.orders(lambda p, e: f"the eps^{p + e} coefficients of t^{p}")

@@ -350,8 +350,6 @@ def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
     R_(d_p, Delta) for all sampled arguments.  Directions closest to the
     sector bisector win (they keep the kernel best conditioned).
     """
-    if zeta < 2:
-        raise ConfigError("a good covering needs zeta >= 2")
     m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     if eps0 * t_radius > r1:

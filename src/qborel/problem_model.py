@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import as_complex, as_int, as_mapping, as_poly, as_real, read_keys
 from .errors import ConfigError
 from .special_functions import m_weight
 
@@ -45,38 +46,9 @@ def polyval_im(coeffs, m):
 
 def poly_degree(coeffs) -> int:
     c = np.asarray(coeffs, dtype=complex)
-    if c.size == 0:
-        raise ConfigError("polynomial with empty coefficient list")
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    if nz.size == 0:
-        raise ConfigError("zero polynomial has no degree")
-    return int(nz[-1])
-
-
-def _section(d: dict, key: str) -> dict:
-    """The mapping d[key] of a configuration, empty when absent."""
-    sec = d.get(key, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key} must be a mapping, got {sec!r}")
-    return sec
-
-
-def _as_complex(x) -> complex:
-    if isinstance(x, (list, tuple)):
-        if len(x) != 2:
-            raise ConfigError(f"complex literal must be [re, im], got {x!r}")
-        return complex(float(x[0]), float(x[1]))
-    return complex(x)
-
-
-def _as_int(x, key: str) -> int:
-    """x as an int: an int, or a float with an integral value.  A bool, a
-    fractional or non-finite float, a string or anything else raises a
-    ConfigError that names key."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) \
-            or (isinstance(x, float) and not x.is_integer()):
-        raise ConfigError(f"{key} = {x!r} must be an integer")
-    return int(x)
+    if not c.any():
+        raise ConfigError("an empty or zero polynomial has no degree")
+    return int(np.flatnonzero(c)[-1])
 
 
 class FourierSymbol:
@@ -93,30 +65,23 @@ class FourierSymbol:
 
     def __init__(self, num=(1.0,), den=(1.0,), exp_abs=0.0, gauss=0.0,
                  eps_poly=(1.0,), table=None):
-        self.num = np.asarray([_as_complex(c) for c in num], dtype=complex)
-        self.den = np.asarray([_as_complex(c) for c in den], dtype=complex)
-        self.exp_abs = float(exp_abs)
-        self.gauss = float(gauss)
-        self.eps_poly = np.asarray([_as_complex(c) for c in eps_poly], dtype=complex)
+        self.num, self.den, self.eps_poly = (
+            np.asarray([as_complex(c, name) for c in coeffs], dtype=complex)
+            for name, coeffs in (("num", num), ("den", den), ("eps_poly", eps_poly)))
+        self.exp_abs, self.gauss = as_real(exp_abs, "exp_abs"), as_real(gauss, "gauss")
         if self.exp_abs < 0 or self.gauss < 0:
             raise ConfigError("decay rates exp_abs and gauss must be >= 0")
         if self.num.size == 0 or self.den.size == 0 or self.eps_poly.size == 0:
             raise ConfigError("symbol with empty coefficient list")
-        data = {"num": self.num, "den": self.den, "exp_abs": self.exp_abs,
-                "gauss": self.gauss, "eps_poly": self.eps_poly}
         self.table = None
         if table is not None:
-            tm = np.asarray(table[0], dtype=float)
-            tv = np.asarray([_as_complex(v) for v in table[1]], dtype=complex)
+            tm = np.asarray([as_real(m, "m") for m in table[0]], dtype=float)
+            tv = np.asarray([as_complex(v, "values") for v in table[1]], dtype=complex)
             if tm.size != tv.size or tm.size < 2:
                 raise ConfigError("tabulated symbol needs matching m/value arrays")
-            data.update(m=tm, values=tv)
+            if np.any(np.diff(tm) <= 0):
+                raise ConfigError("tabulated m grid must be strictly increasing")
             self.table = (tm, tv)
-        for name, values in data.items():
-            if not np.isfinite(values).all():
-                raise ConfigError(f"{name} must be finite")
-        if table is not None and np.any(np.diff(tm) <= 0):
-            raise ConfigError("tabulated m grid must be strictly increasing")
 
     @classmethod
     def zero(cls):
@@ -128,9 +93,7 @@ class FourierSymbol:
         try:
             if d is None or d == 0 or d == "zero":
                 return cls.zero()
-            if not isinstance(d, dict):
-                raise ConfigError(f"symbol description must be a mapping, got {d!r}")
-            if "m" in d or "values" in d:
+            if "m" in as_mapping(d, "symbol description") or "values" in d:
                 return cls(eps_poly=d.get("eps_poly", (1.0,)),
                            table=(d["m"], d["values"]))
             return cls(num=d.get("num", (1.0,)), den=d.get("den", (1.0,)),
@@ -188,9 +151,6 @@ class LowerOrderTerm:
     C: FourierSymbol
 
     def __post_init__(self):
-        self.R = np.asarray([_as_complex(c) for c in self.R], dtype=complex)
-        if not isinstance(self.delta, Fraction):
-            raise ConfigError("delta must be an exact Fraction")
         if self.d < 0 or self.Delta < 0 or self.delta < 0:
             raise ConfigError("term exponents must be nonnegative")
 
@@ -204,8 +164,6 @@ class ForcingData:
     C_F: float
 
     def powers(self, h: int) -> dict[int, FourierSymbol]:
-        if h not in (0, 1):
-            raise ConfigError("forcing component h must be 0 or 1")
         return self.lambda0 if h == 0 else self.lambda1
 
 
@@ -216,10 +174,6 @@ class CoefficientData:
     b: dict[tuple[int, int], FourierSymbol]
     C_B: float
     C_C: float
-
-    def __post_init__(self):
-        for jk in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            self.b.setdefault(jk, FourierSymbol.zero())
 
     @property
     def triangular(self) -> bool:
@@ -245,25 +199,10 @@ class ProblemSpec:
     coeffs: CoefficientData
 
     def __post_init__(self):
-        self.Q = np.asarray([_as_complex(c) for c in self.Q], dtype=complex)
-        self.RD = np.asarray([_as_complex(c) for c in self.RD], dtype=complex)
-        for name in ("q", "mu", "alpha", "varsigma", "beta", "beta_prime", "eps0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"problem {name} = {value} must be finite")
-        if self.D < 2 or self.k < 1 or self.q <= 1.0:
-            raise ConfigError("need D >= 2, k >= 1 and q > 1")
         if len(self.terms) != self.D - 1:
             raise ConfigError(f"expected {self.D - 1} lower-order terms, got {len(self.terms)}")
         if not (0 < self.beta_prime < self.beta):
             raise ConfigError("need 0 < beta' < beta")
-        if not (0 < self.eps0 < 1):
-            raise ConfigError("need 0 < eps0 < 1")
-        if self.mu <= 1:
-            raise ConfigError("need mu > 1")
-        # the assumption checks read the degrees of Q, R_D and every R_l
-        for poly in (self.Q, self.RD, *(t.R for t in self.terms)):
-            poly_degree(poly)
 
     @property
     def lnq(self) -> float:
@@ -285,38 +224,27 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
+        """The spec a config's problem section d describes (`config.SCHEMA`)."""
         try:
+            keys = read_keys(d, "problem")
+            forcing = read_keys(d.get("forcing", {}), "problem.forcing")
+            coeffs = read_keys(d.get("coeffs", {}), "problem.coeffs")
             terms = []
-            for t in d.get("terms", []):
+            for t in keys.pop("terms"):
                 key = f"terms[{len(terms)}]"
-                num, den = (_as_int(v, f"{key} delta") for v in t["delta"])
+                num, den = (as_int(v, f"{key} delta") for v in t["delta"])
                 if den == 0:
                     raise ConfigError(f"delta {t['delta']!r} has a zero denominator")
                 terms.append(LowerOrderTerm(
-                    d=_as_int(t["d"], f"{key} d"), Delta=_as_int(t["Delta"], f"{key} Delta"),
-                    delta=Fraction(num, den),
-                    R=t["R"], C=FourierSymbol.from_dict(t.get("C"), f"C{len(terms) + 1}")))
-            forcing = _section(d, "forcing")
-            lam0 = {int(k): FourierSymbol.from_dict(v, f"f0[{k}]")
-                    for k, v in _section(forcing, "f0").items()}
-            lam1 = {int(k): FourierSymbol.from_dict(v, f"f1[{k}]")
-                    for k, v in _section(forcing, "f1").items()}
-            coeffs = _section(d, "coeffs")
-            b = {}
-            for j in (0, 1):
-                for kk in (0, 1):
-                    b[(j, kk)] = FourierSymbol.from_dict(coeffs.get(f"b{j}{kk}"), f"b{j}{kk}")
-            return cls(
-                D=_as_int(d["D"], "D"), k=_as_int(d["k"], "k"), q=float(d["q"]),
-                dD=_as_int(d["dD"], "dD"),
-                terms=terms, Q=d["Q"], RD=d["RD"],
-                beta=float(d["beta"]), beta_prime=float(d["beta_prime"]),
-                mu=float(d["mu"]), alpha=float(d["alpha"]),
-                eps0=float(d["eps0"]), varsigma=float(d.get("varsigma", 0.1)),
-                forcing=ForcingData(lam0, lam1, float(forcing.get("CF", 1.0))),
-                coeffs=CoefficientData(b, float(coeffs.get("CB", 1.0)),
-                                       float(coeffs.get("CC", 1.0))),
-            )
+                    d=as_int(t["d"], f"{key} d"), Delta=as_int(t["Delta"], f"{key} Delta"),
+                    delta=Fraction(num, den), R=as_poly(t["R"], f"{key} R"),
+                    C=FourierSymbol.from_dict(t.get("C"), f"C{len(terms) + 1}")))
+            lam0, lam1 = ({int(k): FourierSymbol.from_dict(v, f"f{h}[{k}]")
+                           for k, v in forcing[f"f{h}"].items()} for h in (0, 1))
+            b = {(j, kk): FourierSymbol.from_dict(coeffs[f"b{j}{kk}"], f"b{j}{kk}")
+                 for j in (0, 1) for kk in (0, 1)}
+            return cls(terms=terms, forcing=ForcingData(lam0, lam1, forcing["CF"]),
+                       coeffs=CoefficientData(b, coeffs["CB"], coeffs["CC"]), **keys)
         except KeyError as exc:
             raise ConfigError(f"problem description missing field {exc}") from exc
 
@@ -359,12 +287,12 @@ def _envelope_sup(symbol: FourierSymbol, beta, mu, m_grid, eps0: float):
     return float(weighted[i]), float(m[i])
 
 
-def _symmetric_m_grid(m_grid) -> np.ndarray:
+def _symmetric_m_grid(m_grid, name: str = "m grid") -> np.ndarray:
     m = np.asarray(m_grid, dtype=float)
     if m.size == 0:
-        raise ConfigError("empty m grid")
+        raise ConfigError(f"empty {name}")
     if abs(m.max() + m.min()) > 1e-12 * max(1.0, abs(m.max())):
-        raise ConfigError("m grid must be symmetric about 0")
+        raise ConfigError(f"{name} = [{m.min()}, {m.max()}, ...] must be symmetric about 0")
     return m
 
 

@@ -43,12 +43,6 @@ class WeightParams:
     delta: float
     q: float
 
-    def __post_init__(self):
-        if self.q <= 1.0:
-            raise DomainError("weight requires q > 1")
-        if self.mu <= 1.0:
-            raise DomainError("weight requires mu > 1")
-
 
 # bound on the relative size of the series tail that theta_scaled drops,
 # which sets the half width of each sample's index window

@@ -131,7 +131,8 @@ def golden():
     small = check_smallness(spec, consts, spec.eps0, spec.coeffs.C_B,
                             ops["C2_plain"], ops["C3"])
     t_max = spec.eps0 * GOLDEN_T_RADIUS
-    gspec = GridSpec(T_min=t_max / 1000.0, T_max=t_max)
+    gspec = GridSpec(m_max=12.0, m_nodes=241, density_factor=4.0,
+                     T_min=t_max / 1000.0, T_max=t_max)
     grid = build_grid(spec, geom, gspec)
     w0, w1, report = solve_coupled(spec, GOLDEN_EPS, grid)
     return {

@@ -198,7 +198,7 @@ def wide_instance():
     spec = ProblemSpec.from_dict(d)
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, T_min=5e-6, T_max=0.025)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_min=5e-6, T_max=0.025)
     family = SolutionFamily(spec, cov, gspec)
     series = formal_coefficients(spec, 7, m_grid=np.linspace(-12, 12, 161))
     return spec, cov, family, series

@@ -101,7 +101,7 @@ def test_apply_hp_vanishes_for_dD0(problem_dict):
     problem_dict["terms"][0]["delta"] = [0, 1]
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     ctx = SolverContext(spec, grid, 0.01)
     w = stacked(grid, 1.0, 1.0)
     assert weighted_norm(grid, spec, apply_HP(ctx, w)) == 0.0
@@ -134,7 +134,7 @@ def test_apply_h_zero_problem(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     w0, w1, rep = solve_coupled(spec, 0.01, grid)
     assert rep.iterations == 1
     assert weighted_norm(grid, spec, w0) == 0.0 and weighted_norm(grid, spec, w1) == 0.0
@@ -211,7 +211,7 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     ctx = SolverContext(spec, grid, 0.01)
     w0, w1, rep = solve_triangular(spec, 0.01, grid)
     want = ctx.F[1] * ctx.fac.inv_p
@@ -226,7 +226,7 @@ def test_contraction_estimate(golden):
 def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_nodes=81))
+                      GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     eps, probes, seed = 0.015, borel_solver.CONTRACTION_PROBES, 3
     calls = []
     real = SolverContext.apply_H
@@ -365,7 +365,7 @@ def test_divergence_detected(problem_dict):
     problem_dict["coeffs"]["CB"] = 5000.0
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     with pytest.raises(DivergenceError) as err:
         solve_coupled(spec, 0.015, grid)
     assert len(err.value.history) >= 3
@@ -604,7 +604,7 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     # fewer rungs would feed it from the bottom quadratic below the cut
     spec = ProblemSpec.from_dict(problem_dict)
     grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_nodes=41, density_factor=density_factor))
+                      GridSpec(m_max=12.0, m_nodes=41, density_factor=density_factor))
     cut = grid.rung_range(grid.arc_rung() - 5, grid.g_hi)
     assert cut.factors(spec).shifts == (shift,)
     for solve in (solve_coupled, solve_triangular):
@@ -638,7 +638,8 @@ def test_taylor_rung_is_the_lower_of_the_top_and_the_arc_rung(problem_dict):
     # solve_held runs no Picard on it; one that ends above is Taylor sum up
     # to the arc rung, with Picard above
     spec = ProblemSpec.from_dict(problem_dict)
-    grid = build_grid(spec, make_geometry(spec, d=0.0), GridSpec(m_nodes=41))
+    grid = build_grid(spec, make_geometry(spec, d=0.0),
+                      GridSpec(m_max=12.0, m_nodes=41, density_factor=4.0))
     g_arc = grid.arc_rung()
     coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))
     for top, want in ((g_arc - 3, g_arc - 3), (g_arc, g_arc), (g_arc + 3, g_arc)):

@@ -160,6 +160,16 @@ CHECKED_ON_LOAD = [
     pytest.param({"covering": {"zeta": 2.7}}, "zeta", id="fractional_zeta"),
     pytest.param({"asymptotics": {"N_max": True, "eps_gevrey": [0.008, 0.018, 3],
                                   "eps_decay": [0.006, 0.015, 4]}}, "N_max", id="bool_N_max"),
+    # real and complex keys refuse what float() would coerce
+    pytest.param(_grid_with(density_factor=True), "density_factor", id="bool_density_factor"),
+    pytest.param({"quadrature": {"M": True, "m_nodes": 81}}, "M", id="bool_M"),
+    pytest.param({"covering": {"t_radius": True}}, "t_radius", id="bool_t_radius"),
+    pytest.param({"eps": "0.01"}, "eps", id="string_eps"),
+    pytest.param(_problem_with(q="2"), "q", id="string_q"),
+    # the overlap a sector difference samples lies in [0, zeta), not modulo zeta
+    *(pytest.param({"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3],
+                                    "eps_decay": [0.006, 0.015, 4], "pair": pair}},
+                   "pair", id=f"pair_{pair}") for pair in (-1, 2, 7)),
 ]
 
 
@@ -264,7 +274,14 @@ def test_n_angles_setting_is_ignored(tmp_path):
         assert run("all", path, str(base / "out")) == 0
         outs.append({f.name: f.read_bytes() for f in sorted((base / "out").iterdir())})
     assert outs[0]["decay.csv"].count(b"\n") > 1 and "formal_order_3.csv" in outs[0]
-    for out in outs[1:]:
+    # run_report.json lists the keys present, ignored_keys apart
+    shipped = json.loads(outs[0].pop("run_report.json"))
+    assert shipped.pop("ignored_keys") == [f"tolerances.{key}" for key in
+                                           ("formal_tol", "max_iter", "solve_tol")]
+    for (section, key, value), out in zip(ignored, outs[1:]):
+        report = json.loads(out.pop("run_report.json"))
+        assert (f"{section}.{key}" in report.pop("ignored_keys")) == (value is not None)
+        assert report == shipped
         assert out == outs[0]
 
 

@@ -52,7 +52,7 @@ def asym():
     spec = ProblemSpec.from_dict(asymptotics_dict())
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, T_min=5e-6, T_max=0.025)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_min=5e-6, T_max=0.025)
     family = SolutionFamily(spec, cov, gspec)
     series = formal_coefficients(spec, 7, m_grid=M_SMALL)
     return {"spec": spec, "cov": cov, "gspec": gspec, "family": family,
@@ -600,8 +600,8 @@ def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
     assert not spec.coeffs.triangular
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
                               m_grid=np.linspace(-50, 50, 401))
-    family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6,
-                                                T_max=0.025))
+    family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0,
+                                                T_min=5e-6, T_max=0.025))
     # components only at the first sector's direction: at the overlap the
     # theta kernel keeps too few digits for a 1e-14 comparison
     t = 0.05 * np.exp(1j * cov.t_direction)
@@ -841,7 +841,7 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     assert not spec.coeffs.triangular
     grid = build_grid(spec, make_geometry(spec, 0.0),
-                      GridSpec(m_max=12.0, m_nodes=81, T_min=5e-6, T_max=0.025))
+                      GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0, T_min=5e-6, T_max=0.025))
     eps = 0.15 * np.exp(0.3j)
     w0, w1, _ = solve_coupled(spec, eps, grid)
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))

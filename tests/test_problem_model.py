@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qborel.config import READERS
 from qborel.errors import ConfigError
 from qborel.problem_model import (
     FourierSymbol,
     ProblemSpec,
-    _as_int,
     forcing_borel,
     poly_degree,
     polyval_im,
@@ -149,10 +149,11 @@ def test_pm_symbol_matches_direct_formula(example_spec):
 def test_integer_keys_take_integral_numbers_only(problem_dict):
     # an int or an integral float loads; a bool, a fraction, a non-finite
     # float or a string is refused with the key named, not truncated
-    assert _as_int(3, "k") == 3 and _as_int(3.0, "k") == 3
+    as_int = READERS["int"]
+    assert as_int(3, "k") == 3 and as_int(3.0, "k") == 3
     for bad in (True, 1.7, float("inf"), float("nan"), "3", None):
         with pytest.raises(ConfigError, match="seed"):
-            _as_int(bad, "seed")
+            as_int(bad, "seed")
     problem_dict["terms"][0]["delta"] = [1.0, 13.0]
     assert ProblemSpec.from_dict(problem_dict).terms[0].delta == Fraction(1, 13)
     for key, bad in (("k", 13.5), ("D", True), ("dD", "1")):

@@ -333,7 +333,7 @@ def test_residual_borel_zero_problem(problem_dict):
     problem_dict["forcing"]["f1"] = {}
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
-    grid = build_grid(spec, geom, GridSpec(m_nodes=81))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     zero = stacked(grid, 0.0, 0.0)
     assert residual_borel(zero, zero, spec, 0.01, grid) == 0.0
 
@@ -475,7 +475,8 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     geom = make_geometry(spec, d=0.0)
     # the grid serves |eps t| from 1e-4, the smaller of the two points
-    grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4))
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0,
+                                            T_min=1e-4))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid)
     sol = taylor_solution(spec, grid, w0, w1, eps)
@@ -510,7 +511,8 @@ def k1_pair():
     sols = []
     for ray in (0.0, 0.5):
         geom = make_geometry(spec, d=ray)
-        grid = build_grid(spec, geom, GridSpec(m_nodes=161, T_min=1e-4, T_max=0.06))
+        grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0,
+                                                T_min=1e-4, T_max=0.06))
         w0, w1, _ = solve_triangular(spec, eps, grid)
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
         sols.append(LogSolution(spec, grid, w0, w1, eps, taylor=coef))
