@@ -66,6 +66,12 @@ def as_points(x, key: str) -> list[tuple[complex, complex]]:
     rows = [p for p in as_list(x, key) if isinstance(p, list) and len(p) in (2, 4)]
     if len(rows) < len(x):
         raise ConfigError(f"{key}: a point is [re t, im t, re z, im z] or [t, z], got {x!r}")
+    # [re t, im t, re z, im z] rows of finite ints and floats as one array;
+    # any other point takes the per-value readers, which name what is wrong
+    if all(len(p) == 4 for p in rows) and {type(v) for p in rows for v in p} <= {int, float}:
+        coords = np.array(rows, dtype=float).reshape(-1, 4)
+        if np.isfinite(coords).all():
+            return list(map(tuple, coords.view(complex).tolist()))
     return [(as_complex(p[:2] if len(p) == 4 else p[0], key),
              as_complex(p[2:] if len(p) == 4 else p[1], key)) for p in rows]
 
@@ -162,13 +168,44 @@ def read_keys(mapping, name: str, spec=None) -> dict:
     return {key.name: key.read(mapping, spec) for key in _READ[name]}
 
 
+# the fields `FourierSymbol.from_dict` reads of a closed-form symbol (its
+# keyword arguments) and of a tabulated one, and those `ProblemSpec.from_dict`
+# reads of a term
+FIELDS = {"symbol": ("num", "den", "exp_abs", "gauss", "eps_poly"),
+          "table": ("m", "values", "eps_poly"),
+          "term": ("d", "Delta", "delta", "R", "C")}
+
+
+def _unread_fields(kind: str, value, path: str) -> list[str]:
+    """The path of every field in the value of a key of this kind that its
+    parser does not read: in a symbol, each symbol of a `symbols` mapping
+    and each term of `terms` and its symbol C."""
+    if kind == "symbols":
+        return [f for power, sym in value.items()
+                for f in _unread_fields("symbol", sym, f"{path}[{power}]")]
+    if kind == "terms":
+        found = []
+        for i, term in enumerate(value):
+            found += [f"{path}[{i}].{name}" for name in term if name not in FIELDS["term"]]
+            found += _unread_fields("symbol", term.get("C"), f"{path}[{i}].C")
+        return found
+    if kind == "symbol" and isinstance(value, dict):
+        known = FIELDS["table" if "m" in value or "values" in value else "symbol"]
+        return [f"{path}.{name}" for name in value if name not in known]
+    return []
+
+
 def ignored_keys(raw: dict, name: str = "") -> list[str]:
-    """The dotted path of every key in raw that no read entry names."""
+    """The dotted path of every key in raw that no read entry names, and of
+    every field of a read symbol or term that its parser does not read."""
     found = []
     for key, value in raw.items():
         path = f"{name}.{key}" if name else key
+        entry = next((k for k in _READ[name] if k.name == key), None)
         if key and path in _READ and isinstance(value, dict):
             found += ignored_keys(value, path)
-        elif all(k.name != key for k in _READ[name]):
+        elif entry is None:
             found.append(path)
+        else:
+            found += _unread_fields(entry.kind, value, path)
     return sorted(found)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import as_complex, as_int, as_mapping, as_poly, as_real, read_keys
+from .config import FIELDS, as_complex, as_int, as_mapping, as_poly, as_real, read_keys
 from .errors import ConfigError
 from .special_functions import m_weight
 
@@ -96,9 +96,7 @@ class FourierSymbol:
             if "m" in as_mapping(d, "symbol description") or "values" in d:
                 return cls(eps_poly=d.get("eps_poly", (1.0,)),
                            table=(d["m"], d["values"]))
-            return cls(num=d.get("num", (1.0,)), den=d.get("den", (1.0,)),
-                       exp_abs=d.get("exp_abs", 0.0), gauss=d.get("gauss", 0.0),
-                       eps_poly=d.get("eps_poly", (1.0,)))
+            return cls(**{name: d[name] for name in FIELDS["symbol"] if name in d})
         except ConfigError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 

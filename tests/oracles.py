@@ -6,7 +6,9 @@ against the closed-form transforms of monomials and the operational rule.
 `e_norm` writes the m weight out on its own.  `expq_norm` and the
 single-term operators `apply_Hl` and `apply_HP` read a `SolverContext`'s
 public factors; `stacked` and `weighted_norm` build and measure stacked
-samples.  `theta_bound_margin` (with `theta_log_abs` and
+samples.  `contraction_probe` estimates the coupled map's Lipschitz
+constant from below with seeded random probes, under the certified
+`borel_solver.contraction_bound`.  `theta_bound_margin` (with `theta_log_abs` and
 `theta_zero_clearance`), `monodromy_components` and `coverage_count` (with
 `sector_interval` and `sector_contains`) are the paper-level checks of the
 theta lower bound, the formal monodromy and the good covering.
@@ -26,6 +28,7 @@ of a solved line by the theta-kernel trapezoid over its stored rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -170,6 +173,35 @@ def stacked(grid, values, center) -> np.ndarray:
 def weighted_norm(grid, spec, data: np.ndarray) -> float:
     """The weighted sup norm of stacked samples data on grid."""
     return float(np.max(np.abs(data) * grid.stacked_weights(spec)))
+
+
+CONTRACTION_PROBES = 4
+
+
+def contraction_probe(spec, eps: complex, grid, seed: int = 0) -> float:
+    """A lower estimate of the Lipschitz constant of the coupled map H on
+    grid in the weighted sup norm: the largest H-difference quotient over
+    unordered pairs of CONTRACTION_PROBES seeded random probes, each probe a
+    pair of stacked samples of weighted size about 1.  It must lie below
+    `borel_solver.contraction_bound`."""
+    ctx = SolverContext(spec, grid, eps)
+    rng = np.random.default_rng(seed)
+    weights = grid.stacked_weights(spec)
+
+    def random_fn():
+        v = rng.standard_normal(weights[:-1].shape) + 1j * rng.standard_normal(weights[:-1].shape)
+        c = rng.standard_normal(weights[-1].shape) + 1j * rng.standard_normal(weights[-1].shape)
+        return stacked(grid, v / weights[:-1], c / weights[-1])
+
+    fns = [(random_fn(), random_fn()) for _ in range(CONTRACTION_PROBES)]
+    # H is affine, so H(a) - H(b) = L(a - b): one application per probe
+    hs = [ctx.apply_H(*a) for a in fns]
+    worst = 0.0
+    for (a, ha), (b, hb) in itertools.combinations(zip(fns, hs), 2):
+        denom = max(weighted_norm(grid, spec, a[j] - b[j]) for j in (0, 1))
+        num = max(weighted_norm(grid, spec, ha[j] - hb[j]) for j in (0, 1))
+        worst = max(worst, num / denom)
+    return worst
 
 
 def apply_Hl(ctx: SolverContext, w: np.ndarray, ell: int) -> np.ndarray:

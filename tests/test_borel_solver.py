@@ -11,7 +11,7 @@ from qborel.borel_solver import (
     SolverContext,
     _picard,
     build_grid,
-    contraction_estimate,
+    contraction_bound,
     held_bottom,
     solve_coupled,
     solve_held,
@@ -22,7 +22,7 @@ from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec, forcing_borel
 from tests.conftest import disc_taylor_gap, kept_rows
-from tests.oracles import apply_HP, apply_Hl, stacked, weighted_norm
+from tests.oracles import apply_HP, apply_Hl, contraction_probe, stacked, weighted_norm
 
 
 def test_grid_alignment_and_exact_dilation(golden):
@@ -218,51 +218,38 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     assert np.max(np.abs(w1 - want)) < 1e-14
 
 
-def test_contraction_estimate(golden):
+def test_contraction_bound(golden):
     spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
-    assert contraction_estimate(spec, eps, grid, seed=1) <= 0.55
+    bound = contraction_bound(spec, eps, grid)
+    # the bound lies above both lower estimates of H's Lipschitz constant
+    assert contraction_probe(spec, eps, grid, seed=1) <= bound <= 0.55
+    assert golden["report"].contraction <= bound
 
 
-def test_contraction_estimate_applies_h_once_per_probe(problem_dict, monkeypatch):
-    spec = ProblemSpec.from_dict(problem_dict)
-    grid = build_grid(spec, make_geometry(spec, d=0.0),
-                      GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
-    eps, probes, seed = 0.015, borel_solver.CONTRACTION_PROBES, 3
-    calls = []
-    real = SolverContext.apply_H
+def test_contraction_bound_is_one_operator_pass(golden, monkeypatch):
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    before = SolverContext(spec, grid, eps).apply_H(golden["w0"], golden["w1"])
+    passes = []
+    real = SolverContext._contributions
 
-    def counting(self, w0, w1):
-        calls.append(1)
-        return real(self, w0, w1)
+    def counting(self, unknowns, accs):
+        passes.append((sorted(unknowns), sorted(accs)))
+        return real(self, unknowns, accs)
 
-    monkeypatch.setattr(SolverContext, "apply_H", counting)
-    est = contraction_estimate(spec, eps, grid, seed=seed)
-    assert len(calls) == probes
+    def refused(*args, **kwargs):
+        raise AssertionError("the bound reads no forcing and applies no H")
 
-    # the pairwise formula, H applied to both members of every ordered pair
-    ctx = SolverContext(spec, grid, eps)
-    rng = np.random.default_rng(seed)
-    weights = grid.stacked_weights(spec)
-    w_nodes, w_center = weights[:-1], weights[-1]
-
-    def random_fn():
-        v = rng.standard_normal(w_nodes.shape) + 1j * rng.standard_normal(w_nodes.shape)
-        c = rng.standard_normal(w_center.shape) + 1j * rng.standard_normal(w_center.shape)
-        return stacked(grid, v / w_nodes, c / w_center)
-
-    fns = [(random_fn(), random_fn()) for _ in range(probes)]
-    want = 0.0
-    for a in fns:
-        for b in fns:
-            if a is b:
-                continue
-            denom = max(weighted_norm(grid, spec, a[0] - b[0]),
-                        weighted_norm(grid, spec, a[1] - b[1]))
-            ha, hb = real(ctx, *a), real(ctx, *b)
-            num = max(weighted_norm(grid, spec, ha[0] - hb[0]),
-                      weighted_norm(grid, spec, ha[1] - hb[1]))
-            want = max(want, num / denom)
-    assert est == want
+    monkeypatch.setattr(SolverContext, "_contributions", counting)
+    monkeypatch.setattr(SolverContext, "apply_H", refused)
+    monkeypatch.setattr(borel_solver, "forcing_borel", refused)
+    contraction_bound(spec, eps, grid)
+    assert passes == [([0, 1], [0, 1])]
+    monkeypatch.undo()
+    # the moduli live on a copy: the grid's cached factors and dilations
+    # still give the solve's operator
+    after = SolverContext(spec, grid, eps).apply_H(golden["w0"], golden["w1"])
+    for a, b in zip(before, after):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_picard_stops_at_first_non_finite_update():
@@ -490,6 +477,29 @@ def _assert_matches_dense(solve, problem_dict):
 
 def test_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):
     _assert_matches_dense(solve_coupled, problem_dict)
+
+
+def test_contraction_bound_bounds_the_dense_row_sum_norm(problem_dict):
+    """L, the linear part of H, column by column on the dense oracle's grid,
+    as H(e_j) - H(0) of each unit sample e_j: its exact weighted row-sum
+    norm max_i w_i sum_j |L_ij| / w_j lies below the bound."""
+    spec, grid, eps, _ = _dense_affine_fixed_point(problem_dict)
+    ctx = SolverContext(spec, grid, eps)
+    shape = (grid.n_nodes + 1, grid.m.size)
+    size = shape[0] * shape[1]
+    image_of_zero = np.concatenate([ctx.image_of_zero(eq).ravel() for eq in (0, 1)])
+    columns = []
+    for j in range(2 * size):
+        unit = np.zeros(2 * size, dtype=complex)
+        unit[j] = 1.0
+        image = ctx.apply_H(unit[:size].reshape(shape), unit[size:].reshape(shape))
+        columns.append(np.concatenate([h.ravel() for h in image]) - image_of_zero)
+    L = np.array(columns).T
+    w = np.tile(grid.stacked_weights(spec).ravel(), 2)
+    exact = float(np.max(w * (np.abs(L) @ (1.0 / w))))
+    bound = contraction_bound(spec, eps, grid)
+    assert exact <= bound * (1.0 + 1e-12)
+    assert exact > 0.5 * bound, (exact, bound)
 
 
 def test_triangular_picard_matches_dense_solve_of_affine_fixed_point(problem_dict):

@@ -1,16 +1,21 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import pytest
 
+import qborel
 from qborel.borel_solver import SolveReport, TaylorRecursion
 from qborel.errors import ConfigError
-from qborel.cli import (COMMANDS, _relative_residual, cmd_solve, load_config, main, run,
-                        write_csv)
+from qborel.cli import (COMMANDS, _line, _relative_residual, cmd_solve, load_config, main,
+                        run, write_csv)
+from tests.oracles import contraction_probe
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "example_k13.json"
@@ -840,6 +845,33 @@ def test_solve_reports_the_taylor_gap(tmp_path, name):
     assert run("solve", CONFIG_DIR / name, str(tmp_path)) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["taylor_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_solve_reports_a_contraction_bound_above_the_estimates(tmp_path, name):
+    assert run("solve", CONFIG_DIR / name, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    bound = report["contraction_bound"]
+    # the key of the retired random probes holds the bound
+    assert report["contraction_probe"] == bound
+    rc = load_config(CONFIG_DIR / name)
+    probe = contraction_probe(rc.spec, rc.eps_solve, _line(rc, {}), seed=rc.seed)
+    assert probe <= bound and report["contraction_iter"] <= bound <= 0.55
+    error = report["solve_error_bound"]
+    assert error == bound / (1.0 - bound) * report["final_update"]
+    assert math.isfinite(error) and (name != "example_k13.json" or error <= 1e-11)
+
+
+def test_no_verb_loads_numpy_random(tmp_path):
+    # the contraction certificate draws nothing: `all` runs every verb and
+    # leaves numpy.random, its memory and import time, unloaded
+    code = ("import sys; from qborel.cli import run; "
+            f"assert run('all', {str(GOLDEN)!r}, {str(tmp_path)!r}) == 0; "
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(qborel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(tmp_path,

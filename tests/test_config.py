@@ -10,11 +10,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qborel.cli import run
-from qborel.config import SCHEMA
+from qborel.config import SCHEMA, as_complex, as_points
+from qborel.errors import ConfigError
 from test_cli import small_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,6 +60,47 @@ def test_unknown_and_ignored_keys_are_listed_and_exit_0(tmp_path):
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["ignored_keys"] == ["grid.n_angles", "m_nodez", "problem.forcing.Cf",
                                       "quadrature.m_nodez", "tolerances"]
+
+
+def test_unread_symbol_and_term_fields_are_listed(tmp_path):
+    shipped = json.loads((README.parent / "configs" / "example_k13.json").read_text())
+    # a misspelled gauss: b11 loses its Gaussian decay, which check-geometry
+    # finds, and the run names the field it did not read
+    cfg = copy.deepcopy(shipped)
+    cfg["problem"]["coeffs"]["b11"] = {"gaus": 1.0, "num": [0.0006]}
+    path = tmp_path / "gaus.json"
+    path.write_text(json.dumps(cfg))
+    assert run("check-geometry", path, str(tmp_path / "gaus")) == 2
+    report = json.loads((tmp_path / "gaus" / "run_report.json").read_text())
+    assert "problem.coeffs.b11.gaus" in report["ignored_keys"]
+    # fields no parser reads change nothing: exit 0, each listed by its path
+    cfg = copy.deepcopy(shipped)
+    problem = cfg["problem"]
+    problem["terms"][0]["note"] = "x"
+    problem["terms"][0]["C"]["gaus"] = 2.0
+    problem["forcing"]["f0"]["1"]["nmu"] = [1.0]
+    # a tabulated symbol reads no num
+    problem["coeffs"]["b00"] = {"m": [-1.0, 1.0], "values": [0.0, 0.0], "num": [1.0]}
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(cfg))
+    assert run("check-geometry", path, str(tmp_path / "fields")) == 0
+    report = json.loads((tmp_path / "fields" / "run_report.json").read_text())
+    assert report["ignored_keys"] == [
+        "problem.coeffs.b00.num", "problem.forcing.f0[1].nmu", "problem.terms[0].C.gaus",
+        "problem.terms[0].note", "tolerances.formal_tol", "tolerances.max_iter",
+        "tolerances.solve_tol"]
+
+
+def test_points_read_as_one_array_match_the_per_value_readers():
+    rows = [[0.01, -0.0, 1, -2.5], [3, 0.0, -0.0, 1e-300], [0.02, 0.0, 0.25, 0.5]]
+    slow = [(as_complex(p[:2], "points"), as_complex(p[2:], "points")) for p in rows]
+    fast = as_points(rows, "points")
+    assert all(type(v) is complex for point in fast for v in point)
+    assert np.array(fast).tobytes() == np.array(slow).tobytes()      # signed zeros too
+    for bad, shown in ((True, "True"), ("0.1", "'0.1'"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ConfigError, match=re.escape(f"points must be finite and real, "
+                                                        f"got {shown}")):
+            as_points(rows + [[0.01, 0.0, bad, 0.0]], "points")
 
 
 def _bound_values(key) -> list:
