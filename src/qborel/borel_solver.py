@@ -7,7 +7,7 @@ tau -> q^(delta - d/k) tau shift rungs exactly and never interpolate, except
 below the bottom rung where a quadratic through the centre value is used.
 `build_grid`'s line runs along the Borel direction d over the radii where
 the kernel envelope of the q-Laplace transform is alive for some T = eps t
-in the grid's range [T_min, T_max]; the whole-line fixed point of `solve`
+with T_max/1000 <= |T| <= T_max; the whole-line fixed point of `solve`
 lives there.  Below the Taylor rung a component reads the Taylor series at
 tau = 0 rather than rows (`solution_assembly.LogSolution`), so a line of
 solutions needs its rows only from the held block up.  Every dilation shift
@@ -83,23 +83,19 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSpec:
     """Resolution controls for the Borel-plane grid: the Fourier grid of
-    m_nodes points (odd, >= 3) on [-m_max, m_max], the |eps t| range
-    [T_min, T_max] that its line serves and the ladder's density factor.  The
+    m_nodes points (odd, >= 3) on [-m_max, m_max], the top T_max of the
+    |eps t| range that its line serves and the ladder's density factor.  The
     arc of a sector difference reads no grid rows: it sums the Taylor series
     at tau = 0 at its own quadrature nodes."""
 
     m_max: float
     m_nodes: int
     density_factor: float
-    T_min: float | None = None
     T_max: float | None = None
 
     def __post_init__(self):
         if self.m_nodes % 2 == 0:
             raise ConfigError(f"m_nodes = {self.m_nodes} must be odd")
-        if self.T_min is not None and self.T_max is not None \
-                and not self.T_min < self.T_max:
-            raise ConfigError(f"T_min = {self.T_min} must be below T_max = {self.T_max}")
 
     def m_grid(self) -> np.ndarray:
         return np.linspace(-self.m_max, self.m_max, self.m_nodes)
@@ -115,8 +111,7 @@ class BorelGrid:
     m: np.ndarray
     g_lo: int
     g_hi: int
-    # the |eps t| range whose q-Laplace transform the line serves
-    T_min: float = 0.0
+    # the top of the |eps t| range whose q-Laplace transform the line serves
     T_max: float = math.inf
     tau: np.ndarray = field(init=False)
 
@@ -181,7 +176,7 @@ class BorelGrid:
 
     def rung_range(self, g_lo: int, g_hi: int) -> "BorelGrid":
         """Rungs g_lo..g_hi of the same ladder and direction, with the same
-        m grid and T range.
+        m grid and T_max.
 
         A rung reads only lower rungs and the centre, so rows the ranges
         share at least one dilation shift above both bottoms solve alike.
@@ -336,23 +331,23 @@ def _ladder_density(spec: ProblemSpec, density_factor: float) -> int:
 
 def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                gspec: GridSpec) -> BorelGrid:
-    """Assemble the radial line of one Borel direction for |eps t| in
-    [T_min, T_max] (by default T_max = rho/4 and T_min = T_max/1000): from
-    the radius below which the q-Laplace integrand at T_min has fallen
-    e^(-34.5) under its peak to the radius above which the integrand at
-    T_max has.  The grid carries that range, and `LogSolution` refuses any
-    T outside it."""
+    """Assemble the radial line of one Borel direction up to |eps t| = T_max
+    (by default rho/4): from the radius below which the q-Laplace integrand
+    at T_max/1000 has fallen e^(-34.5) under its peak to the radius above
+    which the integrand at T_max has.  The grid carries T_max, and
+    `LogSolution` refuses any T above it; below the Taylor rung a component
+    reads the Taylor series at tau = 0, not the line, so nothing smaller is
+    refused."""
     N = _ladder_density(spec, gspec.density_factor)
     lnq = spec.lnq
     T_max = gspec.T_max if gspec.T_max is not None else 0.25 * geom.rho
-    T_min = gspec.T_min if gspec.T_min is not None else T_max / 1000.0
-    s_floor, s_top = _envelope_cutoffs(math.log(T_min), math.log(T_max),
+    s_floor, s_top = _envelope_cutoffs(math.log(T_max / 1000.0), math.log(T_max),
                                        spec.k, spec.q, spec.alpha, geom.delta)
     g_floor = math.floor(N * (s_floor - math.log(geom.rho)) / lnq)
     g_top = math.ceil(N * (s_top - math.log(geom.rho)) / lnq)
     return BorelGrid(spec_q=spec.q, N=N, rho=geom.rho, delta=geom.delta,
                      direction=geom.d, m=gspec.m_grid(), g_lo=g_floor, g_hi=g_top,
-                     T_min=T_min, T_max=T_max)
+                     T_max=T_max)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ class RunConfig:
     eps_gevrey: tuple
     eps_decay: tuple
     decay_pair: int
-    seed: int
     output_dir: Path
     geometry_m_grid: np.ndarray
     ignored_keys: list       # keys present in the config that no run reads
@@ -87,7 +86,7 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
             spec=spec, **cov, Delta=quad["Delta"], eps_solve=top["eps"], points=points,
             gspec=GridSpec(m_max=quad["M"], m_nodes=quad["m_nodes"], **grid),
             N_max=asym["N_max"], eps_gevrey=asym["eps_gevrey"], eps_decay=asym["eps_decay"],
-            decay_pair=asym["pair"], seed=top["seed"], geometry_m_grid=m_grid,
+            decay_pair=asym["pair"], geometry_m_grid=m_grid,
             output_dir=Path(output_dir if output_dir is not None else top["output_dir"]),
             ignored_keys=ignored_keys(raw))
     except (KeyError, TypeError, ValueError) as exc:
@@ -412,9 +411,8 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
         return 65
     rc.output_dir.mkdir(parents=True, exist_ok=True)
     write_json(rc.output_dir / "run_report.json", {
-        "version": __version__, "command": command, "seed": rc.seed,
-        "m_nodes": rc.gspec.m_nodes, "M": rc.gspec.m_max, "zeta": rc.zeta,
-        "ignored_keys": rc.ignored_keys,
+        "version": __version__, "command": command, "m_nodes": rc.gspec.m_nodes,
+        "M": rc.gspec.m_max, "zeta": rc.zeta, "ignored_keys": rc.ignored_keys,
     })
     ctx: dict = {}
     try:

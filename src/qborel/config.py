@@ -2,7 +2,7 @@
 `GridSpec`, `ProblemSpec` and `cli.load_config` check the relations between keys."""
 
 import cmath
-import math
+import contextlib
 import operator
 from dataclasses import dataclass
 
@@ -21,8 +21,16 @@ def as_int(x, key: str) -> int:
     return int(x)
 
 
+def _finite(x) -> bool:
+    """Whether the number x is finite as a float: an int too large for one is not."""
+    try:
+        return cmath.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def as_real(x, key: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x):
         raise ConfigError(f"{key} must be finite and real, got {x!r}")
     return float(x)
 
@@ -30,7 +38,7 @@ def as_real(x, key: str) -> float:
 def as_complex(x, key: str) -> complex:
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return complex(as_real(x[0], key), as_real(x[1], key))
-    if isinstance(x, bool) or not isinstance(x, (int, float, complex)) or not cmath.isfinite(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float, complex)) or not _finite(x):
         raise ConfigError(f"{key} must be finite, a number or [re, im], got {x!r}")
     return complex(x)
 
@@ -67,11 +75,13 @@ def as_points(x, key: str) -> list[tuple[complex, complex]]:
     if len(rows) < len(x):
         raise ConfigError(f"{key}: a point is [re t, im t, re z, im z] or [t, z], got {x!r}")
     # [re t, im t, re z, im z] rows of finite ints and floats as one array;
-    # any other point takes the per-value readers, which name what is wrong
+    # any other point, or an int too large for a float, takes the per-value
+    # readers, which name what is wrong
     if all(len(p) == 4 for p in rows) and {type(v) for p in rows for v in p} <= {int, float}:
-        coords = np.array(rows, dtype=float).reshape(-1, 4)
-        if np.isfinite(coords).all():
-            return list(map(tuple, coords.view(complex).tolist()))
+        with contextlib.suppress(OverflowError):
+            coords = np.array(rows, dtype=float).reshape(-1, 4)
+            if np.isfinite(coords).all():
+                return list(map(tuple, coords.view(complex).tolist()))
     return [(as_complex(p[:2] if len(p) == 4 else p[0], key),
              as_complex(p[2:] if len(p) == 4 else p[1], key)) for p in rows]
 
@@ -139,7 +149,8 @@ SCHEMA = (
     Key("quadrature", "M", "real", default=lambda spec: 40.0 / spec.beta, gt=0),
     Key("quadrature", "m_nodes", "int", default=241, ge=3),
     Key("quadrature", "Delta", "real", default=0.5, gt=0),
-    *(Key("grid", name, "real", default=None, gt=0) for name in ("T_min", "T_max")),
+    Key("grid", "T_min", "real", ignored="the Taylor ray serves every |eps t| up to T_max"),
+    Key("grid", "T_max", "real", default=None, gt=0),
     Key("grid", "density_factor", "real", default=4.0, gt=0),
     Key("grid", "n_angles", "int", ignored="the arc sums the Taylor series at its own nodes"),
     Key("grid", "ring_octaves", "int", ignored="the disc ring lines are retired"),
@@ -155,7 +166,7 @@ SCHEMA = (
     Key("", "points", "points", default=()),
     Key("", "points_csv", "path", default=None),
     Key("", "geometry_m_grid", "range", default=(-50.0, 50.0, 2001)),
-    Key("", "seed", "int", default=0, ge=0),
+    Key("", "seed", "int", ignored="no computation draws random numbers"),
     Key("", "output_dir", "path", default="out"),
 )
 _READ = {section: [key for key in SCHEMA if key.section == section and not key.ignored]

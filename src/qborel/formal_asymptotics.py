@@ -164,7 +164,7 @@ class SolutionFamily:
     """
 
     def __init__(self, spec: ProblemSpec, covering: GoodCovering,
-                 gspec: GridSpec, m_grid=None):
+                 gspec: GridSpec, m_grid):
         self.spec = spec
         self.covering = covering
         self.gspec = gspec
@@ -178,7 +178,7 @@ class SolutionFamily:
 
     def _line(self, p: int):
         """The line of sector p's solutions: a rung range of `build_grid`'s
-        grid, with its ladder, direction, m grid and T range, all that is
+        grid, with its ladder, direction, m grid and T_max, all that is
         read of it, from the lowest row that the held block or the tail's
         stencil reads to `tail_top`."""
         p = p % self.covering.zeta

@@ -34,7 +34,6 @@ __all__ = [
     "build_good_covering",
 ]
 
-DEFAULT_M_GRID = np.linspace(-50.0, 50.0, 2001)
 SECTOR_APERTURE = math.pi / 36.0
 
 
@@ -151,10 +150,10 @@ def sector_root_clearance(spec: ProblemSpec, d: float, aperture: float,
     return worst, ((float(m[i]), int(ell)) if worst <= 0 else None)
 
 
-def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
+def make_geometry(spec: ProblemSpec, d: float, m_grid) -> SectorGeometry:
     """Assemble an admissible sector geometry of aperture SECTOR_APERTURE for
     the direction d."""
-    m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
+    m_grid = np.asarray(m_grid, dtype=float)
     D1, D2 = ratio_bounds(spec, m_grid)
     rho = default_rho(spec, D1)
     gap, witness = sector_root_clearance(spec, d, SECTOR_APERTURE, m_grid)
@@ -168,7 +167,7 @@ def make_geometry(spec: ProblemSpec, d: float, m_grid=None) -> SectorGeometry:
     return geom
 
 
-def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dict:
+def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid) -> dict:
     """Geometric constants: C_D on the disc, the sector constants D31/D32/D3
     and the dilation-weight constant D4.
 
@@ -178,7 +177,7 @@ def bound_constants(spec: ProblemSpec, geom: SectorGeometry, m_grid=None) -> dic
     disc |tau| <= rho and the m grid, in closed form, and must sit above the
     lemma floor 1 - 2^(-dD).
     """
-    m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
+    m_grid = np.asarray(m_grid, dtype=float)
 
     D1 = geom.constants.get("D1")
     D2 = geom.constants.get("D2")
@@ -232,7 +231,7 @@ def check_assumption_d(spec: ProblemSpec, consts: dict) -> dict:
     return {"pass": lhs < bound, "margin": bound - lhs, "k_threshold": k_threshold}
 
 
-def measure_c2(b, h_poly, mu: float, m_grid=None) -> float:
+def measure_c2(b, h_poly, mu: float, m_grid) -> float:
     """Convolution constant sup_m (1+|m|)^mu |b(m)| I(m) with
     I(m) = integral |h(i m1)| (1+|m-m1|)^(-mu) (1+|m1|)^(-mu) dm1.
 
@@ -240,7 +239,7 @@ def measure_c2(b, h_poly, mu: float, m_grid=None) -> float:
     actually produces, so norm products scaled by it dominate the weighted
     convolution on grids.
     """
-    m = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
+    m = np.asarray(m_grid, dtype=float)
     h = np.abs(np.polynomial.polynomial.polyval(1j * m, np.asarray(h_poly, dtype=complex)))
     bv = np.abs(b(m) if callable(b) else np.asarray(b))
     dm = m[1] - m[0]
@@ -253,14 +252,14 @@ def measure_c2(b, h_poly, mu: float, m_grid=None) -> float:
 
 
 def operator_constants(spec: ProblemSpec, geom: SectorGeometry, consts: dict,
-                       m_grid=None) -> dict:
+                       m_grid) -> dict:
     """Measured constants C1, C2 and the composed per-term bounds C3_l.
 
     C1 is the grid supremum of the exact pointwise factor of the sector part
     of the dilation operator, |Q/P_m| |tau|^d_l W(tau)/W(q^(-x) tau); C2 is
     the convolution constant of measure_c2 with b = (2 pi)^(-1/2)/|Q|.
     """
-    m = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
+    m = np.asarray(m_grid, dtype=float)
     qi = polyval_im(spec.Q, m)
     inv_q_sup = float(np.max(1.0 / np.abs(qi)))
     lnq = spec.lnq
@@ -339,9 +338,8 @@ class GoodCovering:
 
 
 def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
-                        t_radius: float, t_aperture: float = 0.1,
-                        t_direction: float = 0.0, m_grid=None,
-                        Delta: float = 0.5) -> GoodCovering:
+                        t_radius: float, t_aperture: float, t_direction: float,
+                        m_grid, Delta: float) -> GoodCovering:
     """Choose zeta overlapping eps sectors and one admissible Borel direction
     per sector.
 
@@ -350,7 +348,7 @@ def build_good_covering(zeta: int, eps0: float, spec: ProblemSpec,
     R_(d_p, Delta) for all sampled arguments.  Directions closest to the
     sector bisector win (they keep the kernel best conditioned).
     """
-    m_grid = DEFAULT_M_GRID if m_grid is None else np.asarray(m_grid, dtype=float)
+    m_grid = np.asarray(m_grid, dtype=float)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
     if eps0 * t_radius > r1:
         raise GeometryError(

@@ -151,9 +151,8 @@ class LogSolution:
     w1: np.ndarray
     eps: complex
     taylor: np.ndarray = field(repr=False, compare=False)
-    Delta: float = 0.5
+    Delta: float
     _pairs: dict = field(default_factory=dict, repr=False, compare=False)
-    _admissible: set = field(default_factory=set, repr=False, compare=False)
 
     @property
     def direction(self) -> float:
@@ -228,8 +227,8 @@ class LogSolution:
         if g_top > grid.g_hi:
             raise DomainError(
                 f"the ray tail at |eps t| = {abs(T):.4g} reads rung {g_top}, above the "
-                f"line's top rung {grid.g_hi}; the line serves |eps t| in "
-                f"[{grid.T_min:.4g}, {grid.T_max:.4g}]")
+                f"line's top rung {grid.g_hi}; the line serves |eps t| up to "
+                f"T_max = {grid.T_max:.4g}")
         h = spec.lnq / grid.N
         s0 = math.log(grid.radius_of_rung(g_arc))
         s, wq = _log_radius_panels(spec, math.log(abs(T)), s0, s_end)
@@ -281,27 +280,18 @@ class LogSolution:
 
     def checked_T(self, t: complex, z: complex) -> complex:
         """T = eps t, after the checks every evaluation at (t, z) makes: z
-        lies in the strip, T is admissible and |T| lies in the range
-        [T_min, T_max] that the grid's line serves.  The checks of T depend
-        on T alone, so they run once per T that passes them (the passed T
-        are kept up to PAIR_CACHE_LIMIT of them)."""
+        lies in the strip, T is admissible and |T| does not pass the top
+        T_max of the range that the grid's line serves."""
         if abs(complex(z).imag) > self.spec.beta_prime:
             raise DomainError(
                 f"|Im z| = {abs(complex(z).imag):.4g} leaves the strip "
                 f"beta' = {self.spec.beta_prime}")
         T = self.eps * complex(t)
-        if T in self._admissible:
-            return T
         check_admissible(T, self.direction, self.Delta, self.r1)
-        grid = self.grid
-        if not grid.T_min <= abs(T) <= grid.T_max:
+        if abs(T) > self.grid.T_max:
             raise DomainError(
-                f"|eps t| = {abs(T):.4g} lies outside [{grid.T_min:.4g}, "
-                f"{grid.T_max:.4g}], the range the Borel grid's line serves "
-                "(grid T_min, T_max)")
-        if len(self._admissible) >= PAIR_CACHE_LIMIT:
-            self._admissible.clear()
-        self._admissible.add(T)
+                f"|eps t| = {abs(T):.4g} lies outside (0, {self.grid.T_max:.4g}], the "
+                "range the Borel grid's line serves (grid T_max)")
         return T
 
     def laplace_pair(self, t: complex, z: complex):

@@ -4,6 +4,11 @@ import math
 import numpy as np
 import pytest
 
+# the config table's `geometry_m_grid` and `quadrature.Delta` defaults, which
+# the command line passes to the library
+GEOMETRY_M_GRID = np.linspace(-50.0, 50.0, 2001)
+DELTA = 0.5
+
 
 def example_problem_dict():
     """Problem data for the worked instance: Q = 1 - z^2, R_D = -2 + z^2,
@@ -90,7 +95,7 @@ def disc_taylor_gap(spec, eps, sols) -> float:
     return worst
 
 
-def taylor_solution(spec, grid, w0, w1, eps, **kwargs):
+def taylor_solution(spec, grid, w0, w1, eps):
     """The `LogSolution` of the solved rows w0, w1 on grid at eps, carrying
     the Taylor coefficients at tau = 0 summed to the radius of the grid's
     Taylor rung, as `borel_solver.solve_held` takes them."""
@@ -98,7 +103,7 @@ def taylor_solution(spec, grid, w0, w1, eps, **kwargs):
     from qborel.solution_assembly import LogSolution
 
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.taylor_rung()))
-    return LogSolution(spec, grid, w0, w1, eps, taylor=coef, **kwargs)
+    return LogSolution(spec, grid, w0, w1, eps, taylor=coef, Delta=DELTA)
 
 
 @pytest.fixture
@@ -125,14 +130,13 @@ def golden():
     from qborel.problem_model import ProblemSpec
 
     spec = ProblemSpec.from_dict(example_problem_dict())
-    geom = make_geometry(spec, d=0.0)
-    consts = bound_constants(spec, geom)
-    ops = operator_constants(spec, geom, consts)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
+    consts = bound_constants(spec, geom, GEOMETRY_M_GRID)
+    ops = operator_constants(spec, geom, consts, GEOMETRY_M_GRID)
     small = check_smallness(spec, consts, spec.eps0, spec.coeffs.C_B,
                             ops["C2_plain"], ops["C3"])
     t_max = spec.eps0 * GOLDEN_T_RADIUS
-    gspec = GridSpec(m_max=12.0, m_nodes=241, density_factor=4.0,
-                     T_min=t_max / 1000.0, T_max=t_max)
+    gspec = GridSpec(m_max=12.0, m_nodes=241, density_factor=4.0, T_max=t_max)
     grid = build_grid(spec, geom, gspec)
     w0, w1, report = solve_coupled(spec, GOLDEN_EPS, grid)
     return {

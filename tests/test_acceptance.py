@@ -27,7 +27,7 @@ from qborel.geometry import bound_constants, build_good_covering, check_assumpti
 from qborel.problem_model import ProblemSpec, polyval_im, validate_assumptions
 from qborel.solution_assembly import residual_borel, residual_physical
 from qborel.special_functions import theta, theta_scaled
-from tests.conftest import taylor_solution
+from tests.conftest import DELTA, GEOMETRY_M_GRID, taylor_solution
 from tests.oracles import (
     QuadratureSpec,
     q_laplace,
@@ -146,7 +146,7 @@ def test_criterion_5_disc_agreement(golden):
     from tests.conftest import disc_taylor_gap
 
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
-    geom2 = make_geometry(spec, d=0.3)
+    geom2 = make_geometry(spec, d=0.3, m_grid=GEOMETRY_M_GRID)
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
     grid2 = build_grid(spec, geom2, gspec)
@@ -198,9 +198,9 @@ def wide_instance():
     d["eps0"] = 0.3
     spec = ProblemSpec.from_dict(d)
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
-                              m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_min=5e-6, T_max=0.025)
-    family = SolutionFamily(spec, cov, gspec)
+                              t_direction=0.0, m_grid=np.linspace(-50, 50, 401), Delta=DELTA)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_max=0.025)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     series = formal_coefficients(spec, 7, m_grid=np.linspace(-12, 12, 161))
     return spec, cov, family, series
 

@@ -21,7 +21,7 @@ from qborel.borel_solver import (
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec, forcing_borel
-from tests.conftest import disc_taylor_gap, kept_rows
+from tests.conftest import GEOMETRY_M_GRID, disc_taylor_gap, kept_rows
 from tests.oracles import apply_HP, apply_Hl, contraction_probe, stacked, weighted_norm
 
 
@@ -100,7 +100,7 @@ def test_apply_hp_vanishes_for_dD0(problem_dict):
     problem_dict["RD"] = [-1.0, 0.0, 0.25]
     problem_dict["terms"][0]["delta"] = [0, 1]
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     ctx = SolverContext(spec, grid, 0.01)
     w = stacked(grid, 1.0, 1.0)
@@ -133,7 +133,7 @@ def test_apply_h_zero_problem(problem_dict):
     problem_dict["coeffs"]["b11"] = None
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     w0, w1, rep = solve_coupled(spec, 0.01, grid)
     assert rep.iterations == 1
@@ -210,7 +210,7 @@ def test_triangular_one_step_when_uncoupled(problem_dict):
     problem_dict["coeffs"]["b11"] = None
     problem_dict["terms"][0]["C"] = None
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     ctx = SolverContext(spec, grid, 0.01)
     w0, w1, rep = solve_triangular(spec, 0.01, grid)
@@ -351,7 +351,7 @@ def test_divergence_detected(problem_dict):
     problem_dict["coeffs"]["b00"] = {"num": [200.0], "gauss": 1.0}
     problem_dict["coeffs"]["CB"] = 5000.0
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     with pytest.raises(DivergenceError) as err:
         solve_coupled(spec, 0.015, grid)
@@ -365,7 +365,7 @@ def test_disc_agreement_between_directions(golden):
     # of build_grid end far inside the disc, so each direction is solved on
     # its ladder up to rung 0
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
-    geom2 = make_geometry(spec, d=0.3)
+    geom2 = make_geometry(spec, d=0.3, m_grid=GEOMETRY_M_GRID)
     geom2.rho = golden["geom"].rho
     geom2.delta = golden["geom"].delta
     for grid in (golden["grid"], build_grid(spec, geom2, gspec)):
@@ -409,7 +409,7 @@ def _dense_affine_fixed_point(problem_dict):
     problem_dict["coeffs"].update(b00=wide, b10=wide, b11=wide)
     problem_dict["terms"][0]["C"] = {"num": [0.5], "gauss": 0.02, "eps_poly": [1.0, 0.2]}
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     m = np.linspace(-12.0, 12.0, 9)
     grid = BorelGrid(spec.q, 13, geom.rho, geom.delta, 0.0, m, -24, 6)
     eps = 0.015
@@ -545,15 +545,14 @@ def test_dilation_gather_matches_per_line_loop_bit_for_bit(shift):
 
 
 def test_truncated_grid_keeps_the_ladder_and_the_rungs_above_the_cut():
-    grid = BorelGrid(2.0, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6,
-                     T_min=1e-4, T_max=0.1)
+    grid = BorelGrid(2.0, 13, 0.7, 0.1, 0.3, np.linspace(-3.0, 3.0, 5), -40, 6, T_max=0.1)
     # the rung nearest rho/2: q^(g/N) = 1/2 at g = -N for q = 2
     assert grid.arc_rung() == -13
     f = _random_function(grid, 7)
     for bottom, top in ((-40, 6), (-13, 6), (5, 6), (-40, -20), (-13, 0)):
         cut = grid.rung_range(bottom, top)
         assert (cut.N, cut.rho, cut.direction, cut.spec_q) == (13, 0.7, 0.3, 2.0)
-        assert (cut.T_min, cut.T_max) == (1e-4, 0.1)
+        assert cut.T_max == 0.1
         assert cut.m is grid.m and (cut.g_lo, cut.g_hi) == (bottom, top)
         assert cut.arc_rung() == grid.arc_rung()
         rows = kept_rows(grid, cut)
@@ -613,7 +612,7 @@ def test_held_block_must_span_the_dilation_shift(problem_dict, density_factor, s
     # the lowest free rung reads the rung one shift below it: a held block of
     # fewer rungs would feed it from the bottom quadratic below the cut
     spec = ProblemSpec.from_dict(problem_dict)
-    grid = build_grid(spec, make_geometry(spec, d=0.0),
+    grid = build_grid(spec, make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID),
                       GridSpec(m_max=12.0, m_nodes=41, density_factor=density_factor))
     cut = grid.rung_range(grid.arc_rung() - 5, grid.g_hi)
     assert cut.factors(spec).shifts == (shift,)
@@ -648,7 +647,7 @@ def test_taylor_rung_is_the_lower_of_the_top_and_the_arc_rung(problem_dict):
     # solve_held runs no Picard on it; one that ends above is Taylor sum up
     # to the arc rung, with Picard above
     spec = ProblemSpec.from_dict(problem_dict)
-    grid = build_grid(spec, make_geometry(spec, d=0.0),
+    grid = build_grid(spec, make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID),
                       GridSpec(m_max=12.0, m_nodes=41, density_factor=4.0))
     g_arc = grid.arc_rung()
     coef = taylor_at_origin(spec, 0.015, grid.m, grid.radius_of_rung(g_arc))

@@ -25,7 +25,6 @@ def small_config(tmp_path, **overrides):
     """Reduced copy of the bundled config for fast CLI exercises."""
     cfg = json.loads(GOLDEN.read_text())
     cfg["quadrature"]["m_nodes"] = 81
-    cfg["grid"].update({"T_min": 4e-6})
     cfg["geometry_m_grid"] = [-50.0, 50.0, 401]
     cfg["asymptotics"] = {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3],
                           "eps_decay": [0.006, 0.015, 4], "pair": 0}
@@ -104,7 +103,7 @@ def _problem_with(**fields):
 
 
 def _grid_with(**fields):
-    grid = {"T_min": 4e-6, "T_max": 0.025}
+    grid = {"T_max": 0.025}
     grid.update(fields)
     return {"grid": grid}
 
@@ -129,15 +128,18 @@ BAD_TABLES = [
 ]
 
 
+# a JSON integer of 401 digits, too large for a float
+HUGE_INT = 10 ** 400
+
 # settings that load_config itself rejects with ConfigError
 REJECTED_ON_LOAD = [
     {"asymptotics": {"N_max": -1, "eps_gevrey": [0.008, 0.018, 3],
                      "eps_decay": [0.006, 0.015, 4]}},
     _grid_with(density_factor=0.0),
     _grid_with(density_factor=-1.0),
-    _grid_with(T_min=0.0),
+    _grid_with(T_max=0.0),
     _grid_with(T_max=-0.025),
-    _grid_with(T_min=0.025),
+    _grid_with(T_max=HUGE_INT),
     {"quadrature": {"M": 0.0, "m_nodes": 81}},
     {"quadrature": {"M": -12.0, "m_nodes": 81}},
     _b11_table([-1.0, math.nan, 1.0], [0.0, 0.0006, 0.0]),
@@ -157,9 +159,7 @@ CHECKED_ON_LOAD = [
     pytest.param({"covering": {"zeta": 1}}, "zeta", id="zeta_1"),
     pytest.param({"geometry_m_grid": [-50.0, 40.0, 401]}, "geometry_m_grid",
                  id="asymmetric_geometry_m_grid"),
-    pytest.param({"seed": -1}, "seed", id="negative_seed"),
     # integer keys refuse what int() would truncate
-    pytest.param({"seed": 1.7}, "seed", id="fractional_seed"),
     pytest.param({"quadrature": {"M": 12.0, "m_nodes": 241.9}}, "m_nodes",
                  id="fractional_m_nodes"),
     pytest.param({"covering": {"zeta": 2.7}}, "zeta", id="fractional_zeta"),
@@ -171,6 +171,9 @@ CHECKED_ON_LOAD = [
     pytest.param({"covering": {"t_radius": True}}, "t_radius", id="bool_t_radius"),
     pytest.param({"eps": "0.01"}, "eps", id="string_eps"),
     pytest.param(_problem_with(q="2"), "q", id="string_q"),
+    # and an int too large for a float, in a number and in the points array
+    pytest.param({"eps": HUGE_INT}, "eps", id="huge_int_eps"),
+    pytest.param({"points": [[HUGE_INT, 0, 0.1, 0]]}, "points", id="huge_int_point"),
     # the overlap a sector difference samples lies in [0, zeta), not modulo zeta
     *(pytest.param({"asymptotics": {"N_max": 2, "eps_gevrey": [0.008, 0.018, 3],
                                     "eps_decay": [0.006, 0.015, 4], "pair": pair}},
@@ -263,10 +266,12 @@ def test_n_angles_setting_is_ignored(tmp_path):
     # no grid setting reaches the arc, which sums the Taylor series at its
     # own quadrature nodes, and every Picard run, Borel solve and Taylor
     # order alike, stops at one rule and one cap, whatever solve_tol,
-    # formal_tol and max_iter say or whether solve_tol is there at all
+    # formal_tol and max_iter say or whether solve_tol is there at all.  The
+    # Taylor ray serves every |eps t| up to T_max, whatever T_min says (0.02
+    # lies above T_max), and no computation reads the seed
     ignored = [("grid", "n_angles", 8), ("tolerances", "formal_tol", 1e-3),
                ("tolerances", "max_iter", 1), ("tolerances", "solve_tol", 1e-3),
-               ("tolerances", "solve_tol", None)]
+               ("tolerances", "solve_tol", None), ("grid", "T_min", 0.02), ("", "seed", -1)]
     outs = []
     for i, case in enumerate([None, *ignored]):
         base = tmp_path / ("shipped" if case is None else f"{i}_{case[1]}")
@@ -275,7 +280,7 @@ def test_n_angles_setting_is_ignored(tmp_path):
         if case is not None and case[2] is None:
             _with(path, lambda c: c[case[0]].pop(case[1]))
         elif case is not None:
-            _with(path, lambda c: c[case[0]].update({case[1]: case[2]}))
+            _with(path, lambda c: (c[case[0]] if case[0] else c).update({case[1]: case[2]}))
         assert run("all", path, str(base / "out")) == 0
         outs.append({f.name: f.read_bytes() for f in sorted((base / "out").iterdir())})
     assert outs[0]["decay.csv"].count(b"\n") > 1 and "formal_order_3.csv" in outs[0]
@@ -285,7 +290,8 @@ def test_n_angles_setting_is_ignored(tmp_path):
                                            ("formal_tol", "max_iter", "solve_tol")]
     for (section, key, value), out in zip(ignored, outs[1:]):
         report = json.loads(out.pop("run_report.json"))
-        assert (f"{section}.{key}" in report.pop("ignored_keys")) == (value is not None)
+        assert (f"{section}.{key}".lstrip(".") in report.pop("ignored_keys")) \
+            == (value is not None)
         assert report == shipped
         assert out == outs[0]
 
@@ -344,13 +350,33 @@ def test_non_finite_setting_is_65(tmp_path, capsys, verb, override, key):
 @pytest.mark.parametrize("verb", ["evaluate", "residual"])
 @pytest.mark.parametrize("t", [1e-6, 1e-5, 0.04])
 def test_point_outside_the_grid_T_range_is_3(tmp_path, capsys, verb, t):
-    # the grid's line serves |eps t| in [T_min, T_max] = [4e-6, 4e-4] only:
-    # eps t = 1.5e-8 and 1.5e-7 lie below it (they used to exit 0 with a
-    # wrong u), 6e-4 above it
+    # the grid's line serves |eps t| up to T_max = 4e-4: eps t = 6e-4 exits
+    # 3 and names T_max.  eps t = 1.5e-8 and 1.5e-7 lie far below the line's
+    # rows, where a component reads the Taylor series at tau = 0: they exit
+    # 0, each component the formal series in eps summed to N_max
+    from qborel.formal_asymptotics import evaluate_formal, formal_coefficients
+
     path = small_config(tmp_path, points=[[0.012, 0.0, 0.1, 0.0], [t, 0.0, 0.1, 0.0]])
-    assert run(verb, path, str(tmp_path / "out")) == 3
+    out = tmp_path / "out"
+    code = run(verb, path, str(out))
     err = capsys.readouterr().err
-    assert "[4e-06, 0.0004]" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    if t == 0.04:
+        assert code == 3 and "(0, 0.0004]" in err and "T_max" in err
+        return
+    assert code == 0
+    if verb == "residual":
+        report = json.loads((out / "residual_report.json").read_text())
+        assert report["physical_residual_max"] <= 1e-12
+        return
+    rc = load_config(path)
+    series = formal_coefficients(rc.spec, rc.N_max + 1, m_grid=rc.gspec.m_grid())
+    # the row of the second point: t, z, u0, u1, u
+    tt, z, u0, u1, _ = np.loadtxt(out / "evaluate.csv", delimiter=",", skiprows=1)[1].view(complex)
+    assert tt == t
+    for got, j in ((u0, 0), (u1, 1)):
+        want = evaluate_formal(series, j, tt, z, rc.eps_solve)[-1]
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_formal_builds_the_eps_series_once(tmp_path, monkeypatch):
@@ -707,33 +733,6 @@ def test_first_bad_point_names_the_error(tmp_path, capsys, verb):
     assert "outside" in err and "strip" not in err
 
 
-def test_point_verbs_check_each_eps_t_once(tmp_path, monkeypatch):
-    # the checks of T = eps t depend on T alone: evaluate and the residual,
-    # which also reads each point's dilations, check every distinct T once
-    import qborel.cli as cli
-    import qborel.solution_assembly as assembly
-
-    rc = load_config(small_config(tmp_path))
-    points = [(t, z) for t in (0.012, 0.016, 0.02) for z in (-0.2, 0.0, 0.1, 0.3)]
-    checked = []
-    real = assembly.check_admissible
-
-    def counted(T, *args):
-        checked.append(T)
-        return real(T, *args)
-
-    monkeypatch.setattr(assembly, "check_admissible", counted)
-    ts = sorted({t for t, _ in points})
-    cli._log_solution(rc, {}).evaluate_points(points)
-    assert checked == [rc.eps_solve * t for t in ts]
-    checked.clear()
-    spec = rc.spec
-    ratios = {1.0, spec.q ** (spec.dD / spec.k), *(spec.q ** float(t.delta) for t in spec.terms)}
-    assembly.residual_physical(cli._log_solution(rc, {}), spec, points)
-    assert len(checked) == len(set(checked)) == len({rc.eps_solve * (r * t)
-                                                     for r in ratios for t in ts})
-
-
 def test_held_path_runs_picard_above_the_arc_rung_on_the_wide_config(monkeypatch):
     # the wide config's line reaches above the arc rung, up to the ray
     # tail's reach at T_max: the held-row solve runs Picard there only, and
@@ -855,7 +854,7 @@ def test_solve_reports_a_contraction_bound_above_the_estimates(tmp_path, name):
     # the key of the retired random probes holds the bound
     assert report["contraction_probe"] == bound
     rc = load_config(CONFIG_DIR / name)
-    probe = contraction_probe(rc.spec, rc.eps_solve, _line(rc, {}), seed=rc.seed)
+    probe = contraction_probe(rc.spec, rc.eps_solve, _line(rc, {}))
     assert probe <= bound and report["contraction_iter"] <= bound <= 0.55
     error = report["solve_error_bound"]
     assert error == bound / (1.0 - bound) * report["final_update"]

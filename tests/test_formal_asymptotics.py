@@ -31,7 +31,7 @@ from qborel.solution_assembly import (TAIL_REACH, LogSolution, difference_arc_ru
                                       solution_difference, tail_reach)
 from qborel.transforms import convolution_kernel
 
-from tests.conftest import arc_sample_gap, kept_rows
+from tests.conftest import DELTA, GEOMETRY_M_GRID, arc_sample_gap, kept_rows
 from tests.oracles import (formal_order_rhs, order_dense_solve, ring_taylor, stacked,
                            trapezoid_components)
 
@@ -51,9 +51,9 @@ def asym():
     """Covering, family and formal series for the wide-eps instance."""
     spec = ProblemSpec.from_dict(asymptotics_dict())
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
-                              m_grid=np.linspace(-50, 50, 401))
-    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_min=5e-6, T_max=0.025)
-    family = SolutionFamily(spec, cov, gspec)
+                              t_direction=0.0, m_grid=np.linspace(-50, 50, 401), Delta=DELTA)
+    gspec = GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0, T_max=0.025)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     series = formal_coefficients(spec, 7, m_grid=M_SMALL)
     return {"spec": spec, "cov": cov, "gspec": gspec, "family": family,
             "series": series}
@@ -380,7 +380,7 @@ def test_arc_rung_precheck_raises_exactly_where_the_difference_does(asym):
 
 def test_decay_fit_solves_only_the_samples_it_keeps(asym):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     arg = np.angle(cov.overlap_sample(0))
     # 0.1 and 0.2 pass; at 0.106 the second probe's zero ring meets the arc
     eps_samples = [m * np.exp(1j * arg) for m in (0.1, 0.106, 0.2)]
@@ -421,7 +421,7 @@ def test_family_builds_each_sectors_operator_factors_once(asym, monkeypatch):
         return build(spec, grid)
 
     monkeypatch.setattr(borel_solver.OperatorFactors, "build", counted)
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     arg = np.angle(cov.overlap_sample(0))
     for size in (0.1, 0.14, 0.2):
         for p in (0, 1):
@@ -443,7 +443,7 @@ def test_arc_misuse_raises_what_no_nudge_mends(asym, monkeypatch):
     # one order short of what this eps needs: the family's expansion for
     # eps, which its solutions and their arcs read, raises before a solve
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", family.arc_orders[-1] - 1)
-    fresh = SolutionFamily(spec, cov, gspec)
+    fresh = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     with pytest.raises(DivergenceError, match="does not converge"):
         fresh.at(0, eps)
     assert fresh.reports == {} and fresh.arc_orders == []
@@ -481,7 +481,7 @@ def test_difference_whose_taylor_series_stops_below_the_arc_is_refused_first(
 
 def test_decay_fit_lets_an_arc_failure_through(asym, monkeypatch):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     arg = np.angle(cov.overlap_sample(0))
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
     monkeypatch.setattr(borel_solver, "TAYLOR_MAX_ORDER", 4)
@@ -599,9 +599,9 @@ def test_family_rows_match_the_whole_line_solve_with_b01(problem_dict):
     spec = ProblemSpec.from_dict(problem_dict)
     assert not spec.coeffs.triangular
     cov = build_good_covering(2, spec.eps0, spec, t_radius=0.08, t_aperture=0.1,
-                              m_grid=np.linspace(-50, 50, 401))
+                              t_direction=0.0, m_grid=np.linspace(-50, 50, 401), Delta=DELTA)
     family = SolutionFamily(spec, cov, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0,
-                                                T_min=5e-6, T_max=0.025))
+                                                T_max=0.025), m_grid=GEOMETRY_M_GRID)
     # components only at the first sector's direction: at the overlap the
     # theta kernel keeps too few digits for a 1e-14 comparison
     t = 0.05 * np.exp(1j * cov.t_direction)
@@ -644,7 +644,7 @@ def test_family_residual_and_norms_read_the_free_rows_only(asym):
 
 def test_family_keeps_the_last_eps_solutions_and_every_report(asym, monkeypatch):
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     solved = []
     solve = borel_solver.solve_triangular
 
@@ -673,7 +673,7 @@ def test_decay_fit_drops_what_no_nudge_mends(asym):
     # |eps t| = 0.03 passes T_max = 0.025: the sample is dropped at once,
     # with no nudge and no solve, and the warning names the cause
     spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     eps = 0.5 * np.exp(1j * np.angle(cov.overlap_sample(0)))
     probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1)]
     rep = difference_decay_fit(family, 0, [eps], probes=probes)
@@ -710,7 +710,7 @@ def test_family_inverts_one_order_block(asym, monkeypatch):
     cov, gspec = asym["cov"], asym["gspec"]
     samples, probes = _decay_samples(cov)
     blocks = _counted_blocks(monkeypatch)
-    family = SolutionFamily(asym["spec"], cov, gspec)
+    family = SolutionFamily(asym["spec"], cov, gspec, m_grid=GEOMETRY_M_GRID)
     assert blocks == []
     rep = difference_decay_fit(family, 0, samples, probes=probes)
     family.at(0, 0.05 * np.exp(1j * cov.directions[0]))
@@ -727,7 +727,7 @@ def test_family_with_an_eps_dependent_b_symbol_runs_the_picard_orders(asym, monk
     spec = ProblemSpec.from_dict(problem)
     samples, _ = _decay_samples(cov)
     blocks = _counted_blocks(monkeypatch)
-    family = SolutionFamily(spec, cov, gspec)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
     line = family._line(0)
     radius = line.radius_of_rung(line.arc_rung())
     for eps in samples + samples[-1:]:
@@ -840,12 +840,12 @@ def test_taylor_samples_match_the_ring_rows_with_b01(problem_dict):
     problem_dict["coeffs"]["b01"] = {"num": [0.0005], "gauss": 1.0}
     spec = ProblemSpec.from_dict(problem_dict)
     assert not spec.coeffs.triangular
-    grid = build_grid(spec, make_geometry(spec, 0.0),
-                      GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0, T_min=5e-6, T_max=0.025))
+    grid = build_grid(spec, make_geometry(spec, 0.0, GEOMETRY_M_GRID),
+                      GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0, T_max=0.025))
     eps = 0.15 * np.exp(0.3j)
     w0, w1, _ = solve_coupled(spec, eps, grid)
     coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
-    sol = LogSolution(spec, grid, w0, w1, eps, taylor=coef)
+    sol = LogSolution(spec, grid, w0, w1, eps, Delta=DELTA, taylor=coef)
     assert arc_sample_gap(sol) <= 1e-13
     for c0, w in zip(coef[:, 0], (w0, w1)):
         assert np.abs(c0 - w[-1]).max() <= 1e-13 * np.abs(w[-1]).max()

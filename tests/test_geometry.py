@@ -22,6 +22,7 @@ from qborel.geometry import (
     set_dist_to_shift,
 )
 from qborel.problem_model import ProblemSpec, ratio_bounds, validate_assumptions
+from tests.conftest import DELTA
 from tests.oracles import c_d_scan, coverage_count
 
 M_GRID = np.linspace(-50, 50, 2001)
@@ -264,8 +265,9 @@ def test_ray_cone_clearance():
 
 
 def test_build_good_covering(example_spec):
-    cov = build_good_covering(4, example_spec.eps0, example_spec,
-                              t_radius=0.02, m_grid=np.linspace(-50, 50, 401))
+    cov = build_good_covering(4, example_spec.eps0, example_spec, t_radius=0.02,
+                              t_aperture=0.1, t_direction=0.0,
+                              m_grid=np.linspace(-50, 50, 401), Delta=DELTA)
     assert len(cov.d_rays) == 4
     # every angle lies in one or two sectors, never three, never zero
     for ang in np.linspace(0, 2 * math.pi, 3600, endpoint=False):
@@ -276,15 +278,17 @@ def test_build_good_covering(example_spec):
 
 
 def test_good_covering_two_sectors(example_spec):
-    cov = build_good_covering(2, example_spec.eps0, example_spec,
-                              t_radius=0.02, m_grid=np.linspace(-50, 50, 201))
+    cov = build_good_covering(2, example_spec.eps0, example_spec, t_radius=0.02,
+                              t_aperture=0.1, t_direction=0.0,
+                              m_grid=np.linspace(-50, 50, 201), Delta=DELTA)
     for ang in np.linspace(0, 2 * math.pi, 1800, endpoint=False):
         assert 1 <= coverage_count(cov, ang) <= 2
 
 
 def test_covering_rejects_oversized_radius(example_spec):
     with pytest.raises(GeometryError):
-        build_good_covering(2, example_spec.eps0, example_spec, t_radius=500.0)
+        build_good_covering(2, example_spec.eps0, example_spec, t_radius=500.0,
+                            t_aperture=0.1, t_direction=0.0, m_grid=M_GRID, Delta=DELTA)
 
 
 @pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])

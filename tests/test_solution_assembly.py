@@ -21,7 +21,7 @@ from qborel.solution_assembly import (
     solution_difference,
 )
 from qborel.transforms import inverse_fourier
-from tests.conftest import kept_rows, taylor_solution
+from tests.conftest import DELTA, GEOMETRY_M_GRID, kept_rows, taylor_solution
 from tests.oracles import (QuadratureSpec, line_trapezoid, monodromy_components, q_laplace,
                            residual_physical_per_component, stacked)
 
@@ -71,7 +71,7 @@ def test_zero_density_evaluates_to_zero(golden, synthetic_lines):
     spec, eps = golden["spec"], golden["eps"]
     for grid in synthetic_lines:
         zero = stacked(grid, 0.0, 0.0)
-        sol = LogSolution(spec, grid, zero, zero.copy(), eps,
+        sol = LogSolution(spec, grid, zero, zero.copy(), eps, Delta=DELTA,
                           taylor=np.zeros((2, 1, grid.m.size), dtype=complex))
         assert sol.component(0, 0.01, 0.1) == 0.0
         assert sol.evaluate(0.01, 0.1) == 0.0
@@ -85,7 +85,7 @@ def test_linear_density_reproduces_monomial_rule(golden, synthetic_lines):
         g = np.exp(-(m ** 2))
         coef = np.zeros((2, 2, m.size), dtype=complex)
         coef[0, 1] = g
-        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, taylor=coef)
+        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, Delta=DELTA, taylor=coef)
         for (t, z) in [(0.012, 0.2), (0.005 + 0.004j, -0.3 + 0.2j), (0.018, 0.0)]:
             got = sol.component(0, t, z)
             want = eps * t * inverse_fourier(g, complex(z), m)
@@ -96,9 +96,9 @@ def test_linear_density_reproduces_monomial_rule(golden, synthetic_lines):
 def test_ladder_laplace_matches_the_monomial_transform(golden, synthetic_lines, n):
     # Analytic oracle for the production q-Laplace sum: the density
     # tau^n (x) g_j(m), given by its rows and its Taylor coefficients, must
-    # assemble to q^(n(n-1)/2k) T^n F^{-1}(g_j)(z), T = eps t, across the
-    # grid's [T_min, T_max], in closed form on the golden line and by the
-    # ray and tail on the raised one.  The bound leaves room only for
+    # assemble to q^(n(n-1)/2k) T^n F^{-1}(g_j)(z), T = eps t, from
+    # T_max/4e5 up to the grid's T_max, in closed form on the golden line and
+    # by the ray and tail on the raised one.  The bound leaves room only for
     # rounding: the ray's Gauss-Legendre panels and the closed form agree
     # to a few ulps here.
     spec, eps, gspec = golden["spec"], golden["eps"], golden["gspec"]
@@ -106,13 +106,13 @@ def test_ladder_laplace_matches_the_monomial_transform(golden, synthetic_lines, 
     gs = (np.exp(-m ** 2) * (1.0 + 0.3j * m), np.exp(-0.5 * m ** 2) / (1.0 + m ** 2))
     coef = np.zeros((2, n + 1, m.size), dtype=complex)
     coef[:, n] = gs
-    Ts = [1.05 * gspec.T_min * np.exp(-0.2j), 1e-6 * np.exp(0.3j),
+    Ts = [1e-9 * np.exp(0.1j), 1e-8, 4.2e-7 * np.exp(-0.2j), 1e-6 * np.exp(0.3j),
           2e-5 * np.exp(-0.45j), 1e-4, 0.975 * gspec.T_max * np.exp(0.4j)]
     factor = spec.q ** (n * (n - 1) / (2.0 * spec.k))
     for grid in synthetic_lines:
-        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, taylor=coef)
+        sol = LogSolution(spec, grid, *_polynomial(grid, coef), eps, Delta=DELTA, taylor=coef)
         for T in Ts:
-            assert gspec.T_min <= abs(T) <= gspec.T_max
+            assert abs(T) <= gspec.T_max
             for z in (0.0, 0.3 - 0.1j):
                 for j, g in enumerate(gs):
                     got = sol.component(j, T / eps, z)
@@ -133,7 +133,8 @@ def test_component_linearity_in_density(golden, synthetic_lines):
     lam = 0.6 - 0.3j
     t, z = 0.011, 0.15
     for grid in synthetic_lines:
-        sol_a, sol_b, sol_ab = (LogSolution(spec, grid, *_polynomial(grid, c), eps, taylor=c)
+        sol_a, sol_b, sol_ab = (LogSolution(spec, grid, *_polynomial(grid, c), eps,
+                                            Delta=DELTA, taylor=c)
                                 for c in (ca, cb, ca + lam * cb))
         va = sol_a.component(0, t, z)
         vb = sol_b.component(0, t, z)
@@ -206,7 +207,7 @@ def test_evaluate_combines_components(golden_solution):
     # with the u1 density removed, evaluate reduces to the first component
     taylor = np.stack([sol.taylor[0], np.zeros_like(sol.taylor[1])])
     sol_no_log = LogSolution(sol.spec, sol.grid, sol.w0,
-                             stacked(sol.grid, 0.0, 0.0), sol.eps, taylor=taylor)
+                             stacked(sol.grid, 0.0, 0.0), sol.eps, Delta=DELTA, taylor=taylor)
     assert sol_no_log.evaluate(t, z) == pytest.approx(u0)
 
 
@@ -239,25 +240,24 @@ def _t_at(T: float, eps: float) -> float:
 
 
 def test_laplace_refuses_T_outside_the_grid_range(golden_solution, ray_solution):
-    # the line serves [T_min, T_max], in closed form or, on the raised line,
-    # with the tail's reach at T_max: the ends are served, and any |eps t|
-    # beyond them is refused with the range named
+    # the line serves |eps t| up to T_max, in closed form or, on the raised
+    # line, with the tail's reach at T_max: T_max is served, and any |eps t|
+    # above it is refused with T_max named
     for sol in (golden_solution, ray_solution):
-        grid = sol.grid
-        for T, outside in ((grid.T_min, 1 - 1e-12), (grid.T_max, 1 + 1e-12)):
-            t = _t_at(T, sol.eps)
-            assert math.isfinite(abs(sol.evaluate(t, 0.1)))
-            for call in (lambda: sol.evaluate(outside * t, 0.1),
-                         lambda: sol.component(1, outside * t, 0.1),
-                         lambda: residual_physical(sol, sol.spec, [(outside * t, 0.1)])):
-                with pytest.raises(DomainError, match=r"outside \[4e-07, 0.0004\]"):
-                    call()
+        t = _t_at(sol.grid.T_max, sol.eps)
+        assert math.isfinite(abs(sol.evaluate(t, 0.1)))
+        outside = (1 + 1e-12) * t
+        for call in (lambda: sol.evaluate(outside, 0.1),
+                     lambda: sol.component(1, outside, 0.1),
+                     lambda: residual_physical(sol, sol.spec, [(outside, 0.1)])):
+            with pytest.raises(DomainError, match=r"outside \(0, 0.0004\].*T_max"):
+                call()
 
 
 def test_cut_line_matches_the_line_to_the_old_top(golden):
     # build_grid's line used to run out to 16 rho; the ladder that far is the
     # oracle for the cut: the rows both lines hold agree within the solve
-    # tolerance, and evaluate agrees to 1e-12 across [T_min, T_max]
+    # tolerance, and evaluate agrees to 1e-12 across [T_max/1000, T_max]
     spec, eps, grid = golden["spec"], golden["eps"], golden["grid"]
     old_top = math.ceil(grid.N * math.log(16.0) / spec.lnq)
     assert grid.g_hi < grid.arc_rung() < old_top
@@ -269,7 +269,7 @@ def test_cut_line_matches_the_line_to_the_old_top(golden):
         assert (np.abs(w - ref[rows]) * weights).max() <= 1e-11
     cut = taylor_solution(spec, grid, golden["w0"], golden["w1"], eps)
     ref = taylor_solution(spec, line, w0, w1, eps)
-    for T in np.geomspace(grid.T_min, grid.T_max, 13):
+    for T in np.geomspace(grid.T_max / 1000.0, grid.T_max, 13):
         t = _t_at(float(T), eps)
         for z in (-0.3, 0.1 + 0.2j):
             want = ref.evaluate(t, z)
@@ -332,7 +332,7 @@ def test_residual_borel_zero_problem(problem_dict):
     problem_dict["forcing"]["f0"] = {}
     problem_dict["forcing"]["f1"] = {}
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
     grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=81, density_factor=4.0))
     zero = stacked(grid, 0.0, 0.0)
     assert residual_borel(zero, zero, spec, 0.01, grid) == 0.0
@@ -354,7 +354,7 @@ def test_residual_physical_sensitivity(golden_solution):
     spec = sol.spec
     taylor = sol.taylor.copy()
     taylor[1] *= 1.0 + 1e-3
-    sol = LogSolution(spec, sol.grid, sol.w0, sol.w1, sol.eps, taylor=taylor)
+    sol = LogSolution(spec, sol.grid, sol.w0, sol.w1, sol.eps, Delta=DELTA, taylor=taylor)
     res = residual_physical(sol, spec, [(0.012, 0.1)]).max()
     assert 1e-6 < res < 1e-1
 
@@ -409,11 +409,12 @@ def taylor_line():
 def test_taylor_line_laplace_matches_the_trapezoid(taylor_line):
     # the closed form sum_n q^(n(n-1)/2k) T^n c_n against the theta-kernel
     # trapezoid over the same rows (`line_trapezoid`), across the line's
-    # [T_min, T_max] and 0.05 rad either side of arg eps
+    # [T_max/1000, T_max], where the line holds the kernel, and 0.05 rad
+    # either side of arg eps
     sol = taylor_line
     grid = sol.grid
     arg = cmath.phase(sol.eps)
-    Ts = [r * cmath.exp(1j * (arg + d)) for r in np.geomspace(grid.T_min, grid.T_max, 8)
+    Ts = [r * cmath.exp(1j * (arg + d)) for r in np.geomspace(grid.T_max / 1000.0, grid.T_max, 8)
           for d in (-0.05, 0.0, 0.05)]
     for T in Ts:
         want_pair = line_trapezoid(sol.spec, grid, sol.w0, sol.w1, T)
@@ -427,11 +428,12 @@ def test_taylor_line_laplace_against_the_ray_quadrature(taylor_line):
     # quadrature of the polynomial
     sol = taylor_line
     spec, grid = sol.spec, sol.grid
-    T_ref = math.sqrt(grid.T_min * grid.T_max)
+    T_ref = grid.T_max / math.sqrt(1000.0)
     rng = np.random.default_rng(21)
     a = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / T_ref ** np.arange(6)
     g = np.exp(-grid.m ** 2) * (1.0 + 0.2j * grid.m)
-    synth = LogSolution(spec, grid, sol.w0, sol.w1, sol.eps, taylor=a[:, :, None] * g)
+    synth = LogSolution(spec, grid, sol.w0, sol.w1, sol.eps, Delta=DELTA,
+                        taylor=a[:, :, None] * g)
     quad = QuadratureSpec(nodes_per_decade=48)
     for T in (T_ref / 3.0, T_ref * cmath.exp(0.3j), 3.0 * T_ref * cmath.exp(-0.2j)):
         for j, got in enumerate(synth._laplace_all_m(T)):
@@ -473,10 +475,8 @@ def test_forcing_only_dD0_matches_direct_construction(problem_dict):
     problem_dict["coeffs"]["b10"] = None
     problem_dict["coeffs"]["b11"] = None
     spec = ProblemSpec.from_dict(problem_dict)
-    geom = make_geometry(spec, d=0.0)
-    # the grid serves |eps t| from 1e-4, the smaller of the two points
-    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0,
-                                            T_min=1e-4))
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
+    grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0))
     eps = 0.01
     w0, w1, _ = solve_triangular(spec, eps, grid)
     sol = taylor_solution(spec, grid, w0, w1, eps)
@@ -510,12 +510,12 @@ def k1_pair():
     eps = 0.2 * np.exp(0.25j)
     sols = []
     for ray in (0.0, 0.5):
-        geom = make_geometry(spec, d=ray)
+        geom = make_geometry(spec, d=ray, m_grid=GEOMETRY_M_GRID)
         grid = build_grid(spec, geom, GridSpec(m_max=12.0, m_nodes=161, density_factor=4.0,
-                                                T_min=1e-4, T_max=0.06))
+                                                T_max=0.06))
         w0, w1, _ = solve_triangular(spec, eps, grid)
         coef = taylor_at_origin(spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
-        sols.append(LogSolution(spec, grid, w0, w1, eps, taylor=coef))
+        sols.append(LogSolution(spec, grid, w0, w1, eps, Delta=DELTA, taylor=coef))
     return spec, sols[0], sols[1]
 
 
@@ -582,7 +582,7 @@ def test_arc_sums_a_high_taylor_order_at_its_nodes(k1_pair):
     g = np.exp(-grid.m ** 2) * (1.0 + 0.3j * grid.m)
     taylor = np.zeros((2, 33, grid.m.size), dtype=complex)
     taylor[0, n], taylor[1, n] = g, 2j * g
-    sol = LogSolution(spec, grid, sol_a.w0, sol_a.w1, sol_a.eps, taylor=taylor)
+    sol = LogSolution(spec, grid, sol_a.w0, sol_a.w1, sol_a.eps, Delta=DELTA, taylor=taylor)
     g_arc = grid.arc_rung()
     r_arc = grid.radius_of_rung(g_arc)
     Q = mpmath.mpf(spec.q) ** (mpmath.mpf(1) / spec.k)
@@ -614,7 +614,7 @@ def test_tail_stencil_must_not_read_below_the_line(golden):
     for below, ok in ((assembly.TAIL_REACH, True), (assembly.TAIL_REACH - 1, False)):
         cut = grid.rung_range(g_arc - below, top)
         sol = LogSolution(spec, cut, stacked(cut, 0.0, 0.0), stacked(cut, 0.0, 0.0),
-                          eps, taylor=np.zeros((2, 1, cut.m.size), dtype=complex))
+                          eps, Delta=DELTA, taylor=np.zeros((2, 1, cut.m.size), dtype=complex))
         if ok:
             assert not any(v.any() for v in sol._tail_integral(T, g_arc))
         else:
@@ -629,19 +629,19 @@ def test_tail_raises_when_its_reach_passes_the_top_of_the_line(golden):
     spec, eps, grid = golden["spec"], golden["eps"], golden["grid"]
     g_arc = grid.arc_rung()
     tops = [assembly.tail_reach(spec, grid, g_arc, T)[1]
-            for T in np.geomspace(grid.T_min, grid.T_max, 9)]
+            for T in np.geomspace(grid.T_max / 1000.0, grid.T_max, 9)]
     assert tops == sorted(tops) and tops[0] < tops[-1]
     T = eps * 0.01
     top = assembly.tail_reach(spec, grid, g_arc, T)[1]
     for g_hi, ok in ((top, True), (top - 1, False)):
         cut = grid.rung_range(g_arc - assembly.TAIL_REACH, g_hi)
         sol = LogSolution(spec, cut, stacked(cut, 1.0, 1.0), stacked(cut, 1.0, 1.0),
-                          eps, taylor=np.ones((2, 1, cut.m.size), dtype=complex))
+                          eps, Delta=DELTA, taylor=np.ones((2, 1, cut.m.size), dtype=complex))
         if ok:
             assert all(np.isfinite(v).all() and v.any() for v in sol._tail_integral(T, g_arc))
         else:
             with pytest.raises(DomainError, match=rf"reads rung {top}, above .* top rung "
-                                                  rf"{top - 1}.*\[4e-07, 0.0004\]"):
+                                                  rf"{top - 1}.*T_max = 0.0004"):
                 sol._tail_integral(T, g_arc)
 
 
@@ -703,7 +703,7 @@ def test_ray_moments_are_the_closed_form_moments_inside_the_disc(name):
     orders = 33
     eye = np.eye(orders, dtype=complex)
     zero = stacked(line, 0.0, 0.0)
-    sol = LogSolution(spec, line, zero, zero, 0.1, np.stack([eye, eye]))
+    sol = LogSolution(spec, line, zero, zero, 0.1, np.stack([eye, eye]), DELTA)
     n = np.arange(orders)
     r_T = line.radius_of_rung(line.taylor_rung())
     inside = [eps * t for eps, t in samples
