@@ -65,6 +65,7 @@ __all__ = [
     "build_grid",
     "rung_shifts",
     "SymbolKernels",
+    "apply_kernel",
     "term_scalars",
     "b_scalars",
     "SolverContext",
@@ -350,13 +351,54 @@ def build_grid(spec: ProblemSpec, geom: SectorGeometry,
                      T_max=T_max)
 
 
+def _real_if_exact(K: np.ndarray) -> np.ndarray:
+    """K as a float64 array when its imaginary part is exactly zero, else K."""
+    if np.iscomplexobj(K) and not K.imag.any():
+        return np.ascontiguousarray(K.real)
+    return K
+
+
+# data rows per real GEMM of apply_kernel: one chunk's transposed copy is the
+# product's only temporary, however long the line
+KERNEL_ROWS = 64
+
+
+def apply_kernel(data: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """data @ K.T over data's last axis: the one product of every kernel
+    (`SymbolKernels`, `OrderBlock`'s inverses) with samples over m.
+
+    A complex K, or real data, takes that product as it is.  A real K on
+    complex data takes real GEMMs, K times the real and imaginary parts of
+    KERNEL_ROWS rows of data at a time: a chunk's transpose, read as float64,
+    interleaves the two parts, and the product is written, read as complex,
+    into the transpose of the result.  They need half the flops of the
+    complex product and read K at half the bytes.  The result is then a
+    transposed (column-major) array."""
+    if np.iscomplexobj(K) or not np.iscomplexobj(data):
+        return data @ K.T
+    rows = data.reshape(-1, data.shape[-1])
+    out_t = np.empty((K.shape[0], rows.shape[0]), dtype=complex)
+    for start in range(0, rows.shape[0], KERNEL_ROWS):
+        chunk = slice(start, start + KERNEL_ROWS)
+        # K on the left: with the data on the left, OpenBLAS summed a row
+        # differently as the row count changed, even at the 25 to 30 rows of
+        # a family's Picard range, so rows that solves on different rung
+        # ranges share lost their bit identity
+        np.matmul(K, np.ascontiguousarray(rows[chunk].T).view(float),
+                  out=out_t[:, chunk].view(float))
+    return out_t.T.reshape(data.shape[:-1] + K.shape[:1])
+
+
 @dataclass(frozen=True)
 class SymbolKernels:
     """The convolution kernels of spec's symbols on one m grid, built from
     the symbols' m parts alone: one per dilation term, with its R_l(i m)
     factor, and one per b symbol keyed (j, eq), None where the symbol
     vanishes.  A `FourierSymbol` is its m part times a polynomial in eps, so
-    eps enters every operator as a scalar (`term_scalars`, `b_scalars`)."""
+    eps enters every operator as a scalar (`term_scalars`, `b_scalars`).  A
+    kernel whose imaginary part is exactly zero, as that of an even real m
+    part with a real R_l(i m) is, is stored as float64 (`_real_if_exact`);
+    every kernel is applied by `apply_kernel`."""
 
     terms: tuple
     b: dict
@@ -373,8 +415,10 @@ class SymbolKernels:
 
     @classmethod
     def build(cls, spec: ProblemSpec, m: np.ndarray) -> "SymbolKernels":
-        return cls(terms=tuple(convolution_kernel(t.C.m_part, m, t.R) for t in spec.terms),
-                   b={jk: None if sym.is_zero() else convolution_kernel(sym.m_part, m, [1.0])
+        return cls(terms=tuple(_real_if_exact(convolution_kernel(t.C.m_part, m, t.R))
+                               for t in spec.terms),
+                   b={jk: None if sym.is_zero()
+                      else _real_if_exact(convolution_kernel(sym.m_part, m, [1.0]))
                       for jk, sym in spec.coeffs.b.items()})
 
 
@@ -449,9 +493,9 @@ class SolverContext:
         omega_j enters equation j through every term H_l, and omega_1 also
         enters equation 0 through delta_l H_l and the HP term, so each
         H_l(omega_j) is computed once and read by every equation that needs
-        it.  The b symbol (j, eq) adds its eps scalar times omega_j K_b^T.  A
-        spec has at least one term (D >= 2), so every accumulator a caller
-        asks for gets filled.
+        it.  The b symbol (j, eq) adds its eps scalar times omega_j K_b^T.
+        Every kernel product is an `apply_kernel`.  A spec has at least one
+        term (D >= 2), so every accumulator a caller asks for gets filled.
         """
         def add(eq, part):
             if accs[eq] is None:
@@ -464,7 +508,7 @@ class SolverContext:
             if cross:
                 add(0, self.fac.hp * data)
             for ell, (t, scale) in enumerate(zip(self.spec.terms, self.term_scale)):
-                h = self.fac.dilations[ell].apply(data) @ self.term_kernel[ell].T
+                h = apply_kernel(self.fac.dilations[ell].apply(data), self.term_kernel[ell])
                 h *= scale
                 if cross:
                     add(0, float(t.delta) * h)
@@ -474,7 +518,8 @@ class SolverContext:
                 K = self.b_kernel[(source, eq)]
                 if K is not None:
                     scale = self.b_scale[(source, eq)]
-                    add(eq, data @ K.T if scale == 1 else (data @ K.T) * scale)
+                    part = apply_kernel(data, K)
+                    add(eq, part if scale == 1 else part * scale)
         return accs
 
     def _forced(self, acc: np.ndarray, eq: int) -> np.ndarray:
@@ -742,7 +787,7 @@ def _order_fixed_point(rhs: np.ndarray, coupling, inv_p0: np.ndarray, what: str)
     def step(c):
         nxt = rhs.copy()
         for j, eq, K in coupling:
-            nxt[eq] += c[j] @ K.T
+            nxt[eq] += apply_kernel(c[j], K)
         nxt *= inv_p0
         return nxt
 
@@ -773,7 +818,10 @@ class OrderBlock:
     block is.  I - P(0)^(-1) B lies near the identity under the smallness
     budget.  A block whose contraction bound, the max-abs row-sum norm of
     P(0)^(-1) B in which the Picard run measures its updates, reaches 1 is
-    refused (DivergenceError), as the run there need not converge.
+    refused (DivergenceError), as the run there need not converge.  A block
+    whose entries are real, as with real b kernels and a real P(0), is
+    inverted and stored as float64 (`_real_if_exact`), and every inverse is
+    applied by `apply_kernel`.
     """
 
     @staticmethod
@@ -803,30 +851,30 @@ class OrderBlock:
                 f"contraction bound is {bound:.3g} >= 1, smallness condition violated")
         if spec.coeffs.triangular:
             self.full = None
-            self.diag = [None if (j, j) not in over_p0 else np.linalg.inv(
-                np.eye(n) - over_p0[(j, j)][:, None] * kernels.b[(j, j)]) for j in (0, 1)]
+            self.diag = [None if (j, j) not in over_p0 else np.linalg.inv(_real_if_exact(
+                np.eye(n) - over_p0[(j, j)][:, None] * kernels.b[(j, j)])) for j in (0, 1)]
             # omega_1's part of equation 0: K_(1,0) and its s / P(0)
             self.cross = (kernels.b[(1, 0)], over_p0.get((1, 0)))
         else:
             block = np.eye(2 * n, dtype=complex)
             for (j, eq), w in over_p0.items():
                 block[eq * n:(eq + 1) * n, j * n:(j + 1) * n] -= w[:, None] * kernels.b[(j, eq)]
-            self.full = np.linalg.inv(block)
+            self.full = np.linalg.inv(_real_if_exact(block))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The coefficients c (2, n_m) of one order from its right side but
         its b part, rhs (2, n_m)."""
         c = rhs * self.inv_p0
         if self.full is not None:
-            return (self.full @ c.ravel()).reshape(c.shape)
+            return apply_kernel(c.ravel(), self.full).reshape(c.shape)
         inv0, inv1 = self.diag
         if inv1 is not None:
-            c[1] = inv1 @ c[1]
+            c[1] = apply_kernel(c[1], inv1)
         K, w = self.cross
         if K is not None:
-            c[0] += w * (K @ c[1])
+            c[0] += w * apply_kernel(c[1], K)
         if inv0 is not None:
-            c[0] = inv0 @ c[0]
+            c[0] = apply_kernel(c[0], inv0)
         return c
 
 
@@ -919,7 +967,7 @@ class TaylorRecursion:
         for d, delta, shift, scale, dilation, K in self.terms:
             if d <= p and shift < n:
                 src = c[p - d][:, :n - shift]
-                h = (src.reshape(-1, self.m.size) @ K.T).reshape(src.shape)
+                h = apply_kernel(src, K)
                 h *= scale * dilation ** (p - d)
                 rhs[0, shift:n] += delta * h[1]
                 rhs[:, shift:n] += h
@@ -931,7 +979,7 @@ class TaylorRecursion:
         or, when block is given, one solve of that `OrderBlock` of the spec.
         what(p, e) names c_(p,e) in a DivergenceError."""
         if block is None:
-            coupling = [(j, eq, K if s == 1 else s * K)
+            coupling = [(j, eq, K if s == 1 else _real_if_exact(s * K))
                         for j, eq, shift, s, K in self.b if shift == 0]
             inv_p0 = 1.0 / self.p0
         c = []
@@ -940,7 +988,7 @@ class TaylorRecursion:
             for e in range(self.powers(p)):
                 for j, eq, shift, s, K in self.b:
                     if 1 <= shift <= e:
-                        c_p[eq, e] += s * (c_p[j, e - shift] @ K.T)
+                        c_p[eq, e] += s * apply_kernel(c_p[j, e - shift], K)
                 c_p[:, e] = (block.solve(c_p[:, e]) if block is not None else
                              _order_fixed_point(c_p[:, e], coupling, inv_p0, what(p, e)))
             c.append(c_p)

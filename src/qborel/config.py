@@ -12,12 +12,24 @@ from .errors import ConfigError
 
 REQUIRED = object()
 
+# the most characters of a refused value that a message echoes
+SHOWN_CHARS = 80
+
+
+def shown(x) -> str:
+    """repr(x) for a message, clipped to SHOWN_CHARS characters: a refused
+    value can be an integer of hundreds of digits or a long list."""
+    text = repr(x)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
 
 def as_int(x, key: str) -> int:
     """An int, or a float with an integral value."""
     if isinstance(x, bool) or not isinstance(x, (int, float)) \
             or (isinstance(x, float) and not x.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {x!r}")
+        raise ConfigError(f"{key} must be an integer, got {shown(x)}")
     return int(x)
 
 
@@ -31,7 +43,7 @@ def _finite(x) -> bool:
 
 def as_real(x, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x):
-        raise ConfigError(f"{key} must be finite and real, got {x!r}")
+        raise ConfigError(f"{key} must be finite and real, got {shown(x)}")
     return float(x)
 
 
@@ -39,14 +51,14 @@ def as_complex(x, key: str) -> complex:
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return complex(as_real(x[0], key), as_real(x[1], key))
     if isinstance(x, bool) or not isinstance(x, (int, float, complex)) or not _finite(x):
-        raise ConfigError(f"{key} must be finite, a number or [re, im], got {x!r}")
+        raise ConfigError(f"{key} must be finite, a number or [re, im], got {shown(x)}")
     return complex(x)
 
 
 def _typed(kind: type, what: str):
     def read(x, key: str):
         if not isinstance(x, kind):
-            raise ConfigError(f"{key} must be {what}, got {x!r}")
+            raise ConfigError(f"{key} must be {what}, got {shown(x)}")
         return x
     return read
 
@@ -58,14 +70,14 @@ def as_poly(x, key: str) -> np.ndarray:
     """Complex coefficients, low degree first, not all zero."""
     c = np.asarray([as_complex(v, key) for v in as_list(x, key)], dtype=complex)
     if not c.any():
-        raise ConfigError(f"{key} = {x!r} is the zero polynomial, which has no degree")
+        raise ConfigError(f"{key} = {shown(x)} is the zero polynomial, which has no degree")
     return c
 
 
 def as_range(x, key: str) -> tuple[float, float, int]:
     """(lo, hi, n) from [lo, hi, n] with n >= 2."""
     if not isinstance(x, list) or len(x) != 3 or as_int(x[2], f"{key} n") < 2:
-        raise ConfigError(f"{key} must be [lo, hi, n] with n >= 2, got {x!r}")
+        raise ConfigError(f"{key} must be [lo, hi, n] with n >= 2, got {shown(x)}")
     return as_real(x[0], key), as_real(x[1], key), int(x[2])
 
 
@@ -73,7 +85,7 @@ def as_points(x, key: str) -> list[tuple[complex, complex]]:
     """(t, z) pairs from [re t, im t, re z, im z] rows or [t, z] pairs."""
     rows = [p for p in as_list(x, key) if isinstance(p, list) and len(p) in (2, 4)]
     if len(rows) < len(x):
-        raise ConfigError(f"{key}: a point is [re t, im t, re z, im z] or [t, z], got {x!r}")
+        raise ConfigError(f"{key}: a point is [re t, im t, re z, im z] or [t, z], got {shown(x)}")
     # [re t, im t, re z, im z] rows of finite ints and floats as one array;
     # any other point, or an int too large for a float, takes the per-value
     # readers, which name what is wrong
@@ -122,7 +134,7 @@ class Key:
         for op, bound, holds in ((">", self.gt, operator.gt), (">=", self.ge, operator.ge),
                                  ("<", self.lt, operator.lt)):
             if bound is not None and not all(holds(v, bound) for v in ends):
-                raise ConfigError(f"{label} = {x!r} must be {op} {bound:g}"
+                raise ConfigError(f"{label} = {shown(x)} must be {op} {bound:g}"
                                   + " in modulus" * (self.kind == "complex"))
         return value
 

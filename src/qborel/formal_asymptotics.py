@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, build_grid, held_bottom,
-                           solve_held, taylor_at_origin)
+from .borel_solver import (GridSpec, OrderBlock, TaylorRecursion, apply_kernel, build_grid,
+                           held_bottom, solve_held, taylor_at_origin)
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import GoodCovering, admissible_r1, make_geometry
 from .problem_model import ProblemSpec
@@ -109,7 +109,7 @@ def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
         defect = (rec.p0 * c_p - rec.rhs(c, p))[:, :n]
         for j, eq, shift, s, K in rec.b:
             if shift < n:
-                defect[eq, shift:] -= s * (c_p[j, :n - shift] @ K.T)
+                defect[eq, shift:] -= s * apply_kernel(c_p[j, :n - shift], K)
         worst = max(worst, float(np.abs(defect).max()) / spec.q_power_factor(p))
     return worst
 

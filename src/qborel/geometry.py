@@ -251,6 +251,10 @@ def measure_c2(b, h_poly, mu: float, m_grid) -> float:
     return float(np.max((1.0 + np.abs(m)) ** mu * bv * integral))
 
 
+# radii per block of operator_constants' C1 scan
+C1_RADIUS_BLOCK = 32
+
+
 def operator_constants(spec: ProblemSpec, geom: SectorGeometry, consts: dict,
                        m_grid) -> dict:
     """Measured constants C1, C2 and the composed per-term bounds C3_l.
@@ -276,13 +280,20 @@ def operator_constants(spec: ProblemSpec, geom: SectorGeometry, consts: dict,
     out = {"C2_plain": measure_c2(np.full(m.size, 1.0 / math.sqrt(2 * math.pi)),
                                   [1.0], spec.mu, m),
            "inv_Q_sup": inv_q_sup, "C1": [], "C2": [], "C3": []}
-    pm_tau = spec.pm(tau, m)
+    radial = []
     for t in spec.terms:
         x = float(t.d) / spec.k - float(t.delta)
         wr = np.exp(weight_log(np.abs(tau + geom.delta))
                     - weight_log(np.abs(spec.q ** (-x) * tau + geom.delta)))
-        factor = np.abs(qi)[None, :] / np.abs(pm_tau) * (r ** t.d * wr)[:, None]
-        c1 = float(factor.max())
+        radial.append(r ** t.d * wr)
+    # the supremum over blocks of radii: |P_m(tau)| of one block at a time
+    # keeps the scan's arrays small on a fine m grid
+    block_maxima = []
+    for start in range(0, r.size, C1_RADIUS_BLOCK):
+        block = slice(start, start + C1_RADIUS_BLOCK)
+        q_over_pm = np.abs(qi)[None, :] / np.abs(spec.pm(tau[block], m))
+        block_maxima.append([(q_over_pm * w[block, None]).max() for w in radial])
+    for t, c1 in zip(spec.terms, np.max(block_maxima, axis=0).tolist()):
         c2 = measure_c2(1.0 / (math.sqrt(2 * math.pi) * np.abs(qi)), t.R, spec.mu, m)
         disc_part = (1.0 / (1.0 - 2.0 ** (-spec.dD)) if spec.dD > 0 else 1.0) \
             * geom.rho ** t.d * math.exp(consts["D4"])

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import FIELDS, as_complex, as_int, as_mapping, as_poly, as_real, read_keys
+from .config import FIELDS, as_complex, as_int, as_mapping, as_poly, as_real, read_keys, shown
 from .errors import ConfigError
 from .special_functions import m_weight
 
@@ -232,7 +232,7 @@ class ProblemSpec:
                 key = f"terms[{len(terms)}]"
                 num, den = (as_int(v, f"{key} delta") for v in t["delta"])
                 if den == 0:
-                    raise ConfigError(f"delta {t['delta']!r} has a zero denominator")
+                    raise ConfigError(f"delta {shown(t['delta'])} has a zero denominator")
                 terms.append(LowerOrderTerm(
                     d=as_int(t["d"], f"{key} d"), Delta=as_int(t["Delta"], f"{key} Delta"),
                     delta=Fraction(num, den), R=as_poly(t["R"], f"{key} R"),

@@ -52,6 +52,10 @@ THETA_TOL = 1e-12
 # on a zero of theta
 ZERO_LATTICE_ULPS = 8
 
+# samples per block of theta_scaled: a block's term arrays, 2P + 2 terms per
+# sample (88 at k = 13, q = 2), fit in a core's L2 cache
+THETA_BLOCK = 256
+
 
 def theta_scaled(z, q: float, k: int = 1):
     """Evaluate theta as (scaled, log_scale) with theta = scaled * exp(log_scale).
@@ -63,7 +67,9 @@ def theta_scaled(z, q: float, k: int = 1):
     parabola peaking at p* = 1/2 + k ln|z| / ln q; a half width P with
     (ln q / 2k) P^2 > |ln THETA_TOL| + margin bounds the discarded tail.  Each
     sample sums its own 2P + 2 indices from floor(p*) - P, so a sample's
-    value does not depend on the others it is evaluated with.
+    value does not depend on the others it is evaluated with, and the
+    samples are summed THETA_BLOCK at a time into preallocated outputs: the
+    term arrays of one block stay small however many samples a call has.
     """
     zs = np.asarray(z, dtype=complex)
     if np.any(zs == 0):
@@ -72,28 +78,37 @@ def theta_scaled(z, q: float, k: int = 1):
         raise DomainError("theta requires finite arguments")
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    log_abs = np.log(np.abs(zs))
-    arg = np.angle(zs)
+    log_abs = np.log(np.abs(zs)).ravel()
+    arg = np.angle(zs).ravel()
     lnq = math.log(q)
-
     half = math.ceil(math.sqrt(2.0 * k * (abs(math.log(THETA_TOL)) + 16.0) / lnq)) + 2
+    total = np.empty(log_abs.size, dtype=complex)
+    scale = np.empty(log_abs.size)
+    for start in range(0, log_abs.size, THETA_BLOCK):
+        block = slice(start, start + THETA_BLOCK)
+        _theta_block(log_abs[block], arg[block], lnq, k, half, total[block], scale[block])
+    if scalar:
+        return complex(total[0]), float(scale[0])
+    return total.reshape(zs.shape), scale.reshape(zs.shape)
+
+
+def _theta_block(log_abs, arg, lnq: float, k: int, half: int, total, scale):
+    """theta_scaled on one block of samples, given by log|z| and arg z and
+    written into the block's slices total and scale of the outputs."""
     p_star = 0.5 + k * log_abs / lnq
-    p = (np.floor(p_star) - half)[..., None] + np.arange(2 * half + 2, dtype=float)
+    p = (np.floor(p_star) - half)[:, None] + np.arange(2 * half + 2, dtype=float)
     # log-magnitude and phase of each term, per evaluation point
-    logmag = -p * (p - 1.0) * lnq / (2.0 * k) + log_abs[..., None] * p
-    scale = logmag.max(axis=-1)
+    logmag = -p * (p - 1.0) * lnq / (2.0 * k) + log_abs[:, None] * p
+    logmag.max(axis=-1, out=scale)
     # exp(logmag - scale + i arg p), built and exponentiated in one complex
     # array; adding 0.0 turns a -0.0 phase into +0.0, as the complex sum
     # logmag - scale + 1j * (arg p) does, so every term keeps its bits
     terms = np.empty(logmag.shape, dtype=complex)
-    np.subtract(logmag, scale[..., None], out=terms.real)
-    np.multiply(arg[..., None], p, out=terms.imag)
+    np.subtract(logmag, scale[:, None], out=terms.real)
+    np.multiply(arg[:, None], p, out=terms.imag)
     terms.imag += 0.0
     np.exp(terms, out=terms)
-    total = terms.sum(axis=-1)
-    if scalar:
-        return complex(total[0]), float(scale[0])
-    return total, scale
+    terms.sum(axis=-1, out=total)
 
 
 def inv_theta(z, q: float, k: int = 1):

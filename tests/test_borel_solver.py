@@ -656,3 +656,71 @@ def test_taylor_rung_is_the_lower_of_the_top_and_the_arc_rung(problem_dict):
         assert line.taylor_rung() == want
         *_, picard = solve_held(spec, 0.015, line, coef)
         assert (picard is None) == (top <= g_arc)
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+def test_shipped_kernels_and_order_block_inverses_are_real(name):
+    # every shipped symbol has an even real m part and a real R_l(i m), so
+    # each kernel, and each inverse of the Taylor orders' b block, is stored
+    # as float64 and applied as one real product
+    from pathlib import Path
+
+    from qborel.cli import load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    m = rc.gspec.m_grid()
+    kernels = borel_solver.SymbolKernels.of(rc.spec, m)
+    stored = [*kernels.terms, *(K for K in kernels.b.values() if K is not None)]
+    block = borel_solver.OrderBlock(rc.spec, m)
+    stored += [inv for inv in block.diag if inv is not None]
+    assert len(stored) == 6
+    assert all(K.dtype == np.float64 for K in stored), [K.dtype for K in stored]
+
+
+@pytest.mark.parametrize("shape", [(241,), (25, 161), (206, 241), (2, 3, 161)])
+def test_real_kernel_product_matches_the_complex_one(shape):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    K = rng.standard_normal((shape[-1], shape[-1]))
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = borel_solver.apply_kernel(data, K)
+    want = data @ K.astype(complex).T
+    assert got.shape == want.shape and got.dtype == complex
+    gap = np.abs(got - want).max(axis=-1)
+    assert np.all(gap <= 1e-15 * np.linalg.norm(want, axis=-1)), gap.max()
+    # a complex kernel, or real data, takes the product as it is
+    Kc = K + 1j * rng.standard_normal(K.shape)
+    assert np.array_equal(borel_solver.apply_kernel(data, Kc), data @ Kc.T)
+    assert np.array_equal(borel_solver.apply_kernel(data.real, K), data.real @ K.T)
+
+
+def test_complex_term_kernel_solves_as_every_kernel_cast_to_complex(problem_dict, monkeypatch):
+    # an odd coefficient in the term's R makes R(i m) complex: its kernel
+    # stays complex while the b kernels are real, and the mixed products
+    # give the rows that complex kernels throughout give; wide b symbols
+    # make the b products count in every row
+    problem_dict["terms"][0]["R"] = [0.25, 0.1, 0.25]
+    wide = {"num": [0.05], "gauss": 0.02}
+    problem_dict["coeffs"].update(b00=wide, b10=wide, b11=wide)
+    spec = ProblemSpec.from_dict(problem_dict)
+    geom = make_geometry(spec, d=0.0, m_grid=GEOMETRY_M_GRID)
+    grid = BorelGrid(spec.q, 13, geom.rho, geom.delta, 0.0, np.linspace(-12.0, 12.0, 161),
+                     -60, 10)
+    kernels = borel_solver.SymbolKernels.of(spec, grid.m)
+    assert kernels.terms[0].dtype == complex
+    assert all(K.dtype == np.float64 for K in kernels.b.values() if K is not None)
+    mixed = solve_triangular(spec, 0.015, grid)
+
+    build = borel_solver.SymbolKernels.build.__func__
+
+    def complex_build(cls, spec, m):
+        kernels = build(cls, spec, m)
+        return cls(terms=tuple(K.astype(complex) for K in kernels.terms),
+                   b={jk: None if K is None else K.astype(complex)
+                      for jk, K in kernels.b.items()})
+
+    monkeypatch.setattr(borel_solver.SymbolKernels, "build", classmethod(complex_build))
+    spec = ProblemSpec.from_dict(problem_dict)
+    assert borel_solver.SymbolKernels.of(spec, grid.m).b[(0, 0)].dtype == complex
+    cast = solve_triangular(spec, 0.015, grid)
+    for got, want in zip(mixed[:2], cast[:2]):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -214,6 +214,8 @@ def test_setting_unread_by_the_verb_is_65(tmp_path, capsys, verb, override, key)
     assert run(verb, path, str(tmp_path / "out")) == 65
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    # a refused value is echoed clipped, however long it is
+    assert all(len(line) < 200 for line in err.splitlines()), err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qborel.errors import DomainError
 from qborel.special_functions import (
+    THETA_BLOCK,
     THETA_TOL,
     WeightParams,
     expq_weight,
@@ -70,13 +72,29 @@ def theta_shared_window(z, q, k):
 
 
 def test_theta_sample_does_not_depend_on_its_batch():
-    # the radial line of a q-Laplace sum: p* spans about 370 indices
+    # the radial line of a q-Laplace sum: p* spans about 370 indices, over
+    # more than three blocks of samples, given as a 2-d batch
     q, k = 2.0, 13
-    z = 0.004 * 2.0 ** (np.arange(340) / 12) * np.exp(0.3j)
-    scaled, log_scale = theta_scaled(z, q, k)
+    n = 3 * THETA_BLOCK + 36
+    z = 0.004 * 2.0 ** (np.arange(n) * 340 / (12 * n)) * np.exp(0.3j)
+    scaled, log_scale = theta_scaled(z.reshape(4, -1), q, k)
+    assert scaled.shape == log_scale.shape == (4, n // 4)
     alone = [theta_scaled(zi, q, k) for zi in z]
-    assert np.array_equal(scaled, [s for s, _ in alone])
-    assert np.array_equal(log_scale, [ls for _, ls in alone])
+    assert np.array_equal(scaled.ravel(), [s for s, _ in alone])
+    assert np.array_equal(log_scale.ravel(), [ls for _, ls in alone])
+
+
+def test_theta_memory_stays_that_of_one_block():
+    # 4,096 arc samples: the term arrays of the whole batch would take
+    # about 11 MB, those of one block well under 1 MB
+    z = 3.7 * np.exp(1j * np.linspace(-3.0, 3.0, 4096))
+    tracemalloc.start()
+    try:
+        theta_scaled(z, 2.0, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_theta_on_a_circle_is_the_shared_window_sum():
@@ -226,7 +244,7 @@ def test_expq_norm_shape_mismatch_rejected(weight_params):
         expq_norm(np.zeros((3, 4)), np.zeros(2, dtype=complex), np.zeros(4), weight_params)
 
 
-@pytest.mark.parametrize("q,k", [(2.0, 1), (1.5, 2)])
+@pytest.mark.parametrize("q,k", [(2.0, 1), (1.5, 2), (2.0, 13)])
 def test_inv_theta_against_mpmath_direct_sum(q, k):
     # Oracle: 50-digit direct summation of the theta series, |z| from 1e-6
     # to 1e6 on four rays off the zero set (the negative real axis), and at
