@@ -45,6 +45,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
     "BorelGrid",
     "Dilation",
     "OperatorFactors",
+    "moved_part",
     "SolveReport",
     "radial_envelope_log",
     "build_grid",
@@ -221,11 +223,15 @@ class Dilation:
                          r * (r - r0) / (r1 * (r1 - r0))))
         return cls(src, np.array(coef, dtype=float).reshape(-1, 3).T)
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """The dilated copy of stacked samples data, (n_nodes + 1, n_m)."""
-        out = data[self.src]
-        if self.coef.size:
-            c0, c1, c2 = self.coef[:, :, None]
+    def apply(self, data: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """The dilated copy of stacked samples data, (n_nodes + 1, n_m), on
+        the stacked rows `rows` (a slice of step 1; all by default): a
+        block's rows are those of the whole copy, bit for bit."""
+        out = data[self.src[rows]]
+        # column j of coef is output row j: the columns of the rows kept
+        start = rows.indices(self.src.size)[0]
+        c0, c1, c2 = self.coef[:, start:start + out.shape[0], None]
+        if c0.size:
             out[:c0.shape[0]] = c0 * data[-1] + c1 * data[0] + c2 * data[1]
         return out
 
@@ -242,13 +248,22 @@ def rung_shifts(spec: ProblemSpec, N: int) -> tuple:
     return tuple(shifts)
 
 
+def moved_part(spec: ProblemSpec, tau: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """q^(...) R_D(im) tau^dD at the stacked points tau, (tau.size, n_m):
+    the part of the right side that the fixed point moves to the left."""
+    return spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)[None, :] \
+        * (tau ** spec.dD)[:, None]
+
+
 @dataclass(frozen=True)
 class OperatorFactors:
     """Factors of the Borel operator that do not depend on eps, on the
-    stacked rows (nodes, then the centre tau = 0)."""
+    stacked rows (nodes, then the centre tau = 0), or on a block of them.
+    Every row of a factor is elementwise in its tau, so a block's factors
+    are those rows of the whole line's, bit for bit; the dilations gather
+    from the whole line either way."""
 
     inv_p: np.ndarray            # 1 / P_m(tau)
-    moved: np.ndarray            # q^(...) R_D(im) tau^dD
     hp: np.ndarray               # (dD/k) q^(...) R_D(im) tau^dD
     q_im: np.ndarray             # Q(im), (n_m,)
     shifts: tuple                # rung shift of each term
@@ -256,18 +271,23 @@ class OperatorFactors:
     dilations: tuple             # Dilation of each term
 
     @classmethod
-    def build(cls, spec: ProblemSpec, grid: BorelGrid) -> "OperatorFactors":
+    def build(cls, spec: ProblemSpec, grid: BorelGrid,
+              rows: slice = slice(None)) -> "OperatorFactors":
+        """The factors on the stacked rows `rows` of grid (all by default)."""
         m = grid.m
-        tau = grid.stacked_tau
-        moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)[None, :] \
-            * (tau ** spec.dD)[:, None]
+        tau = grid.stacked_tau[rows]
         shifts = rung_shifts(spec, grid.N)
-        return cls(inv_p=1.0 / spec.pm(tau, m), moved=moved,
-                   hp=(spec.dD / spec.k) * moved, q_im=polyval_im(spec.Q, m),
+        return cls(inv_p=1.0 / spec.pm(tau, m),
+                   hp=(spec.dD / spec.k) * moved_part(spec, tau, m), q_im=polyval_im(spec.Q, m),
                    shifts=shifts,
                    prefs=tuple(spec.q_power_factor(t.d) * (tau ** t.d)[:, None]
                                for t in spec.terms),
                    dilations=tuple(grid.dilation(s) for s in shifts))
+
+    def rows(self, rows: slice) -> "OperatorFactors":
+        """These factors on the stacked rows `rows` of theirs, as views."""
+        return replace(self, inv_p=self.inv_p[rows], hp=self.hp[rows],
+                       prefs=tuple(p[rows] for p in self.prefs))
 
 
 def _weighted_sup(data: np.ndarray, weights: np.ndarray) -> float:
@@ -359,8 +379,15 @@ def _real_if_exact(K: np.ndarray) -> np.ndarray:
 
 
 # data rows per real GEMM of apply_kernel: one chunk's transposed copy is the
-# product's only temporary, however long the line
+# product's only temporary, however long the line.  The passes of
+# SolverContext walk a line in blocks of as many stacked rows, so that each
+# block's kernel products are the GEMMs of one chunk
 KERNEL_ROWS = 64
+
+
+def _row_blocks(n: int) -> list:
+    """The slices of KERNEL_ROWS rows, the last one shorter, that cover n rows."""
+    return [slice(start, start + KERNEL_ROWS) for start in range(0, n, KERNEL_ROWS)]
 
 
 def apply_kernel(data: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -378,8 +405,7 @@ def apply_kernel(data: np.ndarray, K: np.ndarray) -> np.ndarray:
         return data @ K.T
     rows = data.reshape(-1, data.shape[-1])
     out_t = np.empty((K.shape[0], rows.shape[0]), dtype=complex)
-    for start in range(0, rows.shape[0], KERNEL_ROWS):
-        chunk = slice(start, start + KERNEL_ROWS)
+    for chunk in _row_blocks(rows.shape[0]):
         # K on the left: with the data on the left, OpenBLAS summed a row
         # differently as the row count changed, even at the 25 to 30 rows of
         # a family's Picard range, so rows that solves on different rung
@@ -440,32 +466,52 @@ class SolverContext:
     scalars of the terms and b symbols, over the grid's eps-independent
     OperatorFactors and the SymbolKernels of its m grid.
 
-    The coupled map of (omega_0, omega_1) is written once, in
-    `_contributions`, as what each unknown adds to the right side of each
-    equation before the division by P.  Every operator is a selection from
-    it: which unknowns and equations, whether the forcing or the moved
-    R_D tau^dD term is added, and whether the sum is divided by P.  Each
-    unknown and each image is a stacked complex array (n_nodes + 1, n_m):
-    the node samples, then the centre tau = 0 in the last row.
+    The coupled map of (omega_0, omega_1) is written once, in `_block`, as
+    what each unknown adds to the right side of each equation before the
+    division by P, on one block of stacked rows.  Every operator is a
+    selection from it: which unknowns and equations, whether the forcing or
+    the moved R_D tau^dD term is added, and whether the sum is divided by
+    P.  Each unknown and each image is a stacked complex array (n_nodes + 1,
+    n_m): the node samples, then the centre tau = 0 in the last row.
+
+    A pass walks the line in blocks of KERNEL_ROWS stacked rows, so its
+    temporaries are those of one block, however long the line.  The
+    operators of the Picard solves read the grid's cached whole-line
+    factors and the forcing, which every sweep reads, built on first use;
+    `undivided_residual` builds its factors and forcing block by block and
+    caches nothing.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex,
-                 forcing: bool = True):
-        """forcing=False leaves F None, for a caller of the linear part only."""
+    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
         if eps == 0:
             raise UsageError("the fixed point is defined for eps != 0")
         self.spec = spec
         self.grid = grid
         self.eps = complex(eps)
-        self.fac = grid.factors(spec)
-        self.F = [forcing_borel(spec, h, grid.stacked_tau, grid.m, eps)
-                  for h in (0, 1)] if forcing else None
         kernels = SymbolKernels.of(spec, grid.m)
         self.term_kernel, self.b_kernel = kernels.terms, kernels.b
-        # tau^d_l prefactor times the term's eps scalar
-        self.term_scale = [scalar * pref for scalar, pref
-                           in zip(term_scalars(spec, self.eps), self.fac.prefs)]
+        # each term's eps scalar, which its tau^d_l prefactor multiplies
+        self.term_eps = term_scalars(spec, self.eps)
         self.b_scale = b_scalars(spec, self.eps)
+
+    @cached_property
+    def fac(self) -> OperatorFactors:
+        """The grid's whole-line OperatorFactors of spec."""
+        return self.grid.factors(self.spec)
+
+    @cached_property
+    def F(self) -> list:
+        """The forcing of each equation on the stacked rows."""
+        return [forcing_borel(self.spec, h, self.grid.stacked_tau, self.grid.m, self.eps)
+                for h in (0, 1)]
+
+    @cached_property
+    def term_scale(self) -> list:
+        """Each term's tau^d_l prefactor times its eps scalar, (n_nodes + 1, 1)."""
+        return self._term_scale(self.fac)
+
+    def _term_scale(self, fac: OperatorFactors) -> list:
+        return [scalar * pref for scalar, pref in zip(self.term_eps, fac.prefs)]
 
     def modulus(self) -> "SolverContext":
         """A copy whose every factor is its modulus: |inv_p|, |hp|, the
@@ -484,11 +530,13 @@ class SolverContext:
         out.F = None
         return out
 
-    def _contributions(self, unknowns: dict, accs: dict) -> dict:
+    def _block(self, unknowns: dict, rows: slice, accs: dict, fac: OperatorFactors,
+               term_scale: list) -> dict:
         """Add in place to accs[eq], for each equation eq in accs, what the
-        unknowns {j: stacked samples of omega_j} add to the right side of
-        equation eq before the division by P.  An accumulator given as None
-        takes the first part as its buffer.
+        unknowns {j: stacked samples of omega_j} add on the stacked rows
+        `rows` to the right side of equation eq before the division by P.
+        fac and term_scale are the factors on those rows.  An accumulator
+        given as None takes the first part as its buffer.
 
         omega_j enters equation j through every term H_l, and omega_1 also
         enters equation 0 through delta_l H_l and the HP term, so each
@@ -506,9 +554,9 @@ class SolverContext:
         for source, data in unknowns.items():
             cross = source == 1 and 0 in accs
             if cross:
-                add(0, self.fac.hp * data)
-            for ell, (t, scale) in enumerate(zip(self.spec.terms, self.term_scale)):
-                h = apply_kernel(self.fac.dilations[ell].apply(data), self.term_kernel[ell])
+                add(0, fac.hp * data[rows])
+            for ell, (t, scale) in enumerate(zip(self.spec.terms, term_scale)):
+                h = apply_kernel(fac.dilations[ell].apply(data, rows), self.term_kernel[ell])
                 h *= scale
                 if cross:
                     add(0, float(t.delta) * h)
@@ -518,9 +566,28 @@ class SolverContext:
                 K = self.b_kernel[(source, eq)]
                 if K is not None:
                     scale = self.b_scale[(source, eq)]
-                    part = apply_kernel(data, K)
-                    add(eq, part if scale == 1 else part * scale)
+                    part = apply_kernel(data[rows], K)
+                    if scale != 1:
+                        part *= scale
+                    add(eq, part)
         return accs
+
+    def _contributions(self, unknowns: dict, eqs) -> dict:
+        """eq -> what the unknowns {j: stacked samples of omega_j} add to
+        the right side of equation eq before the division by P, for each eq
+        in eqs, as stacked arrays: one pass of `_block` per block of stacked
+        rows, over the cached whole-line factors, each block written into
+        the preallocated results."""
+        n = self.grid.n_nodes + 1
+        out = {}
+        for rows in _row_blocks(n):
+            accs = self._block(unknowns, rows, dict.fromkeys(eqs), self.fac.rows(rows),
+                               [s[rows] for s in self.term_scale])
+            for eq, acc in accs.items():
+                if eq not in out:
+                    out[eq] = np.empty((n, acc.shape[1]), dtype=acc.dtype)
+                out[eq][rows] = acc
+        return out
 
     def _forced(self, acc: np.ndarray, eq: int) -> np.ndarray:
         acc += self.F[eq]
@@ -538,36 +605,60 @@ class SolverContext:
         return self._divided(self.F[eq].copy())
 
     def apply_H(self, w0: np.ndarray, w1: np.ndarray):
-        accs = self._contributions({0: w0, 1: w1}, {0: None, 1: None})
+        accs = self._contributions({0: w0, 1: w1}, (0, 1))
         return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
 
-    def undivided_residual(self, w0: np.ndarray, w1: np.ndarray):
+    def undivided_residual(self, w0: np.ndarray, w1: np.ndarray, weights=None):
         """Q(im) omega_j minus the full right side, nodewise, with the
         q^(...) R_D tau^dD omega_j terms that the fixed point moves to the
-        left put back."""
+        left put back: the two defects as stacked arrays, or, given the
+        stacked weights, the larger of their weighted sups.
+
+        It streams: each block of stacked rows takes its forcing from
+        `forcing_borel` and its factors from `OperatorFactors.build` on the
+        block's tau, bit for bit the rows of the whole line's, so it builds
+        no whole-line forcing or factor and caches nothing on the grid.
+        Given weights, it keeps a running max and builds no whole-line
+        accumulator or defect either.
+        """
         ws = (w0, w1)
-        accs = self._contributions({0: w0, 1: w1},
-                                   {eq: self.F[eq] + self.fac.moved * w
-                                    for eq, w in enumerate(ws)})
-        return tuple(self.fac.q_im * w - accs[eq] for eq, w in enumerate(ws))
+        tau, m = self.grid.stacked_tau, self.grid.m
+        out = None if weights is not None else [np.empty(w.shape, dtype=complex) for w in ws]
+        sups = []
+        for rows in _row_blocks(self.grid.n_nodes + 1):
+            fac = OperatorFactors.build(self.spec, self.grid, rows)
+            moved = moved_part(self.spec, tau[rows], m)
+            accs = {}
+            for eq, w in enumerate(ws):
+                accs[eq] = forcing_borel(self.spec, eq, tau[rows], m, self.eps)
+                accs[eq] += moved * w[rows]
+            self._block({0: w0, 1: w1}, rows, accs, fac, self._term_scale(fac))
+            for eq, w in enumerate(ws):
+                defect = fac.q_im * w[rows]
+                defect -= accs[eq]
+                if out is None:
+                    sups.append(_weighted_sup(defect, weights[rows]))
+                else:
+                    out[eq][rows] = defect
+        return tuple(out) if out is not None else float(np.max(sups))
 
     # -- triangular blocks (b_01 = 0) -----------------------------------
 
     def apply_H1(self, w1: np.ndarray) -> np.ndarray:
         """Equation 1, which reads omega_1 alone."""
-        acc = self._contributions({1: w1}, {1: None})[1]
+        acc = self._contributions({1: w1}, (1,))[1]
         return self._divided(self._forced(acc, 1))
 
     def g_eps(self, w1: np.ndarray):
         """(g, apply_H1(w1)): equation 0's forcing and omega_1 part, fixed
         once omega_1 is, and equation 1's image of omega_1, from one pass
         that computes each H_l(omega_1) once for both."""
-        accs = self._contributions({1: w1}, {0: None, 1: None})
+        accs = self._contributions({1: w1}, (0, 1))
         return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
 
     def apply_H0(self, w0: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Equation 0 with its omega_1 part and forcing given as g."""
-        out = self._divided(self._contributions({0: w0}, {0: None})[0])
+        out = self._divided(self._contributions({0: w0}, (0,))[0])
         out += g
         return out
 
@@ -761,10 +852,10 @@ def contraction_bound(spec: ProblemSpec, eps: complex, grid: BorelGrid) -> float
     modulus, so the value stays an upper bound; below 1 it certifies that
     Picard converges.  `OrderBlock` bounds its block by the same row sums.
     """
-    ctx = SolverContext(spec, grid, eps, forcing=False).modulus()
+    ctx = SolverContext(spec, grid, eps).modulus()
     weights = grid.stacked_weights(spec)
     inverse = 1.0 / weights
-    accs = ctx._contributions({0: inverse, 1: inverse}, {0: None, 1: None})
+    accs = ctx._contributions({0: inverse, 1: inverse}, (0, 1))
     return max(_weighted_sup(ctx._divided(acc), weights) for acc in accs.values())
 
 

@@ -386,5 +386,5 @@ def forcing_borel(spec: ProblemSpec, h: int, tau, m, eps):
     mv = np.asarray(m, dtype=float)
     total = np.zeros(tau.shape + mv.shape, dtype=complex)
     for p, sym in powers.items():
-        total = total + np.multiply.outer(tau ** p, sym(mv, eps))
+        total += np.multiply.outer(tau ** p, sym(mv, eps))
     return total if total.ndim else complex(total)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel_solver import BorelGrid, SolverContext, _weighted_sup
+from .borel_solver import BorelGrid, SolverContext
 from .errors import DomainError, UsageError, ZeroRingError
 from .geometry import admissible_r1
 from .problem_model import ProblemSpec, polyval_im
@@ -359,10 +359,10 @@ def residual_borel(w0: np.ndarray, w1: np.ndarray, spec: ProblemSpec,
                    eps: complex, grid: BorelGrid) -> float:
     """Weighted norm of the defect of the two convolution equations,
     assembled in un-divided form Q(im) omega_j - RHS_j, for the stacked
-    samples w0 and w1 on grid."""
-    weights = grid.stacked_weights(spec)
-    residuals = SolverContext(spec, grid, eps).undivided_residual(w0, w1)
-    return max(_weighted_sup(r, weights) for r in residuals)
+    samples w0 and w1 on grid, streamed block by block
+    (`SolverContext.undivided_residual`)."""
+    return SolverContext(spec, grid, eps).undivided_residual(w0, w1,
+                                                             grid.stacked_weights(spec))
 
 
 def residual_physical(sol: LogSolution, spec: ProblemSpec, points) -> np.ndarray:

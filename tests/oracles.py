@@ -24,6 +24,10 @@ Fourier transform, an arc density independent of the Taylor recursion.
 `LogSolution.component` call, with its own Fourier sum, per term, and
 `line_trapezoid` (with `trapezoid_components`) sums the q-Laplace transform
 of a solved line by the theta-kernel trapezoid over its stored rows.
+`whole_line_operators` applies every `SolverContext` operator, the Borel
+residual and the contraction bound through `whole_line_contributions`, one
+pass of the coupled map over all rows of the line at once, the reference
+for the operators that walk the line in blocks of rows.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qborel.borel_solver import SolverContext, solve_coupled
+from qborel.borel_solver import SolverContext, apply_kernel, moved_part, solve_coupled
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.problem_model import polyval_im
@@ -217,6 +221,69 @@ def apply_Hl(ctx: SolverContext, w: np.ndarray, ell: int) -> np.ndarray:
 def apply_HP(ctx: SolverContext, w1: np.ndarray) -> np.ndarray:
     """The (dD/k) q^(...) R_D tau^dD omega_1 term of equation 0 over P."""
     return ctx.fac.hp * ctx.fac.inv_p * w1
+
+
+def whole_line_contributions(ctx: SolverContext, unknowns: dict, accs: dict) -> dict:
+    """Add in place to accs[eq], for each equation eq in accs, what the
+    unknowns {j: stacked samples of omega_j} add to the right side of
+    equation eq before the division by P, every row of the line at once; an
+    accumulator given as None takes the first part as its buffer.  Each
+    H_l(omega_j) is computed once and read by every equation that needs it."""
+    def add(eq, part):
+        if accs[eq] is None:
+            accs[eq] = part
+        else:
+            accs[eq] += part
+
+    for source, data in unknowns.items():
+        cross = source == 1 and 0 in accs
+        if cross:
+            add(0, ctx.fac.hp * data)
+        for ell, (t, scale) in enumerate(zip(ctx.spec.terms, ctx.term_scale)):
+            h = apply_kernel(ctx.fac.dilations[ell].apply(data), ctx.term_kernel[ell])
+            h *= scale
+            if cross:
+                add(0, float(t.delta) * h)
+            if source in accs:
+                add(source, h)
+        for eq in accs:
+            K = ctx.b_kernel[(source, eq)]
+            if K is not None:
+                scale = ctx.b_scale[(source, eq)]
+                part = apply_kernel(data, K)
+                add(eq, part if scale == 1 else part * scale)
+    return accs
+
+
+def whole_line_operators(ctx: SolverContext, w0: np.ndarray, w1: np.ndarray) -> dict:
+    """name -> what each operator of ctx gives on (w0, w1), apply_H0 with g
+    = w1, and the `residual_borel` and `contraction_bound` of its spec,
+    grid and eps, each from `whole_line_contributions`."""
+    def closed(accs, eqs):
+        return tuple((accs[eq] + ctx.F[eq]) * ctx.fac.inv_p for eq in eqs)
+
+    weights = ctx.grid.stacked_weights(ctx.spec)
+    moved = moved_part(ctx.spec, ctx.grid.stacked_tau, ctx.grid.m)
+    ws = (w0, w1)
+    accs = whole_line_contributions(ctx, {0: w0, 1: w1},
+                                    {eq: ctx.F[eq] + moved * w for eq, w in enumerate(ws)})
+    residual = tuple(ctx.fac.q_im * w - accs[eq] for eq, w in enumerate(ws))
+    h0 = whole_line_contributions(ctx, {0: w0}, {0: None})[0] * ctx.fac.inv_p
+    h0 += w1
+    modulus = ctx.modulus()
+    inverse = 1.0 / weights
+    bound = whole_line_contributions(modulus, {0: inverse, 1: inverse}, {0: None, 1: None})
+    return {
+        "apply_H": closed(whole_line_contributions(ctx, {0: w0, 1: w1}, {0: None, 1: None}),
+                          (0, 1)),
+        "apply_H1": closed(whole_line_contributions(ctx, {1: w1}, {1: None}), (1,))[0],
+        "g_eps": closed(whole_line_contributions(ctx, {1: w1}, {0: None, 1: None}), (0, 1)),
+        "apply_H0": h0,
+        "undivided_residual": residual,
+        "residual_borel": max(float(np.max(np.abs(r) * weights)) for r in residual),
+        "contraction_bound": max(float(np.max(np.abs(acc * modulus.fac.inv_p) * weights))
+                                 for acc in bound.values()),
+    }
 
 
 def theta_log_abs(z, q: float, k: int = 1):

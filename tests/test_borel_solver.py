@@ -21,8 +21,10 @@ from qborel.borel_solver import (
 from qborel.errors import DivergenceError, UsageError
 from qborel.geometry import make_geometry
 from qborel.problem_model import ProblemSpec, forcing_borel
+from qborel.solution_assembly import residual_borel
 from tests.conftest import GEOMETRY_M_GRID, disc_taylor_gap, kept_rows
-from tests.oracles import apply_HP, apply_Hl, contraction_probe, stacked, weighted_norm
+from tests.oracles import (apply_HP, apply_Hl, contraction_probe, stacked, weighted_norm,
+                           whole_line_operators)
 
 
 def test_grid_alignment_and_exact_dilation(golden):
@@ -675,6 +677,49 @@ def test_shipped_kernels_and_order_block_inverses_are_real(name):
     stored += [inv for inv in block.diag if inv is not None]
     assert len(stored) == 6
     assert all(K.dtype == np.float64 for K in stored), [K.dtype for K in stored]
+
+
+@pytest.fixture(scope="module")
+def example_line():
+    """The example config and the line its verbs solve on: 205 stacked rows
+    of 241 m nodes."""
+    from pathlib import Path
+
+    from qborel.cli import _line, load_config
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "configs" / "example_k13.json")
+    return rc, _line(rc, {})
+
+
+@pytest.mark.parametrize("rows", [205, borel_solver.KERNEL_ROWS + 1])
+def test_block_passes_keep_the_bits_of_the_whole_line_pass(example_line, rows):
+    # every operator walks the line in blocks of KERNEL_ROWS stacked rows;
+    # each block's kernel products are the GEMMs that the whole-line pass
+    # takes on its rows, and every elementwise step runs in the same order.
+    # The line of KERNEL_ROWS + 1 rows leaves the centre alone in its last
+    # block
+    rc, line = example_line
+    line = line.rung_range(line.g_hi - rows + 2, line.g_hi)
+    assert line.n_nodes + 1 == rows
+    rng = np.random.default_rng(rows)
+    shape = (rows, line.m.size)
+    w0, w1 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    want = whole_line_operators(SolverContext(rc.spec, line, rc.eps_solve), w0, w1)
+    ctx = SolverContext(rc.spec, line, rc.eps_solve)
+    got = {
+        "apply_H": ctx.apply_H(w0, w1), "apply_H1": ctx.apply_H1(w1), "g_eps": ctx.g_eps(w1),
+        "apply_H0": ctx.apply_H0(w0, w1),
+        "undivided_residual": ctx.undivided_residual(w0, w1),
+        "residual_borel": residual_borel(w0, w1, rc.spec, rc.eps_solve, line),
+        "contraction_bound": contraction_bound(rc.spec, rc.eps_solve, line),
+    }
+
+    def bits(value):
+        return [np.asarray(v).tobytes() for v in (value if isinstance(value, tuple) else (value,))]
+
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert bits(value) == bits(want[name]), name
 
 
 @pytest.mark.parametrize("shape", [(241,), (25, 161), (206, 241), (2, 3, 161)])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qborel.borel_solver import (GridSpec, build_grid, solve_coupled, solve_triangular,
                                  taylor_at_origin)
+from qborel import cli
 from qborel.cli import _covering, load_config
 from qborel.errors import DomainError, UsageError
 from qborel.formal_asymptotics import SolutionFamily, default_probes
@@ -326,6 +328,30 @@ def test_residual_borel_spike_sensitivity(golden):
         res = residual_borel(w0, golden["w1"], spec, golden["eps"], golden["grid"])
         assert res > base
         assert 1e-3 * h < res < 1e3 * h
+
+
+def test_residual_borel_memory_stays_that_of_one_block():
+    # the example's line: 205 stacked rows of 241 m nodes, 0.79 MB per
+    # complex line array.  The residual takes its forcing and factors block
+    # by block and keeps a running max, so its peak stays under four line
+    # arrays, and it leaves no factor or forcing cached on the grid
+    rc = load_config(CONFIG_DIR / "example_k13.json")
+    sol = cli._log_solution(rc, {})
+    grid = sol.grid
+    # it reads the grid's weights, which any solve on the grid caches
+    grid.stacked_weights(rc.spec)
+    cached = set(vars(grid))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        residual_borel(sol.w0, sol.w1, rc.spec, rc.eps_solve, grid)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.w0.shape == (205, 241)
+    assert peak - before < 3.2e6, peak - before
+    assert after - before < 1e5, after - before
+    assert set(vars(grid)) == cached
 
 
 def test_residual_borel_zero_problem(problem_dict):
