@@ -25,7 +25,9 @@ order at a time (`TaylorRecursion`, summed by `taylor_at_origin`).  Within
 an order only the b symbols couple, through a block that is the same for
 every order: each order is one Picard run, or, where many expansions
 share a block whose b symbols do not depend on eps (a `SolutionFamily`),
-one solve of the block inverted once (`OrderBlock`).
+one solve of the block inverted once (`OrderBlock`).  Several eps expand in
+one recursion whose eps axis holds them, so each order's kernel products and
+block solve serve every sample (`TaylorExpansions`).
 `solve_held` is the one solve path of every `LogSolution`: it sums a line's
 rows up to its Taylor rung (`BorelGrid.taylor_rung`: the arc rung, about
 rho/2, or the line's top if lower) from them and runs Picard only on the
@@ -78,6 +80,7 @@ __all__ = [
     "contraction_bound",
     "OrderBlock",
     "TaylorRecursion",
+    "TaylorExpansions",
     "taylor_at_origin",
     "taylor_values",
 ]
@@ -953,11 +956,15 @@ class OrderBlock:
             self.full = np.linalg.inv(_real_if_exact(block))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The coefficients c (2, n_m) of one order from its right side but
-        its b part, rhs (2, n_m)."""
+        """The coefficients c (2, ..., n_m) of one order from its right side
+        but its b part, rhs (2, ..., n_m): the middle axes, the samples of a
+        `TaylorRecursion.at_eps`, are solved in one product per inverse."""
         c = rhs * self.inv_p0
         if self.full is not None:
-            return apply_kernel(c.ravel(), self.full).reshape(c.shape)
+            # each sample's (c_0, c_1) as one row of 2 n_m
+            rows = np.moveaxis(c, 0, -2).reshape(c.shape[1:-1] + (-1,))
+            rows = apply_kernel(rows, self.full).reshape(rows.shape[:-1] + (2, -1))
+            return np.moveaxis(rows, -2, 0)
         inv0, inv1 = self.diag
         if inv1 is not None:
             c[1] = apply_kernel(c[1], inv1)
@@ -971,52 +978,67 @@ class OrderBlock:
 
 class TaylorRecursion:
     """The fixed point of SolverContext in monomials of tau.  Order p's
-    coefficient c_p, a (2, n_eps, n_m) array over eps powers, solves
+    coefficient c_p, a (2, n_eps, n_m) array along an eps axis, solves
     P(0) c_p = forcing_p + q_f R_D(im) c_(p-dD) + sum over the term entries
-    (d, delta, shift, scale, dilation, K) of scale dilation^(p-d) K c_(p-d)
+    (d, delta, shift, scales, dilation, K) of scale dilation^(p-d) K c_(p-d)
     + sum over the b entries (j, eq, shift, s, K) of s K c_(j,p), each entry
-    shift eps powers up; equation 0 also reads c_1, through (dD/k) R_D and
-    delta.  Every K is a `SymbolKernels` kernel of a symbol's m part, and the
-    symbol's eps polynomial enters as the scalars scale and s.  Assumption (A)
-    gives d >= 1, so within one eps power of one order only the shift-0 b
-    entries couple: one small fixed point each, a `_picard` run, or one
-    solve of an `OrderBlock`.  For dD = 0 the R_D part stays on the left, in
-    P(0) = Q(im) - q_f R_D(im).
+    shift places up the eps axis; equation 0 also reads c_1, through (dD/k)
+    R_D and delta.  Every K is a `SymbolKernels` kernel of a symbol's m part,
+    and the symbol's eps polynomial enters as the scalars scale and s.
+    Assumption (A) gives d >= 1, so within one place of one order only the
+    shift-0 b entries couple: one small fixed point each, a `_picard` run,
+    or one solve of an `OrderBlock`.  For dD = 0 the R_D part stays on the
+    left, in P(0) = Q(im) - q_f R_D(im).
 
-    `at_eps` is the Taylor series at tau = 0 at one eps (one eps power, the
-    symbols' eps polynomials evaluated at eps); `eps_series` is the formal
-    series, whose eps^n t^p coefficient is q^(p(p-1)/2k) c_(p,n-p).
+    `at_eps` is the Taylor series at tau = 0 at a list of eps: the eps axis
+    holds the samples, each with its own forcing and scalars (the symbols'
+    eps polynomials evaluated at it), and no entry shifts, so each kernel
+    product of an order, and its block solve, serves every sample at once,
+    while each sample's arithmetic is that of a recursion of its own.
+    `eps_series` is the formal series: the eps axis holds eps powers, one
+    scalar of each entry serves them all, and the series' eps^n t^p
+    coefficient is q^(p(p-1)/2k) c_(p,n-p).
     """
 
     def __init__(self, spec: ProblemSpec, m: np.ndarray, eps_parts, terms: list,
-                 b: list, degree: int | None = None):
-        """eps_parts(sym) lists a forcing symbol's m data by eps power; terms
-        holds (LowerOrderTerm, eps shift, eps factor, K), b (j, eq, shift, s, K)."""
+                 b: list, degree: int | None = None, samples: int = 1):
+        """eps_parts(sym) lists a forcing symbol's m data along the eps axis,
+        terms holds (LowerOrderTerm, eps shift, eps factors, K), b (j, eq,
+        shift, s, K).  The factors and s are tuples: with degree None, one
+        per sample, the eps axis's places; otherwise one for every eps power
+        up to degree."""
         if any(t.d < 1 for t in spec.terms):
             raise ConfigError("Assumption (A) violated: d_l <= k delta_l")
         self.spec, self.m, self.b, self.degree = spec, m, b, degree
-        self.n_eps = 1 if degree is None else degree + 1
+        self.n_eps = samples if degree is None else degree + 1
         self.forcing = {p: np.zeros((2, self.n_eps, m.size), dtype=complex)
                         for h in (0, 1) for p in spec.forcing.powers(h)}
         for h in (0, 1):
             for p, sym in spec.forcing.powers(h).items():
                 parts = eps_parts(sym)[:self.n_eps]
                 self.forcing[p][h, :len(parts)] = parts
-        self.terms = [(t.d, float(t.delta), shift, factor * spec.q_power_factor(t.d),
+        self.terms = [(t.d, float(t.delta), shift,
+                       tuple(factor * spec.q_power_factor(t.d) for factor in factors),
                        spec.q ** -(t.d / spec.k - float(t.delta)), K)
-                      for t, shift, factor, K in terms]
+                      for t, shift, factors, K in terms]
         self.moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)
         self.p0 = spec.pm(0.0, m)
+        # the farthest order back that an order's right side reads
+        self.reach = max([spec.dD] + [t.d for t in spec.terms])
 
     @classmethod
-    def at_eps(cls, spec: ProblemSpec, m: np.ndarray, eps: complex) -> "TaylorRecursion":
-        """At one eps: the kernels of the m grid with the eps scalars at eps."""
+    def at_eps(cls, spec: ProblemSpec, m: np.ndarray, eps) -> "TaylorRecursion":
+        """At the samples eps, a sequence: the kernels of the m grid with
+        each sample's eps scalars."""
         kernels = SymbolKernels.of(spec, m)
-        return cls(spec, m, lambda sym: [sym(m, eps)],
-                   [(t, 0, scalar, K) for t, scalar, K
-                    in zip(spec.terms, term_scalars(spec, eps), kernels.terms)],
-                   [(j, eq, 0, s, kernels.b[(j, eq)])
-                    for (j, eq), s in b_scalars(spec, eps).items()])
+        scalars = [term_scalars(spec, e) for e in eps]
+        b = [b_scalars(spec, e) for e in eps]
+        return cls(spec, m, lambda sym: [sym(m, e) for e in eps],
+                   [(t, 0, tuple(s[i] for s in scalars), K)
+                    for i, (t, K) in enumerate(zip(spec.terms, kernels.terms))],
+                   [(j, eq, 0, tuple(s[(j, eq)] for s in b), K)
+                    for (j, eq), K in kernels.b.items() if K is not None],
+                   samples=len(eps))
 
     @classmethod
     def eps_series(cls, spec: ProblemSpec, m: np.ndarray, degree: int) -> "TaylorRecursion":
@@ -1035,13 +1057,14 @@ class TaylorRecursion:
             return [(a, complex(c)) for a, c in enumerate(sym.eps_poly[:degree + 1]) if c != 0]
 
         return cls(spec, m, lambda sym: [part(m) for part in split(sym)],
-                   [(t, t.Delta - t.d + a, c, K)
+                   [(t, t.Delta - t.d + a, (c,), K)
                     for t, K in zip(spec.terms, kernels.terms) for a, c in powers(t.C)],
-                   [(j, eq, a, c, K) for (j, eq), K in kernels.b.items() if K is not None
+                   [(j, eq, a, (c,), K) for (j, eq), K in kernels.b.items() if K is not None
                     for a, c in powers(spec.coeffs.b[(j, eq)])], degree)
 
     def powers(self, p: int) -> int:
-        """How many eps powers order p solves: all, or those up to eps^(degree-p)."""
+        """How many places of the eps axis order p solves: all, or those up
+        to eps^(degree-p)."""
         return self.n_eps if self.degree is None else max(0, self.degree + 1 - p)
 
     def rhs(self, c: list, p: int) -> np.ndarray:
@@ -1055,65 +1078,119 @@ class TaylorRecursion:
             low = self.moved * c[p - spec.dD][:, :n]
             rhs[0, :n] += (spec.dD / spec.k) * low[1]
             rhs[:, :n] += low
-        for d, delta, shift, scale, dilation, K in self.terms:
+        for d, delta, shift, scales, dilation, K in self.terms:
             if d <= p and shift < n:
                 src = c[p - d][:, :n - shift]
                 h = apply_kernel(src, K)
-                h *= scale * dilation ** (p - d)
+                # one scale per sample, or one for every eps power
+                h *= np.array([s * dilation ** (p - d) for s in scales])[:, None]
                 rhs[0, shift:n] += delta * h[1]
                 rhs[:, shift:n] += h
         return rhs
 
-    def orders(self, what, block: OrderBlock | None = None):
+    def orders(self, what, block: OrderBlock | None = None, live: list | None = None):
         """Yield c_0, c_1, ...: after the b entries of shift >= 1 add the
-        lower powers of its order, each eps power is one `_order_fixed_point`,
-        or, when block is given, one solve of that `OrderBlock` of the spec.
-        what(p, e) names c_(p,e) in a DivergenceError."""
+        lower powers of its order, each place of the eps axis is one
+        `_order_fixed_point`, or, when block is given (for an `at_eps`
+        recursion, whose entries do not shift), the whole order is one solve
+        of that `OrderBlock` of the spec.  live, a list of flags over the eps
+        axis that the caller may clear between orders, zeroes the places
+        whose flag is clear instead of solving them.  what(p, e) names
+        c_(p,e) in a DivergenceError.  Only the last `reach` orders, which
+        the next right side reads, are kept."""
         if block is None:
-            coupling = [(j, eq, K if s == 1 else _real_if_exact(s * K))
-                        for j, eq, shift, s, K in self.b if shift == 0]
+            # the shift-0 b entries at each sample's scalars, or at the one
+            # scalar of every eps power, scaled once
+            coupling = [[(j, eq, K if s[i] == 1 else _real_if_exact(s[i] * K))
+                         for j, eq, shift, s, K in self.b if shift == 0]
+                        for i in range(self.n_eps if self.degree is None else 1)]
             inv_p0 = 1.0 / self.p0
         c = []
         for p in itertools.count():
             c_p = self.rhs(c, p)
             for e in range(self.powers(p)):
+                if live is not None and not live[e]:
+                    c_p[:, e] = 0.0
+                    continue
                 for j, eq, shift, s, K in self.b:
                     if 1 <= shift <= e:
-                        c_p[eq, e] += s * apply_kernel(c_p[j, e - shift], K)
-                c_p[:, e] = (block.solve(c_p[:, e]) if block is not None else
-                             _order_fixed_point(c_p[:, e], coupling, inv_p0, what(p, e)))
+                        c_p[eq, e] += s[0] * apply_kernel(c_p[j, e - shift], K)
+                if block is None:
+                    c_p[:, e] = _order_fixed_point(
+                        c_p[:, e], coupling[e if self.degree is None else 0], inv_p0,
+                        what(p, e))
+            if block is not None:
+                c_p = block.solve(c_p)
             c.append(c_p)
+            if p >= self.reach:
+                c[p - self.reach] = None
             yield c_p
 
 
-def taylor_at_origin(spec: ProblemSpec, eps: complex, m: np.ndarray,
-                     radius: float, block: OrderBlock | None = None) -> np.ndarray:
+@dataclass
+class TaylorExpansions:
+    """The Taylor series at tau = 0 of the samples eps from one recursion
+    (`taylor_at_origin`): series[i] lists sample i's coefficients order by
+    order, (2, n_m) arrays, up to its stopping order stops[i], until the
+    sample is taken."""
+
+    eps: list
+    stops: list
+    series: list
+
+    def holds(self, eps: complex) -> bool:
+        """Whether the series of eps is here and not yet taken."""
+        return eps in self.eps and self.series[self.eps.index(eps)] is not None
+
+    def take(self, eps: complex) -> np.ndarray:
+        """The coefficients of eps, a (2, orders, n_m) array stacked from its
+        orders, which are then let go."""
+        i = self.eps.index(eps)
+        coef = np.stack(self.series[i], axis=1)
+        self.series[i] = None
+        return coef
+
+
+def taylor_at_origin(spec: ProblemSpec, eps, m: np.ndarray,
+                     radius: float, block: OrderBlock | None = None):
     """Taylor coefficients c_{j,n}(m) of (omega_0, omega_1) at tau = 0, the
-    orders of `TaylorRecursion.at_eps`, as a (2, orders, n_m) array.  Each
-    order is one Picard run, or, when block is given, one solve of that
-    OrderBlock of spec, shared by every expansion.  The sum stops once the
-    terms of the last max(dD, d_l) orders at |tau| = radius fall below
-    TAYLOR_RTOL of the largest; a series that has not by order
-    TAYLOR_MAX_ORDER raises DivergenceError."""
-    if eps == 0:
+    orders of `TaylorRecursion.at_eps`: at one eps a (2, orders, n_m) array,
+    at a sequence of eps their `TaylorExpansions`, from one recursion whose
+    kernel products serve every sample, each sample's orders copied out of
+    the recursion's as they come.  Each order is one Picard run per
+    sample, or, when block is given, one solve of that OrderBlock of spec,
+    shared by every expansion, for all samples.  A sample's sum stops once
+    its terms of the last max(dD, d_l) orders at |tau| = radius fall below
+    TAYLOR_RTOL of its largest; the recursion runs until every sample has
+    stopped, and one that has not by order TAYLOR_MAX_ORDER raises
+    DivergenceError."""
+    one = np.ndim(eps) == 0
+    samples = [complex(eps)] if one else [complex(e) for e in eps]
+    if 0 in samples:
         raise UsageError("the fixed point is defined for eps != 0")
     m = np.asarray(m, dtype=float)
-    rec = TaylorRecursion.at_eps(spec, m, complex(eps))
+    rec = TaylorRecursion.at_eps(spec, m, samples)
     last_forced = max(rec.forcing, default=0)
-    reach = max([spec.dD] + [t.d for t in spec.terms])
-    orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0", block)
-    c = []
-    peak, quiet = 0.0, 0
+    live = [True] * len(samples)
+    orders = rec.orders(lambda n, _: f"the order-{n} Taylor coefficients at tau = 0",
+                        block, live)
+    series = [[] for _ in samples]
+    stops, peak, quiet = [0] * len(samples), [0.0] * len(samples), [0] * len(samples)
     for n, c_n in zip(range(TAYLOR_MAX_ORDER + 1), orders):
-        c.append(c_n[:, 0])
-        size = float(np.abs(c_n).max()) * radius ** n
-        if not math.isfinite(size):
-            raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 "
-                                  f"are not finite ({size})")
-        peak = max(peak, size)
-        quiet = quiet + 1 if size <= TAYLOR_RTOL * peak else 0
-        if n >= last_forced and quiet >= reach:
-            return np.stack(c, axis=1)
+        sizes = (np.abs(c_n).max(axis=(0, 2)) * radius ** n).tolist()
+        for i in itertools.compress(range(len(samples)), live):
+            series[i].append(c_n[:, i].copy())
+            size = sizes[i]
+            if not math.isfinite(size):
+                raise DivergenceError(f"the order-{n} Taylor coefficients at tau = 0 "
+                                      f"are not finite ({size})")
+            peak[i] = max(peak[i], size)
+            quiet[i] = quiet[i] + 1 if size <= TAYLOR_RTOL * peak[i] else 0
+            if n >= last_forced and quiet[i] >= rec.reach:
+                live[i], stops[i] = False, n
+        if not any(live):
+            expansions = TaylorExpansions(samples, stops, series)
+            return expansions.take(samples[0]) if one else expansions
     raise DivergenceError(
         f"the Taylor series of omega at tau = 0 does not converge at |tau| = "
         f"{radius:.4g} by order {TAYLOR_MAX_ORDER}")

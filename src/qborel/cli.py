@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 assumption/geometry failure (witness file written),
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import json
 import math
 import sys
@@ -95,6 +95,11 @@ def load_config(path: str | Path, output_dir: str | None = None) -> RunConfig:
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
 
+# the values that "%.17g" writes as _fmt does: complex ones take two columns,
+# and numpy integers are written by str
+_REAL = (int, float, np.floating)
+
+
 def _fmt(x) -> str:
     if isinstance(x, complex):
         return f"{x.real:.17g},{x.imag:.17g}"
@@ -102,8 +107,17 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """header, then one line per row of the sized rows: a number as `_fmt`
+    writes it (a complex one as two columns), anything else as str.  Rows
+    of one width whose values are all real numbers are formatted by one
+    "%.17g,...\\n" string, which writes the same bytes as `_fmt`."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        widths = set(map(len, rows))
+        values = tuple(itertools.chain.from_iterable(rows))
+        if len(widths) == 1 and all(issubclass(kind, _REAL) for kind in set(map(type, values))):
+            fh.write((",".join(["%.17g"] * widths.pop()) + "\n") * len(rows) % values)
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, (int, float, complex,
                                                         np.floating, np.complexfloating))
@@ -433,6 +447,9 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
 
 
 def main(argv=None) -> int:
+    # imported here, so that a verb run through `run` does not load it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qborel",
         description="Analytic and formal solutions of a singularly perturbed "

@@ -12,9 +12,11 @@ small Picard run, stopped by the one rule of every Picard run
 
 The analytic solutions of a covering (`SolutionFamily`) take one Taylor
 expansion at tau = 0 per eps, summed to the lines' Taylor rung
-(`BorelGrid.taylor_rung`); when no b symbol depends on eps, their orders
-share one b block inverted once per family (`borel_solver.OrderBlock`),
-and otherwise each order is a Picard run.  The remainder check takes every
+(`BorelGrid.taylor_rung`); each fit expands all of its eps in one recursion,
+whose kernel products serve every sample (`SolutionFamily.expand`).  When
+no b symbol depends on eps, their orders share one b block inverted once
+per family (`borel_solver.OrderBlock`), and otherwise each order is a
+Picard run per sample.  The remainder check takes every
 partial sum of a probe from one Fourier sum (`evaluate_formal`).
 """
 
@@ -109,7 +111,7 @@ def formal_residual(series: FormalSeries, spec: ProblemSpec, N: int) -> float:
         defect = (rec.p0 * c_p - rec.rhs(c, p))[:, :n]
         for j, eq, shift, s, K in rec.b:
             if shift < n:
-                defect[eq, shift:] -= s * apply_kernel(c_p[j, :n - shift], K)
+                defect[eq, shift:] -= s[0] * apply_kernel(c_p[j, :n - shift], K)
         worst = max(worst, float(np.abs(defect).max()) / spec.q_power_factor(p))
     return worst
 
@@ -134,8 +136,8 @@ class SolutionFamily:
     The densities are one analytic function on the disc D(0, rho), which
     every sector shares, continued along each sector's ray beyond it.
     `at(p, eps)` solves sector p's line (`_line`).  One Taylor expansion at
-    tau = 0 per eps (`_taylor`, summed to the radius of the lines' arc rung
-    g_arc, about rho/2) is that function on the disc: every solution carries
+    tau = 0 per eps (summed to the radius of the lines' arc rung g_arc,
+    about rho/2) is that function on the disc: every solution carries
     it as `LogSolution.taylor`, which sums it on the ray of each component
     below g_arc and on the arc of a sector difference, and `arc_orders`
     records the highest order of each.  Above g_arc the line holds Picard
@@ -148,12 +150,18 @@ class SolutionFamily:
     reads, down to TAIL_REACH rungs below g_arc.  The Picard range is one
     grid per sector for the family's life, so its operator factors are
     built once, and every grid of the family reads the kernels of the one
-    m grid (`SymbolKernels`), with eps entering as scalars.  When no b
-    symbol depends on eps, each order of an expansion is one solve of the
-    family's `OrderBlock`, inverted once, at the first expansion; otherwise
-    each order is one Picard run.  Only the last eps's expansion and
-    solutions are kept, so the family's memory does not grow with the
-    samples.
+    m grid (`SymbolKernels`), with eps entering as scalars.
+
+    `expand(eps_values)` expands a fit's eps in one recursion
+    (`borel_solver.taylor_at_origin`): each order is one kernel product per
+    term and, when no b symbol depends on eps, one solve of the family's
+    `OrderBlock` (inverted once, at the first expansion) for every sample;
+    otherwise it is one Picard run per sample.  `at` expands an eps that
+    the family does not hold on its own.  The family holds one fit's
+    expansions, each sample's orders apart, and stacks an eps's
+    coefficients from its orders when that eps is solved (`_taylor`), then
+    lets the orders go.  Only the last eps's coefficients and solutions are
+    kept, so the family's memory falls as a fit's samples are solved.
 
     A solution's rows agree with those of a whole-line Picard solve from
     the bottom of `build_grid`'s line to the same top to within the one
@@ -172,7 +180,8 @@ class SolutionFamily:
         self._lines = {}
         self._sols = {}                     # (sector, eps) -> solution, last eps only
         self.reports = {}
-        self._expansion = None              # (eps, Taylor coefficients)
+        self._expansions = None             # TaylorExpansions of the current fit's eps
+        self._coef = None                   # (eps, its Taylor coefficients), last eps only
         self.arc_orders = []                # highest order of every expansion
         self.grid_rows = 0                  # stacked rows of every Picard range
 
@@ -197,18 +206,31 @@ class SolutionFamily:
             return None
         return OrderBlock(self.spec, self._line(0).m)
 
-    def _taylor(self, eps: complex) -> np.ndarray:
-        """The Taylor coefficients at tau = 0 at eps, summed to the radius of
-        the line's Taylor rung (kept for the last eps asked for, whose
-        solutions alone are kept)."""
-        if self._expansion is None or self._expansion[0] != eps:
+    def expand(self, eps_values) -> None:
+        """The Taylor series at tau = 0 at every eps of eps_values, summed to
+        the radius of the line's Taylor rung, from one recursion
+        (`taylor_at_origin`): they replace the family's expansions and
+        solutions."""
+        samples = list(dict.fromkeys(complex(e) for e in eps_values))
+        self._expansions = self._coef = None
+        self._sols = {}
+        if samples:
             line = self._line(0)
-            coef = taylor_at_origin(self.spec, eps, line.m,
-                                    line.radius_of_rung(line.taylor_rung()), self._block)
-            self.arc_orders.append(coef.shape[1] - 1)
-            self._expansion = (eps, coef)
-            self._sols = {}
-        return self._expansion[1]
+            self._expansions = taylor_at_origin(self.spec, samples, line.m,
+                                                line.radius_of_rung(line.taylor_rung()),
+                                                self._block)
+            self.arc_orders.extend(self._expansions.stops)
+
+    def _taylor(self, eps: complex) -> np.ndarray:
+        """The Taylor coefficients at tau = 0 at eps, taken from the family's
+        expansions, which are made for eps alone when they do not hold it.
+        Only the last eps's are kept, as only its solutions are."""
+        if self._coef is None or self._coef[0] != eps:
+            self._coef, self._sols = None, {}
+            if self._expansions is None or not self._expansions.holds(eps):
+                self.expand([eps])
+            self._coef = (eps, self._expansions.take(eps))
+        return self._coef[1]
 
     def at(self, p: int, eps: complex) -> LogSolution:
         """The solution of sector p at eps on the sector's line."""
@@ -234,16 +256,27 @@ def default_probes(covering: GoodCovering, n: int = 3):
     return [(t, z) for t in ts for z in zs]
 
 
+def _median(values: list) -> float:
+    """The median of a non-empty list of floats, the middle one or the mean
+    of the middle two: the bits of np.median and of statistics.median,
+    without importing numpy.ma, which np.median loads, or statistics."""
+    values = sorted(values)
+    half = len(values) // 2
+    return float(values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2)
+
+
 def gevrey_remainder_check(family: SolutionFamily, p: int,
                            series: FormalSeries, N_max: int, eps_samples,
                            probes=None, floor: float = 1e-12) -> AsymptoticsReport:
     """Remainder norms against the formal series inside one sector, with the
-    q-Gevrey envelope fit and the term-ratio growth table."""
+    q-Gevrey envelope fit and the term-ratio growth table.  The samples are
+    expanded in one recursion (`SolutionFamily.expand`)."""
     if N_max > series.order:
         raise UsageError("series order below N_max")
     rep = AsymptoticsReport(eps_samples=list(eps_samples))
     probes = default_probes(family.covering) if probes is None else probes
     rem = {N: [] for N in range(N_max + 1)}
+    family.expand(eps_samples)
     for eps in eps_samples:
         sol = family.at(p, eps)
         # every partial sum N <= N_max of a probe from one Fourier sum
@@ -281,7 +314,7 @@ def gevrey_remainder_check(family: SolutionFamily, p: int,
             if r0 > floor * scale and r1 > floor * scale:
                 gs.append(math.log(r1 / (r0 * abs(eps))))
         if gs:
-            table.append(float(np.median(gs)))
+            table.append(_median(gs))
     rep.ratio_table = table
     rep.ratio_monotone = all(b > a for a, b in zip(table, table[1:])) if len(table) > 1 else None
     return rep
@@ -297,22 +330,23 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
     (|eps t| above T_max, outside a cone or beyond r1), which no nudge
     mends, are dropped at once with a warning naming the cause; samples whose
     difference underflows are dropped with a warning.  The checks depend on
-    eps t and the two sector grids alone, so they run for every probe before
-    the two sectors are solved, and a rejected eps costs no solve.  Each kept
-    eps costs one Taylor expansion at tau = 0, summed to the arc radius, and
-    two solves (`SolutionFamily.at`): the expansion holds the disc rows of
-    both lines and gives the first sector's arc, and Picard solves only the
-    rows beyond the arc, which the ray tails read.
+    eps t and the two sector grids alone, so they run for every sample and
+    probe before any sector is solved, and a rejected eps costs no solve.
+    The kept eps are expanded at tau = 0 in one recursion, summed to the arc
+    radius (`SolutionFamily.expand`), and each costs two solves
+    (`SolutionFamily.at`): the expansion holds the disc rows of both lines
+    and gives the first sector's arc, and Picard solves only the rows beyond
+    the arc, which the ray tails read.  The warnings follow the samples'
+    order.
     """
     spec = family.spec
     rep = AsymptoticsReport()
     probes = default_probes(family.covering) if probes is None else probes
     line_a, line_b = family._line(p), family._line(p + 1)
     r1 = admissible_r1(spec.q, spec.k, spec.alpha)
-    deltas = {0: [], 1: []}
-    used_eps = []
+    checked = []                        # (eps, None) to solve, or (None, warning)
     for eps0 in eps_samples:
-        eps, d = complex(eps0), None
+        eps = complex(eps0)
         for attempt in range(4):
             try:
                 for (t, _) in probes:
@@ -323,16 +357,22 @@ def difference_decay_fit(family: SolutionFamily, p: int, eps_samples,
                 eps *= spec.q ** (1.0 / (4.0 * spec.k))
                 continue
             except DomainError as exc:
-                rep.warnings.append(f"|eps| = {abs(eps0):.3g} dropped: {exc}")
+                checked.append((None, f"|eps| = {abs(eps0):.3g} dropped: {exc}"))
                 break
-            sol_a, sol_b = family.at(p, eps), family.at(p + 1, eps)
-            d = [max(abs(solution_difference(sol_a, sol_b, j, t, z)) for (t, z) in probes)
-                 for j in (0, 1)]
+            checked.append((eps, None))
             break
         else:
-            rep.warnings.append(f"no admissible nudge for |eps| = {abs(eps0):.3g}")
-        if d is None:
+            checked.append((None, f"no admissible nudge for |eps| = {abs(eps0):.3g}"))
+    family.expand([eps for eps, _ in checked if eps is not None])
+    deltas = {0: [], 1: []}
+    used_eps = []
+    for eps, warning in checked:
+        if eps is None:
+            rep.warnings.append(warning)
             continue
+        sol_a, sol_b = family.at(p, eps), family.at(p + 1, eps)
+        d = [max(abs(solution_difference(sol_a, sol_b, j, t, z)) for (t, z) in probes)
+             for j in (0, 1)]
         if max(d) <= 0.0 or not (math.isfinite(math.log(max(d)))):
             rep.warnings.append(f"difference underflows at |eps| = {abs(eps):.3g}")
             continue

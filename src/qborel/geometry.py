@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .problem_model import ProblemSpec, polyval_im, ratio_bounds
+from .problem_model import ProblemSpec, polyval, polyval_im, ratio_bounds
 
 __all__ = [
     "SectorGeometry",
@@ -240,7 +240,7 @@ def measure_c2(b, h_poly, mu: float, m_grid) -> float:
     convolution on grids.
     """
     m = np.asarray(m_grid, dtype=float)
-    h = np.abs(np.polynomial.polynomial.polyval(1j * m, np.asarray(h_poly, dtype=complex)))
+    h = np.abs(polyval(1j * m, np.asarray(h_poly, dtype=complex)))
     bv = np.abs(b(m) if callable(b) else np.asarray(b))
     dm = m[1] - m[0]
     # on the uniform grid m_i - m_j = (i - j) dm: one discrete convolution

@@ -28,6 +28,7 @@ __all__ = [
     "ProblemSpec",
     "CheckResult",
     "AssumptionReport",
+    "polyval",
     "polyval_im",
     "poly_degree",
     "ratio_bounds",
@@ -36,12 +37,25 @@ __all__ = [
 ]
 
 
+def polyval(x, coeffs):
+    """sum_i coeffs[i] x^i by Horner's rule, in the order of operations of
+    numpy.polynomial.polynomial.polyval, so with its bits, but without
+    importing numpy.polynomial."""
+    c = np.atleast_1d(coeffs)
+    if c.dtype.kind in "biu":
+        c = c + 0.0
+    value = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        value = ci + value * x
+    return value
+
+
 def polyval_im(coeffs, m):
     """Evaluate a z-polynomial at z = i m (Fourier multiplier of d/dz)."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
         raise ConfigError("polynomial with empty coefficient list")
-    return np.polynomial.polynomial.polyval(1j * np.asarray(m, dtype=float), c)
+    return polyval(1j * np.asarray(m, dtype=float), c)
 
 
 def poly_degree(coeffs) -> int:
@@ -109,13 +123,12 @@ class FourierSymbol:
             re = np.interp(m, tm, tv.real, left=0.0, right=0.0)
             im = np.interp(m, tm, tv.imag, left=0.0, right=0.0)
             return re + 1j * im
-        pv = np.polynomial.polynomial.polyval
-        vals = pv(m, self.num) / pv(m, self.den)
+        vals = polyval(m, self.num) / polyval(m, self.den)
         return vals * np.exp(-self.exp_abs * np.abs(m) - self.gauss * m * m)
 
     def eps_factor(self, eps) -> complex:
         """The symbol's factor in eps, its eps polynomial at eps."""
-        return complex(np.polynomial.polynomial.polyval(complex(eps), self.eps_poly))
+        return complex(polyval(complex(eps), self.eps_poly))
 
     def __call__(self, m, eps=0.0):
         return self.m_part(m) * self.eps_factor(eps)
@@ -279,7 +292,7 @@ def _envelope_sup(symbol: FourierSymbol, beta, mu, m_grid, eps0: float):
     and the disc |eps| <= eps0, the sup over m of weight |m part| times
     sum_i |a_i| eps0^i over the eps polynomial, and the m of that sup."""
     m = np.asarray(m_grid, dtype=float)
-    on_disc = float(np.polynomial.polynomial.polyval(eps0, np.abs(symbol.eps_poly)))
+    on_disc = float(polyval(eps0, np.abs(symbol.eps_poly)))
     weighted = m_weight(m, beta, mu) * np.abs(symbol.m_part(m) * on_disc)
     i = int(np.argmax(weighted))
     return float(weighted[i]), float(m[i])

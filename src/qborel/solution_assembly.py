@@ -78,8 +78,14 @@ def tail_top(spec: ProblemSpec, grid: BorelGrid) -> int:
     return max(grid.g_hi, tail_reach(spec, grid, grid.arc_rung(), grid.T_max)[1])
 
 
-# the 8-point Gauss-Legendre rule on [-1, 1] of every ray, tail and arc panel
-GL_X, GL_W = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre rule on [-1, 1] of every ray, tail and arc panel:
+# the values of numpy.polynomial.legendre.leggauss(8), written out
+GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                 -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                 0.7966664774136267, 0.9602898564975362])
+GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                 0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                 0.22238103445337443, 0.10122853629037706])
 
 
 def _gauss_legendre_panels(a: float, b: float, panels: int):

@@ -28,6 +28,9 @@ of a solved line by the theta-kernel trapezoid over its stored rows.
 residual and the contraction bound through `whole_line_contributions`, one
 pass of the coupled map over all rows of the line at once, the reference
 for the operators that walk the line in blocks of rows.
+`taylor_one_eps` expands the Taylor series at tau = 0 at one eps in a
+recursion of its own, order after order, the reference for the expansions
+of several eps that share one recursion's kernel products.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qborel.borel_solver import SolverContext, apply_kernel, moved_part, solve_coupled
+from qborel import borel_solver
+from qborel.borel_solver import (SolverContext, SymbolKernels, apply_kernel, b_scalars,
+                                 moved_part, solve_coupled, term_scalars)
 from qborel.errors import DivergenceError, DomainError, UsageError
 from qborel.geometry import GoodCovering
 from qborel.problem_model import polyval_im
@@ -523,3 +528,66 @@ def c_d_scan(spec, rho: float, m_grid, n_r: int = 40, n_ang: int = 48) -> float:
     angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False))
     return float(min((np.abs(spec.pm(r * angles, m)) / abs_q).min()
                      for r in np.linspace(0.0, rho, n_r)))
+
+
+def _block_solve(block, rhs: np.ndarray) -> np.ndarray:
+    """One order's coefficients (2, n_m) from an `OrderBlock`'s inverses."""
+    c = rhs * block.inv_p0
+    if block.full is not None:
+        return apply_kernel(c.ravel(), block.full).reshape(c.shape)
+    inv0, inv1 = block.diag
+    if inv1 is not None:
+        c[1] = apply_kernel(c[1], inv1)
+    K, w = block.cross
+    if K is not None:
+        c[0] += w * apply_kernel(c[1], K)
+    if inv0 is not None:
+        c[0] = apply_kernel(c[0], inv0)
+    return c
+
+
+def taylor_one_eps(spec, eps: complex, m, radius: float, block=None) -> np.ndarray:
+    """The Taylor coefficients at tau = 0 at one eps, a (2, orders, n_m)
+    array, from a recursion of that eps alone: each order's forcing, moved
+    part and dilation terms at eps, then one Picard run over the b symbols
+    (`borel_solver._order_fixed_point`) or one solve of block, summed until
+    the terms of the last max(dD, d_l) orders at |tau| = radius fall below
+    `borel_solver.TAYLOR_RTOL` of the largest."""
+    m = np.asarray(m, dtype=float)
+    kernels = SymbolKernels.of(spec, m)
+    forcing = {}
+    for h in (0, 1):
+        for p, sym in spec.forcing.powers(h).items():
+            forcing.setdefault(p, np.zeros((2, m.size), dtype=complex))[h] = sym(m, eps)
+    terms = [(t.d, float(t.delta), s * spec.q_power_factor(t.d),
+              spec.q ** -(t.d / spec.k - float(t.delta)), K)
+             for t, s, K in zip(spec.terms, term_scalars(spec, eps), kernels.terms)]
+    coupling = [(j, eq, kernels.b[(j, eq)] if s == 1
+                 else borel_solver._real_if_exact(s * kernels.b[(j, eq)]))
+                for (j, eq), s in b_scalars(spec, eps).items()]
+    moved = spec.q_power_factor(spec.dD) * polyval_im(spec.RD, m)
+    inv_p0 = 1.0 / spec.pm(0.0, m)
+    reach = max([spec.dD] + [t.d for t in spec.terms])
+    c, peak, quiet = [], 0.0, 0
+    for n in range(borel_solver.TAYLOR_MAX_ORDER + 1):
+        rhs = np.zeros((2, m.size), dtype=complex)
+        if n in forcing:
+            rhs += forcing[n]
+        if 1 <= spec.dD <= n:
+            low = moved * c[n - spec.dD]
+            rhs[0] += (spec.dD / spec.k) * low[1]
+            rhs += low
+        for d, delta, scale, dilation, K in terms:
+            if d <= n:
+                h = apply_kernel(c[n - d], K)
+                h *= scale * dilation ** (n - d)
+                rhs[0] += delta * h[1]
+                rhs += h
+        c.append(_block_solve(block, rhs) if block is not None else
+                 borel_solver._order_fixed_point(rhs, coupling, inv_p0, f"order {n}"))
+        size = float(np.abs(c[-1]).max()) * radius ** n
+        peak = max(peak, size)
+        quiet = quiet + 1 if size <= borel_solver.TAYLOR_RTOL * peak else 0
+        if n >= max(forcing, default=0) and quiet >= reach:
+            return np.stack(c, axis=1)
+    raise DivergenceError(f"no convergence by order {borel_solver.TAYLOR_MAX_ORDER}")

@@ -875,6 +875,43 @@ def test_no_verb_loads_numpy_random(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_all_leaves_numpy_ma_numpy_polynomial_and_argparse_unloaded(tmp_path):
+    # the ratio medians, the polynomial values and the Gauss-Legendre rule
+    # need none of them, and argparse is imported by main alone
+    code = ("import sys; from qborel.cli import run; "
+            f"assert run('all', {str(GOLDEN)!r}, {str(tmp_path)!r}) == 0; "
+            "print([name for name in ('numpy.ma', 'numpy.polynomial', 'argparse') "
+            "if name in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(qborel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1, -0.0, 0.0), (math.nan, math.inf, -math.inf, 5), (True, 2 ** 60, 1e-320, -1.5e300),
+     (np.float64(0.1), np.float32(0.1), np.float64(-0.0), 7)],
+    [(1.0, 2.0), (3.0,)],
+    [(1.0, 1 + 2j), (-0.0, complex(math.nan, -0.0))],
+    [(1, "x", 0.5), (2, "y", -0.0)],
+    [(np.int64(3), 0.5)],
+    [],
+])
+def test_write_csv_bytes_match_the_per_value_format(tmp_path, rows):
+    # one "%.17g" format string for an all-real file, the per-value path for
+    # rows of mixed width, complex, str or numpy integer values: the bytes
+    # are those of _fmt value by value
+    from qborel.cli import _fmt
+
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b"], rows)
+    want = "a,b\n" + "".join(
+        ",".join(_fmt(v) if isinstance(v, (int, float, complex, np.floating,
+                                           np.complexfloating))
+                 else str(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+
+
 def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(tmp_path,
                                                                         monkeypatch):
     # every grid of the run, the formal series and every family expansion

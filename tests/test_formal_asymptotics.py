@@ -1,4 +1,8 @@
+import dataclasses
+import json
 import math
+import statistics
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,7 @@ from qborel.transforms import convolution_kernel
 
 from tests.conftest import DELTA, GEOMETRY_M_GRID, arc_sample_gap, kept_rows
 from tests.oracles import (formal_order_rhs, order_dense_solve, ring_taylor, stacked,
-                           trapezoid_components)
+                           taylor_one_eps, trapezoid_components)
 
 M_SMALL = np.linspace(-12, 12, 161)
 
@@ -757,6 +761,154 @@ def test_order_block_expansion_matches_the_picard_one_on_the_shipped_grids(name)
             rc.spec, eps, grid.m, grid.radius_of_rung(grid.arc_rung()))
         assert block.shape == picard.shape and block.shape[1] > 20
         assert np.abs(block - picard).max() <= 1e-14 * np.abs(picard).max()
+
+
+def _assert_expansions_match_the_oracle(spec, samples, m, radius, block):
+    """One recursion for every sample against each sample's own recursion
+    (`oracles.taylor_one_eps`): the same stopping order and coefficients to
+    1e-13 relative; the first sample alone, as a scalar or a one-item list,
+    has the oracle's bits.  Returns the stopping orders."""
+    batch = taylor_at_origin(spec, samples, m, radius, block)
+    assert batch.eps == [complex(e) for e in samples]
+    for i, eps in enumerate(batch.eps):
+        want = taylor_one_eps(spec, eps, m, radius, block)
+        assert batch.holds(eps)
+        got = batch.take(eps)
+        assert not batch.holds(eps)
+        assert batch.stops[i] == want.shape[1] - 1 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    want = taylor_one_eps(spec, samples[0], m, radius, block).tobytes()
+    assert taylor_at_origin(spec, samples[0], m, radius, block).tobytes() == want
+    one = taylor_at_origin(spec, samples[:1], m, radius, block)
+    assert one.take(complex(samples[0])).tobytes() == want
+    return batch.stops
+
+
+@pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
+@pytest.mark.parametrize("b11_eps_poly", [None, [1.0, 0.5]])
+def test_expansions_of_several_eps_match_one_recursion_each_on_the_shipped_grids(
+        name, b11_eps_poly):
+    # the fits' |eps| range at six arguments, with the family's order block,
+    # and each order a Picard run per sample; with an eps-dependent b11 no
+    # block serves every eps, and the Picard runs take each sample's scalar
+    from qborel.cli import _line, load_config
+
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    rc = load_config(path)
+    if b11_eps_poly is not None:
+        problem = json.loads(path.read_text())["problem"]
+        problem["coeffs"]["b11"]["eps_poly"] = b11_eps_poly
+        rc = dataclasses.replace(rc, spec=ProblemSpec.from_dict(problem))
+    grid = _line(rc, {})
+    lo, hi = rc.eps_decay[0], rc.eps_gevrey[1]
+    samples = [r * np.exp(1j * a) for r, a in zip(np.geomspace(lo, hi, 6),
+                                                  np.linspace(-1.0, 2.0, 6))]
+    blocks = [None]
+    if b11_eps_poly is None:
+        blocks.append(borel_solver.OrderBlock(rc.spec, grid.m))
+    for block in blocks:
+        stops = _assert_expansions_match_the_oracle(
+            rc.spec, samples, grid.m, grid.radius_of_rung(grid.arc_rung()), block)
+        assert min(stops) > 20
+
+
+@pytest.mark.parametrize("coeffs", [{}, {"b01": {"num": [0.0005], "gauss": 1.0}},
+                                    {"b11": {"num": [0.0006], "gauss": 1.0,
+                                             "eps_poly": [1.0, 0.5]}}])
+def test_each_sample_of_one_recursion_stops_at_its_own_order(problem_dict, coeffs):
+    # with dD = 0 only the eps-scaled term raises the order, so smaller eps
+    # stop sooner: a stopped sample's places are zeroed, not solved, while
+    # the others go on; b01 != 0 solves the whole 2 n_m block
+    problem_dict["eps0"] = 0.3
+    problem_dict["dD"] = 0
+    problem_dict["terms"][0]["delta"] = [0, 1]
+    problem_dict["coeffs"].update(coeffs)
+    spec = ProblemSpec.from_dict(problem_dict)
+    samples = [1e-9, 0.3j, 1e-4, 0.01, 0.15 * np.exp(0.3j), 1e-6]
+    blocks = [None]
+    if not borel_solver.OrderBlock.eps_dependent(spec):
+        blocks.append(borel_solver.OrderBlock(spec, M_SMALL))
+    for block in blocks:
+        stops = _assert_expansions_match_the_oracle(spec, samples, M_SMALL, 0.3, block)
+        assert len(set(stops)) >= 3, stops
+
+
+def test_family_holds_one_fits_expansions_and_lets_each_go_once_solved(asym):
+    # the expansions are each sample's orders, with no stacked copy of them,
+    # and solving the samples one after another stacks each one's
+    # coefficients, lets its orders go and keeps only the last coefficients
+    spec, cov, gspec = asym["spec"], asym["cov"], asym["gspec"]
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
+    family._line(0), family._block
+    samples = [r * np.exp(1j * cov.directions[0]) for r in np.geomspace(0.05, 0.25, 6)]
+    tracemalloc.start()
+    try:
+        family.expand(samples)
+        held, peak = tracemalloc.get_traced_memory()
+        series = family._expansions.series
+        orders = len(series[0])
+        assert [len(s) for s in series] == [orders] * 6 and orders > 20
+        order = 2 * 161 * 16
+        assert all(c_n.nbytes == order for s in series for c_n in s)
+        size = 6 * orders * order
+        del series
+        # the arrays and their headers; while they are made, the recursion's
+        # last orders and one order's products, far below a stacked copy
+        assert held <= size + 6 * orders * 256
+        assert peak <= held + 12 * 6 * order < 2 * size
+        current = []
+        for eps in samples:
+            family.at(0, eps)
+            current.append(tracemalloc.get_traced_memory()[0])
+        # each solve lets one sample's orders go, and keeps one SolveReport
+        # of about a kilobyte and one sample's coefficients
+        assert all(np.diff(current) <= 4 * 1024 - orders * order)
+        assert current[-1] <= current[0] - 4 * orders * order
+        assert family._coef[0] == samples[-1] and set(family._sols) == {(0, samples[-1])}
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_fit_expands_its_samples_in_one_recursion(asym, monkeypatch):
+    # the remainder check expands its samples, and the decay fit the ones its
+    # checks keep, after nudges, each in one recursion; the decay fit's
+    # warnings keep the order of its samples
+    spec, cov, gspec, series = asym["spec"], asym["cov"], asym["gspec"], asym["series"]
+    recursions = []
+    expand = formal_asymptotics.taylor_at_origin
+
+    def counted(spec, eps, *args):
+        recursions.append(list(eps))
+        return expand(spec, eps, *args)
+
+    monkeypatch.setattr(formal_asymptotics, "taylor_at_origin", counted)
+    family = SolutionFamily(spec, cov, gspec, m_grid=GEOMETRY_M_GRID)
+    gevrey = [r * np.exp(1j * cov.directions[0]) for r in (0.05, 0.1, 0.2)]
+    gevrey_remainder_check(family, 0, series, 2, gevrey)
+    assert recursions == [gevrey]
+    arg = np.angle(cov.overlap_sample(0))
+    # 0.5 passes T_max and is dropped; at 0.106 a probe's zero ring meets the
+    # arc, so it is nudged
+    decay = [r * np.exp(1j * arg) for r in (0.1, 0.5, 0.106, 0.2)]
+    probes = [(0.06 * np.exp(1j * cov.t_direction), 0.1),
+              (0.04 * np.exp(1j * cov.t_direction), -0.2)]
+    rep = difference_decay_fit(family, 0, decay, probes=probes)
+    assert rep.nudges >= 1 and len(rep.eps_samples) == 3
+    assert recursions[1:] == [rep.eps_samples]
+    assert rep.warnings[0].startswith("|eps| = 0.5 dropped")
+    assert rep.warnings[1:] == ["too few usable samples for a quadratic fit"]
+    assert len(family.arc_orders) == 6
+
+
+def test_ratio_medians_are_numpys():
+    # the ratio table's median has the bits of np.median and of
+    # statistics.median on odd and even counts
+    rng = np.random.default_rng(3)
+    for n in range(1, 12):
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)).tolist()
+        got = formal_asymptotics._median(values)
+        assert got == float(np.median(values)) == statistics.median(values)
+        assert type(got) is float
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -10,6 +10,7 @@ from qborel.problem_model import (
     ProblemSpec,
     forcing_borel,
     poly_degree,
+    polyval,
     polyval_im,
     validate_assumptions,
 )
@@ -162,3 +163,25 @@ def test_integer_keys_take_integral_numbers_only(problem_dict):
     problem_dict["terms"][0]["delta"] = [1, 13.2]
     with pytest.raises(ConfigError, match=r"terms\[0\] delta"):
         ProblemSpec.from_dict(problem_dict)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [3],
+    [1, -2, 0, 5],
+    [0.25, 0.0, -1.5, 2.0 / 3.0],
+    np.array([1.0 + 2.0j, -0.5j, 0.3, -1e-3 + 4.0j]),
+])
+def test_polyval_gives_the_bits_of_numpys(coeffs):
+    # Horner's rule in numpy.polynomial's order of operations: every bit
+    # equal on real and complex coefficients and points, from a scalar to a
+    # 2-D array
+    rng = np.random.default_rng(7)
+    points = [0.37, -2.5, 1.5 - 0.25j, np.float64(0.9), complex(-0.0, 3.0),
+              rng.standard_normal(17), 1j * rng.standard_normal(17),
+              rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))]
+    for x in points:
+        got = polyval(x, coeffs)
+        want = np.polynomial.polynomial.polyval(x, coeffs)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x

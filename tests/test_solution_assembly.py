@@ -739,3 +739,10 @@ def test_ray_moments_are_the_closed_form_moments_inside_the_disc(name):
         got = sol._ray_integral(T)[0]
         want = T ** n / spec.q_power_factor(n)
         assert (np.abs(got - want) / r_T ** n).max() <= 1e-14 * abs(want[0]), T
+
+
+def test_gauss_legendre_literals_are_numpys_rule():
+    # the written-out 8-point rule has the bits of leggauss(8)
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert assembly.GL_X.dtype == assembly.GL_W.dtype == np.float64
+    assert assembly.GL_X.tobytes() == x.tobytes() and assembly.GL_W.tobytes() == w.tobytes()
