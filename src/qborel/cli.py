@@ -423,14 +423,18 @@ def run(command: str, config_path: str | Path, output_dir: str | None = None) ->
     except (OSError, ValueError) as exc:  # a ConfigError, JSONDecodeError or UnicodeDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return 65
-    rc.output_dir.mkdir(parents=True, exist_ok=True)
-    write_json(rc.output_dir / "run_report.json", {
-        "version": __version__, "command": command, "m_nodes": rc.gspec.m_nodes,
-        "M": rc.gspec.m_max, "zeta": rc.zeta, "ignored_keys": rc.ignored_keys,
-    })
     ctx: dict = {}
     try:
+        rc.output_dir.mkdir(parents=True, exist_ok=True)
+        write_json(rc.output_dir / "run_report.json", {
+            "version": __version__, "command": command, "m_nodes": rc.gspec.m_nodes,
+            "M": rc.gspec.m_max, "zeta": rc.zeta, "ignored_keys": rc.ignored_keys,
+        })
         return DISPATCH[command](rc, ctx)
+    except OSError as exc:  # the output directory or an artifact cannot be written
+        print(f"usage error: cannot write {exc.filename or rc.output_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 64
     except GeometryError as exc:
         print(f"geometry failure: {exc}", file=sys.stderr)
         write_json(rc.output_dir / "witness.json", {"failures": [str(exc)]})
@@ -460,8 +464,8 @@ def main(argv=None) -> int:
                         help="override the configured output directory")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 64
+    except SystemExit as exc:  # 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 64
     return run(args.command, args.config, args.output_dir)
 
 

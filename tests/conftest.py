@@ -1,8 +1,14 @@
 import copy
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 # the config table's `geometry_m_grid` and `quadrature.Delta` defaults, which
 # the command line passes to the library
@@ -145,3 +151,55 @@ def golden():
         "eps": GOLDEN_EPS, "t_radius": GOLDEN_T_RADIUS,
         "w0": w0, "w1": w1, "report": report,
     }
+
+
+def perfbench_module(name: str):
+    """The benchmark's module perfbench/<name>.py, imported with perfbench/ on
+    sys.path, where checks.py finds workloads.py, and with no bytecode cache
+    written into the benchmark's directory."""
+    saved_path, saved_flag = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
+
+
+@pytest.fixture(scope="session")
+def example_all(tmp_path_factory):
+    """The output directory of `all` on the shipped example, run once: the
+    determinism criterion runs it again, and the run-level checks read it."""
+    from qborel.cli import run
+
+    out = tmp_path_factory.mktemp("example_all")
+    assert run("all", CONFIG_DIR / "example_k13.json", str(out)) == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def wide_asymptotics(tmp_path_factory):
+    """`asymptotics` on the shipped wide config, run once: its output
+    directory, and the m grid of each kernel build and each order block the
+    run made."""
+    from qborel.borel_solver import OrderBlock, SymbolKernels
+    from qborel.cli import run
+
+    builds, blocks = [], []
+    build = SymbolKernels.build.__func__
+    init = OrderBlock.__init__
+
+    def counted_build(cls, spec, m):
+        builds.append(m.tobytes())
+        return build(cls, spec, m)
+
+    def counted_init(self, spec, m):
+        blocks.append(m.tobytes())
+        init(self, spec, m)
+
+    out = tmp_path_factory.mktemp("wide_asymptotics")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SymbolKernels, "build", classmethod(counted_build))
+        mp.setattr(OrderBlock, "__init__", counted_init)
+        assert run("asymptotics", CONFIG_DIR / "asymptotics_k13.json", str(out)) == 0
+    return out, builds, blocks

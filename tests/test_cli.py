@@ -41,7 +41,7 @@ def test_config_that_is_not_utf8_is_65(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe" + GOLDEN.read_text().encode("utf-16-le"))
     assert run("solve", bad, str(tmp_path / "out")) == 65
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert "config error" in err and "codec" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -304,8 +304,10 @@ def _quadrature_with(Delta):
 
 @pytest.mark.parametrize("verb, override, key", [
     pytest.param("solve", {"eps": math.inf}, "eps", id="inf_eps"),
+    pytest.param("evaluate", {"eps": math.inf}, "eps", id="inf_eps_evaluate"),
     pytest.param("solve", {"eps": math.nan}, "eps", id="nan_eps"),
     pytest.param("evaluate", {"points": [[0.012, 0.0, math.inf, 0.0]]}, "points", id="inf_z"),
+    pytest.param("solve", {"points": [[0.012, 0.0, math.inf, 0.0]]}, "points", id="inf_z_solve"),
     pytest.param("evaluate", {"points": [[math.nan, 0.0, 0.1, 0.0]]}, "points", id="nan_t"),
     pytest.param("evaluate", {"points": [], "points_csv": "nan_z.csv"}, "points_csv",
                  id="nan_z_csv"),
@@ -479,15 +481,16 @@ def test_evaluate_and_residual_verbs(tmp_path):
 
 def test_evaluate_rows_combine_their_components(tmp_path):
     points = [[0.012, 0.0, 0.1, 0.0], [0.009, 0.001, -0.2, 0.1], [0.006, -0.002, 0.3, -0.2]]
-    path = small_config(tmp_path, points=points)
-    out = tmp_path / "out"
-    assert run("evaluate", path, str(out)) == 0
-    rc = load_config(path)
-    data = np.loadtxt(out / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert data.shape == (len(points), 10)
-    for row in data:
-        t, u0, u1, u = (complex(row[i], row[i + 1]) for i in (0, 4, 6, 8))
-        assert u == u0 + u1 * cmath.log(rc.eps_solve * t) / rc.spec.lnq
+    # the small config at these points, and the shipped example at its own
+    for path in (small_config(tmp_path, points=points), GOLDEN):
+        out = tmp_path / path.stem
+        assert run("evaluate", path, str(out)) == 0
+        rc = load_config(path)
+        data = np.loadtxt(out / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert data.shape == (len(rc.points), 10)
+        for row in data:
+            t, u0, u1, u = (complex(row[i], row[i + 1]) for i in (0, 4, 6, 8))
+            assert u == u0 + u1 * cmath.log(rc.eps_solve * t) / rc.spec.lnq
 
 
 def test_evaluate_on_the_branch_cut_is_3(tmp_path, capsys):
@@ -547,6 +550,16 @@ def test_solve_report_carries_the_geometry_smallness_pass(tmp_path):
     assert read(alone, "solve_report.json")["smallness_ok"] is passed
 
 
+@pytest.mark.parametrize("name", ["file", "file/sub"])
+def test_output_dir_that_cannot_be_made_is_64(tmp_path, capsys, name):
+    # an existing file, and a path below one
+    (tmp_path / "file").write_text("")
+    out = tmp_path / name
+    assert run("check-geometry", small_config(tmp_path), str(out)) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+
+
 def test_evaluate_without_points_is_usage_error(tmp_path):
     path = small_config(tmp_path, points=[])
     assert run("evaluate", path, str(tmp_path / "out")) == 64
@@ -564,8 +577,11 @@ def test_formal_verb_writes_orders(tmp_path):
 def test_dD_zero_formal_and_asymptotics(tmp_path):
     # with dD = 0 the R_D term stays on the left, in P(0) = Q(im) - R_D(im),
     # and the series still matches the analytic solution: R_1 << R_0
-    path = _with(small_config(tmp_path), lambda c: (
-        c["problem"].update(dD=0), c["problem"]["terms"][0].update(delta=[0, 1])))
+    def dD_zero(c):
+        c["problem"].update(dD=0)
+        c["problem"]["terms"][0].update(delta=[0, 1])
+
+    path = _with(small_config(tmp_path), dD_zero)
     out = tmp_path / "out"
     for verb in ("formal", "asymptotics"):
         assert run(verb, path, str(out)) == 0, verb
@@ -573,6 +589,11 @@ def test_dD_zero_formal_and_asymptotics(tmp_path):
     rows = np.loadtxt(out / "remainders.csv", delimiter=",", skiprows=1, ndmin=2)
     r0, r1 = (rows[rows[:, 0] == N, 2] for N in (0, 1))
     assert r0.size == r1.size == 3 and np.all(r1 < 1e-6 * r0), (r0, r1)
+    # and the shipped example's series, to all its orders and m nodes
+    shipped = tmp_path / "shipped.json"
+    shipped.write_text(GOLDEN.read_text())
+    assert run("formal", _with(shipped, dD_zero), str(tmp_path / "shipped")) == 0
+    assert json.loads((tmp_path / "shipped" / "formal_report.json").read_text())["residual"] <= 1e-9
 
 
 def test_main_argparse_roundtrip(tmp_path):
@@ -580,6 +601,7 @@ def test_main_argparse_roundtrip(tmp_path):
     assert main(["check-geometry", str(path),
                  "--output-dir", str(tmp_path / "o")]) == 0
     assert main(["definitely-not-a-verb", str(path)]) == 64
+    assert main(["--help"]) == 0
 
 
 def test_solve_runs_deterministically(tmp_path):
@@ -720,8 +742,11 @@ def test_point_verbs_read_no_theta_kernel_on_a_taylor_line(tmp_path, monkeypatch
     for verb in ("evaluate", "residual"):
         assert run(verb, GOLDEN, str(tmp_path / verb)) == 0, verb
     assert calls == []
-    assert run("evaluate", CONFIG_DIR / "asymptotics_k13.json", str(tmp_path / "wide")) == 0
+    wide = CONFIG_DIR / "asymptotics_k13.json"
+    assert run("evaluate", wide, str(tmp_path / "wide")) == 0
     assert calls
+    rows = np.loadtxt(tmp_path / "wide" / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (len(load_config(wide).points), 10) and np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("verb", ["evaluate", "residual"])
@@ -785,6 +810,7 @@ def test_evaluate_at_T_max_on_the_wide_line(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run("evaluate", path, str(tmp_path / "out")) == 0
     rows = np.loadtxt(tmp_path / "out" / "evaluate.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2, 10)
     grid = cli._line(rc, {})
     w0, w1, _ = solve_coupled(rc.spec, rc.eps_solve, grid)
     for row in rows:
@@ -846,6 +872,16 @@ def test_solve_reports_the_taylor_gap(tmp_path, name):
     assert run("solve", CONFIG_DIR / name, str(tmp_path)) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["taylor_gap"] <= 1e-12
+    # omega.npz holds the solved line's finite rows, all on one radial line
+    rows = report["grid_nodes"] + 1
+    cols = json.loads((tmp_path / "run_report.json").read_text())["m_nodes"]
+    with np.load(tmp_path / "omega.npz", allow_pickle=False) as f:
+        arrays = {key: f[key] for key in f.files}
+    assert {key: a.shape for key, a in arrays.items()} == {
+        "tau": (rows,), "m": (cols,), "omega0": (rows, cols), "omega1": (rows, cols)}
+    assert all(np.isfinite(a).all() for a in arrays.values())
+    tau = arrays["tau"]
+    assert np.ptp(np.angle(tau[tau != 0])) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["example_k13.json", "asymptotics_k13.json"])
@@ -858,6 +894,8 @@ def test_solve_reports_a_contraction_bound_above_the_estimates(tmp_path, name):
     rc = load_config(CONFIG_DIR / name)
     probe = contraction_probe(rc.spec, rc.eps_solve, _line(rc, {}))
     assert probe <= bound and report["contraction_iter"] <= bound <= 0.55
+    # no config tolerance is read: every Picard run stops at PICARD_RTOL
+    assert report["final_update"] < 1e-11
     error = report["solve_error_bound"]
     assert error == bound / (1.0 - bound) * report["final_update"]
     assert math.isfinite(error) and (name != "example_k13.json" or error <= 1e-11)
@@ -912,31 +950,14 @@ def test_write_csv_bytes_match_the_per_value_format(tmp_path, rows):
     assert path.read_bytes() == want.encode()
 
 
-def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(tmp_path,
-                                                                        monkeypatch):
+def test_wide_asymptotics_builds_the_kernels_once_and_inverts_one_block(wide_asymptotics):
     # every grid of the run, the formal series and every family expansion
     # read one kernel build of the one m grid, and the family's expansions
     # share one OrderBlock, since no b symbol of the config depends on eps
-    from qborel.borel_solver import OrderBlock, SymbolKernels
-
-    builds, blocks = [], []
-    build = SymbolKernels.build.__func__
-    init = OrderBlock.__init__
-
-    def counted_build(cls, spec, m):
-        builds.append(m.tobytes())
-        return build(cls, spec, m)
-
-    def counted_init(self, spec, m):
-        blocks.append(m.tobytes())
-        init(self, spec, m)
-
-    monkeypatch.setattr(SymbolKernels, "build", classmethod(counted_build))
-    monkeypatch.setattr(OrderBlock, "__init__", counted_init)
+    out, builds, blocks = wide_asymptotics
     path = CONFIG_DIR / "asymptotics_k13.json"
-    assert run("asymptotics", path, str(tmp_path)) == 0
     assert builds == blocks == [load_config(path).gspec.m_grid().tobytes()]
-    solves = json.loads((tmp_path / "fits.json").read_text())["solves"]
+    solves = json.loads((out / "fits.json").read_text())["solves"]
     assert solves["arc_expansions"] == 14
 
 

@@ -4,27 +4,13 @@ read the tracer's name tables and every module's `__all__`, and resolve
 every entry."""
 
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    # leave no bytecode cache in the benchmark's directory
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+from tests.conftest import perfbench_module
 
 
 def test_every_traced_name_resolves():
-    tracer = _tracer()
+    tracer = perfbench_module("tracer")
     missing = []
     for table in (tracer.SPANNED, tracer.COUNTED):
         for mod, names in table.items():
@@ -58,7 +44,7 @@ def test_traced_attributes_read_every_verb_call(tmp_path, monkeypatch):
     from qborel import cli
     from tests.test_cli import small_config
 
-    tracer = _tracer()
+    tracer = perfbench_module("tracer")
     write_csv = cli.write_csv
     seen = []
 
