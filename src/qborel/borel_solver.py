@@ -14,10 +14,11 @@ solutions needs its rows only from the held block up.  Every dilation shift
 is positive, so a rung reads only lower rungs and the centre, and a line
 cut at any top rung solves its rows as a longer line does, to within the
 stopping rule; a range of the ladder cut from below solves alike once its
-lowest rows are held (`BorelGrid.rung_range`, `held` of the solves).  Coupling in m is a dense kernel matrix per symbol, built
-once per m grid from the symbol's m part (`SymbolKernels`): a symbol is its
-m part times a polynomial in eps, which enters every operator as a scalar.
-Coupling in tau is the pure rung shift.
+lowest rows are held (`BorelGrid.rung_range`, `held` of the solves).
+Coupling in m is a dense kernel matrix per symbol, built once per m grid
+from the symbol's m part (`SymbolKernels`): a symbol is its m part times a
+polynomial in eps, which enters every operator as a scalar.  Coupling in tau
+is the pure rung shift.
 
 Inside the disc omega_j(tau, m) is a power series in tau.  Its Taylor
 coefficients at tau = 0 solve the same fixed point written in monomials, one
@@ -38,7 +39,9 @@ Picard at all.
 `solve` verb writes out.  With coefficients that are truncated eps-series,
 the same recursion gives the formal series (`formal_asymptotics`).  Every
 Picard run, a Borel solve or a Taylor order alike, starts from zero and
-stops by one rule (`_picard`), relative to its first iterate's size.
+stops by one rule (`_picard`), relative to its first iterate's size.  A
+Borel solve's iterates ping-pong between two preallocated buffers
+(`_ping_pong`), so a sweep allocates no whole-line array.
 """
 
 from __future__ import annotations
@@ -164,7 +167,10 @@ class BorelGrid:
 
     def factors(self, spec: ProblemSpec) -> "OperatorFactors":
         """The eps-independent operator factors of spec on this grid (cached
-        per grid for the last spec asked for)."""
+        per grid for the last spec asked for).  `solve_held` reads those of
+        its Picard range, which its line keeps (`rung_range`), so every
+        solve on the range shares one build; any other solve's
+        `SolverContext` builds its own, which go with it."""
         cached = getattr(self, "_factors", None)
         if cached is None or cached[0] is not spec:
             self._factors = (spec, OperatorFactors.build(spec, self))
@@ -475,22 +481,28 @@ class SolverContext:
     selection from it: which unknowns and equations, whether the forcing or
     the moved R_D tau^dD term is added, and whether the sum is divided by
     P.  Each unknown and each image is a stacked complex array (n_nodes + 1,
-    n_m): the node samples, then the centre tau = 0 in the last row.
+    n_m): the node samples, then the centre tau = 0 in the last row.  An
+    operator writes its images into the arrays `out` that the caller gives,
+    which must not overlap its inputs, or into new ones.
 
     A pass walks the line in blocks of KERNEL_ROWS stacked rows, so its
     temporaries are those of one block, however long the line.  The
-    operators of the Picard solves read the grid's cached whole-line
-    factors and the forcing, which every sweep reads, built on first use;
-    `undivided_residual` builds its factors and forcing block by block and
-    caches nothing.
+    operators of the Picard solves read whole-line factors and the forcing,
+    which every sweep reads, built on first use: the factors are `fac` when
+    the caller holds them (`BorelGrid.factors`), else the context's own,
+    which go with it.  `undivided_residual` builds its factors and forcing
+    block by block and caches nothing.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex):
+    def __init__(self, spec: ProblemSpec, grid: BorelGrid, eps: complex,
+                 fac: OperatorFactors | None = None):
         if eps == 0:
             raise UsageError("the fixed point is defined for eps != 0")
         self.spec = spec
         self.grid = grid
         self.eps = complex(eps)
+        if fac is not None:
+            self.fac = fac
         kernels = SymbolKernels.of(spec, grid.m)
         self.term_kernel, self.b_kernel = kernels.terms, kernels.b
         # each term's eps scalar, which its tau^d_l prefactor multiplies
@@ -499,8 +511,8 @@ class SolverContext:
 
     @cached_property
     def fac(self) -> OperatorFactors:
-        """The grid's whole-line OperatorFactors of spec."""
-        return self.grid.factors(self.spec)
+        """The whole-line OperatorFactors of spec on the grid."""
+        return OperatorFactors.build(self.spec, self.grid)
 
     @cached_property
     def F(self) -> list:
@@ -515,6 +527,16 @@ class SolverContext:
 
     def _term_scale(self, fac: OperatorFactors) -> list:
         return [scalar * pref for scalar, pref in zip(self.term_eps, fac.prefs)]
+
+    def empty(self) -> np.ndarray:
+        """An uninitialised stacked complex array of the grid."""
+        return np.empty((self.grid.n_nodes + 1, self.grid.m.size), dtype=complex)
+
+    def zero(self) -> np.ndarray:
+        """The zero start of a Picard run on the grid: a zero-strided view
+        of one zero, so that it allocates nothing."""
+        return np.broadcast_to(np.zeros((), dtype=complex),
+                               (self.grid.n_nodes + 1, self.grid.m.size))
 
     def modulus(self) -> "SolverContext":
         """A copy whose every factor is its modulus: |inv_p|, |hp|, the
@@ -575,20 +597,16 @@ class SolverContext:
                     add(eq, part)
         return accs
 
-    def _contributions(self, unknowns: dict, eqs) -> dict:
-        """eq -> what the unknowns {j: stacked samples of omega_j} add to
-        the right side of equation eq before the division by P, for each eq
-        in eqs, as stacked arrays: one pass of `_block` per block of stacked
-        rows, over the cached whole-line factors, each block written into
-        the preallocated results."""
-        n = self.grid.n_nodes + 1
-        out = {}
-        for rows in _row_blocks(n):
-            accs = self._block(unknowns, rows, dict.fromkeys(eqs), self.fac.rows(rows),
+    def _contributions(self, unknowns: dict, out: dict) -> dict:
+        """Write into out[eq], for each equation eq in out, what the
+        unknowns {j: stacked samples of omega_j} add to the right side of
+        equation eq before the division by P: one pass of `_block` per block
+        of stacked rows, over the whole-line factors.  A block's rows of an
+        unknown feed later blocks, so out must not overlap the unknowns."""
+        for rows in _row_blocks(self.grid.n_nodes + 1):
+            accs = self._block(unknowns, rows, dict.fromkeys(out), self.fac.rows(rows),
                                [s[rows] for s in self.term_scale])
             for eq, acc in accs.items():
-                if eq not in out:
-                    out[eq] = np.empty((n, acc.shape[1]), dtype=acc.dtype)
                 out[eq][rows] = acc
         return out
 
@@ -602,14 +620,19 @@ class SolverContext:
 
     # -- operators ------------------------------------------------------
 
-    def image_of_zero(self, eq: int) -> np.ndarray:
+    def image_of_zero(self, eq: int, out: np.ndarray | None = None) -> np.ndarray:
         """Equation eq's forcing over P: what apply_H and apply_H1 send zero
-        to, without applying them."""
-        return self._divided(self.F[eq].copy())
+        to, without applying them, written into out when given."""
+        return np.multiply(self.F[eq], self.fac.inv_p, out=out)
 
-    def apply_H(self, w0: np.ndarray, w1: np.ndarray):
-        accs = self._contributions({0: w0, 1: w1}, (0, 1))
+    def _images(self, unknowns: dict, out) -> tuple:
+        """Both equations' images of unknowns, forced and divided by P,
+        written into the pair out when given."""
+        accs = self._contributions(unknowns, dict(enumerate(out or (self.empty(), self.empty()))))
         return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
+
+    def apply_H(self, w0: np.ndarray, w1: np.ndarray, out=None):
+        return self._images({0: w0, 1: w1}, out)
 
     def undivided_residual(self, w0: np.ndarray, w1: np.ndarray, weights=None):
         """Q(im) omega_j minus the full right side, nodewise, with the
@@ -647,23 +670,24 @@ class SolverContext:
 
     # -- triangular blocks (b_01 = 0) -----------------------------------
 
-    def apply_H1(self, w1: np.ndarray) -> np.ndarray:
+    def apply_H1(self, w1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Equation 1, which reads omega_1 alone."""
-        acc = self._contributions({1: w1}, (1,))[1]
+        acc = self._contributions({1: w1}, {1: self.empty() if out is None else out})[1]
         return self._divided(self._forced(acc, 1))
 
-    def g_eps(self, w1: np.ndarray):
+    def g_eps(self, w1: np.ndarray, out=None):
         """(g, apply_H1(w1)): equation 0's forcing and omega_1 part, fixed
         once omega_1 is, and equation 1's image of omega_1, from one pass
         that computes each H_l(omega_1) once for both."""
-        accs = self._contributions({1: w1}, (0, 1))
-        return tuple(self._divided(self._forced(accs[eq], eq)) for eq in (0, 1))
+        return self._images({1: w1}, out)
 
-    def apply_H0(self, w0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def apply_H0(self, w0: np.ndarray, g: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Equation 0 with its omega_1 part and forcing given as g."""
-        out = self._divided(self._contributions({0: w0}, (0,))[0])
-        out += g
-        return out
+        h0 = self._divided(self._contributions(
+            {0: w0}, {0: self.empty() if out is None else out})[0])
+        h0 += g
+        return h0
 
 
 # the stopping rule and the iteration cap of every Picard run (`_picard`)
@@ -681,7 +705,12 @@ def _picard(step, start, diff_norm, first):
     history = []
     contraction = 0.0
     for it in range(1, PICARD_MAX_ITER + 1):
-        w_next = first if it == 1 else step(w)
+        if it == 1:
+            # hand the first image over to w, so that no name here keeps it
+            # alive once later iterates replace it
+            w_next, first = first, None
+        else:
+            w_next = step(w)
         update = diff_norm(w_next, w)
         history.append(update)
         if not math.isfinite(update):
@@ -705,6 +734,20 @@ def _distance(weights: np.ndarray):
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         return _weighted_sup(a - b, weights)
     return dist
+
+
+def _largest(values: list) -> float:
+    """The largest of values, NaN when any is NaN: Python's max drops a NaN
+    that does not come first, which every finiteness check would miss."""
+    return float(np.max(values))
+
+
+def _ping_pong(a, b):
+    """The step buffer of a Picard run whose iterates alternate between the
+    preallocated buffers a and b: given the iterate w, the one of them that
+    does not hold it (a for the start), so each sweep writes over the
+    iterate before w and a run allocates no iterate."""
+    return lambda w: b if w is a else a
 
 
 def _holding(ctx: SolverContext, held):
@@ -747,13 +790,14 @@ def _solve_report(weights: np.ndarray, dist, pair, images, runs,
     report = SolveReport(iterations=max(iterations), final_update=max(updates),
                          contraction=max(contractions),
                          norms=tuple(_weighted_sup(w, weights) for w in pair),
-                         residual=max(dist(h, w) for h, w in zip(images, pair)),
+                         residual=_largest([dist(h, w) for h, w in zip(images, pair)]),
                          varpi=varpi,
                          update_history=sum(histories, []))
     return (*pair, report)
 
 
-def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None):
+def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None,
+                  fac: OperatorFactors | None = None):
     """Picard iteration on the coupled map from (0, 0), whose first iterate
     is the forcing over P, in the weighted sup over the free rows.
 
@@ -761,46 +805,65 @@ def solve_coupled(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None):
     `geometry.check_smallness` holds; otherwise the solve still runs.
     `held` fixes the lowest rows of the line and the centre (see
     `_holding`), and the solve then updates, measures and reports the other
-    rows only.
+    rows only.  fac, the grid's factors of spec, is for a caller that holds
+    them (`SolverContext`).  The iterates ping-pong between two preallocated
+    pairs (`_ping_pong`), and the image of the last, which the report's
+    residual reads, goes into the pair it leaves spare.
     """
-    ctx = SolverContext(spec, grid, eps)
+    ctx = SolverContext(spec, grid, eps, fac)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
-    zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
+    start = (ctx.zero(),) * 2
+    spare = _ping_pong(*((ctx.empty(), ctx.empty()) for _ in range(2)))
 
     def pair_dist(a, b):
-        return max(dist(a[0], b[0]), dist(a[1], b[1]))
+        return _largest([dist(a[0], b[0]), dist(a[1], b[1])])
 
     def step(pair):
-        return tuple(hold(h, j) for j, h in enumerate(ctx.apply_H(*pair)))
+        out = spare(pair)
+        for j, h in enumerate(ctx.apply_H(*pair, out=out)):
+            hold(h, j)
+        return out
 
-    first = tuple(hold(ctx.image_of_zero(j), j) for j in (0, 1))
-    pair, *run = _picard(step, (zero, zero), pair_dist, first)
-    contraction = run[2]
-    cf = max(_weighted_sup(w, weights) for w in first)
-    varpi = 2.0 * cf / max(1e-12, 1.0 - contraction)
-    return _solve_report(weights, dist, pair, ctx.apply_H(*pair), [run], varpi)
+    first = spare(start)
+    for j, w in enumerate(first):
+        hold(ctx.image_of_zero(j, out=w), j)
+    cf = _largest([_weighted_sup(w, weights) for w in first])
+    pair, *run = _picard(step, start, pair_dist, first)
+    varpi = 2.0 * cf / max(1e-12, 1.0 - run[2])
+    return _solve_report(weights, dist, pair, ctx.apply_H(*pair, out=spare(pair)), [run],
+                         varpi)
 
 
-def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None):
+def solve_triangular(spec: ProblemSpec, eps: complex, grid: BorelGrid, held=None,
+                     fac: OperatorFactors | None = None):
     """Forward-substitution solve for the b_01 = 0 regime: omega_1 from its
     own equation, then omega_0 with omega_1's part of equation 0 fixed as g.
     Each Picard run starts from zero, whose images are known: omega_1's
-    forcing over P, and g.  `held` is as in `solve_coupled`."""
+    forcing over P, and g.  `held` and fac are as in `solve_coupled`.  Each
+    run ping-pongs between two buffers of its own; equation 1's image of
+    omega_1 goes into the one that run leaves spare, and equation 0's image
+    of omega_0 into the one the other leaves.  The omega_0 run's buffers
+    are made once g is, so the pass that computes g holds three."""
     if not spec.coeffs.triangular:
         raise UsageError("triangular solve requires b_01 identically zero")
-    ctx = SolverContext(spec, grid, eps)
+    ctx = SolverContext(spec, grid, eps, fac)
     weights, hold = _holding(ctx, held)
     dist = _distance(weights)
-    zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
-    w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w), 1), zero, dist,
-                        hold(ctx.image_of_zero(1), 1))
-    g, h1 = ctx.g_eps(w1)
-    w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g), 0), zero, dist,
-                        hold(g.copy(), 0))
+    zero = ctx.zero()
+    spare1 = _ping_pong(ctx.empty(), ctx.empty())
+    w1, *run1 = _picard(lambda w: hold(ctx.apply_H1(w, out=spare1(w)), 1), zero, dist,
+                        hold(ctx.image_of_zero(1, out=spare1(zero)), 1))
+    g, h1 = ctx.g_eps(w1, out=(ctx.empty(), spare1(w1)))
+    spare0 = _ping_pong(ctx.empty(), ctx.empty())
+    first0 = spare0(zero)
+    np.copyto(first0, g)
+    w0, *run0 = _picard(lambda w: hold(ctx.apply_H0(w, g, out=spare0(w)), 0), zero, dist,
+                        hold(first0, 0))
     # the coupled map's rows from the blocks: row 0 reuses g, and row 1,
     # which reads no omega_0 because b_01 = 0, is h1
-    return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g), h1), [run1, run0])
+    return _solve_report(weights, dist, (w0, w1), (ctx.apply_H0(w0, g, out=spare0(w0)), h1),
+                         [run1, run0])
 
 
 def held_bottom(spec: ProblemSpec, grid: BorelGrid) -> int:
@@ -825,7 +888,8 @@ def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarra
     `solve_coupled`) runs on the rung range picard from `held_bottom` to
     the top, with the rows up to the arc rung and the centre held, and
     report is its SolveReport; the line must then reach down to
-    `held_bottom`.
+    `held_bottom`.  The range, which the line keeps, holds its factors for
+    every solve on it (`BorelGrid.factors`).
     """
     g_taylor, g_lo = line.taylor_rung(), held_bottom(spec, line)
     if g_taylor == line.g_hi:
@@ -839,7 +903,7 @@ def solve_held(spec: ProblemSpec, eps: complex, line: BorelGrid, coef: np.ndarra
     disc = taylor_values(coef, line.stacked_tau[np.r_[0:n_disc, line.n_nodes]])
     below = g_lo - line.g_lo
     solve = solve_triangular if spec.coeffs.triangular else solve_coupled
-    *ws, report = solve(spec, eps, picard, held=disc[:, below:])
+    *ws, report = solve(spec, eps, picard, held=disc[:, below:], fac=picard.factors(spec))
     w0, w1 = (np.concatenate([d[:below], w]) for d, w in zip(disc, ws))
     return w0, w1, report, picard
 
@@ -858,8 +922,9 @@ def contraction_bound(spec: ProblemSpec, eps: complex, grid: BorelGrid) -> float
     ctx = SolverContext(spec, grid, eps).modulus()
     weights = grid.stacked_weights(spec)
     inverse = 1.0 / weights
-    accs = ctx._contributions({0: inverse, 1: inverse}, (0, 1))
-    return max(_weighted_sup(ctx._divided(acc), weights) for acc in accs.values())
+    accs = ctx._contributions({0: inverse, 1: inverse},
+                              {eq: np.empty(inverse.shape) for eq in (0, 1)})
+    return _largest([_weighted_sup(ctx._divided(acc), weights) for acc in accs.values()])
 
 
 # the name perfbench's tracer spans the certification step by

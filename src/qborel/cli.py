@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .borel_solver import (BorelGrid, GridSpec, _weighted_sup, build_grid,
+from .borel_solver import (BorelGrid, GridSpec, _largest, _weighted_sup, build_grid,
                            contraction_bound, solve_coupled, solve_held, taylor_at_origin)
 from .config import as_mapping, as_points, ignored_keys, read_keys
 from .errors import ConfigError, DivergenceError, DomainError, GeometryError, UsageError
@@ -255,7 +255,7 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
     # two methods, one fixed point: the rows that evaluate and residual read
     # against the Picard rows
     sol = _log_solution(rc, ctx)
-    gap = max(_weighted_sup(a - b, weights) for a, b in ((w0, sol.w0), (w1, sol.w1)))
+    gap = _largest([_weighted_sup(a - b, weights) for a, b in ((w0, sol.w0), (w1, sol.w1))])
     write_json(rc.output_dir / "solve_report.json", {
         "eps": rc.eps_solve, "iterations": report.iterations,
         "final_update": report.final_update,
@@ -274,8 +274,9 @@ def cmd_solve(rc: RunConfig, ctx: dict) -> int:
 
 def _log_solution(rc: RunConfig, ctx: dict) -> LogSolution:
     """The solution that evaluate and residual read, on `_line`'s line
-    (`build_grid`'s, raised to `tail_top` when it has Picard rows): its rows up to the line's Taylor rung summed from the Taylor series at
-    tau = 0, each order a Picard run, and Picard only above (`solve_held`).  It
+    (`build_grid`'s, raised to `tail_top` when it has Picard rows): its rows
+    up to the line's Taylor rung summed from the Taylor series at tau = 0,
+    each order a Picard run, and Picard only above (`solve_held`).  It
     carries the coefficients, so on a line that ends below the arc rung its
     q-Laplace transform is their closed form."""
     if "log_solution" not in ctx:

@@ -27,7 +27,9 @@ of a solved line by the theta-kernel trapezoid over its stored rows.
 `whole_line_operators` applies every `SolverContext` operator, the Borel
 residual and the contraction bound through `whole_line_contributions`, one
 pass of the coupled map over all rows of the line at once, the reference
-for the operators that walk the line in blocks of rows.
+for the operators that walk the line in blocks of rows.  `whole_array_solve`
+runs the Picard solves on it with a new array for every iterate and image,
+the reference for the solves that reuse preallocated buffers.
 `taylor_one_eps` expands the Taylor series at tau = 0 at one eps in a
 recursion of its own, order after order, the reference for the expansions
 of several eps that share one recursion's kernel products.
@@ -289,6 +291,55 @@ def whole_line_operators(ctx: SolverContext, w0: np.ndarray, w1: np.ndarray) -> 
         "contraction_bound": max(float(np.max(np.abs(acc * modulus.fac.inv_p) * weights))
                                  for acc in bound.values()),
     }
+
+
+def whole_array_solve(spec, eps: complex, grid, held=None, triangular: bool = False):
+    """(w0, w1, residual, update history) of `solve_coupled`, or of
+    `solve_triangular`, on grid: the same Picard runs through
+    `borel_solver._picard` and the same arithmetic, with every iterate and
+    image a new array from `whole_line_contributions`, and held rows reset
+    on a copy."""
+    ctx = SolverContext(spec, grid, eps)
+    weights = grid.stacked_weights(spec).copy()
+    if held is not None:
+        rows = np.r_[0:held.shape[1] - 1, grid.n_nodes]
+        weights[rows] = 0.0
+
+    def holding(f, j):
+        if held is None:
+            return f
+        f = f.copy()
+        f[rows] = held[j]
+        return f
+
+    def dist(a, b):
+        return float(np.max(np.abs(a - b) * weights))
+
+    def image(unknowns, eqs):
+        accs = whole_line_contributions(ctx, unknowns, dict.fromkeys(eqs))
+        return [(accs[eq] + ctx.F[eq]) * ctx.fac.inv_p for eq in eqs]
+
+    def coupled(w):
+        return [holding(h, j) for j, h in enumerate(image({0: w[0], 1: w[1]}, (0, 1)))]
+
+    def apply_h0(w):
+        return whole_line_contributions(ctx, {0: w}, {0: None})[0] * ctx.fac.inv_p + g
+
+    zero = np.zeros((grid.n_nodes + 1, grid.m.size), dtype=complex)
+    first = [holding(ctx.F[j] * ctx.fac.inv_p, j) for j in (0, 1)]
+    if not triangular:
+        w, *run = borel_solver._picard(
+            coupled, (zero, zero), lambda a, b: float(np.max([dist(a[0], b[0]),
+                                                              dist(a[1], b[1])])), first)
+        images = image({0: w[0], 1: w[1]}, (0, 1))
+        return (*w, float(np.max([dist(h, v) for h, v in zip(images, w)])), run[-1])
+    w1, *run1 = borel_solver._picard(lambda w: holding(image({1: w}, (1,))[0], 1), zero,
+                                     dist, first[1])
+    g, h1 = image({1: w1}, (0, 1))
+    w0, *run0 = borel_solver._picard(lambda w: holding(apply_h0(w), 0), zero, dist,
+                                     holding(g, 0))
+    return (w0, w1, float(np.max([dist(apply_h0(w0), w0), dist(h1, w1)])),
+            run1[-1] + run0[-1])
 
 
 def theta_log_abs(z, q: float, k: int = 1):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from qborel.problem_model import ProblemSpec, forcing_borel
 from qborel.solution_assembly import residual_borel
 from tests.conftest import GEOMETRY_M_GRID, disc_taylor_gap, kept_rows
 from tests.oracles import (apply_HP, apply_Hl, contraction_probe, stacked, weighted_norm,
-                           whole_line_operators)
+                           whole_array_solve, whole_line_operators)
 
 
 def test_grid_alignment_and_exact_dilation(golden):
@@ -322,6 +324,39 @@ def test_every_picard_run_stops_at_the_one_rule(golden, monkeypatch, solve):
         sizes = [float(np.max(np.abs(ctx.image_of_zero(j)) * weights)) for j in (0, 1)]
         first = max(sizes) if solve is solve_coupled else sizes[1]
         assert histories[0][0] == pytest.approx(first, rel=1e-15)
+
+
+@pytest.mark.parametrize("solve", [solve_coupled, solve_triangular])
+@pytest.mark.parametrize("held", [False, True])
+def test_solves_hand_back_the_whole_array_solve_in_arrays_of_their_own(golden, monkeypatch,
+                                                                       solve, held):
+    # the iterates ping-pong between preallocated buffers and the report's
+    # images go into the ones a run leaves spare: the returned arrays are
+    # bit for bit those of a solve that takes a new array for every iterate
+    # and image, and neither they nor the images share memory, so no later
+    # sweep of the solve, such as the triangular solve's omega_0 run, has
+    # written over omega_1
+    spec, grid, eps = golden["spec"], golden["grid"], golden["eps"]
+    rows = None
+    if held:
+        n = 2 * max(grid.factors(spec).shifts)
+        rows = np.stack([np.concatenate([w[:n], w[-1:]]) for w in (golden["w0"], golden["w1"])])
+    reported = []
+    real = borel_solver._solve_report
+
+    def recording(weights, dist, pair, images, *rest):
+        reported.append((*pair, *images))
+        return real(weights, dist, pair, images, *rest)
+
+    monkeypatch.setattr(borel_solver, "_solve_report", recording)
+    w0, w1, rep = solve(spec, eps, grid, held=rows)
+    want = whole_array_solve(spec, eps, grid, rows, triangular=solve is solve_triangular)
+    assert w0.tobytes() == want[0].tobytes() and w1.tobytes() == want[1].tobytes()
+    assert rep.residual == want[2] and rep.update_history == want[3]
+    (arrays,) = reported
+    assert arrays[0] is w0 and arrays[1] is w1
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_affine_linearity(golden):
@@ -720,6 +755,36 @@ def test_block_passes_keep_the_bits_of_the_whole_line_pass(example_line, rows):
     assert got.keys() == want.keys()
     for name, value in got.items():
         assert bits(value) == bits(want[name]), name
+
+
+@pytest.mark.parametrize("solve", [solve_coupled, solve_triangular])
+def test_solve_peak_is_its_buffers_the_forcing_and_one_block(example_line, solve):
+    # above the line's kernels, factors and weights, built beforehand, the
+    # whole-line coupled solve holds two iterate pairs and the forcing, six
+    # line arrays, and one block's temporaries, about seven arrays of
+    # KERNEL_ROWS rows: 8.2 line arrays at 205 rows.  The triangular solve
+    # holds its two runs' buffers, g and the forcing, seven, and a smaller
+    # block: 8.5.  An iterate or image allocated per sweep, a zero start, a
+    # kept first image or the omega_0 buffers made before the pass that
+    # computes g each costs a line array more (11.2 and 10.5 did)
+    rc, line = example_line
+    spec, eps = rc.spec, rc.eps_solve
+    array = (line.n_nodes + 1) * line.m.size * 16
+    bound = 9 * array
+    borel_solver.SymbolKernels.of(spec, line.m)
+    line.stacked_weights(spec)
+    fac = line.factors(spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w0, w1, _ = solve(spec, eps, line, fac=fac)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w0.shape == (205, 241)
+    assert peak - before < bound, (peak - before) / array
+    # the solve keeps nothing but the two arrays it returns
+    assert after - before < 2.1 * array, (after - before) / array
 
 
 @pytest.mark.parametrize("shape", [(241,), (25, 161), (206, 241), (2, 3, 161)])

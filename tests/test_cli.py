@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import qborel
-from qborel.borel_solver import SolveReport, TaylorRecursion
-from qborel.errors import ConfigError
+from qborel.borel_solver import SolveReport, SolverContext, TaylorRecursion, solve_coupled
+from qborel.errors import ConfigError, DivergenceError
 from qborel.cli import (COMMANDS, _line, _relative_residual, cmd_solve, load_config, main,
                         run, write_csv)
 from tests.oracles import contraction_probe
@@ -698,6 +698,32 @@ def test_norms_csv_matches_the_per_node_loop(solved_small, tmp_path):
     assert (rc.output_dir / "norms.csv").read_bytes() == ref.read_bytes()
 
 
+def test_solve_leaves_no_whole_line_factors_on_the_line(solved_small):
+    # the whole-line solve and its contraction bound each build the line's
+    # factors in a SolverContext of their own, which go with it
+    rc, ctx, _ = solved_small
+    assert not hasattr(ctx["grid"], "_factors")
+
+
+def test_nan_in_omega_1_alone_is_a_divergence_and_exit_3(tmp_path, capsys, monkeypatch):
+    # Python's max(x, nan) is x, so a NaN confined to omega_1 once slipped
+    # past the update's finiteness check and the stopping rule.  The patched
+    # map reads omega_1's NaN as zero, so omega_0 stays finite
+    real = SolverContext.apply_H
+
+    def nan_in_omega_1(self, w0, w1, out=None):
+        h0, h1 = real(self, w0, np.nan_to_num(w1), out=out)
+        h1[0, 0] = math.nan
+        return h0, h1
+
+    monkeypatch.setattr(SolverContext, "apply_H", nan_in_omega_1)
+    rc = load_config(GOLDEN)
+    with pytest.raises(DivergenceError, match="not finite"):
+        solve_coupled(rc.spec, rc.eps_solve, _line(rc, {}))
+    assert run("solve", GOLDEN, str(tmp_path)) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_relative_residual_divides_by_the_larger_norm():
     report = SolveReport(iterations=3, final_update=0.0, contraction=0.0,
                          norms=(2.0, 4.0), residual=1e-12)
@@ -901,29 +927,21 @@ def test_solve_reports_a_contraction_bound_above_the_estimates(tmp_path, name):
     assert math.isfinite(error) and (name != "example_k13.json" or error <= 1e-11)
 
 
-def test_no_verb_loads_numpy_random(tmp_path):
-    # the contraction certificate draws nothing: `all` runs every verb and
-    # leaves numpy.random, its memory and import time, unloaded
+def test_all_leaves_numpy_random_numpy_ma_numpy_polynomial_and_argparse_unloaded(tmp_path):
+    # one fresh process runs `all`, every verb.  The contraction certificate
+    # draws nothing, so numpy.random, its memory and import time, stay
+    # unloaded; the ratio medians, the polynomial values and the
+    # Gauss-Legendre rule need neither numpy.ma nor numpy.polynomial, and
+    # argparse is imported by main alone
     code = ("import sys; from qborel.cli import run; "
             f"assert run('all', {str(GOLDEN)!r}, {str(tmp_path)!r}) == 0; "
-            "print('numpy.random' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(qborel.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_all_leaves_numpy_ma_numpy_polynomial_and_argparse_unloaded(tmp_path):
-    # the ratio medians, the polynomial values and the Gauss-Legendre rule
-    # need none of them, and argparse is imported by main alone
-    code = ("import sys; from qborel.cli import run; "
-            f"assert run('all', {str(GOLDEN)!r}, {str(tmp_path)!r}) == 0; "
+            "print('numpy.random' in sys.modules); "
             "print([name for name in ('numpy.ma', 'numpy.polynomial', 'argparse') "
             "if name in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(qborel.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["False", "[]"]
 
 
 @pytest.mark.parametrize("rows", [
