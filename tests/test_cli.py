@@ -927,21 +927,33 @@ def test_solve_reports_a_contraction_bound_above_the_estimates(tmp_path, name):
     assert math.isfinite(error) and (name != "example_k13.json" or error <= 1e-11)
 
 
-def test_all_leaves_numpy_random_numpy_ma_numpy_polynomial_and_argparse_unloaded(tmp_path):
-    # one fresh process runs `all`, every verb.  The contraction certificate
-    # draws nothing, so numpy.random, its memory and import time, stay
-    # unloaded; the ratio medians, the polynomial values and the
-    # Gauss-Legendre rule need neither numpy.ma nor numpy.polynomial, and
-    # argparse is imported by main alone
+@pytest.fixture(scope="module")
+def modules_after_all(tmp_path_factory):
+    # one fresh process runs `all`, every verb, and prints whether
+    # numpy.random is loaded and which of numpy.ma, numpy.polynomial and
+    # argparse are; both tests below read this one run
+    out_dir = tmp_path_factory.mktemp("all_modules")
     code = ("import sys; from qborel.cli import run; "
-            f"assert run('all', {str(GOLDEN)!r}, {str(tmp_path)!r}) == 0; "
+            f"assert run('all', {str(GOLDEN)!r}, {str(out_dir)!r}) == 0; "
             "print('numpy.random' in sys.modules); "
             "print([name for name in ('numpy.ma', 'numpy.polynomial', 'argparse') "
             "if name in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(qborel.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines() == ["False", "[]"]
+    return out.stdout.splitlines()
+
+
+def test_no_verb_loads_numpy_random(modules_after_all):
+    # the contraction certificate draws nothing: `all` runs every verb and
+    # leaves numpy.random, its memory and import time, unloaded
+    assert modules_after_all[0] == "False"
+
+
+def test_all_leaves_numpy_ma_numpy_polynomial_and_argparse_unloaded(modules_after_all):
+    # the ratio medians, the polynomial values and the Gauss-Legendre rule
+    # need none of them, and argparse is imported by main alone
+    assert modules_after_all[1:] == ["[]"]
 
 
 @pytest.mark.parametrize("rows", [
